@@ -268,13 +268,18 @@ let run_a5 ?(chain_lengths = [ 0; 1; 2; 4; 8 ]) () =
 
 (* --- rendering ------------------------------------------------------------------ *)
 
-let print_table fmt =
+(* One printer per ablation; the registry composes them, and each can be
+   regenerated on its own (A1 alone reruns E5 five times). *)
+
+let print_a1 fmt =
   Table.render fmt
     ~title:"A1 ablation: broker (least-loaded) vs load-report staleness"
     ~header:[ "report period"; "mean resp s"; "p95 resp s" ]
     (List.map
        (fun r -> [ Table.S r.period; Table.F2 r.mean_response; Table.F2 r.p95_response ])
-       (run_a1 ()));
+       (run_a1 ()))
+
+let print_a2 fmt =
   Table.render fmt
     ~title:
       (Printf.sprintf "A2 ablation: guard patience and durability (line-6, lambda=%.3f)"
@@ -289,7 +294,9 @@ let print_table fmt =
            Table.F2 r.relaunches;
            Table.F2 r.mean_time;
          ])
-       (run_a2 ()));
+       (run_a2 ()))
+
+let print_a3 fmt =
   Table.render fmt
     ~title:"A3 ablation: kernel-wide Horus group — background cost vs fast failure detection"
     ~header:[ "group"; "idle bytes/s (8 sites)"; "retry-abort latency s" ]
@@ -300,13 +307,17 @@ let print_table fmt =
            Table.F2 r.idle_bytes_per_s;
            Table.F2 r.abort_latency;
          ])
-       (run_a3 ()));
+       (run_a3 ()))
+
+let print_a4 fmt =
   Table.render fmt
     ~title:
       (Printf.sprintf "A4 ablation: E1 advantage vs shipped code size (selectivity %.2f)"
          a4_selectivity)
     ~header:[ "extra code B"; "c-s/agent" ]
-    (List.map (fun r -> [ Table.I r.code_bytes; Table.F2 r.ratio ]) (run_a4 ()));
+    (List.map (fun r -> [ Table.I r.code_bytes; Table.F2 r.ratio ]) (run_a4 ()))
+
+let print_a5 fmt =
   Table.render fmt
     ~title:"A5 broker routing overlay: resolving a service L brokers away"
     ~header:[ "overlay distance"; "query hops"; "lookup latency s" ]

@@ -73,7 +73,11 @@ let all =
       id = "abl";
       title = "ablations: report staleness, guard tuning, horus group, code size";
       paper_claim = "design-choice probes behind E1/E5/E6/E7";
-      print = Ablations.print_table;
+      print =
+        (fun fmt ->
+          List.iter
+            (fun print -> print fmt)
+            Ablations.[ print_a1; print_a2; print_a3; print_a4; print_a5 ]);
     };
   ]
 
