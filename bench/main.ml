@@ -307,30 +307,12 @@ let measure cfg tests =
     results;
   !rows
 
-let () =
-  (* --quick: one short sample per benchmark — a CI smoke run proving every
-     benchmarked path still executes, not a measurement *)
-  let quick = Array.exists (( = ) "--quick") Sys.argv in
-  let find_opt_arg key =
-    let rec find = function
-      | flag :: v :: _ when flag = key -> Some v
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find (Array.to_list Sys.argv)
-  in
-  let json_out = find_opt_arg "--json" in
-  (* --jobs N: one pool task per benchmark.  Each staged closure only
-     touches state built for that benchmark, so samples can run
-     concurrently; the result *structure* (names, row order after the sort)
-     is identical to serial — only the timings themselves feel the sharing
-     of cores, which is why CI measures with --jobs 1 and uses --jobs for
-     smoke runs. *)
-  let jobs =
-    match find_opt_arg "--jobs" with
-    | None -> 1
-    | Some v -> ( match int_of_string_opt v with Some n when n >= 0 -> n | _ -> 1)
-  in
+(* --jobs N: one pool task per benchmark.  Each staged closure only touches
+   state built for that benchmark, so samples can run concurrently; the
+   result *structure* (names, row order after the sort) is identical to
+   serial — only the timings themselves feel the sharing of cores, which is
+   why CI measures with --jobs 1 and uses --jobs for smoke runs. *)
+let run quick json_out jobs =
   let quota = if quick then Time.millisecond 50. else Time.second 0.5 in
   let cfg = Benchmark.cfg ~limit:2000 ~quota ~kde:(Some 1000) () in
   let rows =
@@ -347,3 +329,22 @@ let () =
   Printf.printf "%s\n" (String.make 70 '-');
   List.iter (fun (name, est) -> Printf.printf "%-50s | %15.1f\n" name est) rows;
   Option.iter (fun path -> write_json path rows) json_out
+
+let () =
+  let open Cmdliner in
+  let quick =
+    Arg.(value & flag
+         & info [ "quick" ]
+             ~doc:
+               "One short sample per benchmark: a smoke run proving every benchmarked path \
+                still executes, not a measurement.")
+  in
+  let json_out =
+    Arg.(value & opt (some string) None
+         & info [ "json" ] ~docv:"FILE" ~doc:"Also write the rows as JSON to FILE.")
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "bench" ~doc:"Micro-benchmarks of the TACOMA layers, in ns/run.")
+          Term.(const run $ quick $ json_out $ Tacoma_cli.jobs_term)))

@@ -13,7 +13,7 @@ module Topology = Netsim.Topology
 module Kernel = Tacoma_core.Kernel
 module Briefcase = Tacoma_core.Briefcase
 module Folder = Tacoma_core.Folder
-module Fault = Netsim.Fault
+module Chaos = Netsim.Chaos
 module Escort = Guard.Escort
 
 let () =
@@ -22,8 +22,11 @@ let () =
 
   (* the failure schedule: site 2 dies while the agent audits it; site 1
      (which by then holds the rear guard) dies shortly after *)
-  Fault.crash_for net ~site:2 ~at:5.0 ~downtime:6.0;
-  Fault.crash_for net ~site:1 ~at:5.5 ~downtime:6.0;
+  Chaos.apply net
+    [
+      Crash { site = 2; at = 5.0; downtime = 6.0 };
+      Crash { site = 1; at = 5.5; downtime = 6.0 };
+    ];
 
   let config =
     {

@@ -113,21 +113,10 @@ type t = {
   mutable mid_counter : int;
   mutable id_counter : int;
   rng : Rng.t;
-  mutable stat_migrations : int;
-  mutable stat_activations : int;
-  mutable stat_deaths : int;
-  mutable stat_completions : int;
   mutable death_hooks : (site:Netsim.Site.id -> agent:string -> reason:string -> unit) list;
   mutable complete_hooks : (site:Netsim.Site.id -> agent:string -> unit) list;
   mutable group : Horus.Group.t option;
   mutable step_policy : (Briefcase.t -> int option) option;
-  activity_tbl : (string, activity_cell) Hashtbl.t;
-}
-
-and activity_cell = {
-  mutable c_activations : int;
-  mutable c_completions : int;
-  mutable c_deaths : int;
 }
 
 and ctx = { kernel : t; site : Netsim.Site.id; self : string }
@@ -150,8 +139,6 @@ let site_name t site = Netsim.Topology.site_name (Net.topology t.net) site
 let cabinet t site = t.places.(site).cab
 
 let neighbor_names t site = List.map (site_name t) (Net.neighbors t.net site)
-
-let trace t kind detail = Netsim.Trace.add (Net.trace t.net) ~time:(now t) kind detail
 
 (* ---- flight recorder ----------------------------------------------------- *)
 
@@ -289,7 +276,12 @@ and run_code ctx ~code bc =
           try meet ctx name bc
           with Agent_error msg -> raise (Tscript.Interp.Error_exc msg));
       sleep = (fun d -> sleep ctx d);
-      log = (fun msg -> trace t Netsim.Trace.Agent (Printf.sprintf "%s@%s: %s" ctx.self (site_name t ctx.site) msg));
+      log =
+        (fun msg ->
+          let tr = recorder t in
+          if Obs.Tracer.enabled tr then
+            Obs.Tracer.instant tr ~time:(now t) ~cat:"kernel" ~site:ctx.site ~agent:ctx.self
+              ~msg "agent.log");
       random_int = (fun n -> Rng.int t.rng n);
       cabinet = cabinet t ctx.site;
       code = (fun () -> code);
@@ -342,31 +334,24 @@ and run_code ctx ~code bc =
 
 (* ---- activations ----------------------------------------------------------- *)
 
-let activity_cell t agent =
-  match Hashtbl.find_opt t.activity_tbl agent with
-  | Some c -> c
-  | None ->
-    let c = { c_activations = 0; c_completions = 0; c_deaths = 0 } in
-    Hashtbl.replace t.activity_tbl agent c;
-    c
-
+(* The metrics registry is the kernel's only bookkeeping: activations,
+   completions and deaths are counted per agent there, and the accessors at
+   the end of this file read them back. *)
 let run_hooks_death t ~cls ~site ~agent ~reason =
-  t.stat_deaths <- t.stat_deaths + 1;
-  (activity_cell t agent).c_deaths <- (activity_cell t agent).c_deaths + 1;
-  Obs.Metrics.incr (metrics t) ~labels:[ ("class", cls) ] "kernel.deaths";
-  trace t Netsim.Trace.Agent (Printf.sprintf "death of %s@%s: %s" agent (site_name t site) reason);
+  Obs.Metrics.incr (metrics t) ~labels:[ ("agent", agent); ("class", cls) ] "kernel.deaths";
+  (let tr = recorder t in
+   if Obs.Tracer.enabled tr then
+     Obs.Tracer.instant tr ~time:(now t) ~cat:"kernel" ~site ~agent ~msg:reason
+       ~attrs:[ ("class", Obs.Event.S cls) ]
+       "kernel.death");
   List.iter (fun h -> h ~site ~agent ~reason) (List.rev t.death_hooks)
 
 let run_hooks_complete t ~site ~agent =
-  t.stat_completions <- t.stat_completions + 1;
-  (activity_cell t agent).c_completions <- (activity_cell t agent).c_completions + 1;
-  Obs.Metrics.incr (metrics t) "kernel.completions";
+  Obs.Metrics.incr (metrics t) ~labels:[ ("agent", agent) ] "kernel.completions";
   List.iter (fun h -> h ~site ~agent) (List.rev t.complete_hooks)
 
 let run_activation t ~site ~contact bc =
-  t.stat_activations <- t.stat_activations + 1;
-  (activity_cell t contact).c_activations <- (activity_cell t contact).c_activations + 1;
-  Obs.Metrics.incr (metrics t) "kernel.activations";
+  Obs.Metrics.incr (metrics t) ~labels:[ ("agent", contact) ] "kernel.activations";
   let ctx = { kernel = t; site; self = contact } in
   let tr = recorder t in
   (* the activation span parents to whatever span dispatched this briefcase
@@ -438,9 +423,11 @@ let rec horus_retry t st mid =
   if st.attempts >= t.cfg.horus.max_attempts || believed_dead then begin
     Hashtbl.remove t.pending_acks mid;
     Obs.Metrics.incr (metrics t) "horus.giveups";
-    trace t Netsim.Trace.Drop
-      (Printf.sprintf "horus rexec %d to site-%d gave up after %d attempts" mid st.ack_dst
-         st.attempts)
+    let tr = recorder t in
+    if Obs.Tracer.enabled tr then
+      Obs.Tracer.instant tr ~time:(now t) ~cat:"kernel" ~site:st.ack_src
+        ~attrs:[ ("dst", Obs.Event.I st.ack_dst); ("attempts", Obs.Event.I st.attempts) ]
+        "horus.giveup"
   end
   else begin
     st.attempts <- st.attempts + 1;
@@ -589,7 +576,6 @@ let accept_briefcase t ~site ~src ~contact bc =
 (* ---- migration -------------------------------------------------------------- *)
 
 let migrate t ~src ~dst ~contact ~transport bc =
-  t.stat_migrations <- t.stat_migrations + 1;
   Obs.Metrics.incr (metrics t)
     ~labels:[ ("transport", transport_name transport) ]
     "kernel.migrations";
@@ -863,15 +849,10 @@ let create ?(config = default_config) net =
       mid_counter = 1;
       id_counter = 0;
       rng = Rng.split (Net.rng net);
-      stat_migrations = 0;
-      stat_activations = 0;
-      stat_deaths = 0;
-      stat_completions = 0;
       death_hooks = [];
       complete_hooks = [];
       group = None;
       step_policy = None;
-      activity_tbl = Hashtbl.create 32;
     }
   in
   List.iter
@@ -911,23 +892,34 @@ let create ?(config = default_config) net =
 (* ---- stats ------------------------------------------------------------------------ *)
 
 let cache_saved_bytes t = t.cache_saved_bytes
-let migrations t = t.stat_migrations
-let activations t = t.stat_activations
-let deaths t = t.stat_deaths
-let completions t = t.stat_completions
+let migrations t = Obs.Metrics.counter_total (metrics t) "kernel.migrations"
+let activations t = Obs.Metrics.counter_total (metrics t) "kernel.activations"
+let deaths t = Obs.Metrics.counter_total (metrics t) "kernel.deaths"
+let completions t = Obs.Metrics.counter_total (metrics t) "kernel.completions"
+
 type agent_activity = { a_activations : int; a_completions : int; a_deaths : int }
 
 let activity t =
-  Hashtbl.fold
-    (fun name c acc ->
-      ( name,
-        {
-          a_activations = c.c_activations;
-          a_completions = c.c_completions;
-          a_deaths = c.c_deaths;
-        } )
-      :: acc)
-    t.activity_tbl []
+  let bump acc agent f =
+    let a =
+      Option.value (List.assoc_opt agent acc)
+        ~default:{ a_activations = 0; a_completions = 0; a_deaths = 0 }
+    in
+    (agent, f a) :: List.remove_assoc agent acc
+  in
+  Obs.Metrics.fold
+    (fun ~name ~labels v acc ->
+      match (v, List.assoc_opt "agent" labels) with
+      | Obs.Metrics.Counter n, Some agent -> (
+        match name with
+        | "kernel.activations" ->
+          bump acc agent (fun a -> { a with a_activations = a.a_activations + n })
+        | "kernel.completions" ->
+          bump acc agent (fun a -> { a with a_completions = a.a_completions + n })
+        | "kernel.deaths" -> bump acc agent (fun a -> { a with a_deaths = a.a_deaths + n })
+        | _ -> acc)
+      | _ -> acc)
+    (metrics t) []
   |> List.sort compare
 
 let set_step_policy t p = t.step_policy <- p

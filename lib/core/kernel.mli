@@ -128,9 +128,14 @@ val fresh_id : t -> int
 
     The kernel records into the network's shared recorder and metrics
     registry ({!Netsim.Net.recorder} / {!Netsim.Net.metrics}): activation
-    and meet spans, migration instants, per-agent interpreter profiles, and
-    counters for activations / completions / deaths-by-class / migrations-
-    by-transport.  Span context travels in the briefcase's
+    and meet spans; instants for migrations (["kernel.migrate"]), deaths
+    (["kernel.death"], the reason as message), agent [log] lines
+    (["agent.log"]) and abandoned horus retransmissions (["horus.giveup"]);
+    per-agent interpreter profiles; and the counters
+    [kernel.activations{agent}], [kernel.completions{agent}],
+    [kernel.deaths{agent,class}] and [kernel.migrations{transport}].  Those
+    counters are the kernel's only bookkeeping: the introspection functions
+    below read them back.  Span context travels in the briefcase's
     {!Briefcase.trace_folder}, so a journey's hops — including guard
     relaunches, which re-ship a snapshot briefcase — form one causal
     tree. *)
@@ -221,7 +226,9 @@ val cache_saved_bytes : t -> int
     from migrations minus the full cost of every fallback fetch exchange.
     Mirrored in the ["codecache.bytes_saved"] gauge. *)
 
-(** {1 Introspection} *)
+(** {1 Introspection}
+
+    Reads of the [kernel.*] counters in {!metrics}, summed over labels. *)
 
 val migrations : t -> int
 val activations : t -> int
@@ -235,7 +242,9 @@ type agent_activity = {
 }
 
 val activity : t -> (string * agent_activity) list
-(** Per-agent-name accounting across the whole run, sorted by name. *)
+(** Per-agent-name accounting across the whole run, sorted by name: the
+    [agent]-labelled [kernel.*] counters, one entry per agent that was
+    activated, completed or died. *)
 
 val on_death : t -> (site:Netsim.Site.id -> agent:string -> reason:string -> unit) -> unit
 val on_complete : t -> (site:Netsim.Site.id -> agent:string -> unit) -> unit

@@ -81,11 +81,11 @@ let run_mail () =
   (* scenario 2: same burst with crashing homes *)
   let net, k, users = mk_world () in
   let rng = Rng.create 77L in
-  let plans =
-    Netsim.Fault.poisson_plan ~rng:(Rng.create 5L) ~sites:(List.init 6 Fun.id) ~rate:0.02
+  let plan =
+    Netsim.Chaos.crashes ~rng:(Rng.create 5L) ~sites:(List.init 6 Fun.id) ~rate:0.02
       ~mean_downtime:5.0 ~until:60.0
   in
-  Netsim.Fault.apply net plans;
+  Netsim.Chaos.apply net plan;
   let t = ref 0.0 in
   for _ = 1 to sent do
     t := !t +. 1.0;

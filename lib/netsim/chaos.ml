@@ -76,13 +76,22 @@ let links_of topo =
   Topology.iter_links topo (fun a b _ -> acc := (a, b) :: !acc);
   Array.of_list (List.rev !acc)
 
-let of_fault_plan fault_plan =
-  List.map
-    (fun { Fault.site; at; downtime } -> Crash { site; at; downtime })
-    fault_plan
-
 let crashes ~rng ~sites ~rate ~mean_downtime ~until =
-  of_fault_plan (Fault.poisson_plan ~rng ~sites ~rate ~mean_downtime ~until)
+  if rate <= 0.0 then []
+  else
+    List.concat_map
+      (fun site ->
+        let stream = Rng.split rng in
+        let rec gen acc time =
+          let time = time +. Rng.exponential stream ~mean:(1.0 /. rate) in
+          if time >= until then List.rev acc
+          else
+            let downtime = Rng.exponential stream ~mean:mean_downtime in
+            (* next crash can only happen after the site is back up *)
+            gen (Crash { site; at = time; downtime } :: acc) (time +. downtime)
+        in
+        gen [] 0.0)
+      sites
 
 let flapping ~rng ~topo ~rate ~mean_downtime ~until =
   let links = links_of topo in
@@ -327,10 +336,11 @@ let fire ap = function
       emit ap "crash"
         ~attrs:[ ("site", Obs.Event.I site); ("downtime", Obs.Event.F downtime) ];
       Net.crash ap.net site;
-      ignore
-        (Net.schedule ap.net ~after:downtime (fun () ->
-             emit_heal ap "crash";
-             Net.restart ap.net site))
+      if Float.is_finite downtime then
+        ignore
+          (Net.schedule ap.net ~after:downtime (fun () ->
+               emit_heal ap "crash";
+               Net.restart ap.net site))
     end
     else
       Obs.Metrics.incr (Net.metrics ap.net) ~labels:[ ("kind", "crash") ] "chaos.skipped"
@@ -402,6 +412,8 @@ let apply net plan =
     (fun ev ->
       ignore (Engine.schedule_at (Net.engine net) ~at:(at_of ev) (fun () -> fire ap ev)))
     plan
+
+let crash_for net ~site ~at ~downtime = apply net [ Crash { site; at; downtime } ]
 
 (* ---- serialization --------------------------------------------------------- *)
 

@@ -1,15 +1,15 @@
-(** Deterministic chaos plans: composable failure schedules over a {!Net.t}.
-
-    Generalises {!Fault} (crash/restart only) to the full failure surface the
-    netsim models: link partitions ({!event.Cut} — clean bisections or
+(** Deterministic chaos plans: composable failure schedules over a {!Net.t},
+    and the simulator's only fault model.  A plan covers the full failure
+    surface the netsim models: site crashes ({!event.Crash}, with or
+    without a restart), link partitions ({!event.Cut} — clean bisections or
     flapping single links), time-windowed loss elevation
     ({!event.Loss_burst}, per-link or net-wide) and link degradation
     ({!event.Degrade}, latency/bandwidth multipliers).
 
     Plans are {e pure data}: generated from split RNG streams, inspectable,
     storable ({!to_string}/{!of_string}) and replayable against several
-    networks — the chaos analogue of {!Fault.poisson_plan}'s determinism
-    guarantee.  Every injected event is emitted as a tracer instant
+    networks, so runs with and without a mechanism under test (rear guards,
+    say) see the {e same} failure schedule.  Every injected event is emitted as a tracer instant
     (category ["chaos"]) and counted in the metrics registry
     ([chaos.injected] / [chaos.healed] / [chaos.skipped], labelled by
     kind). *)
@@ -18,9 +18,11 @@ type link = Site.id * Site.id
 
 type event =
   | Crash of { site : Site.id; at : float; downtime : float }
-      (** crash at [at], restart at [at +. downtime]; skipped (and counted
-          under [chaos.skipped]) when the site is already down, together
-          with its paired restart *)
+      (** crash at [at], restart at [at +. downtime]; a [downtime] of
+          [Float.infinity] never restarts.  Skipped (and counted under
+          [chaos.skipped]) when the site is already down, together with its
+          paired restart, so an overlapping crash cannot cut short the
+          downtime of the crash that got there first. *)
   | Cut of { links : link list; at : float; duration : float; label : string }
       (** disable every listed link for the window; overlapping cuts of the
           same link are reference-counted, so a link heals only when the
@@ -59,8 +61,6 @@ val double_failure_window : plan -> Site.id list -> bool
 
     All pure; they only draw from the given [rng]. *)
 
-val of_fault_plan : Fault.plan list -> plan
-
 val crashes :
   rng:Tacoma_util.Rng.t ->
   sites:Site.id list ->
@@ -68,8 +68,11 @@ val crashes :
   mean_downtime:float ->
   until:float ->
   plan
-(** Per-site Poisson crash/restart schedule — {!Fault.poisson_plan} lifted
-    to chaos events. *)
+(** For each site (each from its own split of [rng]), crashes arrive as a
+    Poisson process with [rate] crashes per second and exponentially
+    distributed downtime.  A site's next crash comes only after its
+    restart, so applying one such plan never skips; the result is grouped
+    by site, in [sites] order. *)
 
 val flapping :
   rng:Tacoma_util.Rng.t ->
@@ -151,6 +154,9 @@ val apply : Net.t -> plan -> unit
 (** Schedule every event (and the end of its window) on the network's
     engine.  Overlapping windows compose as documented per {!event} case.
     @raise Invalid_argument when {!validate} rejects the plan. *)
+
+val crash_for : Net.t -> site:Site.id -> at:float -> downtime:float -> unit
+(** [apply] of the single event [Crash { site; at; downtime }]. *)
 
 (** {1 Persistence}
 

@@ -15,11 +15,15 @@ let compare_event a b =
   let c = compare a.time b.time in
   if c <> 0 then c else compare a.seq b.seq
 
+(* fills the queue's unused slots: never popped, never fired *)
+let vacant =
+  { time = infinity; seq = -1; fire = ignore; handle = { live = false; on_cancel = ignore } }
+
 let create ?metrics () =
   {
     clock = 0.0;
     next_seq = 0;
-    queue = Tacoma_util.Heap.create ~cmp:compare_event;
+    queue = Tacoma_util.Heap.create ~cmp:compare_event ~dummy:vacant;
     live_count = 0;
     compaction_count = 0;
     metrics;

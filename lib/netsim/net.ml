@@ -14,7 +14,7 @@ type t = {
   loss_rng : Rng.t;
   loss_rate : float;
   stats : Netstats.t;
-  trace : Trace.t;
+  recorder : Obs.Tracer.t;
   metrics : Obs.Metrics.t;
   site_states : site_state array;
   disabled_links : (int * int, unit) Hashtbl.t;
@@ -40,7 +40,7 @@ let create ?(seed = 42L) ?(trace = false) ?(loss_rate = 0.0) topo =
     loss_rate;
     rng;
     stats = Netstats.create ();
-    trace = Trace.create ~enabled:trace ();
+    recorder = Obs.Tracer.create ~enabled:trace ();
     metrics;
     site_states =
       Array.init n (fun _ ->
@@ -59,8 +59,7 @@ let topology t = t.topo
 let now t = Engine.now t.engine
 let rng t = t.rng
 let stats t = t.stats
-let trace t = t.trace
-let recorder t = Trace.tracer t.trace
+let recorder t = t.recorder
 let metrics t = t.metrics
 let sites t = Topology.sites t.topo
 let neighbors t s = Topology.neighbors t.topo s
@@ -116,7 +115,7 @@ let dijkstra t src =
   let prev = Array.make n (-1) in
   let visited = Array.make n false in
   dist.(src) <- 0.0;
-  let heap = Tacoma_util.Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b) in
+  let heap = Tacoma_util.Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b) ~dummy:(0.0, 0) in
   Tacoma_util.Heap.push heap (0.0, src);
   let rec loop () =
     match Tacoma_util.Heap.pop heap with
@@ -374,7 +373,8 @@ let crash t s =
     st.handlers <- [];
     bump_generation t;
     Obs.Metrics.incr t.metrics "net.crashes";
-    Trace.add t.trace ~time:(now t) Trace.Crash (Printf.sprintf "site-%d" s);
+    if Obs.Tracer.enabled t.recorder then
+      Obs.Tracer.instant t.recorder ~time:(now t) ~cat:"net" ~site:s "net.crash";
     List.iter (fun hook -> hook ()) (List.rev st.crash_hooks)
   end
 
@@ -384,7 +384,8 @@ let restart t s =
     st.up <- true;
     bump_generation t;
     Obs.Metrics.incr t.metrics "net.restarts";
-    Trace.add t.trace ~time:(now t) Trace.Restart (Printf.sprintf "site-%d" s);
+    if Obs.Tracer.enabled t.recorder then
+      Obs.Tracer.instant t.recorder ~time:(now t) ~cat:"net" ~site:s "net.restart";
     List.iter (fun hook -> hook ()) (List.rev st.restart_hooks)
   end
 

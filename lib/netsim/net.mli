@@ -26,11 +26,10 @@ val rng : t -> Tacoma_util.Rng.t
     directly in long-lived components. *)
 
 val stats : t -> Netstats.t
-val trace : t -> Trace.t
 
-(** The structured flight recorder behind [trace]: every layer (kernel,
-    broker, guard, horus) records spans and instants here.  Enabled
-    together with [trace]. *)
+(** The structured flight recorder: every layer (kernel, broker, guard,
+    horus, chaos) records spans and instants here.  Enabled by [create
+    ~trace:true]; off, it records nothing. *)
 val recorder : t -> Obs.Tracer.t
 
 (** The simulation-wide metrics registry (always on): per-link bytes and

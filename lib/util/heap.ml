@@ -1,18 +1,21 @@
+(* Slots at index [size] and above hold [dummy], never a popped element, so
+   the heap keeps nothing reachable that it no longer contains. *)
 type 'a t = {
   cmp : 'a -> 'a -> int;
+  dummy : 'a;
   mutable data : 'a array;
   mutable size : int;
 }
 
-let create ~cmp = { cmp; data = [||]; size = 0 }
+let create ~cmp ~dummy = { cmp; dummy; data = [||]; size = 0 }
 let length t = t.size
 let is_empty t = t.size = 0
 
-let grow t x =
+let grow t =
   let cap = Array.length t.data in
   if t.size = cap then begin
     let ncap = if cap = 0 then 16 else cap * 2 in
-    let ndata = Array.make ncap x in
+    let ndata = Array.make ncap t.dummy in
     Array.blit t.data 0 ndata 0 t.size;
     t.data <- ndata
   end
@@ -41,7 +44,7 @@ let rec sift_down t i =
   end
 
 let push t x =
-  grow t x;
+  grow t;
   t.data.(t.size) <- x;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
@@ -51,15 +54,16 @@ let pop t =
   else begin
     let top = t.data.(0) in
     t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
+    t.data.(0) <- t.data.(t.size);
+    t.data.(t.size) <- t.dummy;
+    if t.size > 0 then sift_down t 0;
     Some top
   end
 
 let peek t = if t.size = 0 then None else Some t.data.(0)
-let clear t = t.size <- 0
+let clear t =
+  Array.fill t.data 0 t.size t.dummy;
+  t.size <- 0
 
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (t.data.(i) :: acc) in

@@ -2,8 +2,10 @@
 
 type 'a t
 
-val create : cmp:('a -> 'a -> int) -> 'a t
-(** [create ~cmp] is an empty heap ordered by [cmp] (smallest first). *)
+val create : cmp:('a -> 'a -> int) -> dummy:'a -> 'a t
+(** [create ~cmp ~dummy] is an empty heap ordered by [cmp] (smallest
+    first).  [dummy] fills the unused slots of the backing array, so a
+    popped or cleared element is not kept alive by the heap. *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool

@@ -16,31 +16,30 @@ let excluded_sections =
     "## Parallel regeneration";
   ]
 
-let read_lines path = In_channel.with_open_bin path In_channel.input_all |> String.split_on_char '\n'
+let read_lines path =
+  In_channel.with_open_bin path In_channel.input_all |> String.split_on_char '\n'
 
-let starts_with ~prefix s = String.starts_with ~prefix s
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+let is_table_row line =
+  let n = String.length line in
+  let rec go i = i + 3 <= n && (String.sub line i 3 = " | " || go (i + 1)) in
   go 0
 
+(* (line number, row) of every quoted row outside the excluded sections *)
 let quoted_rows doc =
-  let _, _, rows =
-    List.fold_left
-      (fun (section, in_fence, rows) (lineno, line) ->
-        if starts_with ~prefix:"## " line then (line, in_fence, rows)
-        else if starts_with ~prefix:"```" line then (section, not in_fence, rows)
-        else if
-          in_fence
-          && contains line " | "
-          && not (List.exists (fun prefix -> starts_with ~prefix section) excluded_sections)
-        then (section, in_fence, (lineno, line) :: rows)
-        else (section, in_fence, rows))
-      ("", false, [])
-      (List.mapi (fun i l -> (i + 1, l)) (read_lines doc))
-  in
-  List.rev rows
+  let section = ref "" and in_fence = ref false and rows = ref [] in
+  List.iteri
+    (fun i line ->
+      if String.starts_with ~prefix:"## " line then section := line
+      else if String.starts_with ~prefix:"```" line then in_fence := not !in_fence
+      else if
+        !in_fence && is_table_row line
+        && not
+             (List.exists
+                (fun prefix -> String.starts_with ~prefix !section)
+                excluded_sections)
+      then rows := (i + 1, line) :: !rows)
+    (read_lines doc);
+  List.rev !rows
 
 let () =
   match Array.to_list Sys.argv with

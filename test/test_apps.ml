@@ -298,7 +298,7 @@ let test_mail_survives_transit_retry () =
      message agent is lost -- mail uses rexec, so this documents the loss
      mode; we then verify a later send gets through *)
   let net, k = mail_world () in
-  Netsim.Fault.crash_for net ~site:1 ~at:0.0 ~downtime:2.0;
+  Netsim.Chaos.crash_for net ~site:1 ~at:0.0 ~downtime:2.0;
   Agentmail.send k ~src:0 ~from_user:"alice" ~to_user:"bob" ~subject:"early" ~body:"x";
   Net.run ~until:5.0 net;
   Agentmail.send k ~src:0 ~from_user:"alice" ~to_user:"bob" ~subject:"late" ~body:"y";

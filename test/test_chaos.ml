@@ -32,6 +32,20 @@ let test_plan_roundtrip () =
   | Error e -> Alcotest.fail ("round-trip: " ^ e)
   | Ok p' -> check Alcotest.string "round-trip" (Chaos.to_string p) (Chaos.to_string p')
 
+let test_permanent_crash () =
+  (* a crash with infinite downtime is the crash that never restarts: it
+     survives persistence and schedules no restart at all *)
+  let p = [ Chaos.Crash { site = 1; at = 0.5; downtime = Float.infinity } ] in
+  (match Chaos.of_string (Chaos.to_string p) with
+  | Error e -> Alcotest.fail ("round-trip: " ^ e)
+  | Ok p' -> Alcotest.(check bool) "round-trip" true (p = p'));
+  let net = Net.create (Topology.line 2) in
+  Chaos.apply net p;
+  Net.run net;
+  Alcotest.(check bool) "still down once the queue drains" false (Net.site_up net 1);
+  check Alcotest.int "never healed" 0
+    (Obs.Metrics.counter (Net.metrics net) ~labels:[ ("kind", "crash") ] "chaos.healed")
+
 let test_validate_rejects () =
   let topo = Topology.line 3 in
   let bad_site = [ Chaos.Crash { site = 99; at = 1.0; downtime = 1.0 } ] in
@@ -225,6 +239,7 @@ let () =
         [
           Alcotest.test_case "mixed deterministic" `Quick test_mixed_deterministic;
           Alcotest.test_case "round-trip" `Quick test_plan_roundtrip;
+          Alcotest.test_case "permanent crash" `Quick test_permanent_crash;
           Alcotest.test_case "validate" `Quick test_validate_rejects;
           Alcotest.test_case "double-failure window" `Quick test_double_failure_window;
         ] );

@@ -7,8 +7,7 @@ module Topology = Netsim.Topology
 module Net = Netsim.Net
 module Message = Netsim.Message
 module Netstats = Netsim.Netstats
-module Fault = Netsim.Fault
-module Trace = Netsim.Trace
+module Chaos = Netsim.Chaos
 module Rng = Tacoma_util.Rng
 
 let check = Alcotest.check
@@ -415,33 +414,42 @@ let test_local_delivery_never_lost () =
   Net.run net;
   check Alcotest.int "local immune to loss" 100 !got
 
-(* --- fault plans --- *)
+(* --- crash plans (Chaos.crashes / Chaos.apply) --- *)
 
-let test_poisson_plan_bounds () =
+(* (site, at, downtime) of every crash event of a plan *)
+let crash_events plan =
+  List.filter_map
+    (function
+      | Chaos.Crash { site; at; downtime } -> Some (site, at, downtime)
+      | Chaos.Cut _ | Chaos.Loss_burst _ | Chaos.Degrade _ -> None)
+    plan
+
+let test_crashes_bounds () =
   let rng = Rng.create 8L in
-  let plans = Fault.poisson_plan ~rng ~sites:[ 0; 1; 2 ] ~rate:0.1 ~mean_downtime:5.0 ~until:100.0 in
-  Alcotest.(check bool) "some crashes planned" true (List.length plans > 0);
+  let plan = Chaos.crashes ~rng ~sites:[ 0; 1; 2 ] ~rate:0.1 ~mean_downtime:5.0 ~until:100.0 in
+  let crashes = crash_events plan in
+  Alcotest.(check bool) "some crashes planned" true (List.length crashes > 0);
+  check Alcotest.int "only crash events" (List.length plan) (List.length crashes);
   List.iter
-    (fun p ->
-      Alcotest.(check bool) "time in range" true (p.Fault.at >= 0.0 && p.Fault.at < 100.0);
-      Alcotest.(check bool) "positive downtime" true (p.Fault.downtime > 0.0))
-    plans
+    (fun (_, at, downtime) ->
+      Alcotest.(check bool) "time in range" true (at >= 0.0 && at < 100.0);
+      Alcotest.(check bool) "positive downtime" true (downtime > 0.0))
+    crashes
 
-let test_poisson_plan_no_overlap_per_site () =
+let test_crashes_no_overlap_per_site () =
   let rng = Rng.create 9L in
-  let plans = Fault.poisson_plan ~rng ~sites:[ 0 ] ~rate:0.5 ~mean_downtime:3.0 ~until:200.0 in
+  let plan = Chaos.crashes ~rng ~sites:[ 0 ] ~rate:0.5 ~mean_downtime:3.0 ~until:200.0 in
   let rec no_overlap = function
-    | a :: (b :: _ as rest) ->
-      Alcotest.(check bool) "crash after previous restart" true
-        (b.Fault.at >= a.Fault.at +. a.Fault.downtime);
+    | (_, a_at, a_down) :: ((_, b_at, _) :: _ as rest) ->
+      Alcotest.(check bool) "crash after previous restart" true (b_at >= a_at +. a_down);
       no_overlap rest
     | _ -> ()
   in
-  no_overlap plans
+  no_overlap (crash_events plan)
 
 let test_fault_apply () =
   let net = mk_net (Topology.line 2) in
-  Fault.crash_for net ~site:1 ~at:1.0 ~downtime:2.0;
+  Chaos.crash_for net ~site:1 ~at:1.0 ~downtime:2.0;
   Net.run ~until:0.5 net;
   Alcotest.(check bool) "up before" true (Net.site_up net 1);
   Net.run ~until:1.5 net;
@@ -452,7 +460,7 @@ let test_fault_apply () =
 let test_zero_rate_plan_empty () =
   let rng = Rng.create 1L in
   check Alcotest.int "no crashes at rate 0" 0
-    (List.length (Fault.poisson_plan ~rng ~sites:[ 0; 1 ] ~rate:0.0 ~mean_downtime:1.0 ~until:10.0))
+    (List.length (Chaos.crashes ~rng ~sites:[ 0; 1 ] ~rate:0.0 ~mean_downtime:1.0 ~until:10.0))
 
 let test_route_cache_invalidated_by_restart () =
   (* routes computed while a site is down must be recomputed once it is
@@ -540,10 +548,10 @@ let test_fault_apply_idempotent () =
      site is already down and is skipped together with its paired restart,
      so the first fault's downtime is not cut short *)
   let net = mk_net (Topology.line 2) in
-  Fault.apply net
+  Chaos.apply net
     [
-      { Fault.site = 1; at = 1.0; downtime = 10.0 };
-      { Fault.site = 1; at = 2.0; downtime = 1.0 };
+      Chaos.Crash { site = 1; at = 1.0; downtime = 10.0 };
+      Chaos.Crash { site = 1; at = 2.0; downtime = 1.0 };
     ];
   Net.run ~until:5.0 net;
   Alcotest.(check bool) "still down at t=5 (short restart skipped)" false
@@ -551,8 +559,7 @@ let test_fault_apply_idempotent () =
   Net.run ~until:12.0 net;
   Alcotest.(check bool) "up after the first fault's downtime" true (Net.site_up net 1);
   check Alcotest.int "skip counted" 1
-    (Obs.Metrics.counter (Net.metrics net) ~labels:[ ("site", "1") ]
-       "fault.skipped_crashes")
+    (Obs.Metrics.counter (Net.metrics net) ~labels:[ ("kind", "crash") ] "chaos.skipped")
 
 let test_link_loss_override () =
   let net = Net.create ~seed:9L (Topology.line 2) in
@@ -596,14 +603,17 @@ let test_trace_records () =
   let net = Net.create ~trace:true (Topology.line 2) in
   Net.send net ~src:0 ~dst:1 ~size:10 (Message.Ping "x");
   Net.run net;
-  let entries = Trace.entries (Net.trace net) in
-  Alcotest.(check bool) "send and deliver traced" true (List.length entries >= 2)
+  let names =
+    List.map (fun (e : Obs.Event.t) -> e.name) (Obs.Tracer.events (Net.recorder net))
+  in
+  Alcotest.(check bool) "send traced" true (List.mem "net.send" names);
+  Alcotest.(check bool) "deliver traced" true (List.mem "net.deliver" names)
 
 let test_trace_disabled_by_default () =
   let net = Net.create (Topology.line 2) in
   Net.send net ~src:0 ~dst:1 ~size:10 (Message.Ping "x");
   Net.run net;
-  check Alcotest.int "no entries" 0 (List.length (Trace.entries (Net.trace net)))
+  check Alcotest.int "no events" 0 (List.length (Obs.Tracer.events (Net.recorder net)))
 
 (* --- property: routing optimality on random graphs --- *)
 
@@ -710,8 +720,8 @@ let () =
         ] );
       ( "faults",
         [
-          Alcotest.test_case "poisson bounds" `Quick test_poisson_plan_bounds;
-          Alcotest.test_case "no per-site overlap" `Quick test_poisson_plan_no_overlap_per_site;
+          Alcotest.test_case "poisson bounds" `Quick test_crashes_bounds;
+          Alcotest.test_case "no per-site overlap" `Quick test_crashes_no_overlap_per_site;
           Alcotest.test_case "apply plan" `Quick test_fault_apply;
           Alcotest.test_case "apply is idempotent" `Quick test_fault_apply_idempotent;
           Alcotest.test_case "zero rate" `Quick test_zero_rate_plan_empty;

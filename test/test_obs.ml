@@ -300,7 +300,7 @@ let test_span_propagation_multihop () =
   Kernel.launch k ~site:0 ~contact:"hopper" bc;
   Netsim.Net.run ~until:60.0 net;
   Alcotest.(check int) "all four sites activated" 4 (Kernel.activations k);
-  let spans = begin_spans "activate:hopper" (Netsim.Trace.events (Netsim.Net.trace net)) in
+  let spans = begin_spans "activate:hopper" (Obs.Tracer.events (Netsim.Net.recorder net)) in
   Alcotest.(check int) "one activation span per hop" 4 (List.length spans);
   Alcotest.(check (list int)) "sites in journey order" [ 0; 1; 2; 3 ]
     (List.map (fun (e : Obs.Event.t) -> e.site) spans);
@@ -317,12 +317,12 @@ let test_span_propagation_guard_relaunch () =
       (Briefcase.create ())
   in
   (* the hop into site 2 is lost; the rear guard at site 1 must relaunch *)
-  Netsim.Fault.crash_for net ~site:2 ~at:0.0 ~downtime:5.0;
+  Netsim.Chaos.crash_for net ~site:2 ~at:0.0 ~downtime:5.0;
   Netsim.Net.run ~until:120.0 net;
   let s = Guard.Escort.stats j in
   Alcotest.(check bool) "journey completed" true s.Guard.Escort.completed;
   Alcotest.(check bool) "at least one relaunch" true (s.Guard.Escort.relaunches >= 1);
-  let events = Netsim.Trace.events (Netsim.Net.trace net) in
+  let events = Obs.Tracer.events (Netsim.Net.recorder net) in
   let arrives = begin_spans "activate:escort-arrive:t" events in
   Alcotest.(check int) "four arrivals" 4 (List.length arrives);
   check_chain arrives;
@@ -354,9 +354,9 @@ let run_hopper ~trace () =
 let test_disabled_tracing_is_silent () =
   let net, k = run_hopper ~trace:false () in
   Alcotest.(check int) "no structured events" 0
-    (List.length (Netsim.Trace.events (Netsim.Net.trace net)));
-  Alcotest.(check int) "no legacy entries" 0
-    (List.length (Netsim.Trace.entries (Netsim.Net.trace net)));
+    (List.length (Obs.Tracer.events (Netsim.Net.recorder net)));
+  Alcotest.(check bool) "recorder off" false
+    (Obs.Tracer.enabled (Netsim.Net.recorder net));
   Alcotest.(check int) "run still completed" 4 (Kernel.activations k);
   (* identical reruns: tracing off leaves the simulation fully deterministic *)
   let net2, _ = run_hopper ~trace:false () in
@@ -373,10 +373,12 @@ let test_disabled_tracing_is_silent () =
 let test_kernel_metrics () =
   let net, k = run_hopper ~trace:false () in
   let m = Netsim.Net.metrics net in
+  (* the registry is the kernel's only bookkeeping: the accessors read the
+     per-agent counters back *)
   Alcotest.(check int) "activations counter" (Kernel.activations k)
-    (Obs.Metrics.counter m "kernel.activations");
+    (Obs.Metrics.counter m ~labels:[ ("agent", "hopper") ] "kernel.activations");
   Alcotest.(check int) "completions counter" (Kernel.completions k)
-    (Obs.Metrics.counter m "kernel.completions");
+    (Obs.Metrics.counter m ~labels:[ ("agent", "hopper") ] "kernel.completions");
   Alcotest.(check int) "migrations by transport" 3
     (Obs.Metrics.counter m ~labels:[ ("transport", "tcp") ] "kernel.migrations");
   Alcotest.(check bool) "network counters populated" true

@@ -93,7 +93,7 @@ let test_heap_sorts =
   qtest "heap pops in sorted order"
     QCheck2.Gen.(list int)
     (fun l ->
-      let h = Heap.create ~cmp:compare in
+      let h = Heap.create ~cmp:compare ~dummy:0 in
       List.iter (Heap.push h) l;
       let rec drain acc =
         match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
@@ -101,7 +101,7 @@ let test_heap_sorts =
       drain [] = List.sort compare l)
 
 let test_heap_peek () =
-  let h = Heap.create ~cmp:compare in
+  let h = Heap.create ~cmp:compare ~dummy:0 in
   Alcotest.(check (option int)) "empty peek" None (Heap.peek h);
   Heap.push h 5;
   Heap.push h 2;
@@ -110,7 +110,7 @@ let test_heap_peek () =
   Alcotest.(check int) "length unchanged by peek" 3 (Heap.length h)
 
 let test_heap_interleaved () =
-  let h = Heap.create ~cmp:compare in
+  let h = Heap.create ~cmp:compare ~dummy:0 in
   Heap.push h 3;
   Heap.push h 1;
   Alcotest.(check (option int)) "pop 1" (Some 1) (Heap.pop h);
@@ -122,10 +122,35 @@ let test_heap_interleaved () =
   Alcotest.(check (option int)) "empty" None (Heap.pop h)
 
 let test_heap_clear () =
-  let h = Heap.create ~cmp:compare in
+  let h = Heap.create ~cmp:compare ~dummy:0 in
   List.iter (Heap.push h) [ 4; 2; 7 ];
   Heap.clear h;
   Alcotest.(check bool) "empty after clear" true (Heap.is_empty h)
+
+let test_heap_releases_elements () =
+  (* popped and cleared elements (in the engine: events and their closures)
+     must not stay reachable through the heap's backing array *)
+  let h = Heap.create ~cmp:(fun a b -> compare !a !b) ~dummy:(ref 0) in
+  let push_tracked w i v =
+    let x = ref v in
+    Weak.set w i (Some x);
+    Heap.push h x
+  in
+  let popped = Weak.create 1 and cleared = Weak.create 2 in
+  push_tracked popped 0 1;
+  Heap.push h (ref 5);
+  Heap.push h (ref 7);
+  ignore (Sys.opaque_identity (Heap.pop h));
+  Gc.full_major ();
+  Alcotest.(check bool) "popped element collected" false (Weak.check popped 0);
+  push_tracked cleared 0 2;
+  push_tracked cleared 1 3;
+  Heap.clear h;
+  Gc.full_major ();
+  Alcotest.(check bool) "cleared elements collected" false
+    (Weak.check cleared 0 || Weak.check cleared 1);
+  Heap.push h (ref 4);
+  Alcotest.(check (option int)) "usable after clear" (Some 4) (Option.map ( ! ) (Heap.pop h))
 
 (* --- sha256 (FIPS 180-4 / RFC 4231 vectors) --- *)
 
@@ -412,6 +437,7 @@ let () =
           Alcotest.test_case "peek" `Quick test_heap_peek;
           Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
           Alcotest.test_case "clear" `Quick test_heap_clear;
+          Alcotest.test_case "releases popped and cleared" `Quick test_heap_releases_elements;
         ] );
       ( "sha256",
         [
