@@ -9,10 +9,10 @@
     Plans are {e pure data}: generated from split RNG streams, inspectable,
     storable ({!to_string}/{!of_string}) and replayable against several
     networks, so runs with and without a mechanism under test (rear guards,
-    say) see the {e same} failure schedule.  Every injected event is emitted as a tracer instant
-    (category ["chaos"]) and counted in the metrics registry
-    ([chaos.injected] / [chaos.healed] / [chaos.skipped], labelled by
-    kind). *)
+    say) see the {e same} failure schedule.  Every injected event is
+    emitted as a tracer instant (category ["chaos"]) and counted in the
+    metrics registry ([chaos.injected] / [chaos.healed] / [chaos.skipped],
+    labelled by kind). *)
 
 type link = Site.id * Site.id
 
