@@ -219,6 +219,19 @@ let bench_codecache_roundtrip =
          ignore (Codecache.insert cache ~digest:dg code);
          ignore (Codecache.find_opt cache ~digest:dg)))
 
+(* E9: the same work on a warm hop — the code is what the cache just
+   resolved, so digest_at reuses the digest instead of hashing *)
+let bench_codecache_warm =
+  let module Codecache = Tacoma_core.Codecache in
+  let code = [ String.make 4096 'c' ] in
+  let cache = Codecache.create Codecache.default_config in
+  ignore (Codecache.insert cache ~digest:(Codecache.digest code) code);
+  Test.make ~name:"e9 codecache digest_at + insert + find, warm (4 KiB)"
+    (Staged.stage (fun () ->
+         let dg = Codecache.digest_at cache code in
+         ignore (Codecache.insert cache ~digest:dg code);
+         ignore (Codecache.find_opt cache ~digest:dg)))
+
 (* E9: the revisiting journey the experiment measures, cache on *)
 let bench_cached_journey =
   Test.make ~name:"e9 8-hop revisiting tcp journey, cache on (whole sim)"
@@ -264,6 +277,7 @@ let all_benches =
       bench_engine;
       bench_sha256;
       bench_codecache_roundtrip;
+      bench_codecache_warm;
       bench_cached_journey;
     ]
 

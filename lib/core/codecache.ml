@@ -19,8 +19,14 @@ module Lru = Tacoma_util.Lru
 
 (* The store is a byte-weighted LRU: the generic discipline lives in
    Tacoma_util.Lru, this module only fixes the weight (payload bytes) and
-   the digest/wire-size conventions. *)
-type t = { cfg : config; store : (string, string list) Lru.t }
+   the digest/wire-size conventions.  [last] is the element list and digest
+   most recently resolved or installed, so the agent that just ran that code
+   here can leave without hashing it again. *)
+type t = {
+  cfg : config;
+  store : (string, string list) Lru.t;
+  mutable last : (string list * string) option;
+}
 
 let payload_bytes elems =
   List.fold_left (fun acc e -> acc + String.length e) 0 elems
@@ -32,7 +38,7 @@ let create ?(on_evict = fun ~digest:_ ~bytes:_ -> ()) cfg =
         on_evict ~digest ~bytes:(payload_bytes elems))
       ~weight:payload_bytes ~budget:cfg.budget_bytes ()
   in
-  { cfg; store }
+  { cfg; store; last = None }
 
 let wire_bytes elems =
   (* mirrors Codec.encode_strings: 4-byte count, then each length-prefixed
@@ -44,14 +50,34 @@ let digest elems =
   Codec.encode_strings buf elems;
   Tacoma_util.Sha256.hex_digest (Buffer.contents buf)
 
+let remember t elems digest = t.last <- Some (elems, digest)
+
+(* String.equal is a pointer check when the strings are shared, which they
+   are when the folder still holds what the cache handed out *)
+let digest_at t elems =
+  match t.last with
+  | Some (seen, dg) when List.equal String.equal seen elems -> dg
+  | _ -> digest elems
+
 let insert t ~digest elems =
+  remember t elems digest;
   match Lru.find_opt t.store digest with
   | Some _ -> true (* find_opt already refreshed recency *)
   | None -> Lru.add t.store digest elems
 
-let find_opt t ~digest = Lru.find_opt t.store digest
+let find_opt t ~digest =
+  match Lru.find_opt t.store digest with
+  | Some elems as found ->
+    remember t elems digest;
+    found
+  | None -> None
+
 let mem t ~digest = Lru.mem t.store digest
-let clear t = Lru.clear t.store
+
+let clear t =
+  t.last <- None;
+  Lru.clear t.store
+
 let bytes_used t = Lru.used t.store
 let entry_count t = Lru.length t.store
 let digests t = Lru.keys t.store

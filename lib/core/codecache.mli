@@ -11,6 +11,13 @@
     round trip to fetch the code from the sending site (a {e miss}), then
     installs the entry for the next visitor.
 
+    Each cache remembers the code it last resolved or installed, with its
+    digest.  A warm hop, where the agent leaves a site carrying the code
+    that site just resolved for it, reuses that digest ([digest_at]); only
+    the first hop from a site that has not seen the code hashes it.  The
+    check compares content, so an agent that rewrites its CODE gets a fresh
+    digest.
+
     Caches are {e volatile}: a site crash clears the cache (the kernel does
     this from its crash hook), so agents arriving after a restart — guard
     relaunches included — re-fetch correctly rather than resolving against
@@ -53,6 +60,11 @@ val digest : string list -> string
     canonical (length-prefixed) encoding of the element list.  Two folders
     with the same elements in the same order share an address. *)
 
+val digest_at : t -> string list -> string
+(** [digest_at t elems] equals [digest elems].  When [elems] is element-wise
+    equal to the list [t] last resolved ([find_opt] hit) or installed
+    ([insert]), it returns the remembered digest without hashing. *)
+
 val insert : t -> digest:string -> string list -> bool
 (** Install (or refresh) an entry, evicting least-recently-used entries as
     needed.  Returns [false] — and caches nothing — when the entry alone
@@ -65,7 +77,8 @@ val mem : t -> digest:string -> bool
 (** Membership without refreshing recency. *)
 
 val clear : t -> unit
-(** Drop every entry (site crash: the cache is volatile). *)
+(** Drop every entry and the remembered digest (site crash: the cache is
+    volatile). *)
 
 val bytes_used : t -> int
 val entry_count : t -> int

@@ -457,7 +457,8 @@ let folder_wire_bytes name elems = Codec.encoded_size name + Codecache.wire_byte
 
 (* The sender side of the cache: replace the CODE payload with its digest
    and publish the entry in this site's cache, which also serves fallback
-   fetches.  Ships in full when the cache is off, CODE is empty, or the
+   fetches; a warm hop reuses the digest this site just resolved instead of
+   hashing.  Ships in full when the cache is off, CODE is empty, or the
    entry alone exceeds the budget (then nobody could ever resolve it). *)
 let serialize_for_wire t ~src bc =
   if not (cache_enabled t) then Briefcase.serialize bc
@@ -467,7 +468,7 @@ let serialize_for_wire t ~src bc =
     | Some f when Folder.is_empty f -> Briefcase.serialize bc
     | Some f ->
       let elems = Folder.to_list f in
-      let dg = Codecache.digest elems in
+      let dg = Codecache.digest_at t.caches.(src) elems in
       if not (Codecache.insert t.caches.(src) ~digest:dg elems) then
         Briefcase.serialize bc
       else begin

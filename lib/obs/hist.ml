@@ -34,7 +34,8 @@ let bucket_index t x =
   go 0
 
 let observe t x =
-  t.counts.(bucket_index t x) <- t.counts.(bucket_index t x) + 1;
+  let i = bucket_index t x in
+  t.counts.(i) <- t.counts.(i) + 1;
   t.count <- t.count + 1;
   t.sum <- t.sum +. x;
   if x < t.min_v then t.min_v <- x;

@@ -2,9 +2,11 @@
 
     The electronic-cash substrate (paper §3) needs an unforgeable mint
     signature and unguessable serial numbers; the sealed environment has no
-    crypto library, so we implement FIPS 180-4 SHA-256 directly.  This is a
-    reference implementation tuned for clarity, not side-channel safety —
-    the adversaries here are simulated agents, not hardware probes. *)
+    crypto library, so we implement FIPS 180-4 SHA-256 directly.  Words are
+    native ints (no [Int32] boxes) and full blocks are hashed in place, since
+    code-cache digests and every mint/audit/ticket HMAC run on the
+    simulation's hot paths.  It is not side-channel safe — the adversaries
+    here are simulated agents, not hardware probes. *)
 
 val digest : string -> string
 (** [digest msg] is the 32-byte (raw) SHA-256 digest of [msg]. *)

@@ -12,6 +12,7 @@ module Net = Netsim.Net
 module Topology = Netsim.Topology
 module Netstats = Netsim.Netstats
 module Chaos = Netsim.Chaos
+module Cabinet = Tacoma_core.Cabinet
 
 let check = Alcotest.check
 
@@ -54,6 +55,61 @@ let test_uncacheable_entry () =
   check Alcotest.bool "over-budget entry refused" false
     (Codecache.insert c ~digest:(Codecache.digest big) big);
   check Alcotest.int "nothing cached" 0 (Codecache.entry_count c)
+
+(* digest reuse is a model property: whatever the cache last resolved or
+   installed, digest_at must agree with hashing from scratch *)
+type op = Insert of string list | Find of string list | Clear | Digest_at of string list
+
+let show_op =
+  let l xs = "[" ^ String.concat "; " (List.map (Printf.sprintf "%S") xs) ^ "]" in
+  function
+  | Insert xs -> "insert " ^ l xs
+  | Find xs -> "find " ^ l xs
+  | Clear -> "clear"
+  | Digest_at xs -> "digest_at " ^ l xs
+
+let gen_ops =
+  let open QCheck2.Gen in
+  (* few distinct elements so lists recur; a copy is equal but unshared *)
+  let elem =
+    map2
+      (fun s copy -> if copy then Bytes.to_string (Bytes.of_string s) else s)
+      (oneofl [ ""; "a"; "bc"; "abc"; "proc f {} {}" ])
+      bool
+  in
+  let elems = list_size (0 -- 3) elem in
+  let op =
+    frequency
+      [
+        (3, map (fun l -> Insert l) elems);
+        (3, map (fun l -> Find l) elems);
+        (1, pure Clear);
+        (4, map (fun l -> Digest_at l) elems);
+      ]
+  in
+  list_size (0 -- 30) op
+
+let test_digest_at_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"digest_at equals digest"
+       ~print:(fun ops -> String.concat "\n" (List.map show_op ops))
+       gen_ops
+       (fun ops ->
+         (* a small budget so inserts also evict *)
+         let c = Codecache.create { Codecache.default_config with budget_bytes = 8 } in
+         List.for_all
+           (function
+             | Insert l ->
+               ignore (Codecache.insert c ~digest:(Codecache.digest l) l);
+               true
+             | Find l ->
+               ignore (Codecache.find_opt c ~digest:(Codecache.digest l));
+               true
+             | Clear ->
+               Codecache.clear c;
+               true
+             | Digest_at l -> Codecache.digest_at c l = Codecache.digest l)
+           ops))
 
 (* --- the protocol over real migrations --- *)
 
@@ -142,6 +198,40 @@ let test_guard_relaunch_refetches () =
   check Alcotest.bool "every resolution fell back to a fetch" true (misses >= 3);
   check Alcotest.int "fetches match misses" misses fetches
 
+let test_rewritten_code_gets_fresh_ref () =
+  (* the agent reaches line-1 by CODE-REF, so line-1's cache remembers the
+     digest of the code it resolved; the agent then replaces its CODE and
+     jumps.  The reused digest would name the old code: the hop must ship
+     the new code's digest, and line-2 must run the new code. *)
+  let net, k = mk (Topology.line 3) in
+  let rewritten = "cabinet put RAN v2" in
+  let bc = Briefcase.create () in
+  Briefcase.set bc Briefcase.code_folder
+    (Printf.sprintf
+       "cabinet put RAN v1\nif {[host] eq {line-1}} {\n  folder set CODE {%s}\n  jump line-2\n}"
+       rewritten);
+  Briefcase.set bc Briefcase.host_folder "line-1";
+  Briefcase.set bc Briefcase.contact_folder "ag_script";
+  let first = Codecache.digest [ Briefcase.get bc Briefcase.code_folder ] in
+  let second = Codecache.digest [ rewritten ] in
+  Kernel.launch k ~site:0 ~contact:"rexec" bc;
+  Net.run ~until:40.0 net;
+  check Alcotest.int "no deaths" 0 (Kernel.deaths k);
+  let ran site = Cabinet.elements (Kernel.cabinet k site) "RAN" in
+  check Alcotest.(list string) "line-1 ran the original" [ "v1" ] (ran 1);
+  check Alcotest.(list string) "line-2 ran the rewrite" [ "v2" ] (ran 2);
+  let digests site =
+    match Kernel.code_cache k site with
+    | Some c -> List.sort compare (Codecache.digests c)
+    | None -> Alcotest.fail "cache not enabled"
+  in
+  check Alcotest.(list string) "line-1 published the new code under its own digest"
+    (List.sort compare [ first; second ])
+    (digests 1);
+  check Alcotest.(list string) "line-2 resolved the new digest" [ second ] (digests 2);
+  check (Alcotest.triple Alcotest.int Alcotest.int Alcotest.int) "both hops fetched" (0, 2, 2)
+    (counters net)
+
 (* --- fetch retry under partitions --- *)
 
 let retry_config =
@@ -225,12 +315,15 @@ let () =
           Alcotest.test_case "digest stability" `Quick test_digest_stable;
           Alcotest.test_case "lru eviction order" `Quick test_lru_eviction_order;
           Alcotest.test_case "uncacheable entry" `Quick test_uncacheable_entry;
+          test_digest_at_model;
         ] );
       ( "protocol",
         [
           Alcotest.test_case "miss then hit" `Quick test_miss_then_hit;
           Alcotest.test_case "crash clears cache" `Quick test_crash_clears_cache_and_refetches;
           Alcotest.test_case "guard relaunch refetches" `Quick test_guard_relaunch_refetches;
+          Alcotest.test_case "rewritten code gets a fresh ref" `Quick
+            test_rewritten_code_gets_fresh_ref;
           Alcotest.test_case "fetch retry through partition" `Quick
             test_fetch_retry_through_partition;
           Alcotest.test_case "fetch exhaustion is a code-fetch death" `Quick

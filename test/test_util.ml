@@ -170,13 +170,22 @@ let test_sha256_vectors () =
     cases
 
 let test_sha256_block_boundaries () =
-  (* lengths around the 55/56/64-byte padding boundaries must not crash and
-     must stay distinct *)
-  let digests =
-    List.map (fun n -> Sha256.hex_digest (String.make n 'x')) [ 54; 55; 56; 57; 63; 64; 65; 127; 128 ]
-  in
-  let uniq = List.sort_uniq compare digests in
-  check Alcotest.int "all distinct" (List.length digests) (List.length uniq)
+  (* lengths around the 55/56/64-byte padding boundaries; expected values
+     from an independent implementation (Python hashlib) *)
+  List.iter
+    (fun (n, want) ->
+      check Alcotest.string (Printf.sprintf "%d x" n) want (Sha256.hex_digest (String.make n 'x')))
+    [
+      (54, "45f316e10b2c99abf374b22bda893cf3300d77263f1e272349ed414680522952");
+      (55, "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072");
+      (56, "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e");
+      (57, "ae14a2563ccf969d99aca69ce6bb74981f734bbf9f655f73b8f06db68cab5217");
+      (63, "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2");
+      (64, "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c");
+      (65, "9537c5fdf120482f7d58d25e9ed583f52c02b4e304ea814db1633ad565aed7e9");
+      (127, "70156a14adbabf98cff3a71c7084b417abf057a8efd27329ca36b7202c87d81f");
+      (128, "24da1b81d0b16df6428eee73c69fcb2a93c76bc6df706f0c6670fe6bfe800464");
+    ]
 
 let test_hmac_vectors () =
   (* RFC 4231 test case 1 and 2 *)
@@ -189,8 +198,17 @@ let test_hmac_vectors () =
     (Sha256.hmac_hex ~key:"Jefe" "what do ya want for nothing?")
 
 let test_hmac_long_key () =
-  (* keys longer than the block size are hashed first; just check stability
-     and key sensitivity *)
+  (* keys longer than the block size are hashed first: RFC 4231 test cases
+     6 and 7 (131-byte key), plus key sensitivity *)
+  let key = String.make 131 '\xaa' in
+  check Alcotest.string "rfc4231 tc6"
+    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+    (Sha256.hmac_hex ~key "Test Using Larger Than Block-Size Key - Hash Key First");
+  check Alcotest.string "rfc4231 tc7"
+    "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+    (Sha256.hmac_hex ~key
+       "This is a test using a larger than block-size key and a larger than block-size data. \
+        The key needs to be hashed before being used by the HMAC algorithm.");
   let long_key = String.make 100 'k' in
   let a = Sha256.hmac_hex ~key:long_key "msg" in
   let b = Sha256.hmac_hex ~key:(long_key ^ "x") "msg" in
