@@ -203,6 +203,56 @@ let bench_engine =
          done;
          Netsim.Engine.run e))
 
+(* The message path: what one E5 load report costs on its way through the
+   codec, the metrics registry and the event queue. *)
+let e5_report () =
+  let bc = Briefcase.create () in
+  List.iter
+    (fun (name, v) -> Briefcase.set bc name v)
+    [
+      ("OP", "report");
+      ("PROVIDER", "prov-3");
+      ("SERVICE", "compute");
+      ("HOST", "site-4");
+      ("CAPACITY", "2.");
+      ("LOAD", "3");
+    ];
+  bc
+
+let bench_report_serialize =
+  let bc = e5_report () in
+  Test.make ~name:"core briefcase serialize (E5 report, 6 folders)"
+    (Staged.stage (fun () -> ignore (Briefcase.serialize bc)))
+
+let bench_report_deserialize =
+  let wire = Briefcase.serialize (e5_report ()) in
+  Test.make ~name:"core briefcase deserialize (E5 report, 6 folders)"
+    (Staged.stage (fun () -> ignore (Briefcase.deserialize wire)))
+
+let bench_metrics_incr =
+  let m = Obs.Metrics.create () in
+  Test.make ~name:"obs metrics incr by name (labelled)"
+    (Staged.stage (fun () ->
+         Obs.Metrics.incr m ~labels:[ ("link", "0-1") ] ~by:1000 "net.link.bytes"))
+
+let bench_metrics_bump =
+  let m = Obs.Metrics.create () in
+  let h = Obs.Metrics.counter_handle m ~labels:[ ("link", "0-1") ] "net.link.bytes" in
+  Test.make ~name:"obs metrics bump (handle)"
+    (Staged.stage (fun () -> Obs.Metrics.bump h 1000))
+
+let bench_schedule_fire =
+  let e = Netsim.Engine.create () in
+  Test.make ~name:"netsim schedule+fire"
+    (Staged.stage (fun () ->
+         ignore (Netsim.Engine.schedule e ~after:1.0 ignore);
+         ignore (Netsim.Engine.step e)))
+
+let bench_schedule_cancel =
+  let e = Netsim.Engine.create () in
+  Test.make ~name:"netsim schedule+cancel"
+    (Staged.stage (fun () -> Netsim.Engine.cancel (Netsim.Engine.schedule e ~after:1.0 ignore)))
+
 let bench_sha256 =
   let payload = String.make 1024 'h' in
   Test.make ~name:"util sha256 (1 KiB)"
@@ -275,6 +325,12 @@ let all_benches =
       bench_fuel_admission;
       bench_meet;
       bench_engine;
+      bench_report_serialize;
+      bench_report_deserialize;
+      bench_metrics_incr;
+      bench_metrics_bump;
+      bench_schedule_fire;
+      bench_schedule_cancel;
       bench_sha256;
       bench_codecache_roundtrip;
       bench_codecache_warm;

@@ -1,4 +1,7 @@
-type t = (string, Folder.t) Hashtbl.t
+(* The folders in strictly increasing name order: the wire order, so
+   [serialize] walks the list once and [deserialize] appends as it reads.
+   Briefcases hold a handful of folders, so a sorted list beats hashing. *)
+type t = { mutable folders : (string * Folder.t) list }
 
 let host_folder = "HOST"
 let contact_folder = "CONTACT"
@@ -7,27 +10,39 @@ let code_ref_folder = "CODE-REF"
 let sites_folder = "SITES"
 let trace_folder = "TRACE"
 
-let create () : t = Hashtbl.create 8
+let create () = { folders = [] }
+
+let rec lookup name = function
+  | [] -> None
+  | (n, f) :: rest ->
+    let c = String.compare n name in
+    if c = 0 then Some f else if c > 0 then None else lookup name rest
+
+let rec insert name f = function
+  | ((n, _) as e) :: rest when String.compare n name < 0 -> e :: insert name f rest
+  | l -> (name, f) :: l
+
+let rec delete name = function
+  | [] -> []
+  | ((n, _) as e) :: rest as l ->
+    let c = String.compare n name in
+    if c = 0 then rest else if c > 0 then l else e :: delete name rest
+
+let folder_opt t name = lookup name t.folders
 
 let folder t name =
-  match Hashtbl.find_opt t name with
+  match lookup name t.folders with
   | Some f -> f
   | None ->
     let f = Folder.create () in
-    Hashtbl.replace t name f;
+    t.folders <- insert name f t.folders;
     f
 
-let folder_opt t name = Hashtbl.find_opt t name
-let mem t name = Hashtbl.mem t name
-let remove t name = Hashtbl.remove t name
-let names t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t [])
-
-let copy t =
-  let c = Hashtbl.create (Hashtbl.length t) in
-  Hashtbl.iter (fun name f -> Hashtbl.replace c name (Folder.copy f)) t;
-  c
-
-let clear t = Hashtbl.reset t
+let mem t name = Option.is_some (lookup name t.folders)
+let remove t name = if mem t name then t.folders <- delete name t.folders
+let names t = List.map fst t.folders
+let copy t = { folders = List.map (fun (name, f) -> (name, Folder.copy f)) t.folders }
+let clear t = t.folders <- []
 
 let set t name v = Folder.replace (folder t name) [ v ]
 let find_opt t name = Option.bind (folder_opt t name) Folder.peek
@@ -35,45 +50,52 @@ let find_opt t name = Option.bind (folder_opt t name) Folder.peek
 let get t name =
   match find_opt t name with Some v -> v | None -> raise Not_found
 
-let get_exn = get
+(* Wire format: 4-byte folder count, then per folder (in name order) the
+   encoded name, a 4-byte element count and the encoded elements. *)
+let folder_size acc (name, f) =
+  acc + Codec.encoded_size name + 4 + (4 * Folder.length f) + Folder.byte_size f
 
-let byte_size t =
-  (* mirrors [serialize]: 4-byte folder count, then per folder the encoded
-     name and encoded element list *)
-  Hashtbl.fold
-    (fun name f acc ->
-      acc + Codec.encoded_size name + 4
-      + Folder.fold (fun a e -> a + Codec.encoded_size e) 0 f)
-    t 4
+let byte_size t = List.fold_left folder_size 4 t.folders
 
-(* 4-byte folder count, then folders in name order for deterministic wires *)
+let rec put_folders buf pos = function
+  | [] -> pos
+  | (name, f) :: rest ->
+    let pos = Codec.put_string buf pos name in
+    put_folders buf (Codec.put_strings buf pos (Folder.to_list f)) rest
+
 let serialize t =
-  let names_sorted = names t in
-  let buf = Buffer.create 256 in
-  Codec.encode_u32 buf (List.length names_sorted);
-  List.iter
-    (fun name ->
-      Codec.encode_string buf name;
-      Codec.encode_strings buf (Folder.to_list (folder t name)))
-    names_sorted;
-  Buffer.contents buf
+  let buf = Bytes.create (byte_size t) in
+  let pos = Codec.put_u32 buf 0 (List.length t.folders) in
+  ignore (put_folders buf pos t.folders);
+  Bytes.unsafe_to_string buf
+
+(* The wire is canonical: names strictly increase (no duplicates) and
+   nothing follows the last folder, so every accepted wire is exactly what
+   [serialize] makes of the result.  Not tail-recursive: every folder
+   consumes at least 8 input bytes, so the depth is bounded by the input. *)
+let rec read_folders r ~prev k =
+  if k = 0 then []
+  else begin
+    let name = Codec.read_string r in
+    (match prev with
+    | Some p when String.compare p name >= 0 ->
+      raise (Codec.Malformed "folder names out of order")
+    | Some _ | None -> ());
+    let f = Folder.of_list (Codec.read_strings r) in
+    (name, f) :: read_folders r ~prev:(Some name) (k - 1)
+  end
 
 let deserialize s =
   let r = Codec.reader s in
-  let t = create () in
-  let n = Codec.read_u32 r in
-  for _ = 1 to n do
-    let name = Codec.read_string r in
-    let elems = Codec.read_strings r in
-    Folder.replace (folder t name) elems
-  done;
-  t
+  let folders = read_folders r ~prev:None (Codec.read_u32 r) in
+  if not (Codec.at_end r) then raise (Codec.Malformed "trailing bytes");
+  { folders }
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";
   List.iter
-    (fun name ->
+    (fun (name, f) ->
       Format.fprintf fmt "%s: [%s]@," name
-        (String.concat "; " (List.map (Printf.sprintf "%S") (Folder.to_list (folder t name)))))
-    (names t);
+        (String.concat "; " (List.map (Printf.sprintf "%S") (Folder.to_list f))))
+    t.folders;
   Format.fprintf fmt "@]"

@@ -6,6 +6,11 @@
     the value of one argument)". *)
 
 type t
+(** The folders, held in strictly increasing name order: the order they
+    travel in, so encoding walks them once and decoding appends as it
+    reads.  A briefcase holds a handful of folders, and a short sorted list
+    needs no hashing (the paper's "elaborate index structures are not
+    suitable" applies to the briefcase as much as to its folders). *)
 
 (** Conventional folder names from the paper: ["HOST"] (destination site for
     [rexec]), ["CONTACT"] (agent to execute there), ["CODE"] (agent source
@@ -41,7 +46,7 @@ val folder_opt : t -> string -> Folder.t option
 val mem : t -> string -> bool
 val remove : t -> string -> unit
 val names : t -> string list
-(** Sorted. *)
+(** In increasing order ([String.compare]). *)
 
 val copy : t -> t
 (** Deep copy: cloning an agent must not alias its folders. *)
@@ -63,16 +68,24 @@ val find_opt : t -> string -> string option
 val get : t -> string -> string
 (** @raise Not_found when the folder is absent or empty. *)
 
-val get_exn : t -> string -> string
-  [@@deprecated "use Briefcase.get (same behaviour); get_exn goes away next release"]
+(** {1 Wire format}
 
-(** {1 Wire format} *)
+    A 4-byte folder count, then for each folder in increasing name order
+    its length-prefixed name, a 4-byte element count and the
+    length-prefixed elements ({!Codec}).  Empty folders travel too.  The
+    wire is canonical: exactly one byte string encodes a briefcase, and
+    [deserialize] accepts nothing else. *)
 
 val byte_size : t -> int
-(** Exact serialised size: what migration costs on the network. *)
+(** Exact serialised size, computed from each folder's tracked length and
+    bytes without encoding: what migration costs on the network. *)
 
 val serialize : t -> string
+(** One pass into a buffer of exactly {!byte_size} bytes. *)
+
 val deserialize : string -> t
-(** @raise Codec.Malformed on corrupt input. *)
+(** @raise Codec.Malformed on truncated input, on a folder name that is not
+    strictly greater than the one before it (a duplicate or out of order),
+    and on bytes after the last folder. *)
 
 val pp : Format.formatter -> t -> unit

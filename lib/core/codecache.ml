@@ -41,14 +41,14 @@ let create ?(on_evict = fun ~digest:_ ~bytes:_ -> ()) cfg =
   { cfg; store; last = None }
 
 let wire_bytes elems =
-  (* mirrors Codec.encode_strings: 4-byte count, then each length-prefixed
+  (* mirrors Codec.put_strings: 4-byte count, then each length-prefixed
      element *)
   List.fold_left (fun acc e -> acc + Codec.encoded_size e) 4 elems
 
 let digest elems =
-  let buf = Buffer.create 256 in
-  Codec.encode_strings buf elems;
-  Tacoma_util.Sha256.hex_digest (Buffer.contents buf)
+  let buf = Bytes.create (wire_bytes elems) in
+  ignore (Codec.put_strings buf 0 elems);
+  Tacoma_util.Sha256.hex_digest (Bytes.unsafe_to_string buf)
 
 let remember t elems digest = t.last <- Some (elems, digest)
 

@@ -19,7 +19,8 @@ let normalize t =
     t.back <- []
   end
 
-let to_list t = t.front @ List.rev t.back
+(* shares [front] when nothing is queued at the back: lists are immutable *)
+let to_list t = if t.back = [] then t.front else t.front @ List.rev t.back
 let copy t = { front = t.front; back = t.back; len = t.len; bytes = t.bytes }
 let length t = t.len
 let is_empty t = t.len = 0

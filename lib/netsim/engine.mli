@@ -8,7 +8,11 @@
 type t
 
 type timer
-(** Handle for a scheduled event, used to cancel pending timeouts. *)
+(** A scheduled event, used to cancel pending timeouts.  The timer {e is}
+    the queued event: one record holding its time, sequence number,
+    callback, liveness and owning engine.  Scheduling allocates that record
+    and nothing else; cancelling marks it dead and tells its engine, and
+    the dead entry is skipped when it reaches the head of the queue. *)
 
 val create : ?metrics:Obs.Metrics.t -> unit -> t
 (** [metrics], when given, receives the [engine.compactions] counter (see

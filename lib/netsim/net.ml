@@ -1,10 +1,20 @@
 module Rng = Tacoma_util.Rng
+module Itbl = Hashtbl.Make (Int)
 
 type site_state = {
   mutable up : bool;
   mutable handlers : (string * (Message.t -> unit)) list;
   mutable crash_hooks : (unit -> unit) list;
   mutable restart_hooks : (unit -> unit) list;
+}
+
+(* What the send path keeps per undirected link, created on the link's first
+   message: handles on its two series (labelled "a-b", a < b) and the FIFO
+   serialisation horizon. *)
+type link_state = {
+  link_bytes : Obs.Metrics.counter_handle;
+  link_wait : Obs.Metrics.histogram_handle;
+  mutable busy_until : float;
 }
 
 type t = {
@@ -16,13 +26,17 @@ type t = {
   stats : Netstats.t;
   recorder : Obs.Tracer.t;
   metrics : Obs.Metrics.t;
+  sent : Obs.Metrics.counter_handle;
+  delivered : Obs.Metrics.counter_handle;
+  msg_hops : Obs.Metrics.histogram_handle;
+  delivery_latency : Obs.Metrics.histogram_handle;
   site_states : site_state array;
   disabled_links : (int * int, unit) Hashtbl.t;
   link_loss : (int * int, float) Hashtbl.t; (* chaos: extra per-link loss *)
   link_degrade : (int * int, float * float) Hashtbl.t;
       (* chaos: (latency multiplier, bandwidth multiplier) per link *)
   mutable loss_override : float option; (* chaos: window replacing loss_rate *)
-  link_busy_until : (int * int, float) Hashtbl.t; (* FIFO serialisation per link *)
+  links : link_state Itbl.t; (* keyed by a * site count + b, a < b *)
   mutable generation : int; (* bumped on any reachability change *)
   route_cache : (int, (float * int list) option array * int) Hashtbl.t;
       (* src -> (per-dst delay/path, generation) *)
@@ -42,6 +56,10 @@ let create ?(seed = 42L) ?(trace = false) ?(loss_rate = 0.0) topo =
     stats = Netstats.create ();
     recorder = Obs.Tracer.create ~enabled:trace ();
     metrics;
+    sent = Obs.Metrics.counter_handle metrics "net.sent";
+    delivered = Obs.Metrics.counter_handle metrics "net.delivered";
+    msg_hops = Obs.Metrics.histogram_handle metrics "net.msg_hops";
+    delivery_latency = Obs.Metrics.histogram_handle metrics "net.delivery_latency_s";
     site_states =
       Array.init n (fun _ ->
           { up = true; handlers = []; crash_hooks = []; restart_hooks = [] });
@@ -49,7 +67,7 @@ let create ?(seed = 42L) ?(trace = false) ?(loss_rate = 0.0) topo =
     link_loss = Hashtbl.create 8;
     link_degrade = Hashtbl.create 8;
     loss_override = None;
-    link_busy_until = Hashtbl.create 64;
+    links = Itbl.create 64;
     generation = 0;
     route_cache = Hashtbl.create 16;
   }
@@ -95,14 +113,18 @@ let link_enabled t a b = not (Hashtbl.mem t.disabled_links (key a b))
    topology itself: latency is multiplied, bandwidth is multiplied (a factor
    below 1.0 slows the link down). *)
 let effective_latency t a b (l : Topology.link) =
-  match Hashtbl.find_opt t.link_degrade (key a b) with
-  | None -> l.latency
-  | Some (lm, _) -> l.latency *. lm
+  if Hashtbl.length t.link_degrade = 0 then l.latency
+  else
+    match Hashtbl.find_opt t.link_degrade (key a b) with
+    | None -> l.latency
+    | Some (lm, _) -> l.latency *. lm
 
 let effective_bandwidth t a b (l : Topology.link) =
-  match Hashtbl.find_opt t.link_degrade (key a b) with
-  | None -> l.bandwidth
-  | Some (_, bm) -> l.bandwidth *. bm
+  if Hashtbl.length t.link_degrade = 0 then l.bandwidth
+  else
+    match Hashtbl.find_opt t.link_degrade (key a b) with
+    | None -> l.bandwidth
+    | Some (_, bm) -> l.bandwidth *. bm
 
 (* Dijkstra over latency, skipping disabled links.  A down site may be
    reached (it can be a message destination — liveness is re-checked at
@@ -182,36 +204,44 @@ let path_delay t ~size src path =
   in
   go 0.0 src path
 
+let link_state t a b =
+  let a, b = if a < b then (a, b) else (b, a) in
+  let id = (a * Array.length t.site_states) + b in
+  match Itbl.find_opt t.links id with
+  | Some ls -> ls
+  | None ->
+    let labels = [ ("link", Printf.sprintf "%d-%d" a b) ] in
+    let ls =
+      {
+        link_bytes = Obs.Metrics.counter_handle t.metrics ~labels "net.link.bytes";
+        link_wait = Obs.Metrics.histogram_handle t.metrics ~labels "net.link.wait_s";
+        busy_until = 0.0;
+      }
+    in
+    Itbl.add t.links id ls;
+    ls
+
 (* Store-and-forward with FIFO link contention: at each link the message
    first waits until the link has drained earlier traffic, occupies it for
-   the serialisation time, then propagates for the latency.  Returns the
-   absolute arrival time and updates the links' busy horizons. *)
-let link_label a b =
-  let a, b = if a < b then (a, b) else (b, a) in
-  Printf.sprintf "%d-%d" a b
-
-let reserve_path t ~size src path =
-  let now = Engine.now t.engine in
-  let rec go arrival prev_site = function
-    | [] -> arrival
-    | hop :: rest ->
-      let l =
-        match Topology.link t.topo prev_site hop with
-        | Some l -> l
-        | None -> assert false
-      in
-      let k = key prev_site hop in
-      let free_at = Option.value ~default:0.0 (Hashtbl.find_opt t.link_busy_until k) in
-      let start_tx = Float.max arrival free_at in
-      (* queue depth at this link, in seconds of backlog ahead of us *)
-      Obs.Metrics.observe t.metrics
-        ~labels:[ ("link", link_label prev_site hop) ]
-        "net.link.wait_s" (start_tx -. arrival);
-      let tx_done = start_tx +. (float_of_int size /. effective_bandwidth t prev_site hop l) in
-      Hashtbl.replace t.link_busy_until k tx_done;
-      go (tx_done +. effective_latency t prev_site hop l) hop rest
-  in
-  go now src path
+   the serialisation time, then propagates for the latency.  Charges the
+   message's bytes to every link, returns the absolute arrival time and
+   updates the links' busy horizons. *)
+let rec reserve_path t ~size arrival prev_site = function
+  | [] -> arrival
+  | hop :: rest ->
+    let l =
+      match Topology.link t.topo prev_site hop with
+      | Some l -> l
+      | None -> assert false
+    in
+    let ls = link_state t prev_site hop in
+    Obs.Metrics.bump ls.link_bytes size;
+    let start_tx = Float.max arrival ls.busy_until in
+    (* queue depth at this link, in seconds of backlog ahead of us *)
+    Obs.Metrics.record ls.link_wait (start_tx -. arrival);
+    let tx_done = start_tx +. (float_of_int size /. effective_bandwidth t prev_site hop l) in
+    ls.busy_until <- tx_done;
+    reserve_path t ~size (tx_done +. effective_latency t prev_site hop l) hop rest
 
 (* The probability that a message following [path] is lost.  With no chaos
    overrides this is exactly [loss_rate]; a global override window replaces
@@ -270,8 +300,8 @@ let deliver t (msg : Message.t) =
   let tr = recorder t in
   if st.up then begin
     Netstats.record_delivery t.stats;
-    Obs.Metrics.incr t.metrics "net.delivered";
-    Obs.Metrics.observe t.metrics "net.delivery_latency_s" (now t -. msg.sent_at);
+    Obs.Metrics.bump t.delivered 1;
+    Obs.Metrics.record t.delivery_latency (now t -. msg.sent_at);
     if Obs.Tracer.enabled tr then
       Obs.Tracer.instant tr ~time:(now t) ~cat:"net" ~site:msg.dst
         ~attrs:
@@ -299,7 +329,7 @@ let send t ~src ~dst ~size payload =
   if site_up t src then begin
     if src = dst then begin
       Netstats.record_send t.stats ~bytes:size ~hops:0;
-      Obs.Metrics.incr t.metrics "net.sent";
+      Obs.Metrics.bump t.sent 1;
       let msg =
         { Message.src; dst; size; payload; sent_at = now t; hops = 0 }
       in
@@ -323,18 +353,8 @@ let send t ~src ~dst ~size payload =
       | Some path ->
         let hops = List.length path in
         Netstats.record_send t.stats ~bytes:size ~hops;
-        Obs.Metrics.incr t.metrics "net.sent";
-        Obs.Metrics.observe t.metrics "net.msg_hops" (float_of_int hops);
-        let rec charge prev_site = function
-          | [] -> ()
-          | hop :: rest ->
-            Netstats.record_link_bytes t.stats prev_site hop size;
-            Obs.Metrics.incr t.metrics
-              ~labels:[ ("link", link_label prev_site hop) ]
-              ~by:size "net.link.bytes";
-            charge hop rest
-        in
-        charge src path;
+        Obs.Metrics.bump t.sent 1;
+        Obs.Metrics.record t.msg_hops (float_of_int hops);
         if Obs.Tracer.enabled tr then
           Obs.Tracer.instant tr ~time:(now t) ~cat:"net" ~site:src
             ~attrs:
@@ -344,7 +364,7 @@ let send t ~src ~dst ~size payload =
                 ("hops", Obs.Event.I hops);
               ]
             "net.send";
-        let arrival = reserve_path t ~size src path in
+        let arrival = reserve_path t ~size (now t) src path in
         let loss_prob = path_loss_prob t src path in
         if loss_prob > 0.0 && Rng.float t.loss_rng < loss_prob then begin
           (* lost in transit: the bytes were spent, nothing arrives *)

@@ -4,19 +4,9 @@ type t = {
   mutable dropped : int;
   mutable bytes : int;
   mutable byte_hops : int;
-  per_link : (int * int, int) Hashtbl.t;
 }
 
-let create () =
-  { sent = 0; delivered = 0; dropped = 0; bytes = 0; byte_hops = 0; per_link = Hashtbl.create 64 }
-
-let reset t =
-  t.sent <- 0;
-  t.delivered <- 0;
-  t.dropped <- 0;
-  t.bytes <- 0;
-  t.byte_hops <- 0;
-  Hashtbl.reset t.per_link
+let create () = { sent = 0; delivered = 0; dropped = 0; bytes = 0; byte_hops = 0 }
 
 let record_send t ~bytes ~hops =
   t.sent <- t.sent + 1;
@@ -26,24 +16,8 @@ let record_send t ~bytes ~hops =
 let record_delivery t = t.delivered <- t.delivered + 1
 let record_drop t = t.dropped <- t.dropped + 1
 
-let key a b = if a < b then (a, b) else (b, a)
-
-let record_link_bytes t a b n =
-  let k = key a b in
-  let cur = Option.value ~default:0 (Hashtbl.find_opt t.per_link k) in
-  Hashtbl.replace t.per_link k (cur + n)
-
 let messages_sent t = t.sent
 let messages_delivered t = t.delivered
 let messages_dropped t = t.dropped
 let bytes_sent t = t.bytes
 let byte_hops t = t.byte_hops
-let link_bytes t a b = Option.value ~default:0 (Hashtbl.find_opt t.per_link (key a b))
-
-let busiest_link t =
-  Hashtbl.fold
-    (fun (a, b) n best ->
-      match best with
-      | Some (_, _, m) when m >= n -> best
-      | Some _ | None -> Some (a, b, n))
-    t.per_link None

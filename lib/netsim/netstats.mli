@@ -1,19 +1,20 @@
 (** Byte and message accounting.  These counters are the measured quantity
     in the bandwidth-conservation experiments (paper §1): an agent
     architecture wins precisely when it moves fewer byte-hops than the
-    client/server baseline. *)
+    client/server baseline.
+
+    Bytes per link are in the metrics registry, as the counter
+    [net.link.bytes{link="a-b"}] (see {!Net.metrics}). *)
 
 type t
 
 val create : unit -> t
-val reset : t -> unit
 
 (** Recording (called by {!Net}). *)
 
 val record_send : t -> bytes:int -> hops:int -> unit
 val record_delivery : t -> unit
 val record_drop : t -> unit
-val record_link_bytes : t -> Site.id -> Site.id -> int -> unit
 
 (** Reading. *)
 
@@ -26,8 +27,3 @@ val bytes_sent : t -> int
 
 val byte_hops : t -> int
 (** Sum over messages of [size * hops]: the network-wide bandwidth cost. *)
-
-val link_bytes : t -> Site.id -> Site.id -> int
-(** Bytes carried by one undirected link. *)
-
-val busiest_link : t -> (Site.id * Site.id * int) option

@@ -41,6 +41,49 @@ let observe t ?(labels = []) name v =
   | IHist h -> Hist.observe h v
   | ICounter _ | IGauge _ -> kind_error name "histogram"
 
+(* A handle resolves its series on first use and keeps the cell, so
+   creating one registers nothing and the registry's contents match what
+   [incr]/[observe] by name would have left. *)
+type counter_handle = {
+  c_reg : t;
+  c_name : string;
+  c_labels : labels;
+  mutable cell : int ref option;
+}
+
+type histogram_handle = {
+  h_reg : t;
+  h_name : string;
+  h_labels : labels;
+  mutable hist : Hist.t option;
+}
+
+let counter_handle t ?(labels = []) name =
+  { c_reg = t; c_name = name; c_labels = labels; cell = None }
+
+let histogram_handle t ?(labels = []) name =
+  { h_reg = t; h_name = name; h_labels = labels; hist = None }
+
+let bump h n =
+  match h.cell with
+  | Some r -> r := !r + n
+  | None -> (
+    match find_or_add h.c_reg h.c_name h.c_labels (fun () -> ICounter (ref 0)) with
+    | ICounter r ->
+      h.cell <- Some r;
+      r := !r + n
+    | IGauge _ | IHist _ -> kind_error h.c_name "counter")
+
+let record h v =
+  match h.hist with
+  | Some hist -> Hist.observe hist v
+  | None -> (
+    match find_or_add h.h_reg h.h_name h.h_labels (fun () -> IHist (Hist.create ())) with
+    | IHist hist ->
+      h.hist <- Some hist;
+      Hist.observe hist v
+    | ICounter _ | IGauge _ -> kind_error h.h_name "histogram")
+
 let find t name labels = Hashtbl.find_opt t.series (name, canon labels)
 
 let counter t ?(labels = []) name =
@@ -66,8 +109,6 @@ let counter_total t name =
     (fun (n, _) inst acc ->
       match inst with ICounter r when n = name -> acc + !r | _ -> acc)
     t.series 0
-
-let reset t = Hashtbl.reset t.series
 
 type value = Counter of int | Gauge of float | Histogram of Hist.t
 

@@ -158,6 +158,65 @@ let test_bc_byte_size_exact =
       let bc = bc_of_spec spec in
       Briefcase.byte_size bc = String.length (Briefcase.serialize bc))
 
+(* binary names (the empty name included), empty folders, binary elements *)
+let bc_binary_gen =
+  QCheck2.Gen.(
+    let bytes = string_size ~gen:(char_range '\x00' '\xff') in
+    list_size (0 -- 8) (pair (bytes (0 -- 6)) (list_size (0 -- 4) (bytes (0 -- 12)))))
+
+let test_bc_wire_canonical =
+  qtest ~count:500 "wire -> briefcase -> wire is the identity" bc_binary_gen (fun spec ->
+      let wire = Briefcase.serialize (bc_of_spec spec) in
+      Briefcase.serialize (Briefcase.deserialize wire) = wire)
+
+let test_bc_byte_size_binary =
+  qtest ~count:500 "byte_size equals serialized length (binary names)" bc_binary_gen
+    (fun spec ->
+      let bc = bc_of_spec spec in
+      String.length (Briefcase.serialize bc) = Briefcase.byte_size bc)
+
+(* A briefcase wire built by hand: folder count, then (name, elements). *)
+let raw_wire ?(count = -1) folders =
+  let u32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xFF)) in
+  let str s = u32 (String.length s) ^ s in
+  let count = if count < 0 then List.length folders else count in
+  u32 count
+  ^ String.concat ""
+      (List.map
+         (fun (name, elems) ->
+           str name ^ u32 (List.length elems) ^ String.concat "" (List.map str elems))
+         folders)
+
+let rejects what wire =
+  match Briefcase.deserialize wire with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Codec.Malformed _ -> ()
+
+let test_bc_raw_wire_accepted () =
+  let wire = raw_wire [ ("A", [ "1" ]); ("B", []) ] in
+  check Alcotest.string "hand-built wire is the canonical one" wire
+    (Briefcase.serialize (Briefcase.deserialize wire))
+
+let test_bc_rejects_trailing_bytes () =
+  rejects "trailing byte" (raw_wire [ ("A", [ "1" ]) ] ^ "\x00");
+  rejects "trailing folder" (raw_wire ~count:1 [ ("A", [ "1" ]); ("B", [ "2" ]) ])
+
+let test_bc_rejects_duplicate_name () =
+  rejects "duplicate" (raw_wire [ ("A", [ "1" ]); ("A", [ "2" ]) ]);
+  rejects "duplicate empty name" (raw_wire [ ("", []); ("", []) ])
+
+let test_bc_rejects_out_of_order () =
+  rejects "descending" (raw_wire [ ("B", [ "1" ]); ("A", [ "2" ]) ]);
+  rejects "prefix after longer" (raw_wire [ ("AB", []); ("A", []) ])
+
+let test_codec_rejects_oversized_length () =
+  let buf = Bytes.create 8 in
+  check Alcotest.int "largest u32 fits" 4 (Codec.put_u32 buf 0 0xFFFF_FFFF);
+  Alcotest.check_raises "above 32 bits" (Codec.Malformed "length exceeds 32 bits") (fun () ->
+      ignore (Codec.put_u32 buf 0 0x1_0000_0000));
+  Alcotest.check_raises "negative" (Codec.Malformed "negative length") (fun () ->
+      ignore (Codec.put_u32 buf 0 (-1)))
+
 let test_bc_basics () =
   let bc = Briefcase.create () in
   Briefcase.set bc "HOST" "site-1";
@@ -923,6 +982,14 @@ let () =
           Alcotest.test_case "corrupt input" `Quick test_bc_deserialize_corrupt;
           test_bc_deserialize_fuzz;
           Alcotest.test_case "agent stored in folder" `Quick test_bc_agent_in_folder;
+          test_bc_wire_canonical;
+          test_bc_byte_size_binary;
+          Alcotest.test_case "hand-built wire accepted" `Quick test_bc_raw_wire_accepted;
+          Alcotest.test_case "rejects trailing bytes" `Quick test_bc_rejects_trailing_bytes;
+          Alcotest.test_case "rejects duplicate names" `Quick test_bc_rejects_duplicate_name;
+          Alcotest.test_case "rejects out-of-order names" `Quick test_bc_rejects_out_of_order;
+          Alcotest.test_case "encoder rejects oversized length" `Quick
+            test_codec_rejects_oversized_length;
         ] );
       ( "cabinet",
         [

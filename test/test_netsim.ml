@@ -128,6 +128,129 @@ let test_engine_no_compaction_below_floor () =
   check Alcotest.int "no rebuild below floor" 0 (Engine.compactions e);
   check Alcotest.int "nothing pending" 0 (Engine.pending e)
 
+(* Random interleavings of the engine API against a reference model: a
+   plain list of pending events, fired by smallest (time, seq).  Events may
+   carry a follow-up scheduled from inside their callback.  Cancel-heavy
+   runs push the queue past the compaction floor, so agreement also shows
+   that compaction never reorders events. *)
+type engine_op =
+  | Sched of float * float option (* after, follow-up delay *)
+  | Sched_at of float (* absolute; may lie in the past *)
+  | Burst of float list * int (* many [Sched], then cancel all but every k-th *)
+  | Cancel of int (* counts back from the newest timer *)
+  | Step
+  | Run_until of float (* relative to now *)
+
+let engine_op_gen =
+  QCheck2.Gen.(
+    let delay = map (fun k -> float_of_int k *. 0.25) (0 -- 24) in
+    frequency
+      [
+        (4, map2 (fun d f -> Sched (d, f)) delay (opt ~ratio:0.2 delay));
+        (1, map (fun d -> Sched_at (d -. 2.0)) delay);
+        (1, map2 (fun ds k -> Burst (ds, k)) (list_size (10 -- 80) delay) (1 -- 10));
+        (4, map (fun i -> Cancel i) (0 -- 99));
+        (2, pure Step);
+        (1, map (fun d -> Run_until d) delay);
+      ])
+
+type model_ev = { m_time : float; m_id : int; m_follow : float option }
+
+let engine_agrees_with_model ops =
+  (* the engine under test; events are numbered in scheduling order *)
+  let e = Engine.create () in
+  let timers = ref [||] and fired = ref [] in
+  let rec track schedule follow =
+    let id = Array.length !timers in
+    let tm =
+      schedule (fun () ->
+          fired := id :: !fired;
+          Option.iter (fun d -> track (Engine.schedule e ~after:d) None) follow)
+    in
+    timers := Array.append !timers [| tm |]
+  in
+  (* the model: pending events in a list, the smallest (time, id) fires *)
+  let pending = ref [] and now = ref 0.0 and next = ref 0 and m_fired = ref [] in
+  let m_sched ~at follow =
+    pending := { m_time = max at !now; m_id = !next; m_follow = follow } :: !pending;
+    incr next
+  in
+  let m_head () =
+    List.fold_left
+      (fun best ev ->
+        match best with
+        | Some b when (b.m_time, b.m_id) < (ev.m_time, ev.m_id) -> best
+        | Some _ | None -> Some ev)
+      None !pending
+  in
+  let m_step () =
+    match m_head () with
+    | None -> false
+    | Some ev ->
+      pending := List.filter (fun x -> x.m_id <> ev.m_id) !pending;
+      now := ev.m_time;
+      m_fired := ev.m_id :: !m_fired;
+      Option.iter (fun d -> m_sched ~at:(!now +. d) None) ev.m_follow;
+      true
+  in
+  let agree () =
+    !fired = !m_fired && Engine.now e = !now && Engine.pending e = List.length !pending
+  in
+  let apply op =
+    match op with
+    | Sched (d, follow) ->
+      track (Engine.schedule e ~after:d) follow;
+      m_sched ~at:(!now +. d) follow;
+      true
+    | Sched_at at ->
+      track (Engine.schedule_at e ~at) None;
+      m_sched ~at None;
+      true
+    | Burst (ds, k) ->
+      let first = Array.length !timers in
+      List.iter
+        (fun d ->
+          track (Engine.schedule e ~after:d) None;
+          m_sched ~at:(!now +. d) None)
+        ds;
+      for id = first to Array.length !timers - 1 do
+        if (id - first) mod k <> 0 then Engine.cancel !timers.(id)
+      done;
+      pending :=
+        List.filter (fun ev -> ev.m_id < first || (ev.m_id - first) mod k = 0) !pending;
+      true
+    | Cancel back ->
+      let id = Array.length !timers - 1 - back in
+      if id >= 0 then begin
+        Engine.cancel !timers.(id);
+        pending := List.filter (fun ev -> ev.m_id <> id) !pending
+      end;
+      true
+    | Step -> Engine.step e = m_step ()
+    | Run_until d ->
+      let stop = Engine.now e +. d in
+      Engine.run ~until:stop e;
+      let rec drain () =
+        match m_head () with
+        | Some ev when ev.m_time <= stop ->
+          ignore (m_step ());
+          drain ()
+        | Some _ | None -> now := max !now stop
+      in
+      drain ();
+      true
+  in
+  List.for_all (fun op -> apply op && agree ()) ops
+  &&
+  (Engine.run e;
+   while m_step () do () done;
+   agree () && Engine.pending e = 0)
+
+let test_engine_model =
+  qtest ~count:300 "engine agrees with a sorted-list model"
+    QCheck2.Gen.(list_size (0 -- 200) engine_op_gen)
+    engine_agrees_with_model
+
 (* --- topology generators --- *)
 
 let degree topo s = List.length (Topology.neighbors topo s)
@@ -232,8 +355,11 @@ let test_delivery_multi_hop_time_and_bytes () =
   let stats = Net.stats net in
   check Alcotest.int "byte-hops" 2000 (Netstats.byte_hops stats);
   check Alcotest.int "bytes once" 1000 (Netstats.bytes_sent stats);
-  check Alcotest.int "per-link charge" 1000 (Netstats.link_bytes stats 0 1);
-  check Alcotest.int "per-link charge 2" 1000 (Netstats.link_bytes stats 1 2)
+  let link_bytes label =
+    Obs.Metrics.counter (Net.metrics net) ~labels:[ ("link", label) ] "net.link.bytes"
+  in
+  check Alcotest.int "per-link charge" 1000 (link_bytes "0-1");
+  check Alcotest.int "per-link charge 2" 1000 (link_bytes "1-2")
 
 let test_delivery_local () =
   let net = mk_net (Topology.line 2) in
@@ -667,6 +793,7 @@ let () =
           Alcotest.test_case "compaction sheds dead entries" `Quick test_engine_compaction;
           Alcotest.test_case "no compaction below floor" `Quick
             test_engine_no_compaction_below_floor;
+          test_engine_model;
         ] );
       ( "topology",
         [

@@ -89,6 +89,36 @@ let test_metrics_kinds () =
     (Invalid_argument "Metrics: \"depth\" is not a counter") (fun () ->
       Obs.Metrics.incr m "depth")
 
+let test_metrics_handles () =
+  let m = Obs.Metrics.create () in
+  let series () = Format.asprintf "%a" Obs.Metrics.pp m in
+  let hits = Obs.Metrics.counter_handle m ~labels:[ ("link", "0-1") ] "hits" in
+  let lat = Obs.Metrics.histogram_handle m "lat" in
+  Alcotest.(check string) "creating handles registers nothing" "" (series ());
+  Obs.Metrics.bump hits 3;
+  Obs.Metrics.incr m ~labels:[ ("link", "0-1") ] ~by:2 "hits";
+  Obs.Metrics.bump hits 1;
+  Alcotest.(check int) "handle and name share the series" 6
+    (Obs.Metrics.counter m ~labels:[ ("link", "0-1") ] "hits");
+  Obs.Metrics.record lat 0.5;
+  Obs.Metrics.observe m "lat" 1.5;
+  (match Obs.Metrics.histogram m "lat" with
+  | Some h -> Alcotest.(check int) "histogram count" 2 (Obs.Hist.count h)
+  | None -> Alcotest.fail "histogram series missing");
+  (* the same updates by name leave an identical registry *)
+  let by_name = Obs.Metrics.create () in
+  Obs.Metrics.incr by_name ~labels:[ ("link", "0-1") ] ~by:6 "hits";
+  Obs.Metrics.observe by_name "lat" 0.5;
+  Obs.Metrics.observe by_name "lat" 1.5;
+  Alcotest.(check string) "same dump as by name"
+    (Format.asprintf "%a" Obs.Metrics.pp by_name)
+    (series ());
+  Obs.Metrics.set_gauge m "depth" 1.0;
+  let wrong = Obs.Metrics.counter_handle m "depth" in
+  Alcotest.check_raises "kind mismatch at first use"
+    (Invalid_argument "Metrics: \"depth\" is not a counter")
+    (fun () -> Obs.Metrics.bump wrong 1)
+
 (* ---- a minimal JSON parser (validity checking only) ----------------------- *)
 
 exception Bad_json of string
@@ -443,6 +473,7 @@ let () =
         [
           Alcotest.test_case "counters and labels" `Quick test_metrics_counters;
           Alcotest.test_case "gauges and histograms" `Quick test_metrics_kinds;
+          Alcotest.test_case "handles" `Quick test_metrics_handles;
         ] );
       ( "export",
         [
