@@ -136,4 +136,4 @@ let start_load_monitor kernel t ~brokers ~period =
         end
       in
       loop ());
-  Kernel.launch kernel ~site:t.psite ~contact:loop_agent (Briefcase.create ())
+  Kernel.launch ~daemon:true kernel ~site:t.psite ~contact:loop_agent (Briefcase.create ())

@@ -41,4 +41,5 @@ val start_load_monitor :
   period:float ->
   unit
 (** The monitoring agent: every [period] seconds, courier the provider's
-    current queue length and capacity to each broker. *)
+    current queue length and capacity to each broker.  It runs as a daemon
+    ({!Tacoma_core.Kernel.launch}), so it never keeps a run alive. *)

@@ -178,7 +178,7 @@ let add_broker t broker =
   let loop_name = "route-loop:" ^ name in
   Kernel.register_native t.kernel ~site:(Matchmaker.site broker) loop_name (fun ctx _ ->
       advert_loop t node ctx);
-  Kernel.launch t.kernel ~site:(Matchmaker.site broker) ~contact:loop_name
+  Kernel.launch ~daemon:true t.kernel ~site:(Matchmaker.site broker) ~contact:loop_name
     (Briefcase.create ())
 
 let connect t a b =

@@ -26,7 +26,8 @@ val create :
 
 val add_broker : t -> Matchmaker.t -> unit
 (** Registers the routing agent ["route:<broker-name>"] at the broker's
-    site and starts its advertisement loop. *)
+    site and starts its advertisement loop, a daemon
+    ({!Tacoma_core.Kernel.launch}) that never keeps a run alive. *)
 
 val connect : t -> Matchmaker.t -> Matchmaker.t -> unit
 (** Bidirectional overlay link between two registered brokers. *)

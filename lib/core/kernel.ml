@@ -350,7 +350,7 @@ let run_hooks_complete t ~site ~agent =
   Obs.Metrics.incr (metrics t) ~labels:[ ("agent", agent) ] "kernel.completions";
   List.iter (fun h -> h ~site ~agent) (List.rev t.complete_hooks)
 
-let run_activation t ~site ~contact bc =
+let run_activation ?daemon t ~site ~contact bc =
   Obs.Metrics.incr (metrics t) ~labels:[ ("agent", contact) ] "kernel.activations";
   let ctx = { kernel = t; site; self = contact } in
   let tr = recorder t in
@@ -395,17 +395,17 @@ let run_activation t ~site ~contact bc =
               (fun (k : (b, unit) continuation) ->
                 let epoch = t.places.(site).epoch in
                 ignore
-                  (Net.schedule t.net ~after:dur (fun () ->
+                  (Net.schedule t.net ?daemon ~after:dur (fun () ->
                        if Net.site_up t.net site && t.places.(site).epoch = epoch then
                          continue k ()
                        else discontinue k (Aborted "site crashed"))))
           | _ -> None);
     }
 
-let launch t ~site ~contact bc =
+let launch ?daemon t ~site ~contact bc =
   ignore
-    (Net.schedule t.net ~after:0.0 (fun () ->
-         if Net.site_up t.net site then run_activation t ~site ~contact bc))
+    (Net.schedule t.net ?daemon ~after:0.0 (fun () ->
+         if Net.site_up t.net site then run_activation ?daemon t ~site ~contact bc))
 
 (* ---- migration -------------------------------------------------------------- *)
 

@@ -174,9 +174,12 @@ val meet : ctx -> string -> Briefcase.t -> unit
     of whatever span the briefcase carried.  @raise Agent_error if the
     agent is unknown. *)
 
-val launch : t -> site:Netsim.Site.id -> contact:string -> Briefcase.t -> unit
+val launch :
+  ?daemon:bool -> t -> site:Netsim.Site.id -> contact:string -> Briefcase.t -> unit
 (** Start a fresh top-level activation (scheduled immediately).  Launching
-    at a down site is a silent no-op. *)
+    at a down site is a silent no-op.  A [daemon] activation (default
+    [false]), such as a load monitor, starts and {!sleep}s on daemon events
+    ({!Netsim.Engine.schedule}), so it never keeps a run alive. *)
 
 val sleep : ctx -> float -> unit
 (** Suspend the current activation for simulated seconds.  Only callable

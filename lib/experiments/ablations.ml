@@ -84,7 +84,7 @@ let run_a2 () =
             ~on_complete:(fun _ -> finished_at := Net.now net)
             (Briefcase.create ())
         in
-        Net.run ~until:horizon net;
+        Net.run net;
         let s = Escort.stats j in
         if s.Escort.completed then begin
           incr completed;
@@ -193,7 +193,7 @@ let run_a4_one ~code_pad =
   Briefcase.set bc Briefcase.host_folder (Kernel.site_name k data_site);
   Briefcase.set bc Briefcase.contact_folder "ag_script";
   Kernel.launch k ~site:client ~contact:"rexec" bc;
-  Net.run ~until:3600.0 net;
+  Net.run net;
   assert !finished;
   Netsim.Netstats.byte_hops (Net.stats net)
 
@@ -249,7 +249,7 @@ let run_a5 ?(chain_lengths = [ 0; 1; 2; 4; 8 ]) () =
       let result = ref None in
       Broker.Routing.routed_lookup r ~from:(List.hd brokers) ~service:"compute"
         ~on_reply:(fun x -> result := Some (x, Net.now net));
-      Net.run ~until:(asked_at +. 30.0) net;
+      Net.run net;
       match !result with
       | Some (Ok (_, hops), at) ->
         { chain_length = chain; broker_hops = hops; lookup_latency = at -. asked_at }
@@ -258,9 +258,6 @@ let run_a5 ?(chain_lengths = [ 0; 1; 2; 4; 8 ]) () =
     chain_lengths
 
 (* --- rendering ------------------------------------------------------------------ *)
-
-(* One printer per ablation; the registry composes them, and each can be
-   regenerated on its own (A1 alone reruns E5 five times). *)
 
 let print_a1 fmt =
   Table.render fmt
@@ -315,3 +312,6 @@ let print_a5 fmt =
     (List.map
        (fun r -> [ Table.I r.chain_length; Table.I r.broker_hops; Table.F r.lookup_latency ])
        (run_a5 ()))
+
+let print_table fmt =
+  List.iter (fun print -> print fmt) [ print_a1; print_a2; print_a3; print_a4; print_a5 ]

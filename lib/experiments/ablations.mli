@@ -45,9 +45,5 @@ val run_a5 : ?chain_lengths:int list -> unit -> a5_row list
     a wide-area network"): resolve a service registered [L] brokers away;
     hops equal the overlay distance and latency grows linearly. *)
 
-(** One table printer per ablation; [tacoma exp abl] runs them in order. *)
-val print_a1 : Format.formatter -> unit
-val print_a2 : Format.formatter -> unit
-val print_a3 : Format.formatter -> unit
-val print_a4 : Format.formatter -> unit
-val print_a5 : Format.formatter -> unit
+val print_table : Format.formatter -> unit
+(** The A1–A5 tables in order, as [tacoma exp abl] prints them. *)

@@ -70,7 +70,7 @@ let run_agent p ~selectivity =
   Briefcase.set bc Briefcase.host_folder (Kernel.site_name k data_site);
   Briefcase.set bc Briefcase.contact_folder "ag_script";
   Kernel.launch k ~site:client ~contact:"rexec" bc;
-  Net.run ~until:3600.0 net;
+  Net.run net;
   match !finished with
   | Some (time, _) -> (Netsim.Netstats.byte_hops (Net.stats net), time)
   | None -> failwith "E1: agent run did not finish"
@@ -89,7 +89,7 @@ let run_client_server p ~selectivity =
       let matches = List.filter (fun r -> String.length r >= 3 && String.sub r 0 3 = "HIT") received in
       ignore matches;
       finished := Some (Net.now net));
-  Net.run ~until:3600.0 net;
+  Net.run net;
   match !finished with
   | Some time -> (Netsim.Netstats.byte_hops (Net.stats net), time)
   | None -> failwith "E1: client/server run did not finish"
@@ -114,7 +114,7 @@ let run_wan_agent p ~selectivity =
   Briefcase.set bc Briefcase.host_folder (Kernel.site_name k wan_data);
   Briefcase.set bc Briefcase.contact_folder "ag_script";
   Kernel.launch k ~site:wan_client ~contact:"rexec" bc;
-  Net.run ~until:3600.0 net;
+  Net.run net;
   match !finished with
   | Some time -> (Netsim.Netstats.byte_hops (Net.stats net), time)
   | None -> failwith "E1-wan: agent run did not finish"
@@ -127,7 +127,7 @@ let run_wan_cs p ~selectivity =
   let rpc = Baseline.Rpc.client net ~src:wan_client in
   Baseline.Rpc.call rpc ~dst:wan_data ~service:"scan" ~query:"HIT*"
     ~on_reply:(fun _ -> finished := Some (Net.now net));
-  Net.run ~until:3600.0 net;
+  Net.run net;
   match !finished with
   | Some time -> (Netsim.Netstats.byte_hops (Net.stats net), time)
   | None -> failwith "E1-wan: client/server run did not finish"

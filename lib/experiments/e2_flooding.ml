@@ -69,7 +69,7 @@ let run_naive topo =
   Briefcase.set bc Briefcase.code_folder naive_script;
   Briefcase.set bc "TTL" (string_of_int (diameter topo));
   Kernel.launch k ~site:0 ~contact:"ag_script" bc;
-  Net.run ~until:86_400.0 net;
+  Net.run net;
   (!executions, Hashtbl.length covered, Netsim.Netstats.byte_hops (Net.stats net), !last_mark)
 
 let run_diffusion topo =
@@ -77,7 +77,7 @@ let run_diffusion topo =
   let bc = Briefcase.create () in
   Briefcase.set bc Briefcase.contact_folder "mark";
   Kernel.launch k ~site:0 ~contact:"diffusion" bc;
-  Net.run ~until:86_400.0 net;
+  Net.run net;
   (!executions, Hashtbl.length covered, Netsim.Netstats.byte_hops (Net.stats net), !last_mark)
 
 let topologies () =

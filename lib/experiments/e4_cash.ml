@@ -92,7 +92,7 @@ let run_one_b ~trial ~customer ~merchant =
     (Audit.purchase k ~tx ~amount:price ~bills:[ bill ]
        ~customer:("alice", "ka", customer) ~merchant:("bob", "kb", merchant)
        ~customer_site:0 ~merchant_site:1 ~witness_site:2 ~bank_site:3);
-  Net.run ~until:60.0 net;
+  Net.run net;
   Audit.judge
     ~keys:[ ("alice", "ka"); ("bob", "kb") ]
     ~log:(Audit.read_witness_log k ~site:2)
@@ -138,7 +138,7 @@ let run_c ?(fuel_levels = [ 0; 1; 5; 20; 100 ]) () =
         "while {1} {cabinet put SPAM x}";
       Cash.Fuel.grant m bc ~cents:fuel_cents;
       Kernel.launch k ~site:0 ~contact:"ag_script" bc;
-      Net.run ~until:10.0 net;
+      Net.run net;
       {
         fuel_cents;
         damage = Tacoma_core.Cabinet.size (Kernel.cabinet k 0) "SPAM";

@@ -90,7 +90,7 @@ let run_policy p policy =
                Briefcase.set bc "REPLY-AGENT" "job-back";
                Kernel.send_briefcase k ~src:hub ~dst ~contact:c.Policy.provider bc)))
   done;
-  Net.run ~until:36_000.0 net;
+  Net.run net;
   let busy_per_cap =
     List.map (fun prov -> Provider.busy_time prov /. Provider.capacity prov) providers
   in

@@ -82,7 +82,7 @@ let run_trial p shape ~plan ~guarded ~trial =
             (Briefcase.create ()))
       shape.branches
   in
-  Net.run ~until:p.horizon net;
+  Net.run net;
   let completed = !done_count = total in
   let relaunches =
     List.fold_left (fun acc j -> acc + (Escort.stats j).Escort.relaunches) 0 journeys

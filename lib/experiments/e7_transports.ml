@@ -37,7 +37,7 @@ let run_cost_one ~hops ~payload transport =
   Briefcase.set bc "TRANSPORT" (Kernel.transport_name transport);
   Folder.replace (Briefcase.folder bc "PAYLOAD") [ String.make payload 'p' ];
   Kernel.launch k ~site:0 ~contact:"e7-hop" bc;
-  Net.run ~until:600.0 net;
+  Net.run net;
   match !finished with
   | Some t ->
     {
@@ -71,7 +71,7 @@ let run_reliability_one ~trial transport =
          Briefcase.set bc "HOPS-LEFT" "1";
          Briefcase.set bc "TRANSPORT" (Kernel.transport_name transport);
          Kernel.launch k ~site:0 ~contact:"e7-hop" bc));
-  Net.run ~until:120.0 net;
+  Net.run net;
   !delivered
 
 let run_reliability ?(trials = 10) () =
@@ -113,7 +113,7 @@ let run_loss ?(agents = 50) ?(loss_rates = [ 0.0; 0.1; 0.3 ]) () =
              Briefcase.set bc Briefcase.contact_folder "e7c-counter";
              Kernel.launch k ~site:0 ~contact:"rexec" bc))
     done;
-    Net.run ~until:600.0 net;
+    Net.run net;
     (!arrived, Netsim.Netstats.bytes_sent (Net.stats net))
   in
   let baseline_arrived, baseline_bytes = run Kernel.Tcp 0.0 in

@@ -32,13 +32,13 @@ let run_stormcast ?(stations = 8) ?(hours = 168) () =
   let agent_out = ref None in
   Stormcast.run_agent_collector k ~sensor_sites:sensors ~centre:0 ~on_done:(fun o ->
       agent_out := Some o);
-  Net.run ~until:600.0 net_a;
+  Net.run net_a;
   (* client/server architecture *)
   let net_c = Net.create (Topology.star stations) in
   let cs_out = ref None in
   Stormcast.run_client_server net_c ~field ~sensor_sites:sensors ~centre:0
     ~on_done:(fun o -> cs_out := Some o);
-  Net.run ~until:600.0 net_c;
+  Net.run net_c;
   match (!agent_out, !cs_out) with
   | Some a, Some c ->
     let mk name (o : Stormcast.outcome) =
@@ -73,7 +73,7 @@ let run_mail () =
     let to_user = Rng.pick_list rng users in
     Agentmail.send k ~src:0 ~from_user ~to_user ~subject:"s" ~body:"b"
   done;
-  Net.run ~until:120.0 net;
+  Net.run net;
   let delivered =
     List.fold_left (fun acc u -> acc + List.length (Agentmail.mailbox k ~user:u)) 0 users
   in
@@ -96,7 +96,7 @@ let run_mail () =
            if Net.site_up net 0 then
              Agentmail.send k ~src:0 ~from_user ~to_user ~subject:"s" ~body:"b"))
   done;
-  Net.run ~until:300.0 net;
+  Net.run net;
   let delivered2 =
     List.fold_left (fun acc u -> acc + List.length (Agentmail.mailbox k ~user:u)) 0 users
   in
@@ -114,7 +114,7 @@ let run_mail () =
   Agentmail.set_forward k ~user:"u2" ~to_user:"u4";
   Agentmail.set_vacation k ~user:"u3" ~note:"away";
   Agentmail.send k ~src:0 ~from_user:"u0" ~to_user:"all" ~subject:"ann" ~body:"x";
-  Net.run ~until:120.0 net;
+  Net.run net;
   let got u = List.length (Agentmail.mailbox k ~user:u) in
   let features =
     {
@@ -145,7 +145,7 @@ let run_latency ?(stations = 8) ?(hours = 72) () =
   let finish =
     Stormcast.run_monitor_agents kp ~field ~sensor_sites:sensors ~centre:0 ~hour_scale ()
   in
-  Net.run ~until:(float_of_int (hours + 10) *. hour_scale) net_p;
+  Net.run net_p;
   let push = finish () in
   (* tour: the collector sweeps once at the end of the window; an anomalous
      reading produced at hour h has waited since then *)
@@ -157,7 +157,7 @@ let run_latency ?(stations = 8) ?(hours = 72) () =
     (Net.schedule net_t ~after:(float_of_int hours *. hour_scale) (fun () ->
          Stormcast.run_agent_collector kt ~sensor_sites:sensors ~centre:0 ~on_done:(fun o ->
              tour_out := Some o)));
-  Net.run ~until:(float_of_int (hours + 100) *. hour_scale) net_t;
+  Net.run net_t;
   let tour = match !tour_out with Some o -> o | None -> failwith "E8c: tour did not finish" in
   let anomalies =
     Array.to_list field.Weather.readings

@@ -73,7 +73,7 @@ let run_one ~shape ~transport ~cached =
   Folder.replace (Briefcase.folder bc "ITINERARY") (List.map string_of_int shape.itinerary);
   Briefcase.set bc Briefcase.code_folder code_payload;
   Kernel.launch k ~site:0 ~contact:"e9-hop" bc;
-  Net.run ~until:600.0 net;
+  Net.run net;
   let journey_time =
     match !finished with
     | Some t -> t

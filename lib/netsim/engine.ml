@@ -2,22 +2,38 @@
    the owning engine, so scheduling allocates one record and nothing else.
    The queue is a binary min-heap on (time, seq) over an array whose slots
    past [size] hold [vacant], so it keeps nothing alive it no longer
-   contains. *)
+   contains.  [live_work] counts the live events that are not daemons: an
+   unbounded [run] stops when it reaches zero. *)
 type t = {
   mutable clock : float;
   mutable next_seq : int;
   mutable heap : timer array;
   mutable size : int;
   mutable live_count : int;
+  mutable live_work : int;
   mutable compaction_count : int;
   metrics : Obs.Metrics.t option;
 }
 
-and timer = { time : float; seq : int; fire : unit -> unit; mutable live : bool; owner : t }
+and timer = {
+  time : float;
+  seq : int;
+  fire : unit -> unit;
+  daemon : bool;
+  mutable live : bool;
+  owner : t;
+}
 
 (* fills the queue's unused slots: never popped, never fired *)
 let rec vacant =
-  { time = infinity; seq = -1; fire = ignore; live = false; owner = vacant_owner }
+  {
+    time = infinity;
+    seq = -1;
+    fire = ignore;
+    daemon = false;
+    live = false;
+    owner = vacant_owner;
+  }
 
 and vacant_owner =
   {
@@ -26,6 +42,7 @@ and vacant_owner =
     heap = [||];
     size = 0;
     live_count = 0;
+    live_work = 0;
     compaction_count = 0;
     metrics = None;
   }
@@ -37,6 +54,7 @@ let create ?metrics () =
     heap = [||];
     size = 0;
     live_count = 0;
+    live_work = 0;
     compaction_count = 0;
     metrics;
   }
@@ -124,20 +142,26 @@ let maybe_compact t =
     | None -> ()
   end
 
-let schedule_at t ~at fire =
-  let ev = { time = fmax at t.clock; seq = t.next_seq; fire; live = true; owner = t } in
+let schedule_at t ?(daemon = false) ~at fire =
+  let ev = { time = fmax at t.clock; seq = t.next_seq; fire; daemon; live = true; owner = t } in
   t.next_seq <- t.next_seq + 1;
   t.live_count <- t.live_count + 1;
+  if not daemon then t.live_work <- t.live_work + 1;
   push t ev;
   ev
 
-let schedule t ~after fire = schedule_at t ~at:(t.clock +. fmax 0.0 after) fire
+let schedule t ?daemon ~after fire = schedule_at t ?daemon ~at:(t.clock +. fmax 0.0 after) fire
+
+(* the one place a live event stops being live, whether fired or cancelled *)
+let[@inline] retire t ev =
+  ev.live <- false;
+  t.live_count <- t.live_count - 1;
+  if not ev.daemon then t.live_work <- t.live_work - 1
 
 let cancel ev =
   if ev.live then begin
-    ev.live <- false;
     let t = ev.owner in
-    t.live_count <- t.live_count - 1;
+    retire t ev;
     maybe_compact t
   end
 
@@ -146,8 +170,7 @@ let rec step t =
   else begin
     let ev = pop t in
     if ev.live then begin
-      ev.live <- false;
-      t.live_count <- t.live_count - 1;
+      retire t ev;
       t.clock <- ev.time;
       ev.fire ();
       true
@@ -167,17 +190,14 @@ let rec drop_dead t =
 
 let run ?until t =
   match until with
-  | None -> while step t do () done
+  | None -> while t.live_work > 0 && step t do () done
   | Some stop ->
-    let continue = ref true in
-    while !continue do
-      drop_dead t;
-      if t.size > 0 && t.heap.(0).time <= stop then ignore (step t)
-      else begin
-        t.clock <- fmax t.clock stop;
-        continue := false
-      end
-    done
+    drop_dead t;
+    while t.size > 0 && t.heap.(0).time <= stop do
+      ignore (step t);
+      drop_dead t
+    done;
+    t.clock <- fmax t.clock stop
 
 let pending t = t.live_count
 let compactions t = t.compaction_count

@@ -21,12 +21,14 @@ val create : ?metrics:Obs.Metrics.t -> unit -> t
 val now : t -> float
 (** Current simulated time in seconds. *)
 
-val schedule : t -> after:float -> (unit -> unit) -> timer
+val schedule : t -> ?daemon:bool -> after:float -> (unit -> unit) -> timer
 (** [schedule t ~after f] runs [f] at [now t +. after].  Negative delays are
     clamped to zero.  Events scheduled for the same instant fire in
-    scheduling order. *)
+    scheduling order.  A [daemon] event (default [false]) is background
+    work, such as a periodic load report, that never keeps {!run} alive;
+    it fires like any other event while the run lasts. *)
 
-val schedule_at : t -> at:float -> (unit -> unit) -> timer
+val schedule_at : t -> ?daemon:bool -> at:float -> (unit -> unit) -> timer
 (** Absolute-time variant.  Times before [now] fire immediately (at [now]). *)
 
 val cancel : timer -> unit
@@ -36,10 +38,13 @@ val step : t -> bool
 (** Run the next event.  [false] if the queue was empty. *)
 
 val run : ?until:float -> t -> unit
-(** Drain the queue; with [until], stop once the next {e live} event lies
-    beyond that time (the clock is then advanced to [until]).  Cancelled
-    entries at the head of the queue are discarded, never counted as the
-    next event. *)
+(** Without [until], fire events until no live non-daemon event is pending
+    (quiescence), leaving the clock at the last event fired and any daemons
+    queued.  Such a run never ends while a non-daemon loop, such as the
+    Horus group heartbeats, is live.  With [until], fire every live event
+    up to that time, then advance the clock to [until].  Cancelled entries
+    at the head of the queue are discarded, never counted as the next
+    event. *)
 
 val pending : t -> int
 (** Number of not-yet-fired, not-cancelled events. *)

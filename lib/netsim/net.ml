@@ -470,4 +470,4 @@ let set_link_degraded t a b factors =
 let link_degraded t a b = Hashtbl.find_opt t.link_degrade (key a b)
 
 let run ?until t = Engine.run ?until t.engine
-let schedule t ~after f = Engine.schedule t.engine ~after f
+let schedule t ?daemon ~after f = Engine.schedule t.engine ?daemon ~after f

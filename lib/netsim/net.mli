@@ -116,4 +116,8 @@ val link_degraded : t -> Site.id -> Site.id -> (float * float) option
 (** {1 Convenience} *)
 
 val run : ?until:float -> t -> unit
-val schedule : t -> after:float -> (unit -> unit) -> Engine.timer
+(** {!Engine.run}: without [until], until no live non-daemon event is
+    pending — forever while a non-daemon loop (Horus heartbeats) lives. *)
+
+val schedule : t -> ?daemon:bool -> after:float -> (unit -> unit) -> Engine.timer
+(** {!Engine.schedule}; a [daemon] event never keeps {!run} alive. *)

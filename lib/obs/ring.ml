@@ -1,5 +1,8 @@
+(* [buf] stays empty until the first push: a disabled flight recorder
+   never pays for its capacity. *)
 type 'a t = {
-  buf : 'a option array;
+  cap : int;
+  mutable buf : 'a option array;
   mutable start : int; (* index of the oldest element *)
   mutable len : int;
   mutable evicted : int;
@@ -7,14 +10,15 @@ type 'a t = {
 
 let create capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
-  { buf = Array.make capacity None; start = 0; len = 0; evicted = 0 }
+  { cap = capacity; buf = [||]; start = 0; len = 0; evicted = 0 }
 
-let capacity t = Array.length t.buf
+let capacity t = t.cap
 let length t = t.len
 let evicted t = t.evicted
 
 let push t x =
-  let cap = Array.length t.buf in
+  let cap = t.cap in
+  if Array.length t.buf = 0 then t.buf <- Array.make cap None;
   if t.len = cap then begin
     (* overwrite the oldest slot and advance the window *)
     t.buf.(t.start) <- Some x;
@@ -27,7 +31,7 @@ let push t x =
   end
 
 let iter f t =
-  let cap = Array.length t.buf in
+  let cap = t.cap in
   for i = 0 to t.len - 1 do
     match t.buf.((t.start + i) mod cap) with
     | Some x -> f x

@@ -5,7 +5,9 @@
 type 'a t
 
 val create : int -> 'a t
-(** [create capacity] — raises [Invalid_argument] when [capacity <= 0]. *)
+(** [create capacity] — raises [Invalid_argument] when [capacity <= 0].
+    The buffer is allocated by the first {!push}, so a ring nothing is ever
+    pushed to costs a few words, whatever its capacity. *)
 
 val capacity : 'a t -> int
 val length : 'a t -> int

@@ -11,7 +11,9 @@ type t
 
 val create : ?capacity:int -> ?enabled:bool -> unit -> t
 (** [capacity] (default 65536) bounds the event ring; the oldest events are
-    evicted beyond it.  [enabled] defaults to [false]. *)
+    evicted beyond it.  The ring is allocated on the first recorded event,
+    so a tracer that stays disabled allocates none.  [enabled] defaults to
+    [false]. *)
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit

@@ -50,11 +50,6 @@ and t = {
   mutable prof_expr_misses : int;
   mutable prof_expr_evictions : int;
   caches : caches;
-  (* 1-entry memos over the shared caches, validated by physical equality
-     of the source string: a loop re-evaluating the same word of a cached
-     AST skips even the cache's hash lookup *)
-  mutable memo_parse : (string * script) option;
-  mutable memo_expr : (string * Expr.ast) option;
   (* the two expr callbacks close only over [t]; allocated once here
      instead of once per expression evaluation *)
   mutable expr_lookup_fn : string -> string;
@@ -289,49 +284,34 @@ let reset_steps t = t.steps <- 0
 (* ---- parsing and expression compilation, cached ------------------------ *)
 
 let parse t src =
-  match t.memo_parse with
-  | Some (s, ast) when s == src ->
+  match Lru.find_opt t.caches.parsed src with
+  | Some ast ->
     t.prof_parse_hits <- t.prof_parse_hits + 1;
     ast
-  | _ -> (
-    match Lru.find_opt t.caches.parsed src with
-    | Some ast ->
-      t.prof_parse_hits <- t.prof_parse_hits + 1;
-      t.memo_parse <- Some (src, ast);
-      ast
-    | None -> (
-      t.prof_parse_misses <- t.prof_parse_misses + 1;
-      match Parse.script_result src with
-      | Error msg -> err "syntax error: %s" msg
-      | Ok ast ->
-        let e0 = Lru.evictions t.caches.parsed in
-        ignore (Lru.add t.caches.parsed src ast);
-        t.prof_parse_evictions <-
-          t.prof_parse_evictions + (Lru.evictions t.caches.parsed - e0);
-        t.memo_parse <- Some (src, ast);
-        ast))
+  | None -> (
+    t.prof_parse_misses <- t.prof_parse_misses + 1;
+    match Parse.script_result src with
+    | Error msg -> err "syntax error: %s" msg
+    | Ok ast ->
+      let e0 = Lru.evictions t.caches.parsed in
+      ignore (Lru.add t.caches.parsed src ast);
+      t.prof_parse_evictions <- t.prof_parse_evictions + (Lru.evictions t.caches.parsed - e0);
+      ast)
 
 (* failed compiles are not cached: the error must re-raise on every
    evaluation, and error paths are never hot *)
 let compile_expr t src =
-  match t.memo_expr with
-  | Some (s, ast) when s == src ->
+  match Lru.find_opt t.caches.exprs src with
+  | Some ast ->
     t.prof_expr_hits <- t.prof_expr_hits + 1;
     ast
-  | _ -> (
-    match Lru.find_opt t.caches.exprs src with
-    | Some ast ->
-      t.prof_expr_hits <- t.prof_expr_hits + 1;
-      t.memo_expr <- Some (src, ast);
-      ast
-    | None ->
-      t.prof_expr_misses <- t.prof_expr_misses + 1;
-      let ast = try Expr.compile src with Expr.Error msg -> err "expr: %s" msg in
-      let e0 = Lru.evictions t.caches.exprs in
-      ignore (Lru.add t.caches.exprs src ast);
-      t.prof_expr_evictions <- t.prof_expr_evictions + (Lru.evictions t.caches.exprs - e0);
-      t.memo_expr <- Some (src, ast);
-      ast)
+  | None ->
+    t.prof_expr_misses <- t.prof_expr_misses + 1;
+    let ast = try Expr.compile src with Expr.Error msg -> err "expr: %s" msg in
+    let e0 = Lru.evictions t.caches.exprs in
+    ignore (Lru.add t.caches.exprs src ast);
+    t.prof_expr_evictions <- t.prof_expr_evictions + (Lru.evictions t.caches.exprs - e0);
+    ast
 
 (* ---- evaluation -------------------------------------------------------- *)
 
@@ -1322,8 +1302,6 @@ let create ?step_limit ?(max_depth = 256) ?caches () =
       prof_expr_misses = 0;
       prof_expr_evictions = 0;
       caches;
-      memo_parse = None;
-      memo_expr = None;
       expr_lookup_fn = Fun.id;
       expr_eval_cmd_fn = Fun.id;
       out_buf = Buffer.create 256;

@@ -392,6 +392,58 @@ let test_protected_rate_limit_spacing () =
     Alcotest.(check bool) "spaced by >= 1s" true (t2 -. t1 >= 1.0 && t3 -. t2 >= 1.0)
   | other -> Alcotest.failf "expected 3 meetings, got %d" (List.length other)
 
+(* --- quiescence: load monitors are daemons --- *)
+
+(* Providers reporting load forever, as in E5.  The monitors are daemons,
+   so an unbounded [Net.run] ends once the non-daemon work is done, with
+   the monitors still scheduled. *)
+let monitored_world () =
+  let net, k = mk_world () in
+  let broker = Matchmaker.install k ~site:0 ~name:"broker" () in
+  List.iter
+    (fun site ->
+      let p =
+        Provider.install k ~site ~name:(Printf.sprintf "p%d" site) ~service:"compute"
+          ~capacity:1.0 ()
+      in
+      Matchmaker.register_provider broker p;
+      Provider.start_load_monitor k p ~brokers:[ (0, "broker") ] ~period:0.3)
+    [ 1; 2 ];
+  (net, k, broker)
+
+let test_booking_run_ends_at_its_last_event () =
+  let net, k, broker = monitored_world () in
+  let booked_at = ref None in
+  let b =
+    Broker.Booking.book k ~client:3 ~broker:(0, "broker") ~service:"compute" ~timeout:10.0
+      ~on_done:(fun _ -> booked_at := Some (Net.now net))
+      ~id:"one" ()
+  in
+  Net.run net;
+  (match Broker.Booking.result b with
+  | Some (Broker.Booking.Booked _) -> ()
+  | Some (Broker.Booking.Failed _) | None -> Alcotest.fail "booking did not complete");
+  (match !booked_at with
+  | Some t -> Alcotest.(check bool) "booked within its first attempt" true (t < 10.0)
+  | None -> Alcotest.fail "on_done never fired");
+  (* the booking's last event is its attempt timer, armed at t=0 *)
+  check (Alcotest.float 1e-9) "clock at the attempt timer" 10.0 (Net.now net);
+  Alcotest.(check bool) "load monitors still scheduled" true
+    (Netsim.Engine.pending (Net.engine net) > 0);
+  Alcotest.(check bool) "and they reported while the run lasted" true
+    (List.length (Matchmaker.candidates broker ~service:"compute") = 2)
+
+let test_sleeping_agent_keeps_run_alive () =
+  let net, k, _ = monitored_world () in
+  let woke_at = ref None in
+  Kernel.register_native k ~site:3 "napper" (fun ctx _ ->
+      Kernel.sleep ctx 20.1;
+      woke_at := Some (Kernel.now ctx.Kernel.kernel));
+  Kernel.launch k ~site:3 ~contact:"napper" (Briefcase.create ());
+  Net.run net;
+  check Alcotest.(option (float 1e-9)) "the sleeper woke" (Some 20.1) !woke_at;
+  check (Alcotest.float 1e-9) "and the run ended there" 20.1 (Net.now net)
+
 let () =
   Alcotest.run "broker"
     [
@@ -436,5 +488,12 @@ let () =
         [
           Alcotest.test_case "brokering + allow-list" `Quick test_protected_agent_brokering;
           Alcotest.test_case "rate limiting" `Quick test_protected_rate_limit_spacing;
+        ] );
+      ( "quiescence",
+        [
+          Alcotest.test_case "booking run ends at its last event" `Quick
+            test_booking_run_ends_at_its_last_event;
+          Alcotest.test_case "sleeping agent keeps run alive" `Quick
+            test_sleeping_agent_keeps_run_alive;
         ] );
     ]

@@ -132,29 +132,50 @@ let test_engine_no_compaction_below_floor () =
    plain list of pending events, fired by smallest (time, seq).  Events may
    carry a follow-up scheduled from inside their callback.  Cancel-heavy
    runs push the queue past the compaction floor, so agreement also shows
-   that compaction never reorders events. *)
+   that compaction never reorders events.  Any event may be a daemon: an
+   unbounded [run] must stop exactly when no live non-daemon event remains,
+   and [run ~until] must treat daemons like any other event. *)
 type engine_op =
-  | Sched of float * float option (* after, follow-up delay *)
-  | Sched_at of float (* absolute; may lie in the past *)
-  | Burst of float list * int (* many [Sched], then cancel all but every k-th *)
+  | Sched of float * (float * bool) option * bool
+      (* after, follow-up (delay, daemon), daemon *)
+  | Sched_at of float * bool (* absolute; may lie in the past *)
+  | Burst of float list * int * bool (* many [Sched], then cancel all but every k-th *)
   | Cancel of int (* counts back from the newest timer *)
   | Step
   | Run_until of float (* relative to now *)
+  | Run (* to quiescence *)
 
 let engine_op_gen =
   QCheck2.Gen.(
     let delay = map (fun k -> float_of_int k *. 0.25) (0 -- 24) in
+    let daemon = frequencyl [ (3, false); (1, true) ] in
     frequency
       [
-        (4, map2 (fun d f -> Sched (d, f)) delay (opt ~ratio:0.2 delay));
-        (1, map (fun d -> Sched_at (d -. 2.0)) delay);
-        (1, map2 (fun ds k -> Burst (ds, k)) (list_size (10 -- 80) delay) (1 -- 10));
+        ( 4,
+          map3
+            (fun d f dm -> Sched (d, f, dm))
+            delay
+            (opt ~ratio:0.2 (pair delay daemon))
+            daemon );
+        (1, map2 (fun d dm -> Sched_at (d -. 2.0, dm)) delay daemon);
+        ( 1,
+          map3
+            (fun ds k dm -> Burst (ds, k, dm))
+            (list_size (10 -- 80) delay)
+            (1 -- 10)
+            daemon );
         (4, map (fun i -> Cancel i) (0 -- 99));
         (2, pure Step);
         (1, map (fun d -> Run_until d) delay);
+        (1, pure Run);
       ])
 
-type model_ev = { m_time : float; m_id : int; m_follow : float option }
+type model_ev = {
+  m_time : float;
+  m_id : int;
+  m_follow : (float * bool) option;
+  m_daemon : bool;
+}
 
 let engine_agrees_with_model ops =
   (* the engine under test; events are numbered in scheduling order *)
@@ -165,14 +186,17 @@ let engine_agrees_with_model ops =
     let tm =
       schedule (fun () ->
           fired := id :: !fired;
-          Option.iter (fun d -> track (Engine.schedule e ~after:d) None) follow)
+          Option.iter
+            (fun (d, daemon) -> track (Engine.schedule e ~daemon ~after:d) None)
+            follow)
     in
     timers := Array.append !timers [| tm |]
   in
   (* the model: pending events in a list, the smallest (time, id) fires *)
   let pending = ref [] and now = ref 0.0 and next = ref 0 and m_fired = ref [] in
-  let m_sched ~at follow =
-    pending := { m_time = max at !now; m_id = !next; m_follow = follow } :: !pending;
+  let m_sched ~at ~daemon follow =
+    pending :=
+      { m_time = max at !now; m_id = !next; m_follow = follow; m_daemon = daemon } :: !pending;
     incr next
   in
   let m_head () =
@@ -190,28 +214,33 @@ let engine_agrees_with_model ops =
       pending := List.filter (fun x -> x.m_id <> ev.m_id) !pending;
       now := ev.m_time;
       m_fired := ev.m_id :: !m_fired;
-      Option.iter (fun d -> m_sched ~at:(!now +. d) None) ev.m_follow;
+      Option.iter (fun (d, daemon) -> m_sched ~at:(!now +. d) ~daemon None) ev.m_follow;
       true
+  in
+  let m_run () =
+    while List.exists (fun ev -> not ev.m_daemon) !pending do
+      ignore (m_step ())
+    done
   in
   let agree () =
     !fired = !m_fired && Engine.now e = !now && Engine.pending e = List.length !pending
   in
   let apply op =
     match op with
-    | Sched (d, follow) ->
-      track (Engine.schedule e ~after:d) follow;
-      m_sched ~at:(!now +. d) follow;
+    | Sched (d, follow, daemon) ->
+      track (Engine.schedule e ~daemon ~after:d) follow;
+      m_sched ~at:(!now +. d) ~daemon follow;
       true
-    | Sched_at at ->
-      track (Engine.schedule_at e ~at) None;
-      m_sched ~at None;
+    | Sched_at (at, daemon) ->
+      track (Engine.schedule_at e ~daemon ~at) None;
+      m_sched ~at ~daemon None;
       true
-    | Burst (ds, k) ->
+    | Burst (ds, k, daemon) ->
       let first = Array.length !timers in
       List.iter
         (fun d ->
-          track (Engine.schedule e ~after:d) None;
-          m_sched ~at:(!now +. d) None)
+          track (Engine.schedule e ~daemon ~after:d) None;
+          m_sched ~at:(!now +. d) ~daemon None)
         ds;
       for id = first to Array.length !timers - 1 do
         if (id - first) mod k <> 0 then Engine.cancel !timers.(id)
@@ -239,10 +268,16 @@ let engine_agrees_with_model ops =
       in
       drain ();
       true
+    | Run ->
+      Engine.run e;
+      m_run ();
+      List.for_all (fun ev -> ev.m_daemon) !pending
   in
   List.for_all (fun op -> apply op && agree ()) ops
+  && apply Run && agree ()
   &&
-  (Engine.run e;
+  (* only daemons are left: they still fire when stepped *)
+  (while Engine.step e do () done;
    while m_step () do () done;
    agree () && Engine.pending e = 0)
 

@@ -24,6 +24,38 @@ let test_ring_partial_fill () =
   Alcotest.(check (list int)) "insertion order" [ 1; 2; 3 ] (Obs.Ring.to_list r);
   Alcotest.(check int) "nothing evicted" 0 (Obs.Ring.evicted r)
 
+(* Words allocated by [f ()], minor and major heap alike. *)
+let words_allocated f =
+  let before = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
+  let x = f () in
+  (x, Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words -. before)
+
+(* The recorder's 65 536-slot ring is allocated by its first event: a
+   simulation with tracing off never pays for it, and a traced one pays on
+   its first record, with the same capacity and eviction as before. *)
+let test_ring_allocated_on_first_event () =
+  let ring_words = 65536.0 in
+  let _, untraced =
+    words_allocated (fun () -> Netsim.Net.create (Netsim.Topology.line 4))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "untraced Net.create allocates no ring (%.0f words)" untraced)
+    true (untraced < ring_words /. 4.0);
+  let net, traced =
+    words_allocated (fun () -> Netsim.Net.create ~trace:true (Netsim.Topology.line 4))
+  in
+  Alcotest.(check bool) "traced Net.create defers its ring too" true
+    (traced < ring_words /. 4.0);
+  let tr = Netsim.Net.recorder net in
+  let (), first = words_allocated (fun () -> Obs.Tracer.instant tr ~time:0.0 "first") in
+  Alcotest.(check bool) "the first event allocates the ring" true (first >= ring_words);
+  Alcotest.(check int) "first event kept" 1 (Obs.Tracer.length tr);
+  let small = Obs.Tracer.create ~capacity:3 ~enabled:true () in
+  List.iter (fun name -> Obs.Tracer.instant small ~time:0.0 name) [ "a"; "b"; "c"; "d"; "e" ];
+  Alcotest.(check (list string)) "capacity bounds the ring" [ "c"; "d"; "e" ]
+    (List.map (fun (e : Obs.Event.t) -> e.name) (Obs.Tracer.events small));
+  Alcotest.(check int) "evictions counted" 2 (Obs.Tracer.evicted small)
+
 (* ---- histogram ------------------------------------------------------------ *)
 
 let feq = Alcotest.float 1e-9
@@ -462,6 +494,8 @@ let () =
         [
           Alcotest.test_case "eviction order" `Quick test_ring_eviction_order;
           Alcotest.test_case "partial fill" `Quick test_ring_partial_fill;
+          Alcotest.test_case "allocated on first event" `Quick
+            test_ring_allocated_on_first_event;
         ] );
       ( "hist",
         [
