@@ -9,7 +9,17 @@ type 'fn fragment =
   | VarElem of string * 'fn fragment list
   | Cmd of 'fn script
 
-and 'fn word = Braced of string | Frags of 'fn fragment list
+and 'fn word = Braced of 'fn braced | Frags of 'fn fragment list
+
+(* Compile slots: a braced word's text never changes, so its parse and its
+   compiled expression are pure functions of it and can live on the node.
+   Cached ASTs are shared between interpreters; that is safe because the
+   nested script's own inline caches validate per interpreter. *)
+and 'fn braced = {
+  text : string;
+  mutable script : 'fn script option;
+  mutable expr : Expr.ast option;
+}
 
 and 'fn command = {
   words : 'fn word list;
@@ -24,6 +34,7 @@ and 'fn command = {
 
 and 'fn script = 'fn command list
 
+let braced text = Braced { text; script = None; expr = None }
 let command words = { words; c_id = -1; c_epoch = -1; c_fn = None }
 
 let rec pp_fragment fmt = function
@@ -36,7 +47,7 @@ let rec pp_fragment fmt = function
   | Cmd s -> Format.fprintf fmt "Cmd(%a)" pp_script s
 
 and pp_word fmt = function
-  | Braced s -> Format.fprintf fmt "Braced(%S)" s
+  | Braced b -> Format.fprintf fmt "Braced(%S)" b.text
   | Frags fs ->
     Format.fprintf fmt "Frags[%a]"
       (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f "; ") pp_fragment)

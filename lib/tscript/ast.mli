@@ -8,8 +8,8 @@
     The types are parametric over ['fn], the interpreter's command-function
     type: each command node carries an inline cache of its resolved command
     function (see {!command}), and parametrising keeps this module free of
-    a dependency on the interpreter.  The parser always leaves the cache
-    empty, so parsed scripts are polymorphic in ['fn]. *)
+    a dependency on the interpreter.  The parser always leaves every cache
+    and slot empty, so parsed scripts are polymorphic in ['fn]. *)
 
 type 'fn fragment =
   | Lit of string        (** literal text *)
@@ -20,8 +20,20 @@ type 'fn fragment =
   | Cmd of 'fn script    (** [\[...\]] command substitution *)
 
 and 'fn word =
-  | Braced of string     (** [{...}]: verbatim, one word *)
+  | Braced of 'fn braced (** [{...}]: verbatim, one word *)
   | Frags of 'fn fragment list
+
+(** A braced word and its compile slots.  Builtins that take a script or
+    an expression argument ([if], [while], [proc], [expr {...}] ...) fill
+    the slot on first use and reuse it afterwards, so a body is compiled
+    once per shared AST rather than looked up by source text on every
+    evaluation.  The interpreter counts a slot reuse as a cache hit: a
+    "hit" means a compile avoided, whichever layer served it. *)
+and 'fn braced = {
+  text : string;                      (** the verbatim contents *)
+  mutable script : 'fn script option; (** parsed as a script, once *)
+  mutable expr : Expr.ast option;     (** compiled as an expression, once *)
+}
 
 and 'fn command = {
   words : 'fn word list;
@@ -35,6 +47,9 @@ and 'fn command = {
 }
 
 and 'fn script = 'fn command list
+
+val braced : string -> 'fn word
+(** A braced word with empty compile slots. *)
 
 val command : 'fn word list -> 'fn command
 (** Build a command node with an empty cache slot. *)

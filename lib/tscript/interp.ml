@@ -6,10 +6,15 @@ exception Resource_exhausted
 
 module Lru = Tacoma_util.Lru
 
-type command_fn = t -> string list -> string
+(* A command receives the node it was invoked from, so builtins that take
+   a script or expression argument can use the compile slots of its literal
+   braced words.  Host commands ({!register}) ignore the node.  The record
+   only breaks the type cycle through [Ast]; [@@unboxed] makes it free. *)
+type command_fn = { run : t -> node -> string list -> string } [@@unboxed]
 
 (* AST nodes instantiated with this interpreter's command type, so inline
    command caches hold the resolved functions directly *)
+and node = command_fn Ast.command
 and script = command_fn Ast.script
 
 (* Compiled-code caches: parsed scripts and compiled expressions, keyed by
@@ -313,11 +318,48 @@ let compile_expr t src =
     t.prof_expr_evictions <- t.prof_expr_evictions + (Lru.evictions t.caches.exprs - e0);
     ast
 
+(* Script and expression arguments of builtins.  [ws] is the argument's
+   word followed by the words after it, as a builtin walks its node ([[]]
+   when it has none).  A literal braced word serves its compile slot,
+   filled from the LRU on first use; any other text (a body built at run
+   time) goes to the LRU every time.  A slot reuse counts as a hit, so the
+   counters read the same as if every evaluation had asked the LRU.  The
+   physical-equality test makes a word that is not the argument harmless. *)
+let script_of t ws src =
+  match ws with
+  | Ast.Braced ({ text; _ } as b) :: _ when text == src -> (
+    match b.script with
+    | Some ast ->
+      t.prof_parse_hits <- t.prof_parse_hits + 1;
+      ast
+    | None ->
+      let ast = parse t src in
+      b.script <- Some ast;
+      ast)
+  | _ -> parse t src
+
+let expr_of t ws src =
+  match ws with
+  | Ast.Braced ({ text; _ } as b) :: _ when text == src -> (
+    match b.expr with
+    | Some ast ->
+      t.prof_expr_hits <- t.prof_expr_hits + 1;
+      ast
+    | None ->
+      let ast = compile_expr t src in
+      b.expr <- Some ast;
+      ast)
+  | _ -> compile_expr t src
+
+(* the words of a node's arguments, and the words after an argument *)
+let arg_words (node : node) = match node.words with [] -> [] | _ :: ws -> ws
+let next_words = function [] -> [] | _ :: ws -> ws
+
 (* ---- evaluation -------------------------------------------------------- *)
 
 let rec eval_word t word =
   match word with
-  | Ast.Braced s -> s
+  | Ast.Braced b -> b.text
   | Ast.Frags [ frag ] -> eval_fragment t frag
   | Ast.Frags frags -> String.concat "" (List.map (eval_fragment t) frags)
 
@@ -341,7 +383,7 @@ and eval_command t cmd =
        substitution and the table lookup *)
     match cmd.Ast.c_fn with
     | Some fn when cmd.Ast.c_id = t.uid && cmd.Ast.c_epoch = t.cmd_epoch ->
-      fn t (eval_args t arg_words)
+      fn.run t cmd (eval_args t arg_words)
     | _ -> (
       let name = eval_word t name_word in
       let args = eval_args t arg_words in
@@ -354,7 +396,7 @@ and eval_command t cmd =
           cmd.Ast.c_id <- t.uid;
           cmd.Ast.c_epoch <- t.cmd_epoch
         | _ -> ());
-        fn t args
+        fn.run t cmd args
       | None -> err "invalid command name %S" name))
 
 (* left-to-right argument evaluation, arity-specialised so the common 1-3
@@ -375,11 +417,6 @@ and eval_args t arg_words =
   | a :: rest ->
     let va = eval_word t a in
     va :: eval_args t rest
-
-and dispatch t name args =
-  match Hashtbl.find_opt t.commands name with
-  | Some fn -> fn t args
-  | None -> err "invalid command name %S" name
 
 and eval_ast t script =
   match script with
@@ -408,22 +445,12 @@ and expr_lookup t n =
   | Some (name, raw_index) -> get_elem t name (subst_string t raw_index)
   | None -> get_var t n
 
-and eval_expr_value t src =
-  charge t 1;
-  let ast = compile_expr t src in
+(* the callers charge the expression's step *)
+and expr_value t ast =
   try Expr.eval_ast ~lookup:t.expr_lookup_fn ~eval_cmd:t.expr_eval_cmd_fn ast
   with Expr.Error msg -> err "expr: %s" msg
 
-and eval_expr_bool t src =
-  charge t 1;
-  let ast = compile_expr t src in
-  try Expr.eval_ast_bool ~lookup:t.expr_lookup_fn ~eval_cmd:t.expr_eval_cmd_fn ast
-  with Expr.Error msg -> err "expr: %s" msg
-
-(* loop bodies hoist compilation out of the iteration: the condition is
-   compiled once, then only charged and evaluated per pass *)
-and eval_expr_bool_ast t ast =
-  charge t 1;
+and expr_bool t ast =
   try Expr.eval_ast_bool ~lookup:t.expr_lookup_fn ~eval_cmd:t.expr_eval_cmd_fn ast
   with Expr.Error msg -> err "expr: %s" msg
 
@@ -438,13 +465,19 @@ let eval t src =
 let eval_exn t src =
   match eval t src with Ok v -> v | Error msg -> raise (Error_exc msg)
 
-let call t name args = dispatch t name args
-
 (* ---- host command API --------------------------------------------------- *)
 
-let register t name fn =
+(* a host call has no command node: its arguments are all run-time text *)
+let call t name args =
+  match Hashtbl.find_opt t.commands name with
+  | Some fn -> fn.run t (Ast.command []) args
+  | None -> err "invalid command name %S" name
+
+let add_command t name fn =
   t.cmd_epoch <- t.cmd_epoch + 1;
   Hashtbl.replace t.commands name fn
+
+let register t name fn = add_command t name { run = (fun t _ args -> fn t args) }
 
 let unregister t name =
   t.cmd_epoch <- t.cmd_epoch + 1;
@@ -486,55 +519,104 @@ let usage_of_params name params =
   in
   String.concat " " (name :: List.map render params)
 
+(* false on an arity mismatch; top-level so a call allocates no closure *)
+let rec bind_args vars params args =
+  match (params, args) with
+  | [], [] -> true
+  | [], _ :: _ -> false
+  | [ Rest ], rest ->
+    Hashtbl.replace vars "args" (Value.of_list rest);
+    true
+  | Rest :: _, _ -> err "args must be the last parameter"
+  | Required n :: ps, a :: rest ->
+    Hashtbl.replace vars n a;
+    bind_args vars ps rest
+  | Required _ :: _, [] -> false
+  | Optional (n, d) :: ps, [] ->
+    Hashtbl.replace vars n d;
+    bind_args vars ps []
+  | Optional (n, _) :: ps, a :: rest ->
+    Hashtbl.replace vars n a;
+    bind_args vars ps rest
+
 let bind_params name params args =
   let frame = { vars = Hashtbl.create 8; arrays = None; linked_globals = None; upvars = None } in
-  let wrong () = err "wrong # args: should be %S" (usage_of_params name params) in
-  let rec go params args =
-    match (params, args) with
-    | [], [] -> ()
-    | [], _ :: _ -> wrong ()
-    | [ Rest ], rest -> Hashtbl.replace frame.vars "args" (Value.of_list rest)
-    | Rest :: _, _ -> err "args must be the last parameter"
-    | Required n :: ps, a :: rest ->
-      Hashtbl.replace frame.vars n a;
-      go ps rest
-    | Required _ :: _, [] -> wrong ()
-    | Optional (n, d) :: ps, [] ->
-      Hashtbl.replace frame.vars n d;
-      go ps []
-    | Optional (n, _) :: ps, a :: rest ->
-      Hashtbl.replace frame.vars n a;
-      go ps rest
-  in
-  go params args;
+  if not (bind_args frame.vars params args) then
+    err "wrong # args: should be %S" (usage_of_params name params);
   frame
 
-let define_proc t name param_spec body =
+let pop_frame t =
+  t.frames <- List.tl t.frames;
+  t.depth <- t.depth - 1
+
+(* [body_words] starts at the body's word: a literal body keeps its slot in
+   the closure, so each call reuses the parse instead of looking it up *)
+let define_proc t name param_spec body body_words =
   let params = parse_params param_spec in
   Hashtbl.replace t.proc_bodies name (param_spec, body);
-  register t name (fun t args ->
-      if t.depth >= t.max_depth then err "too many nested proc calls (max %d)" t.max_depth;
-      let frame = bind_params name params args in
-      t.frames <- frame :: t.frames;
-      t.depth <- t.depth + 1;
-      t.prof_proc_calls <- t.prof_proc_calls + 1;
-      if t.depth > t.prof_max_depth then t.prof_max_depth <- t.depth;
-      let restore () =
-        t.frames <- List.tl t.frames;
-        t.depth <- t.depth - 1
-      in
-      match eval_string t body with
-      | v ->
-        restore ();
-        v
-      | exception Return_exc v ->
-        restore ();
-        v
-      | exception e ->
-        restore ();
-        raise e)
+  let run t _ args =
+    if t.depth >= t.max_depth then err "too many nested proc calls (max %d)" t.max_depth;
+    let frame = bind_params name params args in
+    t.frames <- frame :: t.frames;
+    t.depth <- t.depth + 1;
+    t.prof_proc_calls <- t.prof_proc_calls + 1;
+    if t.depth > t.prof_max_depth then t.prof_max_depth <- t.depth;
+    match eval_ast t (script_of t body_words body) with
+    | v ->
+      pop_frame t;
+      v
+    | exception Return_exc v ->
+      pop_frame t;
+      v
+    | exception e ->
+      pop_frame t;
+      raise e
+  in
+  add_command t name { run }
 
 (* ---- builtin commands ---------------------------------------------------- *)
+
+(* [foreach]/[lmap]: varList list ?varList list ...? body.  Each pass gives
+   every variable list its next items ("" once its list runs out) and runs
+   [each] on the body; the loop ends when every list is used up.  The body
+   is looked up once per pass. *)
+let iterate t ~cmd node args each =
+  let usage () =
+    err "wrong # args: should be \"%s varList list ?varList list ...? command\"" cmd
+  in
+  let nargs = List.length args in
+  if nargs < 3 || nargs mod 2 = 0 then usage ();
+  let rec groups ws args =
+    match args with
+    | [ body ] -> ([], ws, body)
+    | vars :: items :: rest ->
+      let vars = Value.to_list_exn vars in
+      if vars = [] then err "%s: empty variable list" cmd;
+      let items = ref (Value.to_list_exn items) in
+      let rest, body_ws, body = groups (next_words (next_words ws)) rest in
+      ((vars, items) :: rest, body_ws, body)
+    | [] -> usage ()
+  in
+  let groups, body_ws, body = groups (arg_words node) args in
+  let groups = Array.of_list groups in
+  let pending (_, items) = match !items with [] -> false | _ :: _ -> true in
+  let rec bind items = function
+    | [] -> ()
+    | v :: vars ->
+      (match !items with
+      | [] -> set_var t v ""
+      | x :: rest ->
+        set_var t v x;
+        items := rest);
+      bind items vars
+  in
+  let bind_group (vars, items) = bind items vars in
+  try
+    while Array.exists pending groups do
+      Array.iter bind_group groups;
+      try each (script_of t body_ws body) with Continue_exc -> ()
+    done
+  with Break_exc -> ()
 
 (* List.nth would leak a bare [Failure "nth"] OCaml exception on an
    out-of-range index; surface a proper script-level error instead *)
@@ -554,10 +636,35 @@ let index_arg ~len s =
     len - 1 - int_arg "index" (String.sub s 4 (String.length s - 4))
   else int_arg "index" s
 
-let install_core t0 =
-  let reg name fn = register t0 name fn in
+(* [if cond ?then? body ?elseif cond ?then? body ...? ?else? ?body?];
+   [ws] walks the argument words alongside [args] *)
+let rec if_clauses t ws args =
+  match args with
+  | cond :: rest -> (
+    let body_ws = next_words ws in
+    let body_ws, rest =
+      match rest with "then" :: r -> (next_words body_ws, r) | r -> (body_ws, r)
+    in
+    match rest with
+    | body :: rest ->
+      charge t 1;
+      if expr_bool t (expr_of t ws cond) then eval_ast t (script_of t body_ws body)
+      else else_clauses t (next_words body_ws) rest
+    | [] -> err "wrong # args: no script following condition")
+  | [] -> err "wrong # args: should be \"if cond ?then? body ...\""
 
-  reg "set" (fun t args ->
+and else_clauses t ws rest =
+  match rest with
+  | [] -> ""
+  | [ "else"; body ] -> eval_ast t (script_of t (next_words ws) body)
+  | [ body ] -> eval_ast t (script_of t ws body)
+  | "elseif" :: rest -> if_clauses t (next_words ws) rest
+  | _ -> err "expected \"elseif\" or \"else\" clause"
+
+let install_core t0 =
+  let reg name run = add_command t0 name { run } in
+
+  reg "set" (fun t _ args ->
       match args with
       | [ name ] -> get_ref t name
       | [ name; v ] ->
@@ -565,14 +672,14 @@ let install_core t0 =
         v
       | _ -> err "wrong # args: should be \"set varName ?newValue?\"");
 
-  reg "unset" (fun t args ->
+  reg "unset" (fun t _ args ->
       match args with
       | [] -> err "wrong # args: should be \"unset varName ?varName ...?\""
       | names ->
         List.iter (unset_ref t) names;
         "");
 
-  reg "incr" (fun t args ->
+  reg "incr" (fun t _ args ->
       match args with
       | [ name ] | [ name; _ ] ->
         let delta = match args with [ _; d ] -> int_arg "increment" d | _ -> 1 in
@@ -586,7 +693,7 @@ let install_core t0 =
         v
       | _ -> err "wrong # args: should be \"incr varName ?increment?\"");
 
-  reg "global" (fun t args ->
+  reg "global" (fun t _ args ->
       (match t.frames with
       | [] -> ()
       | frame :: _ ->
@@ -594,7 +701,7 @@ let install_core t0 =
         List.iter (fun n -> Hashtbl.replace lg n ()) args);
       "");
 
-  reg "upvar" (fun t args ->
+  reg "upvar" (fun t _ args ->
       (* upvar ?level? otherVar myVar ?otherVar myVar ...? *)
       let parse_level s =
         if s = "#0" then Some `Global
@@ -635,7 +742,7 @@ let install_core t0 =
         link pairs);
       "");
 
-  reg "uplevel" (fun t args ->
+  reg "uplevel" (fun t _ args ->
       let parse_level s =
         if s = "#0" then Some `Global
         else match int_of_string_opt s with Some n when n >= 1 -> Some (`Up n) | _ -> None
@@ -664,34 +771,34 @@ let install_core t0 =
         restore ();
         raise e));
 
-  reg "proc" (fun t args ->
+  reg "proc" (fun t node args ->
       match args with
       | [ name; params; body ] ->
-        define_proc t name params body;
+        define_proc t name params body (next_words (next_words (arg_words node)));
         ""
       | _ -> err "wrong # args: should be \"proc name args body\"");
 
-  reg "return" (fun _ args ->
+  reg "return" (fun _ _ args ->
       match args with
       | [] -> raise (Return_exc "")
       | [ v ] -> raise (Return_exc v)
       | _ -> err "wrong # args: should be \"return ?value?\"");
 
-  reg "break" (fun _ _ -> raise Break_exc);
-  reg "continue" (fun _ _ -> raise Continue_exc);
+  reg "break" (fun _ _ _ -> raise Break_exc);
+  reg "continue" (fun _ _ _ -> raise Continue_exc);
 
-  reg "error" (fun _ args ->
+  reg "error" (fun _ _ args ->
       match args with
       | [ msg ] -> raise (Error_exc msg)
       | _ -> err "wrong # args: should be \"error message\"");
 
-  reg "catch" (fun t args ->
+  reg "catch" (fun t node args ->
       match args with
       | [ script ] | [ script; _ ] -> (
         let set_result v =
           match args with [ _; var ] -> set_var t var v | _ -> ()
         in
-        match eval_string t script with
+        match eval_ast t (script_of t (arg_words node) script) with
         | v ->
           set_result v;
           "0"
@@ -703,46 +810,31 @@ let install_core t0 =
           "2")
       | _ -> err "wrong # args: should be \"catch script ?resultVarName?\"");
 
-  reg "eval" (fun t args -> eval_string t (String.concat " " args));
+  reg "eval" (fun t _ args -> eval_string t (String.concat " " args));
 
-  reg "expr" (fun t args ->
-      (* single-argument form hits the compiled-expr cache without the
-         String.concat round-trip — the idiomatic [expr {...}] case *)
+  (* Each expression evaluated costs one step, charged before it is
+     compiled.  [expr] takes its single argument's slot; several arguments
+     are joined into run-time text. *)
+  reg "expr" (fun t node args ->
+      charge t 1;
       match args with
-      | [ src ] -> eval_expr_value t src
-      | _ -> eval_expr_value t (String.concat " " args));
+      | [ src ] -> expr_value t (expr_of t (arg_words node) src)
+      | _ -> expr_value t (compile_expr t (String.concat " " args)));
 
-  reg "if" (fun t args ->
-      let rec go args =
-        match args with
-        | cond :: rest -> (
-          let rest = match rest with "then" :: r -> r | r -> r in
-          match rest with
-          | body :: rest ->
-            if eval_expr_bool t cond then eval_string t body
-            else branch rest
-          | [] -> err "wrong # args: no script following condition")
-        | [] -> err "wrong # args: should be \"if cond ?then? body ...\""
-      and branch rest =
-        match rest with
-        | [] -> ""
-        | [ "else"; body ] -> eval_string t body
-        | [ body ] -> eval_string t body
-        | "elseif" :: rest -> go rest
-        | _ -> err "expected \"elseif\" or \"else\" clause"
-      in
-      go args);
+  reg "if" (fun t node args -> if_clauses t (arg_words node) args);
 
-  reg "while" (fun t args ->
+  (* The loops look their condition and body up once per command, not per
+     pass; each pass still charges one step for the test. *)
+  reg "while" (fun t node args ->
       match args with
       | [ cond; body ] ->
-        (* compile the condition and parse the body once, outside the
-           iteration; each pass still charges one step for the test *)
-        let cond_ast = compile_expr t cond in
-        let body_ast = parse t body in
+        let ws = arg_words node in
+        let cond = expr_of t ws cond in
+        let body = script_of t (next_words ws) body in
         let rec loop () =
-          if eval_expr_bool_ast t cond_ast then begin
-            (try ignore (eval_ast t body_ast) with Continue_exc -> ());
+          charge t 1;
+          if expr_bool t cond then begin
+            (try ignore (eval_ast t body) with Continue_exc -> ());
             loop ()
           end
         in
@@ -750,17 +842,21 @@ let install_core t0 =
         ""
       | _ -> err "wrong # args: should be \"while test command\"");
 
-  reg "for" (fun t args ->
+  reg "for" (fun t node args ->
       match args with
       | [ init; cond; next; body ] ->
-        ignore (eval_string t init);
-        let cond_ast = compile_expr t cond in
-        let body_ast = parse t body in
-        let next_ast = parse t next in
+        let init_ws = arg_words node in
+        let cond_ws = next_words init_ws in
+        let next_ws = next_words cond_ws in
+        ignore (eval_ast t (script_of t init_ws init));
+        let cond = expr_of t cond_ws cond in
+        let body = script_of t (next_words next_ws) body in
+        let next = script_of t next_ws next in
         let rec loop () =
-          if eval_expr_bool_ast t cond_ast then begin
-            (try ignore (eval_ast t body_ast) with Continue_exc -> ());
-            ignore (eval_ast t next_ast);
+          charge t 1;
+          if expr_bool t cond then begin
+            (try ignore (eval_ast t body) with Continue_exc -> ());
+            ignore (eval_ast t next);
             loop ()
           end
         in
@@ -768,39 +864,11 @@ let install_core t0 =
         ""
       | _ -> err "wrong # args: should be \"for start test next command\"");
 
-  reg "foreach" (fun t args ->
-      match args with
-      | [ varspec; listval; body ] ->
-        let vars = Value.to_list_exn varspec in
-        let vars = if vars = [] then err "foreach: empty variable list" else vars in
-        let items = Value.to_list_exn listval in
-        let nvars = List.length vars in
-        let rec loop items =
-          match items with
-          | [] -> ()
-          | _ ->
-            let rec bind vs items =
-              match vs with
-              | [] -> items
-              | v :: vrest -> (
-                match items with
-                | [] ->
-                  set_var t v "";
-                  bind vrest []
-                | x :: irest ->
-                  set_var t v x;
-                  bind vrest irest)
-            in
-            let rest = bind vars items in
-            ignore nvars;
-            (try ignore (eval_string t body) with Continue_exc -> ());
-            loop rest
-        in
-        (try loop items with Break_exc -> ());
-        ""
-      | _ -> err "wrong # args: should be \"foreach varList list body\"");
+  reg "foreach" (fun t node args ->
+      iterate t ~cmd:"foreach" node args (fun body -> ignore (eval_ast t body));
+      "");
 
-  reg "array" (fun t args ->
+  reg "array" (fun t _ args ->
       let find_array name =
         match resolved_arrays_opt t name with
         | Some tbl, n -> Hashtbl.find_opt tbl n
@@ -851,7 +919,7 @@ let install_core t0 =
         ""
       | _ -> err "unsupported array subcommand or wrong # args");
 
-  reg "switch" (fun t args ->
+  reg "switch" (fun t _ args ->
       (* switch ?-exact|-glob? string {pattern body ...} or inline pairs;
          a body of "-" falls through to the next body *)
       let glob, rest =
@@ -893,7 +961,7 @@ let install_core t0 =
       in
       fire pairs);
 
-  reg "subst" (fun t args ->
+  reg "subst" (fun t _ args ->
       match args with
       | [ s ] -> (
         match Parse.fragments s with
@@ -901,7 +969,7 @@ let install_core t0 =
         | exception Parse.Syntax_error msg -> err "subst: %s" msg)
       | _ -> err "wrong # args: should be \"subst string\"");
 
-  reg "puts" (fun t args ->
+  reg "puts" (fun t _ args ->
       match args with
       | [ s ] ->
         t.output (s ^ "\n");
@@ -911,7 +979,7 @@ let install_core t0 =
         ""
       | _ -> err "wrong # args: should be \"puts ?-nonewline? string\"");
 
-  reg "info" (fun t args ->
+  reg "info" (fun t _ args ->
       match args with
       | [ "exists"; name ] ->
         Value.of_bool
@@ -926,16 +994,21 @@ let install_core t0 =
         | Some (_, body) -> body
         | None -> err "%S isn't a procedure" name)
       | [ "args"; name ] -> (
+        (* the parameter names, without defaults, as Tcl prints them *)
         match Hashtbl.find_opt t.proc_bodies name with
-        | Some (params, _) -> params
+        | Some (params, _) ->
+          Value.of_list
+            (List.map
+               (function Required n | Optional (n, _) -> n | Rest -> "args")
+               (parse_params params))
         | None -> err "%S isn't a procedure" name)
       | [ "level" ] -> Value.of_int (List.length t.frames)
       | _ -> err "unsupported info subcommand")
 
 let install_strings t0 =
-  let reg name fn = register t0 name fn in
+  let reg name run = add_command t0 name { run } in
 
-  reg "string" (fun _ args ->
+  reg "string" (fun _ _ args ->
       match args with
       | "length" :: [ s ] -> Value.of_int (String.length s)
       | "index" :: [ s; i ] ->
@@ -1025,7 +1098,7 @@ let install_strings t0 =
       | sub :: _ -> err "unsupported string subcommand %S or wrong # args" sub
       | [] -> err "wrong # args: should be \"string subcommand ...\"");
 
-  reg "append" (fun t args ->
+  reg "append" (fun t _ args ->
       match args with
       | name :: parts ->
         let cur = Option.value ~default:"" (get_ref_opt t name) in
@@ -1034,25 +1107,25 @@ let install_strings t0 =
         v
       | [] -> err "wrong # args: should be \"append varName ?value ...?\"");
 
-  reg "format" (fun _ args ->
+  reg "format" (fun _ _ args ->
       match args with
       | fmt :: rest -> (
         match Strutil.format fmt rest with Ok s -> s | Error e -> err "format: %s" e)
       | [] -> err "wrong # args: should be \"format formatString ?arg ...?\"");
 
-  reg "split" (fun _ args ->
+  reg "split" (fun _ _ args ->
       match args with
       | [ s ] -> Value.of_list (Strutil.split s ~on:" \t\n")
       | [ s; on ] -> Value.of_list (Strutil.split s ~on)
       | _ -> err "wrong # args: should be \"split string ?splitChars?\"");
 
-  reg "join" (fun _ args ->
+  reg "join" (fun _ _ args ->
       match args with
       | [ l ] -> String.concat " " (Value.to_list_exn l)
       | [ l; sep ] -> String.concat sep (Value.to_list_exn l)
       | _ -> err "wrong # args: should be \"join list ?joinString?\"");
 
-  reg "regexp" (fun t args ->
+  reg "regexp" (fun t _ args ->
       let nocase, args =
         match args with
         | "-nocase" :: rest -> (true, rest)
@@ -1085,7 +1158,7 @@ let install_strings t0 =
           "1")
       | _ -> err "wrong # args: should be \"regexp ?-nocase? exp string ?matchVar ...?\"");
 
-  reg "regsub" (fun t args ->
+  reg "regsub" (fun t _ args ->
       let rec opts all nocase = function
         | "-all" :: rest -> opts true nocase rest
         | "-nocase" :: rest -> opts all true rest
@@ -1110,16 +1183,16 @@ let install_strings t0 =
         err "wrong # args: should be \"regsub ?-all? ?-nocase? exp string subSpec ?varName?\"")
 
 let install_lists t0 =
-  let reg name fn = register t0 name fn in
+  let reg name run = add_command t0 name { run } in
 
-  reg "list" (fun _ args -> Value.of_list args);
+  reg "list" (fun _ _ args -> Value.of_list args);
 
-  reg "llength" (fun _ args ->
+  reg "llength" (fun _ _ args ->
       match args with
       | [ l ] -> Value.of_int (List.length (Value.to_list_exn l))
       | _ -> err "wrong # args: should be \"llength list\"");
 
-  reg "lindex" (fun _ args ->
+  reg "lindex" (fun _ _ args ->
       match args with
       | [ l ] -> l
       | [ l; i ] ->
@@ -1129,7 +1202,7 @@ let install_lists t0 =
         if i < 0 || i >= len then "" else nth ~cmd:"lindex" items i
       | _ -> err "wrong # args: should be \"lindex list ?index?\"");
 
-  reg "lappend" (fun t args ->
+  reg "lappend" (fun t _ args ->
       match args with
       | name :: items ->
         let cur = Option.value ~default:"" (get_ref_opt t name) in
@@ -1139,7 +1212,7 @@ let install_lists t0 =
         v
       | [] -> err "wrong # args: should be \"lappend varName ?value ...?\"");
 
-  reg "lrange" (fun _ args ->
+  reg "lrange" (fun _ _ args ->
       match args with
       | [ l; first; last ] ->
         let items = Value.to_list_exn l in
@@ -1150,7 +1223,7 @@ let install_lists t0 =
         else Value.of_list (List.filteri (fun i _ -> i >= first && i <= last) items)
       | _ -> err "wrong # args: should be \"lrange list first last\"");
 
-  reg "lsort" (fun _ args ->
+  reg "lsort" (fun _ _ args ->
       let rec split_opts opts args =
         match args with
         | [ l ] -> (List.rev opts, l)
@@ -1181,7 +1254,7 @@ let install_lists t0 =
       in
       Value.of_list sorted);
 
-  reg "lsearch" (fun _ args ->
+  reg "lsearch" (fun _ _ args ->
       let glob, l, pat =
         match args with
         | [ "-exact"; l; p ] -> (false, l, p)
@@ -1197,7 +1270,7 @@ let install_lists t0 =
       in
       Value.of_int (go 0 items));
 
-  reg "linsert" (fun _ args ->
+  reg "linsert" (fun _ _ args ->
       match args with
       | l :: i :: (_ :: _ as items) ->
         let cur = Value.to_list_exn l in
@@ -1208,12 +1281,12 @@ let install_lists t0 =
         Value.of_list (before @ items @ after)
       | _ -> err "wrong # args: should be \"linsert list index element ?element ...?\"");
 
-  reg "lreverse" (fun _ args ->
+  reg "lreverse" (fun _ _ args ->
       match args with
       | [ l ] -> Value.of_list (List.rev (Value.to_list_exn l))
       | _ -> err "wrong # args: should be \"lreverse list\"");
 
-  reg "lassign" (fun t args ->
+  reg "lassign" (fun t _ args ->
       match args with
       | l :: (_ :: _ as names) ->
         let items = Value.to_list_exn l in
@@ -1232,10 +1305,10 @@ let install_lists t0 =
         go names items
       | _ -> err "wrong # args: should be \"lassign list varName ?varName ...?\"");
 
-  reg "concat" (fun _ args ->
+  reg "concat" (fun _ _ args ->
       Value.of_list (List.concat_map Value.to_list_exn args));
 
-  reg "lrepeat" (fun _ args ->
+  reg "lrepeat" (fun _ _ args ->
       match args with
       | count :: (_ :: _ as items) ->
         let n = int_arg "count" count in
@@ -1243,36 +1316,10 @@ let install_lists t0 =
         Value.of_list (List.concat (List.init n (fun _ -> items)))
       | _ -> err "wrong # args: should be \"lrepeat count ?value ...?\"");
 
-  reg "lmap" (fun t args ->
-      match args with
-      | [ varspec; listval; body ] ->
-        let vars = Value.to_list_exn varspec in
-        if vars = [] then err "lmap: empty variable list";
-        let items = Value.to_list_exn listval in
-        let out = ref [] in
-        let rec loop items =
-          match items with
-          | [] -> ()
-          | _ ->
-            let rec bind vs items =
-              match vs with
-              | [] -> items
-              | v :: vrest -> (
-                match items with
-                | [] ->
-                  set_var t v "";
-                  bind vrest []
-                | x :: irest ->
-                  set_var t v x;
-                  bind vrest irest)
-            in
-            let rest = bind vars items in
-            (try out := eval_string t body :: !out with Continue_exc -> ());
-            loop rest
-        in
-        (try loop items with Break_exc -> ());
-        Value.of_list (List.rev !out)
-      | _ -> err "wrong # args: should be \"lmap varList list body\"")
+  reg "lmap" (fun t node args ->
+      let out = ref [] in
+      iterate t ~cmd:"lmap" node args (fun body -> out := eval_ast t body :: !out);
+      Value.of_list (List.rev !out))
 
 let create ?step_limit ?(max_depth = 256) ?caches () =
   let caches =

@@ -33,8 +33,19 @@ exception Resource_exhausted
     {!Expr.ast}) are memoised in bounded LRU caches.  A [caches] value can
     be shared between interpreter instances: the kernel creates one per
     simulation and threads it through every per-activation interpreter, so
-    an agent's loop condition is compiled once per site, not once per
-    activation.
+    an agent's code is parsed once per simulation, not once per activation.
+
+    In front of the LRUs, each literal braced word of a parsed script keeps
+    its own parse and compiled expression ({!Ast.braced}).  The builtins
+    that take a script or expression argument — [if]/[elseif]/[else],
+    [while], [for], [foreach], [lmap], [catch], single-argument [expr] and
+    the body of a [proc] — use that slot when the argument is such a word.
+    Text built at run time ([if $c $b], [eval], [uplevel], multi-argument
+    [expr]) and the top-level script go through the LRUs.
+
+    A cache {e hit} in {!profile} means a compile avoided, whichever layer
+    served it: a slot reuse counts as a hit exactly where an LRU lookup
+    would have been made, so the counters do not depend on the slots.
 
     Sharing is only safe {e within} one simulation.  A [caches] value is
     mutable (LRU state, inline command caches, the interpreter-uid
@@ -112,10 +123,10 @@ type profile = {
   commands : int;   (** command executions (same granularity as steps) *)
   proc_calls : int; (** user proc invocations *)
   max_depth : int;  (** deepest proc nesting reached *)
-  parse_hits : int; (** script parse-cache hits by this interpreter *)
+  parse_hits : int; (** script parses avoided (LRU or slot) by this interpreter *)
   parse_misses : int;      (** scripts parsed (cache misses) *)
   parse_evictions : int;   (** parse-cache evictions this interpreter caused *)
-  expr_hits : int;         (** compiled-expression cache hits *)
+  expr_hits : int;         (** expression compilations avoided (LRU or slot) *)
   expr_misses : int;
       (** expression compilations — i.e. the number of distinct-at-the-time
           expressions this interpreter had to compile *)

@@ -162,7 +162,7 @@ and parse_command st ~in_bracket =
     | Some ']' when in_bracket -> ()
     | Some c when is_command_end c -> ()
     | Some '{' ->
-      words := Ast.Braced (parse_braced st) :: !words;
+      words := Ast.braced (parse_braced st) :: !words;
       go ()
     | Some '"' ->
       words := Ast.Frags (parse_quoted st) :: !words;

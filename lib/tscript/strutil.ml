@@ -159,22 +159,28 @@ let format fmt args =
   in
   go 0 args
 
+(* [String.contains] sets up an exception handler per call; this is the
+   per-character test of [split] *)
+let rec mem_char on c i =
+  i < String.length on && (String.unsafe_get on i = c || mem_char on c (i + 1))
+
+(* Scans right to left so the list is built in order; each element is one
+   [String.sub] of the text between two separators.  As in Tcl, the empty
+   string splits into the empty list. *)
 let split s ~on =
-  if on = "" then List.init (String.length s) (fun i -> String.make 1 s.[i])
+  let n = String.length s in
+  if on = "" then List.init n (fun i -> String.make 1 s.[i])
+  else if n = 0 then []
   else begin
-    let is_sep c = String.contains on c in
     let out = ref [] in
-    let buf = Buffer.create 16 in
-    String.iter
-      (fun c ->
-        if is_sep c then begin
-          out := Buffer.contents buf :: !out;
-          Buffer.clear buf
-        end
-        else Buffer.add_char buf c)
-      s;
-    out := Buffer.contents buf :: !out;
-    List.rev !out
+    let stop = ref n in
+    for i = n - 1 downto 0 do
+      if mem_char on (String.unsafe_get s i) 0 then begin
+        out := String.sub s (i + 1) (!stop - i - 1) :: !out;
+        stop := i
+      end
+    done;
+    String.sub s 0 !stop :: !out
   end
 
 let common_prefix a b =

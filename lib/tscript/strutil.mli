@@ -10,6 +10,7 @@ val format : string -> string list -> (string, string) result
 
 val split : string -> on:string -> string list
 (** Split at any character present in [on]; [on = ""] splits into
-    characters.  Adjacent separators produce empty fields (Tcl semantics). *)
+    characters.  Adjacent separators produce empty fields and the empty
+    string splits into the empty list (Tcl semantics). *)
 
 val common_prefix : string -> string -> int

@@ -74,80 +74,84 @@ let of_list elems = String.concat " " (List.map quote_element elems)
 
 exception Bad of string
 
+let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
+
+(* [s.[i..j)] with each backslash pair unescaped; only called for spans
+   that hold one, so plain elements are a single [String.sub] *)
+let unescape_span s i j =
+  let b = Buffer.create (j - i) in
+  let k = ref i in
+  while !k < j do
+    let c = s.[!k] in
+    if c = '\\' && !k + 1 < String.length s then begin
+      Buffer.add_char b
+        (match s.[!k + 1] with 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r' | other -> other);
+      k := !k + 2
+    end
+    else begin
+      Buffer.add_char b c;
+      incr k
+    end
+  done;
+  Buffer.contents b
+
+(* One pass over [s]: find each element's span, then slice it.  A braced
+   element is its contents verbatim; quoted and bare elements unescape
+   backslash pairs.  Unlike Tcl, a quoted element may be followed directly
+   by the next one. *)
 let to_list_aux s =
   let n = String.length s in
   let out = ref [] in
-  let buf = Buffer.create 16 in
   let i = ref 0 in
-  let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' in
-  let flush_word started = if started then out := Buffer.contents buf :: !out in
-  let unescape c =
-    match c with 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r' | other -> other
-  in
   while !i < n do
-    (* skip leading whitespace *)
     while !i < n && is_space s.[!i] do
       incr i
     done;
     if !i < n then begin
-      Buffer.clear buf;
-      if s.[!i] = '{' then begin
+      let start = !i in
+      let escaped = ref false in
+      match s.[start] with
+      | '{' ->
         let depth = ref 1 in
-        incr i;
+        i := start + 1;
         while !i < n && !depth > 0 do
-          let c = s.[!i] in
-          if c = '\\' && !i + 1 < n then begin
-            Buffer.add_char buf c;
-            Buffer.add_char buf s.[!i + 1];
-            i := !i + 2
-          end
-          else begin
-            if c = '{' then incr depth else if c = '}' then decr depth;
-            if !depth > 0 then Buffer.add_char buf c;
-            incr i
-          end
+          (match s.[!i] with
+          | '\\' when !i + 1 < n -> incr i
+          | '{' -> incr depth
+          | '}' -> decr depth
+          | _ -> ());
+          incr i
         done;
         if !depth > 0 then raise (Bad "unbalanced braces in list");
         if !i < n && not (is_space s.[!i]) then raise (Bad "junk after closing brace");
-        out := Buffer.contents buf :: !out
-      end
-      else if s.[!i] = '"' then begin
+        out := String.sub s (start + 1) (!i - start - 2) :: !out
+      | '"' ->
+        i := start + 1;
+        while !i < n && s.[!i] <> '"' do
+          if s.[!i] = '\\' && !i + 1 < n then begin
+            escaped := true;
+            i := !i + 2
+          end
+          else incr i
+        done;
+        if !i >= n then raise (Bad "unbalanced quotes in list");
+        let stop = !i in
         incr i;
-        let closed = ref false in
-        while !i < n && not !closed do
-          let c = s.[!i] in
-          if c = '\\' && !i + 1 < n then begin
-            Buffer.add_char buf (unescape s.[!i + 1]);
+        out :=
+          (if !escaped then unescape_span s (start + 1) stop
+           else String.sub s (start + 1) (stop - start - 1))
+          :: !out
+      | _ ->
+        while !i < n && not (is_space s.[!i]) do
+          if s.[!i] = '\\' && !i + 1 < n then begin
+            escaped := true;
             i := !i + 2
           end
-          else if c = '"' then begin
-            closed := true;
-            incr i
-          end
-          else begin
-            Buffer.add_char buf c;
-            incr i
-          end
+          else incr i
         done;
-        if not !closed then raise (Bad "unbalanced quotes in list");
-        out := Buffer.contents buf :: !out
-      end
-      else begin
-        let stop = ref false in
-        while !i < n && not !stop do
-          let c = s.[!i] in
-          if is_space c then stop := true
-          else if c = '\\' && !i + 1 < n then begin
-            Buffer.add_char buf (unescape s.[!i + 1]);
-            i := !i + 2
-          end
-          else begin
-            Buffer.add_char buf c;
-            incr i
-          end
-        done;
-        flush_word true
-      end
+        out :=
+          (if !escaped then unescape_span s start !i else String.sub s start (!i - start))
+          :: !out
     end
   done;
   List.rev !out

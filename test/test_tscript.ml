@@ -388,7 +388,7 @@ let semantics_cases =
     ("if {0} {set a 1} elseif {0} {set a 2} else {set a 3}", "3");
     ("if {0} then {set a 1} else {set a 2}", "2");
     ("join [split 1:2:3 :] -", "1-2-3");
-    ("llength [split {} :]", "1");
+    ("llength [split {} :]", "0");
     ("switch b {a {set r 1} b {set r 2} default {set r 3}}", "2");
     ("switch z {a {set r 1} default {set r 3}}", "3");
     ("switch z {a {set r 1} b {set r 2}}", "");
@@ -428,6 +428,14 @@ let semantics_cases =
     ("proc f {} {set a(x) local; array size a}; set a(x) 1; set a(y) 2; concat [f] [array size a]",
       "1 2");
     ("proc f {} {global a; set a(x)}; set a(x) fromglobal; f", "fromglobal");
+    ("llength [split {} { }]", "0");
+    ("split {} ,", "");
+    ("split a,,b ,", "a {} b");
+    ("set r {}; foreach a {1 2} b {x y z} { append r $a$b, }; set r", "1x,2y,z,");
+    ("set r {}; foreach {a b} {1 2 3} c {x} { append r $a.$b.$c, }; set r", "1.2.x,3..,");
+    ( "set r {}; foreach a {1 2 3} b {x y} { if {$a == 2} continue; append r $a$b }; set r",
+      "1x3" );
+    ("lmap a {1 2} b {x y} { set _ $a$b }", "1x 2y");
   ]
 
 let upvar_cases =
@@ -666,6 +674,287 @@ let test_call_api () =
   ignore (Interp.eval it "proc add {a b} {expr {$a + $b}}");
   check Alcotest.string "call proc" "7" (Interp.call it "add" [ "3"; "4" ])
 
+(* --- compile slots ---
+
+   Literal braced bodies and expressions keep their compiled form on the
+   shared AST.  These tests pin what the slots must not change: results,
+   steps, and the cache counters, where a slot reuse is a hit. *)
+
+type outcome = Done of string | Failed of string | Exhausted
+
+let run_outcome it src =
+  let outcome =
+    match Interp.eval it src with
+    | Ok v -> Done v
+    | Error e -> Failed e
+    | exception Interp.Resource_exhausted -> Exhausted
+  in
+  let p = Interp.profile it in
+  ( outcome,
+    Interp.take_output it,
+    Interp.steps_used it,
+    ( p.Interp.commands,
+      p.Interp.proc_calls,
+      p.Interp.max_depth,
+      p.Interp.parse_hits + p.Interp.parse_misses,
+      p.Interp.expr_hits + p.Interp.expr_misses,
+      p.Interp.parse_evictions + p.Interp.expr_evictions ) )
+
+(* Scripts over the control builtins that use slots, with literal and
+   run-time bodies, compile errors and a bounded budget. *)
+let gen_slot_script =
+  let open QCheck2.Gen in
+  let var = oneofl [ "a"; "b"; "c" ] in
+  let atom = oneof [ map string_of_int (int_range 0 4); map (fun v -> "$" ^ v) var ] in
+  let cond =
+    oneof
+      [
+        map3 (fun x op y -> Printf.sprintf "{%s %s %s}" x op y) atom
+          (oneofl [ "<"; "<="; "=="; "!="; ">" ]) atom;
+        oneofl [ "1"; "0"; "{$a <}"; "$a" ];
+      ]
+  in
+  let simple =
+    oneof
+      [
+        map (fun v -> "incr " ^ v) var;
+        map2 (fun v x -> Printf.sprintf "set %s [expr {%s + 1}]" v x) var atom;
+        map2 (fun v x -> Printf.sprintf "set %s [expr %s * 2]" v x) var atom;
+        map (fun x -> "puts " ^ x) atom;
+        oneofl
+          [
+            "break"; "continue"; "return $a"; "error oops"; "f $b"; "g 1 2"; "if 1 $s";
+            "eval $s"; "set s {incr c}"; "set s {puts [expr {$c}]}";
+          ];
+      ]
+  in
+  let body block =
+    map (fun cmds -> "{ " ^ String.concat "; " cmds ^ " }") (list_size (1 -- 3) block)
+  in
+  let rec cmd depth =
+    if depth = 0 then simple
+    else
+      let b = body (cmd (depth - 1)) in
+      frequency
+        [
+          (3, simple);
+          (1, map2 (fun c t -> Printf.sprintf "if %s %s" c t) cond b);
+          (1, map3 (fun c t e -> Printf.sprintf "if %s then %s else %s" c t e) cond b b);
+          ( 1,
+            map3
+              (fun (c1, c2) t (e1, e2) ->
+                Printf.sprintf "if %s %s elseif %s %s else %s" c1 t c2 e1 e2)
+              (pair cond cond) b (pair b b) );
+          (1, map2 (fun c t -> Printf.sprintf "while %s %s" c t) cond b);
+          ( 1,
+            map2
+              (fun n t -> Printf.sprintf "for {set i 0} {$i < %d} {incr i} %s" n t)
+              (int_range 0 3) b );
+          (1, map (fun t -> "foreach x {1 2 3} " ^ t) b);
+          (1, map (fun t -> "foreach x {1 2} y {a b c} " ^ t) b);
+          (1, map (fun t -> "catch " ^ t ^ " r") b);
+          (1, map (fun t -> "proc f {x} " ^ t) b);
+          (1, map (fun t -> "proc g {x {y 0} args} " ^ t) b);
+          (1, map (fun x -> Printf.sprintf "expr {%s + [incr c]}" x) atom);
+        ]
+  in
+  map
+    (fun cmds -> "set a 0; set b 1; set c 2; set s {incr a}; " ^ String.concat "\n" cmds)
+    (list_size (1 -- 6) (cmd 2))
+
+(* A warm run (a second interpreter on caches whose slots a first run
+   filled) must be indistinguishable from a cold one; hits and misses may
+   split differently, their sum may not. *)
+let test_slots_warm_equals_cold =
+  qtest ~count:400 "warm run equals cold run" gen_slot_script (fun src ->
+      let fresh caches = Interp.create ~step_limit:400 ~caches () in
+      let cold = run_outcome (fresh (Interp.create_caches ())) src in
+      let shared = Interp.create_caches () in
+      ignore (run_outcome (fresh shared) src);
+      let warm = run_outcome (fresh shared) src in
+      cold = warm)
+
+let test_runtime_body_uses_lru () =
+  (* one LRU entry: inserting the run-time body evicts the script *)
+  let it = Interp.create ~caches:(Interp.create_caches ~parse_entries:1 ()) () in
+  check Alcotest.string "body ran" "2"
+    (match Interp.eval it "set n 0; set b {incr n}; if 1 $b; if 1 $b; set n" with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "eval: %s" e);
+  let p = Interp.profile it in
+  Alcotest.(check (list int)) "parse hits, misses, evictions" [ 1; 2; 1 ]
+    [ p.Interp.parse_hits; p.Interp.parse_misses; p.Interp.parse_evictions ]
+
+let test_proc_redefines_slot_command () =
+  let caches = Interp.create_caches () in
+  let script = "set n 0; foreach x {1 2 3} { incr n }; set n" in
+  let redefine = "proc incr {v} { upvar 1 $v x; set x [expr {$x + 10}] }" in
+  let eval it src =
+    match Interp.eval it src with Ok v -> v | Error e -> Alcotest.failf "eval %S: %s" src e
+  in
+  let it = Interp.create ~caches () in
+  check Alcotest.string "builtin incr" "3" (eval it script);
+  ignore (eval it redefine);
+  check Alcotest.string "proc honoured by the same interpreter" "30" (eval it script);
+  let other = Interp.create ~caches () in
+  ignore (eval other redefine);
+  check Alcotest.string "proc honoured by another interpreter" "30" (eval other script)
+
+let test_info_body_after_slot_fill () =
+  let body = " return [expr {$a + 1}] " in
+  check Alcotest.string "source text" body
+    (ok (Printf.sprintf "proc p {a} {%s}; p 1; p 2; info body p" body))
+
+(* Counters taken at the commit before compile slots existed: the budget
+   runs out at the same step, after the same lookups. *)
+let test_step_limit_in_slot_body () =
+  let cases =
+    [
+      ( "proc f {} { global k; foreach x {1 2 3 4 5 6 7 8 9} \
+         { for {set i 0} {$i < 10} {incr i} \
+         { if {$i % 3 == 0} { incr k } else { incr k 2 } } } }; set k 0; f",
+        200,
+        [ 201; 59; 123; 55; 41 ] );
+      ( "set k 0; while {$k < 1000} { if {$k % 2 == 0} { incr k } else { incr k 1 } }",
+        333,
+        [ 334; 82; 167; 85; 84 ] );
+    ]
+  in
+  List.iter
+    (fun (src, limit, want) ->
+      let caches = Interp.create_caches () in
+      List.iter
+        (fun run ->
+          let it = Interp.create ~step_limit:limit ~caches () in
+          let outcome, _, steps, (commands, _, _, parses, exprs, _) = run_outcome it src in
+          Alcotest.(check bool) (run ^ ": exhausted") true (outcome = Exhausted);
+          Alcotest.(check (list int))
+            (run ^ ": steps, k, commands, parse and expr lookups")
+            want
+            [
+              steps;
+              int_of_string (Option.get (Interp.get_var_opt it "k"));
+              commands;
+              parses;
+              exprs;
+            ])
+        [ "cold"; "warm" ])
+    cases
+
+(* --- list scanner: the rewritten readers against the old ones --- *)
+
+(* [Value.to_list] before it sliced spans: one Buffer copy per character *)
+let old_to_list s =
+  let exception Bad of string in
+  let n = String.length s in
+  let out = ref [] in
+  let buf = Buffer.create 16 in
+  let i = ref 0 in
+  let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' in
+  let unescape c = match c with 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r' | other -> other in
+  try
+    while !i < n do
+      while !i < n && is_space s.[!i] do
+        incr i
+      done;
+      if !i < n then begin
+        Buffer.clear buf;
+        if s.[!i] = '{' then begin
+          let depth = ref 1 in
+          incr i;
+          while !i < n && !depth > 0 do
+            let c = s.[!i] in
+            if c = '\\' && !i + 1 < n then begin
+              Buffer.add_char buf c;
+              Buffer.add_char buf s.[!i + 1];
+              i := !i + 2
+            end
+            else begin
+              if c = '{' then incr depth else if c = '}' then decr depth;
+              if !depth > 0 then Buffer.add_char buf c;
+              incr i
+            end
+          done;
+          if !depth > 0 then raise (Bad "unbalanced braces in list");
+          if !i < n && not (is_space s.[!i]) then raise (Bad "junk after closing brace");
+          out := Buffer.contents buf :: !out
+        end
+        else if s.[!i] = '"' then begin
+          incr i;
+          let closed = ref false in
+          while !i < n && not !closed do
+            let c = s.[!i] in
+            if c = '\\' && !i + 1 < n then begin
+              Buffer.add_char buf (unescape s.[!i + 1]);
+              i := !i + 2
+            end
+            else if c = '"' then begin
+              closed := true;
+              incr i
+            end
+            else begin
+              Buffer.add_char buf c;
+              incr i
+            end
+          done;
+          if not !closed then raise (Bad "unbalanced quotes in list");
+          out := Buffer.contents buf :: !out
+        end
+        else begin
+          let stop = ref false in
+          while !i < n && not !stop do
+            let c = s.[!i] in
+            if is_space c then stop := true
+            else if c = '\\' && !i + 1 < n then begin
+              Buffer.add_char buf (unescape s.[!i + 1]);
+              i := !i + 2
+            end
+            else begin
+              Buffer.add_char buf c;
+              incr i
+            end
+          done;
+          out := Buffer.contents buf :: !out
+        end
+      end
+    done;
+    Ok (List.rev !out)
+  with Bad msg -> Error msg
+
+(* [Strutil.split] before it sliced, except that the empty string now
+   splits into the empty list (Tcl) where it used to give one element *)
+let old_split s ~on =
+  if on = "" then List.init (String.length s) (fun i -> String.make 1 s.[i])
+  else if s = "" then []
+  else begin
+    let out = ref [] in
+    let buf = Buffer.create 16 in
+    String.iter
+      (fun c ->
+        if String.contains on c then begin
+          out := Buffer.contents buf :: !out;
+          Buffer.clear buf
+        end
+        else Buffer.add_char buf c)
+      s;
+    out := Buffer.contents buf :: !out;
+    List.rev !out
+  end
+
+let list_alphabet =
+  QCheck2.Gen.oneofl [ 'a'; 'b'; 'n'; 't'; ' '; '\t'; '\n'; '{'; '}'; '"'; '\\'; ';'; '='; ',' ]
+
+let test_to_list_model =
+  qtest ~count:2000 "to_list agrees with the copying reader"
+    QCheck2.Gen.(string_size ~gen:list_alphabet (0 -- 24))
+    (fun s -> Value.to_list s = old_to_list s)
+
+let test_split_model =
+  qtest ~count:2000 "split agrees with the copying splitter"
+    QCheck2.Gen.(
+      pair (string_size ~gen:list_alphabet (0 -- 24)) (string_size ~gen:list_alphabet (0 -- 3)))
+    (fun (s, on) -> Strutil.split s ~on = old_split s ~on)
+
 (* --- strutil --- *)
 
 let test_glob () =
@@ -763,6 +1052,16 @@ let () =
             test_shared_caches_across_interpreters;
           Alcotest.test_case "evictions counted" `Quick test_cache_eviction_counted;
         ] );
+      ( "slots",
+        [
+          test_slots_warm_equals_cold;
+          Alcotest.test_case "run-time body uses the LRU" `Quick test_runtime_body_uses_lru;
+          Alcotest.test_case "proc redefines a slot body's command" `Quick
+            test_proc_redefines_slot_command;
+          Alcotest.test_case "info body after slot fill" `Quick test_info_body_after_slot_fill;
+          Alcotest.test_case "step limit in a slot body" `Quick test_step_limit_in_slot_body;
+        ] );
+      ("lists", [ test_to_list_model; test_split_model ]);
       ( "strutil",
         [
           Alcotest.test_case "glob match" `Quick test_glob;
