@@ -203,8 +203,9 @@ let bench_engine =
          done;
          Netsim.Engine.run e))
 
-(* The message path: what one E5 load report costs on its way through the
-   codec, the metrics registry and the event queue. *)
+(* The message path: what one E5 load report costs.  A message carries a
+   briefcase snapshot, not bytes, so the codec rows price what storing a
+   report would cost; the delivery row prices the path itself. *)
 let e5_report () =
   let bc = Briefcase.create () in
   List.iter
@@ -228,6 +229,19 @@ let bench_report_deserialize =
   let wire = Briefcase.serialize (e5_report ()) in
   Test.make ~name:"core briefcase deserialize (E5 report, 6 folders)"
     (Staged.stage (fun () -> ignore (Briefcase.deserialize wire)))
+
+(* The same report end to end, as E5's load monitors send it: the snapshot,
+   the network's send path, delivery and the native activation it starts. *)
+let bench_report_delivery =
+  let net = Net.create (Topology.star 1) in
+  let k = Kernel.create net in
+  Kernel.register_native k ~site:0 "broker" (fun _ bc ->
+      ignore (Sys.opaque_identity (Briefcase.find_opt bc "LOAD")));
+  let bc = e5_report () in
+  Test.make ~name:"core report delivery (E5 report: send -> deliver -> native activation)"
+    (Staged.stage (fun () ->
+         Kernel.send_briefcase k ~src:1 ~dst:0 ~contact:"broker" bc;
+         Net.run net))
 
 let bench_metrics_incr =
   let m = Obs.Metrics.create () in
@@ -327,6 +341,7 @@ let all_benches =
       bench_engine;
       bench_report_serialize;
       bench_report_deserialize;
+      bench_report_delivery;
       bench_metrics_incr;
       bench_metrics_bump;
       bench_schedule_fire;

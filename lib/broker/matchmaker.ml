@@ -22,6 +22,7 @@ type t = {
   rr_counter : int ref;
   mutable lookup_count : int;
   mutable report_count : int;
+  reports_metric : Obs.Metrics.counter_handle;
 }
 
 let site t = t.bsite
@@ -99,7 +100,7 @@ let handle t bc =
   match Option.value ~default:"lookup" (Briefcase.find_opt bc "OP") with
   | "register" | "report" -> (
     t.report_count <- t.report_count + 1;
-    Obs.Metrics.incr (Kernel.metrics t.kernel) "broker.reports";
+    Obs.Metrics.bump t.reports_metric 1;
     match
       ( Briefcase.find_opt bc "PROVIDER",
         Briefcase.find_opt bc "SERVICE",
@@ -158,6 +159,7 @@ let install kernel ~site ~name ?(policy = Policy.Least_loaded) ?max_report_age (
       rr_counter = ref 0;
       lookup_count = 0;
       report_count = 0;
+      reports_metric = Obs.Metrics.counter_handle (Kernel.metrics kernel) "broker.reports";
     }
   in
   Kernel.register_native kernel ~site name (fun _ bc -> handle t bc);

@@ -49,7 +49,9 @@ let install_folder_cmd bc it =
         Folder.replace (Briefcase.folder bc name) elems;
         ""
       | [ "setlist"; name; l ] ->
-        Folder.replace (Briefcase.folder bc name) (Value.to_list_exn l);
+        (match Value.to_list l with
+        | Ok elems -> Folder.replace (Briefcase.folder bc name) elems
+        | Error msg -> err "%s" msg);
         ""
       | [ "size"; name ] -> Value.of_int (Folder.length (Briefcase.folder bc name))
       | [ "exists"; name ] -> Value.of_bool (Briefcase.mem bc name)

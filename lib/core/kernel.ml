@@ -1,6 +1,7 @@
 module Net = Netsim.Net
 module Engine = Netsim.Engine
 module Rng = Tacoma_util.Rng
+module Stbl = Hashtbl.Make (String)
 
 type transport = Rsh | Tcp | Horus
 
@@ -103,10 +104,8 @@ type t = {
   pending_fetches : (int, pending_fetch) Hashtbl.t;
   mutable fetch_counter : int;
   mutable cache_saved_bytes : int;
-  global_natives : (string, native) Hashtbl.t;
-  site_natives : (int * string, native) Hashtbl.t;
-  global_scripts : (string, string) Hashtbl.t;
-  site_scripts : (int * string, string) Hashtbl.t;
+  agents : agent Stbl.t;
+  meets : Obs.Metrics.counter_handle;
   name_to_site : (string, int) Hashtbl.t;
   connections : (int * int, unit) Hashtbl.t;
   pending_acks : (int, ack_state) Hashtbl.t;
@@ -119,11 +118,27 @@ type t = {
   mutable step_policy : (Briefcase.t -> int option) option;
 }
 
+(* Everything installed under one agent name, looked up once per delivery:
+   the site-scoped and global implementations, and handles on the name's
+   activation and completion counters (which register on first use). *)
+and agent = {
+  name : string;
+  mutable site_natives : (Netsim.Site.id * native) list;
+  mutable global_native : native option;
+  mutable site_scripts : (Netsim.Site.id * string) list;
+  mutable global_script : string option;
+  activations : Obs.Metrics.counter_handle;
+  completions : Obs.Metrics.counter_handle;
+}
+
 and ctx = { kernel : t; site : Netsim.Site.id; self : string }
 and native = ctx -> Briefcase.t -> unit
 
+(* A migration carries a snapshot of the briefcase, not its encoding: the
+   network only needs its size ({!Briefcase.byte_size}, exactly the encoded
+   length) and the receiver an isolated copy of its folders. *)
 type Netsim.Message.payload +=
-  | Migration of { mid : int; contact : string; bc_wire : string; needs_ack : bool }
+  | Migration of { mid : int; contact : string; bc : Briefcase.t; needs_ack : bool }
   | Migration_ack of { mid : int }
   | Code_fetch of { fid : int; digest : string }
   | Code_fetch_reply of { fid : int; code : string list option }
@@ -174,33 +189,62 @@ let reason_class_of_exn = function
 
 (* ---- agent registry ------------------------------------------------------ *)
 
+let agent_entry t name =
+  match Stbl.find_opt t.agents name with
+  | Some a -> a
+  | None ->
+    let labels = [ ("agent", name) ] in
+    let a =
+      {
+        name;
+        site_natives = [];
+        global_native = None;
+        site_scripts = [];
+        global_script = None;
+        activations = Obs.Metrics.counter_handle (metrics t) ~labels "kernel.activations";
+        completions = Obs.Metrics.counter_handle (metrics t) ~labels "kernel.completions";
+      }
+    in
+    Stbl.add t.agents name a;
+    a
+
+let rec at_site site = function
+  | [] -> None
+  | (s, x) :: rest -> if s = site then Some x else at_site site rest
+
+let set_at_site site x l = (site, x) :: List.filter (fun (s, _) -> s <> site) l
+
 let register_native t ?site name fn =
+  let a = agent_entry t name in
   match site with
-  | None -> Hashtbl.replace t.global_natives name fn
-  | Some s -> Hashtbl.replace t.site_natives (s, name) fn
+  | None -> a.global_native <- Some fn
+  | Some s -> a.site_natives <- set_at_site s fn a.site_natives
 
 let install_script t ?site name ~code =
+  let a = agent_entry t name in
   match site with
-  | None -> Hashtbl.replace t.global_scripts name code
-  | Some s -> Hashtbl.replace t.site_scripts (s, name) code
+  | None -> a.global_script <- Some code
+  | Some s -> a.site_scripts <- set_at_site s code a.site_scripts
 
 type resolved = Rnative of native | Rscript of string
 
-let resolve t site name =
-  match Hashtbl.find_opt t.site_natives (site, name) with
+(* A site-scoped native, then a global native, then a site-scoped script,
+   then a global script. *)
+let resolve a site =
+  match at_site site a.site_natives with
   | Some fn -> Some (Rnative fn)
   | None -> (
-    match Hashtbl.find_opt t.global_natives name with
+    match a.global_native with
     | Some fn -> Some (Rnative fn)
     | None -> (
-      match Hashtbl.find_opt t.site_scripts (site, name) with
+      match at_site site a.site_scripts with
       | Some code -> Some (Rscript code)
-      | None -> (
-        match Hashtbl.find_opt t.global_scripts name with
-        | Some code -> Some (Rscript code)
-        | None -> None)))
+      | None -> Option.map (fun code -> Rscript code) a.global_script))
 
-let agent_exists t site name = Option.is_some (resolve t site name)
+let agent_exists t site name =
+  match Stbl.find_opt t.agents name with
+  | None -> false
+  | Some a -> Option.is_some (resolve a site)
 
 (* ---- script execution ----------------------------------------------------- *)
 
@@ -209,24 +253,31 @@ let sleep (_ : ctx) dur = Effect.perform (Sleep_eff dur)
 let transmit t ~src ~dst ~size payload = Net.send t.net ~src ~dst ~size payload
 
 let send_briefcase t ~src ~dst ~contact bc =
-  let wire = Briefcase.serialize bc in
   transmit t ~src ~dst
-    ~size:(String.length wire + t.cfg.migration_overhead)
-    (Migration { mid = 0; contact; bc_wire = wire; needs_ack = false })
+    ~size:(Briefcase.byte_size bc + t.cfg.migration_overhead)
+    (Migration { mid = 0; contact; bc = Briefcase.copy bc; needs_ack = false })
+
+let no_agent ctx name =
+  Agent_error (Printf.sprintf "meet: no agent %S at %s" name (site_name ctx.kernel ctx.site))
 
 (* [meet_inner] is the bare dispatch; [meet] wraps it in a child span so
    nested meets show up as a tree under their activation.  [run_activation]
-   calls [meet_inner] directly — the activation span already names the
+   calls [run_agent] directly — the activation span already names the
    contact. *)
-let rec meet_inner ctx name bc =
-  match resolve ctx.kernel ctx.site name with
-  | None -> raise (Agent_error (Printf.sprintf "meet: no agent %S at %s" name (site_name ctx.kernel ctx.site)))
-  | Some (Rnative fn) -> fn { ctx with self = name } bc
-  | Some (Rscript code) -> run_code { ctx with self = name } ~code bc
+let rec run_agent ctx a bc =
+  match resolve a ctx.site with
+  | None -> raise (no_agent ctx a.name)
+  | Some (Rnative fn) -> fn { ctx with self = a.name } bc
+  | Some (Rscript code) -> run_code { ctx with self = a.name } ~code bc
+
+and meet_inner ctx name bc =
+  match Stbl.find_opt ctx.kernel.agents name with
+  | Some a -> run_agent ctx a bc
+  | None -> raise (no_agent ctx name)
 
 and meet ctx name bc =
   let t = ctx.kernel in
-  Obs.Metrics.incr (metrics t) "kernel.meets";
+  Obs.Metrics.bump t.meets 1;
   let tr = recorder t in
   if not (Obs.Tracer.enabled tr) then meet_inner ctx name bc
   else begin
@@ -288,7 +339,7 @@ and run_code ctx ~code bc =
       dispatch =
         (fun ~host ~contact ->
           match site_named t host with
-          | Some dst -> send_briefcase t ~src:ctx.site ~dst ~contact (Briefcase.copy bc)
+          | Some dst -> send_briefcase t ~src:ctx.site ~dst ~contact bc
           | None ->
             raise
               (Tscript.Interp.Error_exc (Printf.sprintf "dispatch: unknown host %S" host)));
@@ -344,14 +395,11 @@ let run_hooks_death t ~cls ~site ~agent ~reason =
      Obs.Tracer.instant tr ~time:(now t) ~cat:"kernel" ~site ~agent ~msg:reason
        ~attrs:[ ("class", Obs.Event.S cls) ]
        "kernel.death");
-  List.iter (fun h -> h ~site ~agent ~reason) (List.rev t.death_hooks)
-
-let run_hooks_complete t ~site ~agent =
-  Obs.Metrics.incr (metrics t) ~labels:[ ("agent", agent) ] "kernel.completions";
-  List.iter (fun h -> h ~site ~agent) (List.rev t.complete_hooks)
+  List.iter (fun h -> h ~site ~agent ~reason) t.death_hooks
 
 let run_activation ?daemon t ~site ~contact bc =
-  Obs.Metrics.incr (metrics t) ~labels:[ ("agent", contact) ] "kernel.activations";
+  let agent = agent_entry t contact in
+  Obs.Metrics.bump agent.activations 1;
   let ctx = { kernel = t; site; self = contact } in
   let tr = recorder t in
   (* the activation span parents to whatever span dispatched this briefcase
@@ -370,7 +418,7 @@ let run_activation ?daemon t ~site ~contact bc =
   in
   let open Effect.Deep in
   match_with
-    (fun () -> meet_inner ctx contact bc)
+    (fun () -> run_agent ctx agent bc)
     ()
     {
       retc =
@@ -378,7 +426,8 @@ let run_activation ?daemon t ~site ~contact bc =
           if Obs.Tracer.enabled tr then
             Obs.Tracer.end_span tr ~time:(now t) ~site ~agent:contact span
               ("activate:" ^ contact);
-          run_hooks_complete t ~site ~agent:contact);
+          Obs.Metrics.bump agent.completions 1;
+          List.iter (fun h -> h ~site ~agent:contact) t.complete_hooks);
       exnc =
         (fun e ->
           if Obs.Tracer.enabled tr then
@@ -455,31 +504,28 @@ let add_cache_saved t delta =
 (* Wire contribution of one briefcase folder: encoded name + element list. *)
 let folder_wire_bytes name elems = Codec.encoded_size name + Codecache.wire_bytes elems
 
-(* The sender side of the cache: replace the CODE payload with its digest
-   and publish the entry in this site's cache, which also serves fallback
-   fetches; a warm hop reuses the digest this site just resolved instead of
-   hashing.  Ships in full when the cache is off, CODE is empty, or the
-   entry alone exceeds the budget (then nobody could ever resolve it). *)
-let serialize_for_wire t ~src bc =
-  if not (cache_enabled t) then Briefcase.serialize bc
-  else
-    match Briefcase.folder_opt bc Briefcase.code_folder with
-    | None -> Briefcase.serialize bc
-    | Some f when Folder.is_empty f -> Briefcase.serialize bc
-    | Some f ->
-      let elems = Folder.to_list f in
-      let dg = Codecache.digest_at t.caches.(src) elems in
-      if not (Codecache.insert t.caches.(src) ~digest:dg elems) then
-        Briefcase.serialize bc
-      else begin
-        let bc' = Briefcase.copy bc in
-        Briefcase.remove bc' Briefcase.code_folder;
-        Briefcase.set bc' Briefcase.code_ref_folder dg;
-        add_cache_saved t
-          (folder_wire_bytes Briefcase.code_folder elems
-          - folder_wire_bytes Briefcase.code_ref_folder [ dg ]);
-        Briefcase.serialize bc'
-      end
+(* The snapshot a migration ships.  With the cache on, the sender replaces
+   the CODE payload with its digest and publishes the entry in this site's
+   cache, which also serves fallback fetches; a warm hop reuses the digest
+   this site just resolved instead of hashing.  CODE ships in full when the
+   cache is off, CODE is empty, or the entry alone exceeds the budget (then
+   nobody could ever resolve it). *)
+let wire_snapshot t ~src bc =
+  let snap = Briefcase.copy bc in
+  (if cache_enabled t then
+     match Briefcase.folder_opt snap Briefcase.code_folder with
+     | Some f when not (Folder.is_empty f) ->
+       let elems = Folder.to_list f in
+       let dg = Codecache.digest_at t.caches.(src) elems in
+       if Codecache.insert t.caches.(src) ~digest:dg elems then begin
+         Briefcase.remove snap Briefcase.code_folder;
+         Briefcase.set snap Briefcase.code_ref_folder dg;
+         add_cache_saved t
+           (folder_wire_bytes Briefcase.code_folder elems
+           - folder_wire_bytes Briefcase.code_ref_folder [ dg ])
+       end
+     | Some _ | None -> ());
+  snap
 
 let end_fetch_span t pf ?error () =
   let tr = recorder t in
@@ -551,8 +597,8 @@ let begin_fetch t ~site ~src ~contact ~digest ~ccfg bc =
   in
   arm ()
 
-(* Every migration lands here after deserialisation: resolve a code
-   reference against this place's cache, or fall back to a fetch. *)
+(* Every migration lands here with its own copy of the snapshot: resolve a
+   code reference against this place's cache, or fall back to a fetch. *)
 let accept_briefcase t ~site ~src ~contact bc =
   match Briefcase.find_opt bc Briefcase.code_ref_folder with
   | None -> run_activation t ~site ~contact bc
@@ -580,8 +626,8 @@ let migrate t ~src ~dst ~contact ~transport bc =
   Obs.Metrics.incr (metrics t)
     ~labels:[ ("transport", transport_name transport) ]
     "kernel.migrations";
-  let wire = serialize_for_wire t ~src bc in
-  let base = String.length wire + t.cfg.migration_overhead in
+  let snap = wire_snapshot t ~src bc in
+  let base = Briefcase.byte_size snap + t.cfg.migration_overhead in
   (let tr = recorder t in
    if Obs.Tracer.enabled tr then
      Obs.Tracer.instant tr ~time:(now t) ?span:(briefcase_span bc) ~cat:"kernel" ~site:src
@@ -604,16 +650,16 @@ let migrate t ~src ~dst ~contact ~transport bc =
            if Net.site_up t.net src then
              transmit t ~src ~dst
                ~size:(base + t.cfg.rsh.extra_bytes)
-               (Migration { mid = 0; contact; bc_wire = wire; needs_ack = false })))
+               (Migration { mid = 0; contact; bc = snap; needs_ack = false })))
   | Tcp ->
     let fresh = not (Hashtbl.mem t.connections (src, dst)) in
     if fresh then Hashtbl.replace t.connections (src, dst) ();
     let size = base + t.cfg.tcp.extra_bytes + (if fresh then t.cfg.tcp.handshake_bytes else 0) in
-    transmit t ~src ~dst ~size (Migration { mid = 0; contact; bc_wire = wire; needs_ack = false })
+    transmit t ~src ~dst ~size (Migration { mid = 0; contact; bc = snap; needs_ack = false })
   | Horus ->
     let mid = t.mid_counter in
     t.mid_counter <- mid + 1;
-    let payload = Migration { mid; contact; bc_wire = wire; needs_ack = true } in
+    let payload = Migration { mid; contact; bc = snap; needs_ack = true } in
     let st =
       {
         attempts = 0;
@@ -634,7 +680,7 @@ let seen_mid_window = 4096
 
 let handle_message t site seen (msg : Netsim.Message.t) =
   match msg.payload with
-  | Migration { mid; contact; bc_wire; needs_ack } ->
+  | Migration { mid; contact; bc; needs_ack } ->
     let duplicate = needs_ack && Hashtbl.mem seen mid in
     if needs_ack then begin
       (* ack even duplicates: the first ack may have been lost *)
@@ -642,13 +688,9 @@ let handle_message t site seen (msg : Netsim.Message.t) =
       if Hashtbl.length seen > seen_mid_window then Hashtbl.reset seen;
       Hashtbl.replace seen mid ()
     end;
-    if not duplicate then begin
-      match Briefcase.deserialize bc_wire with
-      | bc -> accept_briefcase t ~site ~src:msg.src ~contact bc
-      | exception Codec.Malformed reason ->
-        run_hooks_death t ~cls:"corrupt-briefcase" ~site ~agent:contact
-          ~reason:("corrupt briefcase: " ^ reason)
-    end
+    (* a retransmitted payload may be delivered again (after a restart
+       forgets [seen]): every delivery gets its own copy *)
+    if not duplicate then accept_briefcase t ~site ~src:msg.src ~contact (Briefcase.copy bc)
   | Migration_ack { mid } -> (
     match Hashtbl.find_opt t.pending_acks mid with
     | Some st ->
@@ -718,7 +760,7 @@ let rexec_agent ctx bc =
       | Some tr -> tr
       | None -> raise (Agent_error (Printf.sprintf "rexec: unknown transport %S" s)))
   in
-  migrate t ~src:ctx.site ~dst ~contact ~transport (Briefcase.copy bc)
+  migrate t ~src:ctx.site ~dst ~contact ~transport bc
 
 let ag_script_agent ctx bc =
   match Folder.pop (Briefcase.folder bc Briefcase.code_folder) with
@@ -784,7 +826,7 @@ let diffusion_agent ctx bc =
       (fun sname ->
         match site_named t sname with
         | Some dst ->
-          migrate t ~src:ctx.site ~dst ~contact:"diffusion" ~transport (Briefcase.copy bc)
+          migrate t ~src:ctx.site ~dst ~contact:"diffusion" ~transport bc
         | None -> ())
       targets
   end
@@ -840,10 +882,8 @@ let create ?(config = default_config) net =
       pending_fetches = Hashtbl.create 32;
       fetch_counter = 1;
       cache_saved_bytes = 0;
-      global_natives = Hashtbl.create 32;
-      site_natives = Hashtbl.create 32;
-      global_scripts = Hashtbl.create 32;
-      site_scripts = Hashtbl.create 32;
+      agents = Stbl.create 64;
+      meets = Obs.Metrics.counter_handle (Net.metrics net) "kernel.meets";
       name_to_site = Hashtbl.create n;
       connections = Hashtbl.create 32;
       pending_acks = Hashtbl.create 32;
@@ -924,6 +964,7 @@ let activity t =
   |> List.sort compare
 
 let set_step_policy t p = t.step_policy <- p
-let on_death t h = t.death_hooks <- h :: t.death_hooks
-let on_complete t h = t.complete_hooks <- h :: t.complete_hooks
+(* hooks are kept in registration order, the order they run in *)
+let on_death t h = t.death_hooks <- t.death_hooks @ [ h ]
+let on_complete t h = t.complete_hooks <- t.complete_hooks @ [ h ]
 let horus_group t = t.group

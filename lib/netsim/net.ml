@@ -1,6 +1,7 @@
 module Rng = Tacoma_util.Rng
-module Itbl = Hashtbl.Make (Int)
 
+(* [handlers] are kept in the order they run in, registration order; hooks,
+   registered often (one per guarded journey) and run rarely, newest first *)
 type site_state = {
   mutable up : bool;
   mutable handlers : (string * (Message.t -> unit)) list;
@@ -20,6 +21,7 @@ type link_state = {
 type t = {
   engine : Engine.t;
   topo : Topology.t;
+  ix : Topology.index;
   rng : Rng.t;
   loss_rng : Rng.t;
   loss_rate : float;
@@ -31,25 +33,33 @@ type t = {
   msg_hops : Obs.Metrics.histogram_handle;
   delivery_latency : Obs.Metrics.histogram_handle;
   site_states : site_state array;
-  disabled_links : (int * int, unit) Hashtbl.t;
-  link_loss : (int * int, float) Hashtbl.t; (* chaos: extra per-link loss *)
-  link_degrade : (int * int, float * float) Hashtbl.t;
-      (* chaos: (latency multiplier, bandwidth multiplier) per link *)
+  (* per link id: *)
+  disabled : bool array;
+  link_loss : float option array; (* chaos: extra loss *)
+  link_degrade : (float * float) option array;
+      (* chaos: (latency multiplier, bandwidth multiplier) *)
+  links : link_state option array; (* created on the link's first message *)
+  (* how many links are disabled, lossy and degraded: 0 skips the arrays *)
+  mutable n_disabled : int;
+  mutable n_lossy : int;
+  mutable n_degraded : int;
   mutable loss_override : float option; (* chaos: window replacing loss_rate *)
-  links : link_state Itbl.t; (* keyed by a * site count + b, a < b *)
-  mutable generation : int; (* bumped on any reachability change *)
-  route_cache : (int, (float * int list) option array * int) Hashtbl.t;
-      (* src -> (per-dst delay/path, generation) *)
+  route_cache : int list option array option array;
+      (* per source, per destination: the route's link ids, in order;
+         emptied on any reachability change *)
 }
 
 let create ?(seed = 42L) ?(trace = false) ?(loss_rate = 0.0) topo =
   if loss_rate < 0.0 || loss_rate >= 1.0 then invalid_arg "Net.create: loss_rate must be in [0,1)";
   let n = Topology.site_count topo in
+  let ix = Topology.freeze topo in
+  let nlinks = Array.length ix.params in
   let rng = Rng.create seed in
   let metrics = Obs.Metrics.create () in
   {
     engine = Engine.create ~metrics ();
     topo;
+    ix;
     loss_rng = Rng.split rng;
     loss_rate;
     rng;
@@ -63,13 +73,15 @@ let create ?(seed = 42L) ?(trace = false) ?(loss_rate = 0.0) topo =
     site_states =
       Array.init n (fun _ ->
           { up = true; handlers = []; crash_hooks = []; restart_hooks = [] });
-    disabled_links = Hashtbl.create 8;
-    link_loss = Hashtbl.create 8;
-    link_degrade = Hashtbl.create 8;
+    disabled = Array.make nlinks false;
+    link_loss = Array.make nlinks None;
+    link_degrade = Array.make nlinks None;
+    links = Array.make nlinks None;
+    n_disabled = 0;
+    n_lossy = 0;
+    n_degraded = 0;
     loss_override = None;
-    links = Itbl.create 64;
-    generation = 0;
-    route_cache = Hashtbl.create 16;
+    route_cache = Array.make n None;
   }
 
 let engine t = t.engine
@@ -88,43 +100,36 @@ let state t s =
 
 let set_handler t s ~key h =
   let st = state t s in
-  st.handlers <- (key, h) :: List.remove_assoc key st.handlers
+  st.handlers <- List.remove_assoc key st.handlers @ [ (key, h) ]
 
 let clear_handler t s ~key =
   let st = state t s in
   st.handlers <- List.remove_assoc key st.handlers
 let site_up t s = (state t s).up
 
-let key a b = if a < b then (a, b) else (b, a)
+(* Any reachability change invalidates every cached route at once, eagerly:
+   a long chaos run that churns links must not keep stale rows. *)
+let invalidate_routes t = Array.fill t.route_cache 0 (Array.length t.route_cache) None
 
-(* Any reachability change invalidates every cached route at once.  Clear
-   the rows eagerly: stale-generation rows would otherwise sit in the table
-   until the same source happens to route again, so a long chaos run that
-   churns links grows the cache without bound. *)
-let bump_generation t =
-  t.generation <- t.generation + 1;
-  Hashtbl.reset t.route_cache
+let route_cache_size t =
+  Array.fold_left (fun n row -> if Option.is_some row then n + 1 else n) 0 t.route_cache
 
-let route_cache_size t = Hashtbl.length t.route_cache
-
-let link_enabled t a b = not (Hashtbl.mem t.disabled_links (key a b))
+let link_enabled t a b =
+  let lid = Topology.link_id t.ix a b in
+  lid < 0 || not t.disabled.(lid)
 
 (* Chaos degradation windows scale a link's parameters without touching the
    topology itself: latency is multiplied, bandwidth is multiplied (a factor
    below 1.0 slows the link down). *)
-let effective_latency t a b (l : Topology.link) =
-  if Hashtbl.length t.link_degrade = 0 then l.latency
-  else
-    match Hashtbl.find_opt t.link_degrade (key a b) with
-    | None -> l.latency
-    | Some (lm, _) -> l.latency *. lm
+let effective_latency t lid =
+  let l = t.ix.params.(lid) in
+  if t.n_degraded = 0 then l.latency
+  else match t.link_degrade.(lid) with None -> l.latency | Some (lm, _) -> l.latency *. lm
 
-let effective_bandwidth t a b (l : Topology.link) =
-  if Hashtbl.length t.link_degrade = 0 then l.bandwidth
-  else
-    match Hashtbl.find_opt t.link_degrade (key a b) with
-    | None -> l.bandwidth
-    | Some (_, bm) -> l.bandwidth *. bm
+let effective_bandwidth t lid =
+  let l = t.ix.params.(lid) in
+  if t.n_degraded = 0 then l.bandwidth
+  else match t.link_degrade.(lid) with None -> l.bandwidth | Some (_, bm) -> l.bandwidth *. bm
 
 (* Dijkstra over latency, skipping disabled links.  A down site may be
    reached (it can be a message destination — liveness is re-checked at
@@ -132,9 +137,10 @@ let effective_bandwidth t a b (l : Topology.link) =
    network) but must not forward traffic: we never relax the edges of a
    down vertex other than the source. *)
 let dijkstra t src =
-  let n = Topology.site_count t.topo in
+  let n = Array.length t.site_states in
   let dist = Array.make n infinity in
   let prev = Array.make n (-1) in
+  let prev_link = Array.make n (-1) in
   let visited = Array.make n false in
   dist.(src) <- 0.0;
   let heap = Tacoma_util.Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b) ~dummy:(0.0, 0) in
@@ -145,72 +151,66 @@ let dijkstra t src =
     | Some (d, u) ->
       if not visited.(u) then begin
         visited.(u) <- true;
-        if (state t u).up || u = src then
-          List.iter
-            (fun v ->
-              if link_enabled t u v then
-                match Topology.link t.topo u v with
-                | None -> ()
-                | Some l ->
-                  let nd = d +. effective_latency t u v l in
-                  if nd < dist.(v) then begin
-                    dist.(v) <- nd;
-                    prev.(v) <- u;
-                    Tacoma_util.Heap.push heap (nd, v)
-                  end)
-            (Topology.neighbors t.topo u)
+        if t.site_states.(u).up || u = src then begin
+          let vs = t.ix.nbr.(u) and lids = t.ix.nbr_link.(u) in
+          for i = 0 to Array.length vs - 1 do
+            let lid = lids.(i) in
+            if not t.disabled.(lid) then begin
+              let v = vs.(i) in
+              let nd = d +. effective_latency t lid in
+              if nd < dist.(v) then begin
+                dist.(v) <- nd;
+                prev.(v) <- u;
+                prev_link.(v) <- lid;
+                Tacoma_util.Heap.push heap (nd, v)
+              end
+            end
+          done
+        end
       end;
       loop ()
   in
   loop ();
-  let path_to dst =
+  let route_to dst =
     if dist.(dst) = infinity then None
     else begin
-      let rec build acc v = if v = src then acc else build (v :: acc) prev.(v) in
-      Some (dist.(dst), build [] dst)
+      let rec build lids v = if v = src then Some lids else build (prev_link.(v) :: lids) prev.(v) in
+      build [] dst
     end
   in
-  Array.init n path_to
+  Array.init n route_to
 
 let routes_from t src =
-  match Hashtbl.find_opt t.route_cache src with
-  | Some (arr, gen) when gen = t.generation -> arr
-  | Some _ | None ->
-    let arr = dijkstra t src in
-    Hashtbl.replace t.route_cache src (arr, t.generation);
-    arr
+  match t.route_cache.(src) with
+  | Some row -> row
+  | None ->
+    let row = dijkstra t src in
+    t.route_cache.(src) <- Some row;
+    row
 
 let route t src dst =
-  if src = dst then Some []
-  else match (routes_from t src).(dst) with None -> None | Some (_, path) -> Some path
+  let rec sites_after cur = function
+    | [] -> []
+    | lid :: rest ->
+      let next = if t.ix.lo.(lid) = cur then t.ix.hi.(lid) else t.ix.lo.(lid) in
+      next :: sites_after next rest
+  in
+  if src = dst then Some [] else Option.map (sites_after src) (routes_from t src).(dst)
 
 let local_delivery_delay = 0.0001
 
-let path_delay t ~size src path =
+let path_delay t ~size lids =
   (* idle-network bound: per link, latency + serialisation *)
-  let rec go acc prev_site = function
-    | [] -> acc
-    | hop :: rest ->
-      let l =
-        match Topology.link t.topo prev_site hop with
-        | Some l -> l
-        | None -> assert false
-      in
-      go
-        (acc
-        +. effective_latency t prev_site hop l
-        +. (float_of_int size /. effective_bandwidth t prev_site hop l))
-        hop rest
-  in
-  go 0.0 src path
+  List.fold_left
+    (fun acc lid ->
+      acc +. effective_latency t lid +. (float_of_int size /. effective_bandwidth t lid))
+    0.0 lids
 
-let link_state t a b =
-  let a, b = if a < b then (a, b) else (b, a) in
-  let id = (a * Array.length t.site_states) + b in
-  match Itbl.find_opt t.links id with
+let link_state t lid =
+  match t.links.(lid) with
   | Some ls -> ls
   | None ->
-    let labels = [ ("link", Printf.sprintf "%d-%d" a b) ] in
+    let labels = [ ("link", Printf.sprintf "%d-%d" t.ix.lo.(lid) t.ix.hi.(lid)) ] in
     let ls =
       {
         link_bytes = Obs.Metrics.counter_handle t.metrics ~labels "net.link.bytes";
@@ -218,7 +218,7 @@ let link_state t a b =
         busy_until = 0.0;
       }
     in
-    Itbl.add t.links id ls;
+    t.links.(lid) <- Some ls;
     ls
 
 (* Store-and-forward with FIFO link contention: at each link the message
@@ -226,49 +226,38 @@ let link_state t a b =
    the serialisation time, then propagates for the latency.  Charges the
    message's bytes to every link, returns the absolute arrival time and
    updates the links' busy horizons. *)
-let rec reserve_path t ~size arrival prev_site = function
+let rec reserve_path t ~size arrival = function
   | [] -> arrival
-  | hop :: rest ->
-    let l =
-      match Topology.link t.topo prev_site hop with
-      | Some l -> l
-      | None -> assert false
-    in
-    let ls = link_state t prev_site hop in
+  | lid :: rest ->
+    let ls = link_state t lid in
     Obs.Metrics.bump ls.link_bytes size;
     let start_tx = Float.max arrival ls.busy_until in
     (* queue depth at this link, in seconds of backlog ahead of us *)
     Obs.Metrics.record ls.link_wait (start_tx -. arrival);
-    let tx_done = start_tx +. (float_of_int size /. effective_bandwidth t prev_site hop l) in
+    let tx_done = start_tx +. (float_of_int size /. effective_bandwidth t lid) in
     ls.busy_until <- tx_done;
-    reserve_path t ~size (tx_done +. effective_latency t prev_site hop l) hop rest
+    reserve_path t ~size (tx_done +. effective_latency t lid) rest
 
-(* The probability that a message following [path] is lost.  With no chaos
-   overrides this is exactly [loss_rate]; a global override window replaces
-   it, and per-link elevations compound along the route (independent loss on
-   every crossed link). *)
-let path_loss_prob t src path =
+(* The probability that a message crossing the links [lids] is lost.  With
+   no chaos overrides this is exactly [loss_rate]; a global override window
+   replaces it, and per-link elevations compound along the route
+   (independent loss on every crossed link). *)
+let path_loss_prob t lids =
   let base = match t.loss_override with Some r -> r | None -> t.loss_rate in
-  if Hashtbl.length t.link_loss = 0 then base
-  else begin
-    let survive = ref (1.0 -. base) in
-    let prev = ref src in
-    List.iter
-      (fun hop ->
-        (match Hashtbl.find_opt t.link_loss (key !prev hop) with
-        | Some r -> survive := !survive *. (1.0 -. r)
-        | None -> ());
-        prev := hop)
-      path;
-    1.0 -. !survive
-  end
+  if t.n_lossy = 0 then base
+  else
+    1.0
+    -. List.fold_left
+         (fun survive lid ->
+           match t.link_loss.(lid) with Some r -> survive *. (1.0 -. r) | None -> survive)
+         (1.0 -. base) lids
 
 (* When a route lookup fails, distinguish an administrative partition from
    genuine unreachability: rerun reachability ignoring disabled links (down
    sites still do not forward).  If the destination would be reachable, the
    drop is attributable to the partition. *)
 let reachable_ignoring_partition t src dst =
-  let n = Topology.site_count t.topo in
+  let n = Array.length t.site_states in
   let visited = Array.make n false in
   let q = Queue.create () in
   visited.(src) <- true;
@@ -277,23 +266,23 @@ let reachable_ignoring_partition t src dst =
   while (not !found) && not (Queue.is_empty q) do
     let u = Queue.take q in
     if u = dst then found := true
-    else if (state t u).up || u = src then
-      List.iter
+    else if t.site_states.(u).up || u = src then
+      Array.iter
         (fun v ->
           if not visited.(v) then begin
             visited.(v) <- true;
             Queue.add v q
           end)
-        (Topology.neighbors t.topo u)
+        t.ix.nbr.(u)
   done;
   !found
 
 let delivery_delay t src dst ~size =
   if src = dst then Some local_delivery_delay
   else
-    match route t src dst with
+    match (routes_from t src).(dst) with
     | None -> None
-    | Some path -> Some (path_delay t ~size src path)
+    | Some lids -> Some (path_delay t ~size lids)
 
 let deliver t (msg : Message.t) =
   let st = state t msg.dst in
@@ -311,7 +300,7 @@ let deliver t (msg : Message.t) =
             ("latency", Obs.Event.F (now t -. msg.sent_at));
           ]
         "net.deliver";
-    List.iter (fun (_, h) -> h msg) (List.rev st.handlers)
+    List.iter (fun (_, h) -> h msg) st.handlers
   end
   else begin
     Netstats.record_drop t.stats;
@@ -336,10 +325,10 @@ let send t ~src ~dst ~size payload =
       ignore (Engine.schedule t.engine ~after:local_delivery_delay (fun () -> deliver t msg))
     end
     else
-      match route t src dst with
+      match (routes_from t src).(dst) with
       | None ->
         let reason =
-          if Hashtbl.length t.disabled_links > 0 && reachable_ignoring_partition t src dst then
+          if t.n_disabled > 0 && reachable_ignoring_partition t src dst then
             "partition"
           else "no-route"
         in
@@ -350,8 +339,8 @@ let send t ~src ~dst ~size payload =
             ~msg:(Printf.sprintf "%s site-%d -> site-%d (%d bytes)" reason src dst size)
             ~attrs:[ ("reason", Obs.Event.S reason); ("dst", Obs.Event.I dst) ]
             "net.drop"
-      | Some path ->
-        let hops = List.length path in
+      | Some lids ->
+        let hops = List.length lids in
         Netstats.record_send t.stats ~bytes:size ~hops;
         Obs.Metrics.bump t.sent 1;
         Obs.Metrics.record t.msg_hops (float_of_int hops);
@@ -364,8 +353,8 @@ let send t ~src ~dst ~size payload =
                 ("hops", Obs.Event.I hops);
               ]
             "net.send";
-        let arrival = reserve_path t ~size (now t) src path in
-        let loss_prob = path_loss_prob t src path in
+        let arrival = reserve_path t ~size (now t) lids in
+        let loss_prob = path_loss_prob t lids in
         if loss_prob > 0.0 && Rng.float t.loss_rng < loss_prob then begin
           (* lost in transit: the bytes were spent, nothing arrives *)
           ignore
@@ -391,7 +380,7 @@ let crash t s =
   if st.up then begin
     st.up <- false;
     st.handlers <- [];
-    bump_generation t;
+    invalidate_routes t;
     Obs.Metrics.incr t.metrics "net.crashes";
     if Obs.Tracer.enabled t.recorder then
       Obs.Tracer.instant t.recorder ~time:(now t) ~cat:"net" ~site:s "net.crash";
@@ -402,7 +391,7 @@ let restart t s =
   let st = state t s in
   if not st.up then begin
     st.up <- true;
-    bump_generation t;
+    invalidate_routes t;
     Obs.Metrics.incr t.metrics "net.restarts";
     if Obs.Tracer.enabled t.recorder then
       Obs.Tracer.instant t.recorder ~time:(now t) ~cat:"net" ~site:s "net.restart";
@@ -417,34 +406,38 @@ let on_restart t s hook =
   let st = state t s in
   st.restart_hooks <- hook :: st.restart_hooks
 
+let require_link t a b what =
+  let lid = Topology.link_id t.ix a b in
+  if lid < 0 then invalid_arg (what ^ ": no such link");
+  lid
+
 let set_link_enabled t a b enabled =
-  (match Topology.link t.topo a b with
-  | None -> invalid_arg "Net.set_link_enabled: no such link"
-  | Some _ -> ());
-  let k = key a b in
-  let changed =
-    if enabled then Hashtbl.mem t.disabled_links k
-    else not (Hashtbl.mem t.disabled_links k)
-  in
-  if changed then begin
-    if enabled then Hashtbl.remove t.disabled_links k else Hashtbl.replace t.disabled_links k ();
-    bump_generation t
+  let lid = require_link t a b "Net.set_link_enabled" in
+  if t.disabled.(lid) = enabled then begin
+    t.disabled.(lid) <- not enabled;
+    t.n_disabled <- (t.n_disabled + if enabled then -1 else 1);
+    invalidate_routes t
   end
 
-let require_link t a b what =
-  match Topology.link t.topo a b with
-  | None -> invalid_arg (what ^ ": no such link")
-  | Some _ -> ()
+(* Set one link's chaos override; returns the change in the number of
+   links that have one. *)
+let swap_override arr lid v =
+  let delta = Bool.to_int (Option.is_some v) - Bool.to_int (Option.is_some arr.(lid)) in
+  arr.(lid) <- v;
+  delta
 
 let set_link_loss t a b rate =
-  require_link t a b "Net.set_link_loss";
-  match rate with
-  | None -> Hashtbl.remove t.link_loss (key a b)
-  | Some r ->
-    if r < 0.0 || r >= 1.0 then invalid_arg "Net.set_link_loss: rate must be in [0,1)";
-    Hashtbl.replace t.link_loss (key a b) r
+  let lid = require_link t a b "Net.set_link_loss" in
+  (match rate with
+  | Some r when r < 0.0 || r >= 1.0 -> invalid_arg "Net.set_link_loss: rate must be in [0,1)"
+  | Some _ | None -> ());
+  t.n_lossy <- t.n_lossy + swap_override t.link_loss lid rate
 
-let link_loss t a b = Hashtbl.find_opt t.link_loss (key a b)
+let find_override t arr a b =
+  let lid = Topology.link_id t.ix a b in
+  if lid < 0 then None else arr.(lid)
+
+let link_loss t a b = find_override t t.link_loss a b
 
 let set_loss_override t rate =
   (match rate with
@@ -456,18 +449,16 @@ let set_loss_override t rate =
 let loss_override t = t.loss_override
 
 let set_link_degraded t a b factors =
-  require_link t a b "Net.set_link_degraded";
-  let k = key a b in
+  let lid = require_link t a b "Net.set_link_degraded" in
   (match factors with
-  | None -> Hashtbl.remove t.link_degrade k
-  | Some (lm, bm) ->
-    if lm <= 0.0 || bm <= 0.0 then
-      invalid_arg "Net.set_link_degraded: factors must be positive";
-    Hashtbl.replace t.link_degrade k (lm, bm));
+  | Some (lm, bm) when lm <= 0.0 || bm <= 0.0 ->
+    invalid_arg "Net.set_link_degraded: factors must be positive"
+  | Some _ | None -> ());
+  t.n_degraded <- t.n_degraded + swap_override t.link_degrade lid factors;
   (* degraded latency changes lowest-latency routes *)
-  bump_generation t
+  invalidate_routes t
 
-let link_degraded t a b = Hashtbl.find_opt t.link_degrade (key a b)
+let link_degraded t a b = find_override t t.link_degrade a b
 
 let run ?until t = Engine.run ?until t.engine
 let schedule t ?daemon ~after f = Engine.schedule t.engine ?daemon ~after f

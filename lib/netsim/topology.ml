@@ -1,17 +1,37 @@
 type link = { latency : float; bandwidth : float }
 
+type index = {
+  nbr : int array array;
+  nbr_link : int array array;
+  params : link array;
+  lo : int array;
+  hi : int array;
+}
+
 type t = {
   mutable names : string list; (* reversed *)
   mutable count : int;
   mutable name_arr : string array option; (* cache, invalidated on add *)
   links : (int * int, link) Hashtbl.t; (* key has src < dst *)
   adj : (int, int list) Hashtbl.t;
+  mutable index : index option; (* set by [freeze]; no more sites or links after *)
 }
 
 let create () =
-  { names = []; count = 0; name_arr = None; links = Hashtbl.create 64; adj = Hashtbl.create 64 }
+  {
+    names = [];
+    count = 0;
+    name_arr = None;
+    links = Hashtbl.create 64;
+    adj = Hashtbl.create 64;
+    index = None;
+  }
+
+let check_open t what =
+  if Option.is_some t.index then invalid_arg (what ^ ": topology is frozen")
 
 let add_site t ~name =
+  check_open t "Topology.add_site";
   let id = t.count in
   t.names <- name :: t.names;
   t.count <- t.count + 1;
@@ -21,6 +41,7 @@ let add_site t ~name =
 let key a b = if a < b then (a, b) else (b, a)
 
 let add_link t a b ~latency ~bandwidth =
+  check_open t "Topology.add_link";
   if a = b then invalid_arg "Topology.add_link: self loop";
   if a < 0 || a >= t.count || b < 0 || b >= t.count then
     invalid_arg "Topology.add_link: unknown site";
@@ -55,6 +76,56 @@ let neighbors t id = Option.value ~default:[] (Hashtbl.find_opt t.adj id)
 let link t a b = Hashtbl.find_opt t.links (key a b)
 
 let iter_links t f = Hashtbl.iter (fun (a, b) l -> f a b l) t.links
+
+(* Links are numbered in site order, each from its lower end; a site's
+   neighbours keep their [neighbors] order, which route tie-breaking
+   depends on. *)
+let build_index t =
+  let n = t.count in
+  let nbr = Array.init n (fun a -> Array.of_list (neighbors t a)) in
+  let nbr_link = Array.map (fun vs -> Array.make (Array.length vs) (-1)) nbr in
+  let m = Hashtbl.length t.links in
+  let params = Array.make m { latency = 0.0; bandwidth = 0.0 } in
+  let lo = Array.make m 0 and hi = Array.make m 0 in
+  let next = ref 0 in
+  for a = 0 to n - 1 do
+    Array.iteri
+      (fun i b ->
+        if a < b then begin
+          let id = !next in
+          incr next;
+          params.(id) <- Hashtbl.find t.links (a, b);
+          lo.(id) <- a;
+          hi.(id) <- b;
+          nbr_link.(a).(i) <- id;
+          let back = nbr.(b) in
+          let j = ref 0 in
+          while back.(!j) <> a do
+            incr j
+          done;
+          nbr_link.(b).(!j) <- id
+        end)
+      nbr.(a)
+  done;
+  { nbr; nbr_link; params; lo; hi }
+
+let freeze t =
+  match t.index with
+  | Some ix -> ix
+  | None ->
+    let ix = build_index t in
+    t.index <- Some ix;
+    ix
+
+let link_id ix a b =
+  if a < 0 || a >= Array.length ix.nbr then -1
+  else begin
+    let vs = ix.nbr.(a) in
+    let rec find i =
+      if i = Array.length vs then -1 else if vs.(i) = b then ix.nbr_link.(a).(i) else find (i + 1)
+    in
+    find 0
+  end
 
 let default_latency = 0.005
 let default_bandwidth = 1_000_000.0

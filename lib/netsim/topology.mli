@@ -11,10 +11,12 @@ type link = { latency : float;  (** one-way, seconds *)
 val create : unit -> t
 
 val add_site : t -> name:string -> Site.id
-(** Sites are numbered densely from 0 in creation order. *)
+(** Sites are numbered densely from 0 in creation order.
+    @raise Invalid_argument once the topology is frozen. *)
 
 val add_link : t -> Site.id -> Site.id -> latency:float -> bandwidth:float -> unit
-(** Bidirectional.  Re-adding an existing link overwrites its parameters. *)
+(** Bidirectional.  Re-adding an existing link overwrites its parameters.
+    @raise Invalid_argument once the topology is frozen. *)
 
 val site_count : t -> int
 val site_name : t -> Site.id -> string
@@ -23,6 +25,27 @@ val neighbors : t -> Site.id -> Site.id list
 val link : t -> Site.id -> Site.id -> link option
 val iter_links : t -> (Site.id -> Site.id -> link -> unit) -> unit
 (** Each undirected link is visited once, with [src < dst]. *)
+
+(** {1 Frozen index}
+
+    {!Net.create} freezes its topology: sites and links are numbered
+    densely, so routing and per-link state index arrays instead of hashing
+    site pairs. *)
+
+type index = private {
+  nbr : Site.id array array;  (** per site: {!neighbors}, in that order *)
+  nbr_link : int array array; (** per site: the link id to each neighbour *)
+  params : link array;        (** per link id *)
+  lo : Site.id array;         (** per link id: the lower end *)
+  hi : Site.id array;         (** per link id: the higher end *)
+}
+
+val freeze : t -> index
+(** Builds the index on the first call and returns the same one after;
+    from then on {!add_site} and {!add_link} raise [Invalid_argument]. *)
+
+val link_id : index -> Site.id -> Site.id -> int
+(** The id of the link between two sites, or [-1] when there is none. *)
 
 (** {1 Generators}
 

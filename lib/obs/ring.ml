@@ -1,5 +1,7 @@
-(* [buf] stays empty until the first push: a disabled flight recorder
-   never pays for its capacity. *)
+(* [buf] starts empty and doubles from [min_slots] up to [cap] as elements
+   arrive, so a recorder that sees a few events never pays for its
+   capacity.  Until the ring first fills, the elements sit at [0, len);
+   after that it wraps and [start] advances with every eviction. *)
 type 'a t = {
   cap : int;
   mutable buf : 'a option array;
@@ -7,6 +9,8 @@ type 'a t = {
   mutable len : int;
   mutable evicted : int;
 }
+
+let min_slots = 64
 
 let create capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
@@ -16,9 +20,14 @@ let capacity t = t.cap
 let length t = t.len
 let evicted t = t.evicted
 
+let grow t =
+  let size = min t.cap (max min_slots (2 * Array.length t.buf)) in
+  let buf = Array.make size None in
+  Array.blit t.buf 0 buf 0 t.len;
+  t.buf <- buf
+
 let push t x =
   let cap = t.cap in
-  if Array.length t.buf = 0 then t.buf <- Array.make cap None;
   if t.len = cap then begin
     (* overwrite the oldest slot and advance the window *)
     t.buf.(t.start) <- Some x;
@@ -26,7 +35,8 @@ let push t x =
     t.evicted <- t.evicted + 1
   end
   else begin
-    t.buf.((t.start + t.len) mod cap) <- Some x;
+    if t.len = Array.length t.buf then grow t;
+    t.buf.(t.len) <- Some x;
     t.len <- t.len + 1
   end
 
@@ -44,7 +54,7 @@ let to_list t =
   List.rev !acc
 
 let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
+  t.buf <- [||];
   t.start <- 0;
   t.len <- 0;
   t.evicted <- 0

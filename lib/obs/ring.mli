@@ -6,8 +6,9 @@ type 'a t
 
 val create : int -> 'a t
 (** [create capacity] — raises [Invalid_argument] when [capacity <= 0].
-    The buffer is allocated by the first {!push}, so a ring nothing is ever
-    pushed to costs a few words, whatever its capacity. *)
+    The buffer grows with the pushes, doubling from 64 slots up to
+    [capacity], so a ring holds about as many slots as it has held
+    elements, whatever its capacity. *)
 
 val capacity : 'a t -> int
 val length : 'a t -> int
@@ -25,3 +26,4 @@ val iter : ('a -> unit) -> 'a t -> unit
 (** Oldest first. *)
 
 val clear : 'a t -> unit
+(** Empties the ring and releases its buffer. *)

@@ -76,6 +76,9 @@ and frame = {
 
 let err fmt = Printf.ksprintf (fun msg -> raise (Error_exc msg)) fmt
 
+(* a malformed list reaching a list command is a script error, as in Tcl *)
+let list_of s = match Value.to_list s with Ok l -> l | Error msg -> raise (Error_exc msg)
+
 let default_cache_entries = 512
 
 let create_caches ?(parse_entries = default_cache_entries)
@@ -499,13 +502,13 @@ let take_output t =
 type param = Required of string | Optional of string * string | Rest
 
 let parse_params spec =
-  let items = Value.to_list_exn spec in
+  let items = list_of spec in
   let n = List.length items in
   List.mapi
     (fun i item ->
       if item = "args" && i = n - 1 then Rest
       else
-        match Value.to_list_exn item with
+        match list_of item with
         | [ name ] -> Required name
         | [ name; default ] -> Optional (name, default)
         | _ -> err "bad parameter specifier %S" item)
@@ -590,9 +593,9 @@ let iterate t ~cmd node args each =
     match args with
     | [ body ] -> ([], ws, body)
     | vars :: items :: rest ->
-      let vars = Value.to_list_exn vars in
+      let vars = list_of vars in
       if vars = [] then err "%s: empty variable list" cmd;
-      let items = ref (Value.to_list_exn items) in
+      let items = ref (list_of items) in
       let rest, body_ws, body = groups (next_words (next_words ws)) rest in
       ((vars, items) :: rest, body_ws, body)
     | [] -> usage ()
@@ -907,7 +910,7 @@ let install_core t0 =
             set_elem t name k v;
             go rest
         in
-        go (Value.to_list_exn kvlist);
+        go (list_of kvlist);
         ""
       | [ "unset"; name ] ->
         (match resolved_arrays_opt t name with
@@ -931,7 +934,7 @@ let install_core t0 =
       in
       let subject, pairs =
         match rest with
-        | [ subject; block ] -> (subject, Value.to_list_exn block)
+        | [ subject; block ] -> (subject, list_of block)
         | subject :: (_ :: _ as inline) -> (subject, inline)
         | _ -> err "wrong # args: should be \"switch ?options? string pattern body ...\""
       in
@@ -1071,7 +1074,7 @@ let install_strings t0 =
           | [ _ ] -> err "string map: unbalanced mapping list"
           | k :: v :: rest -> (k, v) :: to_pairs rest
         in
-        let pairs = to_pairs (Value.to_list_exn mapping) in
+        let pairs = to_pairs (list_of mapping) in
         let buf = Buffer.create (String.length s) in
         let n = String.length s in
         let rec go i =
@@ -1115,14 +1118,14 @@ let install_strings t0 =
 
   reg "split" (fun _ _ args ->
       match args with
-      | [ s ] -> Value.of_list (Strutil.split s ~on:" \t\n")
+      | [ s ] -> Value.of_list (Strutil.split s ~on:" \t\n\r")
       | [ s; on ] -> Value.of_list (Strutil.split s ~on)
       | _ -> err "wrong # args: should be \"split string ?splitChars?\"");
 
   reg "join" (fun _ _ args ->
       match args with
-      | [ l ] -> String.concat " " (Value.to_list_exn l)
-      | [ l; sep ] -> String.concat sep (Value.to_list_exn l)
+      | [ l ] -> String.concat " " (list_of l)
+      | [ l; sep ] -> String.concat sep (list_of l)
       | _ -> err "wrong # args: should be \"join list ?joinString?\"");
 
   reg "regexp" (fun t _ args ->
@@ -1189,14 +1192,14 @@ let install_lists t0 =
 
   reg "llength" (fun _ _ args ->
       match args with
-      | [ l ] -> Value.of_int (List.length (Value.to_list_exn l))
+      | [ l ] -> Value.of_int (List.length (list_of l))
       | _ -> err "wrong # args: should be \"llength list\"");
 
   reg "lindex" (fun _ _ args ->
       match args with
       | [ l ] -> l
       | [ l; i ] ->
-        let items = Value.to_list_exn l in
+        let items = list_of l in
         let len = List.length items in
         let i = index_arg ~len i in
         if i < 0 || i >= len then "" else nth ~cmd:"lindex" items i
@@ -1206,7 +1209,7 @@ let install_lists t0 =
       match args with
       | name :: items ->
         let cur = Option.value ~default:"" (get_ref_opt t name) in
-        let l = Value.to_list_exn cur @ items in
+        let l = list_of cur @ items in
         let v = Value.of_list l in
         set_ref t name v;
         v
@@ -1215,7 +1218,7 @@ let install_lists t0 =
   reg "lrange" (fun _ _ args ->
       match args with
       | [ l; first; last ] ->
-        let items = Value.to_list_exn l in
+        let items = list_of l in
         let len = List.length items in
         let first = max 0 (index_arg ~len first) in
         let last = min (len - 1) (index_arg ~len last) in
@@ -1231,7 +1234,7 @@ let install_lists t0 =
         | _ -> err "wrong # args: should be \"lsort ?options? list\""
       in
       let opts, l = split_opts [] args in
-      let items = Value.to_list_exn l in
+      let items = list_of l in
       let numeric = List.mem "-integer" opts || List.mem "-real" opts in
       let cmp a b =
         if numeric then
@@ -1262,7 +1265,7 @@ let install_lists t0 =
         | [ l; p ] -> (true, l, p) (* Tcl defaults to glob matching *)
         | _ -> err "wrong # args: should be \"lsearch ?mode? list pattern\""
       in
-      let items = Value.to_list_exn l in
+      let items = list_of l in
       let matches x = if glob then Strutil.glob_match ~pattern:pat x else String.equal pat x in
       let rec go i = function
         | [] -> -1
@@ -1273,7 +1276,7 @@ let install_lists t0 =
   reg "linsert" (fun _ _ args ->
       match args with
       | l :: i :: (_ :: _ as items) ->
-        let cur = Value.to_list_exn l in
+        let cur = list_of l in
         let len = List.length cur in
         let i = max 0 (min len (index_arg ~len:(len + 1) i)) in
         let before = List.filteri (fun j _ -> j < i) cur in
@@ -1283,13 +1286,13 @@ let install_lists t0 =
 
   reg "lreverse" (fun _ _ args ->
       match args with
-      | [ l ] -> Value.of_list (List.rev (Value.to_list_exn l))
+      | [ l ] -> Value.of_list (List.rev (list_of l))
       | _ -> err "wrong # args: should be \"lreverse list\"");
 
   reg "lassign" (fun t _ args ->
       match args with
       | l :: (_ :: _ as names) ->
-        let items = Value.to_list_exn l in
+        let items = list_of l in
         let rec go names items =
           match names with
           | [] -> Value.of_list items
@@ -1306,7 +1309,7 @@ let install_lists t0 =
       | _ -> err "wrong # args: should be \"lassign list varName ?varName ...?\"");
 
   reg "concat" (fun _ _ args ->
-      Value.of_list (List.concat_map Value.to_list_exn args));
+      Value.of_list (List.concat_map list_of args));
 
   reg "lrepeat" (fun _ _ args ->
       match args with

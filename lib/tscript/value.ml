@@ -95,10 +95,22 @@ let unescape_span s i j =
   done;
   Buffer.contents b
 
+(* Tcl's complaint about what follows a closing brace or quote at [i]: up
+   to 20 characters of it, stopping at a space *)
+let junk_after what s i =
+  let j = ref i in
+  while !j < String.length s && (not (is_space s.[!j])) && !j < i + 20 do
+    incr j
+  done;
+  raise
+    (Bad
+       (Printf.sprintf "list element in %s followed by \"%s\" instead of space" what
+          (String.sub s i (!j - i))))
+
 (* One pass over [s]: find each element's span, then slice it.  A braced
    element is its contents verbatim; quoted and bare elements unescape
-   backslash pairs.  Unlike Tcl, a quoted element may be followed directly
-   by the next one. *)
+   backslash pairs.  As in Tcl, a closing brace or quote must end the
+   element, and the messages are Tcl's. *)
 let to_list_aux s =
   let n = String.length s in
   let out = ref [] in
@@ -122,8 +134,8 @@ let to_list_aux s =
           | _ -> ());
           incr i
         done;
-        if !depth > 0 then raise (Bad "unbalanced braces in list");
-        if !i < n && not (is_space s.[!i]) then raise (Bad "junk after closing brace");
+        if !depth > 0 then raise (Bad "unmatched open brace in list");
+        if !i < n && not (is_space s.[!i]) then junk_after "braces" s !i;
         out := String.sub s (start + 1) (!i - start - 2) :: !out
       | '"' ->
         i := start + 1;
@@ -134,9 +146,10 @@ let to_list_aux s =
           end
           else incr i
         done;
-        if !i >= n then raise (Bad "unbalanced quotes in list");
+        if !i >= n then raise (Bad "unmatched open quote in list");
         let stop = !i in
         incr i;
+        if !i < n && not (is_space s.[!i]) then junk_after "quotes" s !i;
         out :=
           (if !escaped then unescape_span s (start + 1) stop
            else String.sub s (start + 1) (stop - start - 1))

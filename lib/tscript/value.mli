@@ -28,7 +28,10 @@ val of_float : float -> string
 val of_list : string list -> string
 
 val to_list : string -> (string list, string) result
-(** Errors on unbalanced braces/quotes. *)
+(** Errors, with Tcl's messages, on an unmatched brace or quote and on a
+    closing brace or quote followed by anything but a space.  Interpreter
+    commands turn the error into a script error. *)
 
 val to_list_exn : string -> string list
-(** @raise Invalid_argument on malformed lists. *)
+(** For OCaml callers whose lists are well-formed by construction.
+    @raise Invalid_argument on malformed lists. *)

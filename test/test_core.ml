@@ -533,6 +533,114 @@ let test_horus_delayed_ack_no_double_delivery () =
   check Alcotest.int "no horus giveup" 0
     (Obs.Metrics.counter (Kernel.metrics k) "horus.giveups")
 
+(* --- the message path: a message carries a snapshot of its briefcase --- *)
+
+(* [probe] at site 1 records every briefcase it receives, then scribbles on
+   it, so a shared snapshot would show in a later delivery *)
+let recording_probe k =
+  let got = ref [] in
+  Kernel.register_native k ~site:1 "probe" (fun _ bc ->
+      got := Folder.to_list (Briefcase.folder bc "F") :: !got;
+      Folder.enqueue (Briefcase.folder bc "F") "scribble");
+  got
+
+let test_send_briefcase_snapshot () =
+  let net, k = mk_kernel ~topo:(Topology.line 2) () in
+  let got = recording_probe k in
+  let bc = Briefcase.create () in
+  Briefcase.set bc "F" "a";
+  Kernel.send_briefcase k ~src:0 ~dst:1 ~contact:"probe" bc;
+  Folder.enqueue (Briefcase.folder bc "F") "late";
+  Net.run net;
+  check Alcotest.(list (list string)) "sent state arrives" [ [ "a" ] ] !got;
+  check Alcotest.(list string) "receiver does not touch the sender's copy" [ "a"; "late" ]
+    (Folder.to_list (Briefcase.folder bc "F"))
+
+let test_rexec_snapshot () =
+  List.iter
+    (fun transport ->
+      let config = { Kernel.default_config with default_transport = transport } in
+      let net, k = mk_kernel ~config ~topo:(Topology.line 2) () in
+      let got = recording_probe k in
+      Kernel.register_native k ~site:0 "sender" (fun ctx bc ->
+          Kernel.meet ctx "rexec" bc;
+          (* rsh has not even transmitted yet: it waits out its spawn delay *)
+          Folder.enqueue (Briefcase.folder bc "F") "late");
+      let bc = Briefcase.create () in
+      Briefcase.set bc "F" "a";
+      Briefcase.set bc Briefcase.host_folder "line-1";
+      Briefcase.set bc Briefcase.contact_folder "probe";
+      Kernel.launch k ~site:0 ~contact:"sender" bc;
+      Net.run net;
+      check Alcotest.(list (list string)) (Kernel.transport_name transport) [ [ "a" ] ] !got)
+    [ Kernel.Rsh; Kernel.Tcp; Kernel.Horus ]
+
+let test_horus_redelivery_gets_own_copy () =
+  (* the migration lands at ~5 ms; its ack would land at ~11 ms, but site 0
+     is down then, so the ack is lost.  Site 1 restarts with an empty
+     duplicate table, and the retransmission at 1 s activates the agent a
+     second time, from the same payload *)
+  let config = { Kernel.default_config with default_transport = Kernel.Horus } in
+  let net, k = mk_kernel ~config ~topo:(Topology.line 2) () in
+  let got = recording_probe k in
+  Netsim.Chaos.crash_for net ~site:0 ~at:0.008 ~downtime:0.1;
+  Netsim.Chaos.crash_for net ~site:1 ~at:0.2 ~downtime:0.1;
+  let bc = Briefcase.create () in
+  Briefcase.set bc "F" "a";
+  Kernel.migrate k ~src:0 ~dst:1 ~contact:"probe" ~transport:Kernel.Horus bc;
+  Net.run net;
+  check Alcotest.int "one retransmission" 1
+    (Obs.Metrics.counter (Kernel.metrics k) "horus.retransmits");
+  check Alcotest.(list (list string)) "two deliveries, two clean copies" [ [ "a" ]; [ "a" ] ] !got
+
+(* Whatever the transport and whether the code cache is on, the briefcase
+   that arrives is the one the wire format would have carried, and the
+   network is charged the encoded size, as when messages carried bytes. *)
+let test_migration_carries_wire_image =
+  let gen =
+    QCheck2.Gen.(
+      tup4 bc_gen
+        (list_size (0 -- 2) (string_size ~gen:printable (0 -- 40)))
+        (oneofl [ Kernel.Rsh; Kernel.Tcp; Kernel.Horus ])
+        bool)
+  in
+  qtest ~count:150 "arriving briefcase and bytes match the wire image" gen
+    (fun (spec, code, transport, cached) ->
+      let spec =
+        List.filter
+          (fun (n, _) -> n <> Briefcase.code_folder && n <> Briefcase.code_ref_folder)
+          spec
+      in
+      let bc = bc_of_spec ((Briefcase.code_folder, code) :: spec) in
+      let cfg = Kernel.default_config in
+      let config = { cfg with cache = (if cached then Some Kernel.default_cache_config else None) } in
+      let net, k = mk_kernel ~config ~topo:(Topology.line 2) () in
+      let got = ref None in
+      Kernel.register_native k ~site:1 "probe" (fun _ b -> got := Some (Briefcase.copy b));
+      let expected = Briefcase.deserialize (Briefcase.serialize bc) in
+      Kernel.migrate k ~src:0 ~dst:1 ~contact:"probe" ~transport bc;
+      Net.run net;
+      (* the wire image: CODE travels as its digest when the cache is on *)
+      let wire = Briefcase.copy bc in
+      let fetch =
+        if cached && code <> [] then begin
+          let cc = Kernel.default_cache_config in
+          Briefcase.remove wire Briefcase.code_folder;
+          Briefcase.set wire Briefcase.code_ref_folder (Tacoma_core.Codecache.digest code);
+          cc.request_bytes + cc.reply_overhead_bytes + Tacoma_core.Codecache.wire_bytes code
+        end
+        else 0
+      in
+      let base = String.length (Briefcase.serialize wire) + cfg.migration_overhead in
+      let transport_bytes =
+        match transport with
+        | Kernel.Rsh -> cfg.rsh.extra_bytes
+        | Kernel.Tcp -> cfg.tcp.extra_bytes + cfg.tcp.handshake_bytes
+        | Kernel.Horus -> cfg.horus.extra_bytes + cfg.horus.ack_bytes
+      in
+      (match !got with Some b -> bc_equal b expected | None -> false)
+      && Netstats.bytes_sent (Net.stats net) = base + transport_bytes + fetch)
+
 let test_tcp_loses_migration_to_down_site () =
   let config = { Kernel.default_config with default_transport = Kernel.Tcp } in
   let net, k = mk_kernel ~config ~topo:(Topology.line 2) () in
@@ -1019,6 +1127,14 @@ let () =
           Alcotest.test_case "horus survives lossy links" `Quick test_horus_survives_lossy_network;
           Alcotest.test_case "horus delayed ack dedup" `Quick
             test_horus_delayed_ack_no_double_delivery;
+        ] );
+      ( "message-path",
+        [
+          Alcotest.test_case "send_briefcase snapshots" `Quick test_send_briefcase_snapshot;
+          Alcotest.test_case "rexec snapshots" `Quick test_rexec_snapshot;
+          Alcotest.test_case "horus redelivery gets its own copy" `Quick
+            test_horus_redelivery_gets_own_copy;
+          test_migration_carries_wire_image;
         ] );
       ( "horus-group-mode",
         [

@@ -359,6 +359,26 @@ let test_topo_site_names () =
   check Alcotest.string "name a" "alpha" (Topology.site_name t a);
   check Alcotest.string "name b" "beta" (Topology.site_name t b)
 
+let test_topo_frozen_by_net () =
+  let t = Topology.line 3 in
+  let net1 = Net.create t in
+  Alcotest.check_raises "add_link after Net.create"
+    (Invalid_argument "Topology.add_link: topology is frozen") (fun () ->
+      Topology.add_link t 0 2 ~latency:0.001 ~bandwidth:1e6);
+  Alcotest.check_raises "add_site after Net.create"
+    (Invalid_argument "Topology.add_site: topology is frozen") (fun () ->
+      ignore (Topology.add_site t ~name:"late"));
+  (* a second network over the same (already frozen) topology *)
+  let net2 = Net.create t in
+  List.iter
+    (fun net ->
+      check Alcotest.(option (list int)) "route" (Some [ 1; 2 ]) (Net.route net 0 2);
+      Net.send net ~src:0 ~dst:2 ~size:100 (Netsim.Message.Ping "x");
+      Net.run net;
+      check Alcotest.int "delivered" 1 (Netstats.messages_delivered (Net.stats net));
+      check Alcotest.int "charged on both links" 200 (Netstats.byte_hops (Net.stats net)))
+    [ net1; net2 ]
+
 (* --- delivery --- *)
 
 let mk_net ?seed topo = Net.create ?seed topo
@@ -842,6 +862,7 @@ let () =
           Alcotest.test_case "wan pair" `Quick test_topo_wan_pair;
           Alcotest.test_case "rejects self loops" `Quick test_topo_rejects_self_loop;
           Alcotest.test_case "site names" `Quick test_topo_site_names;
+          Alcotest.test_case "frozen by Net.create" `Quick test_topo_frozen_by_net;
         ] );
       ( "delivery",
         [

@@ -843,7 +843,8 @@ let test_step_limit_in_slot_body () =
 
 (* --- list scanner: the rewritten readers against the old ones --- *)
 
-(* [Value.to_list] before it sliced spans: one Buffer copy per character *)
+(* [Value.to_list] before it sliced spans: one Buffer copy per character,
+   with Tcl's rule and messages for what may follow a closing brace or quote *)
 let old_to_list s =
   let exception Bad of string in
   let n = String.length s in
@@ -851,6 +852,16 @@ let old_to_list s =
   let buf = Buffer.create 16 in
   let i = ref 0 in
   let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' in
+  let junk what i =
+    let j = ref i in
+    while !j < n && (not (is_space s.[!j])) && !j < i + 20 do
+      incr j
+    done;
+    raise
+      (Bad
+         (Printf.sprintf "list element in %s followed by \"%s\" instead of space" what
+            (String.sub s i (!j - i))))
+  in
   let unescape c = match c with 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r' | other -> other in
   try
     while !i < n do
@@ -875,8 +886,8 @@ let old_to_list s =
               incr i
             end
           done;
-          if !depth > 0 then raise (Bad "unbalanced braces in list");
-          if !i < n && not (is_space s.[!i]) then raise (Bad "junk after closing brace");
+          if !depth > 0 then raise (Bad "unmatched open brace in list");
+          if !i < n && not (is_space s.[!i]) then junk "braces" !i;
           out := Buffer.contents buf :: !out
         end
         else if s.[!i] = '"' then begin
@@ -897,7 +908,8 @@ let old_to_list s =
               incr i
             end
           done;
-          if not !closed then raise (Bad "unbalanced quotes in list");
+          if not !closed then raise (Bad "unmatched open quote in list");
+          if !i < n && not (is_space s.[!i]) then junk "quotes" !i;
           out := Buffer.contents buf :: !out
         end
         else begin
