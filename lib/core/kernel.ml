@@ -36,7 +36,6 @@ type cache_config = Codecache.config = {
 type config = {
   default_transport : transport;
   step_limit : int option;
-  prelude : string;
   migration_overhead : int;
   rsh : rsh_config;
   tcp : tcp_config;
@@ -59,7 +58,6 @@ let default_config =
   {
     default_transport = Tcp;
     step_limit = Some 2_000_000;
-    prelude = Prelude.standard;
     migration_overhead = 128;
     rsh = default_rsh_config;
     tcp = default_tcp_config;
@@ -346,10 +344,9 @@ and run_code ctx ~code bc =
     }
   in
   Bindings.install host bc it;
-  (if t.cfg.prelude <> "" then
-     match Tscript.Interp.eval it t.cfg.prelude with
-     | Ok _ -> ()
-     | Error msg -> raise (Agent_error (Printf.sprintf "prelude: %s" msg)));
+  (match Tscript.Interp.eval it Prelude.standard with
+  | Ok _ -> ()
+  | Error msg -> raise (Agent_error (Printf.sprintf "prelude: %s" msg)));
   let sim0 = now t in
   let wall0 = Sys.time () in
   (* the interpreter's shape counters feed per-agent histograms; recorded on
@@ -365,14 +362,12 @@ and run_code ctx ~code bc =
     Obs.Metrics.observe m ~labels "interp.proc_calls" (float_of_int p.Tscript.Interp.proc_calls);
     Obs.Metrics.observe m ~labels "interp.proc_depth" (float_of_int p.Tscript.Interp.max_depth);
     (* unlabeled cache-effectiveness counters over the shared compile
-       caches; [expr_misses] doubles as the compiled-expression count *)
+       caches; [expr_misses] is the compiled-expression count *)
     Obs.Metrics.incr m ~by:p.Tscript.Interp.parse_hits "tscript.parse_cache.hit";
     Obs.Metrics.incr m ~by:p.Tscript.Interp.parse_misses "tscript.parse_cache.miss";
     Obs.Metrics.incr m ~by:p.Tscript.Interp.parse_evictions "tscript.parse_cache.evict";
     Obs.Metrics.incr m ~by:p.Tscript.Interp.expr_hits "tscript.expr_cache.hit";
-    Obs.Metrics.incr m ~by:p.Tscript.Interp.expr_misses "tscript.expr_cache.miss";
-    Obs.Metrics.incr m ~by:p.Tscript.Interp.expr_evictions "tscript.expr_cache.evict";
-    Obs.Metrics.incr m ~by:p.Tscript.Interp.expr_misses "tscript.exprs_compiled"
+    Obs.Metrics.incr m ~by:p.Tscript.Interp.expr_misses "tscript.expr_cache.miss"
   in
   match Tscript.Interp.eval it code with
   | Ok _ -> observe_profile ()

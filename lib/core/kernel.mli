@@ -67,9 +67,6 @@ type cache_config = Codecache.config = {
 type config = {
   default_transport : transport;
   step_limit : int option;     (** per-activation interpreter budget *)
-  prelude : string;            (** TScript evaluated before every script
-                                   agent (default {!Prelude.standard};
-                                   [""] disables) *)
   migration_overhead : int;    (** framing bytes added to every migration *)
   rsh : rsh_config;
   tcp : tcp_config;

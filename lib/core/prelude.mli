@@ -1,6 +1,5 @@
-(** The standard agent library: TScript procs evaluated in every script
-    activation before the agent's own code (see
-    {!Kernel.config}[.prelude]).  They package the idioms the paper's
+(** The standard agent library: TScript procs the kernel evaluates in
+    every script activation before the agent's own code.  They package the idioms the paper's
     examples rely on:
 
     - [travel SITE ?CONTACT?] — re-ship this agent's source and jump;

@@ -12,13 +12,15 @@ type 'fn fragment =
 and 'fn word = Braced of 'fn braced | Frags of 'fn fragment list
 
 (* Compile slots: a braced word's text never changes, so its parse and its
-   compiled expression are pure functions of it and can live on the node.
-   Cached ASTs are shared between interpreters; that is safe because the
-   nested script's own inline caches validate per interpreter. *)
+   compiled expression are pure functions of it and can live on the node
+   (the expression's own command substitutions carry slots of the same
+   kind).  Cached ASTs are shared between interpreters; that is safe
+   because the nested script's own inline caches validate per
+   interpreter. *)
 and 'fn braced = {
   text : string;
   mutable script : 'fn script option;
-  mutable expr : Expr.ast option;
+  mutable expr : 'fn script Expr.ast option;
 }
 
 and 'fn command = {
@@ -36,27 +38,3 @@ and 'fn script = 'fn command list
 
 let braced text = Braced { text; script = None; expr = None }
 let command words = { words; c_id = -1; c_epoch = -1; c_fn = None }
-
-let rec pp_fragment fmt = function
-  | Lit s -> Format.fprintf fmt "Lit(%S)" s
-  | Var v -> Format.fprintf fmt "Var(%s)" v
-  | VarElem (v, idx) ->
-    Format.fprintf fmt "VarElem(%s, [%a])" v
-      (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f "; ") pp_fragment)
-      idx
-  | Cmd s -> Format.fprintf fmt "Cmd(%a)" pp_script s
-
-and pp_word fmt = function
-  | Braced b -> Format.fprintf fmt "Braced(%S)" b.text
-  | Frags fs ->
-    Format.fprintf fmt "Frags[%a]"
-      (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f "; ") pp_fragment)
-      fs
-
-and pp_command fmt cmd =
-  Format.fprintf fmt "(%a)"
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f " ") pp_word)
-    cmd.words
-
-and pp_script fmt script =
-  Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ";@ ") pp_command fmt script

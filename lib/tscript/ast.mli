@@ -27,12 +27,15 @@ and 'fn word =
     an expression argument ([if], [while], [proc], [expr {...}] ...) fill
     the slot on first use and reuse it afterwards, so a body is compiled
     once per shared AST rather than looked up by source text on every
-    evaluation.  The interpreter counts a slot reuse as a cache hit: a
-    "hit" means a compile avoided, whichever layer served it. *)
+    evaluation.  A compiled expression carries slots of its own, one per
+    [\[...\]] command substitution ({!Expr.cmd}).  The interpreter counts
+    a slot reuse as a cache hit: a "hit" means a compile avoided,
+    whichever layer served it.  Slots are mutable state on an AST shared
+    by the interpreters of one simulation. *)
 and 'fn braced = {
-  text : string;                      (** the verbatim contents *)
-  mutable script : 'fn script option; (** parsed as a script, once *)
-  mutable expr : Expr.ast option;     (** compiled as an expression, once *)
+  text : string;                             (** the verbatim contents *)
+  mutable script : 'fn script option;        (** parsed as a script, once *)
+  mutable expr : 'fn script Expr.ast option; (** compiled as an expression, once *)
 }
 
 and 'fn command = {
@@ -53,6 +56,3 @@ val braced : string -> 'fn word
 
 val command : 'fn word list -> 'fn command
 (** Build a command node with an empty cache slot. *)
-
-val pp_script : Format.formatter -> 'fn script -> unit
-(** Debug printer. *)

@@ -261,10 +261,10 @@ let compare_vals a b =
 
 (* Compilation separates the one-time work (lexing, parsing, constant
    recognition) from the per-evaluation work (variable/command lookup and
-   arithmetic).  The tree is immutable pure data, so a compiled expression
-   can be cached — per interpreter or shared across the interpreters of a
-   site — and re-evaluated with late-bound lookups, exactly like the
-   source string but without the lexer in the loop. *)
+   arithmetic).  Variable and command references stay late-bound; a
+   command substitution's parsed script is filled into its node on first
+   evaluation, so a cached expression pays neither the lexer nor the
+   script parser again. *)
 (* operators are resolved to opcodes at compile time: evaluation dispatches
    on an immediate tag instead of re-matching the operator string *)
 type binop =
@@ -304,19 +304,21 @@ let binop_of_string = function
   | "ni" -> NiList
   | op -> fail (Printf.sprintf "unknown operator %s" op)
 
-type ast =
+type 'script ast =
   | Const of num
   | Var of string (* "$name" or "name(raw index)"; resolved via lookup *)
-  | Cmd of string (* "[script]"; resolved via eval_cmd *)
-  | Not of ast
-  | Neg of ast
-  | Pos of ast
-  | BitNot of ast
-  | Bin of binop * ast * ast (* strict arithmetic/comparison operator *)
-  | And of ast * ast (* lazy: rhs untouched when lhs is false *)
-  | Or of ast * ast (* lazy: rhs untouched when lhs is true *)
-  | Ternary of ast * ast * ast (* lazy: only the chosen arm evaluates *)
-  | Call of string * ast list
+  | Cmd of 'script cmd (* "[script]"; resolved via eval_cmd *)
+  | Not of 'script ast
+  | Neg of 'script ast
+  | Pos of 'script ast
+  | BitNot of 'script ast
+  | Bin of binop * 'script ast * 'script ast (* strict arithmetic/comparison operator *)
+  | And of 'script ast * 'script ast (* lazy: rhs untouched when lhs is false *)
+  | Or of 'script ast * 'script ast (* lazy: rhs untouched when lhs is true *)
+  | Ternary of 'script ast * 'script ast * 'script ast (* lazy: only the chosen arm evaluates *)
+  | Call of string * 'script ast list
+
+and 'script cmd = { text : string; mutable script : 'script option }
 
 (* --- parser (source -> ast) -------------------------------------------- *)
 
@@ -333,9 +335,9 @@ let rec parse_primary ctx =
   | Tvar name ->
     advance ctx.lx;
     Var name
-  | Tcmd script ->
+  | Tcmd text ->
     advance ctx.lx;
-    Cmd script
+    Cmd { text; script = None }
   | Tlparen ->
     advance ctx.lx;
     let v = parse_ternary ctx in
@@ -600,7 +602,7 @@ let rec eval_node ~lookup ~eval_cmd node =
   match node with
   | Const v -> v
   | Var name -> Str (lookup name)
-  | Cmd script -> Str (eval_cmd script)
+  | Cmd c -> Str (eval_cmd c)
   | Not a -> Int (if truthy_num (eval_node ~lookup ~eval_cmd a) then 0 else 1)
   | Neg a -> (
     match as_num (eval_node ~lookup ~eval_cmd a) with
@@ -628,7 +630,3 @@ let rec eval_node ~lookup ~eval_cmd node =
 
 let eval_ast ~lookup ~eval_cmd ast = num_to_string (eval_node ~lookup ~eval_cmd ast)
 let eval_ast_bool ~lookup ~eval_cmd ast = truthy_num (eval_node ~lookup ~eval_cmd ast)
-
-(* one-shot conveniences: compile + evaluate, no cache *)
-let eval ~lookup ~eval_cmd src = eval_ast ~lookup ~eval_cmd (compile src)
-let eval_bool ~lookup ~eval_cmd src = eval_ast_bool ~lookup ~eval_cmd (compile src)

@@ -17,19 +17,19 @@ type command_fn = { run : t -> node -> string list -> string } [@@unboxed]
 and node = command_fn Ast.command
 and script = command_fn Ast.script
 
-(* Compiled-code caches: parsed scripts and compiled expressions, keyed by
-   source string, LRU-bounded.  Parsed ASTs carry per-node inline caches
-   but those validate against the evaluating interpreter, so a cache may be
-   private to one interpreter (the default) or shared by every interpreter
-   a site creates — the kernel shares one per simulation, which is what
-   lets the second activation of an agent skip the parser entirely. *)
+(* The parse cache: parsed scripts keyed by source string, LRU-bounded.
+   Parsed ASTs carry per-node inline caches and compile slots, but the
+   inline caches validate against the evaluating interpreter, so a cache
+   may be private to one interpreter (the default) or shared by every
+   interpreter a site creates — the kernel shares one per simulation,
+   which is what lets the second activation of an agent skip the parser
+   entirely. *)
 and caches = {
   parsed : (string, script) Lru.t;
-  exprs : (string, Expr.ast) Lru.t;
   mutable next_uid : int;
-      (* uid fountain for the interpreters sharing this cache pair; lives
-         here (not in a global) so concurrent simulations — each with its
-         own caches — stay deterministic and race-free *)
+      (* uid fountain for the interpreters sharing this cache; lives here
+         (not in a global) so concurrent simulations — each with its own
+         caches — stay deterministic and race-free *)
 }
 
 and t = {
@@ -53,12 +53,11 @@ and t = {
   mutable prof_parse_evictions : int;
   mutable prof_expr_hits : int;
   mutable prof_expr_misses : int;
-  mutable prof_expr_evictions : int;
   caches : caches;
   (* the two expr callbacks close only over [t]; allocated once here
      instead of once per expression evaluation *)
   mutable expr_lookup_fn : string -> string;
-  mutable expr_eval_cmd_fn : string -> string;
+  mutable expr_eval_cmd_fn : script Expr.cmd -> string;
   out_buf : Buffer.t;
   mutable output : string -> unit;
 }
@@ -79,15 +78,8 @@ let err fmt = Printf.ksprintf (fun msg -> raise (Error_exc msg)) fmt
 (* a malformed list reaching a list command is a script error, as in Tcl *)
 let list_of s = match Value.to_list s with Ok l -> l | Error msg -> raise (Error_exc msg)
 
-let default_cache_entries = 512
-
-let create_caches ?(parse_entries = default_cache_entries)
-    ?(expr_entries = default_cache_entries) () =
-  {
-    parsed = Lru.create ~budget:parse_entries ();
-    exprs = Lru.create ~budget:expr_entries ();
-    next_uid = 0;
-  }
+let cache_entries = 512
+let create_caches () = { parsed = Lru.create ~budget:cache_entries (); next_uid = 0 }
 
 (* ---- variables -------------------------------------------------------- *)
 
@@ -306,28 +298,21 @@ let parse t src =
       t.prof_parse_evictions <- t.prof_parse_evictions + (Lru.evictions t.caches.parsed - e0);
       ast)
 
-(* failed compiles are not cached: the error must re-raise on every
-   evaluation, and error paths are never hot *)
+(* Expressions have no source-keyed cache: a literal one lives in its
+   word's slot, and one built at run time is compiled on every evaluation.
+   A failed compile is never stored, so the error re-raises each time. *)
 let compile_expr t src =
-  match Lru.find_opt t.caches.exprs src with
-  | Some ast ->
-    t.prof_expr_hits <- t.prof_expr_hits + 1;
-    ast
-  | None ->
-    t.prof_expr_misses <- t.prof_expr_misses + 1;
-    let ast = try Expr.compile src with Expr.Error msg -> err "expr: %s" msg in
-    let e0 = Lru.evictions t.caches.exprs in
-    ignore (Lru.add t.caches.exprs src ast);
-    t.prof_expr_evictions <- t.prof_expr_evictions + (Lru.evictions t.caches.exprs - e0);
-    ast
+  t.prof_expr_misses <- t.prof_expr_misses + 1;
+  try Expr.compile src with Expr.Error msg -> err "expr: %s" msg
 
 (* Script and expression arguments of builtins.  [ws] is the argument's
    word followed by the words after it, as a builtin walks its node ([[]]
    when it has none).  A literal braced word serves its compile slot,
-   filled from the LRU on first use; any other text (a body built at run
-   time) goes to the LRU every time.  A slot reuse counts as a hit, so the
-   counters read the same as if every evaluation had asked the LRU.  The
-   physical-equality test makes a word that is not the argument harmless. *)
+   filled on first use (a script from the LRU); any other text (a body
+   built at run time) goes to the LRU or the expression compiler every
+   time.  A slot reuse counts as a hit, so the parse counters read the
+   same as if every evaluation had asked the LRU.  The physical-equality
+   test makes a word that is not the argument harmless. *)
 let script_of t ws src =
   match ws with
   | Ast.Braced ({ text; _ } as b) :: _ when text == src -> (
@@ -430,6 +415,19 @@ and eval_ast t script =
     eval_ast t rest
 
 and eval_string t src = eval_ast t (parse t src)
+
+(* a command substitution inside an expression: its slot, like a braced
+   word's, is filled from the LRU on first evaluation (so a syntax error
+   still surfaces then) and counts as a parse hit afterwards *)
+and expr_cmd t (c : script Expr.cmd) =
+  match c.script with
+  | Some ast ->
+    t.prof_parse_hits <- t.prof_parse_hits + 1;
+    eval_ast t ast
+  | None ->
+    let ast = parse t c.text in
+    c.script <- Some ast;
+    eval_ast t ast
 
 (* expr needs variable and command substitution from the current scope.
    Expressions are charged one step each: loop conditions must consume
@@ -638,6 +636,25 @@ let index_arg ~len s =
   else if String.length s > 4 && String.sub s 0 4 = "end-" then
     len - 1 - int_arg "index" (String.sub s 4 (String.length s - 4))
   else int_arg "index" s
+
+(* Tcl's concat joins its arguments as text, nothing re-quoted: each is
+   trimmed of surrounding white space (keeping one a trailing backslash
+   escapes) and the non-empty ones are joined by single spaces *)
+let concat args =
+  let is_space c = String.contains " \t\n\r\x0b\x0c" c in
+  let trim s =
+    let n = String.length s and i = ref 0 in
+    while !i < n && is_space s.[!i] do
+      incr i
+    done;
+    let j = ref n in
+    while !j > !i && is_space s.[!j - 1] do
+      decr j
+    done;
+    if !j < n && !j > !i && s.[!j - 1] = '\\' then incr j;
+    String.sub s !i (!j - !i)
+  in
+  String.concat " " (List.filter (fun s -> s <> "") (List.map trim args))
 
 (* [if cond ?then? body ?elseif cond ?then? body ...? ?else? ?body?];
    [ws] walks the argument words alongside [args] *)
@@ -1308,8 +1325,7 @@ let install_lists t0 =
         go names items
       | _ -> err "wrong # args: should be \"lassign list varName ?varName ...?\"");
 
-  reg "concat" (fun _ _ args ->
-      Value.of_list (List.concat_map list_of args));
+  reg "concat" (fun _ _ args -> concat args);
 
   reg "lrepeat" (fun _ _ args ->
       match args with
@@ -1350,16 +1366,15 @@ let create ?step_limit ?(max_depth = 256) ?caches () =
       prof_parse_evictions = 0;
       prof_expr_hits = 0;
       prof_expr_misses = 0;
-      prof_expr_evictions = 0;
       caches;
       expr_lookup_fn = Fun.id;
-      expr_eval_cmd_fn = Fun.id;
+      expr_eval_cmd_fn = (fun _ -> "");
       out_buf = Buffer.create 256;
       output = ignore;
     }
   in
   t.expr_lookup_fn <- (fun name -> expr_lookup t name);
-  t.expr_eval_cmd_fn <- (fun s -> eval_string t s);
+  t.expr_eval_cmd_fn <- (fun c -> expr_cmd t c);
   t.output <- (fun s -> Buffer.add_string t.out_buf s);
   install_core t;
   install_strings t;
@@ -1380,7 +1395,6 @@ type profile = {
   expr_hits : int;
   expr_misses : int;
       (** also the number of expressions this interpreter compiled *)
-  expr_evictions : int;
 }
 
 let profile t =
@@ -1393,5 +1407,4 @@ let profile t =
     parse_evictions = t.prof_parse_evictions;
     expr_hits = t.prof_expr_hits;
     expr_misses = t.prof_expr_misses;
-    expr_evictions = t.prof_expr_evictions;
   }

@@ -29,35 +29,39 @@ exception Resource_exhausted
 
 (** {1 Compile caches}
 
-    Parsing (script text → AST) and expression compilation (expr source →
-    {!Expr.ast}) are memoised in bounded LRU caches.  A [caches] value can
-    be shared between interpreter instances: the kernel creates one per
-    simulation and threads it through every per-activation interpreter, so
-    an agent's code is parsed once per simulation, not once per activation.
+    Each literal braced word of a parsed script keeps its own parse and
+    compiled expression ({!Ast.braced}), and each [\[...\]] inside a
+    compiled expression keeps its parsed script ({!Expr.cmd}).  The
+    builtins that take a script or expression argument — [if]/[elseif]/
+    [else], [while], [for], [foreach], [lmap], [catch], single-argument
+    [expr] and the body of a [proc] — use that slot when the argument is
+    such a word.  Behind the slots is one bounded LRU of parsed scripts
+    keyed by source text.  It serves the top-level script (an agent's
+    CODE, the prelude), script text built at run time ([if $c $b],
+    [eval], [uplevel]) and each slot's first fill.  Expression text built
+    at run time ([if $c ...], multi-argument [expr]) is compiled anew.
 
-    In front of the LRUs, each literal braced word of a parsed script keeps
-    its own parse and compiled expression ({!Ast.braced}).  The builtins
-    that take a script or expression argument — [if]/[elseif]/[else],
-    [while], [for], [foreach], [lmap], [catch], single-argument [expr] and
-    the body of a [proc] — use that slot when the argument is such a word.
-    Text built at run time ([if $c $b], [eval], [uplevel], multi-argument
-    [expr]) and the top-level script go through the LRUs.
+    A [caches] value can be shared between interpreter instances: the
+    kernel creates one per simulation and threads it through every
+    per-activation interpreter, so an agent's code is parsed once per
+    simulation, not once per activation.
 
     A cache {e hit} in {!profile} means a compile avoided, whichever layer
     served it: a slot reuse counts as a hit exactly where an LRU lookup
-    would have been made, so the counters do not depend on the slots.
+    would have been made, so the parse counters do not depend on the slots.
 
-    Sharing is only safe {e within} one simulation.  A [caches] value is
-    mutable (LRU state, inline command caches, the interpreter-uid
-    fountain), so it must never be shared across simulations running
-    concurrently on a {!Tacoma_util.Pool} — each pool task creates its own
-    kernel and therefore its own cache pair. *)
+    Sharing is only safe {e within} one simulation.  A [caches] value and
+    the ASTs it holds are mutable (LRU state, inline command caches,
+    compile slots, the interpreter-uid fountain), so they must never be
+    shared across simulations running concurrently on a
+    {!Tacoma_util.Pool} — each pool task creates its own kernel and
+    therefore its own caches. *)
 
 type caches
 
-val create_caches : ?parse_entries:int -> ?expr_entries:int -> unit -> caches
-(** Both bounds default to 512 entries; least-recently-used entries are
-    evicted one at a time when a bound is exceeded. *)
+val create_caches : unit -> caches
+(** A parse cache of 512 entries; least-recently-used entries are evicted
+    one at a time when the bound is exceeded. *)
 
 val create : ?step_limit:int -> ?max_depth:int -> ?caches:caches -> unit -> t
 (** [step_limit] defaults to unlimited; [max_depth] (proc-call nesting)
@@ -126,11 +130,8 @@ type profile = {
   parse_hits : int; (** script parses avoided (LRU or slot) by this interpreter *)
   parse_misses : int;      (** scripts parsed (cache misses) *)
   parse_evictions : int;   (** parse-cache evictions this interpreter caused *)
-  expr_hits : int;         (** expression compilations avoided (LRU or slot) *)
-  expr_misses : int;
-      (** expression compilations — i.e. the number of distinct-at-the-time
-          expressions this interpreter had to compile *)
-  expr_evictions : int;    (** expr-cache evictions this interpreter caused *)
+  expr_hits : int;         (** expression compilations avoided (slot reuses) *)
+  expr_misses : int;       (** expressions this interpreter compiled *)
 }
 
 val profile : t -> profile

@@ -182,8 +182,3 @@ let split s ~on =
     done;
     String.sub s 0 !stop :: !out
   end
-
-let common_prefix a b =
-  let n = min (String.length a) (String.length b) in
-  let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
-  go 0

@@ -13,4 +13,3 @@ val split : string -> on:string -> string list
     characters.  Adjacent separators produce empty fields and the empty
     string splits into the empty list (Tcl semantics). *)
 
-val common_prefix : string -> string -> int

@@ -25,52 +25,78 @@ let of_float f =
     let s = Printf.sprintf "%.12g" f in
     s
 
-(* An element needs quoting if it is empty or contains list metacharacters. *)
-let needs_quoting s =
-  s = ""
-  || String.exists
-       (fun c ->
-         match c with
-         | ' ' | '\t' | '\n' | '\r' | ';' | '"' | '\\' | '{' | '}' | '[' | ']' | '$' -> true
-         | _ -> false)
-       s
+(* How Tcl 8.6 writes a list element (TclScanElement, TclConvertElement):
+   as it is, in braces, or with backslash escapes.  [Mask] escapes all but
+   braces; Tcl picks it when a closing bracket or an inner double quote is
+   the only reason to quote. *)
+type conversion = Plain | Brace | Escape | Mask
 
-let braces_balanced s =
-  let depth = ref 0 in
-  let ok = ref true in
-  String.iter
-    (fun c ->
-      if c = '{' then incr depth
-      else if c = '}' then begin
-        decr depth;
-        if !depth < 0 then ok := false
-      end)
-    s;
-  !ok && !depth = 0
+let scan s =
+  let n = String.length s in
+  (* a leading brace or quote would be read as list syntax *)
+  let quote = ref (n = 0 || s.[0] = '{' || s.[0] = '"') in
+  let brace = ref !quote and mask = ref false and must_escape = ref false in
+  let depth = ref 0 and i = ref 0 in
+  while !i < n do
+    (match s.[!i] with
+    | '{' -> incr depth
+    | '}' ->
+      decr depth;
+      if !depth < 0 then must_escape := true
+    | ']' | '"' ->
+      quote := true;
+      mask := true
+    | '[' | '$' | ';' | ' ' | '\t' | '\n' | '\r' | '\x0b' | '\x0c' ->
+      quote := true;
+      brace := true
+    (* braces cannot hold a trailing backslash or a backslash-newline; an
+       escaped brace or backslash does not nest *)
+    | '\\' when !i = n - 1 || s.[!i + 1] = '\n' -> must_escape := true
+    | '\\' ->
+      (match s.[!i + 1] with '{' | '}' | '\\' -> incr i | _ -> ());
+      quote := true;
+      brace := true
+    | _ -> ());
+    incr i
+  done;
+  if !must_escape || !depth <> 0 then Escape
+  else if not !quote then Plain
+  else if !mask && not !brace then Mask
+  else Brace
 
-let backslash_escape s =
+(* Tcl writes a vertical tab or form feed as [\v] or [\f], which the reader
+   below does not decode; a backslash and the raw character reads back in
+   both. *)
+let escape ~braces s =
   let b = Buffer.create (String.length s + 8) in
   String.iter
     (fun c ->
       match c with
-      | ' ' | ';' | '"' | '\\' | '{' | '}' | '[' | ']' | '$' ->
-        Buffer.add_char b '\\';
-        Buffer.add_char b c
       | '\n' -> Buffer.add_string b "\\n"
       | '\t' -> Buffer.add_string b "\\t"
       | '\r' -> Buffer.add_string b "\\r"
-      | _ -> Buffer.add_char b c)
+      | ('{' | '}') when not braces -> Buffer.add_char b c
+      | '{' | '}' | ']' | '[' | '$' | ';' | ' ' | '\\' | '"' | '\x0b' | '\x0c' ->
+        Buffer.add_char b '\\';
+        Buffer.add_char b c
+      | c -> Buffer.add_char b c)
     s;
   Buffer.contents b
 
-let quote_element s =
-  if not (needs_quoting s) then s
-    (* backslashes inside braces would be re-interpreted as escape pairs on
-       reparse, so only brace-quote backslash-free strings *)
-  else if braces_balanced s && not (String.contains s '\\') then "{" ^ s ^ "}"
-  else backslash_escape s
+(* a list's first element must not read as a comment either *)
+let quote_element ~first s =
+  match (scan s, first && String.starts_with ~prefix:"#" s) with
+  | Escape, true -> "\\" ^ escape ~braces:true s
+  | (Plain | Mask), true | Brace, _ -> "{" ^ s ^ "}"
+  | Plain, false -> s
+  | Escape, false -> escape ~braces:true s
+  | Mask, false -> escape ~braces:false s
 
-let of_list elems = String.concat " " (List.map quote_element elems)
+let of_list = function
+  | [] -> ""
+  | first :: rest ->
+    let rest = List.map (quote_element ~first:false) rest in
+    String.concat " " (quote_element ~first:true first :: rest)
 
 exception Bad of string
 

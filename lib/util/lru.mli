@@ -4,8 +4,8 @@
     [weight v] (default 1, making [budget] a plain entry-count bound).
     Inserting past the budget evicts least-recently-used entries one at a
     time — never a wholesale dump — so a hot working set survives a single
-    cold insert.  Used for the interpreter's parse and compiled-expression
-    caches and for the per-site code cache's byte-budgeted store. *)
+    cold insert.  Used for the interpreter's parse cache and for the
+    per-site code cache's byte-budgeted store. *)
 
 type ('k, 'v) t
 

@@ -884,14 +884,6 @@ let test_prelude_send_folder () =
   check Alcotest.(list string) "cargo filed remotely" [ "one"; "two"; "three" ]
     (Cabinet.elements (Kernel.cabinet k 2) "CARGO")
 
-let test_prelude_disabled () =
-  let config = { Kernel.default_config with prelude = "" } in
-  let net, k = mk_kernel ~config () in
-  Kernel.install_script k "needs-prelude" ~code:"travel line-1";
-  Kernel.launch k ~site:0 ~contact:"needs-prelude" (Briefcase.create ());
-  Net.run ~until:5.0 net;
-  check Alcotest.int "travel unknown without prelude" 1 (Kernel.deaths k)
-
 (* --- itinerary --- *)
 
 module Itinerary = Tacoma_core.Itinerary
@@ -1160,7 +1152,6 @@ let () =
           Alcotest.test_case "travel" `Quick test_prelude_travel;
           Alcotest.test_case "visited + durable notes" `Quick test_prelude_visited_and_notes;
           Alcotest.test_case "send_folder" `Quick test_prelude_send_folder;
-          Alcotest.test_case "disabled" `Quick test_prelude_disabled;
         ] );
       ( "itinerary",
         [

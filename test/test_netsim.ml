@@ -831,6 +831,55 @@ let test_route_is_shortest =
           | None -> dist.(dst) < 0)
         (Topology.sites topo))
 
+(* --- accounting invariant: the registry holds what Netstats holds --- *)
+
+(* Random topologies, sends (some from a site to itself) and chaos plans
+   with crashes, partitions, loss bursts and degraded links, on a lossy
+   net: after the run the metrics registry's message and byte counters
+   equal Netstats'. *)
+let test_registry_matches_netstats =
+  let send = QCheck2.Gen.(quad nat nat (int_bound 4_000) (float_bound_inclusive 80.0)) in
+  qtest ~count:200 "registry counters equal Netstats"
+    QCheck2.Gen.(
+      quad (int_range 1 9) (int_bound 100_000) (float_bound_exclusive 0.3)
+        (list_size (0 -- 60) send))
+    (fun (n, seed, loss_rate, sends) ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let topo = Topology.random ~rng ~n ~p:0.3 () in
+      let net = Net.create ~seed:(Int64.of_int seed) ~loss_rate topo in
+      let profile =
+        {
+          Chaos.default_profile with
+          crash_rate = 0.01;
+          bisection_rate = 0.05;
+          flap_rate = 0.05;
+          loss_burst_rate = 0.05;
+          degrade_rate = 0.05;
+        }
+      in
+      Chaos.apply net (Chaos.mixed ~rng:(Rng.split rng) ~topo ~profile ~until:80.0 ());
+      List.iter
+        (fun (src, dst, size, at) ->
+          ignore
+            (Net.schedule net ~after:at (fun () ->
+                 Net.send net ~src:(src mod n) ~dst:(dst mod n) ~size (Message.Ping "x"))))
+        sends;
+      Net.run net;
+      let st = Net.stats net and m = Net.metrics net in
+      let pairs =
+        [
+          ("sent", Obs.Metrics.counter m "net.sent", Netstats.messages_sent st);
+          ("delivered", Obs.Metrics.counter m "net.delivered", Netstats.messages_delivered st);
+          ("dropped", Obs.Metrics.counter_total m "net.drops", Netstats.messages_dropped st);
+          ("byte-hops", Obs.Metrics.counter_total m "net.link.bytes", Netstats.byte_hops st);
+        ]
+      in
+      List.for_all
+        (fun (what, registry, netstats) ->
+          registry = netstats
+          || QCheck2.Test.fail_reportf "%s: registry %d, Netstats %d" what registry netstats)
+        pairs)
+
 let () =
   Alcotest.run "netsim"
     [
@@ -909,6 +958,7 @@ let () =
           Alcotest.test_case "apply is idempotent" `Quick test_fault_apply_idempotent;
           Alcotest.test_case "zero rate" `Quick test_zero_rate_plan_empty;
         ] );
+      ("stats", [ test_registry_matches_netstats ]);
       ( "trace",
         [
           Alcotest.test_case "records when enabled" `Quick test_trace_records;

@@ -483,9 +483,9 @@ let test_interp_cache_metrics () =
   Alcotest.(check bool) "parse cache hits recorded" true
     (Obs.Metrics.counter m "tscript.parse_cache.hit" > 0);
   Alcotest.(check bool) "expressions compiled" true
-    (Obs.Metrics.counter m "tscript.exprs_compiled" > 0);
+    (Obs.Metrics.counter m "tscript.expr_cache.miss" > 0);
   (* the cache bound is far above this workload: no evictions *)
-  Alcotest.(check int) "no evictions" 0 (Obs.Metrics.counter m "tscript.expr_cache.evict")
+  Alcotest.(check int) "no evictions" 0 (Obs.Metrics.counter m "tscript.parse_cache.evict")
 
 let () =
   Alcotest.run "obs"

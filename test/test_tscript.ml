@@ -234,7 +234,7 @@ let test_expr_malformed () =
 
 (* Short-circuit &&/||/?: must not evaluate the skipped arm's [cmd]
    operands — and must keep skipping when the same expression comes back
-   from the compiled-expression cache (second evaluation in the same
+   compiled from its word's slot (second evaluation in the same
    interpreter), since laziness lives in the AST, not the compiler. *)
 let test_expr_short_circuit_effects () =
   let it = Interp.create () in
@@ -311,17 +311,17 @@ let test_shared_caches_across_interpreters () =
   Alcotest.(check bool) "second interpreter hits the shared parse cache" true
     (second.Interp.parse_hits >= 1)
 
+(* the parse cache holds 512 scripts; the 513th distinct one evicts the
+   least recently used *)
 let test_cache_eviction_counted () =
-  let caches = Interp.create_caches ~parse_entries:4 ~expr_entries:2 () in
-  let it = Interp.create ~caches () in
-  for i = 1 to 8 do
+  let it = Interp.create () in
+  for i = 1 to 513 do
     match Interp.eval it (Printf.sprintf "expr {%d + %d}" i i) with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "eval: %s" e
   done;
   let p = Interp.profile it in
-  Alcotest.(check bool) "expr evictions observed" true (p.Interp.expr_evictions > 0);
-  Alcotest.(check bool) "parse evictions observed" true (p.Interp.parse_evictions > 0);
+  Alcotest.(check int) "parse evictions observed" 1 p.Interp.parse_evictions;
   (* evicted entries recompile cleanly *)
   match Interp.eval it "expr {1 + 1}" with
   | Ok v -> check Alcotest.string "recompiled after eviction" "2" v
@@ -698,14 +698,25 @@ let run_outcome it src =
       p.Interp.max_depth,
       p.Interp.parse_hits + p.Interp.parse_misses,
       p.Interp.expr_hits + p.Interp.expr_misses,
-      p.Interp.parse_evictions + p.Interp.expr_evictions ) )
+      p.Interp.parse_evictions ) )
 
 (* Scripts over the control builtins that use slots, with literal and
    run-time bodies, compile errors and a bounded budget. *)
 let gen_slot_script =
   let open QCheck2.Gen in
   let var = oneofl [ "a"; "b"; "c" ] in
-  let atom = oneof [ map string_of_int (int_range 0 4); map (fun v -> "$" ^ v) var ] in
+  (* the bracketed atoms put command substitutions inside expressions,
+     including one that is not a script: it must fail on every evaluation *)
+  let atom =
+    oneof
+      [
+        map string_of_int (int_range 0 4);
+        map (fun v -> "$" ^ v) var;
+        map (fun v -> "[incr " ^ v ^ "]") var;
+        map (fun v -> "[f $" ^ v ^ "]") var;
+        oneofl [ "[expr {$a + [incr c]}]"; "[string length \"x]" ];
+      ]
+  in
   let cond =
     oneof
       [
@@ -774,16 +785,72 @@ let test_slots_warm_equals_cold =
       let warm = run_outcome (fresh shared) src in
       cold = warm)
 
-let test_runtime_body_uses_lru () =
-  (* one LRU entry: inserting the run-time body evicts the script *)
-  let it = Interp.create ~caches:(Interp.create_caches ~parse_entries:1 ()) () in
-  check Alcotest.string "body ran" "2"
-    (match Interp.eval it "set n 0; set b {incr n}; if 1 $b; if 1 $b; set n" with
-    | Ok v -> v
-    | Error e -> Alcotest.failf "eval: %s" e);
+(* 512 distinct scripts, enough to push any earlier entry out of the
+   parse cache *)
+let flush_parse_cache it =
+  for i = 1 to 512 do
+    match Interp.eval it (Printf.sprintf "set v%d %d" i i) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "eval: %s" e
+  done
+
+let parse_counts it =
   let p = Interp.profile it in
-  Alcotest.(check (list int)) "parse hits, misses, evictions" [ 1; 2; 1 ]
-    [ p.Interp.parse_hits; p.Interp.parse_misses; p.Interp.parse_evictions ]
+  [ p.Interp.parse_hits; p.Interp.parse_misses ]
+
+let test_runtime_body_uses_lru () =
+  let it = Interp.create () in
+  let eval src =
+    match Interp.eval it src with Ok v -> v | Error e -> Alcotest.failf "eval %S: %s" src e
+  in
+  (* the second [if 1 $b] finds the body's text in the LRU *)
+  check Alcotest.string "body ran" "2"
+    (eval "set n 0; set b {incr n}; if 1 $b; if 1 $b; set n");
+  Alcotest.(check (list int)) "parse hits, misses" [ 1; 2 ] (parse_counts it);
+  (* once evicted, the text is parsed again: no slot kept it *)
+  flush_parse_cache it;
+  let before = parse_counts it in
+  check Alcotest.string "body ran again" "3" (eval "if 1 $b; set n");
+  Alcotest.(check (list int)) "script and body both missed"
+    (List.map2 ( + ) before [ 0; 2 ])
+    (parse_counts it)
+
+(* An expression's [\[f $x\]] is parsed once, into the command node's
+   slot: after the parse cache has evicted [f $x], calling the proc again
+   parses nothing, and the three script lookups (g's body, [f $x], f's
+   body) are all hits. *)
+let test_expr_cmd_slot () =
+  let it = Interp.create () in
+  let eval src =
+    match Interp.eval it src with Ok v -> v | Error e -> Alcotest.failf "eval %S: %s" src e
+  in
+  ignore (eval "proc f {x} {expr {$x * 2}}; proc g {x} {expr {[f $x] + 1}}");
+  check Alcotest.string "first call" "7" (eval "g 3");
+  flush_parse_cache it;
+  let before = parse_counts it in
+  check Alcotest.string "second call" "9" (Interp.call it "g" [ "4" ]);
+  Alcotest.(check (list int)) "slots serve every lookup"
+    (List.map2 ( + ) before [ 3; 0 ])
+    (parse_counts it)
+
+(* A command substitution that does not parse fails when it is evaluated,
+   every time, and not at all in an arm that is never taken. *)
+let test_expr_cmd_syntax_error () =
+  let it = Interp.create () in
+  let eval src = Interp.eval it src in
+  (match eval "proc h {} {expr {[string length \"x] + 1}}" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "defining h: %s" e);
+  for _ = 1 to 2 do
+    match eval "h" with
+    | Ok v -> Alcotest.failf "h returned %S" v
+    | Error e ->
+      Alcotest.(check bool) ("syntax error: " ^ e) true
+        (String.starts_with ~prefix:"syntax error" e)
+  done;
+  match eval "expr {0 && [string length \"x]}" with
+  | Ok v -> check Alcotest.string "untaken arm never parsed" "0" v
+  | Error e -> Alcotest.failf "untaken arm: %s" e
 
 let test_proc_redefines_slot_command () =
   let caches = Interp.create_caches () in
@@ -1068,6 +1135,9 @@ let () =
         [
           test_slots_warm_equals_cold;
           Alcotest.test_case "run-time body uses the LRU" `Quick test_runtime_body_uses_lru;
+          Alcotest.test_case "expr command parsed once" `Quick test_expr_cmd_slot;
+          Alcotest.test_case "expr command syntax error at evaluation" `Quick
+            test_expr_cmd_syntax_error;
           Alcotest.test_case "proc redefines a slot body's command" `Quick
             test_proc_redefines_slot_command;
           Alcotest.test_case "info body after slot fill" `Quick test_info_body_after_slot_fill;
