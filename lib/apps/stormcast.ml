@@ -219,9 +219,8 @@ let run_client_server net ~field ~sensor_sites ~centre ~on_done =
   let start_bytes = Netsim.Netstats.bytes_sent (Net.stats net) in
   List.iteri
     (fun station site ->
-      ignore
-        (Baseline.Rpc.serve net ~site ~service:"stormcast" (fun ~query:_ ->
-             Array.to_list (Array.map Weather.wire field.Weather.readings.(station)))))
+      Baseline.Rpc.serve net ~site ~service:"stormcast" (fun ~query:_ ->
+          Array.to_list (Array.map Weather.wire field.Weather.readings.(station))))
     sensor_sites;
   let collected = ref [] in
   let remaining = ref (List.length sensor_sites) in

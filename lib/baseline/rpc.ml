@@ -7,8 +7,6 @@ type Netsim.Message.payload +=
 let request_overhead = 96
 let response_overhead = 96
 
-type stats = { mutable requests : int; mutable response_bytes : int }
-
 (* All call state lives in the client handle — request ids and the pending
    table are per-client, never process-wide, so concurrent simulations in a
    pool sweep can't collide on rids or dispatch each other's callbacks. *)
@@ -22,17 +20,13 @@ type client = {
 let data_bytes rows = List.fold_left (fun acc r -> acc + String.length r) 0 rows
 
 let serve net ~site ~service handler =
-  let stats = { requests = 0; response_bytes = 0 } in
   Net.set_handler net site ~key:("rpc:" ^ service) (fun msg ->
       match msg.Netsim.Message.payload with
       | Request { rid; service = s; query; reply_to } when s = service ->
-        stats.requests <- stats.requests + 1;
         let rows = handler ~query in
         let size = response_overhead + data_bytes rows in
-        stats.response_bytes <- stats.response_bytes + size;
         Net.send net ~src:site ~dst:reply_to ~size (Response { rid; data = rows })
-      | Request _ | Response _ | _ -> ());
-  stats
+      | Request _ | Response _ | _ -> ())
 
 let client net ~src =
   let c = { net; src; next_rid = 0; pending = Hashtbl.create 16 } in

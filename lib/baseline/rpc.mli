@@ -8,14 +8,12 @@
     the network exactly like agent traffic, so the two architectures are
     directly comparable in E1/E8. *)
 
-type stats = { mutable requests : int; mutable response_bytes : int }
-
 val serve :
   Netsim.Net.t ->
   site:Netsim.Site.id ->
   service:string ->
   (query:string -> string list) ->
-  stats
+  unit
 (** Install a service handler.  Several services can share a site. *)
 
 type client

@@ -20,15 +20,11 @@ type t = {
   mutable peers : (Netsim.Site.id * string) list;
   rng : Tacoma_util.Rng.t;
   rr_counter : int ref;
-  mutable lookup_count : int;
-  mutable report_count : int;
   reports_metric : Obs.Metrics.counter_handle;
 }
 
 let site t = t.bsite
 let agent_name t = t.bname
-let lookups t = t.lookup_count
-let reports t = t.report_count
 
 let upsert t ~provider ~service ~host ~capacity ~load =
   let now = Kernel.now t.kernel in
@@ -68,7 +64,6 @@ let services t =
   |> List.sort_uniq compare
 
 let lookup t ~service ?(exclude = []) ?policy () =
-  t.lookup_count <- t.lookup_count + 1;
   let pol = Option.value ~default:t.default_policy policy in
   let cands =
     match exclude with
@@ -99,7 +94,6 @@ let forward_to_peers t bc =
 let handle t bc =
   match Option.value ~default:"lookup" (Briefcase.find_opt bc "OP") with
   | "register" | "report" -> (
-    t.report_count <- t.report_count + 1;
     Obs.Metrics.bump t.reports_metric 1;
     match
       ( Briefcase.find_opt bc "PROVIDER",
@@ -157,8 +151,6 @@ let install kernel ~site ~name ?(policy = Policy.Least_loaded) ?max_report_age (
       peers = [];
       rng = Tacoma_util.Rng.split (Kernel.rng kernel);
       rr_counter = ref 0;
-      lookup_count = 0;
-      report_count = 0;
       reports_metric = Obs.Metrics.counter_handle (Kernel.metrics kernel) "broker.reports";
     }
   in

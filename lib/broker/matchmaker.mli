@@ -60,5 +60,3 @@ val services : t -> string list
 
 val site : t -> Netsim.Site.id
 val agent_name : t -> string
-val lookups : t -> int
-val reports : t -> int

@@ -101,7 +101,9 @@ type t = {
          simulation, not once per activation *)
   pending_fetches : (int, pending_fetch) Hashtbl.t;
   mutable fetch_counter : int;
-  mutable cache_saved_bytes : int;
+  cache_saved : Obs.Metrics.counter_handle;
+      (* net wire bytes the code cache has avoided: bytes stripped from
+         migrations, minus everything the fallback fetch protocol cost *)
   agents : agent Stbl.t;
   meets : Obs.Metrics.counter_handle;
   name_to_site : (string, int) Hashtbl.t;
@@ -489,13 +491,6 @@ let rec horus_retry t st mid =
 let cache_enabled t = Array.length t.caches > 0
 let code_cache t site = if cache_enabled t then Some t.caches.(site) else None
 
-(* Net wire bytes the substitution has avoided so far: bytes stripped from
-   migrations, minus everything the fallback fetch protocol cost. *)
-let add_cache_saved t delta =
-  t.cache_saved_bytes <- t.cache_saved_bytes + delta;
-  Obs.Metrics.set_gauge (metrics t) "codecache.bytes_saved"
-    (float_of_int t.cache_saved_bytes)
-
 (* Wire contribution of one briefcase folder: encoded name + element list. *)
 let folder_wire_bytes name elems = Codec.encoded_size name + Codecache.wire_bytes elems
 
@@ -515,7 +510,7 @@ let wire_snapshot t ~src bc =
        if Codecache.insert t.caches.(src) ~digest:dg elems then begin
          Briefcase.remove snap Briefcase.code_folder;
          Briefcase.set snap Briefcase.code_ref_folder dg;
-         add_cache_saved t
+         Obs.Metrics.bump t.cache_saved
            (folder_wire_bytes Briefcase.code_folder elems
            - folder_wire_bytes Briefcase.code_ref_folder [ dg ])
        end
@@ -560,7 +555,7 @@ let begin_fetch t ~site ~src ~contact ~digest ~ccfg bc =
   Hashtbl.replace t.pending_fetches fid pf;
   Obs.Metrics.incr (metrics t) "codecache.fetches";
   let send_request () =
-    add_cache_saved t (-ccfg.request_bytes);
+    Obs.Metrics.bump t.cache_saved (-ccfg.request_bytes);
     transmit t ~src:site ~dst:src ~size:ccfg.request_bytes (Code_fetch { fid; digest })
   in
   send_request ();
@@ -707,7 +702,7 @@ let handle_message t site seen (msg : Netsim.Message.t) =
     (match code with
     | Some _ -> Obs.Metrics.incr (metrics t) "codecache.fetch_serves"
     | None -> ());
-    add_cache_saved t (-size);
+    Obs.Metrics.bump t.cache_saved (-size);
     transmit t ~src:site ~dst:msg.src ~size (Code_fetch_reply { fid; code })
   | Code_fetch_reply { fid; code } -> (
     match Hashtbl.find_opt t.pending_fetches fid with
@@ -876,7 +871,7 @@ let create ?(config = default_config) net =
       interp_caches = Tscript.Interp.create_caches ();
       pending_fetches = Hashtbl.create 32;
       fetch_counter = 1;
-      cache_saved_bytes = 0;
+      cache_saved = Obs.Metrics.counter_handle (Net.metrics net) "codecache.bytes_saved";
       agents = Stbl.create 64;
       meets = Obs.Metrics.counter_handle (Net.metrics net) "kernel.meets";
       name_to_site = Hashtbl.create n;
@@ -927,7 +922,7 @@ let create ?(config = default_config) net =
 
 (* ---- stats ------------------------------------------------------------------------ *)
 
-let cache_saved_bytes t = t.cache_saved_bytes
+let cache_saved_bytes t = Obs.Metrics.counter (metrics t) "codecache.bytes_saved"
 let migrations t = Obs.Metrics.counter_total (metrics t) "kernel.migrations"
 let activations t = Obs.Metrics.counter_total (metrics t) "kernel.activations"
 let deaths t = Obs.Metrics.counter_total (metrics t) "kernel.deaths"
@@ -936,27 +931,28 @@ let completions t = Obs.Metrics.counter_total (metrics t) "kernel.completions"
 type agent_activity = { a_activations : int; a_completions : int; a_deaths : int }
 
 let activity t =
-  let bump acc agent f =
+  let by_agent = Stbl.create 64 in
+  let bump agent f =
     let a =
-      Option.value (List.assoc_opt agent acc)
+      Option.value (Stbl.find_opt by_agent agent)
         ~default:{ a_activations = 0; a_completions = 0; a_deaths = 0 }
     in
-    (agent, f a) :: List.remove_assoc agent acc
+    Stbl.replace by_agent agent (f a)
   in
   Obs.Metrics.fold
-    (fun ~name ~labels v acc ->
+    (fun ~name ~labels v () ->
       match (v, List.assoc_opt "agent" labels) with
       | Obs.Metrics.Counter n, Some agent -> (
         match name with
         | "kernel.activations" ->
-          bump acc agent (fun a -> { a with a_activations = a.a_activations + n })
+          bump agent (fun a -> { a with a_activations = a.a_activations + n })
         | "kernel.completions" ->
-          bump acc agent (fun a -> { a with a_completions = a.a_completions + n })
-        | "kernel.deaths" -> bump acc agent (fun a -> { a with a_deaths = a.a_deaths + n })
-        | _ -> acc)
-      | _ -> acc)
-    (metrics t) []
-  |> List.sort compare
+          bump agent (fun a -> { a with a_completions = a.a_completions + n })
+        | "kernel.deaths" -> bump agent (fun a -> { a with a_deaths = a.a_deaths + n })
+        | _ -> ())
+      | _ -> ())
+    (metrics t) ();
+  Stbl.fold (fun agent a acc -> (agent, a) :: acc) by_agent [] |> List.sort compare
 
 let set_step_policy t p = t.step_policy <- p
 (* hooks are kept in registration order, the order they run in *)

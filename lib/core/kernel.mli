@@ -224,7 +224,7 @@ val code_cache : t -> Netsim.Site.id -> Codecache.t option
 val cache_saved_bytes : t -> int
 (** Net wire bytes avoided by digest substitution so far: bytes stripped
     from migrations minus the full cost of every fallback fetch exchange.
-    Mirrored in the ["codecache.bytes_saved"] gauge. *)
+    Read from the ["codecache.bytes_saved"] counter. *)
 
 (** {1 Introspection}
 

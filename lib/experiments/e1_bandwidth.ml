@@ -80,7 +80,7 @@ let run_client_server p ~selectivity =
   let net = Net.create topo in
   let client = 0 and data_site = p.hops in
   let rows = dataset p ~selectivity in
-  ignore (Baseline.Rpc.serve net ~site:data_site ~service:"scan" (fun ~query:_ -> rows));
+  Baseline.Rpc.serve net ~site:data_site ~service:"scan" (fun ~query:_ -> rows);
   let finished = ref None in
   let rpc = Baseline.Rpc.client net ~src:client in
   Baseline.Rpc.call rpc ~dst:data_site ~service:"scan" ~query:"HIT*"
@@ -122,7 +122,7 @@ let run_wan_agent p ~selectivity =
 let run_wan_cs p ~selectivity =
   let net = Net.create (wan_topo ()) in
   let rows = dataset p ~selectivity in
-  ignore (Baseline.Rpc.serve net ~site:wan_data ~service:"scan" (fun ~query:_ -> rows));
+  Baseline.Rpc.serve net ~site:wan_data ~service:"scan" (fun ~query:_ -> rows);
   let finished = ref None in
   let rpc = Baseline.Rpc.client net ~src:wan_client in
   Baseline.Rpc.call rpc ~dst:wan_data ~service:"scan" ~query:"HIT*"

@@ -25,10 +25,10 @@ type t = {
   rng : Rng.t;
   loss_rng : Rng.t;
   loss_rate : float;
-  stats : Netstats.t;
   recorder : Obs.Tracer.t;
   metrics : Obs.Metrics.t;
   sent : Obs.Metrics.counter_handle;
+  bytes_sent : Obs.Metrics.counter_handle;
   delivered : Obs.Metrics.counter_handle;
   msg_hops : Obs.Metrics.histogram_handle;
   delivery_latency : Obs.Metrics.histogram_handle;
@@ -63,10 +63,10 @@ let create ?(seed = 42L) ?(trace = false) ?(loss_rate = 0.0) topo =
     loss_rng = Rng.split rng;
     loss_rate;
     rng;
-    stats = Netstats.create ();
     recorder = Obs.Tracer.create ~enabled:trace ();
     metrics;
     sent = Obs.Metrics.counter_handle metrics "net.sent";
+    bytes_sent = Obs.Metrics.counter_handle metrics "net.bytes_sent";
     delivered = Obs.Metrics.counter_handle metrics "net.delivered";
     msg_hops = Obs.Metrics.histogram_handle metrics "net.msg_hops";
     delivery_latency = Obs.Metrics.histogram_handle metrics "net.delivery_latency_s";
@@ -88,7 +88,7 @@ let engine t = t.engine
 let topology t = t.topo
 let now t = Engine.now t.engine
 let rng t = t.rng
-let stats t = t.stats
+let stats t = Netstats.of_metrics t.metrics
 let recorder t = t.recorder
 let metrics t = t.metrics
 let sites t = Topology.sites t.topo
@@ -288,7 +288,6 @@ let deliver t (msg : Message.t) =
   let st = state t msg.dst in
   let tr = recorder t in
   if st.up then begin
-    Netstats.record_delivery t.stats;
     Obs.Metrics.bump t.delivered 1;
     Obs.Metrics.record t.delivery_latency (now t -. msg.sent_at);
     if Obs.Tracer.enabled tr then
@@ -303,7 +302,6 @@ let deliver t (msg : Message.t) =
     List.iter (fun (_, h) -> h msg) st.handlers
   end
   else begin
-    Netstats.record_drop t.stats;
     Obs.Metrics.incr t.metrics ~labels:[ ("reason", "site-down") ] "net.drops";
     if Obs.Tracer.enabled tr then
       Obs.Tracer.instant tr ~time:(now t) ~cat:"net" ~site:msg.dst
@@ -317,8 +315,8 @@ let send t ~src ~dst ~size payload =
   let tr = recorder t in
   if site_up t src then begin
     if src = dst then begin
-      Netstats.record_send t.stats ~bytes:size ~hops:0;
       Obs.Metrics.bump t.sent 1;
+      Obs.Metrics.bump t.bytes_sent size;
       let msg =
         { Message.src; dst; size; payload; sent_at = now t; hops = 0 }
       in
@@ -332,7 +330,6 @@ let send t ~src ~dst ~size payload =
             "partition"
           else "no-route"
         in
-        Netstats.record_drop t.stats;
         Obs.Metrics.incr t.metrics ~labels:[ ("reason", reason) ] "net.drops";
         if Obs.Tracer.enabled tr then
           Obs.Tracer.instant tr ~time:(now t) ~cat:"net" ~site:src
@@ -341,8 +338,8 @@ let send t ~src ~dst ~size payload =
             "net.drop"
       | Some lids ->
         let hops = List.length lids in
-        Netstats.record_send t.stats ~bytes:size ~hops;
         Obs.Metrics.bump t.sent 1;
+        Obs.Metrics.bump t.bytes_sent size;
         Obs.Metrics.record t.msg_hops (float_of_int hops);
         if Obs.Tracer.enabled tr then
           Obs.Tracer.instant tr ~time:(now t) ~cat:"net" ~site:src
@@ -359,7 +356,6 @@ let send t ~src ~dst ~size payload =
           (* lost in transit: the bytes were spent, nothing arrives *)
           ignore
             (Engine.schedule_at t.engine ~at:arrival (fun () ->
-                 Netstats.record_drop t.stats;
                  Obs.Metrics.incr t.metrics ~labels:[ ("reason", "loss") ] "net.drops";
                  if Obs.Tracer.enabled tr then
                    Obs.Tracer.instant tr ~time:(now t) ~cat:"net" ~site:src

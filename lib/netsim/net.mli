@@ -26,6 +26,7 @@ val rng : t -> Tacoma_util.Rng.t
     directly in long-lived components. *)
 
 val stats : t -> Netstats.t
+(** A snapshot of the network totals, read from {!metrics} now. *)
 
 (** The structured flight recorder: every layer (kernel, broker, guard,
     horus, chaos) records spans and instants here.  Enabled by [create

@@ -1,20 +1,14 @@
-type t = {
-  mutable sent : int;
-  mutable delivered : int;
-  mutable dropped : int;
-  mutable bytes : int;
-  mutable byte_hops : int;
-}
+type t = { sent : int; delivered : int; dropped : int; bytes : int; byte_hops : int }
 
-let create () = { sent = 0; delivered = 0; dropped = 0; bytes = 0; byte_hops = 0 }
-
-let record_send t ~bytes ~hops =
-  t.sent <- t.sent + 1;
-  t.bytes <- t.bytes + bytes;
-  t.byte_hops <- t.byte_hops + (bytes * hops)
-
-let record_delivery t = t.delivered <- t.delivered + 1
-let record_drop t = t.dropped <- t.dropped + 1
+let of_metrics m =
+  let module M = Obs.Metrics in
+  {
+    sent = M.counter m "net.sent";
+    delivered = M.counter m "net.delivered";
+    dropped = M.counter_total m "net.drops";
+    bytes = M.counter m "net.bytes_sent";
+    byte_hops = M.counter_total m "net.link.bytes";
+  }
 
 let messages_sent t = t.sent
 let messages_delivered t = t.delivered

@@ -18,8 +18,7 @@ let check = Alcotest.check
 
 let test_rpc_roundtrip () =
   let net = Net.create (Topology.line 3) in
-  ignore
-    (Rpc.serve net ~site:2 ~service:"echo" (fun ~query -> [ query; String.uppercase_ascii query ]));
+  Rpc.serve net ~site:2 ~service:"echo" (fun ~query -> [ query; String.uppercase_ascii query ]);
   let got = ref None in
   let c = Rpc.client net ~src:0 in
   Rpc.call c ~dst:2 ~service:"echo" ~query:"hej" ~on_reply:(fun rows ->
@@ -29,8 +28,8 @@ let test_rpc_roundtrip () =
 
 let test_rpc_two_services_one_site () =
   let net = Net.create (Topology.line 2) in
-  ignore (Rpc.serve net ~site:1 ~service:"a" (fun ~query:_ -> [ "from-a" ]));
-  ignore (Rpc.serve net ~site:1 ~service:"b" (fun ~query:_ -> [ "from-b" ]));
+  Rpc.serve net ~site:1 ~service:"a" (fun ~query:_ -> [ "from-a" ]);
+  Rpc.serve net ~site:1 ~service:"b" (fun ~query:_ -> [ "from-b" ]);
   let got = ref [] in
   let c = Rpc.client net ~src:0 in
   Rpc.call c ~dst:1 ~service:"a" ~query:"" ~on_reply:(fun r -> got := r @ !got);
@@ -40,17 +39,19 @@ let test_rpc_two_services_one_site () =
 
 let test_rpc_bytes_accounted () =
   let net = Net.create (Topology.line 2) in
-  let stats = Rpc.serve net ~site:1 ~service:"big" (fun ~query:_ -> [ String.make 5000 'x' ]) in
+  let served = ref 0 in
+  Rpc.serve net ~site:1 ~service:"big" (fun ~query:_ ->
+      incr served;
+      [ String.make 5000 'x' ]);
   Rpc.call (Rpc.client net ~src:0) ~dst:1 ~service:"big" ~query:"q" ~on_reply:(fun _ -> ());
   Net.run net;
-  check Alcotest.int "requests" 1 stats.Rpc.requests;
-  Alcotest.(check bool) "response bytes include data" true (stats.Rpc.response_bytes > 5000);
+  check Alcotest.int "requests" 1 !served;
   Alcotest.(check bool) "network saw the bytes" true
     (Netsim.Netstats.bytes_sent (Net.stats net) > 5000)
 
 let test_rpc_lost_on_down_server () =
   let net = Net.create (Topology.line 2) in
-  ignore (Rpc.serve net ~site:1 ~service:"s" (fun ~query:_ -> []));
+  Rpc.serve net ~site:1 ~service:"s" (fun ~query:_ -> []);
   Net.crash net 1;
   let got = ref false in
   Rpc.call (Rpc.client net ~src:0) ~dst:1 ~service:"s" ~query:"" ~on_reply:(fun _ -> got := true);

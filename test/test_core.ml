@@ -780,7 +780,39 @@ let test_per_agent_activity () =
   check Alcotest.int "fine completed twice" 2 (find "fine").Kernel.a_completions;
   check Alcotest.int "fine never died" 0 (find "fine").Kernel.a_deaths;
   check Alcotest.int "doomed died once" 1 (find "doomed").Kernel.a_deaths;
-  check Alcotest.int "doomed never completed" 0 (find "doomed").Kernel.a_completions
+  check Alcotest.int "doomed never completed" 0 (find "doomed").Kernel.a_completions;
+  (* many names, every fourth dying and every fifth run twice: each entry
+     agrees with the registry's own per-agent series, in name order *)
+  let names = List.init 400 (Printf.sprintf "agent-%03d") in
+  let runs i = if i mod 5 = 0 then 2 else 1 and dies i = i mod 4 = 0 in
+  List.iteri
+    (fun i name ->
+      Kernel.register_native k name (fun _ _ -> if dies i then raise (Kernel.Agent_error "boom"));
+      for _ = 1 to runs i do
+        Kernel.launch k ~site:(i mod 3) ~contact:name (Briefcase.create ())
+      done)
+    names;
+  Net.run net;
+  let act = Kernel.activity k in
+  check Alcotest.(list string) "one entry per name, sorted"
+    (List.sort compare ("doomed" :: "fine" :: names))
+    (List.map fst act);
+  let m = Net.metrics net in
+  List.iteri
+    (fun i name ->
+      let a = List.assoc name act and labels = [ ("agent", name) ] in
+      let runs = runs i in
+      let died = if dies i then runs else 0 in
+      check Alcotest.int "activations" runs a.Kernel.a_activations;
+      check Alcotest.int "activations = registry" a.Kernel.a_activations
+        (Obs.Metrics.counter m ~labels "kernel.activations");
+      check Alcotest.int "completions" (runs - died) a.Kernel.a_completions;
+      check Alcotest.int "completions = registry" a.Kernel.a_completions
+        (Obs.Metrics.counter m ~labels "kernel.completions");
+      check Alcotest.int "deaths" died a.Kernel.a_deaths;
+      check Alcotest.int "deaths = registry" a.Kernel.a_deaths
+        (Obs.Metrics.counter m ~labels:(("class", "agent-error") :: labels) "kernel.deaths"))
+    names
 
 (* --- determinism: the reproducibility guarantee the experiments rely on --- *)
 
