@@ -150,6 +150,39 @@ let bench_interp_string_growth =
          let it = Tscript.Interp.create () in
          ignore (Tscript.Interp.eval it code)))
 
+(* Value conversions: what agent-tour's record loop does with the values
+   [split], [lindex], [expr] and [incr] hand each other.  The records arrive
+   as one string, as [cabinet list DATA] returns them. *)
+let records =
+  String.concat " " (List.init 60 (fun r -> Printf.sprintf "r%d=%d" r (r * 7919 mod 100_000)))
+
+let bench_interp_split_lindex =
+  let code =
+    "set s 0; foreach rec $recs {set kv [split $rec =]; incr s [lindex $kv 1]}; set s"
+  in
+  Test.make ~name:"interp split+lindex loop (60 records)"
+    (Staged.stage (fun () ->
+         let it = Tscript.Interp.create () in
+         Tscript.Interp.set_var it "recs" records;
+         ignore (Tscript.Interp.eval it code)))
+
+let bench_interp_incr =
+  let code = "set n 0; set i 0; while {$i < 1000} {incr n 7919; incr i}; set n" in
+  Test.make ~name:"interp incr counter loop (1000 iterations)"
+    (Staged.stage (fun () ->
+         let it = Tscript.Interp.create () in
+         ignore (Tscript.Interp.eval it code)))
+
+let bench_interp_proc_int_arg =
+  let code =
+    "proc f {x} {expr {($x * 31 + 7) % 1009}}; set s 0; \
+     for {set i 0} {$i < 500} {incr i} {set s [f $i]}; set s"
+  in
+  Test.make ~name:"interp proc call with an int argument (500 calls)"
+    (Staged.stage (fun () ->
+         let it = Tscript.Interp.create () in
+         ignore (Tscript.Interp.eval it code)))
+
 (* language substrates added beyond the minimum: regex and arrays *)
 let bench_regex_search =
   let re = Tscript.Regex.compile_exn "(\\w+)@(\\w+)" in
@@ -326,6 +359,9 @@ let all_benches =
       bench_interp_while_expr;
       bench_interp_proc_fanout;
       bench_interp_string_growth;
+      bench_interp_split_lindex;
+      bench_interp_incr;
+      bench_interp_proc_int_arg;
       bench_folder_contains;
       bench_cabinet_contains;
       bench_mint_validate;

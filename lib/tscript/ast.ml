@@ -9,16 +9,16 @@ type 'fn fragment =
   | VarElem of string * 'fn fragment list
   | Cmd of 'fn script
 
-and 'fn word = Braced of 'fn braced | Frags of 'fn fragment list
+and 'fn word = Braced of 'fn braced | Literal of Value.t | Frags of 'fn fragment list
 
-(* Compile slots: a braced word's text never changes, so its parse and its
-   compiled expression are pure functions of it and can live on the node
-   (the expression's own command substitutions carry slots of the same
-   kind).  Cached ASTs are shared between interpreters; that is safe
-   because the nested script's own inline caches validate per
-   interpreter. *)
+(* Compile slots: a braced word's text never changes, so its parse, its
+   compiled expression and its value's cached forms are pure functions of
+   it and can live on the node (the expression's own command substitutions
+   carry slots of the same kind; a [Literal] word's value caches the same
+   way).  Cached ASTs are shared between interpreters; that is safe because
+   the nested script's own inline caches validate per interpreter. *)
 and 'fn braced = {
-  text : string;
+  value : Value.t;
   mutable script : 'fn script option;
   mutable expr : 'fn script Expr.ast option;
 }
@@ -36,5 +36,5 @@ and 'fn command = {
 
 and 'fn script = 'fn command list
 
-let braced text = Braced { text; script = None; expr = None }
+let braced value = Braced { value; script = None; expr = None }
 let command words = { words; c_id = -1; c_epoch = -1; c_fn = None }

@@ -1,9 +1,10 @@
 (** Parsed form of a TScript script.
 
     A script is a list of commands; a command is a list of words; a word is
-    either a brace-quoted literal (no substitution — how Tcl defers
-    evaluation of bodies) or a sequence of fragments that are substituted
-    and concatenated at evaluation time.
+    a brace-quoted literal (no substitution — how Tcl defers evaluation of
+    bodies), a bare or quoted word with nothing to substitute, or a
+    sequence of fragments that are substituted and concatenated at
+    evaluation time.
 
     The types are parametric over ['fn], the interpreter's command-function
     type: each command node carries an inline cache of its resolved command
@@ -21,6 +22,9 @@ type 'fn fragment =
 
 and 'fn word =
   | Braced of 'fn braced (** [{...}]: verbatim, one word *)
+  | Literal of Value.t
+      (** a bare or quoted word with nothing to substitute: its value,
+          whose cached forms live on the AST like a braced word's *)
   | Frags of 'fn fragment list
 
 (** A braced word and its compile slots.  Builtins that take a script or
@@ -33,7 +37,7 @@ and 'fn word =
     whichever layer served it.  Slots are mutable state on an AST shared
     by the interpreters of one simulation. *)
 and 'fn braced = {
-  text : string;                             (** the verbatim contents *)
+  value : Value.t;                           (** the verbatim contents *)
   mutable script : 'fn script option;        (** parsed as a script, once *)
   mutable expr : 'fn script Expr.ast option; (** compiled as an expression, once *)
 }
@@ -51,7 +55,7 @@ and 'fn command = {
 
 and 'fn script = 'fn command list
 
-val braced : string -> 'fn word
+val braced : Value.t -> 'fn word
 (** A braced word with empty compile slots. *)
 
 val command : 'fn word list -> 'fn command

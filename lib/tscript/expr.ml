@@ -1,6 +1,6 @@
 exception Error of string
 
-type num = Int of int | Float of float | Str of string
+type num = Int of int | Float of float | Str of Value.t
 
 let fail msg = raise (Error msg)
 
@@ -186,10 +186,11 @@ and advance lx = lx.tok <- next_token lx
 let as_num v =
   match v with
   | Int _ | Float _ -> v
-  | Str s -> (
-    match Value.int_of s with
+  | Str v -> (
+    match Value.to_int v with
     | Some i -> Int i
     | None -> (
+      let s = Value.to_string v in
       match Value.float_of s with
       | Some f -> Float f
       | None -> fail (Printf.sprintf "expected number, got %S" s)))
@@ -207,12 +208,12 @@ let truthy_num v =
   match v with
   | Int i -> i <> 0
   | Float f -> f <> 0.0
-  | Str s -> Value.truthy s
+  | Str v -> Value.truthy (Value.to_string v)
 
 let num_to_string = function
   | Int i -> Value.of_int i
   | Float f -> Value.of_float f
-  | Str s -> s
+  | Str v -> Value.to_string v
 
 (* numeric binop with int preservation; nested matches keep the hot
    int/int case free of tuple and float boxing *)
@@ -235,9 +236,10 @@ let norm v =
   match v with
   | Int _ | Float _ -> v
   | Str s -> (
-    match Value.int_of s with
+    match Value.to_int s with
     | Some i -> Int i
-    | None -> ( match Value.float_of s with Some f -> Float f | None -> v))
+    | None -> (
+      match Value.float_of (Value.to_string s) with Some f -> Float f | None -> v))
 
 let compare_vals a b =
   (* numeric comparison when both sides parse as numbers, else string *)
@@ -246,16 +248,16 @@ let compare_vals a b =
     match norm b with
     | Int y -> Int.compare x y
     | Float y -> Float.compare (float_of_int x) y
-    | Str s -> compare (num_to_string a) s)
+    | Str s -> compare (num_to_string a) (Value.to_string s))
   | Float x -> (
     match norm b with
     | Int y -> Float.compare x (float_of_int y)
     | Float y -> Float.compare x y
-    | Str s -> compare (num_to_string a) s)
+    | Str s -> compare (num_to_string a) (Value.to_string s))
   | Str sa -> (
     match norm b with
-    | Int _ | Float _ -> compare sa (num_to_string b)
-    | Str sb -> compare sa sb)
+    | Int _ | Float _ -> compare (Value.to_string sa) (num_to_string b)
+    | Str sb -> compare (Value.to_string sa) (Value.to_string sb))
 
 (* --- compiled form ------------------------------------------------------ *)
 
@@ -331,7 +333,7 @@ let rec parse_primary ctx =
     Const v
   | Tstr s ->
     advance ctx.lx;
-    Const (Str s)
+    Const (Str (Value.of_string s))
   | Tvar name ->
     advance ctx.lx;
     Var name
@@ -525,10 +527,11 @@ let compile src =
 
 let list_membership opname want a b =
   let elem = num_to_string a in
-  match Value.to_list (num_to_string b) with
+  let list = match b with Str v -> v | Int _ | Float _ -> Value.of_string (num_to_string b) in
+  match Value.elements list with
   | Error msg -> fail (Printf.sprintf "%s: %s" opname msg)
   | Ok l ->
-    let mem = List.mem elem l in
+    let mem = Array.exists (fun e -> String.equal (Value.to_string e) elem) l in
     Int (if mem = want then 1 else 0)
 
 let apply_bin op a b =
@@ -628,5 +631,10 @@ let rec eval_node ~lookup ~eval_cmd node =
   | Call (name, args) ->
     apply_fn name (List.map (eval_node ~lookup ~eval_cmd) args)
 
-let eval_ast ~lookup ~eval_cmd ast = num_to_string (eval_node ~lookup ~eval_cmd ast)
+let eval_ast ~lookup ~eval_cmd ast =
+  match eval_node ~lookup ~eval_cmd ast with
+  | Int i -> Value.int i
+  | Float f -> Value.of_string (Value.of_float f)
+  | Str v -> v
+
 let eval_ast_bool ~lookup ~eval_cmd ast = truthy_num (eval_node ~lookup ~eval_cmd ast)

@@ -18,7 +18,7 @@
 
 exception Error of string
 
-type num = Int of int | Float of float | Str of string
+type num = Int of int | Float of float | Str of Value.t
 
 type 'script ast
 (** A compiled expression.  Each [\[...\]] command substitution in it is a
@@ -38,18 +38,20 @@ val compile : string -> 'script ast
     @raise Error on syntax errors. *)
 
 val eval_ast :
-  lookup:(string -> string) ->
-  eval_cmd:('script cmd -> string) ->
+  lookup:(string -> Value.t) ->
+  eval_cmd:('script cmd -> Value.t) ->
   'script ast ->
-  string
-(** Evaluate a compiled expression to its string rendering.  [eval_cmd]
-    runs a command substitution, filling its slot on first use.
+  Value.t
+(** Evaluate a compiled expression.  An integer result is an int value
+    ({!Value.int}); an operand passed through unchanged ([$x], [min],
+    [?:]) is returned as it is.  [eval_cmd] runs a command substitution,
+    filling its slot on first use.
     @raise Error on type errors (caught by the interpreter and turned into
     a script-level error). *)
 
 val eval_ast_bool :
-  lookup:(string -> string) ->
-  eval_cmd:('script cmd -> string) ->
+  lookup:(string -> Value.t) ->
+  eval_cmd:('script cmd -> Value.t) ->
   'script ast ->
   bool
 (** Truth-value fast path: skips rendering the result to a string —

@@ -1,16 +1,17 @@
 exception Error_exc of string
-exception Return_exc of string
+exception Return_exc of Value.t
 exception Break_exc
 exception Continue_exc
 exception Resource_exhausted
 
 module Lru = Tacoma_util.Lru
 
-(* A command receives the node it was invoked from, so builtins that take
-   a script or expression argument can use the compile slots of its literal
-   braced words.  Host commands ({!register}) ignore the node.  The record
-   only breaks the type cycle through [Ast]; [@@unboxed] makes it free. *)
-type command_fn = { run : t -> node -> string list -> string } [@@unboxed]
+(* A command takes and returns interpreter values, and receives the node it
+   was invoked from, so builtins that take a script or expression argument
+   can use the compile slots of its literal braced words.  Host commands
+   ({!register}) see strings and ignore the node.  The record only breaks
+   the type cycle through [Ast]; [@@unboxed] makes it free. *)
+type command_fn = { run : t -> node -> Value.t list -> Value.t } [@@unboxed]
 
 (* AST nodes instantiated with this interpreter's command type, so inline
    command caches hold the resolved functions directly *)
@@ -38,8 +39,8 @@ and t = {
   mutable cmd_epoch : int;
       (* bumped by register/unregister so stale inline caches are refused *)
   proc_bodies : (string, string * string) Hashtbl.t; (* name -> params, body (introspection) *)
-  globals : (string, string) Hashtbl.t;
-  global_arrays : (string, (string, string) Hashtbl.t) Hashtbl.t;
+  globals : (string, Value.t) Hashtbl.t;
+  global_arrays : (string, (string, Value.t) Hashtbl.t) Hashtbl.t;
   mutable frames : frame list; (* innermost first; [] means global scope *)
   mutable steps : int;
   mutable limit : int option;
@@ -56,8 +57,8 @@ and t = {
   caches : caches;
   (* the two expr callbacks close only over [t]; allocated once here
      instead of once per expression evaluation *)
-  mutable expr_lookup_fn : string -> string;
-  mutable expr_eval_cmd_fn : script Expr.cmd -> string;
+  mutable expr_lookup_fn : string -> Value.t;
+  mutable expr_eval_cmd_fn : script Expr.cmd -> Value.t;
   out_buf : Buffer.t;
   mutable output : string -> unit;
 }
@@ -66,8 +67,8 @@ and t = {
    [global] links or [upvar] aliases, so those three tables materialise on
    first write.  This cuts a frame from four hashtable allocations to one. *)
 and frame = {
-  vars : (string, string) Hashtbl.t;
-  mutable arrays : (string, (string, string) Hashtbl.t) Hashtbl.t option;
+  vars : (string, Value.t) Hashtbl.t;
+  mutable arrays : (string, (string, Value.t) Hashtbl.t) Hashtbl.t option;
   mutable linked_globals : (string, unit) Hashtbl.t option;
   mutable upvars : (string, frame option * string) Hashtbl.t option;
       (* local alias -> (target frame, None = global scope; target name) *)
@@ -76,7 +77,8 @@ and frame = {
 let err fmt = Printf.ksprintf (fun msg -> raise (Error_exc msg)) fmt
 
 (* a malformed list reaching a list command is a script error, as in Tcl *)
-let list_of s = match Value.to_list s with Ok l -> l | Error msg -> raise (Error_exc msg)
+let list_of v = match Value.elements v with Ok l -> l | Error msg -> raise (Error_exc msg)
+let string_list s = match Value.to_list s with Ok l -> l | Error msg -> raise (Error_exc msg)
 
 let cache_entries = 512
 let create_caches () = { parsed = Lru.create ~budget:cache_entries (); next_uid = 0 }
@@ -315,29 +317,29 @@ let compile_expr t src =
    test makes a word that is not the argument harmless. *)
 let script_of t ws src =
   match ws with
-  | Ast.Braced ({ text; _ } as b) :: _ when text == src -> (
+  | Ast.Braced ({ value; _ } as b) :: _ when value == src -> (
     match b.script with
     | Some ast ->
       t.prof_parse_hits <- t.prof_parse_hits + 1;
       ast
     | None ->
-      let ast = parse t src in
+      let ast = parse t (Value.to_string src) in
       b.script <- Some ast;
       ast)
-  | _ -> parse t src
+  | _ -> parse t (Value.to_string src)
 
 let expr_of t ws src =
   match ws with
-  | Ast.Braced ({ text; _ } as b) :: _ when text == src -> (
+  | Ast.Braced ({ value; _ } as b) :: _ when value == src -> (
     match b.expr with
     | Some ast ->
       t.prof_expr_hits <- t.prof_expr_hits + 1;
       ast
     | None ->
-      let ast = compile_expr t src in
+      let ast = compile_expr t (Value.to_string src) in
       b.expr <- Some ast;
       ast)
-  | _ -> compile_expr t src
+  | _ -> compile_expr t (Value.to_string src)
 
 (* the words of a node's arguments, and the words after an argument *)
 let arg_words (node : node) = match node.words with [] -> [] | _ :: ws -> ws
@@ -345,24 +347,31 @@ let next_words = function [] -> [] | _ :: ws -> ws
 
 (* ---- evaluation -------------------------------------------------------- *)
 
+(* a word of one fragment is that fragment's value itself, so [$x] passes
+   on the variable's value with whatever forms it has cached *)
 let rec eval_word t word =
   match word with
-  | Ast.Braced b -> b.text
+  | Ast.Braced b -> b.value
+  | Ast.Literal v -> v
   | Ast.Frags [ frag ] -> eval_fragment t frag
-  | Ast.Frags frags -> String.concat "" (List.map (eval_fragment t) frags)
+  | Ast.Frags frags -> Value.of_string (concat_fragments t frags)
+
+and concat_fragments t frags = String.concat "" (List.map (fragment_string t) frags)
+
+and fragment_string t frag =
+  match frag with Ast.Lit s -> s | _ -> Value.to_string (eval_fragment t frag)
 
 and eval_fragment t frag =
   match frag with
-  | Ast.Lit s -> s
+  | Ast.Lit s -> Value.of_string s
   | Ast.Var name -> get_var t name
-  | Ast.VarElem (name, [ frag ]) -> get_elem t name (eval_fragment t frag)
-  | Ast.VarElem (name, index_frags) ->
-    get_elem t name (String.concat "" (List.map (eval_fragment t) index_frags))
+  | Ast.VarElem (name, [ frag ]) -> get_elem t name (fragment_string t frag)
+  | Ast.VarElem (name, index_frags) -> get_elem t name (concat_fragments t index_frags)
   | Ast.Cmd script -> eval_ast t script
 
 and eval_command t cmd =
   match cmd.Ast.words with
-  | [] -> ""
+  | [] -> Value.empty
   | name_word :: arg_words -> (
     charge t 1;
     t.prof_commands <- t.prof_commands + 1;
@@ -373,13 +382,13 @@ and eval_command t cmd =
     | Some fn when cmd.Ast.c_id = t.uid && cmd.Ast.c_epoch = t.cmd_epoch ->
       fn.run t cmd (eval_args t arg_words)
     | _ -> (
-      let name = eval_word t name_word in
+      let name = Value.to_string (eval_word t name_word) in
       let args = eval_args t arg_words in
       match Hashtbl.find_opt t.commands name with
       | Some fn ->
         (* only a literal name resolves to the same command every time *)
         (match name_word with
-        | Ast.Braced _ | Ast.Frags [ Ast.Lit _ ] ->
+        | Ast.Braced _ | Ast.Literal _ ->
           cmd.Ast.c_fn <- Some fn;
           cmd.Ast.c_id <- t.uid;
           cmd.Ast.c_epoch <- t.cmd_epoch
@@ -408,7 +417,7 @@ and eval_args t arg_words =
 
 and eval_ast t script =
   match script with
-  | [] -> ""
+  | [] -> Value.empty
   | [ cmd ] -> eval_command t cmd
   | cmd :: rest ->
     ignore (eval_command t cmd);
@@ -435,8 +444,7 @@ and expr_cmd t (c : script Expr.cmd) =
    for free. *)
 and subst_string t s =
   match Parse.fragments s with
-  | [ frag ] -> eval_fragment t frag
-  | frags -> String.concat "" (List.map (eval_fragment t) frags)
+  | frags -> concat_fragments t frags
   | exception Parse.Syntax_error msg -> err "substitution: %s" msg
 
 (* expr hands back array references as "name(raw index)"; the raw index
@@ -457,9 +465,9 @@ and expr_bool t ast =
 
 let eval t src =
   match eval_string t src with
-  | v -> Ok v
+  | v -> Ok (Value.to_string v)
   | exception Error_exc msg -> Error msg
-  | exception Return_exc v -> Ok v
+  | exception Return_exc v -> Ok (Value.to_string v)
   | exception Break_exc -> Error "invoked \"break\" outside of a loop"
   | exception Continue_exc -> Error "invoked \"continue\" outside of a loop"
 
@@ -471,14 +479,19 @@ let eval_exn t src =
 (* a host call has no command node: its arguments are all run-time text *)
 let call t name args =
   match Hashtbl.find_opt t.commands name with
-  | Some fn -> fn.run t (Ast.command []) args
+  | Some fn -> Value.to_string (fn.run t (Ast.command []) (List.map Value.of_string args))
   | None -> err "invalid command name %S" name
 
 let add_command t name fn =
   t.cmd_epoch <- t.cmd_epoch + 1;
   Hashtbl.replace t.commands name fn
 
-let register t name fn = add_command t name { run = (fun t _ args -> fn t args) }
+(* The one adapter from a string command to a command on values: host
+   commands, and the builtins with no hot path *)
+let string_command fn =
+  { run = (fun t _ args -> Value.of_string (fn t (List.map Value.to_string args))) }
+
+let register t name fn = add_command t name (string_command fn)
 
 let unregister t name =
   t.cmd_epoch <- t.cmd_epoch + 1;
@@ -497,20 +510,21 @@ let take_output t =
 
 (* ---- procs -------------------------------------------------------------- *)
 
-type param = Required of string | Optional of string * string | Rest
+type param = Required of string | Optional of string * Value.t | Rest
 
+(* a literal parameter list keeps its list form on the shared AST, so a
+   proc definition re-run on every activation does not re-read it *)
 let parse_params spec =
   let items = list_of spec in
-  let n = List.length items in
-  List.mapi
-    (fun i item ->
-      if item = "args" && i = n - 1 then Rest
+  let n = Array.length items in
+  List.init n (fun i ->
+      let item = items.(i) in
+      if i = n - 1 && Value.to_string item = "args" then Rest
       else
         match list_of item with
-        | [ name ] -> Required name
-        | [ name; default ] -> Optional (name, default)
-        | _ -> err "bad parameter specifier %S" item)
-    items
+        | [| name |] -> Required (Value.to_string name)
+        | [| name; default |] -> Optional (Value.to_string name, default)
+        | _ -> err "bad parameter specifier %S" (Value.to_string item))
 
 let usage_of_params name params =
   let render = function
@@ -526,7 +540,7 @@ let rec bind_args vars params args =
   | [], [] -> true
   | [], _ :: _ -> false
   | [ Rest ], rest ->
-    Hashtbl.replace vars "args" (Value.of_list rest);
+    Hashtbl.replace vars "args" (Value.of_elements (Array.of_list rest));
     true
   | Rest :: _, _ -> err "args must be the last parameter"
   | Required n :: ps, a :: rest ->
@@ -554,7 +568,7 @@ let pop_frame t =
    the closure, so each call reuses the parse instead of looking it up *)
 let define_proc t name param_spec body body_words =
   let params = parse_params param_spec in
-  Hashtbl.replace t.proc_bodies name (param_spec, body);
+  Hashtbl.replace t.proc_bodies name (Value.to_string param_spec, Value.to_string body);
   let run t _ args =
     if t.depth >= t.max_depth then err "too many nested proc calls (max %d)" t.max_depth;
     let frame = bind_params name params args in
@@ -591,43 +605,41 @@ let iterate t ~cmd node args each =
     match args with
     | [ body ] -> ([], ws, body)
     | vars :: items :: rest ->
-      let vars = list_of vars in
-      if vars = [] then err "%s: empty variable list" cmd;
-      let items = ref (list_of items) in
+      let vars = Array.map Value.to_string (list_of vars) in
+      if Array.length vars = 0 then err "%s: empty variable list" cmd;
+      let items = list_of items in
       let rest, body_ws, body = groups (next_words (next_words ws)) rest in
       ((vars, items) :: rest, body_ws, body)
     | [] -> usage ()
   in
   let groups, body_ws, body = groups (arg_words node) args in
   let groups = Array.of_list groups in
-  let pending (_, items) = match !items with [] -> false | _ :: _ -> true in
-  let rec bind items = function
-    | [] -> ()
-    | v :: vars ->
-      (match !items with
-      | [] -> set_var t v ""
-      | x :: rest ->
-        set_var t v x;
-        items := rest);
-      bind items vars
+  (* pass [k] gives a group of [n] variables items [k*n] to [k*n + n - 1] *)
+  let pass = ref 0 in
+  let pending (vars, items) = !pass * Array.length vars < Array.length items in
+  let bind_group (vars, items) =
+    let first = !pass * Array.length vars in
+    Array.iteri
+      (fun j v ->
+        let k = first + j in
+        set_var t v (if k < Array.length items then items.(k) else Value.empty))
+      vars
   in
-  let bind_group (vars, items) = bind items vars in
   try
     while Array.exists pending groups do
       Array.iter bind_group groups;
+      incr pass;
       try each (script_of t body_ws body) with Continue_exc -> ()
     done
   with Break_exc -> ()
 
-(* List.nth would leak a bare [Failure "nth"] OCaml exception on an
-   out-of-range index; surface a proper script-level error instead *)
-let nth ~cmd args i =
-  match List.nth_opt args i with
-  | Some v -> v
-  | None -> err "wrong # args: %S: index %d out of range" cmd i
-
 let int_arg what s =
   match Value.int_of s with Some i -> i | None -> err "expected integer for %s, got %S" what s
+
+let int_value what v =
+  match Value.to_int v with
+  | Some i -> i
+  | None -> err "expected integer for %s, got %S" what (Value.to_string v)
 
 (* Tcl index syntax: N, end, end-N *)
 let index_arg ~len s =
@@ -636,6 +648,9 @@ let index_arg ~len s =
   else if String.length s > 4 && String.sub s 0 4 = "end-" then
     len - 1 - int_arg "index" (String.sub s 4 (String.length s - 4))
   else int_arg "index" s
+
+let index_value ~len v =
+  match Value.to_int v with Some i -> i | None -> index_arg ~len (Value.to_string v)
 
 (* Tcl's concat joins its arguments as text, nothing re-quoted: each is
    trimmed of surrounding white space (keeping one a trailing backslash
@@ -656,6 +671,8 @@ let concat args =
   in
   String.concat " " (List.filter (fun s -> s <> "") (List.map trim args))
 
+let is_word word v = String.equal (Value.to_string v) word
+
 (* [if cond ?then? body ?elseif cond ?then? body ...? ?else? ?body?];
    [ws] walks the argument words alongside [args] *)
 let rec if_clauses t ws args =
@@ -663,7 +680,9 @@ let rec if_clauses t ws args =
   | cond :: rest -> (
     let body_ws = next_words ws in
     let body_ws, rest =
-      match rest with "then" :: r -> (next_words body_ws, r) | r -> (body_ws, r)
+      match rest with
+      | w :: r when is_word "then" w -> (next_words body_ws, r)
+      | r -> (body_ws, r)
     in
     match rest with
     | body :: rest ->
@@ -675,24 +694,25 @@ let rec if_clauses t ws args =
 
 and else_clauses t ws rest =
   match rest with
-  | [] -> ""
-  | [ "else"; body ] -> eval_ast t (script_of t (next_words ws) body)
+  | [] -> Value.empty
+  | [ w; body ] when is_word "else" w -> eval_ast t (script_of t (next_words ws) body)
   | [ body ] -> eval_ast t (script_of t ws body)
-  | "elseif" :: rest -> if_clauses t (next_words ws) rest
+  | w :: rest when is_word "elseif" w -> if_clauses t (next_words ws) rest
   | _ -> err "expected \"elseif\" or \"else\" clause"
 
 let install_core t0 =
   let reg name run = add_command t0 name { run } in
+  let reg_string name fn = register t0 name fn in
 
   reg "set" (fun t _ args ->
       match args with
-      | [ name ] -> get_ref t name
+      | [ name ] -> get_ref t (Value.to_string name)
       | [ name; v ] ->
-        set_ref t name v;
+        set_ref t (Value.to_string name) v;
         v
       | _ -> err "wrong # args: should be \"set varName ?newValue?\"");
 
-  reg "unset" (fun t _ args ->
+  reg_string "unset" (fun t args ->
       match args with
       | [] -> err "wrong # args: should be \"unset varName ?varName ...?\""
       | names ->
@@ -702,18 +722,19 @@ let install_core t0 =
   reg "incr" (fun t _ args ->
       match args with
       | [ name ] | [ name; _ ] ->
-        let delta = match args with [ _; d ] -> int_arg "increment" d | _ -> 1 in
+        let name = Value.to_string name in
+        let delta = match args with [ _; d ] -> int_value "increment" d | _ -> 1 in
         let cur =
           match get_ref_opt t name with
           | None -> 0
-          | Some v -> int_arg "variable value" v
+          | Some v -> int_value "variable value" v
         in
-        let v = Value.of_int (cur + delta) in
+        let v = Value.int (cur + delta) in
         set_ref t name v;
         v
       | _ -> err "wrong # args: should be \"incr varName ?increment?\"");
 
-  reg "global" (fun t _ args ->
+  reg_string "global" (fun t args ->
       (match t.frames with
       | [] -> ()
       | frame :: _ ->
@@ -721,7 +742,7 @@ let install_core t0 =
         List.iter (fun n -> Hashtbl.replace lg n ()) args);
       "");
 
-  reg "upvar" (fun t _ args ->
+  reg_string "upvar" (fun t args ->
       (* upvar ?level? otherVar myVar ?otherVar myVar ...? *)
       let parse_level s =
         if s = "#0" then Some `Global
@@ -763,6 +784,7 @@ let install_core t0 =
       "");
 
   reg "uplevel" (fun t _ args ->
+      let args = List.map Value.to_string args in
       let parse_level s =
         if s = "#0" then Some `Global
         else match int_of_string_opt s with Some n when n >= 1 -> Some (`Up n) | _ -> None
@@ -794,13 +816,14 @@ let install_core t0 =
   reg "proc" (fun t node args ->
       match args with
       | [ name; params; body ] ->
-        define_proc t name params body (next_words (next_words (arg_words node)));
-        ""
+        define_proc t (Value.to_string name) params body
+          (next_words (next_words (arg_words node)));
+        Value.empty
       | _ -> err "wrong # args: should be \"proc name args body\"");
 
   reg "return" (fun _ _ args ->
       match args with
-      | [] -> raise (Return_exc "")
+      | [] -> raise (Return_exc Value.empty)
       | [ v ] -> raise (Return_exc v)
       | _ -> err "wrong # args: should be \"return ?value?\"");
 
@@ -809,28 +832,29 @@ let install_core t0 =
 
   reg "error" (fun _ _ args ->
       match args with
-      | [ msg ] -> raise (Error_exc msg)
+      | [ msg ] -> raise (Error_exc (Value.to_string msg))
       | _ -> err "wrong # args: should be \"error message\"");
 
   reg "catch" (fun t node args ->
       match args with
       | [ script ] | [ script; _ ] -> (
         let set_result v =
-          match args with [ _; var ] -> set_var t var v | _ -> ()
+          match args with [ _; var ] -> set_var t (Value.to_string var) v | _ -> ()
         in
         match eval_ast t (script_of t (arg_words node) script) with
         | v ->
           set_result v;
-          "0"
+          Value.int 0
         | exception Error_exc msg ->
-          set_result msg;
-          "1"
+          set_result (Value.of_string msg);
+          Value.int 1
         | exception Return_exc v ->
           set_result v;
-          "2")
+          Value.int 2)
       | _ -> err "wrong # args: should be \"catch script ?resultVarName?\"");
 
-  reg "eval" (fun t _ args -> eval_string t (String.concat " " args));
+  reg "eval" (fun t _ args ->
+      eval_string t (String.concat " " (List.map Value.to_string args)));
 
   (* Each expression evaluated costs one step, charged before it is
      compiled.  [expr] takes its single argument's slot; several arguments
@@ -839,7 +863,9 @@ let install_core t0 =
       charge t 1;
       match args with
       | [ src ] -> expr_value t (expr_of t (arg_words node) src)
-      | _ -> expr_value t (compile_expr t (String.concat " " args)));
+      | _ ->
+        let src = String.concat " " (List.map Value.to_string args) in
+        expr_value t (compile_expr t src));
 
   reg "if" (fun t node args -> if_clauses t (arg_words node) args);
 
@@ -859,7 +885,7 @@ let install_core t0 =
           end
         in
         (try loop () with Break_exc -> ());
-        ""
+        Value.empty
       | _ -> err "wrong # args: should be \"while test command\"");
 
   reg "for" (fun t node args ->
@@ -881,14 +907,14 @@ let install_core t0 =
           end
         in
         (try loop () with Break_exc -> ());
-        ""
+        Value.empty
       | _ -> err "wrong # args: should be \"for start test next command\"");
 
   reg "foreach" (fun t node args ->
       iterate t ~cmd:"foreach" node args (fun body -> ignore (eval_ast t body));
-      "");
+      Value.empty);
 
-  reg "array" (fun t _ args ->
+  reg_string "array" (fun t args ->
       let find_array name =
         match resolved_arrays_opt t name with
         | Some tbl, n -> Hashtbl.find_opt tbl n
@@ -915,7 +941,7 @@ let install_core t0 =
         match find_array name with
         | None -> ""
         | Some arr ->
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) arr []
+          Hashtbl.fold (fun k v acc -> (k, Value.to_string v) :: acc) arr []
           |> List.sort compare
           |> List.concat_map (fun (k, v) -> [ k; v ])
           |> Value.of_list)
@@ -924,10 +950,10 @@ let install_core t0 =
           | [] -> ()
           | [ _ ] -> err "array set: list must have an even number of elements"
           | k :: v :: rest ->
-            set_elem t name k v;
+            set_elem t name k (Value.of_string v);
             go rest
         in
-        go (list_of kvlist);
+        go (string_list kvlist);
         ""
       | [ "unset"; name ] ->
         (match resolved_arrays_opt t name with
@@ -939,7 +965,7 @@ let install_core t0 =
         ""
       | _ -> err "unsupported array subcommand or wrong # args");
 
-  reg "switch" (fun t _ args ->
+  reg_string "switch" (fun t args ->
       (* switch ?-exact|-glob? string {pattern body ...} or inline pairs;
          a body of "-" falls through to the next body *)
       let glob, rest =
@@ -951,7 +977,7 @@ let install_core t0 =
       in
       let subject, pairs =
         match rest with
-        | [ subject; block ] -> (subject, list_of block)
+        | [ subject; block ] -> (subject, string_list block)
         | subject :: (_ :: _ as inline) -> (subject, inline)
         | _ -> err "wrong # args: should be \"switch ?options? string pattern body ...\""
       in
@@ -976,20 +1002,20 @@ let install_core t0 =
                 | [] -> err "switch: no body to fall through to"
               else b
             in
-            eval_string t (body_of body rest)
+            Value.to_string (eval_string t (body_of body rest))
           else fire rest
       in
       fire pairs);
 
-  reg "subst" (fun t _ args ->
+  reg_string "subst" (fun t args ->
       match args with
       | [ s ] -> (
         match Parse.fragments s with
-        | frags -> String.concat "" (List.map (eval_fragment t) frags)
+        | frags -> concat_fragments t frags
         | exception Parse.Syntax_error msg -> err "subst: %s" msg)
       | _ -> err "wrong # args: should be \"subst string\"");
 
-  reg "puts" (fun t _ args ->
+  reg_string "puts" (fun t args ->
       match args with
       | [ s ] ->
         t.output (s ^ "\n");
@@ -999,7 +1025,7 @@ let install_core t0 =
         ""
       | _ -> err "wrong # args: should be \"puts ?-nonewline? string\"");
 
-  reg "info" (fun t _ args ->
+  reg_string "info" (fun t args ->
       match args with
       | [ "exists"; name ] ->
         Value.of_bool
@@ -1020,15 +1046,16 @@ let install_core t0 =
           Value.of_list
             (List.map
                (function Required n | Optional (n, _) -> n | Rest -> "args")
-               (parse_params params))
+               (parse_params (Value.of_string params)))
         | None -> err "%S isn't a procedure" name)
       | [ "level" ] -> Value.of_int (List.length t.frames)
       | _ -> err "unsupported info subcommand")
 
 let install_strings t0 =
   let reg name run = add_command t0 name { run } in
+  let reg_string name fn = register t0 name fn in
 
-  reg "string" (fun _ _ args ->
+  reg_string "string" (fun _ args ->
       match args with
       | "length" :: [ s ] -> Value.of_int (String.length s)
       | "index" :: [ s; i ] ->
@@ -1091,7 +1118,7 @@ let install_strings t0 =
           | [ _ ] -> err "string map: unbalanced mapping list"
           | k :: v :: rest -> (k, v) :: to_pairs rest
         in
-        let pairs = to_pairs (list_of mapping) in
+        let pairs = to_pairs (string_list mapping) in
         let buf = Buffer.create (String.length s) in
         let n = String.length s in
         let rec go i =
@@ -1121,31 +1148,35 @@ let install_strings t0 =
   reg "append" (fun t _ args ->
       match args with
       | name :: parts ->
-        let cur = Option.value ~default:"" (get_ref_opt t name) in
-        let v = cur ^ String.concat "" parts in
+        let name = Value.to_string name in
+        let cur = match get_ref_opt t name with Some v -> Value.to_string v | None -> "" in
+        let v = Value.of_string (String.concat "" (cur :: List.map Value.to_string parts)) in
         set_ref t name v;
         v
       | [] -> err "wrong # args: should be \"append varName ?value ...?\"");
 
-  reg "format" (fun _ _ args ->
+  reg_string "format" (fun _ args ->
       match args with
       | fmt :: rest -> (
         match Strutil.format fmt rest with Ok s -> s | Error e -> err "format: %s" e)
       | [] -> err "wrong # args: should be \"format formatString ?arg ...?\"");
 
+  let split s ~on =
+    Value.of_elements (Array.of_list (List.map Value.of_string (Strutil.split s ~on)))
+  in
   reg "split" (fun _ _ args ->
       match args with
-      | [ s ] -> Value.of_list (Strutil.split s ~on:" \t\n\r")
-      | [ s; on ] -> Value.of_list (Strutil.split s ~on)
+      | [ s ] -> split (Value.to_string s) ~on:" \t\n\r"
+      | [ s; on ] -> split (Value.to_string s) ~on:(Value.to_string on)
       | _ -> err "wrong # args: should be \"split string ?splitChars?\"");
 
-  reg "join" (fun _ _ args ->
+  reg_string "join" (fun _ args ->
       match args with
-      | [ l ] -> String.concat " " (list_of l)
-      | [ l; sep ] -> String.concat sep (list_of l)
+      | [ l ] -> String.concat " " (string_list l)
+      | [ l; sep ] -> String.concat sep (string_list l)
       | _ -> err "wrong # args: should be \"join list ?joinString?\"");
 
-  reg "regexp" (fun t _ args ->
+  reg_string "regexp" (fun t args ->
       let nocase, args =
         match args with
         | "-nocase" :: rest -> (true, rest)
@@ -1173,12 +1204,12 @@ let install_strings t0 =
                   | None -> ""
                 else ""
               in
-              set_ref t var text)
+              set_ref t var (Value.of_string text))
             vars;
           "1")
       | _ -> err "wrong # args: should be \"regexp ?-nocase? exp string ?matchVar ...?\"");
 
-  reg "regsub" (fun t _ args ->
+  reg_string "regsub" (fun t args ->
       let rec opts all nocase = function
         | "-all" :: rest -> opts true nocase rest
         | "-nocase" :: rest -> opts all true rest
@@ -1196,7 +1227,7 @@ let install_strings t0 =
         let result, count = Regex.replace re ~all ~template subject in
         match args with
         | [ _; _; _; var ] ->
-          set_ref t var result;
+          set_ref t var (Value.of_string result);
           Value.of_int count
         | _ -> result)
       | _ ->
@@ -1204,12 +1235,13 @@ let install_strings t0 =
 
 let install_lists t0 =
   let reg name run = add_command t0 name { run } in
+  let reg_string name fn = register t0 name fn in
 
-  reg "list" (fun _ _ args -> Value.of_list args);
+  reg "list" (fun _ _ args -> Value.of_elements (Array.of_list args));
 
   reg "llength" (fun _ _ args ->
       match args with
-      | [ l ] -> Value.of_int (List.length (list_of l))
+      | [ l ] -> Value.int (Array.length (list_of l))
       | _ -> err "wrong # args: should be \"llength list\"");
 
   reg "lindex" (fun _ _ args ->
@@ -1217,25 +1249,26 @@ let install_lists t0 =
       | [ l ] -> l
       | [ l; i ] ->
         let items = list_of l in
-        let len = List.length items in
-        let i = index_arg ~len i in
-        if i < 0 || i >= len then "" else nth ~cmd:"lindex" items i
+        let len = Array.length items in
+        let i = index_value ~len i in
+        if i < 0 || i >= len then Value.empty else items.(i)
       | _ -> err "wrong # args: should be \"lindex list ?index?\"");
 
+  (* a new value, never an update in place: the old one may be shared *)
   reg "lappend" (fun t _ args ->
       match args with
       | name :: items ->
-        let cur = Option.value ~default:"" (get_ref_opt t name) in
-        let l = list_of cur @ items in
-        let v = Value.of_list l in
+        let name = Value.to_string name in
+        let cur = match get_ref_opt t name with Some v -> list_of v | None -> [||] in
+        let v = Value.of_elements (Array.append cur (Array.of_list items)) in
         set_ref t name v;
         v
       | [] -> err "wrong # args: should be \"lappend varName ?value ...?\"");
 
-  reg "lrange" (fun _ _ args ->
+  reg_string "lrange" (fun _ args ->
       match args with
       | [ l; first; last ] ->
-        let items = list_of l in
+        let items = string_list l in
         let len = List.length items in
         let first = max 0 (index_arg ~len first) in
         let last = min (len - 1) (index_arg ~len last) in
@@ -1243,7 +1276,7 @@ let install_lists t0 =
         else Value.of_list (List.filteri (fun i _ -> i >= first && i <= last) items)
       | _ -> err "wrong # args: should be \"lrange list first last\"");
 
-  reg "lsort" (fun _ _ args ->
+  reg_string "lsort" (fun _ args ->
       let rec split_opts opts args =
         match args with
         | [ l ] -> (List.rev opts, l)
@@ -1251,7 +1284,7 @@ let install_lists t0 =
         | _ -> err "wrong # args: should be \"lsort ?options? list\""
       in
       let opts, l = split_opts [] args in
-      let items = list_of l in
+      let items = string_list l in
       let numeric = List.mem "-integer" opts || List.mem "-real" opts in
       let cmp a b =
         if numeric then
@@ -1274,7 +1307,7 @@ let install_lists t0 =
       in
       Value.of_list sorted);
 
-  reg "lsearch" (fun _ _ args ->
+  reg_string "lsearch" (fun _ args ->
       let glob, l, pat =
         match args with
         | [ "-exact"; l; p ] -> (false, l, p)
@@ -1282,7 +1315,7 @@ let install_lists t0 =
         | [ l; p ] -> (true, l, p) (* Tcl defaults to glob matching *)
         | _ -> err "wrong # args: should be \"lsearch ?mode? list pattern\""
       in
-      let items = list_of l in
+      let items = string_list l in
       let matches x = if glob then Strutil.glob_match ~pattern:pat x else String.equal pat x in
       let rec go i = function
         | [] -> -1
@@ -1290,10 +1323,10 @@ let install_lists t0 =
       in
       Value.of_int (go 0 items));
 
-  reg "linsert" (fun _ _ args ->
+  reg_string "linsert" (fun _ args ->
       match args with
       | l :: i :: (_ :: _ as items) ->
-        let cur = list_of l in
+        let cur = string_list l in
         let len = List.length cur in
         let i = max 0 (min len (index_arg ~len:(len + 1) i)) in
         let before = List.filteri (fun j _ -> j < i) cur in
@@ -1301,33 +1334,33 @@ let install_lists t0 =
         Value.of_list (before @ items @ after)
       | _ -> err "wrong # args: should be \"linsert list index element ?element ...?\"");
 
-  reg "lreverse" (fun _ _ args ->
+  reg_string "lreverse" (fun _ args ->
       match args with
-      | [ l ] -> Value.of_list (List.rev (list_of l))
+      | [ l ] -> Value.of_list (List.rev (string_list l))
       | _ -> err "wrong # args: should be \"lreverse list\"");
 
-  reg "lassign" (fun t _ args ->
+  reg_string "lassign" (fun t args ->
       match args with
       | l :: (_ :: _ as names) ->
-        let items = list_of l in
+        let items = string_list l in
         let rec go names items =
           match names with
           | [] -> Value.of_list items
           | n :: nrest -> (
             match items with
             | [] ->
-              set_var t n "";
+              set_var t n Value.empty;
               go nrest []
             | x :: irest ->
-              set_var t n x;
+              set_var t n (Value.of_string x);
               go nrest irest)
         in
         go names items
       | _ -> err "wrong # args: should be \"lassign list varName ?varName ...?\"");
 
-  reg "concat" (fun _ _ args -> concat args);
+  reg_string "concat" (fun _ args -> concat args);
 
-  reg "lrepeat" (fun _ _ args ->
+  reg_string "lrepeat" (fun _ args ->
       match args with
       | count :: (_ :: _ as items) ->
         let n = int_arg "count" count in
@@ -1338,18 +1371,15 @@ let install_lists t0 =
   reg "lmap" (fun t node args ->
       let out = ref [] in
       iterate t ~cmd:"lmap" node args (fun body -> out := eval_ast t body :: !out);
-      Value.of_list (List.rev !out))
+      Value.of_elements (Array.of_list (List.rev !out)))
 
-let create ?step_limit ?(max_depth = 256) ?caches () =
-  let caches =
-    match caches with Some c -> c | None -> create_caches ()
-  in
+let make ~commands ~step_limit ~max_depth caches =
   caches.next_uid <- caches.next_uid + 1;
   let t =
     {
       uid = caches.next_uid;
       cmd_epoch = 0;
-      commands = Hashtbl.create 64;
+      commands;
       proc_bodies = Hashtbl.create 16;
       globals = Hashtbl.create 32;
       global_arrays = Hashtbl.create 8;
@@ -1367,8 +1397,8 @@ let create ?step_limit ?(max_depth = 256) ?caches () =
       prof_expr_hits = 0;
       prof_expr_misses = 0;
       caches;
-      expr_lookup_fn = Fun.id;
-      expr_eval_cmd_fn = (fun _ -> "");
+      expr_lookup_fn = (fun _ -> Value.empty);
+      expr_eval_cmd_fn = (fun _ -> Value.empty);
       out_buf = Buffer.create 256;
       output = ignore;
     }
@@ -1376,10 +1406,26 @@ let create ?step_limit ?(max_depth = 256) ?caches () =
   t.expr_lookup_fn <- (fun name -> expr_lookup t name);
   t.expr_eval_cmd_fn <- (fun c -> expr_cmd t c);
   t.output <- (fun s -> Buffer.add_string t.out_buf s);
+  t
+
+(* The builtin command table, built once; every interpreter starts from a
+   copy, so creating one hashes no names and builds no adapters.  Nothing
+   writes the prototype, so concurrent simulations may copy it. *)
+let builtins =
+  let t = make ~commands:(Hashtbl.create 64) ~step_limit:None ~max_depth:0 (create_caches ()) in
   install_core t;
   install_strings t;
   install_lists t;
-  t
+  t.commands
+
+let create ?step_limit ?(max_depth = 256) ?caches () =
+  let caches = match caches with Some c -> c | None -> create_caches () in
+  make ~commands:(Hashtbl.copy builtins) ~step_limit ~max_depth caches
+
+(* ---- variables, host side: strings at the boundary ----------------------- *)
+
+let set_var t name v = set_var t name (Value.of_string v)
+let get_var_opt t name = Option.map Value.to_string (get_var_opt t name)
 
 (* ---- profiling ---------------------------------------------------------- *)
 

@@ -19,7 +19,6 @@ exception Error_exc of string
 (** A script-level error ([error], bad arguments, unknown command...).
     Caught by the script's [catch] and by {!eval}. *)
 
-exception Return_exc of string
 exception Break_exc
 exception Continue_exc
 (** Control-flow signals; leaking past their construct is an error. *)
@@ -52,7 +51,8 @@ exception Resource_exhausted
 
     Sharing is only safe {e within} one simulation.  A [caches] value and
     the ASTs it holds are mutable (LRU state, inline command caches,
-    compile slots, the interpreter-uid fountain), so they must never be
+    compile slots, the cached int and list forms of literal words, the
+    interpreter-uid fountain), so they must never be
     shared across simulations running concurrently on a
     {!Tacoma_util.Pool} — each pool task creates its own kernel and
     therefore its own caches. *)
@@ -86,7 +86,9 @@ val call : t -> string -> string list -> string
 (** {1 Host commands} *)
 
 val register : t -> string -> (t -> string list -> string) -> unit
-(** Host commands may raise {!Error_exc} to signal script-visible errors.
+(** Host commands see their arguments and return their result as strings
+    ({!Value}): the interpreter's cached int and list forms stop at this
+    boundary.  They may raise {!Error_exc} to signal script-visible errors.
     Registering over an existing name replaces it. *)
 
 val unregister : t -> string -> unit

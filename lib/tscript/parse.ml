@@ -1,6 +1,18 @@
 exception Syntax_error of string
 
-type state = { src : string; mutable pos : int }
+(* [literals]: the equal literal words of one script share one value, so
+   their cached int or list form is filled once and the AST holds one copy
+   of each text.  Safe because a cached form is a pure function of the
+   string. *)
+type state = { src : string; mutable pos : int; literals : (string, Value.t) Hashtbl.t }
+
+let literal st text =
+  match Hashtbl.find_opt st.literals text with
+  | Some v -> v
+  | None ->
+    let v = Value.of_string text in
+    Hashtbl.add st.literals text v;
+    v
 
 let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
 let advance st = st.pos <- st.pos + 1
@@ -9,9 +21,6 @@ let fail msg = raise (Syntax_error msg)
 
 let is_word_space c = c = ' ' || c = '\t'
 let is_command_end c = c = '\n' || c = ';'
-
-let unescape_char c =
-  match c with 'n' -> "\n" | 't' -> "\t" | 'r' -> "\r" | '\n' -> " " | other -> String.make 1 other
 
 (* Variable names: alphanumerics plus underscore, or {anything}; a bare
    name may be followed by an array index in parentheses, which is itself
@@ -114,9 +123,13 @@ let rec parse_fragments st ~stop =
       advance st;
       (match peek st with
       | None -> Buffer.add_char buf '\\'
-      | Some e ->
-        Buffer.add_string buf (unescape_char e);
-        advance st);
+      | Some '\n' ->
+        Buffer.add_char buf ' ';
+        advance st
+      | Some _ ->
+        let c, next = Value.backslash st.src st.pos in
+        Buffer.add_char buf c;
+        st.pos <- next);
       go ()
     | Some '$' ->
       advance st;
@@ -148,6 +161,12 @@ and parse_quoted st =
   | Some _ | None -> fail "unterminated quoted word");
   frags
 
+(* a word with nothing to substitute is its value *)
+and word st = function
+  | [] -> Ast.Literal (literal st "")
+  | [ Ast.Lit text ] -> Ast.Literal (literal st text)
+  | frags -> Ast.Frags frags
+
 (* One command: list of words.  Assumes leading spaces skipped.  Stops
    before the command terminator. *)
 and parse_command st ~in_bracket =
@@ -162,17 +181,17 @@ and parse_command st ~in_bracket =
     | Some ']' when in_bracket -> ()
     | Some c when is_command_end c -> ()
     | Some '{' ->
-      words := Ast.braced (parse_braced st) :: !words;
+      words := Ast.braced (literal st (parse_braced st)) :: !words;
       go ()
     | Some '"' ->
-      words := Ast.Frags (parse_quoted st) :: !words;
+      words := word st (parse_quoted st) :: !words;
       go ()
     | Some _ ->
       let frags =
         parse_fragments st ~stop:(fun c ->
             is_word_space c || is_command_end c || (in_bracket && c = ']'))
       in
-      words := Ast.Frags frags :: !words;
+      words := word st frags :: !words;
       go ()
   in
   go ();
@@ -217,12 +236,12 @@ and parse_script st ~in_bracket =
   List.rev !commands
 
 let script src =
-  let st = { src; pos = 0 } in
+  let st = { src; pos = 0; literals = Hashtbl.create 8 } in
   let result = parse_script st ~in_bracket:false in
   result
 
 let fragments src =
-  let st = { src; pos = 0 } in
+  let st = { src; pos = 0; literals = Hashtbl.create 8 } in
   parse_fragments st ~stop:(fun _ -> false)
 
 let script_result src =

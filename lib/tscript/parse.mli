@@ -7,9 +7,10 @@
       double-quoted fragment strings, or bare fragment strings;
     - [$name], [${name}] and [\[script\]] substitute inside quotes and bare
       words but not inside braces;
-    - backslash escapes the usual characters (n, t, r, backslash, dollar,
-      brackets, quotes, braces, semicolon) and backslash-newline is a line
-      continuation that becomes a space. *)
+    - outside braces a backslash sequence stands for one character
+      ({!Value.backslash}: [\n \t \r \f \v], hex and octal codes, any
+      other character itself) and backslash-newline is a line continuation
+      that becomes a space. *)
 
 exception Syntax_error of string
 

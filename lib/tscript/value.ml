@@ -64,9 +64,6 @@ let scan s =
   else if !mask && not !brace then Mask
   else Brace
 
-(* Tcl writes a vertical tab or form feed as [\v] or [\f], which the reader
-   below does not decode; a backslash and the raw character reads back in
-   both. *)
 let escape ~braces s =
   let b = Buffer.create (String.length s + 8) in
   String.iter
@@ -75,8 +72,10 @@ let escape ~braces s =
       | '\n' -> Buffer.add_string b "\\n"
       | '\t' -> Buffer.add_string b "\\t"
       | '\r' -> Buffer.add_string b "\\r"
+      | '\x0b' -> Buffer.add_string b "\\v"
+      | '\x0c' -> Buffer.add_string b "\\f"
       | ('{' | '}') when not braces -> Buffer.add_char b c
-      | '{' | '}' | ']' | '[' | '$' | ';' | ' ' | '\\' | '"' | '\x0b' | '\x0c' ->
+      | '{' | '}' | ']' | '[' | '$' | ';' | ' ' | '\\' | '"' ->
         Buffer.add_char b '\\';
         Buffer.add_char b c
       | c -> Buffer.add_char b c)
@@ -100,9 +99,53 @@ let of_list = function
 
 exception Bad of string
 
-let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
+(* Tcl's list white space: a vertical tab or form feed separates elements
+   too *)
+let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\x0b' || c = '\x0c'
 
-(* [s.[i..j)] with each backslash pair unescaped; only called for spans
+let octal_digit s i =
+  if i < String.length s && s.[i] >= '0' && s.[i] <= '7' then Char.code s.[i] - 48 else -1
+
+let hex_digit s i =
+  if i >= String.length s then -1
+  else
+    match s.[i] with
+    | '0' .. '9' as c -> Char.code c - 48
+    | 'a' .. 'f' as c -> Char.code c - 87
+    | 'A' .. 'F' as c -> Char.code c - 55
+    | _ -> -1
+
+(* Tcl 8.6's TclParseBackslash for the sequences TScript decodes: [\xh] or
+   [\xhh] (no digit: an [x]), one to three octal digits (a third only while
+   the value stays below 256), and the letters n t r f v.  Any other
+   character stands for itself; [\a], [\b], [\u] and backslash-newline
+   are not decoded (DESIGN.md).  The code is a byte: a string is bytes. *)
+let backslash s i =
+  match s.[i] with
+  | 'n' -> ('\n', i + 1)
+  | 't' -> ('\t', i + 1)
+  | 'r' -> ('\r', i + 1)
+  | 'f' -> ('\x0c', i + 1)
+  | 'v' -> ('\x0b', i + 1)
+  | 'x' -> (
+    match hex_digit s (i + 1) with
+    | -1 -> ('x', i + 1)
+    | h -> (
+      match hex_digit s (i + 2) with
+      | -1 -> (Char.chr h, i + 2)
+      | l -> (Char.chr ((h * 16) + l), i + 3)))
+  | '0' .. '7' as c -> (
+    let v = Char.code c - 48 in
+    match octal_digit s (i + 1) with
+    | -1 -> (Char.chr v, i + 1)
+    | d -> (
+      let v = (v * 8) + d in
+      match octal_digit s (i + 2) with
+      | d when d >= 0 && v < 0x20 -> (Char.chr ((v * 8) + d), i + 3)
+      | _ -> (Char.chr v, i + 2)))
+  | c -> (c, i + 1)
+
+(* [s.[i..j)] with each backslash sequence decoded; only called for spans
    that hold one, so plain elements are a single [String.sub] *)
 let unescape_span s i j =
   let b = Buffer.create (j - i) in
@@ -110,9 +153,9 @@ let unescape_span s i j =
   while !k < j do
     let c = s.[!k] in
     if c = '\\' && !k + 1 < String.length s then begin
-      Buffer.add_char b
-        (match s.[!k + 1] with 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r' | other -> other);
-      k := !k + 2
+      let c, next = backslash s (!k + 1) in
+      Buffer.add_char b c;
+      k := next
     end
     else begin
       Buffer.add_char b c;
@@ -199,3 +242,81 @@ let to_list s = try Ok (to_list_aux s) with Bad msg -> Error msg
 
 let to_list_exn s =
   match to_list s with Ok l -> l | Error msg -> invalid_arg ("Value.to_list_exn: " ^ msg)
+
+(* ---- interpreter values ------------------------------------------------ *)
+
+(* Tcl 8's dual-ported object, without in-place update.  A value is created
+   from one form, which is what it means; the other forms are caches filled
+   on first use.  [Str]'s [rep] is a pure function of [s], and the string of
+   [Int] or [Lst] is rendered on first use by [of_int] or [of_list]'s rule,
+   so every form agrees with the string whichever is asked for first.  The
+   mutable fields are only ever filled, never changed in meaning. *)
+type t =
+  | Str of { s : string; mutable rep : rep }
+  | Int of { i : int; mutable is : string }
+  | Lst of { elems : t array; mutable ls : string }
+
+and rep = No_rep | Int_rep of int | List_rep of t array
+
+(* marks a string not rendered yet: compared with [==], and no other string
+   is physically this one *)
+let unrendered = Bytes.to_string (Bytes.of_string "unrendered")
+let of_string s = Str { s; rep = No_rep }
+
+(* the shared values below are fully rendered, so nothing ever writes to
+   them: they are safe to share between concurrent simulations.  Loop
+   counters and list indices share the first 256 integers; up to 1023 an
+   integer's string is still shared *)
+let empty = Lst { elems = [||]; ls = "" }
+let small = Array.init 256 (fun i -> Int { i; is = small_ints.(i) })
+
+let int i =
+  if i >= 0 && i < Array.length small then Array.unsafe_get small i
+  else if i >= 0 && i < Array.length small_ints then Int { i; is = small_ints.(i) }
+  else Int { i; is = unrendered }
+
+let of_elements elems = if Array.length elems = 0 then empty else Lst { elems; ls = unrendered }
+
+let rec to_string v =
+  match v with
+  | Str r -> r.s
+  | Int r ->
+    if r.is == unrendered then r.is <- string_of_int r.i;
+    r.is
+  | Lst r ->
+    if r.ls == unrendered then r.ls <- render r.elems;
+    r.ls
+
+(* [of_list] over the elements' strings *)
+and render elems =
+  let b = Buffer.create 64 in
+  Array.iteri
+    (fun k e ->
+      if k > 0 then Buffer.add_char b ' ';
+      Buffer.add_string b (quote_element ~first:(k = 0) (to_string e)))
+    elems;
+  Buffer.contents b
+
+let to_int v =
+  match v with
+  | Int r -> Some r.i
+  | Str { rep = Int_rep i; _ } -> Some i
+  | Str r ->
+    let i = int_of r.s in
+    (match i with Some i -> r.rep <- Int_rep i | None -> ());
+    i
+  | Lst _ -> int_of (to_string v)
+
+let elements v =
+  match v with
+  | Lst r -> Ok r.elems
+  | Str { rep = List_rep elems; _ } -> Ok elems
+  | Str r -> (
+    match to_list r.s with
+    | Ok l ->
+      let elems = Array.of_list (List.map of_string l) in
+      r.rep <- List_rep elems;
+      Ok elems
+    | Error _ as e -> e)
+  (* an integer's string is one bare word *)
+  | Int _ -> Ok [| v |]

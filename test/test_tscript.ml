@@ -908,6 +908,37 @@ let test_step_limit_in_slot_body () =
         [ "cold"; "warm" ])
     cases
 
+(* --- values: the string is the value, int and list forms are caches --- *)
+
+(* Each case changes a value's string after one of its forms was cached,
+   or changes a variable that shares a value with another, and checks the
+   form read back agrees with the string.  Exact expected results. *)
+let value_cases =
+  [
+    ("set x 5; append x 1; incr x", "52");
+    ("set x 10; expr {$x+0}; append x 0; expr {$x+1}", "101");
+    ("set x 10; llength $x; append x 0; incr x", "101");
+    ("set l [split a=b =]; append l \" c\"; llength $l", "3");
+    ("set l [split a=b =]; llength $l; append l \" c\"; lindex $l 2", "c");
+    ("set a [list 1 2]; set b $a; lappend b 3; llength $a", "2");
+    ("set a [list 1 2]; set b $a; lappend b 3; list $a $b", "{1 2} {1 2 3}");
+    ("set x \" 7 \"; incr x; set x", "8");
+    ("set x \" 7 \"; expr {$x + 0}; string length $x", "3");
+    ("set l [list a {b c}]; string length $l", "7");
+    ("string length [split a,b ,]", "3");
+    ("set l [list a b]; lappend l {c d}; string range $l 4 end", "{c d}");
+    ("set x [expr {6 * 7}]; list [lindex $x 0] [llength $x] [string length $x]", "42 1 2");
+    ("set x [list 5]; incr x", "6");
+    ("set x 12; lindex $x 0; incr x; set x", "13");
+    ("set l [list 1 2]; set e [lindex $l 0]; incr e; list $l $e", "{1 2} 2");
+    ("set l {1 2 3}; foreach x $l {lappend l $x}; llength $l", "6");
+    ("proc f {v} {lappend v z; llength $v}; set l {a b}; list [f $l] [llength $l]", "3 2");
+    ("proc f {n} {incr n; set n}; set k 41; list [f $k] $k", "42 41");
+    ("set x [expr {2000 * 3}]; append x 1; expr {$x / 10}", "6000");
+    ("set n 1023; incr n; incr n; string length $n", "4");
+    ("set l [lrepeat 2 x]; lappend l y; set l", "x x y");
+  ]
+
 (* --- list scanner: the rewritten readers against the old ones --- *)
 
 (* [Value.to_list] before it sliced spans: one Buffer copy per character,
@@ -1100,6 +1131,7 @@ let () =
             Alcotest.test_case "toplevel return" `Quick test_return_at_toplevel;
             Alcotest.test_case "array/scalar collision" `Quick test_array_scalar_collision;
           ]);
+      ("value caches", expect_cases "value caches" value_cases);
       ("scoping", expect_cases "scoping" scoping_cases);
       ("upvar", expect_cases "upvar" upvar_cases);
       ("regexp", expect_cases "regexp" regexp_cases
