@@ -1131,7 +1131,7 @@ let () =
             Alcotest.test_case "toplevel return" `Quick test_return_at_toplevel;
             Alcotest.test_case "array/scalar collision" `Quick test_array_scalar_collision;
           ]);
-      ("value caches", expect_cases "value caches" value_cases);
+      ("vcaches", expect_cases "vcaches" value_cases);
       ("scoping", expect_cases "scoping" scoping_cases);
       ("upvar", expect_cases "upvar" upvar_cases);
       ("regexp", expect_cases "regexp" regexp_cases
