@@ -276,6 +276,20 @@ let bench_report_delivery =
          Kernel.send_briefcase k ~src:1 ~dst:0 ~contact:"broker" bc;
          Net.run net))
 
+(* One E5 load-monitor tick as a whole: the monitor sets LOAD on its report,
+   the kernel snapshots and delivers it, and the broker refreshes the
+   provider's entry.  Each run advances the simulation by one period, so it
+   fires one tick and the delivery of the previous tick's report. *)
+let bench_report_tick =
+  let net = Net.create (Topology.star 1) in
+  let k = Kernel.create net in
+  let b = Broker.Matchmaker.install k ~site:0 ~name:"broker" () in
+  let p = Broker.Provider.install k ~site:1 ~name:"prov-3" ~service:"compute" ~capacity:2.0 () in
+  Broker.Matchmaker.register_provider b p;
+  Broker.Provider.start_load_monitor k p ~brokers:[ (0, "broker") ] ~period:1.0;
+  Test.make ~name:"core E5 report tick (monitor -> send -> broker upsert)"
+    (Staged.stage (fun () -> Net.run ~until:(Net.now net +. 1.0) net))
+
 let bench_metrics_incr =
   let m = Obs.Metrics.create () in
   Test.make ~name:"obs metrics incr by name (labelled)"
@@ -378,6 +392,7 @@ let all_benches =
       bench_report_serialize;
       bench_report_deserialize;
       bench_report_delivery;
+      bench_report_tick;
       bench_metrics_incr;
       bench_metrics_bump;
       bench_schedule_fire;

@@ -26,13 +26,16 @@ type t = {
 let site t = t.bsite
 let agent_name t = t.bname
 
-let upsert t ~provider ~service ~host ~capacity ~load =
+(* A known provider's report refreshes only its load: [fixed] yields the
+   service, host and capacity, and is called only for a new entry. *)
+let upsert t ~provider ~load fixed =
   let now = Kernel.now t.kernel in
   match Hashtbl.find_opt t.entries provider with
   | Some e ->
     e.load <- load;
     e.reported_at <- now
   | None ->
+    let service, host, capacity = fixed () in
     Hashtbl.replace t.entries provider
       { provider; service; host; capacity; load; reported_at = now }
 
@@ -84,33 +87,38 @@ let lookup t ~service ?(exclude = []) ?policy () =
   choice
 
 let forward_to_peers t bc =
-  List.iter
-    (fun (peer_site, peer_agent) ->
-      let copy = Briefcase.copy bc in
-      Briefcase.set copy "GOSSIP" "1";
-      Kernel.send_briefcase t.kernel ~src:t.bsite ~dst:peer_site ~contact:peer_agent copy)
-    t.peers
+  match t.peers with
+  | [] -> ()
+  | peers ->
+    let gossip = Briefcase.copy bc in
+    Briefcase.set gossip "GOSSIP" "1";
+    List.iter
+      (fun (peer_site, peer_agent) ->
+        Kernel.send_briefcase t.kernel ~src:t.bsite ~dst:peer_site ~contact:peer_agent gossip)
+      peers
 
 let handle t bc =
   match Option.value ~default:"lookup" (Briefcase.find_opt bc "OP") with
   | "register" | "report" -> (
     Obs.Metrics.bump t.reports_metric 1;
-    match
-      ( Briefcase.find_opt bc "PROVIDER",
-        Briefcase.find_opt bc "SERVICE",
-        Briefcase.find_opt bc "HOST" )
-    with
-    | Some provider, Some service, Some host ->
-      let capacity =
-        Option.value ~default:1.0 (Option.bind (Briefcase.find_opt bc "CAPACITY") float_of_string_opt)
-      in
+    let malformed () = raise (Kernel.Agent_error "broker: report needs PROVIDER/SERVICE/HOST") in
+    match Briefcase.find_opt bc "PROVIDER" with
+    | None -> malformed ()
+    | Some provider ->
       let load =
         Option.value ~default:0.0 (Option.bind (Briefcase.find_opt bc "LOAD") float_of_string_opt)
       in
-      upsert t ~provider ~service ~host ~capacity ~load;
+      upsert t ~provider ~load (fun () ->
+          match (Briefcase.find_opt bc "SERVICE", Briefcase.find_opt bc "HOST") with
+          | Some service, Some host ->
+            let capacity =
+              Option.value ~default:1.0
+                (Option.bind (Briefcase.find_opt bc "CAPACITY") float_of_string_opt)
+            in
+            (service, host, capacity)
+          | _ -> malformed ());
       (* one-hop gossip: only originals travel to peers *)
-      if not (Briefcase.mem bc "GOSSIP") then forward_to_peers t bc
-    | _ -> raise (Kernel.Agent_error "broker: report needs PROVIDER/SERVICE/HOST"))
+      if not (Briefcase.mem bc "GOSSIP") then forward_to_peers t bc)
   | "lookup" -> (
     match Briefcase.find_opt bc "SERVICE" with
     | None -> raise (Kernel.Agent_error "broker: lookup needs SERVICE")
@@ -134,8 +142,7 @@ let handle t bc =
         match Kernel.site_named t.kernel host with
         | None -> ()
         | Some dst ->
-          Kernel.send_briefcase t.kernel ~src:t.bsite ~dst ~contact:agent
-            (Briefcase.copy bc))
+          Kernel.send_briefcase t.kernel ~src:t.bsite ~dst ~contact:agent bc)
       | _ -> ()))
   | op -> raise (Kernel.Agent_error (Printf.sprintf "broker: unknown op %S" op))
 
@@ -160,7 +167,7 @@ let install kernel ~site ~name ?(policy = Policy.Least_loaded) ?max_report_age (
 let add_peer t peer = t.peers <- peer :: t.peers
 
 let register_provider t p =
-  upsert t ~provider:(Provider.name p) ~service:(Provider.service p)
-    ~host:(Kernel.site_name t.kernel (Provider.site p))
-    ~capacity:(Provider.capacity p)
+  upsert t ~provider:(Provider.name p)
     ~load:(float_of_int (Provider.queue_length p))
+    (fun () ->
+      (Provider.service p, Kernel.site_name t.kernel (Provider.site p), Provider.capacity p))

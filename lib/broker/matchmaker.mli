@@ -8,7 +8,9 @@
 
     Meet protocol, dispatched on the [OP] folder:
     - ["register"]: [PROVIDER], [SERVICE], [HOST], [CAPACITY]
-    - ["report"]:   same folders plus [LOAD] (sent by load monitors)
+    - ["report"]:   same folders plus [LOAD] (sent by load monitors); for a
+      provider the broker already knows, only [LOAD] and the report time
+      are taken, and its registered service, host and capacity stay
     - ["lookup"]:   [SERVICE] (and optionally [POLICY], and [EXCLUDE] — a
       comma-separated list of provider names to skip, used by clients
       failing over from an unreachable provider); the broker answers in

@@ -117,19 +117,21 @@ let install kernel ~site ~name ~service ~capacity ?ticket_key () =
 let start_load_monitor kernel t ~brokers ~period =
   let loop_agent = "loadmon:" ^ t.pname in
   Kernel.register_native kernel loop_agent (fun ctx _ ->
+      (* the fixed fields are rendered once per monitor activation; a tick
+         sets only LOAD, and [send_briefcase] snapshots the report *)
+      let report = Briefcase.create () in
+      Briefcase.set report "OP" "report";
+      Briefcase.set report "PROVIDER" t.pname;
+      Briefcase.set report "SERVICE" t.pservice;
+      Briefcase.set report "HOST" (Kernel.site_name kernel t.psite);
+      Briefcase.set report "CAPACITY" (string_of_float t.pcapacity);
       let rec loop () =
         if Netsim.Net.site_up (Kernel.net kernel) t.psite then begin
+          Briefcase.set report "LOAD" (string_of_int (queue_length t));
           List.iter
             (fun (broker_site, broker_agent) ->
-              let out = Briefcase.create () in
-              Briefcase.set out "OP" "report";
-              Briefcase.set out "PROVIDER" t.pname;
-              Briefcase.set out "SERVICE" t.pservice;
-              Briefcase.set out "HOST" (Kernel.site_name kernel t.psite);
-              Briefcase.set out "CAPACITY" (string_of_float t.pcapacity);
-              Briefcase.set out "LOAD" (string_of_int (queue_length t));
               Kernel.send_briefcase kernel ~src:t.psite ~dst:broker_site
-                ~contact:broker_agent out)
+                ~contact:broker_agent report)
             brokers;
           Kernel.sleep ctx period;
           loop ()

@@ -67,12 +67,12 @@ let send_to_broker t ~src dst_broker ~contact bc =
 let advertise t node =
   let entries = reachable t node in
   let wire = List.map (fun (s, c) -> Printf.sprintf "%s:%d" s c) entries in
+  let bc = Briefcase.create () in
+  Briefcase.set bc "OP" "advert";
+  Briefcase.set bc "FROM" (Matchmaker.agent_name node.broker);
+  Folder.replace (Briefcase.folder bc "SERVICES") wire;
   List.iter
     (fun peer ->
-      let bc = Briefcase.create () in
-      Briefcase.set bc "OP" "advert";
-      Briefcase.set bc "FROM" (Matchmaker.agent_name node.broker);
-      Folder.replace (Briefcase.folder bc "SERVICES") wire;
       send_to_broker t ~src:(Matchmaker.site node.broker) peer.broker
         ~contact:(route_agent_name peer.broker) bc)
     node.peers

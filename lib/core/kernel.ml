@@ -678,9 +678,11 @@ let handle_message t site seen (msg : Netsim.Message.t) =
       if Hashtbl.length seen > seen_mid_window then Hashtbl.reset seen;
       Hashtbl.replace seen mid ()
     end;
-    (* a retransmitted payload may be delivered again (after a restart
-       forgets [seen]): every delivery gets its own copy *)
-    if not duplicate then accept_briefcase t ~site ~src:msg.src ~contact (Briefcase.copy bc)
+    (* the sender took the snapshot, and a message delivered once hands it
+       to the activation; only a retransmittable payload can be delivered
+       again (after a restart forgets [seen]), so it is copied per delivery *)
+    if not duplicate then
+      accept_briefcase t ~site ~src:msg.src ~contact (if needs_ack then Briefcase.copy bc else bc)
   | Migration_ack { mid } -> (
     match Hashtbl.find_opt t.pending_acks mid with
     | Some st ->

@@ -268,6 +268,67 @@ let test_crashed_provider_ages_out () =
   check Alcotest.(list string) "no stale services advertised" []
     (Matchmaker.services b)
 
+(* The monitor reuses one report briefcase across ticks.  The link is
+   slower than the period, so tick k's report is still in flight when tick
+   k+1 sets LOAD again, and a job arrives between every two ticks: a report
+   that shared the monitor's briefcase, or kept a LOAD set earlier, would
+   show a queue length other than the one at its own tick. *)
+let test_report_load_is_its_ticks () =
+  let net = Net.create (Topology.full_mesh ~latency:0.7 2) in
+  let k = Kernel.create net in
+  let loads = ref [] in
+  Kernel.register_native k ~site:0 "broker" (fun _ bc ->
+      loads := Briefcase.find_opt bc "LOAD" :: !loads);
+  let p = Provider.install k ~site:1 ~name:"p1" ~service:"compute" ~capacity:1.0 () in
+  Provider.start_load_monitor k p ~brokers:[ (0, "broker") ] ~period:0.5;
+  for i = 0 to 7 do
+    ignore
+      (Net.schedule net ~after:(0.25 +. (0.5 *. float_of_int i)) (fun () ->
+           let bc = Briefcase.create () in
+           Briefcase.set bc "WORK" "1000.0";
+           Kernel.launch k ~site:1 ~contact:"p1" bc))
+  done;
+  (* ticks at 0, 0.5, .., 3.0 are delivered by 4.0; tick i saw i jobs *)
+  Net.run ~until:4.0 net;
+  check Alcotest.(list (option string)) "each report carries its tick's queue length"
+    (List.init 7 (fun i -> Some (string_of_int i)))
+    (List.rev !loads)
+
+(* A report refreshes a known provider's load and report time whatever its
+   CAPACITY says; only a provider the broker has not seen takes it, with the
+   1.0 default when it is missing or malformed. *)
+let test_report_capacity_read_on_insert () =
+  List.iter
+    (fun capacity ->
+      let net, k = mk_world () in
+      let b = Matchmaker.install k ~site:0 ~name:"broker" () in
+      let p = Provider.install k ~site:1 ~name:"p1" ~service:"compute" ~capacity:4.0 () in
+      Matchmaker.register_provider b p;
+      List.iter
+        (fun provider ->
+          let bc = Briefcase.create () in
+          Briefcase.set bc "OP" "report";
+          Briefcase.set bc "PROVIDER" provider;
+          Briefcase.set bc "SERVICE" "compute";
+          Briefcase.set bc "HOST" "site-1";
+          Option.iter (Briefcase.set bc "CAPACITY") capacity;
+          Briefcase.set bc "LOAD" "3";
+          ignore
+            (Net.schedule net ~after:2.0 (fun () -> Kernel.launch k ~site:0 ~contact:"broker" bc)))
+        [ "p1"; "p9" ];
+      Net.run net;
+      let got =
+        List.map
+          (fun c -> (c.Policy.provider, (c.Policy.capacity, c.Policy.load, c.Policy.report_age)))
+          (Matchmaker.candidates b ~service:"compute")
+      in
+      check
+        Alcotest.(list (pair string (triple (float 0.0) (float 0.0) (float 0.0))))
+        (Option.value ~default:"missing" capacity)
+        [ ("p1", (4.0, 3.0, 0.0)); ("p9", (1.0, 3.0, 0.0)) ]
+        got)
+    [ None; Some "fast"; Some "" ]
+
 (* --- routing overlay --- *)
 
 module Routing = Broker.Routing
@@ -465,6 +526,9 @@ let () =
           Alcotest.test_case "load monitor" `Quick test_load_monitor_updates_broker;
           Alcotest.test_case "peer gossip" `Quick test_broker_gossip_to_peer;
           Alcotest.test_case "crashed provider ages out" `Quick test_crashed_provider_ages_out;
+          Alcotest.test_case "report LOAD is its tick's" `Quick test_report_load_is_its_ticks;
+          Alcotest.test_case "report CAPACITY read on insert" `Quick
+            test_report_capacity_read_on_insert;
         ] );
       ( "provider",
         [
