@@ -183,6 +183,31 @@ let bench_interp_proc_int_arg =
          let it = Tscript.Interp.create () in
          ignore (Tscript.Interp.eval it code)))
 
+(* Variable cells: six globals read and written by every pass of a loop at
+   global scope, and a proc that links a global and a counter on each
+   call, so each call's references resolve in a new frame *)
+let bench_interp_globals =
+  let code =
+    "set a 1; set b 2; set c 3; set d 4; set e 5; set f 0; \
+     for {set i 0} {$i < 500} {incr i} {set f [expr {$a + $b + $c + $d + $e + $f}]; \
+     set a $b; set b $c; set c $d; set d $e; set e [expr {$f % 7}]}; set f"
+  in
+  Test.make ~name:"interp global-scope loop over six variables (500 passes)"
+    (Staged.stage (fun () ->
+         let it = Tscript.Interp.create () in
+         ignore (Tscript.Interp.eval it code)))
+
+let bench_interp_proc_global =
+  let code =
+    "set total 0; set calls 0; \
+     proc tally {x} {global total calls; incr calls; set total [expr {$total + $x}]}; \
+     for {set i 0} {$i < 500} {incr i} {tally $i}; list $total $calls"
+  in
+  Test.make ~name:"interp proc using global (500 calls)"
+    (Staged.stage (fun () ->
+         let it = Tscript.Interp.create () in
+         ignore (Tscript.Interp.eval it code)))
+
 (* language substrates added beyond the minimum: regex and arrays *)
 let bench_regex_search =
   let re = Tscript.Regex.compile_exn "(\\w+)@(\\w+)" in
@@ -376,6 +401,8 @@ let all_benches =
       bench_interp_split_lindex;
       bench_interp_incr;
       bench_interp_proc_int_arg;
+      bench_interp_globals;
+      bench_interp_proc_global;
       bench_folder_contains;
       bench_cabinet_contains;
       bench_mint_validate;

@@ -5,7 +5,7 @@
 
 type 'fn fragment =
   | Lit of string
-  | Var of string
+  | Var of Value.var_ref
   | VarElem of string * 'fn fragment list
   | Cmd of 'fn script
 
@@ -32,9 +32,12 @@ and 'fn command = {
   mutable c_id : int;
   mutable c_epoch : int;
   mutable c_fn : 'fn option;
+  (* the variable references of the literal names a command takes as
+     arguments ([set x], [foreach {k v}]), filled by the command *)
+  mutable c_vars : Value.var_ref array;
 }
 
 and 'fn script = 'fn command list
 
 let braced value = Braced { value; script = None; expr = None }
-let command words = { words; c_id = -1; c_epoch = -1; c_fn = None }
+let command words = { words; c_id = -1; c_epoch = -1; c_fn = None; c_vars = [||] }

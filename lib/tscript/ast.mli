@@ -14,7 +14,7 @@
 
 type 'fn fragment =
   | Lit of string        (** literal text *)
-  | Var of string        (** [$name] or [${name}] *)
+  | Var of Value.var_ref (** [$name] or [${name}], with its cell cache *)
   | VarElem of string * 'fn fragment list
       (** [$name(index)] — a Tcl array element; the index is itself a
           fragment sequence, so [$a($i)] works *)
@@ -51,6 +51,11 @@ and 'fn command = {
   mutable c_fn : 'fn option;
       (** the resolved command function, trusted only when both stamps
           match the evaluating interpreter *)
+  mutable c_vars : Value.var_ref array;
+      (** references for the variables a command names by a literal
+          argument: the first argument of [set], [incr], [append] and
+          [lappend], the loop variables of [foreach] and [lmap].  Filled
+          by the command on first use; empty until then. *)
 }
 
 and 'fn script = 'fn command list

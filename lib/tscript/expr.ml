@@ -308,7 +308,7 @@ let binop_of_string = function
 
 type 'script ast =
   | Const of num
-  | Var of string (* "$name" or "name(raw index)"; resolved via lookup *)
+  | Var of Value.var_ref (* "$name" or "name(raw index)"; resolved via env.var *)
   | Cmd of 'script cmd (* "[script]"; resolved via eval_cmd *)
   | Not of 'script ast
   | Neg of 'script ast
@@ -336,7 +336,7 @@ let rec parse_primary ctx =
     Const (Str (Value.of_string s))
   | Tvar name ->
     advance ctx.lx;
-    Var name
+    Var (Value.var_ref name)
   | Tcmd text ->
     advance ctx.lx;
     Cmd { text; script = None }
@@ -601,40 +601,40 @@ let apply_fn name args =
     List.fold_left (fun acc v -> if compare_vals v acc > 0 then v else acc) (List.hd vs) vs
   | _ -> fail (Printf.sprintf "unknown function %s/%d" name (List.length args))
 
-let rec eval_node ~lookup ~eval_cmd node =
+type 'script env = { var : Value.var_ref -> Value.t; cmd : 'script cmd -> Value.t }
+
+let rec eval_node env node =
   match node with
   | Const v -> v
-  | Var name -> Str (lookup name)
-  | Cmd c -> Str (eval_cmd c)
-  | Not a -> Int (if truthy_num (eval_node ~lookup ~eval_cmd a) then 0 else 1)
+  | Var r -> Str (env.var r)
+  | Cmd c -> Str (env.cmd c)
+  | Not a -> Int (if truthy_num (eval_node env a) then 0 else 1)
   | Neg a -> (
-    match as_num (eval_node ~lookup ~eval_cmd a) with
+    match as_num (eval_node env a) with
     | Int i -> Int (-i)
     | Float f -> Float (-.f)
     | Str _ -> assert false)
-  | Pos a -> as_num (eval_node ~lookup ~eval_cmd a)
-  | BitNot a -> Int (lnot (as_int (eval_node ~lookup ~eval_cmd a)))
+  | Pos a -> as_num (eval_node env a)
+  | BitNot a -> Int (lnot (as_int (eval_node env a)))
   | Bin (op, a, b) ->
     (* strict, left-to-right *)
-    let va = eval_node ~lookup ~eval_cmd a in
-    let vb = eval_node ~lookup ~eval_cmd b in
+    let va = eval_node env a in
+    let vb = eval_node env b in
     apply_bin op va vb
   | And (a, b) ->
-    if not (truthy_num (eval_node ~lookup ~eval_cmd a)) then Int 0
-    else Int (if truthy_num (eval_node ~lookup ~eval_cmd b) then 1 else 0)
+    if not (truthy_num (eval_node env a)) then Int 0
+    else Int (if truthy_num (eval_node env b) then 1 else 0)
   | Or (a, b) ->
-    if truthy_num (eval_node ~lookup ~eval_cmd a) then Int 1
-    else Int (if truthy_num (eval_node ~lookup ~eval_cmd b) then 1 else 0)
+    if truthy_num (eval_node env a) then Int 1
+    else Int (if truthy_num (eval_node env b) then 1 else 0)
   | Ternary (c, a, b) ->
-    if truthy_num (eval_node ~lookup ~eval_cmd c) then eval_node ~lookup ~eval_cmd a
-    else eval_node ~lookup ~eval_cmd b
-  | Call (name, args) ->
-    apply_fn name (List.map (eval_node ~lookup ~eval_cmd) args)
+    if truthy_num (eval_node env c) then eval_node env a else eval_node env b
+  | Call (name, args) -> apply_fn name (List.map (eval_node env) args)
 
-let eval_ast ~lookup ~eval_cmd ast =
-  match eval_node ~lookup ~eval_cmd ast with
+let eval_ast env ast =
+  match eval_node env ast with
   | Int i -> Value.int i
   | Float f -> Value.of_string (Value.of_float f)
   | Str v -> v
 
-let eval_ast_bool ~lookup ~eval_cmd ast = truthy_num (eval_node ~lookup ~eval_cmd ast)
+let eval_ast_bool env ast = truthy_num (eval_node env ast)

@@ -37,22 +37,22 @@ val compile : string -> 'script ast
     mistakes are rejected here, at compile time.
     @raise Error on syntax errors. *)
 
-val eval_ast :
-  lookup:(string -> Value.t) ->
-  eval_cmd:('script cmd -> Value.t) ->
-  'script ast ->
-  Value.t
+type 'script env = {
+  var : Value.var_ref -> Value.t;
+      (** [$name], or [$name(index)] as ["name(raw index)"], whose index
+          the interpreter substitutes in the caller's scope *)
+  cmd : 'script cmd -> Value.t;  (** a command substitution; fills its slot *)
+}
+(** The interpreter's substitution callbacks.  Each variable reference in
+    a compiled expression is a {!Value.var_ref} with its cell cache. *)
+
+val eval_ast : 'script env -> 'script ast -> Value.t
 (** Evaluate a compiled expression.  An integer result is an int value
     ({!Value.int}); an operand passed through unchanged ([$x], [min],
-    [?:]) is returned as it is.  [eval_cmd] runs a command substitution,
-    filling its slot on first use.
+    [?:]) is returned as it is.
     @raise Error on type errors (caught by the interpreter and turned into
     a script-level error). *)
 
-val eval_ast_bool :
-  lookup:(string -> Value.t) ->
-  eval_cmd:('script cmd -> Value.t) ->
-  'script ast ->
-  bool
+val eval_ast_bool : 'script env -> 'script ast -> bool
 (** Truth-value fast path: skips rendering the result to a string —
     the common case for [if]/[while]/[for] conditions. *)

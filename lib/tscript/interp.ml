@@ -39,8 +39,7 @@ and t = {
   mutable cmd_epoch : int;
       (* bumped by register/unregister so stale inline caches are refused *)
   proc_bodies : (string, string * string) Hashtbl.t; (* name -> params, body (introspection) *)
-  globals : (string, Value.t) Hashtbl.t;
-  global_arrays : (string, (string, Value.t) Hashtbl.t) Hashtbl.t;
+  global : frame; (* its stamp is [uid] *)
   mutable frames : frame list; (* innermost first; [] means global scope *)
   mutable steps : int;
   mutable limit : int option;
@@ -55,23 +54,25 @@ and t = {
   mutable prof_expr_hits : int;
   mutable prof_expr_misses : int;
   caches : caches;
-  (* the two expr callbacks close only over [t]; allocated once here
+  (* the expression callbacks close only over [t]; allocated once here
      instead of once per expression evaluation *)
-  mutable expr_lookup_fn : string -> Value.t;
-  mutable expr_eval_cmd_fn : script Expr.cmd -> Value.t;
+  mutable expr_env : script Expr.env;
   out_buf : Buffer.t;
   mutable output : string -> unit;
 }
 
-(* Only [vars] is allocated up front: most proc frames never touch arrays,
-   [global] links or [upvar] aliases, so those three tables materialise on
-   first write.  This cuts a frame from four hashtable allocations to one. *)
+(* A scope maps names to cells ({!Value.cell}).  A proc frame holds its
+   parameters' cells in an array, in parameter order, and any other name
+   in [locals], made on the first write; the global scope is [locals]
+   alone.  [global] and [upvar] enter another scope's cell under a local
+   name, as Tcl's link variables do, and give the frame a fresh [stamp], so
+   a reference cached under the old stamp resolves its name again. *)
 and frame = {
-  vars : (string, Value.t) Hashtbl.t;
-  mutable arrays : (string, (string, Value.t) Hashtbl.t) Hashtbl.t option;
-  mutable linked_globals : (string, unit) Hashtbl.t option;
-  mutable upvars : (string, frame option * string) Hashtbl.t option;
-      (* local alias -> (target frame, None = global scope; target name) *)
+  params : string array; (* the proc's parameter names, shared by its calls *)
+  cells : Value.cell array;
+  mutable locals : (string, Value.cell) Hashtbl.t option;
+  mutable stamp : int;
+  id : int; (* the [home] of the cells this frame makes *)
 }
 
 let err fmt = Printf.ksprintf (fun msg -> raise (Error_exc msg)) fmt
@@ -83,160 +84,112 @@ let string_list s = match Value.to_list s with Ok l -> l | Error msg -> raise (E
 let cache_entries = 512
 let create_caches () = { parsed = Lru.create ~budget:cache_entries (); next_uid = 0 }
 
+(* interpreter uids and scope stamps come from one fountain, so no two
+   scopes of interpreters sharing ASTs ever have the same stamp *)
+let fresh_uid caches =
+  caches.next_uid <- caches.next_uid + 1;
+  caches.next_uid
+
 (* ---- variables -------------------------------------------------------- *)
 
-(* scope resolution: a name in a frame may be linked to the globals
-   ([global]) or aliased into another frame ([upvar]); chase the links.
-   The lazy tables make the common case (neither [global] nor [upvar]
-   used) two pointer tests with no hashtable probe. *)
-let rec resolve_scope scope name =
-  match scope with
-  | None -> (None, name)
-  | Some f -> (
-    match f.linked_globals with
-    | Some lg when Hashtbl.mem lg name -> (None, name)
-    | Some _ | None -> (
-      match f.upvars with
-      | None -> (scope, name)
-      | Some uv -> (
-        match Hashtbl.find_opt uv name with
-        | Some (target, oname) -> resolve_scope target oname
-        | None -> (scope, name))))
+let scope t = match t.frames with f :: _ -> f | [] -> t.global
 
-let current_scope t = match t.frames with [] -> None | f :: _ -> Some f
-let resolve_name t name = resolve_scope (current_scope t) name
-let scope_vars t = function None -> t.globals | Some f -> f.vars
+(* [name]'s cell in [f], or [Value.nowhere].  A parameter name given twice
+   finds its first cell, which is the one Tcl binds. *)
+let rec find_cell f name i =
+  if i = Array.length f.params then
+    match f.locals with
+    | None -> Value.nowhere
+    | Some h -> ( try Hashtbl.find h name with Not_found -> Value.nowhere)
+  else if String.equal (Array.unsafe_get f.params i) name then Array.unsafe_get f.cells i
+  else find_cell f name (i + 1)
 
-(* read path: never forces the frame's array table into existence *)
-let scope_arrays_opt t = function
-  | None -> Some t.global_arrays
-  | Some f -> f.arrays
+let lookup f name = find_cell f name 0
 
-(* write path: materialises the table on first use *)
-let scope_arrays_rw t = function
-  | None -> t.global_arrays
-  | Some f -> (
-    match f.arrays with
-    | Some h -> h
-    | None ->
-      let h = Hashtbl.create 4 in
-      f.arrays <- Some h;
-      h)
-
-let frame_linked_globals f =
-  match f.linked_globals with
+let locals f =
+  match f.locals with
   | Some h -> h
   | None ->
-    let h = Hashtbl.create 4 in
-    f.linked_globals <- Some h;
+    let h = Hashtbl.create 8 in
+    f.locals <- Some h;
     h
 
-let frame_upvars f =
-  match f.upvars with
-  | Some h -> h
-  | None ->
-    let h = Hashtbl.create 4 in
-    f.upvars <- Some h;
-    h
+(* [name]'s cell in [f], made absent when it has none *)
+let cell_rw f name =
+  let c = lookup f name in
+  if c != Value.nowhere then c
+  else begin
+    let c = Value.cell f.id Value.absent in
+    Hashtbl.replace (locals f) name c;
+    c
+  end
 
-let resolved_vars t name =
-  let scope, n = resolve_name t name in
-  (scope_vars t scope, n)
+(* A reference's cell in the current scope: the cached one while the scope
+   has the stamp it was cached under.  A read makes the cell too, absent,
+   so a scope holds at most one cell per literal name it mentions. *)
+let ref_cell t (r : Value.var_ref) =
+  let f = scope t in
+  if r.stamp = f.stamp then r.cell
+  else begin
+    let c = cell_rw f r.name in
+    r.stamp <- f.stamp;
+    r.cell <- c;
+    c
+  end
 
-let resolved_arrays_opt t name =
-  let scope, n = resolve_name t name in
-  (scope_arrays_opt t scope, n)
+let defined (c : Value.cell) = c.v != Value.absent || Option.is_some c.elems
 
-let resolved_arrays_rw t name =
-  let scope, n = resolve_name t name in
-  (scope_arrays_rw t scope, n)
+let read name (c : Value.cell) =
+  if c.v != Value.absent then c.v
+  else if Option.is_some c.elems then err "can't read \"%s\": variable is array" name
+  else err "can't read \"%s\": no such variable" name
 
-(* The accessors below special-case the two overwhelmingly common shapes —
-   global scope, and a frame with no [global]/[upvar] links — so a plain
-   variable read or write is one hashtable probe with no intermediate
-   tuples.  (A [match a, b with] scrutinee compiles without building the
-   tuple.)  The general resolver only runs when links exist. *)
+let write name (c : Value.cell) v =
+  match c.elems with
+  | None -> c.v <- v
+  | Some _ -> err "can't set \"%s\": variable is array" name
 
-let array_exists t name =
-  match t.frames with
-  | [] -> Hashtbl.length t.global_arrays <> 0 && Hashtbl.mem t.global_arrays name
-  | f :: _ -> (
-    match (f.linked_globals, f.upvars) with
-    | None, None -> ( match f.arrays with None -> false | Some a -> Hashtbl.mem a name)
-    | _ -> (
-      match resolved_arrays_opt t name with
-      | Some tbl, n -> Hashtbl.mem tbl n
-      | None, _ -> false))
+let get_var t name = read name (lookup (scope t) name)
+let set_var t name v = write name (cell_rw (scope t) name) v
 
-let get_var_opt t name =
-  match t.frames with
-  | [] -> Hashtbl.find_opt t.globals name
-  | f :: _ -> (
-    match (f.linked_globals, f.upvars) with
-    | None, None -> Hashtbl.find_opt f.vars name
-    | _ ->
-      let tbl, n = resolved_vars t name in
-      Hashtbl.find_opt tbl n)
-
-let get_var t name =
-  match get_var_opt t name with
-  | Some v -> v
-  | None ->
-    if array_exists t name then err "can't read %S: variable is array" name
-    else err "can't read %S: no such variable" name
-
-let set_var t name v =
-  if array_exists t name then err "can't set %S: variable is array" name;
-  match t.frames with
-  | [] -> Hashtbl.replace t.globals name v
-  | f :: _ -> (
-    match (f.linked_globals, f.upvars) with
-    | None, None -> Hashtbl.replace f.vars name v
-    | _ ->
-      let tbl, n = resolved_vars t name in
-      Hashtbl.replace tbl n v)
-
-let unset_var t name =
-  let vtbl, vn = resolved_vars t name in
-  Hashtbl.remove vtbl vn;
-  match resolved_arrays_opt t name with
-  | Some atbl, an -> Hashtbl.remove atbl an
-  | None, _ -> ()
+(* the cell stays: a reference that cached it stays valid *)
+let unset_var t ~complain name =
+  let c = lookup (scope t) name in
+  if defined c then begin
+    c.v <- Value.absent;
+    c.elems <- None
+  end
+  else if complain then err "can't unset \"%s\": no such variable" name
 
 (* ---- array elements ----------------------------------------------------- *)
 
-let get_elem_opt t name index =
-  match resolved_arrays_opt t name with
-  | Some tbl, n ->
-    Option.bind (Hashtbl.find_opt tbl n) (fun arr -> Hashtbl.find_opt arr index)
-  | None, _ -> None
+let elem_error verb name index (c : Value.cell) =
+  err "can't %s \"%s(%s)\": %s" verb name index
+    (if Option.is_some c.elems then "no such element in array"
+     else if c.v != Value.absent then "variable isn't array"
+     else "no such variable")
 
 let get_elem t name index =
-  match get_elem_opt t name index with
-  | Some v -> v
-  | None -> err "can't read %S(%s): no such element" name index
+  let c = lookup (scope t) name in
+  match c.elems with
+  | Some h -> ( try Hashtbl.find h index with Not_found -> elem_error "read" name index c)
+  | None -> elem_error "read" name index c
 
 let set_elem t name index v =
-  let vtbl, vn = resolved_vars t name in
-  if Hashtbl.mem vtbl vn then err "can't set %S(%s): variable isn't array" name index;
-  let tbl, n = resolved_arrays_rw t name in
-  let arr =
-    match Hashtbl.find_opt tbl n with
-    | Some arr -> arr
-    | None ->
-      let arr = Hashtbl.create 8 in
-      Hashtbl.replace tbl n arr;
-      arr
-  in
-  Hashtbl.replace arr index v
+  let c = cell_rw (scope t) name in
+  match c.elems with
+  | Some h -> Hashtbl.replace h index v
+  | None ->
+    if c.v != Value.absent then elem_error "set" name index c;
+    let h = Hashtbl.create 8 in
+    Hashtbl.replace h index v;
+    c.elems <- Some h
 
-let unset_elem t name index =
-  match resolved_arrays_opt t name with
-  | Some tbl, n -> (
-    match Hashtbl.find_opt tbl n with
-    | Some arr -> Hashtbl.remove arr index
-    | None -> ())
-  | None, _ -> ()
+let unset_elem t ~complain name index =
+  let c = lookup (scope t) name in
+  match c.elems with
+  | Some h when Hashtbl.mem h index -> Hashtbl.remove h index
+  | _ -> if complain then elem_error "unset" name index c
 
 (* "name(index)" in a fully-substituted word (set a($i) v arrives here as
    "a(5)"); the index may contain anything except a leading '(' split *)
@@ -249,11 +202,16 @@ let split_array_ref s =
     | _ -> None
   else None
 
-(* generic reference access for commands like set/incr/append/lappend *)
-let get_ref_opt t name =
+(* generic reference access for commands like set/incr/append/lappend;
+   [scalar_of] is [Value.absent] for a missing variable or element and for
+   an array, whose write then fails *)
+let scalar_of t name =
   match split_array_ref name with
-  | Some (a, i) -> get_elem_opt t a i
-  | None -> get_var_opt t name
+  | Some (a, i) -> (
+    match (lookup (scope t) a).elems with
+    | Some h -> ( try Hashtbl.find h i with Not_found -> Value.absent)
+    | None -> Value.absent)
+  | None -> (lookup (scope t) name).v
 
 let get_ref t name =
   match split_array_ref name with
@@ -265,10 +223,45 @@ let set_ref t name v =
   | Some (a, i) -> set_elem t a i v
   | None -> set_var t name v
 
-let unset_ref t name =
+let unset_ref t ~complain name =
   match split_array_ref name with
-  | Some (a, i) -> unset_elem t a i
-  | None -> unset_var t name
+  | Some (a, i) -> unset_elem t ~complain a i
+  | None -> unset_var t ~complain name
+
+(* The reference for a command's literal first argument ([set x ...]),
+   kept on the command node; [no_ref] when that word is not literal or
+   names an array element, which take the lookup by name. *)
+let no_ref = Value.var_ref ""
+
+let arg_ref (node : node) name =
+  let s = Value.to_string name in
+  match node.c_vars with
+  | [| r |] when r.name == s -> r
+  | _ -> (
+    match node.words with
+    | _ :: (Ast.Literal w | Ast.Braced { value = w; _ }) :: _
+      when w == name && split_array_ref s = None ->
+      let r = Value.var_ref s in
+      node.c_vars <- [| r |];
+      r
+    | _ -> no_ref)
+
+(* [incr], [append] and [lappend]: [f x] maps the variable's scalar
+   ([Value.absent] when it has none, or is an array) to the value stored
+   and returned *)
+let update t node name f x =
+  let r = arg_ref node name in
+  if r != no_ref then begin
+    let c = ref_cell t r in
+    let v = f x c.v in
+    write r.name c v;
+    v
+  end
+  else
+    let name = Value.to_string name in
+    let v = f x (scalar_of t name) in
+    set_ref t name v;
+    v
 
 (* ---- metering ---------------------------------------------------------- *)
 
@@ -364,7 +357,7 @@ and fragment_string t frag =
 and eval_fragment t frag =
   match frag with
   | Ast.Lit s -> Value.of_string s
-  | Ast.Var name -> get_var t name
+  | Ast.Var r -> read r.name (ref_cell t r)
   | Ast.VarElem (name, [ frag ]) -> get_elem t name (fragment_string t frag)
   | Ast.VarElem (name, index_frags) -> get_elem t name (concat_fragments t index_frags)
   | Ast.Cmd script -> eval_ast t script
@@ -447,21 +440,21 @@ and subst_string t s =
   | frags -> concat_fragments t frags
   | exception Parse.Syntax_error msg -> err "substitution: %s" msg
 
-(* expr hands back array references as "name(raw index)"; the raw index
-   still needs a round of substitution ($a($i)) *)
-and expr_lookup t n =
-  match split_array_ref n with
-  | Some (name, raw_index) -> get_elem t name (subst_string t raw_index)
-  | None -> get_var t n
+(* expr hands an array reference over as "name(raw index)", whose index
+   still needs a round of substitution ($a($i)); only a scalar is cached *)
+and expr_var t (r : Value.var_ref) =
+  if r.stamp = (scope t).stamp then read r.name r.cell
+  else
+    match split_array_ref r.name with
+    | Some (name, raw_index) -> get_elem t name (subst_string t raw_index)
+    | None -> read r.name (ref_cell t r)
 
 (* the callers charge the expression's step *)
 and expr_value t ast =
-  try Expr.eval_ast ~lookup:t.expr_lookup_fn ~eval_cmd:t.expr_eval_cmd_fn ast
-  with Expr.Error msg -> err "expr: %s" msg
+  try Expr.eval_ast t.expr_env ast with Expr.Error msg -> err "expr: %s" msg
 
 and expr_bool t ast =
-  try Expr.eval_ast_bool ~lookup:t.expr_lookup_fn ~eval_cmd:t.expr_eval_cmd_fn ast
-  with Expr.Error msg -> err "expr: %s" msg
+  try Expr.eval_ast_bool t.expr_env ast with Expr.Error msg -> err "expr: %s" msg
 
 let eval t src =
   match eval_string t src with
@@ -534,31 +527,35 @@ let usage_of_params name params =
   in
   String.concat " " (name :: List.map render params)
 
+let param_name = function Required n | Optional (n, _) -> n | Rest -> "args"
+
 (* false on an arity mismatch; top-level so a call allocates no closure *)
-let rec bind_args vars params args =
+let rec bind_args cells home i params args =
   match (params, args) with
   | [], [] -> true
   | [], _ :: _ -> false
   | [ Rest ], rest ->
-    Hashtbl.replace vars "args" (Value.of_elements (Array.of_list rest));
+    cells.(i) <- Value.cell home (Value.of_elements (Array.of_list rest));
     true
   | Rest :: _, _ -> err "args must be the last parameter"
-  | Required n :: ps, a :: rest ->
-    Hashtbl.replace vars n a;
-    bind_args vars ps rest
+  | Required _ :: ps, a :: rest ->
+    cells.(i) <- Value.cell home a;
+    bind_args cells home (i + 1) ps rest
   | Required _ :: _, [] -> false
-  | Optional (n, d) :: ps, [] ->
-    Hashtbl.replace vars n d;
-    bind_args vars ps []
-  | Optional (n, _) :: ps, a :: rest ->
-    Hashtbl.replace vars n a;
-    bind_args vars ps rest
+  | Optional (_, d) :: ps, [] ->
+    cells.(i) <- Value.cell home d;
+    bind_args cells home (i + 1) ps []
+  | Optional _ :: ps, a :: rest ->
+    cells.(i) <- Value.cell home a;
+    bind_args cells home (i + 1) ps rest
 
-let bind_params name params args =
-  let frame = { vars = Hashtbl.create 8; arrays = None; linked_globals = None; upvars = None } in
-  if not (bind_args frame.vars params args) then
+(* a call's frame: one cell per parameter, no table *)
+let bind_params t name names params args =
+  let id = fresh_uid t.caches in
+  let cells = Array.make (Array.length names) Value.nowhere in
+  if not (bind_args cells id 0 params args) then
     err "wrong # args: should be %S" (usage_of_params name params);
-  frame
+  { params = names; cells; locals = None; stamp = id; id }
 
 let pop_frame t =
   t.frames <- List.tl t.frames;
@@ -568,10 +565,11 @@ let pop_frame t =
    the closure, so each call reuses the parse instead of looking it up *)
 let define_proc t name param_spec body body_words =
   let params = parse_params param_spec in
+  let names = Array.of_list (List.map param_name params) in
   Hashtbl.replace t.proc_bodies name (Value.to_string param_spec, Value.to_string body);
   let run t _ args =
     if t.depth >= t.max_depth then err "too many nested proc calls (max %d)" t.max_depth;
-    let frame = bind_params name params args in
+    let frame = bind_params t name names params args in
     t.frames <- frame :: t.frames;
     t.depth <- t.depth + 1;
     t.prof_proc_calls <- t.prof_proc_calls + 1;
@@ -589,12 +587,31 @@ let define_proc t name param_spec body body_words =
   in
   add_command t name { run }
 
+(* Link [name] in [f] to [target]'s cell for [other] (made absent when
+   missing), as [global] and [upvar] do.  Relinking to the same cell does
+   nothing; a name [f] already holds a value in, other than by a link, is
+   an error, as in Tcl.  Any other change re-stamps [f]. *)
+let link t f name target other =
+  let c = cell_rw target other in
+  let old = lookup f name in
+  if old != c then begin
+    if old.home = f.id && defined old then err "variable \"%s\" already exists" name;
+    let rec param i =
+      if i = Array.length f.params then Hashtbl.replace (locals f) name c
+      else if String.equal f.params.(i) name then f.cells.(i) <- c
+      else param (i + 1)
+    in
+    param 0;
+    f.stamp <- fresh_uid t.caches
+  end
+
 (* ---- builtin commands ---------------------------------------------------- *)
 
 (* [foreach]/[lmap]: varList list ?varList list ...? body.  Each pass gives
    every variable list its next items ("" once its list runs out) and runs
    [each] on the body; the loop ends when every list is used up.  The body
-   is looked up once per pass. *)
+   is looked up once per pass.  The loop variables' references live on the
+   command node, in order, so a pass assigns them without a lookup. *)
 let iterate t ~cmd node args each =
   let usage () =
     err "wrong # args: should be \"%s varList list ?varList list ...? command\"" cmd
@@ -613,21 +630,34 @@ let iterate t ~cmd node args each =
     | [] -> usage ()
   in
   let groups, body_ws, body = groups (arg_words node) args in
-  let groups = Array.of_list groups in
-  (* pass [k] gives a group of [n] variables items [k*n] to [k*n + n - 1] *)
+  let names = Array.concat (List.map fst groups) in
+  let refs = node.Ast.c_vars in
+  if
+    not
+      (Array.length refs = Array.length names
+      && Array.for_all2 (fun r n -> r.Value.name == n) refs names)
+  then node.Ast.c_vars <- Array.map Value.var_ref names;
+  let refs = node.Ast.c_vars and groups = Array.of_list groups in
+  (* pass [p] gives a group of [n] variables items [p*n] to [p*n + n - 1] *)
   let pass = ref 0 in
   let pending (vars, items) = !pass * Array.length vars < Array.length items in
-  let bind_group (vars, items) =
-    let first = !pass * Array.length vars in
-    Array.iteri
-      (fun j v ->
-        let k = first + j in
-        set_var t v (if k < Array.length items then items.(k) else Value.empty))
-      vars
+  let bind_pass () =
+    let k = ref 0 in
+    Array.iter
+      (fun (vars, items) ->
+        let first = !pass * Array.length vars in
+        for j = 0 to Array.length vars - 1 do
+          let (r : Value.var_ref) = refs.(!k) in
+          let v = if first + j < Array.length items then items.(first + j) else Value.empty in
+          if split_array_ref r.name = None then write r.name (ref_cell t r) v
+          else set_ref t r.name v;
+          incr k
+        done)
+      groups
   in
   try
     while Array.exists pending groups do
-      Array.iter bind_group groups;
+      bind_pass ();
       incr pass;
       try each (script_of t body_ws body) with Continue_exc -> ()
     done
@@ -671,6 +701,20 @@ let concat args =
   in
   String.concat " " (List.filter (fun s -> s <> "") (List.map trim args))
 
+(* the updates of [incr], [append] and [lappend], given the variable's
+   scalar or [Value.absent]: a new value, never an update in place, since
+   the old one may be shared *)
+let incr_by delta cur =
+  Value.int ((if cur == Value.absent then 0 else int_value "variable value" cur) + delta)
+
+let append parts cur =
+  let cur = if cur == Value.absent then "" else Value.to_string cur in
+  Value.of_string (String.concat "" (cur :: List.map Value.to_string parts))
+
+let lappend items cur =
+  let cur = if cur == Value.absent then [||] else list_of cur in
+  Value.of_elements (Array.append cur (Array.of_list items))
+
 let is_word word v = String.equal (Value.to_string v) word
 
 (* [if cond ?then? body ?elseif cond ?then? body ...? ?else? ?body?];
@@ -704,42 +748,43 @@ let install_core t0 =
   let reg name run = add_command t0 name { run } in
   let reg_string name fn = register t0 name fn in
 
-  reg "set" (fun t _ args ->
+  reg "set" (fun t node args ->
       match args with
-      | [ name ] -> get_ref t (Value.to_string name)
+      | [ name ] ->
+        let r = arg_ref node name in
+        if r != no_ref then read r.name (ref_cell t r) else get_ref t (Value.to_string name)
       | [ name; v ] ->
-        set_ref t (Value.to_string name) v;
+        let r = arg_ref node name in
+        if r != no_ref then write r.name (ref_cell t r) v
+        else set_ref t (Value.to_string name) v;
         v
       | _ -> err "wrong # args: should be \"set varName ?newValue?\"");
 
+  (* unset ?-nocomplain? ?--? ?name ...?, as Tcl 8.6 reads its options *)
   reg_string "unset" (fun t args ->
-      match args with
-      | [] -> err "wrong # args: should be \"unset varName ?varName ...?\""
-      | names ->
-        List.iter (unset_ref t) names;
-        "");
+      let complain, names =
+        match args with "-nocomplain" :: rest -> (false, rest) | names -> (true, names)
+      in
+      let names = match names with "--" :: rest -> rest | names -> names in
+      List.iter (unset_ref t ~complain) names;
+      "");
 
-  reg "incr" (fun t _ args ->
+  reg "incr" (fun t node args ->
       match args with
       | [ name ] | [ name; _ ] ->
-        let name = Value.to_string name in
+        (* an element of a scalar is a read error, as in Tcl *)
+        (match split_array_ref (Value.to_string name) with
+        | Some (a, i) when (lookup (scope t) a).v != Value.absent -> ignore (get_elem t a i)
+        | _ -> ());
         let delta = match args with [ _; d ] -> int_value "increment" d | _ -> 1 in
-        let cur =
-          match get_ref_opt t name with
-          | None -> 0
-          | Some v -> int_value "variable value" v
-        in
-        let v = Value.int (cur + delta) in
-        set_ref t name v;
-        v
+        update t node name incr_by delta
       | _ -> err "wrong # args: should be \"incr varName ?increment?\"");
 
+  (* outside a proc, [global] does nothing *)
   reg_string "global" (fun t args ->
       (match t.frames with
       | [] -> ()
-      | frame :: _ ->
-        let lg = frame_linked_globals frame in
-        List.iter (fun n -> Hashtbl.replace lg n ()) args);
+      | frame :: _ -> List.iter (fun n -> link t frame n t.global n) args);
       "");
 
   reg_string "upvar" (fun t args ->
@@ -756,31 +801,21 @@ let install_core t0 =
       in
       if pairs = [] || List.length pairs mod 2 <> 0 then
         err "wrong # args: should be \"upvar ?level? otherVar localVar ?...?\"";
-      let target =
-        match level with
-        | `Global -> None
-        | `Up n -> (
-          (* frames.(0) is the current frame; n frames up *)
-          let rec go frames n =
-            match (frames, n) with
-            | _, 0 -> ( match frames with [] -> None | f :: _ -> Some f)
-            | [], _ -> None
-            | _ :: rest, n -> go rest (n - 1)
-          in
-          match t.frames with [] -> None | _ :: rest -> go rest (n - 1))
+      (* [n] frames up from the current one; past the outermost proc, the
+         global scope *)
+      let rec up frames n =
+        match frames with f :: rest -> if n = 0 then f else up rest (n - 1) | [] -> t.global
       in
-      (match t.frames with
-      | [] -> err "upvar: no enclosing frame"
-      | frame :: _ ->
-        let uv = frame_upvars frame in
-        let rec link = function
-          | other :: local :: rest ->
-            Hashtbl.replace uv local (target, other);
-            link rest
-          | [] -> ()
-          | [ _ ] -> err "upvar: unbalanced variable pairs"
-        in
-        link pairs);
+      let target = match level with `Global -> t.global | `Up n -> up t.frames n in
+      let frame = scope t in
+      let rec link_pairs = function
+        | other :: local :: rest ->
+          link t frame local target other;
+          link_pairs rest
+        | [] -> ()
+        | [ _ ] -> err "upvar: unbalanced variable pairs"
+      in
+      link_pairs pairs;
       "");
 
   reg "uplevel" (fun t _ args ->
@@ -839,7 +874,7 @@ let install_core t0 =
       match args with
       | [ script ] | [ script; _ ] -> (
         let set_result v =
-          match args with [ _; var ] -> set_var t (Value.to_string var) v | _ -> ()
+          match args with [ _; var ] -> set_ref t (Value.to_string var) v | _ -> ()
         in
         match eval_ast t (script_of t (arg_words node) script) with
         | v ->
@@ -915,13 +950,9 @@ let install_core t0 =
       Value.empty);
 
   reg_string "array" (fun t args ->
-      let find_array name =
-        match resolved_arrays_opt t name with
-        | Some tbl, n -> Hashtbl.find_opt tbl n
-        | None, _ -> None
-      in
+      let find_array name = (lookup (scope t) name).elems in
       match args with
-      | [ "exists"; name ] -> Value.of_bool (array_exists t name)
+      | [ "exists"; name ] -> Value.of_bool (Option.is_some (find_array name))
       | [ "size"; name ] -> (
         match find_array name with
         | Some arr -> Value.of_int (Hashtbl.length arr)
@@ -956,12 +987,11 @@ let install_core t0 =
         go (string_list kvlist);
         ""
       | [ "unset"; name ] ->
-        (match resolved_arrays_opt t name with
-        | Some tbl, n -> Hashtbl.remove tbl n
-        | None, _ -> ());
+        let c = lookup (scope t) name in
+        if Option.is_some c.elems then c.elems <- None;
         ""
       | [ "unset"; name; key ] ->
-        unset_elem t name key;
+        unset_elem t ~complain:false name key;
         ""
       | _ -> err "unsupported array subcommand or wrong # args");
 
@@ -1029,8 +1059,9 @@ let install_core t0 =
       match args with
       | [ "exists"; name ] ->
         Value.of_bool
-          (Option.is_some (get_ref_opt t name)
-          || (split_array_ref name = None && array_exists t name))
+          (match split_array_ref name with
+          | Some _ -> scalar_of t name != Value.absent
+          | None -> defined (lookup (scope t) name))
       | [ "commands" ] -> Value.of_list (List.sort compare (command_names t))
       | [ "procs" ] ->
         Value.of_list
@@ -1145,14 +1176,10 @@ let install_strings t0 =
       | sub :: _ -> err "unsupported string subcommand %S or wrong # args" sub
       | [] -> err "wrong # args: should be \"string subcommand ...\"");
 
-  reg "append" (fun t _ args ->
+  reg "append" (fun t node args ->
       match args with
       | name :: parts ->
-        let name = Value.to_string name in
-        let cur = match get_ref_opt t name with Some v -> Value.to_string v | None -> "" in
-        let v = Value.of_string (String.concat "" (cur :: List.map Value.to_string parts)) in
-        set_ref t name v;
-        v
+        update t node name append parts
       | [] -> err "wrong # args: should be \"append varName ?value ...?\"");
 
   reg_string "format" (fun _ args ->
@@ -1254,15 +1281,10 @@ let install_lists t0 =
         if i < 0 || i >= len then Value.empty else items.(i)
       | _ -> err "wrong # args: should be \"lindex list ?index?\"");
 
-  (* a new value, never an update in place: the old one may be shared *)
-  reg "lappend" (fun t _ args ->
+  reg "lappend" (fun t node args ->
       match args with
       | name :: items ->
-        let name = Value.to_string name in
-        let cur = match get_ref_opt t name with Some v -> list_of v | None -> [||] in
-        let v = Value.of_elements (Array.append cur (Array.of_list items)) in
-        set_ref t name v;
-        v
+        update t node name lappend items
       | [] -> err "wrong # args: should be \"lappend varName ?value ...?\"");
 
   reg_string "lrange" (fun _ args ->
@@ -1349,10 +1371,10 @@ let install_lists t0 =
           | n :: nrest -> (
             match items with
             | [] ->
-              set_var t n Value.empty;
+              set_ref t n Value.empty;
               go nrest []
             | x :: irest ->
-              set_var t n (Value.of_string x);
+              set_ref t n (Value.of_string x);
               go nrest irest)
         in
         go names items
@@ -1374,15 +1396,21 @@ let install_lists t0 =
       Value.of_elements (Array.of_list (List.rev !out)))
 
 let make ~commands ~step_limit ~max_depth caches =
-  caches.next_uid <- caches.next_uid + 1;
+  let uid = fresh_uid caches in
   let t =
     {
-      uid = caches.next_uid;
+      uid;
       cmd_epoch = 0;
       commands;
       proc_bodies = Hashtbl.create 16;
-      globals = Hashtbl.create 32;
-      global_arrays = Hashtbl.create 8;
+      global =
+        {
+          params = [||];
+          cells = [||];
+          locals = Some (Hashtbl.create 32);
+          stamp = uid;
+          id = uid;
+        };
       frames = [];
       steps = 0;
       limit = step_limit;
@@ -1397,14 +1425,17 @@ let make ~commands ~step_limit ~max_depth caches =
       prof_expr_hits = 0;
       prof_expr_misses = 0;
       caches;
-      expr_lookup_fn = (fun _ -> Value.empty);
-      expr_eval_cmd_fn = (fun _ -> Value.empty);
+      expr_env =
+        { var = (fun _ -> Value.empty); cmd = (fun _ -> Value.empty) };
       out_buf = Buffer.create 256;
       output = ignore;
     }
   in
-  t.expr_lookup_fn <- (fun name -> expr_lookup t name);
-  t.expr_eval_cmd_fn <- (fun c -> expr_cmd t c);
+  t.expr_env <-
+    {
+      var = (fun r -> expr_var t r);
+      cmd = (fun c -> expr_cmd t c);
+    };
   t.output <- (fun s -> Buffer.add_string t.out_buf s);
   t
 
@@ -1425,7 +1456,11 @@ let create ?step_limit ?(max_depth = 256) ?caches () =
 (* ---- variables, host side: strings at the boundary ----------------------- *)
 
 let set_var t name v = set_var t name (Value.of_string v)
-let get_var_opt t name = Option.map Value.to_string (get_var_opt t name)
+let get_var_opt t name =
+  let v = (lookup (scope t) name).v in
+  if v == Value.absent then None else Some (Value.to_string v)
+
+let unset_var t name = unset_var t ~complain:false name
 
 (* ---- profiling ---------------------------------------------------------- *)
 

@@ -36,7 +36,7 @@ let parse_varname st ~parse_index =
       | Some '}' ->
         let name = String.sub st.src start (st.pos - start) in
         advance st;
-        Ast.Var name
+        Ast.Var (Value.var_ref name)
       | Some _ ->
         advance st;
         go ()
@@ -62,7 +62,7 @@ let parse_varname st ~parse_index =
       | Some ')' -> advance st
       | Some _ | None -> fail "unterminated array index");
       Ast.VarElem (name, index)
-    | Some _ | None -> Ast.Var name)
+    | Some _ | None -> Ast.Var (Value.var_ref name))
 
 (* Brace-quoted word: verbatim content with nested balanced braces;
    backslash protects a following brace character from counting. *)

@@ -320,3 +320,16 @@ let elements v =
     | Error _ as e -> e)
   (* an integer's string is one bare word *)
   | Int _ -> Ok [| v |]
+
+(* ---- variables ---------------------------------------------------------- *)
+
+type cell = { mutable v : t; mutable elems : (string, t) Hashtbl.t option; home : int }
+type var_ref = { name : string; mutable stamp : int; mutable cell : cell }
+
+(* compared with [==]: no other value is physically this one *)
+let absent = Str { s = "<absent>"; rep = No_rep }
+let cell home v = { v; elems = None; home }
+
+(* never written: a stamp of -1 matches no scope *)
+let nowhere = cell (-1) absent
+let var_ref name = { name; stamp = -1; cell = nowhere }

@@ -76,3 +76,30 @@ val to_int : t -> int option
 val elements : t -> (t array, string) result
 (** [to_list] of the string, cached.  The array is shared with the value
     and must not be modified. *)
+
+(** {1 Variables}
+
+    A variable is a mutable cell; a scope maps names to cells.  A literal
+    reference to a variable remembers the cell it last resolved to and the
+    stamp of the scope it resolved in, and uses the cell while the scope
+    keeps that stamp. *)
+
+type cell = {
+  mutable v : t;  (** the scalar value, or {!absent} *)
+  mutable elems : (string, t) Hashtbl.t option;  (** an array's elements *)
+  home : int;  (** the stamp of the scope that made the cell *)
+}
+(** Absent (unset) when [v == absent] and [elems = None].  Unset keeps the
+    cell, so a cached cell never goes stale. *)
+
+type var_ref = { name : string; mutable stamp : int; mutable cell : cell }
+
+val absent : t
+val cell : int -> t -> cell
+
+val nowhere : cell
+(** An absent cell of no scope, never written: an empty reference's cell
+    and the result of looking up a missing name. *)
+
+val var_ref : string -> var_ref
+(** An empty reference to a name. *)

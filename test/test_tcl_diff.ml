@@ -2,9 +2,12 @@
 
    A QCheck generator writes programs over the commands agents use most
    (set, expr, incr, if, while, for, foreach, proc, list, split, lindex,
-   llength, lappend, append, string length, puts).  Each program runs under
-   TScript and under tclsh, and the two must agree on the printed output,
-   the error status and, when there is no error, the result.
+   llength, lappend, append, string length, puts) and over variable scope
+   and lifetime (global, upvar, unset, info exists, array elements, a
+   recursive proc).  Each program runs under TScript and under tclsh, and
+   the two must agree on the printed output, the error status and, when
+   there is no error, the result.  Variable errors are caught and printed,
+   so their messages are compared too.
 
    Programs are typed so that they stay inside what TScript claims to
    share with Tcl (DESIGN.md lists the known deviations): integer
@@ -43,6 +46,8 @@ type env = {
   strs : string list;  (** string variables *)
   elems : string list;  (** foreach variables: strings, read only *)
   lists : string list;  (** list variables *)
+  scratch : string list;  (** integer variables that may be unset *)
+  arrays : string list;  (** arrays of integers *)
   depth : int;
   loop : loop;
   grow : bool;  (** outside every loop: lists may grow, strings print *)
@@ -211,6 +216,9 @@ let rec statement env =
             let* i = i and* a = proc_arg env and* b = G.option (proc_arg env) in
             let b = match b with Some b -> " " ^ b | None -> "" in
             G.pure (sprintf "set %s [f1 %s%s]" i a b) );
+          ( 1,
+            let* i = i and* j = G.oneofl is in
+            G.pure (sprintf "set %s [v0 %s]" i j) );
         ]
       else []
   in
@@ -273,6 +281,61 @@ let rec statement env =
         ]
       else []
   in
+  (* a variable error is caught and printed, so Tcl's message is checked *)
+  let caught = sprintf "puts \"[catch {%s} msg] $msg\"" in
+  let scratch =
+    match env.scratch with
+    | [] -> []
+    | us ->
+      let u = G.oneofl us in
+      [
+        (2, G.map2 (sprintf "set %s %s") u int_lit);
+        (1, G.map (sprintf "incr %s") u);
+        (1, G.map (sprintf "unset -nocomplain %s") u);
+        (1, G.map (fun u -> caught ("unset " ^ u)) u);
+        (1, G.map (fun u -> caught ("set " ^ u)) u);
+        (1, G.map (sprintf "puts [info exists %s]") u);
+        (1, G.map (fun u -> sprintf "if {[info exists %s]} {puts $%s}" u u) u);
+      ]
+  in
+  let arrays =
+    match env.arrays with
+    | [] -> []
+    | arrs ->
+      let a = G.oneofl arrs in
+      let elem =
+        let* a = a
+        and* k =
+          G.oneof
+            ([ G.oneofl [ "x"; "y"; "1" ] ] @ if env.ints = [] then [] else [ var env.ints ])
+        in
+        G.pure (sprintf "%s(%s)" a k)
+      in
+      [
+        (2, G.map2 (sprintf "set %s %s") elem int_lit);
+        (1, G.map (sprintf "incr %s") elem);
+        (1, G.map (sprintf "unset -nocomplain %s") elem);
+        (1, G.map (fun e -> caught ("set " ^ e)) elem);
+        (1, G.map (fun e -> caught ("unset " ^ e)) elem);
+        (1, G.map (fun e -> sprintf "if {[info exists %s]} {puts $%s}" e e) elem);
+        (1, G.map (sprintf "puts [array size %s]") a);
+        (1, G.map (fun a -> caught ("set " ^ a)) a);
+      ]
+      @
+      match env.ints with
+      | [] -> []
+      | is -> [ (1, G.map (fun i -> caught ("set " ^ i ^ "(1)")) (G.oneofl is)) ]
+  in
+  let scopes =
+    if env.calls then
+      [
+        (1, G.pure "puts [v1]");
+        (1, G.pure "puts [v2 arr]");
+        (1, G.pure "puts [v3]");
+        (1, G.map (sprintf "puts [v4 %d]") (G.int_range 0 4));
+      ]
+    else []
+  in
   let all_vars = int_vars env @ env.elems @ if env.grow then env.strs @ env.lists else [] in
   let puts =
     [
@@ -300,7 +363,7 @@ let rec statement env =
     | No_loop | In_while -> []
   in
   let compound = if env.depth >= 2 then [] else compound env in
-  G.frequency (ints @ strs @ lists @ puts @ jumps @ compound)
+  G.frequency (ints @ strs @ lists @ scratch @ arrays @ scopes @ puts @ jumps @ compound)
 
 and block env =
   let* ss = G.list_size (G.int_range 1 3) (statement env) in
@@ -360,6 +423,8 @@ let procs =
       strs = [];
       elems = [];
       lists = [];
+      scratch = [];
+      arrays = [];
       depth = 1;
       loop = No_loop;
       grow = true;
@@ -371,7 +436,14 @@ let procs =
     let* b = block env and* e = iexpr env 2 in
     G.pure (Printf.sprintf "set r 0; %s; expr {%s %% 1009}" b e)
   in
-  let* b0 = body and* b1 = body and* d = atom in
+  let scoped env = block { env with ints = "r" :: env.ints } in
+  let* b0 = body
+  and* b1 = body
+  and* d = atom
+  and* v0 = scoped { env with ints = [ "w" ] }
+  and* v1 = scoped { env with ints = []; scratch = [ "u" ]; arrays = [ "arr" ] }
+  and* v2 = scoped { env with ints = []; arrays = [ "q" ] }
+  and* v3 = scoped { env with ints = []; scratch = [ "w" ] } in
   G.pure
     (String.concat "\n"
        [
@@ -379,6 +451,14 @@ let procs =
          Printf.sprintf "proc f1 {a {b 7}} {%s}" b1;
          "proc g {args} {return $args}";
          Printf.sprintf "proc h {x {y %s}} {list $y $x}" d;
+         (* v0-v3 reach the caller's and the global variables; v4 recurses,
+            each frame with its own [m] *)
+         Printf.sprintf "proc v0 {name} {upvar 1 $name w; set r 0; %s; return $w}" v0;
+         Printf.sprintf "proc v1 {} {global u arr; set r 0; %s; return $r}" v1;
+         Printf.sprintf "proc v2 {name} {upvar $name q; set r 0; %s; return $r}" v2;
+         Printf.sprintf "proc v3 {} {upvar #0 u w; set r 0; %s; return $r}" v3;
+         "proc v4 {n} {if {$n <= 0} {return 0}; set m $n; set s [v4 [expr {$n - 1}]]; \
+          expr {$m * 10 + $s}}";
        ])
 
 let program =
@@ -389,6 +469,8 @@ let program =
       strs = [ "s"; "t" ];
       elems = [];
       lists = [ "l"; "m" ];
+      scratch = [ "u" ];
+      arrays = [ "arr" ];
       depth = 0;
       loop = No_loop;
       grow = true;
@@ -405,7 +487,10 @@ let program =
   and* l = atoms
   and* m = atoms
   and* body = G.list_size (G.int_range 2 12) (statement env) in
-  let+ last = G.oneofl [ "puts [list $i $j $n $s $t $l $m]"; "list $i $s $l" ] in
+  let+ last =
+    G.oneofl
+      [ "puts [list $i $j $n $s $t $l $m [info exists u] [array size arr]]"; "list $i $s $l" ]
+  in
   String.concat "\n"
     ([
        procs;

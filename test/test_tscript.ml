@@ -939,6 +939,72 @@ let value_cases =
     ("set l [lrepeat 2 x]; lappend l y; set l", "x x y");
   ]
 
+(* --- variable cells and the references that cache them --- *)
+
+(* Each case runs one literal reference ([set x], [$x], [incr x], a loop
+   variable) in more than one scope or across a change of what its name
+   means; the expected results are tclsh 8.6's. *)
+let cell_cases =
+  [
+    (* each frame has its own cells: the references in [down]'s body are
+       re-resolved in every frame they run in *)
+    ("proc down {n} {set mine $n; if {$n > 0} {down [expr {$n - 1}]}; set mine}; down 3", "3");
+    ( "proc d {n} {if {$n == 0} {return 0}; incr n -1; set s [d $n]; expr {$n + $s}}; d 4",
+      "6" );
+    ("proc p {x} {set x}; set x top; list [p a] [p b] $x", "a b top");
+    (* a link made after the reference cached a local cell: the frame's new
+       stamp sends the same [set x $k] to the global cell *)
+    ( "set x g; proc f {} {foreach k {1 2} {if {$k == 2} {unset x; global x}; set x $k}}; f; set x",
+      "2" );
+    ( "set y 0; proc f {} {foreach k {1 2 3} {if {$k == 2} {unset v; upvar 1 y v}; incr v}}; f; set y",
+      "2" );
+    ( "proc f {} {foreach k {a b} {if {$k eq {b}} {unset v; upvar 1 arr v}; set v(k) $k}; array size v}; f; set arr(k)",
+      "b" );
+    (* unset keeps the cell, so the cached reference and a lookup by name
+       agree on it *)
+    ("set r {}; foreach k {1 2} {set x $k; lappend r [info exists x]; unset x}; set r", "1 1");
+    ( "proc f {} {set r {}; foreach k {1 2} {incr c; lappend r [info exists c] $c; unset c}; set r}; f",
+      "1 1 1 1" );
+    ("set x 1; unset x; set r [info exists x]; set x 2; list $r $x [info exists x]", "0 2 1");
+    ("foreach v {1 2} {unset -nocomplain w; lappend w $v}; set w", "2");
+    (* a parameter given twice binds the first *)
+    ("proc dup {a a} {set a}; dup 1 2", "1");
+    (* one parsed body, two procs with different parameter names *)
+    ( "set b {if {[info exists p]} {return p$p}; return q$q}; proc fp {p} $b; proc fq {q} $b; list [fp 1] [fq 2] [fp 3]",
+      "p1 q2 p3" );
+    (* loop variables: element names take the lookup by name *)
+    ("foreach a(x) {1 2} {}; set a(x)", "2");
+    ("foreach {k v} {a 1 b 2} {set m($k) $v}; list $k $v $m(a)", "b 2 1");
+    ("set c set; $c v 5; set v", "5");
+    (* the errors Tcl 8.6 raises *)
+    ("catch {unset nosuch} m; set m", "can't unset \"nosuch\": no such variable");
+    ("unset -nocomplain nosuch; unset -nocomplain; unset", "");
+    ("set a(1) x; catch {set a(2)} m; set m", "can't read \"a(2)\": no such element in array");
+    ("set s 1; catch {set s(2) x} m; set m", "can't set \"s(2)\": variable isn't array");
+    ("catch {set n(2)} m; set m", "can't read \"n(2)\": no such variable");
+    ("set x 1; proc f {} {set x 2; global x}; catch f m; set m", "variable \"x\" already exists");
+    ("proc f {} {set v 2; upvar 1 q v}; catch f m; set m", "variable \"v\" already exists");
+  ]
+
+(* an AST filled by one interpreter is shared by the next: a reference
+   stamped in the first one's global scope must not serve the second *)
+let test_cells_shared_ast () =
+  let caches = Interp.create_caches () in
+  let script = "if {[info exists x]} {set x} else {set x fresh; set x}" in
+  let run expected =
+    let it = Interp.create ~caches () in
+    match Interp.eval it script with
+    | Ok v -> check Alcotest.string "own global" expected v
+    | Error e -> Alcotest.failf "eval: %s" e
+  in
+  run "fresh";
+  run "fresh";
+  let it = Interp.create ~caches () in
+  Interp.set_var it "x" "host";
+  match Interp.eval it script with
+  | Ok v -> check Alcotest.string "host variable" "host" v
+  | Error e -> Alcotest.failf "eval: %s" e
+
 (* --- list scanner: the rewritten readers against the old ones --- *)
 
 (* [Value.to_list] before it sliced spans: one Buffer copy per character,
@@ -1132,6 +1198,9 @@ let () =
             Alcotest.test_case "array/scalar collision" `Quick test_array_scalar_collision;
           ]);
       ("vcaches", expect_cases "vcaches" value_cases);
+      ( "varcells",
+        expect_cases "varcells" cell_cases
+        @ [ Alcotest.test_case "shared AST, own globals" `Quick test_cells_shared_ast ] );
       ("scoping", expect_cases "scoping" scoping_cases);
       ("upvar", expect_cases "upvar" upvar_cases);
       ("regexp", expect_cases "regexp" regexp_cases
