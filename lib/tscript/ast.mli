@@ -52,10 +52,8 @@ and 'fn command = {
       (** the resolved command function, trusted only when both stamps
           match the evaluating interpreter *)
   mutable c_vars : Value.var_ref array;
-      (** references for the variables a command names by a literal
-          argument: the first argument of [set], [incr], [append] and
-          [lappend], the loop variables of [foreach] and [lmap].  Filled
-          by the command on first use; empty until then. *)
+      (** the references of the variables a command names by literal
+          arguments ([set x], [foreach {k v}]), filled by the command *)
 }
 
 and 'fn script = 'fn command list

@@ -94,17 +94,23 @@ let fresh_uid caches =
 
 let scope t = match t.frames with f :: _ -> f | [] -> t.global
 
-(* [name]'s cell in [f], or [Value.nowhere].  A parameter name given twice
-   finds its first cell, which is the one Tcl binds. *)
-let rec find_cell f name i =
-  if i = Array.length f.params then
-    match f.locals with
-    | None -> Value.nowhere
-    | Some h -> ( try Hashtbl.find h name with Not_found -> Value.nowhere)
-  else if String.equal (Array.unsafe_get f.params i) name then Array.unsafe_get f.cells i
-  else find_cell f name (i + 1)
+let frame params cells locals id = { params; cells; locals; stamp = id; id }
 
-let lookup f name = find_cell f name 0
+(* [name]'s index among [f]'s parameters, or -1.  A name given twice finds
+   its first index, the parameter Tcl binds. *)
+let rec param_index f name i =
+  if i = Array.length f.params then -1
+  else if String.equal (Array.unsafe_get f.params i) name then i
+  else param_index f name (i + 1)
+
+(* [name]'s cell in [f], or [Value.nowhere] *)
+let lookup f name =
+  let i = param_index f name 0 in
+  if i >= 0 then Array.unsafe_get f.cells i
+  else
+    match f.locals with
+    | Some h -> ( try Hashtbl.find h name with Not_found -> Value.nowhere)
+    | None -> Value.nowhere
 
 let locals f =
   match f.locals with
@@ -443,11 +449,9 @@ and subst_string t s =
 (* expr hands an array reference over as "name(raw index)", whose index
    still needs a round of substitution ($a($i)); only a scalar is cached *)
 and expr_var t (r : Value.var_ref) =
-  if r.stamp = (scope t).stamp then read r.name r.cell
-  else
-    match split_array_ref r.name with
-    | Some (name, raw_index) -> get_elem t name (subst_string t raw_index)
-    | None -> read r.name (ref_cell t r)
+  match split_array_ref r.name with
+  | Some (name, raw_index) -> get_elem t name (subst_string t raw_index)
+  | None -> read r.name (ref_cell t r)
 
 (* the callers charge the expression's step *)
 and expr_value t ast =
@@ -555,7 +559,7 @@ let bind_params t name names params args =
   let cells = Array.make (Array.length names) Value.nowhere in
   if not (bind_args cells id 0 params args) then
     err "wrong # args: should be %S" (usage_of_params name params);
-  { params = names; cells; locals = None; stamp = id; id }
+  frame names cells None id
 
 let pop_frame t =
   t.frames <- List.tl t.frames;
@@ -596,12 +600,8 @@ let link t f name target other =
   let old = lookup f name in
   if old != c then begin
     if old.home = f.id && defined old then err "variable \"%s\" already exists" name;
-    let rec param i =
-      if i = Array.length f.params then Hashtbl.replace (locals f) name c
-      else if String.equal f.params.(i) name then f.cells.(i) <- c
-      else param (i + 1)
-    in
-    param 0;
+    let i = param_index f name 0 in
+    if i >= 0 then f.cells.(i) <- c else Hashtbl.replace (locals f) name c;
     f.stamp <- fresh_uid t.caches
   end
 
@@ -1403,14 +1403,7 @@ let make ~commands ~step_limit ~max_depth caches =
       cmd_epoch = 0;
       commands;
       proc_bodies = Hashtbl.create 16;
-      global =
-        {
-          params = [||];
-          cells = [||];
-          locals = Some (Hashtbl.create 32);
-          stamp = uid;
-          id = uid;
-        };
+      global = frame [||] [||] (Some (Hashtbl.create 32)) uid;
       frames = [];
       steps = 0;
       limit = step_limit;

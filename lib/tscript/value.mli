@@ -80,26 +80,23 @@ val elements : t -> (t array, string) result
 (** {1 Variables}
 
     A variable is a mutable cell; a scope maps names to cells.  A literal
-    reference to a variable remembers the cell it last resolved to and the
-    stamp of the scope it resolved in, and uses the cell while the scope
-    keeps that stamp. *)
+    reference to a variable caches the cell it last resolved to, stamped
+    with the scope it resolved in. *)
 
 type cell = {
   mutable v : t;  (** the scalar value, or {!absent} *)
   mutable elems : (string, t) Hashtbl.t option;  (** an array's elements *)
   home : int;  (** the stamp of the scope that made the cell *)
 }
-(** Absent (unset) when [v == absent] and [elems = None].  Unset keeps the
-    cell, so a cached cell never goes stale. *)
+(** Unset when [v == absent] and [elems = None].  Unset keeps the cell, so
+    a cached cell never goes stale. *)
 
 type var_ref = { name : string; mutable stamp : int; mutable cell : cell }
 
 val absent : t
 val cell : int -> t -> cell
+val var_ref : string -> var_ref
 
 val nowhere : cell
-(** An absent cell of no scope, never written: an empty reference's cell
-    and the result of looking up a missing name. *)
-
-val var_ref : string -> var_ref
-(** An empty reference to a name. *)
+(** The unset cell of no scope, never written: an empty reference's cell,
+    and what looking up a missing name gives. *)
