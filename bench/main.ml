@@ -208,6 +208,22 @@ let bench_interp_proc_global =
          let it = Tscript.Interp.create () in
          ignore (Tscript.Interp.eval it code)))
 
+(* What every agent activation pays before its own work: a fresh
+   interpreter on the simulation's shared caches, the standard prelude, and
+   CODE that defines 48 small procs (agent-tour's variants have as many) *)
+let bench_interp_activation =
+  let caches = Tscript.Interp.create_caches () in
+  let code =
+    String.concat "\n"
+      (List.init 48 (fun i ->
+           Printf.sprintf "proc f%d {x} { expr {($x * %d + %d) %% 1009} }" i (i + 3) i))
+  in
+  Test.make ~name:"interp activation: create, prelude, 48 proc definitions"
+    (Staged.stage (fun () ->
+         let it = Tscript.Interp.create ~caches () in
+         ignore (Tscript.Interp.eval it Tacoma_core.Prelude.standard);
+         ignore (Tscript.Interp.eval it code)))
+
 (* language substrates added beyond the minimum: regex and arrays *)
 let bench_regex_search =
   let re = Tscript.Regex.compile_exn "(\\w+)@(\\w+)" in
@@ -403,6 +419,7 @@ let all_benches =
       bench_interp_proc_int_arg;
       bench_interp_globals;
       bench_interp_proc_global;
+      bench_interp_activation;
       bench_folder_contains;
       bench_cabinet_contains;
       bench_mint_validate;

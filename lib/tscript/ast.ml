@@ -28,10 +28,13 @@ and 'fn command = {
   (* Inline command cache: the resolved command function, valid only for
      the interpreter [c_id] while its command table is at [c_epoch].
      Cached ASTs are shared between interpreters, so both stamps are
-     checked before the slot is trusted. *)
+     checked before the slot is trusted; a builtin ([c_id = 0]) is the
+     same function in every interpreter that still has all of them. *)
   mutable c_id : int;
   mutable c_epoch : int;
   mutable c_fn : 'fn option;
+  (* definition slot: the command a [proc] node made, compiled once *)
+  mutable c_def : 'fn option;
   (* the variable references of the literal names a command takes as
      arguments ([set x], [foreach {k v}]), filled by the command *)
   mutable c_vars : Value.var_ref array;
@@ -40,4 +43,5 @@ and 'fn command = {
 and 'fn script = 'fn command list
 
 let braced value = Braced { value; script = None; expr = None }
-let command words = { words; c_id = -1; c_epoch = -1; c_fn = None; c_vars = [||] }
+let command words =
+  { words; c_id = -1; c_epoch = -1; c_fn = None; c_def = None; c_vars = [||] }

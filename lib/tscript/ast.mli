@@ -45,12 +45,17 @@ and 'fn braced = {
 and 'fn command = {
   words : 'fn word list;
   mutable c_id : int;
-      (** interpreter uid the cached function belongs to; [-1] = empty *)
+      (** interpreter uid the cached function belongs to; [0] = a builtin,
+          valid in any interpreter; [-1] = empty *)
   mutable c_epoch : int;
       (** that interpreter's command-table epoch at fill time *)
   mutable c_fn : 'fn option;
       (** the resolved command function, trusted only when both stamps
-          match the evaluating interpreter *)
+          match the evaluating interpreter, or when it is a builtin and
+          that interpreter has not redefined or removed a builtin name *)
+  mutable c_def : 'fn option;
+      (** the command a [proc] node defined last, reused while the node
+          defines the same name with the same parameter and body values *)
   mutable c_vars : Value.var_ref array;
       (** the references of the variables a command names by literal
           arguments ([set x], [foreach {k v}]), filled by the command *)

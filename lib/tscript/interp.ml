@@ -9,9 +9,14 @@ module Lru = Tacoma_util.Lru
 (* A command takes and returns interpreter values, and receives the node it
    was invoked from, so builtins that take a script or expression argument
    can use the compile slots of its literal braced words.  Host commands
-   ({!register}) see strings and ignore the node.  The record only breaks
-   the type cycle through [Ast]; [@@unboxed] makes it free. *)
-type command_fn = { run : t -> node -> Value.t list -> Value.t } [@@unboxed]
+   ({!register}) see strings and ignore the node.  A proc's entry carries
+   its definition: its parameter list as written ([spec]), its body, its
+   parameter names (shared by its frames) and whether [name] is a
+   builtin's, so the command table is all [info] reads. *)
+type command_fn = { run : t -> node -> Value.t list -> Value.t; kind : kind }
+and kind = Builtin | Host | Proc of proc_def
+and proc_def =
+  { name : string; spec : Value.t; body : Value.t; names : string array; shadows : bool }
 
 (* AST nodes instantiated with this interpreter's command type, so inline
    command caches hold the resolved functions directly *)
@@ -38,7 +43,7 @@ and t = {
   commands : (string, command_fn) Hashtbl.t;
   mutable cmd_epoch : int;
       (* bumped by register/unregister so stale inline caches are refused *)
-  proc_bodies : (string, string * string) Hashtbl.t; (* name -> params, body (introspection) *)
+  mutable builtin_stamp : int; (* [builtin_uid] until a builtin name is redefined *)
   global : frame; (* its stamp is [uid] *)
   mutable frames : frame list; (* innermost first; [] means global scope *)
   mutable steps : int;
@@ -80,6 +85,16 @@ let err fmt = Printf.ksprintf (fun msg -> raise (Error_exc msg)) fmt
 (* a malformed list reaching a list command is a script error, as in Tcl *)
 let list_of v = match Value.elements v with Ok l -> l | Error msg -> raise (Error_exc msg)
 let string_list s = match Value.to_list s with Ok l -> l | Error msg -> raise (Error_exc msg)
+
+(* The builtin command table, filled once below; every interpreter starts
+   from a copy, so creating one hashes no names and builds no adapters.
+   Nothing writes it afterwards, so concurrent simulations may copy it. *)
+let builtins : (string, command_fn) Hashtbl.t = Hashtbl.create 64
+let is_builtin name = Hashtbl.mem builtins name
+
+(* the [c_id] of a node caching a builtin; the [builtin_stamp] of an
+   interpreter that has redefined or removed one, which no node holds *)
+let builtin_uid = 0 and shadowed = -2
 
 let cache_entries = 512
 let create_caches () = { parsed = Lru.create ~budget:cache_entries (); next_uid = 0 }
@@ -374,11 +389,14 @@ and eval_command t cmd =
   | name_word :: arg_words -> (
     charge t 1;
     t.prof_commands <- t.prof_commands + 1;
-    (* inline command cache: when this interpreter resolved this node
-       before and no command has been (un)registered since, skip the name
+    (* inline command cache: a builtin while this interpreter has them all,
+       or what this interpreter resolved this node to before when no
+       command has been (un)registered since; either skips the name
        substitution and the table lookup *)
     match cmd.Ast.c_fn with
-    | Some fn when cmd.Ast.c_id = t.uid && cmd.Ast.c_epoch = t.cmd_epoch ->
+    | Some fn
+      when cmd.Ast.c_id = t.builtin_stamp
+           || (cmd.Ast.c_id = t.uid && cmd.Ast.c_epoch = t.cmd_epoch) ->
       fn.run t cmd (eval_args t arg_words)
     | _ -> (
       let name = Value.to_string (eval_word t name_word) in
@@ -389,7 +407,8 @@ and eval_command t cmd =
         (match name_word with
         | Ast.Braced _ | Ast.Literal _ ->
           cmd.Ast.c_fn <- Some fn;
-          cmd.Ast.c_id <- t.uid;
+          cmd.Ast.c_id <-
+            (if fn.kind == Builtin && t.builtin_stamp = builtin_uid then builtin_uid else t.uid);
           cmd.Ast.c_epoch <- t.cmd_epoch
         | _ -> ());
         fn.run t cmd args
@@ -479,21 +498,26 @@ let call t name args =
   | Some fn -> Value.to_string (fn.run t (Ast.command []) (List.map Value.of_string args))
   | None -> err "invalid command name %S" name
 
-let add_command t name fn =
+(* [shadows]: [name] is a builtin's, whose cached nodes this interpreter
+   may no longer trust *)
+let insert t name fn ~shadows =
   t.cmd_epoch <- t.cmd_epoch + 1;
+  if shadows then t.builtin_stamp <- shadowed;
   Hashtbl.replace t.commands name fn
+
+let add_command t name fn = insert t name fn ~shadows:(is_builtin name)
 
 (* The one adapter from a string command to a command on values: host
    commands, and the builtins with no hot path *)
-let string_command fn =
-  { run = (fun t _ args -> Value.of_string (fn t (List.map Value.to_string args))) }
+let string_command kind fn =
+  { run = (fun t _ args -> Value.of_string (fn t (List.map Value.to_string args))); kind }
 
-let register t name fn = add_command t name (string_command fn)
+let register t name fn = add_command t name (string_command Host fn)
 
 let unregister t name =
   t.cmd_epoch <- t.cmd_epoch + 1;
-  Hashtbl.remove t.commands name;
-  Hashtbl.remove t.proc_bodies name
+  if is_builtin name then t.builtin_stamp <- shadowed;
+  Hashtbl.remove t.commands name
 
 let has_command t name = Hashtbl.mem t.commands name
 let command_names t = Hashtbl.fold (fun k _ acc -> k :: acc) t.commands []
@@ -566,11 +590,11 @@ let pop_frame t =
   t.depth <- t.depth - 1
 
 (* [body_words] starts at the body's word: a literal body keeps its slot in
-   the closure, so each call reuses the parse instead of looking it up *)
-let define_proc t name param_spec body body_words =
-  let params = parse_params param_spec in
+   the closure, so each call reuses the parse instead of looking it up.
+   The command depends on no interpreter. *)
+let compile_proc name spec body body_words =
+  let params = parse_params spec in
   let names = Array.of_list (List.map param_name params) in
-  Hashtbl.replace t.proc_bodies name (Value.to_string param_spec, Value.to_string body);
   let run t _ args =
     if t.depth >= t.max_depth then err "too many nested proc calls (max %d)" t.max_depth;
     let frame = bind_params t name names params args in
@@ -589,7 +613,25 @@ let define_proc t name param_spec body body_words =
       pop_frame t;
       raise e
   in
-  add_command t name { run }
+  { run; kind = Proc { name; spec; body; names; shadows = is_builtin name } }
+
+(* A [proc] node keeps the command it defined last: run again with the same
+   name, parameter and body values, as an agent's CODE is at every
+   activation, a definition is one table insert *)
+let define_proc t (node : node) name spec body body_words =
+  match node.c_def with
+  | Some ({ kind = Proc d; _ } as fn)
+    when d.spec == spec && d.body == body && String.equal d.name name ->
+    insert t name fn ~shadows:d.shadows
+  | _ ->
+    let fn = compile_proc name spec body body_words in
+    node.c_def <- Some fn;
+    add_command t name fn
+
+let proc_def t name =
+  match Hashtbl.find_opt t.commands name with
+  | Some { kind = Proc d; _ } -> d
+  | _ -> err "%S isn't a procedure" name
 
 (* Link [name] in [f] to [target]'s cell for [other] (made absent when
    missing), as [global] and [upvar] do.  Relinking to the same cell does
@@ -606,6 +648,30 @@ let link t f name target other =
   end
 
 (* ---- builtin commands ---------------------------------------------------- *)
+
+(* Tcl's level argument ([uplevel], [upvar]): [N] counts frames up from the
+   current scope, [#N] down from the global scope, [#0]; the result counts
+   up.  [None] when [s] is no level, a negative count included.  A level
+   past the global scope is an error, as in Tcl. *)
+let level_of t s =
+  let depth = List.length t.frames in
+  let bad () = err "bad level \"%s\"" s in
+  let up =
+    if s <> "" && s.[0] = '#' then
+      match Value.int_of (String.sub s 1 (String.length s - 1)) with
+      | Some n when n >= 0 -> Some (depth - n)
+      | _ -> bad ()
+    else
+      match Value.int_of s with
+      | Some n -> if n >= 0 then Some n else None
+      | None -> if s <> "" && s.[0] >= '0' && s.[0] <= '9' then bad () else None
+  in
+  match up with Some n when n < 0 || n > depth -> bad () | up -> up
+
+(* the level a command takes when given none: the caller's *)
+let default_level t = if t.frames = [] then err "bad level \"1\"" else 1
+
+let rec drop frames n = if n = 0 then frames else drop (List.tl frames) (n - 1)
 
 (* [foreach]/[lmap]: varList list ?varList list ...? body.  Each pass gives
    every variable list its next items ("" once its list runs out) and runs
@@ -744,10 +810,11 @@ and else_clauses t ws rest =
   | w :: rest when is_word "elseif" w -> if_clauses t (next_words ws) rest
   | _ -> err "expected \"elseif\" or \"else\" clause"
 
-let install_core t0 =
-  let reg name run = add_command t0 name { run } in
-  let reg_string name fn = register t0 name fn in
+(* the builtin table's entries, installed once at start-up *)
+let reg name run = Hashtbl.replace builtins name { run; kind = Builtin }
+let reg_string name fn = Hashtbl.replace builtins name (string_command Builtin fn)
 
+let install_core () =
   reg "set" (fun t node args ->
       match args with
       | [ name ] ->
@@ -787,58 +854,44 @@ let install_core t0 =
       | frame :: _ -> List.iter (fun n -> link t frame n t.global n) args);
       "");
 
+  (* upvar ?level? otherVar myVar ?otherVar myVar ...?: with an odd number
+     of arguments the first is the level, and a negative count means 1 *)
   reg_string "upvar" (fun t args ->
-      (* upvar ?level? otherVar myVar ?otherVar myVar ...? *)
-      let parse_level s =
-        if s = "#0" then Some `Global
-        else match int_of_string_opt s with Some n when n >= 0 -> Some (`Up n) | _ -> None
-      in
-      let level, pairs =
+      let n = List.length args in
+      if n < 2 then
+        err "wrong # args: should be \"upvar ?level? otherVar localVar ?otherVar localVar ...?\"";
+      let up, pairs =
         match args with
-        | lvl :: rest when parse_level lvl <> None && List.length rest mod 2 = 0 && rest <> [] ->
-          (Option.get (parse_level lvl), rest)
-        | _ -> (`Up 1, args)
+        | lvl :: rest when n mod 2 = 1 -> (
+          match level_of t lvl with
+          | Some up -> (up, rest)
+          | None when Value.int_of lvl <> None -> (default_level t, rest)
+          | None -> err "bad level \"%s\"" lvl)
+        | _ -> (default_level t, args)
       in
-      if pairs = [] || List.length pairs mod 2 <> 0 then
-        err "wrong # args: should be \"upvar ?level? otherVar localVar ?...?\"";
-      (* [n] frames up from the current one; past the outermost proc, the
-         global scope *)
-      let rec up frames n =
-        match frames with f :: rest -> if n = 0 then f else up rest (n - 1) | [] -> t.global
-      in
-      let target = match level with `Global -> t.global | `Up n -> up t.frames n in
+      let target = match drop t.frames up with f :: _ -> f | [] -> t.global in
       let frame = scope t in
       let rec link_pairs = function
         | other :: local :: rest ->
           link t frame local target other;
           link_pairs rest
-        | [] -> ()
-        | [ _ ] -> err "upvar: unbalanced variable pairs"
+        | _ -> ()
       in
       link_pairs pairs;
       "");
 
   reg "uplevel" (fun t _ args ->
       let args = List.map Value.to_string args in
-      let parse_level s =
-        if s = "#0" then Some `Global
-        else match int_of_string_opt s with Some n when n >= 1 -> Some (`Up n) | _ -> None
-      in
-      let level, script_parts =
+      let up, script_parts =
         match args with
-        | lvl :: (_ :: _ as rest) when parse_level lvl <> None ->
-          (Option.get (parse_level lvl), rest)
-        | _ -> (`Up 1, args)
+        | lvl :: rest -> (
+          match level_of t lvl with Some up -> (up, rest) | None -> (default_level t, args))
+        | [] -> (0, [])
       in
-      if script_parts = [] then err "wrong # args: should be \"uplevel ?level? script\"";
+      if script_parts = [] then
+        err "wrong # args: should be \"uplevel ?level? command ?arg ...?\"";
       let saved = t.frames in
-      (match level with
-      | `Global -> t.frames <- []
-      | `Up n ->
-        let rec drop frames n =
-          if n = 0 then frames else match frames with [] -> [] | _ :: rest -> drop rest (n - 1)
-        in
-        t.frames <- drop t.frames n);
+      t.frames <- drop t.frames up;
       let restore () = t.frames <- saved in
       (match eval_string t (String.concat " " script_parts) with
       | v ->
@@ -851,7 +904,7 @@ let install_core t0 =
   reg "proc" (fun t node args ->
       match args with
       | [ name; params; body ] ->
-        define_proc t (Value.to_string name) params body
+        define_proc t node (Value.to_string name) params body
           (next_words (next_words (arg_words node)));
         Value.empty
       | _ -> err "wrong # args: should be \"proc name args body\"");
@@ -1065,27 +1118,17 @@ let install_core t0 =
       | [ "commands" ] -> Value.of_list (List.sort compare (command_names t))
       | [ "procs" ] ->
         Value.of_list
-          (List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.proc_bodies []))
-      | [ "body"; name ] -> (
-        match Hashtbl.find_opt t.proc_bodies name with
-        | Some (_, body) -> body
-        | None -> err "%S isn't a procedure" name)
-      | [ "args"; name ] -> (
-        (* the parameter names, without defaults, as Tcl prints them *)
-        match Hashtbl.find_opt t.proc_bodies name with
-        | Some (params, _) ->
-          Value.of_list
-            (List.map
-               (function Required n | Optional (n, _) -> n | Rest -> "args")
-               (parse_params (Value.of_string params)))
-        | None -> err "%S isn't a procedure" name)
+          (List.sort compare
+             (Hashtbl.fold
+                (fun k fn acc -> match fn.kind with Proc _ -> k :: acc | _ -> acc)
+                t.commands []))
+      | [ "body"; name ] -> Value.to_string (proc_def t name).body
+      (* the parameter names, without defaults, as Tcl prints them *)
+      | [ "args"; name ] -> Value.of_list (Array.to_list (proc_def t name).names)
       | [ "level" ] -> Value.of_int (List.length t.frames)
       | _ -> err "unsupported info subcommand")
 
-let install_strings t0 =
-  let reg name run = add_command t0 name { run } in
-  let reg_string name fn = register t0 name fn in
-
+let install_strings () =
   reg_string "string" (fun _ args ->
       match args with
       | "length" :: [ s ] -> Value.of_int (String.length s)
@@ -1260,10 +1303,7 @@ let install_strings t0 =
       | _ ->
         err "wrong # args: should be \"regsub ?-all? ?-nocase? exp string subSpec ?varName?\"")
 
-let install_lists t0 =
-  let reg name run = add_command t0 name { run } in
-  let reg_string name fn = register t0 name fn in
-
+let install_lists () =
   reg "list" (fun _ _ args -> Value.of_elements (Array.of_list args));
 
   reg "llength" (fun _ _ args ->
@@ -1395,14 +1435,20 @@ let install_lists t0 =
       iterate t ~cmd:"lmap" node args (fun body -> out := eval_ast t body :: !out);
       Value.of_elements (Array.of_list (List.rev !out)))
 
-let make ~commands ~step_limit ~max_depth caches =
+let () =
+  install_core ();
+  install_strings ();
+  install_lists ()
+
+let create ?step_limit ?(max_depth = 256) ?caches () =
+  let caches = match caches with Some c -> c | None -> create_caches () in
   let uid = fresh_uid caches in
   let t =
     {
       uid;
       cmd_epoch = 0;
-      commands;
-      proc_bodies = Hashtbl.create 16;
+      commands = Hashtbl.copy builtins;
+      builtin_stamp = builtin_uid;
       global = frame [||] [||] (Some (Hashtbl.create 32)) uid;
       frames = [];
       steps = 0;
@@ -1431,20 +1477,6 @@ let make ~commands ~step_limit ~max_depth caches =
     };
   t.output <- (fun s -> Buffer.add_string t.out_buf s);
   t
-
-(* The builtin command table, built once; every interpreter starts from a
-   copy, so creating one hashes no names and builds no adapters.  Nothing
-   writes the prototype, so concurrent simulations may copy it. *)
-let builtins =
-  let t = make ~commands:(Hashtbl.create 64) ~step_limit:None ~max_depth:0 (create_caches ()) in
-  install_core t;
-  install_strings t;
-  install_lists t;
-  t.commands
-
-let create ?step_limit ?(max_depth = 256) ?caches () =
-  let caches = match caches with Some c -> c | None -> create_caches () in
-  make ~commands:(Hashtbl.copy builtins) ~step_limit ~max_depth caches
 
 (* ---- variables, host side: strings at the boundary ----------------------- *)
 

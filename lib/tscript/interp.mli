@@ -51,7 +51,7 @@ exception Resource_exhausted
 
     Sharing is only safe {e within} one simulation.  A [caches] value and
     the ASTs it holds are mutable (LRU state, inline command caches,
-    compile slots, the cached int and list forms of literal words, the
+    proc definition slots, compile slots, the cached int and list forms of literal words, the
     interpreter-uid fountain), so they must never be
     shared across simulations running concurrently on a
     {!Tacoma_util.Pool} — each pool task creates its own kernel and
@@ -89,7 +89,8 @@ val register : t -> string -> (t -> string list -> string) -> unit
 (** Host commands see their arguments and return their result as strings
     ({!Value}): the interpreter's cached int and list forms stop at this
     boundary.  They may raise {!Error_exc} to signal script-visible errors.
-    Registering over an existing name replaces it. *)
+    Registering over an existing name replaces it; over a proc, it also
+    ends the proc's [info procs]/[info body]/[info args] entries. *)
 
 val unregister : t -> string -> unit
 val has_command : t -> string -> bool

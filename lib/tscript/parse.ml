@@ -24,7 +24,9 @@ let is_command_end c = c = '\n' || c = ';'
 
 (* Variable names: alphanumerics plus underscore, or {anything}; a bare
    name may be followed by an array index in parentheses, which is itself
-   substituted ($a($i)). *)
+   substituted ($a($i)).  A braced name of the form name(index) is an
+   array element whose index is taken as written (${a($i)} reads the
+   element "$i"), as in Tcl. *)
 let parse_varname st ~parse_index =
   match peek st with
   | Some '{' ->
@@ -33,10 +35,14 @@ let parse_varname st ~parse_index =
     let rec go () =
       match peek st with
       | None -> fail "unterminated ${ variable"
-      | Some '}' ->
+      | Some '}' -> (
         let name = String.sub st.src start (st.pos - start) in
         advance st;
-        Ast.Var (Value.var_ref name)
+        let n = String.length name in
+        match String.index_opt name '(' with
+        | Some i when i > 0 && name.[n - 1] = ')' ->
+          Ast.VarElem (String.sub name 0 i, [ Ast.Lit (String.sub name (i + 1) (n - i - 2)) ])
+        | _ -> Ast.Var (Value.var_ref name))
       | Some _ ->
         advance st;
         go ()

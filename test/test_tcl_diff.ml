@@ -4,7 +4,9 @@
    (set, expr, incr, if, while, for, foreach, proc, list, split, lindex,
    llength, lappend, append, string length, puts) and over variable scope
    and lifetime (global, upvar, unset, info exists, array elements, a
-   recursive proc).  Each program runs under TScript and under tclsh, and
+   recursive proc), and over command resolution (procs redefined mid-program,
+   inside loops too, with bodies and defaults that change per pass, and
+   calls through names built at run time).  Each program runs under TScript and under tclsh, and
    the two must agree on the printed output, the error status and, when
    there is no error, the result.  Variable errors are caught and printed,
    so their messages are compared too.
@@ -54,6 +56,23 @@ type env = {
   appends : bool;  (** outside [foreach]: strings may grow *)
   calls : bool;  (** may call the program's procs *)
 }
+
+(* the body of a redefined [p1]: integer expressions over its parameters *)
+let body_env =
+  {
+    ints = [ "a"; "b" ];
+    counters = [];
+    strs = [];
+    elems = [];
+    lists = [];
+    scratch = [];
+    arrays = [];
+    depth = 1;
+    loop = No_loop;
+    grow = false;
+    appends = false;
+    calls = false;
+  }
 
 let nat = G.map string_of_int (G.int_range 0 100)
 let int_lit = G.map string_of_int (G.int_range (-20) 100)
@@ -219,6 +238,22 @@ let rec statement env =
           ( 1,
             let* i = i and* j = G.oneofl is in
             G.pure (sprintf "set %s [v0 %s]" i j) );
+          (* calls through names built at run time: p0 or p1, a builtin *)
+          ( 1,
+            let* i = i and* k = iexpr env 1 and* a = proc_arg env in
+            G.pure (sprintf "set %s [p[expr {(%s) %% 2}] %s]" i k a) );
+          ( 1,
+            let* i = i and* k = G.int_range 0 1 and* a = proc_arg env in
+            G.pure (sprintf "set %s [[lindex {p0 p1} %d] %s]" i k a) );
+          (1, G.map (sprintf "[lindex {incr} 0] %s") i);
+          (* redefinitions: p0's body is substituted when [proc] runs, so a
+             loop redefines it on every pass; p1 gets a new default and body *)
+          ( 1,
+            let* v = var (int_vars env) in
+            G.pure (sprintf "proc p0 {a} \"expr {(\\$a + %s) %% 10007}\"" v) );
+          ( 1,
+            let* k = G.int_range (-5) 9 and* b = iexpr body_env 1 in
+            G.pure (sprintf "proc p1 {a {b %d}} {expr {(%s) %% 10007}}" k b) );
         ]
       else []
   in
@@ -449,6 +484,9 @@ let procs =
        [
          Printf.sprintf "proc f0 {a b} {%s}" b0;
          Printf.sprintf "proc f1 {a {b 7}} {%s}" b1;
+         (* p0 and p1 are redefined by the program's statements *)
+         "proc p0 {a} {expr {($a + 1) % 10007}}";
+         "proc p1 {a {b 3}} {expr {($a * $b) % 10007}}";
          "proc g {args} {return $args}";
          Printf.sprintf "proc h {x {y %s}} {list $y $x}" d;
          (* v0-v3 reach the caller's and the global variables; v4 recurses,

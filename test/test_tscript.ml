@@ -32,6 +32,14 @@ let expect_cases name cases =
         (fun () -> check Alcotest.string name want (ok src)))
     cases
 
+(* cases whose script fails, each with Tcl's error message *)
+let expect_errors name cases =
+  List.map
+    (fun (src, want) ->
+      Alcotest.test_case (if String.length src > 40 then String.sub src 0 40 else src) `Quick
+        (fun () -> check Alcotest.string name want (error src)))
+    cases
+
 (* --- value / list quoting --- *)
 
 let test_list_roundtrip =
@@ -457,7 +465,19 @@ let upvar_cases =
     ("proc setter {} {uplevel 1 {set local 42}}; proc caller {} {setter; set local}; caller",
       "42");
     ("proc g {} {uplevel #0 {set gv 7}}; g; set gv", "7");
-    ("set r [uplevel 1 expr 1 + 1]; set r", "2");
+  ]
+
+(* a level past the global scope is an error, relative or absolute, as in
+   Tcl 8.6; so is the default level 1 at top level *)
+let upvar_errors =
+  [
+    ("set r [uplevel 1 expr 1 + 1]; set r", "bad level \"1\"");
+    ("uplevel {set x 1}", "bad level \"1\"");
+    ("upvar y v", "bad level \"1\"");
+    ("proc f {} {upvar 3 y v}; f", "bad level \"3\"");
+    ("proc f {} {uplevel #2 {set y 1}}; f", "bad level \"#2\"");
+    ("proc f {} {upvar x y z}; f", "bad level \"x\"");
+    ("proc f {} {uplevel 1}; f", "wrong # args: should be \"uplevel ?level? command ?arg ...?\"");
   ]
 
 let regexp_cases =
@@ -578,6 +598,9 @@ let scoping_cases =
     ("proc f {} {return {[not evaluated]}}; f", "[not evaluated]");
     (* expr on proc results *)
     ("proc two {} {return 2}; expr {[two] ** [two]}", "4.0");
+    (* a braced name(index) is an element, its index taken as written *)
+    ("set a(1) x; set r ${a(1)}", "x");
+    ("set i 1; set a(\\$i) y; set r ${a($i)}", "y");
   ]
 
 let test_unknown_command () =
@@ -1005,6 +1028,110 @@ let test_cells_shared_ast () =
   | Ok v -> check Alcotest.string "host variable" "host" v
   | Error e -> Alcotest.failf "eval: %s" e
 
+(* --- command caches: builtins across interpreters, proc definitions --- *)
+
+let cmdcache_cases =
+  [
+    (* a builtin's cached node, then the builtin redefined *)
+    ("set r {}; foreach i {1 2} { lappend r [set x $i]; proc set {args} {return S} }; concat $r",
+      "1 S");
+    (* one proc node, a different body or parameter list each pass *)
+    ("set r {}; foreach b {{return one} {return two}} { proc f {} $b; lappend r [f] }; set r",
+      "one two");
+    ("set r {}; foreach p {{{a 1}} {{a 2}}} { proc g $p {return $a}; lappend r [g] }; set r",
+      "1 2");
+    ("foreach p {a {a b}} { proc g $p {return x} }; info args g", "a b");
+    (* one body in two procs: two nodes, then one node and two names *)
+    ("set b {expr {$n * 2}}; proc f {n} $b; proc g {n} $b; list [f 1] [g 2]", "2 4");
+    ("foreach n {f g} { proc $n {x y} {expr {$x + $y}} }; catch {g 1} m; list [f 1 2] $m",
+      "3 {wrong # args: should be \"g x y\"}");
+    (* calls through names built at run time *)
+    ("proc p1 {} {return one}; proc p2 {} {return two}; set r {};\n\
+      foreach i {1 2} { lappend r [p$i] }; set c set; $c y 5; lappend r $y",
+      "one two 5");
+    ("proc f {l} {return proc}; set r {}; foreach n {f llength} { lappend r [$n {a b}] }; set r",
+      "proc 2");
+  ]
+
+let eval_in it src =
+  match Interp.eval it src with Ok v -> v | Error e -> Alcotest.failf "eval %S: %s" src e
+
+(* Two interpreters share one AST; [shadow] redefines or removes [set].
+   Whichever runs the node first, neither may use the other's command. *)
+let test_shared_builtin_shadow () =
+  let caches = Interp.create_caches () in
+  let script = "set x 1" in
+  List.iter
+    (fun shadow_first ->
+      let plain = Interp.create ~caches () and shadow = Interp.create ~caches () in
+      ignore (eval_in shadow "proc set {args} {return shadowed}");
+      let run_plain () = check Alcotest.string "plain" "1" (eval_in plain script) in
+      let run_shadow () = check Alcotest.string "shadow" "shadowed" (eval_in shadow script) in
+      if shadow_first then (run_shadow (); run_plain (); run_shadow ())
+      else (run_plain (); run_shadow (); run_plain ()))
+    [ false; true ]
+
+let test_shared_builtin_unregister () =
+  let caches = Interp.create_caches () in
+  let script = "set x 1" in
+  List.iter
+    (fun removed_first ->
+      let plain = Interp.create ~caches () and removed = Interp.create ~caches () in
+      Interp.unregister removed "set";
+      let run_plain () = check Alcotest.string "plain" "1" (eval_in plain script) in
+      let run_removed () =
+        check
+          Alcotest.(result string string)
+          "removed" (Error "invalid command name \"set\"") (Interp.eval removed script)
+      in
+      if removed_first then (run_removed (); run_plain (); run_removed ())
+      else (run_plain (); run_removed (); run_plain ()))
+    [ false; true ]
+
+(* one CODE text run by two interpreters: the second reuses the first's
+   definitions, and its own procs still win over another's *)
+let test_shared_proc_definitions () =
+  let caches = Interp.create_caches () in
+  let code = "proc f {a {b 2}} {list $a $b}; proc set {args} {return mine}" in
+  let run () =
+    let it = Interp.create ~caches () in
+    ignore (eval_in it code);
+    check Alcotest.string "proc" "1 2" (eval_in it "f 1");
+    check Alcotest.string "builtin name" "mine" (eval_in it "set x 1");
+    check Alcotest.string "info body" "list $a $b" (eval_in it "info body f")
+  in
+  (* a fresh interpreter caches [set x 1] as the builtin first *)
+  ignore (eval_in (Interp.create ~caches ()) "set x 1");
+  run ();
+  run ();
+  let other = Interp.create ~caches () in
+  ignore (eval_in other "proc f {a {b 2}} {return other}");
+  check Alcotest.string "own proc" "other" (eval_in other "f 1")
+
+(* the command table is what [info] reads: a host command registered over
+   a proc is no longer a proc *)
+let test_register_over_proc () =
+  let it = Interp.create () in
+  ignore (eval_in it "proc f {a {b 2}} {return $a}; proc g {} {}");
+  check Alcotest.string "info procs before" "f g" (eval_in it "info procs");
+  check Alcotest.string "info args before" "a b" (eval_in it "info args f");
+  Interp.register it "f" (fun _ _ -> "host");
+  check Alcotest.string "host command" "host" (eval_in it "f 1");
+  check Alcotest.string "info procs" "g" (eval_in it "info procs");
+  let not_proc = Error "\"f\" isn't a procedure" in
+  check Alcotest.(result string string) "info body" not_proc (Interp.eval it "info body f");
+  check Alcotest.(result string string) "info args" not_proc (Interp.eval it "info args f");
+  Interp.unregister it "g";
+  check Alcotest.string "info procs after unregister" "" (eval_in it "info procs")
+
+let cmdcache_tests =
+  [
+    Alcotest.test_case "shared AST, builtin redefined" `Quick test_shared_builtin_shadow;
+    Alcotest.test_case "shared AST, builtin removed" `Quick test_shared_builtin_unregister;
+    Alcotest.test_case "shared proc definitions" `Quick test_shared_proc_definitions;
+    Alcotest.test_case "register over a proc" `Quick test_register_over_proc;
+  ]
+
 (* --- list scanner: the rewritten readers against the old ones --- *)
 
 (* [Value.to_list] before it sliced spans: one Buffer copy per character,
@@ -1202,7 +1329,7 @@ let () =
         expect_cases "varcells" cell_cases
         @ [ Alcotest.test_case "shared AST, own globals" `Quick test_cells_shared_ast ] );
       ("scoping", expect_cases "scoping" scoping_cases);
-      ("upvar", expect_cases "upvar" upvar_cases);
+      ("upvar", expect_cases "upvar" upvar_cases @ expect_errors "upvar" upvar_errors);
       ("regexp", expect_cases "regexp" regexp_cases
         @ [
             Alcotest.test_case "malformed patterns" `Quick test_regexp_malformed;
@@ -1245,6 +1372,7 @@ let () =
           Alcotest.test_case "step limit in a slot body" `Quick test_step_limit_in_slot_body;
         ] );
       ("lists", [ test_to_list_model; test_split_model ]);
+      ("cmdcache", expect_cases "cmdcache" cmdcache_cases @ cmdcache_tests);
       ( "strutil",
         [
           Alcotest.test_case "glob match" `Quick test_glob;
