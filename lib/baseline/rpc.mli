@@ -35,6 +35,3 @@ val call :
 (** Fire a request; [on_reply] runs when the response lands.  Lost requests
     or responses (site down, partition) simply never reply — clients needing
     timeouts arm their own. *)
-
-val request_overhead : int
-val response_overhead : int

@@ -10,11 +10,10 @@ type t = {
   secret : string;
   rng : Rng.t;
   live : (string, int) Hashtbl.t; (* serial -> amount *)
-  mutable retired : int;
 }
 
 let create ?(seed = 7321L) ~secret () =
-  { secret; rng = Rng.create seed; live = Hashtbl.create 64; retired = 0 }
+  { secret; rng = Rng.create seed; live = Hashtbl.create 64 }
 
 let sign t ~amount ~serial =
   Sha256.hmac_hex ~key:t.secret (Printf.sprintf "ecu|%d|%s" amount serial)
@@ -37,9 +36,7 @@ let check t e = if not (signature_valid t e) then Some Forged
   else if not (live t e) then Some Double_spent
   else None
 
-let retire t (e : Ecu.t) =
-  Hashtbl.remove t.live e.Ecu.serial;
-  t.retired <- t.retired + 1
+let retire t (e : Ecu.t) = Hashtbl.remove t.live e.Ecu.serial
 
 let validate_and_reissue t e =
   match check t e with
@@ -83,4 +80,3 @@ let redeem t e =
     Ok e.Ecu.amount
 
 let outstanding t = Hashtbl.fold (fun _ amount acc -> acc + amount) t.live 0
-let retired_count t = t.retired

@@ -44,5 +44,3 @@ val redeem : t -> Ecu.t -> (int, failure) result
 
 val outstanding : t -> int
 (** Total value of live serials — conservation checks in tests. *)
-
-val retired_count : t -> int

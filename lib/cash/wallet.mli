@@ -18,8 +18,6 @@ val take_exact : t -> amount:int -> Ecu.t list option
 val take_at_least : t -> amount:int -> Ecu.t list option
 (** Remove a minimal-overshoot subset covering [amount]. *)
 
-val remove_serials : t -> string list -> unit
-
 (** {1 Briefcase plumbing}
 
     Money moves between agents by placing ECU records in a folder. *)

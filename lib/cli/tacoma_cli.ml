@@ -1,5 +1,6 @@
 module Kernel = Tacoma_core.Kernel
 
+(* case-insensitive, through Kernel.transport_of_string *)
 let transport_conv =
   let parse s =
     match Kernel.transport_of_string s with

@@ -2,10 +2,6 @@
     drivers, so every entry point parses transports, topologies and cache
     options the same way (and error messages list the same alternatives). *)
 
-val transport_conv : Tacoma_core.Kernel.transport Cmdliner.Arg.conv
-(** Parses with {!Tacoma_core.Kernel.transport_of_string} (case-
-    insensitive); prints with {!Tacoma_core.Kernel.transport_name}. *)
-
 val transport_term : Tacoma_core.Kernel.transport option Cmdliner.Term.t
 (** [--transport rsh|tcp|horus]; [None] means the kernel default. *)
 

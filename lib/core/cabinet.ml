@@ -69,8 +69,6 @@ let replace t name elems =
   Hashtbl.reset f.index;
   List.iter (index_add f) elems
 
-let remove_folder t name = Hashtbl.remove t.folders name
-
 let folder_names t =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.folders [])
 
@@ -121,8 +119,6 @@ let find_kv_opt t name ~key =
   in
   find (elements t name)
 
-let get_kv = find_kv_opt
-
 let kv_bindings t name = List.filter_map kv_split (elements t name)
 
 (* persistence *)
@@ -139,12 +135,6 @@ let recover t =
   List.iter (fun (name, elems) -> replace fresh name elems) t.disk;
   fresh.disk <- t.disk;
   fresh
-
-let flushed_bytes t =
-  List.fold_left
-    (fun acc (name, elems) ->
-      acc + String.length name + List.fold_left (fun a e -> a + String.length e) 0 elems)
-    0 t.disk
 
 let byte_size t =
   Hashtbl.fold

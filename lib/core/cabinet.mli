@@ -36,7 +36,6 @@ val get : t -> string -> string
 
 val elements : t -> string -> string list
 val replace : t -> string -> string list -> unit
-val remove_folder : t -> string -> unit
 val folder_names : t -> string list
 val folder_exists : t -> string -> bool
 val size : t -> string -> int
@@ -56,9 +55,6 @@ val find_kv_opt : t -> string -> key:string -> string option
 val remove_kv : t -> string -> key:string -> unit
 val kv_bindings : t -> string -> (string * string) list
 
-val get_kv : t -> string -> key:string -> string option
-  [@@deprecated "use Cabinet.find_kv_opt (same behaviour); get_kv goes away next release"]
-
 (** {1 Persistence} *)
 
 val flush : t -> unit
@@ -69,9 +65,6 @@ val flush_folder : t -> string -> unit
 val recover : t -> t
 (** The cabinet as rebuilt after a crash: last checkpoint only.  The
     returned cabinet's disk image equals its contents. *)
-
-val flushed_bytes : t -> int
-(** Size of the disk image, for cost accounting. *)
 
 val byte_size : t -> int
 (** In-memory contents size (sum of element bytes). *)

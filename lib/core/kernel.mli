@@ -79,10 +79,6 @@ type config = {
           every hop, byte-identical to kernels predating the cache. *)
 }
 
-val default_rsh_config : rsh_config
-val default_tcp_config : tcp_config
-val default_horus_config : horus_config
-
 val default_cache_config : cache_config
 (** = {!Codecache.default_config}; [default_config.cache] is still [None] —
     opting in is explicit. *)
@@ -149,8 +145,6 @@ val site_named : t -> string -> Netsim.Site.id option
 val site_name : t -> Netsim.Site.id -> string
 val cabinet : t -> Netsim.Site.id -> Cabinet.t
 (** The site's file cabinet.  After a crash this is a fresh recovery. *)
-
-val neighbor_names : t -> Netsim.Site.id -> string list
 
 (** {1 Agents} *)
 

@@ -35,8 +35,6 @@ type a5_row = {
   lookup_latency : float; (** request to reply, seconds *)
 }
 
-val run_a1 : unit -> a1_row list
-val run_a2 : unit -> a2_row list
 val run_a3 : unit -> a3_row list
 val run_a4 : unit -> a4_row list
 

@@ -2,8 +2,6 @@
     paper's "folders can themselves store agents").  Used by rear guards to
     carry their relaunch snapshot. *)
 
-val folder_name : string
-
 val put : Tacoma_core.Briefcase.t -> Tacoma_core.Briefcase.t -> unit
 (** [put carrier snapshot]. *)
 

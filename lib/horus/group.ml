@@ -1,18 +1,15 @@
 module Net = Netsim.Net
 module Engine = Netsim.Engine
 
-type config = { hb_interval : float; fail_timeout : float; payload_overhead : int }
-
-let default_config = { hb_interval = 0.5; fail_timeout = 2.0; payload_overhead = 48 }
+let hb_interval = 0.5 (* heartbeat period, seconds *)
+let fail_timeout = 2.0 (* silence before a member is suspected *)
+let payload_overhead = 48 (* header bytes charged per protocol message *)
 
 type body =
-  | Data of { sender : int; seq : int; data : string }
-  | OrderReq of { sender : int; data : string }
-  | Ordered of { gseq : int; sender : int; data : string }
   | Heartbeat of { from : int }
   | ViewMsg of { view : View.t }
   | JoinReq of { site : int }
-  | StateMsg of { view : View.t; state : string; next_gseq : int }
+  | StateMsg of { view : View.t }
 
 type Netsim.Message.payload += Hmsg of { group : string; body : body }
 
@@ -20,29 +17,17 @@ type member = {
   site : int;
   mutable view : View.t;
   mutable alive : bool;
-  mutable send_seq : int;
-  next_from : (int, int) Hashtbl.t;
-  holdback : (int * int, string) Hashtbl.t;
-  mutable gseq_next : int;
-  ghold : (int, int * string) Hashtbl.t;
-  mutable gseq_counter : int; (* used while coordinator *)
   last_heard : (int, float) Hashtbl.t;
-  mutable deliver_cb : (sender:int -> string -> unit) option;
-  mutable view_cb : (View.t -> unit) option;
-  mutable state_provider : (unit -> string) option;
-  mutable state_cb : (string -> unit) option;
   mutable tick_timer : Engine.timer option;
 }
 
 type t = {
   net : Net.t;
   gname : string;
-  config : config;
   endpoints : (int, member) Hashtbl.t;
   mutable latest_view : View.t;
 }
 
-let name t = t.gname
 let handler_key t = "horus:" ^ t.gname
 
 let endpoint t site = Hashtbl.find_opt t.endpoints site
@@ -52,73 +37,8 @@ let view_at t site =
   | Some m when m.alive -> Some m.view
   | Some _ | None -> None
 
-let member_sites t =
-  Hashtbl.fold (fun site m acc -> if m.alive then site :: acc else acc) t.endpoints []
-  |> List.sort compare
-
-let on_deliver t site cb =
-  match endpoint t site with
-  | Some m -> m.deliver_cb <- Some (fun ~sender data -> cb ~sender data)
-  | None -> invalid_arg "Group.on_deliver: not a member"
-
-let on_view t site cb =
-  match endpoint t site with
-  | Some m -> m.view_cb <- Some cb
-  | None -> invalid_arg "Group.on_view: not a member"
-
-let set_state_provider t site f =
-  match endpoint t site with
-  | Some m -> m.state_provider <- Some f
-  | None -> invalid_arg "Group.set_state_provider: not a member"
-
-let on_state t site cb =
-  match endpoint t site with
-  | Some m -> m.state_cb <- Some cb
-  | None -> invalid_arg "Group.on_state: not a member"
-
 let send_body t ~src ~dst ~extra body =
-  Net.send t.net ~src ~dst ~size:(t.config.payload_overhead + extra)
-    (Hmsg { group = t.gname; body })
-
-(* --- delivery machinery -------------------------------------------------- *)
-
-let deliver m ~sender data =
-  match m.deliver_cb with None -> () | Some cb -> cb ~sender data
-
-(* FIFO per-sender: deliver in-sequence, hold back gaps. *)
-let handle_data m ~sender ~seq data =
-  let expected = Option.value ~default:0 (Hashtbl.find_opt m.next_from sender) in
-  if seq < expected then () (* duplicate *)
-  else begin
-    Hashtbl.replace m.holdback (sender, seq) data;
-    let rec flush n =
-      match Hashtbl.find_opt m.holdback (sender, n) with
-      | None -> Hashtbl.replace m.next_from sender n
-      | Some d ->
-        Hashtbl.remove m.holdback (sender, n);
-        deliver m ~sender d;
-        flush (n + 1)
-    in
-    flush expected
-  end
-
-(* Total order: deliver in global-sequence order.  Note: across coordinator
-   failures the order is best-effort — real Horus runs a flush protocol on
-   view change; our experiments only require agreement under stable views. *)
-let handle_ordered m ~gseq ~sender data =
-  if gseq < m.gseq_next then ()
-  else begin
-    Hashtbl.replace m.ghold gseq (sender, data);
-    let rec flush n =
-      match Hashtbl.find_opt m.ghold n with
-      | None -> m.gseq_next <- n
-      | Some (s, d) ->
-        Hashtbl.remove m.ghold n;
-        deliver m ~sender:s d;
-        flush (n + 1)
-    in
-    flush m.gseq_next
-  end
+  Net.send t.net ~src ~dst ~size:(payload_overhead + extra) (Hmsg { group = t.gname; body })
 
 let adopt_view t m view =
   if view.View.id > m.view.View.id then begin
@@ -127,8 +47,7 @@ let adopt_view t m view =
     if view.View.id > t.latest_view.View.id then t.latest_view <- view;
     (* forget suspicion state for departed members *)
     Hashtbl.reset m.last_heard;
-    List.iter (fun s -> Hashtbl.replace m.last_heard s (Net.now t.net)) view.View.members;
-    match m.view_cb with None -> () | Some cb -> cb view
+    List.iter (fun s -> Hashtbl.replace m.last_heard s (Net.now t.net)) view.View.members
   end
 
 let broadcast_view t m view =
@@ -158,8 +77,7 @@ let rec tick t m =
       List.filter
         (fun s ->
           s <> m.site
-          && now -. Option.value ~default:now (Hashtbl.find_opt m.last_heard s)
-             > t.config.fail_timeout)
+          && now -. Option.value ~default:now (Hashtbl.find_opt m.last_heard s) > fail_timeout)
         m.view.View.members
     in
     if suspected <> [] then begin
@@ -180,30 +98,16 @@ let rec tick t m =
         broadcast_view t m view
       end
     end;
-    m.tick_timer <-
-      Some (Net.schedule t.net ~after:t.config.hb_interval (fun () -> tick t m))
+    m.tick_timer <- Some (Net.schedule t.net ~after:hb_interval (fun () -> tick t m))
   end
 
 (* --- incoming message handling ------------------------------------------- *)
 
 let handle t m (msg : Netsim.Message.t) =
   match msg.payload with
-  | Hmsg { group; body } when group = t.gname && m.alive ->
+  | Hmsg { group; body } when group = t.gname && m.alive -> (
     Hashtbl.replace m.last_heard msg.src (Net.now t.net);
-    (match body with
-    | Data { sender; seq; data } -> handle_data m ~sender ~seq data
-    | Ordered { gseq; sender; data } -> handle_ordered m ~gseq ~sender data
-    | OrderReq { sender; data } ->
-      (* only the coordinator sequences *)
-      if View.coordinator m.view = Some m.site then begin
-        let gseq = m.gseq_counter in
-        m.gseq_counter <- gseq + 1;
-        List.iter
-          (fun dst ->
-            send_body t ~src:m.site ~dst ~extra:(String.length data)
-              (Ordered { gseq; sender; data }))
-          m.view.View.members
-      end
+    match body with
     | Heartbeat { from = _ } -> ()
     | ViewMsg { view } -> adopt_view t m view
     | JoinReq { site } ->
@@ -211,48 +115,19 @@ let handle t m (msg : Netsim.Message.t) =
         let view = View.with_member m.view site in
         adopt_view t m view;
         broadcast_view t m view;
-        let state =
-          match m.state_provider with None -> "" | Some f -> f ()
-        in
-        send_body t ~src:m.site ~dst:site ~extra:(String.length state)
-          (StateMsg { view; state; next_gseq = m.gseq_counter })
+        send_body t ~src:m.site ~dst:site ~extra:0 (StateMsg { view })
       end
-    | StateMsg { view; state; next_gseq } ->
-      Hashtbl.reset m.next_from;
-      Hashtbl.reset m.holdback;
-      Hashtbl.reset m.ghold;
-      m.gseq_next <- next_gseq;
-      m.gseq_counter <- next_gseq;
-      adopt_view t m view;
-      (match m.state_cb with None -> () | Some cb -> cb state))
+    | StateMsg { view } -> adopt_view t m view)
   | Hmsg _ | _ -> ()
 
 let arm_endpoint t m =
   m.alive <- true;
   Net.set_handler t.net m.site ~key:(handler_key t) (fun msg -> handle t m msg);
   (match m.tick_timer with Some timer -> Engine.cancel timer | None -> ());
-  m.tick_timer <- Some (Net.schedule t.net ~after:t.config.hb_interval (fun () -> tick t m))
+  m.tick_timer <- Some (Net.schedule t.net ~after:hb_interval (fun () -> tick t m))
 
 let make_member t site view =
-  let m =
-    {
-      site;
-      view;
-      alive = false;
-      send_seq = 0;
-      next_from = Hashtbl.create 8;
-      holdback = Hashtbl.create 8;
-      gseq_next = 0;
-      ghold = Hashtbl.create 8;
-      gseq_counter = 0;
-      last_heard = Hashtbl.create 8;
-      deliver_cb = None;
-      view_cb = None;
-      state_provider = None;
-      state_cb = None;
-      tick_timer = None;
-    }
-  in
+  let m = { site; view; alive = false; last_heard = Hashtbl.create 8; tick_timer = None } in
   Hashtbl.replace t.endpoints site m;
   Net.on_crash t.net site (fun () ->
       m.alive <- false;
@@ -263,13 +138,13 @@ let make_member t site view =
       | None -> ());
   m
 
-let create ?(config = default_config) net ~name ~members =
+let create net ~name ~members =
   if members = [] then invalid_arg "Group.create: empty membership";
   List.iter
     (fun s -> if not (Net.site_up net s) then invalid_arg "Group.create: member is down")
     members;
   let view = View.make ~id:1 ~members in
-  let t = { net; gname = name; config; endpoints = Hashtbl.create 8; latest_view = view } in
+  let t = { net; gname = name; endpoints = Hashtbl.create 8; latest_view = view } in
   List.iter
     (fun site ->
       let m = make_member t site view in
@@ -278,26 +153,6 @@ let create ?(config = default_config) net ~name ~members =
     members;
   t
 
-let mcast t ~from ?(total = false) data =
-  match endpoint t from with
-  | Some m when m.alive && Net.site_up t.net from ->
-    if total then begin
-      match View.coordinator m.view with
-      | Some c ->
-        send_body t ~src:from ~dst:c ~extra:(String.length data) (OrderReq { sender = from; data })
-      | None -> ()
-    end
-    else begin
-      let seq = m.send_seq in
-      m.send_seq <- seq + 1;
-      List.iter
-        (fun dst ->
-          send_body t ~src:from ~dst ~extra:(String.length data)
-            (Data { sender = from; seq; data }))
-        m.view.View.members
-    end
-  | Some _ | None -> ()
-
 let rejoin t site =
   if Net.site_up t.net site then begin
     let m =
@@ -305,11 +160,7 @@ let rejoin t site =
       | Some m -> m
       | None -> make_member t site (View.make ~id:0 ~members:[ site ])
     in
-    (* stale identity: wipe per-stream state, it will be refreshed by the
-       coordinator's StateMsg *)
-    Hashtbl.reset m.next_from;
-    Hashtbl.reset m.holdback;
-    Hashtbl.reset m.ghold;
+    (* stale identity: the coordinator's StateMsg brings the current view *)
     m.view <- View.make ~id:0 ~members:[ site ];
     arm_endpoint t m;
     (* a single JoinReq can be lost, or the believed coordinator can itself
@@ -328,7 +179,7 @@ let rejoin t site =
           | Some c when c <> site -> send_body t ~src:site ~dst:c ~extra:0 (JoinReq { site })
           | Some _ | None -> singleton ());
           ignore
-            (Net.schedule t.net ~after:(2.0 *. t.config.hb_interval) (fun () ->
+            (Net.schedule t.net ~after:(2.0 *. hb_interval) (fun () ->
                  try_join (attempts + 1)))
         end
       end

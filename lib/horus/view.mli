@@ -1,6 +1,6 @@
 (** Group views, after Horus/ISIS: an agreed, numbered snapshot of the
     membership.  The member with the smallest site id is the coordinator;
-    it sequences totally-ordered traffic and drives membership changes. *)
+    it drives membership changes. *)
 
 type t = { id : int; members : Netsim.Site.id list (* sorted ascending *) }
 

@@ -19,6 +19,7 @@ type plan = event list
 let at_of = function
   | Crash { at; _ } | Cut { at; _ } | Loss_burst { at; _ } | Degrade { at; _ } -> at
 
+(* ["crash"], ["cut"], ["loss"] or ["degrade"] — the metric label. *)
 let kind_of = function
   | Crash _ -> "crash"
   | Cut _ -> "cut"
@@ -93,6 +94,8 @@ let crashes ~rng ~sites ~rate ~mean_downtime ~until =
         gen [] 0.0)
       sites
 
+(* Single random links go down for exponential windows, arriving as a
+   net-wide Poisson process with [rate]. *)
 let flapping ~rng ~topo ~rate ~mean_downtime ~until =
   let links = links_of topo in
   if Array.length links = 0 then []
@@ -129,6 +132,8 @@ let random_cut rng topo =
     List.rev !crossing
   end
 
+(* Clean partitions: each event draws a random proper site cut and takes
+   down every crossing link for the window. *)
 let bisections ~rng ~topo ~rate ~mean_downtime ~until =
   List.filter_map
     (fun at ->
@@ -137,6 +142,8 @@ let bisections ~rng ~topo ~rate ~mean_downtime ~until =
       if links = [] then None else Some (Cut { links; at; duration; label = "bisection" }))
     (arrivals rng ~rate ~until)
 
+(* Loss windows at [loss] probability; each burst hits either one random
+   link or the whole net (even odds). *)
 let loss_bursts ~rng ~topo ~rate ~mean_duration ~loss ~until =
   let links = links_of topo in
   List.map

@@ -40,10 +40,6 @@ type event =
 
 type plan = event list
 
-val kind_of : event -> string
-(** ["crash"], ["cut"], ["loss"] or ["degrade"] — the metric label. *)
-
-val at_of : event -> float
 val sort : plan -> plan
 
 val counts : plan -> (string * int) list
@@ -73,37 +69,6 @@ val crashes :
     distributed downtime.  A site's next crash comes only after its
     restart, so applying one such plan never skips; the result is grouped
     by site, in [sites] order. *)
-
-val flapping :
-  rng:Tacoma_util.Rng.t ->
-  topo:Topology.t ->
-  rate:float ->
-  mean_downtime:float ->
-  until:float ->
-  plan
-(** Single random links go down for exponential windows, arriving as a
-    net-wide Poisson process with [rate]. *)
-
-val bisections :
-  rng:Tacoma_util.Rng.t ->
-  topo:Topology.t ->
-  rate:float ->
-  mean_downtime:float ->
-  until:float ->
-  plan
-(** Clean partitions: each event draws a random proper site cut and takes
-    down every crossing link for the window. *)
-
-val loss_bursts :
-  rng:Tacoma_util.Rng.t ->
-  topo:Topology.t ->
-  rate:float ->
-  mean_duration:float ->
-  loss:float ->
-  until:float ->
-  plan
-(** Loss windows at [loss] probability; each burst hits either one random
-    link or the whole net (even odds). *)
 
 val degradations :
   rng:Tacoma_util.Rng.t ->

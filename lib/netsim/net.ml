@@ -114,10 +114,6 @@ let invalidate_routes t = Array.fill t.route_cache 0 (Array.length t.route_cache
 let route_cache_size t =
   Array.fold_left (fun n row -> if Option.is_some row then n + 1 else n) 0 t.route_cache
 
-let link_enabled t a b =
-  let lid = Topology.link_id t.ix a b in
-  lid < 0 || not t.disabled.(lid)
-
 (* Chaos degradation windows scale a link's parameters without touching the
    topology itself: latency is multiplied, bandwidth is multiplied (a factor
    below 1.0 slows the link down). *)
@@ -433,16 +429,12 @@ let find_override t arr a b =
   let lid = Topology.link_id t.ix a b in
   if lid < 0 then None else arr.(lid)
 
-let link_loss t a b = find_override t t.link_loss a b
-
 let set_loss_override t rate =
   (match rate with
   | Some r when r < 0.0 || r >= 1.0 ->
     invalid_arg "Net.set_loss_override: rate must be in [0,1)"
   | Some _ | None -> ());
   t.loss_override <- rate
-
-let loss_override t = t.loss_override
 
 let set_link_degraded t a b factors =
   let lid = require_link t a b "Net.set_link_degraded" in

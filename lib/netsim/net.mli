@@ -83,8 +83,6 @@ val set_link_enabled : t -> Site.id -> Site.id -> bool -> unit
     ["site-down"] for a dead destination and ["loss"] for random loss).
     @raise Invalid_argument if the topology has no such link. *)
 
-val link_enabled : t -> Site.id -> Site.id -> bool
-
 (** {1 Chaos hooks}
 
     Deterministic degraded-network windows, driven by {!Chaos} plans but
@@ -97,13 +95,9 @@ val set_link_loss : t -> Site.id -> Site.id -> float option -> unit
     compound independently along a route.
     @raise Invalid_argument on a rate outside [0,1) or a missing link. *)
 
-val link_loss : t -> Site.id -> Site.id -> float option
-
 val set_loss_override : t -> float option -> unit
 (** Temporarily replace the net-wide [loss_rate] (a global loss burst);
     [None] restores the rate given at creation. *)
-
-val loss_override : t -> float option
 
 val set_link_degraded : t -> Site.id -> Site.id -> (float * float) option -> unit
 (** [(latency_mult, bandwidth_mult)] scaling the link's parameters for

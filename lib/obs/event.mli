@@ -25,5 +25,4 @@ type t = {
   attrs : attrs;
 }
 
-val attr_to_string : attr -> string
 val pp : Format.formatter -> t -> unit

@@ -79,11 +79,6 @@ let add_event buf (e : Event.t) =
   if e.attrs <> [] then Buffer.add_char buf '}';
   Buffer.add_char buf '}'
 
-let json_of_event e =
-  let buf = Buffer.create 128 in
-  add_event buf e;
-  Buffer.contents buf
-
 let jsonl events =
   let buf = Buffer.create 4096 in
   List.iter

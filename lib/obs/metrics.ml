@@ -2,7 +2,6 @@ type labels = (string * string) list
 
 type instrument =
   | ICounter of int ref
-  | IGauge of float ref
   | IHist of Hist.t
 
 type t = { series : (string * labels, instrument) Hashtbl.t }
@@ -29,17 +28,12 @@ let kind_error name what =
 let incr t ?(labels = []) ?(by = 1) name =
   match find_or_add t name labels (fun () -> ICounter (ref 0)) with
   | ICounter r -> r := !r + by
-  | IGauge _ | IHist _ -> kind_error name "counter"
-
-let set_gauge t ?(labels = []) name v =
-  match find_or_add t name labels (fun () -> IGauge (ref 0.0)) with
-  | IGauge r -> r := v
-  | ICounter _ | IHist _ -> kind_error name "gauge"
+  | IHist _ -> kind_error name "counter"
 
 let observe t ?(labels = []) name v =
   match find_or_add t name labels (fun () -> IHist (Hist.create ())) with
   | IHist h -> Hist.observe h v
-  | ICounter _ | IGauge _ -> kind_error name "histogram"
+  | ICounter _ -> kind_error name "histogram"
 
 (* A handle resolves its series on first use and keeps the cell, so
    creating one registers nothing and the registry's contents match what
@@ -72,7 +66,7 @@ let bump h n =
     | ICounter r ->
       h.cell <- Some r;
       r := !r + n
-    | IGauge _ | IHist _ -> kind_error h.c_name "counter")
+    | IHist _ -> kind_error h.c_name "counter")
 
 let record h v =
   match h.hist with
@@ -82,7 +76,7 @@ let record h v =
     | IHist hist ->
       h.hist <- Some hist;
       Hist.observe hist v
-    | ICounter _ | IGauge _ -> kind_error h.h_name "histogram")
+    | ICounter _ -> kind_error h.h_name "histogram")
 
 let find t name labels = Hashtbl.find_opt t.series (name, canon labels)
 
@@ -91,12 +85,6 @@ let counter t ?(labels = []) name =
   | Some (ICounter r) -> !r
   | Some _ -> kind_error name "counter"
   | None -> 0
-
-let gauge t ?(labels = []) name =
-  match find t name labels with
-  | Some (IGauge r) -> Some !r
-  | Some _ -> kind_error name "gauge"
-  | None -> None
 
 let histogram t ?(labels = []) name =
   match find t name labels with
@@ -110,7 +98,7 @@ let counter_total t name =
       match inst with ICounter r when n = name -> acc + !r | _ -> acc)
     t.series 0
 
-type value = Counter of int | Gauge of float | Histogram of Hist.t
+type value = Counter of int | Histogram of Hist.t
 
 let fold f t init =
   let rows =
@@ -119,7 +107,6 @@ let fold f t init =
         let v =
           match inst with
           | ICounter r -> Counter !r
-          | IGauge r -> Gauge !r
           | IHist h -> Histogram h
         in
         (name, labels, v) :: acc)
@@ -140,7 +127,6 @@ let pp fmt t =
     (fun ~name ~labels v () ->
       match v with
       | Counter n -> Format.fprintf fmt "%s%a %d@." name pp_labels labels n
-      | Gauge g -> Format.fprintf fmt "%s%a %g@." name pp_labels labels g
       | Histogram h ->
         Format.fprintf fmt
           "%s%a count=%d sum=%g min=%g p50=%g p90=%g p99=%g max=%g@." name

@@ -1,4 +1,4 @@
-(** Metrics registry: counters, gauges and histograms keyed by
+(** Metrics registry: counters and histograms keyed by
     (name x labels).  Always on — recording is a hashtable update (a field
     update through a {{!handles}handle}) and never perturbs the simulation
     (no RNG draws, no scheduling).
@@ -16,7 +16,6 @@ val create : unit -> t
 val incr : t -> ?labels:labels -> ?by:int -> string -> unit
 (** Counter increment ([by] defaults to 1). *)
 
-val set_gauge : t -> ?labels:labels -> string -> float -> unit
 val observe : t -> ?labels:labels -> string -> float -> unit
 
 (** {1:handles Handles}
@@ -45,13 +44,12 @@ val record : histogram_handle -> float -> unit
 val counter : t -> ?labels:labels -> string -> int
 (** 0 when the series does not exist. *)
 
-val gauge : t -> ?labels:labels -> string -> float option
 val histogram : t -> ?labels:labels -> string -> Hist.t option
 
 val counter_total : t -> string -> int
 (** Sum of a counter across all label sets. *)
 
-type value = Counter of int | Gauge of float | Histogram of Hist.t
+type value = Counter of int | Histogram of Hist.t
 
 val fold : (name:string -> labels:labels -> value -> 'a -> 'a) -> t -> 'a -> 'a
 (** Deterministic order: sorted by (name, labels). *)

@@ -16,7 +16,6 @@ val create : ?capacity:int -> ?enabled:bool -> unit -> t
     [false]. *)
 
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 val start_span :
   t ->

@@ -47,7 +47,7 @@ and t = {
   global : frame; (* its stamp is [uid] *)
   mutable frames : frame list; (* innermost first; [] means global scope *)
   mutable steps : int;
-  mutable limit : int option;
+  limit : int option;
   mutable depth : int;
   max_depth : int;
   mutable prof_commands : int;
@@ -293,9 +293,7 @@ let charge t n =
   | Some _ | None -> ()
 
 let steps_used t = t.steps
-let set_step_limit t l = t.limit <- l
 let step_limit t = t.limit
-let reset_steps t = t.steps <- 0
 
 (* ---- parsing and expression compilation, cached ------------------------ *)
 
@@ -486,9 +484,9 @@ let eval t src =
   | exception Return_exc v -> Ok (Value.to_string v)
   | exception Break_exc -> Error "invoked \"break\" outside of a loop"
   | exception Continue_exc -> Error "invoked \"continue\" outside of a loop"
-
-let eval_exn t src =
-  match eval t src with Ok v -> v | Error msg -> raise (Error_exc msg)
+  (* nesting past the stack, in the parsers or the evaluator; every frame
+     pushed on the way down was popped on the way out *)
+  | exception Stack_overflow -> Error "too many nested evaluations (infinite loop?)"
 
 (* ---- host command API --------------------------------------------------- *)
 
@@ -519,8 +517,14 @@ let unregister t name =
   if is_builtin name then t.builtin_stamp <- shadowed;
   Hashtbl.remove t.commands name
 
-let has_command t name = Hashtbl.mem t.commands name
-let command_names t = Hashtbl.fold (fun k _ acc -> k :: acc) t.commands []
+(* [info commands]/[info procs]: the sorted names of the commands [keep]
+   accepts, filtered by an optional glob pattern *)
+let command_names t pattern keep =
+  let matches name =
+    match pattern with [ pattern ] -> Strutil.glob_match ~pattern name | _ -> true
+  in
+  Hashtbl.fold (fun k fn acc -> if keep fn && matches k then k :: acc else acc) t.commands []
+  |> List.sort compare |> Value.of_list
 
 let set_output t fn = t.output <- fn
 
@@ -1115,13 +1119,9 @@ let install_core () =
           (match split_array_ref name with
           | Some _ -> scalar_of t name != Value.absent
           | None -> defined (lookup (scope t) name))
-      | [ "commands" ] -> Value.of_list (List.sort compare (command_names t))
-      | [ "procs" ] ->
-        Value.of_list
-          (List.sort compare
-             (Hashtbl.fold
-                (fun k fn acc -> match fn.kind with Proc _ -> k :: acc | _ -> acc)
-                t.commands []))
+      | "commands" :: ([] | [ _ ] as pattern) -> command_names t pattern (fun _ -> true)
+      | "procs" :: ([] | [ _ ] as pattern) ->
+        command_names t pattern (fun fn -> match fn.kind with Proc _ -> true | _ -> false)
       | [ "body"; name ] -> Value.to_string (proc_def t name).body
       (* the parameter names, without defaults, as Tcl prints them *)
       | [ "args"; name ] -> Value.of_list (Array.to_list (proc_def t name).names)

@@ -76,9 +76,6 @@ val eval : t -> string -> (string, string) result
     [return] at top level yields its value.  {!Resource_exhausted} is NOT
     caught here — the host decides what an aborted agent means. *)
 
-val eval_exn : t -> string -> string
-(** @raise Error_exc instead of returning [Error]. *)
-
 val call : t -> string -> string list -> string
 (** [call t cmd args] invokes a command or proc directly from the host.
     @raise Error_exc on script errors. *)
@@ -93,8 +90,6 @@ val register : t -> string -> (t -> string list -> string) -> unit
     ends the proc's [info procs]/[info body]/[info args] entries. *)
 
 val unregister : t -> string -> unit
-val has_command : t -> string -> bool
-val command_names : t -> string list
 
 (** {1 Variables (global scope)} *)
 
@@ -113,9 +108,7 @@ val take_output : t -> string
 (** {1 Metering} *)
 
 val steps_used : t -> int
-val set_step_limit : t -> int option -> unit
 val step_limit : t -> int option
-val reset_steps : t -> unit
 
 val charge : t -> int -> unit
 (** Host commands use this to bill extra steps for expensive operations.

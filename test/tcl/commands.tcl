@@ -82,3 +82,7 @@ proc uplocal {} { uplevel 0 {set here 1}; set here }
 try {uplocal}
 proc upglobal {} { uplevel #1 {set mine 2}; set mine }
 try {upglobal}
+
+# info procs and info commands filter by a glob pattern
+puts "procs tw*: [lsort [info procs tw*]]"
+puts "commands tw*: [lsort [info commands tw*]]"

@@ -4,7 +4,7 @@
    runtime exception such as [Invalid_argument], [Not_found], [Failure] or
    [Stack_overflow].  Inputs are valid encodings with bytes flipped,
    truncated, deleted, duplicated or with separators spliced in, and raw
-   random strings. *)
+   random strings; and scripts nested deeper than the stack. *)
 
 module Ecu = Cash.Ecu
 module Audit = Cash.Audit
@@ -166,6 +166,33 @@ let expr_seeds =
     "int(round(1.5)) / ${z} <= fmod(7, 2.0)";
   ]
 
+(* Nesting past the stack, in the script parser, the expression compiler
+   or the evaluator, is a script error: [Interp.eval] returns [Error] and
+   the interpreter stays usable.  A small stack limit makes 200 000 levels
+   overflow on any host; the test restores the limit it found. *)
+let test_deep_nesting () =
+  let nest n ~opening ~closing inner =
+    String.make n opening ^ inner ^ String.make n closing
+  in
+  let limit = (Gc.get ()).stack_limit in
+  Gc.set { (Gc.get ()) with stack_limit = 100_000 };
+  Fun.protect
+    ~finally:(fun () -> Gc.set { (Gc.get ()) with stack_limit = limit })
+    (fun () ->
+      let t = Tscript.Interp.create () in
+      List.iter
+        (fun src ->
+          match Tscript.Interp.eval t src with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.fail "200 000 levels did not overflow the stack")
+        [
+          "expr {" ^ nest 200_000 ~opening:'(' ~closing:')' "1" ^ "}";
+          "set x " ^ nest 200_000 ~opening:'[' ~closing:']' "list 1";
+        ];
+      Alcotest.(check (result string string))
+        "usable afterwards" (Ok "3")
+        (Tscript.Interp.eval t "expr {1 + 2}"))
+
 let () =
   Alcotest.run "decoders"
     [
@@ -197,5 +224,6 @@ let () =
           total "Expr.compile" expr_seeds
             ~documented:(function Expr.Error _ -> true | _ -> false)
             (fun s -> ignore (Expr.compile s));
+          Alcotest.test_case "Interp.eval nesting" `Quick test_deep_nesting;
         ] );
     ]

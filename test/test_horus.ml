@@ -1,6 +1,5 @@
-(* Tests for the Horus-like group communication substrate: views, FIFO and
-   total ordering, failure detection, coordinator succession, rejoin and
-   state transfer. *)
+(* Tests for the Horus-like group membership substrate: views, failure
+   detection, coordinator succession and rejoin. *)
 
 module Net = Netsim.Net
 module Topology = Netsim.Topology
@@ -9,18 +8,24 @@ module View = Horus.View
 
 let check = Alcotest.check
 
-let mk ?(n = 5) ?config () =
+let mk ?(n = 5) () =
   let net = Net.create (Topology.full_mesh n) in
   let members = List.init n Fun.id in
-  let g = Group.create ?config net ~name:"g" ~members in
+  let g = Group.create net ~name:"g" ~members in
   (net, g, members)
 
-let collect g members =
-  let log = Array.make (List.length members + 16) [] in
+let view_exn g s =
+  match Group.view_at g s with Some v -> v | None -> Alcotest.failf "site %d has no view" s
+
+(* every listed site holds the same view as site [like] *)
+let check_same_view g ~like sites =
+  let v = view_exn g like in
   List.iter
-    (fun s -> Group.on_deliver g s (fun ~sender data -> log.(s) <- (sender, data) :: log.(s)))
-    members;
-  fun s -> List.rev log.(s)
+    (fun s ->
+      let v' = view_exn g s in
+      check Alcotest.int "same view id" v.View.id v'.View.id;
+      check Alcotest.(list int) "same membership" v.View.members v'.View.members)
+    sites
 
 (* --- views --- *)
 
@@ -43,60 +48,6 @@ let test_initial_view_everywhere () =
       | Some v -> check Alcotest.int "all members" 5 (View.size v)
       | None -> Alcotest.fail "no view")
     members
-
-(* --- multicast --- *)
-
-let test_fifo_delivery_to_all () =
-  let net, g, members = mk () in
-  let got = collect g members in
-  ignore
-    (Net.schedule net ~after:0.01 (fun () ->
-         Group.mcast g ~from:2 "m1";
-         Group.mcast g ~from:2 "m2";
-         Group.mcast g ~from:2 "m3"));
-  Net.run ~until:1.0 net;
-  List.iter
-    (fun s ->
-      check
-        Alcotest.(list (pair int string))
-        "fifo order everywhere"
-        [ (2, "m1"); (2, "m2"); (2, "m3") ]
-        (got s))
-    members
-
-let test_self_delivery () =
-  let net, g, members = mk ~n:3 () in
-  let got = collect g members in
-  ignore (Net.schedule net ~after:0.01 (fun () -> Group.mcast g ~from:0 "x"));
-  Net.run ~until:1.0 net;
-  check Alcotest.(list (pair int string)) "sender delivers to itself" [ (0, "x") ] (got 0)
-
-let test_total_order_agreement () =
-  let net, g, members = mk () in
-  let got = collect g members in
-  (* two senders race; total order must agree at every member *)
-  ignore
-    (Net.schedule net ~after:0.01 (fun () ->
-         Group.mcast g ~from:3 ~total:true "a";
-         Group.mcast g ~from:4 ~total:true "b"));
-  ignore
-    (Net.schedule net ~after:0.011 (fun () -> Group.mcast g ~from:1 ~total:true "c"));
-  Net.run ~until:2.0 net;
-  let reference = got 0 in
-  check Alcotest.int "all delivered" 3 (List.length reference);
-  List.iter
-    (fun s ->
-      check Alcotest.(list (pair int string)) "same total order" reference (got s))
-    members
-
-let test_mcast_from_non_member_ignored () =
-  let net = Net.create (Topology.full_mesh 4) in
-  let g = Group.create net ~name:"g" ~members:[ 0; 1 ] in
-  let got = ref [] in
-  Group.on_deliver g 0 (fun ~sender:_ data -> got := data :: !got);
-  Group.mcast g ~from:3 "ghost";
-  Net.run ~until:1.0 net;
-  check Alcotest.(list string) "ignored" [] !got
 
 (* --- failure handling --- *)
 
@@ -126,60 +77,61 @@ let test_coordinator_crash_succession () =
       | None -> Alcotest.fail "no view")
     [ 1; 2; 3; 4 ]
 
-let test_total_order_works_after_succession () =
-  let net, g, members = mk () in
-  let got = collect g members in
-  ignore (Net.schedule net ~after:1.0 (fun () -> Net.crash net 0));
-  ignore (Net.schedule net ~after:10.0 (fun () -> Group.mcast g ~from:2 ~total:true "post"));
-  Net.run ~until:15.0 net;
-  List.iter
-    (fun s ->
-      check Alcotest.(list (pair int string)) "delivered via new sequencer" [ (2, "post") ]
-        (got s))
-    [ 1; 2; 3; 4 ]
-
-let test_mcast_excludes_departed () =
-  let net, g, members = mk () in
-  let got = collect g members in
+let test_departed_excluded () =
+  let net, g, _ = mk () in
   ignore (Net.schedule net ~after:1.0 (fun () -> Net.crash net 3));
   ignore (Net.schedule net ~after:9.0 (fun () -> Net.restart net 3));
-  (* after restart but without rejoin, 3 must not receive traffic *)
-  ignore (Net.schedule net ~after:10.0 (fun () -> Group.mcast g ~from:0 "late"));
+  (* after restart but without rejoin, 3 is not a member again *)
   Net.run ~until:12.0 net;
-  check Alcotest.(list (pair int string)) "restarted non-member gets nothing" [] (got 3);
-  check Alcotest.(list (pair int string)) "member gets it" [ (0, "late") ] (got 1)
+  check Alcotest.(option int) "restarted non-member has no view" None
+    (Option.map (fun v -> v.View.id) (Group.view_at g 3));
+  List.iter
+    (fun s -> Alcotest.(check bool) "3 stays out" false (View.mem (view_exn g s) 3))
+    [ 0; 1; 2; 4 ]
 
 let test_rejoin_state_transfer () =
   let net, g, _ = mk () in
-  Group.set_state_provider g 0 (fun () -> "snapshot-from-coordinator");
-  let state_seen = ref None in
   ignore (Net.schedule net ~after:1.0 (fun () -> Net.crash net 3));
   ignore
     (Net.schedule net ~after:9.0 (fun () ->
          Net.restart net 3;
-         Group.on_state g 3 (fun s -> state_seen := Some s);
          Group.rejoin g 3));
   Net.run ~until:20.0 net;
-  check Alcotest.(option string) "state transferred" (Some "snapshot-from-coordinator")
-    !state_seen;
   List.iter
-    (fun s ->
-      match Group.view_at g s with
-      | Some v -> Alcotest.(check bool) "3 back in view" true (View.mem v 3)
-      | None -> Alcotest.fail "no view")
-    [ 0; 1; 2; 3; 4 ]
+    (fun s -> Alcotest.(check bool) "3 back in view" true (View.mem (view_exn g s) 3))
+    [ 0; 1; 2; 3; 4 ];
+  (* the joiner installed the coordinator's view, not one of its own *)
+  check_same_view g ~like:0 [ 1; 2; 3; 4 ]
+
+(* each member installs each view once: the joiner gets the admitting view
+   both as a ViewMsg and with the coordinator's StateMsg, and must not take
+   it twice; nor may any later, staler copy replace it *)
+let test_view_installed_once () =
+  let net, g, _ = mk () in
+  ignore (Net.schedule net ~after:1.0 (fun () -> Net.crash net 3));
+  ignore
+    (Net.schedule net ~after:9.0 (fun () ->
+         Net.restart net 3;
+         Group.rejoin g 3));
+  Net.run ~until:20.0 net;
+  check_same_view g ~like:0 [ 1; 2; 3; 4 ];
+  (* four survivors install the view without 3, all five the one with it *)
+  check Alcotest.int "one install per member per view" (4 + 5)
+    (Obs.Metrics.counter (Net.metrics net) ~labels:[ ("group", "g") ] "horus.view_changes")
 
 let test_rejoined_member_receives () =
-  let net, g, members = mk () in
-  let got = collect g members in
+  let net, g, _ = mk () in
   ignore (Net.schedule net ~after:1.0 (fun () -> Net.crash net 3));
   ignore
     (Net.schedule net ~after:9.0 (fun () ->
          Net.restart net 3;
          Group.rejoin g 3));
-  ignore (Net.schedule net ~after:15.0 (fun () -> Group.mcast g ~from:0 "back"));
-  Net.run ~until:20.0 net;
-  check Alcotest.(list (pair int string)) "rejoined member receives" [ (0, "back") ] (got 3)
+  ignore (Net.schedule net ~after:15.0 (fun () -> Net.crash net 4));
+  Net.run ~until:25.0 net;
+  let v = view_exn g 3 in
+  Alcotest.(check bool) "rejoined member receives the later view" false (View.mem v 4);
+  Alcotest.(check bool) "and stays in it" true (View.mem v 3);
+  check_same_view g ~like:0 [ 1; 2; 3 ]
 
 let test_sole_survivor () =
   let net, g, _ = mk ~n:3 () in
@@ -195,7 +147,7 @@ let test_sole_survivor () =
 let test_crash_storm_convergence () =
   (* a storm of crashes and restarts+rejoins; after it calms down, every
      member that is up and rejoined must agree on one view containing all
-     of them, and multicast must work again *)
+     of them, and failure detection must work again *)
   let net = Net.create (Topology.full_mesh 6) in
   let members = [ 0; 1; 2; 3; 4; 5 ] in
   let g = Group.create net ~name:"g" ~members in
@@ -227,35 +179,15 @@ let test_crash_storm_convergence () =
     List.iter
       (fun s -> Alcotest.(check bool) "every live member in the view" true (View.mem v s))
       live);
-  (* multicast still works for everyone *)
-  let got = Array.make 6 0 in
-  List.iter (fun s -> Group.on_deliver g s (fun ~sender:_ _ -> got.(s) <- got.(s) + 1)) live;
-  ignore (Net.schedule net ~after:1.0 (fun () -> Group.mcast g ~from:(List.hd live) "post-storm"));
-  Net.run ~until:130.0 net;
-  List.iter (fun s -> check Alcotest.int "delivered post-storm" 1 got.(s)) live
-
-let test_total_order_random_interleavings =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:25 ~name:"total order agrees under random concurrent senders"
-       QCheck2.Gen.(list_size (1 -- 12) (pair (int_range 0 4) (float_bound_inclusive 0.2)))
-       (fun sends ->
-         let net = Net.create (Topology.full_mesh 5) in
-         let members = [ 0; 1; 2; 3; 4 ] in
-         let g = Group.create net ~name:"g" ~members in
-         let logs = Array.make 5 [] in
-         List.iter
-           (fun s -> Group.on_deliver g s (fun ~sender data -> logs.(s) <- (sender, data) :: logs.(s)))
-           members;
-         List.iteri
-           (fun i (sender, delay) ->
-             ignore
-               (Net.schedule net ~after:(0.01 +. delay) (fun () ->
-                    Group.mcast g ~from:sender ~total:true (Printf.sprintf "m%d" i))))
-           sends;
-         Net.run ~until:5.0 net;
-         let reference = logs.(0) in
-         List.length reference = List.length sends
-         && List.for_all (fun s -> logs.(s) = reference) members))
+  (* a crash after the storm still yields one agreed view *)
+  match List.rev live with
+  | last :: (_ :: _ as rest) ->
+    Net.crash net last;
+    Net.run ~until:140.0 net;
+    let v = view_exn g (List.hd rest) in
+    Alcotest.(check bool) "post-storm crash detected" false (View.mem v last);
+    check_same_view g ~like:(List.hd rest) rest
+  | _ -> ()
 
 let test_heartbeat_traffic_accounted () =
   let net, _, _ = mk ~n:3 () in
@@ -271,23 +203,14 @@ let () =
           Alcotest.test_case "view module" `Quick test_view_module;
           Alcotest.test_case "initial views" `Quick test_initial_view_everywhere;
         ] );
-      ( "multicast",
-        [
-          Alcotest.test_case "fifo to all" `Quick test_fifo_delivery_to_all;
-          Alcotest.test_case "self delivery" `Quick test_self_delivery;
-          Alcotest.test_case "total order agreement" `Quick test_total_order_agreement;
-          test_total_order_random_interleavings;
-          Alcotest.test_case "non-member ignored" `Quick test_mcast_from_non_member_ignored;
-        ] );
       ( "failures",
         [
           Alcotest.test_case "member crash view change" `Quick test_member_crash_view_change;
           Alcotest.test_case "coordinator succession" `Quick test_coordinator_crash_succession;
-          Alcotest.test_case "total order after succession" `Quick
-            test_total_order_works_after_succession;
-          Alcotest.test_case "departed excluded" `Quick test_mcast_excludes_departed;
+          Alcotest.test_case "departed excluded" `Quick test_departed_excluded;
           Alcotest.test_case "rejoin + state transfer" `Quick test_rejoin_state_transfer;
           Alcotest.test_case "rejoined member receives" `Quick test_rejoined_member_receives;
+          Alcotest.test_case "view installed once" `Quick test_view_installed_once;
           Alcotest.test_case "sole survivor" `Quick test_sole_survivor;
           Alcotest.test_case "crash storm convergence" `Quick test_crash_storm_convergence;
           Alcotest.test_case "heartbeat bytes" `Quick test_heartbeat_traffic_accounted;

@@ -109,17 +109,14 @@ let test_metrics_counters () =
 
 let test_metrics_kinds () =
   let m = Obs.Metrics.create () in
-  Obs.Metrics.set_gauge m "depth" 3.5;
-  Alcotest.(check (option (Alcotest.float 0.0))) "gauge readback" (Some 3.5)
-    (Obs.Metrics.gauge m "depth");
   Obs.Metrics.observe m "lat" 0.5;
   Obs.Metrics.observe m "lat" 1.5;
   (match Obs.Metrics.histogram m "lat" with
   | Some h -> Alcotest.(check int) "histogram count" 2 (Obs.Hist.count h)
   | None -> Alcotest.fail "histogram series missing");
   Alcotest.check_raises "kind mismatch rejected"
-    (Invalid_argument "Metrics: \"depth\" is not a counter") (fun () ->
-      Obs.Metrics.incr m "depth")
+    (Invalid_argument "Metrics: \"lat\" is not a counter") (fun () ->
+      Obs.Metrics.incr m "lat")
 
 let test_metrics_handles () =
   let m = Obs.Metrics.create () in
@@ -145,7 +142,7 @@ let test_metrics_handles () =
   Alcotest.(check string) "same dump as by name"
     (Format.asprintf "%a" Obs.Metrics.pp by_name)
     (series ());
-  Obs.Metrics.set_gauge m "depth" 1.0;
+  Obs.Metrics.observe m "depth" 1.0;
   let wrong = Obs.Metrics.counter_handle m "depth" in
   Alcotest.check_raises "kind mismatch at first use"
     (Invalid_argument "Metrics: \"depth\" is not a counter")
@@ -506,7 +503,7 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counters and labels" `Quick test_metrics_counters;
-          Alcotest.test_case "gauges and histograms" `Quick test_metrics_kinds;
+          Alcotest.test_case "histograms and kinds" `Quick test_metrics_kinds;
           Alcotest.test_case "handles" `Quick test_metrics_handles;
         ] );
       ( "export",
