@@ -17,7 +17,6 @@ type t = {
   default_policy : Policy.t;
   max_report_age : float option;
   entries : (string, entry) Hashtbl.t; (* provider name -> entry *)
-  mutable peers : (Netsim.Site.id * string) list;
   rng : Tacoma_util.Rng.t;
   rr_counter : int ref;
   reports_metric : Obs.Metrics.counter_handle;
@@ -86,17 +85,6 @@ let lookup t ~service ?(exclude = []) ?policy () =
   | None -> Obs.Metrics.incr m "broker.no_provider");
   choice
 
-let forward_to_peers t bc =
-  match t.peers with
-  | [] -> ()
-  | peers ->
-    let gossip = Briefcase.copy bc in
-    Briefcase.set gossip "GOSSIP" "1";
-    List.iter
-      (fun (peer_site, peer_agent) ->
-        Kernel.send_briefcase t.kernel ~src:t.bsite ~dst:peer_site ~contact:peer_agent gossip)
-      peers
-
 let handle t bc =
   match Option.value ~default:"lookup" (Briefcase.find_opt bc "OP") with
   | "register" | "report" -> (
@@ -116,9 +104,7 @@ let handle t bc =
                 (Option.bind (Briefcase.find_opt bc "CAPACITY") float_of_string_opt)
             in
             (service, host, capacity)
-          | _ -> malformed ());
-      (* one-hop gossip: only originals travel to peers *)
-      if not (Briefcase.mem bc "GOSSIP") then forward_to_peers t bc)
+          | _ -> malformed ()))
   | "lookup" -> (
     match Briefcase.find_opt bc "SERVICE" with
     | None -> raise (Kernel.Agent_error "broker: lookup needs SERVICE")
@@ -155,7 +141,6 @@ let install kernel ~site ~name ?(policy = Policy.Least_loaded) ?max_report_age (
       default_policy = policy;
       max_report_age;
       entries = Hashtbl.create 16;
-      peers = [];
       rng = Tacoma_util.Rng.split (Kernel.rng kernel);
       rr_counter = ref 0;
       reports_metric = Obs.Metrics.counter_handle (Kernel.metrics kernel) "broker.reports";
@@ -163,8 +148,6 @@ let install kernel ~site ~name ?(policy = Policy.Least_loaded) ?max_report_age (
   in
   Kernel.register_native kernel ~site name (fun _ bc -> handle t bc);
   t
-
-let add_peer t peer = t.peers <- peer :: t.peers
 
 let register_provider t p =
   upsert t ~provider:(Provider.name p)

@@ -2,9 +2,9 @@
     of service providers and their load/capacity reports.
 
     An agent that requires a service consults a broker to identify which
-    agents provide it.  Brokers also "communicate among themselves": peer
-    brokers forward load reports to each other, so a client can ask any
-    broker in the federation.
+    agents provide it.  Brokers also "communicate among themselves": the
+    routing overlay ({!Routing}) forwards a lookup from broker to broker
+    until one knows the service.
 
     Meet protocol, dispatched on the [OP] folder:
     - ["register"]: [PROVIDER], [SERVICE], [HOST], [CAPACITY]
@@ -35,10 +35,6 @@ val install :
     (or registration) is older are excluded from lookups — a crashed
     provider silently ages out of the database once its load monitor stops
     reporting. *)
-
-val add_peer : t -> Netsim.Site.id * string -> unit
-(** Peer brokers receive a copy of every report this broker gets directly
-    (one-hop gossip; forwarded reports are not re-forwarded). *)
 
 val register_provider : t -> Provider.t -> unit
 (** Local-convenience registration (same effect as a ["register"] meet). *)

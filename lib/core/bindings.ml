@@ -15,6 +15,9 @@ type host = {
   dispatch : host:string -> contact:string -> unit;
 }
 
+(* host commands return [Text] or, for a list, [Items] *)
+let none = Interp.Text ""
+
 let err fmt = Printf.ksprintf (fun m -> raise (Interp.Error_exc m)) fmt
 
 let float_arg what s =
@@ -32,38 +35,38 @@ let install_folder_cmd bc it =
       match args with
       | [ "put"; name; v ] ->
         Folder.enqueue (Briefcase.folder bc name) v;
-        ""
+        none
       | [ "push"; name; v ] ->
         Folder.push (Briefcase.folder bc name) v;
-        ""
+        none
       | [ "pop"; name ] -> (
         match Folder.pop (Briefcase.folder bc name) with
-        | Some v -> v
+        | Some v -> Text v
         | None -> err "folder pop: %S is empty" name)
       | [ "trypop"; name ] ->
-        Option.value ~default:"" (Folder.pop (Briefcase.folder bc name))
+        Text (Option.value ~default:"" (Folder.pop (Briefcase.folder bc name)))
       | [ "peek"; name ] ->
-        Option.value ~default:"" (Folder.peek (Briefcase.folder bc name))
-      | [ "list"; name ] -> Value.of_list (Folder.to_list (Briefcase.folder bc name))
+        Text (Option.value ~default:"" (Folder.peek (Briefcase.folder bc name)))
+      | [ "list"; name ] -> Items (Folder.to_list (Briefcase.folder bc name))
       | "set" :: name :: elems ->
         Folder.replace (Briefcase.folder bc name) elems;
-        ""
+        none
       | [ "setlist"; name; l ] ->
         (match Value.to_list l with
         | Ok elems -> Folder.replace (Briefcase.folder bc name) elems
         | Error msg -> err "%s" msg);
-        ""
-      | [ "size"; name ] -> Value.of_int (Folder.length (Briefcase.folder bc name))
-      | [ "exists"; name ] -> Value.of_bool (Briefcase.mem bc name)
+        none
+      | [ "size"; name ] -> Text (Value.of_int (Folder.length (Briefcase.folder bc name)))
+      | [ "exists"; name ] -> Text (Value.of_bool (Briefcase.mem bc name))
       | [ "clear"; name ] ->
         Folder.clear (Briefcase.folder bc name);
-        ""
+        none
       | [ "remove"; name ] ->
         Briefcase.remove bc name;
-        ""
+        none
       | [ "contains"; name; v ] ->
-        Value.of_bool (Folder.contains (Briefcase.folder bc name) v)
-      | [ "names" ] -> Value.of_list (Briefcase.names bc)
+        Text (Value.of_bool (Folder.contains (Briefcase.folder bc name) v))
+      | [ "names" ] -> Items (Briefcase.names bc)
       | _ -> err "folder: unknown subcommand or wrong # args")
 
 let install_cabinet_cmd host it =
@@ -72,40 +75,41 @@ let install_cabinet_cmd host it =
       match args with
       | [ "put"; name; v ] ->
         Cabinet.put cab name v;
-        ""
+        none
       | [ "push"; name; v ] ->
         Cabinet.push cab name v;
-        ""
+        none
       | [ "pop"; name ] -> (
         match Cabinet.pop cab name with
-        | Some v -> v
+        | Some v -> Text v
         | None -> err "cabinet pop: %S is empty" name)
-      | [ "trypop"; name ] -> Option.value ~default:"" (Cabinet.pop cab name)
-      | [ "peek"; name ] -> Option.value ~default:"" (Cabinet.peek cab name)
-      | [ "list"; name ] -> Value.of_list (Cabinet.elements cab name)
+      | [ "trypop"; name ] -> Text (Option.value ~default:"" (Cabinet.pop cab name))
+      | [ "peek"; name ] -> Text (Option.value ~default:"" (Cabinet.peek cab name))
+      | [ "list"; name ] -> Items (Cabinet.elements cab name)
       | "set" :: name :: elems ->
         Cabinet.replace cab name elems;
-        ""
-      | [ "size"; name ] -> Value.of_int (Cabinet.size cab name)
-      | [ "exists"; name ] -> Value.of_bool (Cabinet.folder_exists cab name)
+        none
+      | [ "size"; name ] -> Text (Value.of_int (Cabinet.size cab name))
+      | [ "exists"; name ] -> Text (Value.of_bool (Cabinet.folder_exists cab name))
       | [ "clear"; name ] ->
         Cabinet.replace cab name [];
-        ""
-      | [ "contains"; name; v ] -> Value.of_bool (Cabinet.contains cab name v)
+        none
+      | [ "contains"; name; v ] -> Text (Value.of_bool (Cabinet.contains cab name v))
       | [ "remove"; name; v ] ->
         Cabinet.remove_element cab name v;
-        ""
-      | [ "names" ] -> Value.of_list (Cabinet.folder_names cab)
+        none
+      | [ "names" ] -> Items (Cabinet.folder_names cab)
       | [ "kvset"; name; k; v ] ->
         Cabinet.set_kv cab name ~key:k v;
-        ""
-      | [ "kvget"; name; k ] -> Option.value ~default:"" (Cabinet.find_kv_opt cab name ~key:k)
+        none
+      | [ "kvget"; name; k ] ->
+        Text (Option.value ~default:"" (Cabinet.find_kv_opt cab name ~key:k))
       | [ "flush" ] ->
         Cabinet.flush cab;
-        ""
+        none
       | [ "flush"; name ] ->
         Cabinet.flush_folder cab name;
-        ""
+        none
       | _ -> err "cabinet: unknown subcommand or wrong # args")
 
 let install host bc it =
@@ -116,7 +120,7 @@ let install host bc it =
       match args with
       | [ agent ] ->
         host.meet agent;
-        ""
+        none
       | _ -> err "wrong # args: should be \"meet agent\"");
 
   Interp.register it "jump" (fun _ args ->
@@ -126,38 +130,38 @@ let install host bc it =
         Briefcase.set bc Briefcase.host_folder site;
         Briefcase.set bc Briefcase.contact_folder contact;
         host.meet "rexec";
-        ""
+        none
       | _ -> err "wrong # args: should be \"jump site ?contact?\"");
 
-  Interp.register it "selfcode" (fun _ _ -> host.code ());
+  Interp.register it "selfcode" (fun _ _ -> Text (host.code ()));
 
   Interp.register it "dispatch" (fun _ args ->
       match args with
       | [ site; contact ] ->
         host.dispatch ~host:site ~contact;
-        ""
+        none
       | _ -> err "wrong # args: should be \"dispatch site agent\"");
 
-  Interp.register it "host" (fun _ _ -> host.site_name ());
-  Interp.register it "self" (fun _ _ -> host.self ());
-  Interp.register it "now" (fun _ _ -> Value.of_float (host.now ()));
-  Interp.register it "neighbors" (fun _ _ -> Value.of_list (host.neighbors ()));
+  Interp.register it "host" (fun _ _ -> Text (host.site_name ()));
+  Interp.register it "self" (fun _ _ -> Text (host.self ()));
+  Interp.register it "now" (fun _ _ -> Text (Value.of_float (host.now ())));
+  Interp.register it "neighbors" (fun _ _ -> Items (host.neighbors ()));
 
   Interp.register it "work" (fun _ args ->
       match args with
       | [ d ] ->
         host.sleep (float_arg "duration" d);
-        ""
+        none
       | _ -> err "wrong # args: should be \"work seconds\"");
 
   Interp.register it "log" (fun _ args ->
       host.log (String.concat " " args);
-      "");
+      none);
 
   Interp.register it "random" (fun _ args ->
       match args with
       | [ n ] ->
         let n = int_arg "bound" n in
         if n <= 0 then err "random: bound must be positive";
-        Value.of_int (host.random_int n)
+        Text (Value.of_int (host.random_int n))
       | _ -> err "wrong # args: should be \"random bound\"")

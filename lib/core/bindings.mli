@@ -37,4 +37,8 @@ val install : host -> Briefcase.t -> Tscript.Interp.t -> unit
     - [dispatch SITE AGENT] — send a copy of the current briefcase (sans
       code shipping) to an agent elsewhere;
     - [host], [self], [now], [neighbors], [work SECONDS], [log MSG],
-      [random N], [selfcode]. *)
+      [random N], [selfcode].
+
+    [folder list|names], [cabinet list|names] and [neighbors] reply with
+    their items ({!Tscript.Interp.Items}), so a script iterating over one
+    reads the elements without parsing a rendered list. *)

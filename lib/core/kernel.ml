@@ -118,17 +118,34 @@ type t = {
   mutable step_policy : (Briefcase.t -> int option) option;
 }
 
-(* Everything installed under one agent name, looked up once per delivery:
-   the site-scoped and global implementations, and handles on the name's
-   activation and completion counters (which register on first use). *)
+(* Everything installed under one agent name, looked up once per delivery
+   by that name: the site-scoped and global implementations, and handles on
+   the name's activation and completion counters (which register on first
+   use) and, once it has run a script, on its interpreter profile. *)
 and agent = {
-  name : string;
   mutable site_natives : (Netsim.Site.id * native) list;
   mutable global_native : native option;
   mutable site_scripts : (Netsim.Site.id * string) list;
   mutable global_script : string option;
   activations : Obs.Metrics.counter_handle;
   completions : Obs.Metrics.counter_handle;
+  mutable profile : profile option;
+}
+
+(* the series [run_code] records after every script run: per agent, and
+   the unlabelled counters over the shared compile caches *)
+and profile = {
+  runs : Obs.Metrics.counter_handle;
+  steps : Obs.Metrics.histogram_handle;
+  sim_s : Obs.Metrics.histogram_handle;
+  wall_s : Obs.Metrics.histogram_handle;
+  proc_calls : Obs.Metrics.histogram_handle;
+  proc_depth : Obs.Metrics.histogram_handle;
+  parse_hits : Obs.Metrics.counter_handle;
+  parse_misses : Obs.Metrics.counter_handle;
+  parse_evictions : Obs.Metrics.counter_handle;
+  expr_hits : Obs.Metrics.counter_handle;
+  expr_misses : Obs.Metrics.counter_handle;
 }
 
 and ctx = { kernel : t; site : Netsim.Site.id; self : string }
@@ -196,17 +213,45 @@ let agent_entry t name =
     let labels = [ ("agent", name) ] in
     let a =
       {
-        name;
         site_natives = [];
         global_native = None;
         site_scripts = [];
         global_script = None;
         activations = Obs.Metrics.counter_handle (metrics t) ~labels "kernel.activations";
         completions = Obs.Metrics.counter_handle (metrics t) ~labels "kernel.completions";
+        profile = None;
       }
     in
     Stbl.add t.agents name a;
     a
+
+(* made on the agent's first script run, so a native agent holds none *)
+let profile_of t name a =
+  match a.profile with
+  | Some p -> p
+  | None ->
+    let m = metrics t in
+    let labels = [ ("agent", name) ] in
+    let counter name = Obs.Metrics.counter_handle m ~labels name in
+    let hist name = Obs.Metrics.histogram_handle m ~labels name in
+    let shared name = Obs.Metrics.counter_handle m name in
+    let p =
+      {
+        runs = counter "interp.runs";
+        steps = hist "interp.steps";
+        sim_s = hist "interp.sim_s";
+        wall_s = hist "interp.wall_s";
+        proc_calls = hist "interp.proc_calls";
+        proc_depth = hist "interp.proc_depth";
+        parse_hits = shared "tscript.parse_cache.hit";
+        parse_misses = shared "tscript.parse_cache.miss";
+        parse_evictions = shared "tscript.parse_cache.evict";
+        expr_hits = shared "tscript.expr_cache.hit";
+        expr_misses = shared "tscript.expr_cache.miss";
+      }
+    in
+    a.profile <- Some p;
+    p
 
 let rec at_site site = function
   | [] -> None
@@ -264,15 +309,15 @@ let no_agent ctx name =
    nested meets show up as a tree under their activation.  [run_activation]
    calls [run_agent] directly — the activation span already names the
    contact. *)
-let rec run_agent ctx a bc =
+let rec run_agent ctx name a bc =
   match resolve a ctx.site with
-  | None -> raise (no_agent ctx a.name)
-  | Some (Rnative fn) -> fn { ctx with self = a.name } bc
-  | Some (Rscript code) -> run_code { ctx with self = a.name } ~code bc
+  | None -> raise (no_agent ctx name)
+  | Some (Rnative fn) -> fn { ctx with self = name } bc
+  | Some (Rscript code) -> run_script { ctx with self = name } a ~code bc
 
 and meet_inner ctx name bc =
   match Stbl.find_opt ctx.kernel.agents name with
-  | Some a -> run_agent ctx a bc
+  | Some a -> run_agent ctx name a bc
   | None -> raise (no_agent ctx name)
 
 and meet ctx name bc =
@@ -307,7 +352,10 @@ and meet ctx name bc =
       raise e
   end
 
-and run_code ctx ~code bc =
+and run_code ctx ~code bc = run_script ctx (agent_entry ctx.kernel ctx.self) ~code bc
+
+(* [a] is the entry of [ctx.self] *)
+and run_script ctx a ~code bc =
   let t = ctx.kernel in
   let step_limit =
     match t.step_policy with
@@ -349,27 +397,26 @@ and run_code ctx ~code bc =
   (match Tscript.Interp.eval it Prelude.standard with
   | Ok _ -> ()
   | Error msg -> raise (Agent_error (Printf.sprintf "prelude: %s" msg)));
+  let prof = profile_of t ctx.self a in
   let sim0 = now t in
   let wall0 = Sys.time () in
   (* the interpreter's shape counters feed per-agent histograms; recorded on
      every exit path (including Resource_exhausted and effect aborts) *)
   let observe_profile () =
-    let m = metrics t in
-    let labels = [ ("agent", ctx.self) ] in
-    Obs.Metrics.incr m ~labels "interp.runs";
-    Obs.Metrics.observe m ~labels "interp.steps" (float_of_int (Tscript.Interp.steps_used it));
-    Obs.Metrics.observe m ~labels "interp.sim_s" (now t -. sim0);
-    Obs.Metrics.observe m ~labels "interp.wall_s" (Sys.time () -. wall0);
+    Obs.Metrics.bump prof.runs 1;
+    Obs.Metrics.record prof.steps (float_of_int (Tscript.Interp.steps_used it));
+    Obs.Metrics.record prof.sim_s (now t -. sim0);
+    Obs.Metrics.record prof.wall_s (Sys.time () -. wall0);
     let p = Tscript.Interp.profile it in
-    Obs.Metrics.observe m ~labels "interp.proc_calls" (float_of_int p.Tscript.Interp.proc_calls);
-    Obs.Metrics.observe m ~labels "interp.proc_depth" (float_of_int p.Tscript.Interp.max_depth);
-    (* unlabeled cache-effectiveness counters over the shared compile
+    Obs.Metrics.record prof.proc_calls (float_of_int p.Tscript.Interp.proc_calls);
+    Obs.Metrics.record prof.proc_depth (float_of_int p.Tscript.Interp.max_depth);
+    (* unlabelled cache-effectiveness counters over the shared compile
        caches; [expr_misses] is the compiled-expression count *)
-    Obs.Metrics.incr m ~by:p.Tscript.Interp.parse_hits "tscript.parse_cache.hit";
-    Obs.Metrics.incr m ~by:p.Tscript.Interp.parse_misses "tscript.parse_cache.miss";
-    Obs.Metrics.incr m ~by:p.Tscript.Interp.parse_evictions "tscript.parse_cache.evict";
-    Obs.Metrics.incr m ~by:p.Tscript.Interp.expr_hits "tscript.expr_cache.hit";
-    Obs.Metrics.incr m ~by:p.Tscript.Interp.expr_misses "tscript.expr_cache.miss"
+    Obs.Metrics.bump prof.parse_hits p.Tscript.Interp.parse_hits;
+    Obs.Metrics.bump prof.parse_misses p.Tscript.Interp.parse_misses;
+    Obs.Metrics.bump prof.parse_evictions p.Tscript.Interp.parse_evictions;
+    Obs.Metrics.bump prof.expr_hits p.Tscript.Interp.expr_hits;
+    Obs.Metrics.bump prof.expr_misses p.Tscript.Interp.expr_misses
   in
   match Tscript.Interp.eval it code with
   | Ok _ -> observe_profile ()
@@ -415,7 +462,7 @@ let run_activation ?daemon t ~site ~contact bc =
   in
   let open Effect.Deep in
   match_with
-    (fun () -> run_agent ctx agent bc)
+    (fun () -> run_agent ctx ctx.self agent bc)
     ()
     {
       retc =

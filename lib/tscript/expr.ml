@@ -319,6 +319,8 @@ type 'script ast =
   | Or of 'script ast * 'script ast (* lazy: rhs untouched when lhs is true *)
   | Ternary of 'script ast * 'script ast * 'script ast (* lazy: only the chosen arm evaluates *)
   | Call of string * 'script ast list
+  | Pure of 'script ast
+      (* a pure subtree with an operator: tried on unboxed ints first *)
 
 and 'script cmd = { text : string; mutable script : 'script option }
 
@@ -513,6 +515,36 @@ and parse_ternary ctx =
     Ternary (cond, then_, parse_ternary ctx)
   | _ -> cond
 
+(* A subtree is pure when it holds only integer constants, scalar [$var]
+   reads and the integer operators below: it calls no command and reads
+   nothing twice differently, so evaluating it again is safe.  An array
+   reference is not pure, since its index may hold a command.  [mark]
+   gives the node with each maximal pure subtree that has an operator
+   wrapped in [Pure], and whether the node itself is pure (then still
+   unwrapped, for its parent to decide). *)
+let int_op = function
+  | Add | Sub | Mul | Div | Mod | Pow | Lt | Le | Gt | Ge | EqNum | NeNum -> true
+  | StrEq | StrNe | InList | NiList -> false
+
+let wrap (node, pure) = match node with Bin _ when pure -> Pure node | _ -> node
+
+let rec mark node =
+  match node with
+  | Const (Int _) -> (node, true)
+  | Var r -> (node, not (String.contains r.Value.name '('))
+  | Bin (op, a, b) ->
+    let (a', pa) as ma = mark a and ((b', pb) as mb) = mark b in
+    if int_op op && pa && pb then (Bin (op, a', b'), true) else (Bin (op, wrap ma, wrap mb), false)
+  | Not a -> (Not (wrap (mark a)), false)
+  | Neg a -> (Neg (wrap (mark a)), false)
+  | Pos a -> (Pos (wrap (mark a)), false)
+  | BitNot a -> (BitNot (wrap (mark a)), false)
+  | And (a, b) -> (And (wrap (mark a), wrap (mark b)), false)
+  | Or (a, b) -> (Or (wrap (mark a), wrap (mark b)), false)
+  | Ternary (c, a, b) -> (Ternary (wrap (mark c), wrap (mark a), wrap (mark b)), false)
+  | Call (name, args) -> (Call (name, List.map (fun a -> wrap (mark a)) args), false)
+  | Const _ | Cmd _ | Pure _ -> (node, false)
+
 let compile src =
   let lx = { src; pos = 0; tok = Teof } in
   advance lx;
@@ -521,7 +553,7 @@ let compile src =
   (match ctx.lx.tok with
   | Teof -> ()
   | _ -> fail "trailing characters in expression");
-  ast
+  wrap (mark ast)
 
 (* --- evaluator (ast -> num) --------------------------------------------- *)
 
@@ -534,6 +566,29 @@ let list_membership opname want a b =
     let mem = Array.exists (fun e -> String.equal (Value.to_string e) elem) l in
     Int (if mem = want then 1 else 0)
 
+(* Tcl floors integer division toward negative infinity, so a remainder
+   takes the divisor's sign *)
+let floor_div x y = if (x < 0) <> (y < 0) && x mod y <> 0 then (x / y) - 1 else x / y
+
+let floor_mod x y =
+  let m = x mod y in
+  if m <> 0 && (m < 0) <> (y < 0) then m + y else m
+
+let zero_power = "exponentiation of zero by negative power"
+
+(* Tcl 8.6's integer power: exact for a non-negative exponent (past 63 bits
+   it wraps, as [*] does), and for a negative one the integer part of the
+   exact result: -1 or 1 for a base of -1 or 1, 0 for any other *)
+let rec pow_loop acc b e =
+  if e = 0 then acc else pow_loop (if e land 1 = 1 then acc * b else acc) (b * b) (e lsr 1)
+
+let int_pow x y =
+  if y >= 0 then pow_loop 1 x y
+  else if x = 0 then fail zero_power
+  else if x = 1 then 1
+  else if x = -1 then if y land 1 = 0 then 1 else -1
+  else 0
+
 let apply_bin op a b =
   match op with
   | Add -> arith ( + ) ( +. ) a b
@@ -544,10 +599,7 @@ let apply_bin op a b =
     | Int x -> (
       match as_num b with
       | Int 0 -> fail "division by zero"
-      | Int y ->
-        (* Tcl floors integer division toward negative infinity *)
-        let q = if (x < 0) <> (y < 0) && x mod y <> 0 then (x / y) - 1 else x / y in
-        Int q
+      | Int y -> Int (floor_div x y)
       | Float y -> Float (float_of_int x /. y)
       | Str _ -> assert false)
     | Float x -> (
@@ -559,10 +611,17 @@ let apply_bin op a b =
   | Mod ->
     let x = as_int a and y = as_int b in
     if y = 0 then fail "modulo by zero";
-    let m = x mod y in
-    let m = if m <> 0 && (m < 0) <> (y < 0) then m + y else m in
-    Int m
-  | Pow -> Float (Float.pow (as_float a) (as_float b))
+    Int (floor_mod x y)
+  | Pow -> (
+    (* the exponent is read first, so of two non-numbers it is the one
+       named *)
+    let y = as_num b in
+    match (as_num a, y) with
+    | Int x, Int y -> Int (int_pow x y)
+    | x, y ->
+      let x = as_float x and y = as_float y in
+      if x = 0.0 && y < 0.0 then fail zero_power;
+      Float (Float.pow x y))
   | Lt -> Int (if compare_vals a b < 0 then 1 else 0)
   | Le -> Int (if compare_vals a b <= 0 then 1 else 0)
   | Gt -> Int (if compare_vals a b > 0 then 1 else 0)
@@ -603,11 +662,44 @@ let apply_fn name args =
 
 type 'script env = { var : Value.var_ref -> Value.t; cmd : 'script cmd -> Value.t }
 
+(* The unboxed path: a [Pure] subtree evaluated on OCaml ints, left to
+   right like [eval_node], allocating nothing.  It gives up with [Slow] (or
+   [Value.Not_int] from an operand that is no integer) exactly where
+   [eval_node] would take another path: a float or non-numeric operand, or
+   a zero divisor or zero base to a negative power, whose error
+   [eval_node] raises.  Giving up is safe because a pure subtree only
+   reads variables, so [eval_node] reads the same values again. *)
+exception Slow
+
+let rec eval_int env node =
+  match node with
+  | Const (Int i) -> i
+  | Var r -> Value.to_int_exn (env.var r)
+  | Bin (op, a, b) -> (
+    let x = eval_int env a in
+    let y = eval_int env b in
+    match op with
+    | Add -> x + y
+    | Sub -> x - y
+    | Mul -> x * y
+    | Div -> if y = 0 then raise_notrace Slow else floor_div x y
+    | Mod -> if y = 0 then raise_notrace Slow else floor_mod x y
+    | Pow -> if y < 0 && x = 0 then raise_notrace Slow else int_pow x y
+    | Lt -> Bool.to_int (x < y)
+    | Le -> Bool.to_int (x <= y)
+    | Gt -> Bool.to_int (x > y)
+    | Ge -> Bool.to_int (x >= y)
+    | EqNum -> Bool.to_int (x = y)
+    | NeNum -> Bool.to_int (x <> y)
+    | StrEq | StrNe | InList | NiList -> raise_notrace Slow)
+  | _ -> raise_notrace Slow
+
 let rec eval_node env node =
   match node with
   | Const v -> v
   | Var r -> Str (env.var r)
   | Cmd c -> Str (env.cmd c)
+  | Pure a -> ( match eval_int env a with i -> Int i | exception (Slow | Value.Not_int) -> eval_node env a)
   | Not a -> Int (if truthy_num (eval_node env a) then 0 else 1)
   | Neg a -> (
     match as_num (eval_node env a) with
@@ -631,10 +723,24 @@ let rec eval_node env node =
     if truthy_num (eval_node env c) then eval_node env a else eval_node env b
   | Call (name, args) -> apply_fn name (List.map (eval_node env) args)
 
-let eval_ast env ast =
-  match eval_node env ast with
+let value_of_num = function
   | Int i -> Value.int i
   | Float f -> Value.of_string (Value.of_float f)
   | Str v -> v
 
-let eval_ast_bool env ast = truthy_num (eval_node env ast)
+(* a pure root is read straight off the unboxed path, with no [num] box *)
+let eval_ast env ast =
+  match ast with
+  | Pure a -> (
+    match eval_int env a with
+    | i -> Value.int i
+    | exception (Slow | Value.Not_int) -> value_of_num (eval_node env a))
+  | _ -> value_of_num (eval_node env ast)
+
+let eval_ast_bool env ast =
+  match ast with
+  | Pure a -> (
+    match eval_int env a with
+    | i -> i <> 0
+    | exception (Slow | Value.Not_int) -> truthy_num (eval_node env a))
+  | _ -> truthy_num (eval_node env ast)

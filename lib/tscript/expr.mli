@@ -14,7 +14,14 @@
     parser only once.
 
     [&&], [||] and [?:] are lazy: the skipped operand is never evaluated,
-    so a side-effecting [\[cmd\]] in the untaken arm does not run. *)
+    so a side-effecting [\[cmd\]] in the untaken arm does not run.
+
+    {!compile} marks each maximal pure subtree that has an operator: one of
+    integer constants, scalar [$var] reads and [+ - * / % ** < <= > >= ==
+    !=].  Evaluation tries such a subtree on unboxed ints first and, where
+    an operand is no integer or a divisor is zero, evaluates it again on
+    the general path; since it only reads variables, both give the same
+    result or error. *)
 
 exception Error of string
 

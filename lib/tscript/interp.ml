@@ -368,7 +368,18 @@ let rec eval_word t word =
   | Ast.Frags [ frag ] -> eval_fragment t frag
   | Ast.Frags frags -> Value.of_string (concat_fragments t frags)
 
-and concat_fragments t frags = String.concat "" (List.map (fragment_string t) frags)
+and concat_fragments t frags = Bytes.unsafe_to_string (concat_from t frags 0)
+
+(* the fragments' strings joined: each is evaluated, left to right, on the
+   way down, and copied into the one buffer on the way back up *)
+and concat_from t frags len =
+  match frags with
+  | [] -> Bytes.create len
+  | frag :: rest ->
+    let s = fragment_string t frag in
+    let b = concat_from t rest (len + String.length s) in
+    Bytes.blit_string s 0 b len (String.length s);
+    b
 
 and fragment_string t frag =
   match frag with Ast.Lit s -> s | _ -> Value.to_string (eval_fragment t frag)
@@ -505,12 +516,31 @@ let insert t name fn ~shadows =
 
 let add_command t name fn = insert t name fn ~shadows:(is_builtin name)
 
-(* The one adapter from a string command to a command on values: host
-   commands, and the builtins with no hot path *)
-let string_command kind fn =
-  { run = (fun t _ args -> Value.of_string (fn t (List.map Value.to_string args))); kind }
+(* The one adapter from a command on strings to a command on values: host
+   commands, and the builtins with no hot path.  [result] makes the value
+   the command's reply stands for. *)
+let string_command kind result fn =
+  { run = (fun t _ args -> result (fn t (List.map Value.to_string args))); kind }
 
-let register t name fn = add_command t name (string_command Host fn)
+type reply = Text of string | Items of string list
+
+let rec fill_items a i = function
+  | [] -> ()
+  | s :: rest ->
+    Array.unsafe_set a i (Value.of_string s);
+    fill_items a (i + 1) rest
+
+(* a list reply is handed on as its elements; its string is rendered only
+   if a script asks for it *)
+let value_of_reply = function
+  | Text s -> Value.of_string s
+  | Items [] -> Value.empty
+  | Items (first :: rest as items) ->
+    let a = Array.make (List.length items) (Value.of_string first) in
+    fill_items a 1 rest;
+    Value.of_elements a
+
+let register t name fn = add_command t name (string_command Host value_of_reply fn)
 
 let unregister t name =
   t.cmd_epoch <- t.cmd_epoch + 1;
@@ -681,7 +711,8 @@ let rec drop frames n = if n = 0 then frames else drop (List.tl frames) (n - 1)
    every variable list its next items ("" once its list runs out) and runs
    [each] on the body; the loop ends when every list is used up.  The body
    is looked up once per pass.  The loop variables' references live on the
-   command node, in order, so a pass assigns them without a lookup. *)
+   command node, in order, so a pass assigns them without a lookup, and
+   reads each item straight from its list's element array. *)
 let iterate t ~cmd node args each =
   let usage () =
     err "wrong # args: should be \"%s varList list ?varList list ...? command\"" cmd
@@ -700,7 +731,7 @@ let iterate t ~cmd node args each =
     | [] -> usage ()
   in
   let groups, body_ws, body = groups (arg_words node) args in
-  let names = Array.concat (List.map fst groups) in
+  let names = match groups with [ (vars, _) ] -> vars | _ -> Array.concat (List.map fst groups) in
   let refs = node.Ast.c_vars in
   if
     not
@@ -708,27 +739,30 @@ let iterate t ~cmd node args each =
       && Array.for_all2 (fun r n -> r.Value.name == n) refs names)
   then node.Ast.c_vars <- Array.map Value.var_ref names;
   let refs = node.Ast.c_vars and groups = Array.of_list groups in
-  (* pass [p] gives a group of [n] variables items [p*n] to [p*n + n - 1] *)
-  let pass = ref 0 in
-  let pending (vars, items) = !pass * Array.length vars < Array.length items in
-  let bind_pass () =
-    let k = ref 0 in
-    Array.iter
-      (fun (vars, items) ->
-        let first = !pass * Array.length vars in
-        for j = 0 to Array.length vars - 1 do
+  let passes =
+    Array.fold_left
+      (fun m (vars, items) ->
+        let n = Array.length vars in
+        max m ((Array.length items + n - 1) / n))
+      0 groups
+  in
+  try
+    for pass = 0 to passes - 1 do
+      (* pass [pass] gives a group of [n] variables items [pass*n] to
+         [pass*n + n - 1] *)
+      let k = ref 0 in
+      for g = 0 to Array.length groups - 1 do
+        let vars, items = groups.(g) in
+        let n = Array.length vars in
+        for j = 0 to n - 1 do
           let (r : Value.var_ref) = refs.(!k) in
-          let v = if first + j < Array.length items then items.(first + j) else Value.empty in
+          let i = (pass * n) + j in
+          let v = if i < Array.length items then items.(i) else Value.empty in
           if split_array_ref r.name = None then write r.name (ref_cell t r) v
           else set_ref t r.name v;
           incr k
-        done)
-      groups
-  in
-  try
-    while Array.exists pending groups do
-      bind_pass ();
-      incr pass;
+        done
+      done;
       try each (script_of t body_ws body) with Continue_exc -> ()
     done
   with Break_exc -> ()
@@ -816,7 +850,7 @@ and else_clauses t ws rest =
 
 (* the builtin table's entries, installed once at start-up *)
 let reg name run = Hashtbl.replace builtins name { run; kind = Builtin }
-let reg_string name fn = Hashtbl.replace builtins name (string_command Builtin fn)
+let reg_string name fn = Hashtbl.replace builtins name (string_command Builtin Value.of_string fn)
 
 let install_core () =
   reg "set" (fun t node args ->
@@ -1231,9 +1265,7 @@ let install_strings () =
         match Strutil.format fmt rest with Ok s -> s | Error e -> err "format: %s" e)
       | [] -> err "wrong # args: should be \"format formatString ?arg ...?\"");
 
-  let split s ~on =
-    Value.of_elements (Array.of_list (List.map Value.of_string (Strutil.split s ~on)))
-  in
+  let split s ~on = Value.of_elements (Strutil.split s ~on Value.of_string) in
   reg "split" (fun _ _ args ->
       match args with
       | [ s ] -> split (Value.to_string s) ~on:" \t\n\r"

@@ -82,10 +82,20 @@ val call : t -> string -> string list -> string
 
 (** {1 Host commands} *)
 
-val register : t -> string -> (t -> string list -> string) -> unit
-(** Host commands see their arguments and return their result as strings
-    ({!Value}): the interpreter's cached int and list forms stop at this
-    boundary.  They may raise {!Error_exc} to signal script-visible errors.
+(** What a host command returns: a string, or a list given as its items. *)
+type reply =
+  | Text of string
+  | Items of string list
+      (** handed to the script as a list value holding the items: a
+          [foreach] or [lindex] over it reads them without parsing, and
+          its string, [Value.of_list items] byte for byte, is rendered
+          only if the script asks for it *)
+
+val register : t -> string -> (t -> string list -> reply) -> unit
+(** Host commands see their arguments as strings ({!Value}): the
+    interpreter's cached int and list forms of an argument stop at this
+    boundary, and only a list reply ({!Items}) crosses it back as a list.
+    They may raise {!Error_exc} to signal script-visible errors.
     Registering over an existing name replaces it; over a proc, it also
     ends the proc's [info procs]/[info body]/[info args] entries. *)
 

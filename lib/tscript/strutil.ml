@@ -164,21 +164,31 @@ let format fmt args =
 let rec mem_char on c i =
   i < String.length on && (String.unsafe_get on i = c || mem_char on c (i + 1))
 
-(* Scans right to left so the list is built in order; each element is one
-   [String.sub] of the text between two separators.  As in Tcl, the empty
-   string splits into the empty list. *)
-let split s ~on =
+(* the end of the field that starts at [i]: its separator's index, or the
+   length of [s] *)
+let rec field_end s on i =
+  if i = String.length s || mem_char on (String.unsafe_get s i) 0 then i
+  else field_end s on (i + 1)
+
+(* [f] of each field, straight into an array: a first pass counts the
+   separators, then each field is one [String.sub] of the text between two
+   of them.  As in Tcl, the empty string splits into no fields. *)
+let split s ~on f =
   let n = String.length s in
-  if on = "" then List.init n (fun i -> String.make 1 s.[i])
-  else if n = 0 then []
+  if on = "" then Array.init n (fun i -> f (String.make 1 (String.unsafe_get s i)))
+  else if n = 0 then [||]
   else begin
-    let out = ref [] in
-    let stop = ref n in
-    for i = n - 1 downto 0 do
-      if mem_char on (String.unsafe_get s i) 0 then begin
-        out := String.sub s (i + 1) (!stop - i - 1) :: !out;
-        stop := i
-      end
+    let fields = ref 1 in
+    for i = 0 to n - 1 do
+      if mem_char on (String.unsafe_get s i) 0 then incr fields
     done;
-    String.sub s 0 !stop :: !out
+    let stop = field_end s on 0 in
+    let a = Array.make !fields (f (String.sub s 0 stop)) in
+    let start = ref (stop + 1) in
+    for k = 1 to !fields - 1 do
+      let stop = field_end s on !start in
+      Array.unsafe_set a k (f (String.sub s !start (stop - !start)));
+      start := stop + 1
+    done;
+    a
   end

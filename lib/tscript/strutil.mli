@@ -8,8 +8,10 @@ val format : string -> string list -> (string, string) result
 (** A subset of Tcl [format]: [%s %d %i %f %e %g %x %X %o %c %%] with
     optional [-] flag, [0] flag, width and precision. *)
 
-val split : string -> on:string -> string list
-(** Split at any character present in [on]; [on = ""] splits into
-    characters.  Adjacent separators produce empty fields and the empty
-    string splits into the empty list (Tcl semantics). *)
+val split : string -> on:string -> (string -> 'a) -> 'a array
+(** [split s ~on f] splits [s] at any character present in [on] and gives
+    [f] of each field, in order; [on = ""] splits into characters.
+    Adjacent separators produce empty fields and the empty string splits
+    into no fields (Tcl semantics).  The array is built directly, with no
+    list in between. *)
 

@@ -176,67 +176,103 @@ let junk_after what s i =
        (Printf.sprintf "list element in %s followed by \"%s\" instead of space" what
           (String.sub s i (!j - i))))
 
-(* One pass over [s]: find each element's span, then slice it.  A braced
-   element is its contents verbatim; quoted and bare elements unescape
-   backslash pairs.  As in Tcl, a closing brace or quote must end the
-   element, and the messages are Tcl's. *)
-let to_list_aux s =
+(* The list reader walks [s] one element at a time.  After [next_element]
+   returns true, [start, stop) is the element just read, without its
+   braces or quotes, and [escaped] says whether it holds a backslash
+   sequence to decode.  A braced element is its contents verbatim; quoted
+   and bare elements unescape backslash pairs.  As in Tcl, a closing brace
+   or quote must end the element, and the messages are Tcl's. *)
+type cursor = { mutable pos : int; mutable start : int; mutable stop : int; mutable escaped : bool }
+
+let cursor () = { pos = 0; start = 0; stop = 0; escaped = false }
+
+let next_element s c =
   let n = String.length s in
+  let i = ref c.pos in
+  while !i < n && is_space s.[!i] do
+    incr i
+  done;
+  if !i >= n then begin
+    c.pos <- n;
+    false
+  end
+  else begin
+    let start = !i in
+    c.escaped <- false;
+    (match s.[start] with
+    | '{' ->
+      let depth = ref 1 in
+      i := start + 1;
+      while !i < n && !depth > 0 do
+        (match s.[!i] with
+        | '\\' when !i + 1 < n -> incr i
+        | '{' -> incr depth
+        | '}' -> decr depth
+        | _ -> ());
+        incr i
+      done;
+      if !depth > 0 then raise (Bad "unmatched open brace in list");
+      if !i < n && not (is_space s.[!i]) then junk_after "braces" s !i;
+      c.start <- start + 1;
+      c.stop <- !i - 1
+    | '"' ->
+      i := start + 1;
+      while !i < n && s.[!i] <> '"' do
+        if s.[!i] = '\\' && !i + 1 < n then begin
+          c.escaped <- true;
+          i := !i + 2
+        end
+        else incr i
+      done;
+      if !i >= n then raise (Bad "unmatched open quote in list");
+      c.start <- start + 1;
+      c.stop <- !i;
+      incr i;
+      if !i < n && not (is_space s.[!i]) then junk_after "quotes" s !i
+    | _ ->
+      while !i < n && not (is_space s.[!i]) do
+        if s.[!i] = '\\' && !i + 1 < n then begin
+          c.escaped <- true;
+          i := !i + 2
+        end
+        else incr i
+      done;
+      c.start <- start;
+      c.stop <- !i);
+    c.pos <- !i;
+    true
+  end
+
+let element s c =
+  if c.escaped then unescape_span s c.start c.stop else String.sub s c.start (c.stop - c.start)
+
+let to_list_aux s =
+  let c = cursor () in
   let out = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    while !i < n && is_space s.[!i] do
-      incr i
-    done;
-    if !i < n then begin
-      let start = !i in
-      let escaped = ref false in
-      match s.[start] with
-      | '{' ->
-        let depth = ref 1 in
-        i := start + 1;
-        while !i < n && !depth > 0 do
-          (match s.[!i] with
-          | '\\' when !i + 1 < n -> incr i
-          | '{' -> incr depth
-          | '}' -> decr depth
-          | _ -> ());
-          incr i
-        done;
-        if !depth > 0 then raise (Bad "unmatched open brace in list");
-        if !i < n && not (is_space s.[!i]) then junk_after "braces" s !i;
-        out := String.sub s (start + 1) (!i - start - 2) :: !out
-      | '"' ->
-        i := start + 1;
-        while !i < n && s.[!i] <> '"' do
-          if s.[!i] = '\\' && !i + 1 < n then begin
-            escaped := true;
-            i := !i + 2
-          end
-          else incr i
-        done;
-        if !i >= n then raise (Bad "unmatched open quote in list");
-        let stop = !i in
-        incr i;
-        if !i < n && not (is_space s.[!i]) then junk_after "quotes" s !i;
-        out :=
-          (if !escaped then unescape_span s (start + 1) stop
-           else String.sub s (start + 1) (stop - start - 1))
-          :: !out
-      | _ ->
-        while !i < n && not (is_space s.[!i]) do
-          if s.[!i] = '\\' && !i + 1 < n then begin
-            escaped := true;
-            i := !i + 2
-          end
-          else incr i
-        done;
-        out :=
-          (if !escaped then unescape_span s start !i else String.sub s start (!i - start))
-          :: !out
-    end
+  while next_element s c do
+    out := element s c :: !out
   done;
   List.rev !out
+
+(* [f] of each element, straight into an array: a first pass counts the
+   elements (and finds any error), so nothing is built twice *)
+let read_elements s f =
+  let c = cursor () in
+  let n = ref 0 in
+  while next_element s c do
+    incr n
+  done;
+  if !n = 0 then [||]
+  else begin
+    let c = cursor () in
+    ignore (next_element s c);
+    let a = Array.make !n (f (element s c)) in
+    for k = 1 to !n - 1 do
+      ignore (next_element s c);
+      Array.unsafe_set a k (f (element s c))
+    done;
+    a
+  end
 
 let to_list s = try Ok (to_list_aux s) with Bad msg -> Error msg
 
@@ -297,27 +333,32 @@ and render elems =
     elems;
   Buffer.contents b
 
-let to_int v =
+exception Not_int
+
+let to_int_exn v =
   match v with
-  | Int r -> Some r.i
-  | Str { rep = Int_rep i; _ } -> Some i
-  | Str r ->
-    let i = int_of r.s in
-    (match i with Some i -> r.rep <- Int_rep i | None -> ());
-    i
-  | Lst _ -> int_of (to_string v)
+  | Int r -> r.i
+  | Str { rep = Int_rep i; _ } -> i
+  | Str r -> (
+    match int_of r.s with
+    | Some i ->
+      r.rep <- Int_rep i;
+      i
+    | None -> raise_notrace Not_int)
+  | Lst _ -> ( match int_of (to_string v) with Some i -> i | None -> raise_notrace Not_int)
+
+let to_int v = match to_int_exn v with i -> Some i | exception Not_int -> None
 
 let elements v =
   match v with
   | Lst r -> Ok r.elems
   | Str { rep = List_rep elems; _ } -> Ok elems
   | Str r -> (
-    match to_list r.s with
-    | Ok l ->
-      let elems = Array.of_list (List.map of_string l) in
+    match read_elements r.s of_string with
+    | elems ->
       r.rep <- List_rep elems;
       Ok elems
-    | Error _ as e -> e)
+    | exception Bad msg -> Error msg)
   (* an integer's string is one bare word *)
   | Int _ -> Ok [| v |]
 

@@ -73,9 +73,19 @@ val of_elements : t array -> t
 val to_int : t -> int option
 (** [int_of] of the string, cached. *)
 
+exception Not_int
+(** What {!to_int_exn} raises for a value that is no integer. *)
+
+val to_int_exn : t -> int
+(** {!to_int} without the option, for paths that must not allocate: an
+    integer value, or a string whose int form is cached, is read with no
+    allocation at all.
+    @raise Not_int (without a backtrace) when the value is no integer. *)
+
 val elements : t -> (t array, string) result
 (** [to_list] of the string, cached.  The array is shared with the value
-    and must not be modified. *)
+    and must not be modified.  The reader counts the elements first and
+    then fills an array of that size, so it builds no list. *)
 
 (** {1 Variables}
 

@@ -155,17 +155,6 @@ let test_load_monitor_updates_broker () =
   | [ c ] -> Alcotest.(check bool) "load reported" true (c.Policy.load >= 2.0)
   | _ -> Alcotest.fail "provider not in broker db"
 
-let test_broker_gossip_to_peer () =
-  let net, k = mk_world () in
-  let b0 = Matchmaker.install k ~site:0 ~name:"broker0" () in
-  let b1 = Matchmaker.install k ~site:1 ~name:"broker1" () in
-  Matchmaker.add_peer b0 (1, "broker1");
-  let p = Provider.install k ~site:2 ~name:"p1" ~service:"compute" ~capacity:1.0 () in
-  Provider.start_load_monitor k p ~brokers:[ (0, "broker0") ] ~period:0.5;
-  Net.run ~until:2.0 net;
-  check Alcotest.int "peer learned via gossip" 1
-    (List.length (Matchmaker.candidates b1 ~service:"compute"))
-
 let test_provider_serves_fifo_and_notifies () =
   let net, k = mk_world () in
   ignore (Provider.install k ~site:1 ~name:"p1" ~service:"compute" ~capacity:2.0 ());
@@ -524,7 +513,6 @@ let () =
           Alcotest.test_case "per-request policy override" `Quick
             test_lookup_policy_override_via_folder;
           Alcotest.test_case "load monitor" `Quick test_load_monitor_updates_broker;
-          Alcotest.test_case "peer gossip" `Quick test_broker_gossip_to_peer;
           Alcotest.test_case "crashed provider ages out" `Quick test_crashed_provider_ages_out;
           Alcotest.test_case "report LOAD is its tick's" `Quick test_report_load_is_its_ticks;
           Alcotest.test_case "report CAPACITY read on insert" `Quick

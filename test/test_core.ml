@@ -358,7 +358,7 @@ let test_meet_script_agent () =
   Briefcase.set bc "X" "9";
   Kernel.launch k ~site:1 ~contact:"sq" bc;
   Net.run net;
-  check Alcotest.(option string) "script computed" (Some "81.0") (Briefcase.find_opt bc "RESULT")
+  check Alcotest.(option string) "script computed" (Some "81") (Briefcase.find_opt bc "RESULT")
 
 let test_site_scoped_agent () =
   let net, k = mk_kernel () in

@@ -145,6 +145,16 @@ let rec iexpr env n =
           and* op = G.oneofl [ "/"; "%" ]
           and* d = G.frequency [ (5, nonzero); (1, sub) ] in
           G.pure (Printf.sprintf "(%s %s %s)" a op d) );
+        ( 1,
+          let* k = G.int_range 1 30
+          and* op = G.oneofl [ "/"; "%" ]
+          and* d = G.frequency [ (5, nonzero); (1, sub) ] in
+          G.pure (Printf.sprintf "((0 - %d) %s %s)" k op d) );
+        (* a power of a base in -6..6, so values stay far from overflow; a
+           negative exponent gives 0, 1 or -1, or an error for a zero base *)
+        ( 1,
+          let* a = sub and* k = G.int_range (-3) 4 in
+          G.pure (Printf.sprintf "((%s %% 13 - 6) ** %d)" a k) );
         (1, G.map (Printf.sprintf "-%s") sub);
         ( 1,
           let* a = sub and* op = G.oneofl [ "<"; "<="; ">"; ">="; "=="; "!=" ] and* b = sub in

@@ -108,7 +108,7 @@ let expr_cases =
   [
     ("expr {1 + 2 * 3}", "7");
     ("expr {(1 + 2) * 3}", "9");
-    ("expr {2 ** 10}", "1024.0");
+    ("expr {2 ** 10}", "1024");
     ("expr {10 % 3}", "1");
     ("expr {1.5 + 1}", "2.5");
     ("expr {4 / 2}", "2");
@@ -132,8 +132,8 @@ let expr_cases =
     ("expr {[expr {2+2}] + 1}", "5");
     ("expr {1e3 + 1}", "1001.0");
     (* precedence ladder: ** over * over + over < over == over && over || *)
-    ("expr {2 + 3 * 4 ** 2}", "50.0");
-    ("expr {2 ** 3 ** 2}", "512.0");
+    ("expr {2 + 3 * 4 ** 2}", "50");
+    ("expr {2 ** 3 ** 2}", "512");
     ("expr {10 - 4 - 3}", "3");
     ("expr {100 / 10 / 5}", "2");
     ("expr {1 + 2 < 4 == 1}", "1");
@@ -230,6 +230,84 @@ let test_expr_fuzz_vs_reference =
       | exception Ref_div_zero -> (
         match eval src with Error _ -> true | Ok _ -> false)
       | _, Error _ -> false)
+
+(* The unboxed path against the general one: the same random integer
+   expression tree, its operands written [$v] (a pure tree, evaluated on
+   ints first) and [\[set v\]] (a command substitution is never pure, so
+   every node takes [Expr]'s general path).  The variables hold integers in
+   several spellings, floats, words, or nothing, so the unboxed path must
+   give up exactly where the general one errors or leaves the integers. *)
+type ptree = Pvar of int | Pconst of int | Pop of string * ptree * ptree
+
+let pure_ops = [ "+"; "-"; "*"; "/"; "%"; "**"; "<"; "<="; ">"; ">="; "=="; "!=" ]
+let pvars = 4
+
+let rec prender ~operand = function
+  | Pvar i -> operand i
+  | Pconst k -> string_of_int k
+  | Pop (op, a, b) ->
+    Printf.sprintf "(%s %s %s)" (prender ~operand a) op (prender ~operand b)
+
+let ptree_gen =
+  let open QCheck2.Gen in
+  let leaf = oneof [ map (fun i -> Pvar i) (int_bound (pvars - 1)); map (fun k -> Pconst k) (int_bound 12) ] in
+  sized_size (int_bound 12)
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (4, map3 (fun op a b -> Pop (op, a, b)) (oneofl pure_ops) (self (n / 2)) (self (n / 2)));
+             ])
+
+(* [None] leaves the variable unset *)
+let pvalue_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map (fun i -> Some (string_of_int i)) (int_range (-40) 40));
+        (2, pure (Some "0"));
+        (1, map (fun i -> Some (string_of_int i)) (oneofl [ max_int; min_int; 1 lsl 40 ]));
+        (1, oneofl [ Some " 12 "; Some "0x1f"; Some "-0x1f"; Some "1.5"; Some "1e3"; Some "abc"; None ]);
+      ])
+
+let test_unboxed_agrees =
+  qtest ~count:3000 "unboxed and general paths agree"
+    QCheck2.Gen.(pair ptree_gen (array_size (pure pvars) pvalue_gen))
+    (fun (tree, values) ->
+      let run operand =
+        let it = Interp.create () in
+        Array.iteri
+          (fun i v -> Option.iter (fun v -> Interp.set_var it (Printf.sprintf "v%d" i) v) v)
+          values;
+        let src = prender ~operand tree in
+        (* the same tree as a value and as a condition *)
+        (Interp.eval it ("expr {" ^ src ^ "}"), Interp.eval it ("if {" ^ src ^ "} {set r t} {set r f}"))
+      in
+      let fast = run (Printf.sprintf "$v%d") and general = run (Printf.sprintf "[set v%d]") in
+      fast = general)
+
+let test_unboxed_cases () =
+  let it = Interp.create () in
+  ignore (Interp.eval it "set x 7; set y -2; set f 1.5; set w abc; set z 0");
+  List.iter
+    (fun (src, want) ->
+      check Alcotest.(result string string) src want (Interp.eval it ("expr {" ^ src ^ "}")))
+    [
+      ("$x / $y", Ok "-4");
+      ("$x % $y", Ok "-1");
+      ("-$x / 2", Ok "-4");
+      ("$x ** $y", Ok "0");
+      ("$y ** 3", Ok "-8");
+      ("$x + $f", Ok "8.5");
+      ("$x < $w", Ok "1");
+      ("$x / $z", Error "expr: division by zero");
+      ("$x % $z", Error "expr: modulo by zero");
+      ("$z ** $y", Error "expr: exponentiation of zero by negative power");
+      ("$w + 1", Error "expr: expected number, got \"abc\"");
+      ("$nope + 1", Error "can't read \"nope\": no such variable");
+    ]
 
 let test_expr_division_by_zero () =
   let e = error "expr {1 / 0}" in
@@ -597,7 +675,7 @@ let scoping_cases =
     (* nested command substitution inside braces is deferred *)
     ("proc f {} {return {[not evaluated]}}; f", "[not evaluated]");
     (* expr on proc results *)
-    ("proc two {} {return 2}; expr {[two] ** [two]}", "4.0");
+    ("proc two {} {return 2}; expr {[two] ** [two]}", "4");
     (* a braced name(index) is an element, its index taken as written *)
     ("set a(1) x; set r ${a(1)}", "x");
     ("set i 1; set a(\\$i) y; set r ${a($i)}", "y");
@@ -631,7 +709,7 @@ let test_host_command () =
       match args with
       | [ v ] -> (
         match Value.int_of v with
-        | Some i -> Value.of_int (2 * i)
+        | Some i -> Interp.Text (Value.of_int (2 * i))
         | None -> raise (Interp.Error_exc "not a number"))
       | _ -> raise (Interp.Error_exc "wrong # args"));
   (match Interp.eval it "double 21" with
@@ -696,6 +774,25 @@ let test_call_api () =
   let it = Interp.create () in
   ignore (Interp.eval it "proc add {a b} {expr {$a + $b}}");
   check Alcotest.string "call proc" "7" (Interp.call it "add" [ "3"; "4" ])
+
+(* a list reply reads as the list [Value.of_list] renders, whether the
+   script iterates over it, indexes it or takes its string *)
+let test_items_reply () =
+  let it = Interp.create () in
+  let items = [ "a b"; "c"; "{"; ""; "#x"; "d\\" ] in
+  Interp.register it "items" (fun _ _ -> Interp.Items items);
+  Interp.register it "none" (fun _ _ -> Interp.Items []);
+  let run src =
+    match Interp.eval it src with Ok v -> v | Error e -> Alcotest.failf "eval %S: %s" src e
+  in
+  let rendered = Value.of_list items in
+  check Alcotest.string "string" rendered (run "items");
+  check Alcotest.string "foreach" rendered (run "set r {}; foreach x [items] {lappend r $x}; set r");
+  check Alcotest.string "llength" "6" (run "llength [items]");
+  check Alcotest.string "lindex" "a b" (run "lindex [items] 0");
+  check Alcotest.string "string after foreach" rendered (run "set l [items]; foreach x $l {}; set l");
+  check Alcotest.string "empty" "" (run "none");
+  check Alcotest.string "empty foreach" "0" (run "set n 0; foreach x [none] {incr n}; set n")
 
 (* --- compile slots ---
 
@@ -1115,7 +1212,7 @@ let test_register_over_proc () =
   ignore (eval_in it "proc f {a {b 2}} {return $a}; proc g {} {}");
   check Alcotest.string "info procs before" "f g" (eval_in it "info procs");
   check Alcotest.string "info args before" "a b" (eval_in it "info args f");
-  Interp.register it "f" (fun _ _ -> "host");
+  Interp.register it "f" (fun _ _ -> Interp.Text "host");
   check Alcotest.string "host command" "host" (eval_in it "f 1");
   check Alcotest.string "info procs" "g" (eval_in it "info procs");
   let not_proc = Error "\"f\" isn't a procedure" in
@@ -1252,11 +1349,18 @@ let test_to_list_model =
     QCheck2.Gen.(string_size ~gen:list_alphabet (0 -- 24))
     (fun s -> Value.to_list s = old_to_list s)
 
+let test_elements_model =
+  qtest ~count:2000 "elements agree with to_list"
+    QCheck2.Gen.(string_size ~gen:list_alphabet (0 -- 24))
+    (fun s ->
+      let elements = Result.map (Array.map Value.to_string) (Value.elements (Value.of_string s)) in
+      elements = Result.map Array.of_list (Value.to_list s))
+
 let test_split_model =
   qtest ~count:2000 "split agrees with the copying splitter"
     QCheck2.Gen.(
       pair (string_size ~gen:list_alphabet (0 -- 24)) (string_size ~gen:list_alphabet (0 -- 3)))
-    (fun (s, on) -> Strutil.split s ~on = old_split s ~on)
+    (fun (s, on) -> Array.to_list (Strutil.split s ~on Fun.id) = old_split s ~on)
 
 (* --- strutil --- *)
 
@@ -1314,6 +1418,8 @@ let () =
               test_expr_short_circuit_effects;
             test_expr_fuzz_vs_reference;
           ]);
+      ( "fastpath",
+        [ test_unboxed_agrees; Alcotest.test_case "fixed cases" `Quick test_unboxed_cases ] );
       ("semantics", expect_cases "semantics" semantics_cases
         @ [
             Alcotest.test_case "unknown command" `Quick test_unknown_command;
@@ -1344,6 +1450,7 @@ let () =
           Alcotest.test_case "output capture" `Quick test_output_capture;
           Alcotest.test_case "output redirect" `Quick test_output_redirect;
           Alcotest.test_case "call" `Quick test_call_api;
+          Alcotest.test_case "list reply" `Quick test_items_reply;
         ] );
       ( "metering",
         [
@@ -1371,7 +1478,7 @@ let () =
           Alcotest.test_case "info body after slot fill" `Quick test_info_body_after_slot_fill;
           Alcotest.test_case "step limit in a slot body" `Quick test_step_limit_in_slot_body;
         ] );
-      ("lists", [ test_to_list_model; test_split_model ]);
+      ("lists", [ test_to_list_model; test_split_model; test_elements_model ]);
       ("cmdcache", expect_cases "cmdcache" cmdcache_cases @ cmdcache_tests);
       ( "strutil",
         [
