@@ -133,7 +133,7 @@ and agent = {
 }
 
 (* the series [run_code] records after every script run: per agent, and
-   the unlabelled counters over the shared compile caches *)
+   the unlabeled counters over the shared compile caches *)
 and profile = {
   runs : Obs.Metrics.counter_handle;
   steps : Obs.Metrics.histogram_handle;
@@ -410,7 +410,7 @@ and run_script ctx a ~code bc =
     let p = Tscript.Interp.profile it in
     Obs.Metrics.record prof.proc_calls (float_of_int p.Tscript.Interp.proc_calls);
     Obs.Metrics.record prof.proc_depth (float_of_int p.Tscript.Interp.max_depth);
-    (* unlabelled cache-effectiveness counters over the shared compile
+    (* unlabeled cache-effectiveness counters over the shared compile
        caches; [expr_misses] is the compiled-expression count *)
     Obs.Metrics.bump prof.parse_hits p.Tscript.Interp.parse_hits;
     Obs.Metrics.bump prof.parse_misses p.Tscript.Interp.parse_misses;

@@ -175,7 +175,7 @@ let rec field_end s on i =
    of them.  As in Tcl, the empty string splits into no fields. *)
 let split s ~on f =
   let n = String.length s in
-  if on = "" then Array.init n (fun i -> f (String.make 1 (String.unsafe_get s i)))
+  if on = "" then Array.init n (fun i -> f (String.make 1 s.[i]))
   else if n = 0 then [||]
   else begin
     let fields = ref 1 in
