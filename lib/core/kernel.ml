@@ -119,9 +119,10 @@ type t = {
 }
 
 (* Everything installed under one agent name, looked up once per delivery
-   by that name: the site-scoped and global implementations, and handles on
+   by that name: the site-scoped and global implementations, handles on
    the name's activation and completion counters (which register on first
-   use) and, once it has run a script, on its interpreter profile. *)
+   use), once it has run a script, its interpreter profile, and once it has
+   been activated with the recorder on, its activation span's name. *)
 and agent = {
   mutable site_natives : (Netsim.Site.id * native) list;
   mutable global_native : native option;
@@ -130,6 +131,7 @@ and agent = {
   activations : Obs.Metrics.counter_handle;
   completions : Obs.Metrics.counter_handle;
   mutable profile : profile option;
+  mutable activate_span : string; (* ["activate:" ^ name], or [""] before *)
 }
 
 (* the series [run_code] records after every script run: per agent, and
@@ -220,6 +222,7 @@ let agent_entry t name =
         activations = Obs.Metrics.counter_handle (metrics t) ~labels "kernel.activations";
         completions = Obs.Metrics.counter_handle (metrics t) ~labels "kernel.completions";
         profile = None;
+        activate_span = "";
       }
     in
     Stbl.add t.agents name a;
@@ -312,8 +315,11 @@ let no_agent ctx name =
 let rec run_agent ctx name a bc =
   match resolve a ctx.site with
   | None -> raise (no_agent ctx name)
-  | Some (Rnative fn) -> fn { ctx with self = name } bc
-  | Some (Rscript code) -> run_script { ctx with self = name } a ~code bc
+  | Some found -> (
+    let ctx = if String.equal ctx.self name then ctx else { ctx with self = name } in
+    match found with
+    | Rnative fn -> fn ctx bc
+    | Rscript code -> run_script ctx a ~code bc)
 
 and meet_inner ctx name bc =
   match Stbl.find_opt ctx.kernel.agents name with
@@ -452,9 +458,10 @@ let run_activation ?daemon t ~site ~contact bc =
   let span =
     if not (Obs.Tracer.enabled tr) then Obs.Span.null
     else begin
+      if agent.activate_span = "" then agent.activate_span <- "activate:" ^ contact;
       let span =
         Obs.Tracer.start_span tr ~time:(now t) ?parent:(briefcase_span bc) ~site ~agent:contact
-          ("activate:" ^ contact)
+          agent.activate_span
       in
       set_briefcase_span bc span;
       span
@@ -469,7 +476,7 @@ let run_activation ?daemon t ~site ~contact bc =
         (fun () ->
           if Obs.Tracer.enabled tr then
             Obs.Tracer.end_span tr ~time:(now t) ~site ~agent:contact span
-              ("activate:" ^ contact);
+              agent.activate_span;
           Obs.Metrics.bump agent.completions 1;
           List.iter (fun h -> h ~site ~agent:contact) t.complete_hooks);
       exnc =
@@ -477,7 +484,7 @@ let run_activation ?daemon t ~site ~contact bc =
           if Obs.Tracer.enabled tr then
             Obs.Tracer.end_span tr ~time:(now t) ~site ~agent:contact
               ~attrs:[ ("error", Obs.Event.S (reason_of_exn e)) ]
-              span ("activate:" ^ contact);
+              span agent.activate_span;
           run_hooks_death t ~cls:(reason_class_of_exn e) ~site ~agent:contact
             ~reason:(reason_of_exn e));
       effc =

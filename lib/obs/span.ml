@@ -3,19 +3,48 @@ type ctx = { trace_id : int; span_id : int }
 let null = { trace_id = 0; span_id = 0 }
 let is_null c = c.span_id = 0
 
-let to_string c = Printf.sprintf "t%d.s%d" c.trace_id c.span_id
+(* decimal digits of [n >= 0] *)
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+(* writes [n >= 0] so that its last digit lands at [b.[last]] *)
+let rec put_digits b last n =
+  Bytes.unsafe_set b last (Char.unsafe_chr (48 + (n mod 10)));
+  if n >= 10 then put_digits b (last - 1) (n / 10)
+
+let to_string c =
+  if c.trace_id < 0 || c.span_id < 0 then
+    "t" ^ string_of_int c.trace_id ^ ".s" ^ string_of_int c.span_id
+  else begin
+    let nt = digits c.trace_id in
+    let b = Bytes.create (nt + digits c.span_id + 3) in
+    Bytes.unsafe_set b 0 't';
+    put_digits b nt c.trace_id;
+    Bytes.unsafe_set b (nt + 1) '.';
+    Bytes.unsafe_set b (nt + 2) 's';
+    put_digits b (Bytes.length b - 1) c.span_id;
+    Bytes.unsafe_to_string b
+  end
+
+(* The positive decimal number in [s.[i], s.[stop]), or [-1] when that
+   range is empty, holds a non-digit or overflows. *)
+let positive s i stop =
+  let rec go i acc =
+    if i = stop then acc
+    else
+      match s.[i] with
+      | '0' .. '9' as ch ->
+        let d = Char.code ch - 48 in
+        if acc > (max_int - d) / 10 then -1 else go (i + 1) ((acc * 10) + d)
+      | _ -> -1
+  in
+  if i >= stop then -1 else go i 0
 
 let of_string s =
+  let n = String.length s in
   match String.index_opt s '.' with
-  | Some dot
-    when String.length s > dot + 2 && s.[0] = 't' && s.[dot + 1] = 's' -> (
-    match
-      ( int_of_string_opt (String.sub s 1 (dot - 1)),
-        int_of_string_opt (String.sub s (dot + 2) (String.length s - dot - 2)) )
-    with
-    | Some trace_id, Some span_id when trace_id > 0 && span_id > 0 ->
-      Some { trace_id; span_id }
-    | _ -> None)
+  | Some dot when n > dot + 2 && s.[0] = 't' && s.[dot + 1] = 's' ->
+    let trace_id = positive s 1 dot and span_id = positive s (dot + 2) n in
+    if trace_id > 0 && span_id > 0 then Some { trace_id; span_id } else None
   | _ -> None
 
 let pp fmt c = Format.pp_print_string fmt (to_string c)

@@ -198,10 +198,12 @@ let as_num v =
 let as_float v =
   match as_num v with Int i -> float_of_int i | Float f -> f | Str _ -> assert false
 
-let as_int v =
+(* an operand of [%] or [~]: Tcl takes integers only, where [int()]
+   truncates *)
+let int_operand op v =
   match as_num v with
   | Int i -> i
-  | Float f -> int_of_float f
+  | Float _ -> fail (Printf.sprintf "can't use floating-point value as operand of %S" op)
   | Str _ -> assert false
 
 let truthy_num v =
@@ -609,7 +611,8 @@ let apply_bin op a b =
       | Str _ -> assert false)
     | Str _ -> assert false)
   | Mod ->
-    let x = as_int a and y = as_int b in
+    let x = int_operand "%" a in
+    let y = int_operand "%" b in
     if y = 0 then fail "modulo by zero";
     Int (floor_mod x y)
   | Pow -> (
@@ -640,7 +643,11 @@ let apply_fn name args =
     | Int i -> Int (abs i)
     | Float f -> Float (Float.abs f)
     | Str _ -> assert false)
-  | "int", [ v ] -> Int (as_int v)
+  | "int", [ v ] -> (
+    match as_num v with
+    | Int i -> Int i
+    | Float f -> Int (int_of_float f)
+    | Str _ -> assert false)
   | "round", [ v ] -> Int (int_of_float (Float.round (as_float v)))
   | "floor", [ v ] -> Float (Float.floor (as_float v))
   | "ceil", [ v ] -> Float (Float.ceil (as_float v))
@@ -707,7 +714,7 @@ let rec eval_node env node =
     | Float f -> Float (-.f)
     | Str _ -> assert false)
   | Pos a -> as_num (eval_node env a)
-  | BitNot a -> Int (lnot (as_int (eval_node env a)))
+  | BitNot a -> Int (lnot (int_operand "~" (eval_node env a)))
   | Bin (op, a, b) ->
     (* strict, left-to-right *)
     let va = eval_node env a in

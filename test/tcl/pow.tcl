@@ -1,7 +1,8 @@
 # Integer exponentiation and floored division, as Tcl 8.6 does them: an
 # integer to an integer power is an integer, a negative power of an integer
 # other than 1 or -1 is 0, and zero to a negative power is an error.
-# Division and remainder floor toward negative infinity.  Each expression
+# Division and remainder floor toward negative infinity, and a float
+# operand of % or ~ is an error, where int() truncates.  Each expression
 # is written once with constants and once with variables, which TScript
 # evaluates on unboxed integers.
 foreach e {
@@ -32,4 +33,14 @@ puts [expr {($z - $b) % 3}]
 puts [expr {$b % ($z - 3)}]
 foreach e {{0 ** -1} {0 ** -1.0} {0.0 ** -2} {$z ** -$e} {$b / $z} {$b % $z}} {
   puts "$e fails: [catch {expr $e}]"
+}
+set f 1.5
+foreach e {
+  {1.5 % 2} {5 % 2.0} {1.0 % 0} {5 % 0.0} {1e3 % 7} {~1.5} {~-1.0}
+  {$f % 2} {$b % $f} {~$f} {-$f % 2} {1 + (2.5 % 2)} {"1.5" % 2}
+} {
+  puts "$e fails: [catch {expr $e}]"
+}
+foreach e {{int(1.5) % 2} {int(-2.5) % 3} {~int($f)} {~2} {int(7.9)} {int(-7.9)}} {
+  puts "$e = [expr $e]"
 }

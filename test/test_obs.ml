@@ -1,28 +1,33 @@
-(* Flight recorder: ring buffer, histogram math, metrics registry, JSON
+(* Flight recorder: event storage, histogram math, metrics registry, JSON
    exporters, and end-to-end causal span propagation through the kernel. *)
 
 module Kernel = Tacoma_core.Kernel
 module Briefcase = Tacoma_core.Briefcase
 
-(* ---- ring buffer ---------------------------------------------------------- *)
+(* ---- recorder storage ----------------------------------------------------- *)
+
+let instant_names tr names = List.iter (fun name -> Obs.Tracer.instant tr ~time:0.0 name) names
+let event_names tr = List.map (fun (e : Obs.Event.t) -> e.name) (Obs.Tracer.events tr)
 
 let test_ring_eviction_order () =
-  let r = Obs.Ring.create 3 in
-  List.iter (Obs.Ring.push r) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check (list int)) "oldest evicted first" [ 3; 4; 5 ] (Obs.Ring.to_list r);
-  Alcotest.(check int) "length capped" 3 (Obs.Ring.length r);
-  Alcotest.(check int) "evicted count" 2 (Obs.Ring.evicted r);
-  Obs.Ring.clear r;
-  Alcotest.(check (list int)) "clear empties" [] (Obs.Ring.to_list r);
-  Alcotest.(check int) "clear resets evicted" 0 (Obs.Ring.evicted r);
-  Obs.Ring.push r 9;
-  Alcotest.(check (list int)) "usable after clear" [ 9 ] (Obs.Ring.to_list r)
+  let tr = Obs.Tracer.create ~capacity:3 ~enabled:true () in
+  instant_names tr [ "1"; "2"; "3"; "4"; "5" ];
+  Alcotest.(check (list string)) "oldest evicted first" [ "3"; "4"; "5" ] (event_names tr);
+  Alcotest.(check (list int)) "sequence numbers survive eviction" [ 2; 3; 4 ]
+    (List.map (fun (e : Obs.Event.t) -> e.seq) (Obs.Tracer.events tr));
+  Alcotest.(check int) "length capped" 3 (Obs.Tracer.length tr);
+  Alcotest.(check int) "evicted count" 2 (Obs.Tracer.evicted tr);
+  Obs.Tracer.clear tr;
+  Alcotest.(check (list string)) "clear empties" [] (event_names tr);
+  Alcotest.(check int) "clear resets evicted" 0 (Obs.Tracer.evicted tr);
+  instant_names tr [ "9" ];
+  Alcotest.(check (list string)) "usable after clear" [ "9" ] (event_names tr)
 
 let test_ring_partial_fill () =
-  let r = Obs.Ring.create 8 in
-  List.iter (Obs.Ring.push r) [ 1; 2; 3 ];
-  Alcotest.(check (list int)) "insertion order" [ 1; 2; 3 ] (Obs.Ring.to_list r);
-  Alcotest.(check int) "nothing evicted" 0 (Obs.Ring.evicted r)
+  let tr = Obs.Tracer.create ~capacity:8 ~enabled:true () in
+  instant_names tr [ "1"; "2"; "3" ];
+  Alcotest.(check (list string)) "insertion order" [ "1"; "2"; "3" ] (event_names tr);
+  Alcotest.(check int) "nothing evicted" 0 (Obs.Tracer.evicted tr)
 
 (* Words allocated by [f ()], minor and major heap alike. *)
 let words_allocated f =
@@ -30,9 +35,9 @@ let words_allocated f =
   let x = f () in
   (x, Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words -. before)
 
-(* The recorder's 65 536-slot ring is allocated by its first event: a
-   simulation with tracing off never pays for it, and a traced one pays on
-   its first record, with the same capacity and eviction as before. *)
+(* The recorder's storage is made by its first event: a simulation with
+   tracing off never pays for it, and a traced one pays for one chunk of
+   slots on its first record, whatever its 65 536-event capacity. *)
 let test_ring_allocated_on_first_event () =
   let ring_words = 65536.0 in
   let _, untraced =
@@ -55,6 +60,177 @@ let test_ring_allocated_on_first_event () =
   Alcotest.(check (list string)) "capacity bounds the ring" [ "c"; "d"; "e" ]
     (List.map (fun (e : Obs.Event.t) -> e.name) (Obs.Tracer.events small));
   Alcotest.(check int) "evictions counted" 2 (Obs.Tracer.evicted small)
+
+(* A list-based model of the recorder: the same span-id allocation, and a
+   queue that drops its oldest event beyond [cap].  Random programs of
+   spans, instants and one clear must leave the recorder and the model with
+   the same events, length, eviction count and sequence numbers, at every
+   capacity from 1 to 300, so each run crosses the storage's chunk
+   boundaries and wraps around it. *)
+type model = {
+  cap : int;
+  q : Obs.Event.t Queue.t;
+  mutable m_evicted : int;
+  mutable m_seq : int;
+  mutable m_trace : int;
+  mutable m_span : int;
+}
+
+let model_record m (e : Obs.Event.t) =
+  Queue.push { e with seq = m.m_seq } m.q;
+  m.m_seq <- m.m_seq + 1;
+  if Queue.length m.q > m.cap then begin
+    ignore (Queue.pop m.q);
+    m.m_evicted <- m.m_evicted + 1
+  end
+
+let model_clear m =
+  Queue.clear m.q;
+  m.m_evicted <- 0;
+  m.m_seq <- 0;
+  m.m_trace <- 1;
+  m.m_span <- 1
+
+let blank : Obs.Event.t =
+  {
+    seq = 0;
+    time = 0.0;
+    kind = Obs.Event.Instant;
+    name = "";
+    cat = "";
+    site = -1;
+    agent = "";
+    span = Obs.Span.null;
+    parent_id = 0;
+    msg = "";
+    attrs = [];
+  }
+
+let random_attrs rng =
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  List.init (Random.State.int rng 4) (fun i ->
+      let key = pick [| "bytes"; "reason"; "rate"; "ok" |] ^ string_of_int i in
+      ( key,
+        match Random.State.int rng 4 with
+        | 0 -> Obs.Event.S (pick [| "loss"; "site-down"; "" |])
+        | 1 -> Obs.Event.I (Random.State.int rng 2000 - 1000)
+        | 2 -> Obs.Event.F (Random.State.float rng 10.0)
+        | _ -> Obs.Event.B (Random.State.bool rng) ))
+
+let check_model ~cap tr m =
+  let ctx = Printf.sprintf "capacity %d, after %d events: " cap m.m_seq in
+  Alcotest.(check int) (ctx ^ "length") (Queue.length m.q) (Obs.Tracer.length tr);
+  Alcotest.(check int) (ctx ^ "evicted") m.m_evicted (Obs.Tracer.evicted tr);
+  let events = Obs.Tracer.events tr in
+  Alcotest.(check (list int))
+    (ctx ^ "seq")
+    (List.map (fun (e : Obs.Event.t) -> e.seq) (List.of_seq (Queue.to_seq m.q)))
+    (List.map (fun (e : Obs.Event.t) -> e.seq) events);
+  Alcotest.(check bool) (ctx ^ "events") true (List.of_seq (Queue.to_seq m.q) = events)
+
+let run_model_program rng ~cap =
+  let tr = Obs.Tracer.create ~capacity:cap ~enabled:true () in
+  let m =
+    { cap; q = Queue.create (); m_evicted = 0; m_seq = 0; m_trace = 1; m_span = 1 }
+  in
+  let live = ref [] in
+  let pick_span () =
+    match !live with
+    | [] -> Obs.Span.null
+    | l -> List.nth l (Random.State.int rng (List.length l))
+  in
+  (* one clear, early enough that the recorder still wraps after it *)
+  let clear_at = 1 + Random.State.int rng cap in
+  for step = 1 to (3 * cap) + 40 do
+    let time = float_of_int step +. Random.State.float rng 1.0 in
+    let site = Random.State.int rng 6 - 1 in
+    let agent = if Random.State.bool rng then "" else "ag" ^ string_of_int (Random.State.int rng 3) in
+    let msg = if Random.State.int rng 4 = 0 then "detail" else "" in
+    let attrs = random_attrs rng in
+    let name = "ev" ^ string_of_int (Random.State.int rng 50) in
+    (match if step = clear_at then 100 else Random.State.int rng 100 with
+    | r when r < 35 ->
+      let parent = pick_span () in
+      let span =
+        Obs.Tracer.start_span tr ~time ~parent ~site ~agent ~msg ~attrs name
+      in
+      let span_id = m.m_span in
+      m.m_span <- span_id + 1;
+      let trace_id, parent_id =
+        if Obs.Span.is_null parent then begin
+          let tid = m.m_trace in
+          m.m_trace <- tid + 1;
+          (tid, 0)
+        end
+        else (parent.trace_id, parent.span_id)
+      in
+      Alcotest.(check (pair int int)) "span ids as the model allocates them"
+        (trace_id, span_id) (span.trace_id, span.span_id);
+      model_record m
+        { blank with time; kind = Begin; name; cat = "agent"; site; agent; span; parent_id; msg; attrs };
+      live := span :: !live
+    | r when r < 60 ->
+      let span = pick_span () in
+      Obs.Tracer.end_span tr ~time ~site ~agent ~attrs span name;
+      if not (Obs.Span.is_null span) then
+        model_record m { blank with time; kind = End; name; cat = "agent"; site; agent; span; attrs }
+    | r when r < 100 ->
+      let span = if Random.State.bool rng then pick_span () else Obs.Span.null in
+      let cat = if Random.State.bool rng then "net" else "" in
+      Obs.Tracer.instant tr ~time ~span ~cat ~site ~agent ~msg ~attrs name;
+      model_record m { blank with time; name; cat; site; agent; span; msg; attrs }
+    | _ ->
+      check_model ~cap tr m;
+      Obs.Tracer.clear tr;
+      model_clear m;
+      live := []);
+    if Random.State.int rng 16 = 0 then check_model ~cap tr m
+  done;
+  check_model ~cap tr m;
+  Alcotest.(check bool) (Printf.sprintf "capacity %d wrapped" cap) true (Obs.Tracer.evicted tr > 0)
+
+let test_recorder_model () =
+  let rng = Random.State.make [| 0x7ace |] in
+  for cap = 1 to 300 do
+    run_model_program rng ~cap
+  done;
+  (* a disabled recorder records nothing and hands out no ids *)
+  let off = Obs.Tracer.create ~capacity:4 () in
+  let span = Obs.Tracer.start_span off ~time:0.0 "x" in
+  Obs.Tracer.instant off ~time:0.0 "y";
+  Alcotest.(check bool) "disabled: null span" true (Obs.Span.is_null span);
+  Alcotest.(check int) "disabled: nothing kept" 0 (Obs.Tracer.length off)
+
+(* The TRACE folder's wire form is built and read without Printf or
+   substrings; it must stay exactly what [Printf "t%d.s%d"] wrote. *)
+let test_span_wire_form () =
+  let rng = Random.State.make [| 0x5ba7 |] in
+  let ids =
+    [ 1; 9; 10; 99; 100; 12_345; max_int ]
+    @ List.init 200 (fun _ -> 1 + Random.State.int rng 1_000_000_000)
+  in
+  List.iter
+    (fun trace_id ->
+      List.iter
+        (fun span_id ->
+          let c = { Obs.Span.trace_id; span_id } in
+          let s = Obs.Span.to_string c in
+          Alcotest.(check string) "same bytes as printf" (Printf.sprintf "t%d.s%d" trace_id span_id) s;
+          Alcotest.(check bool) ("reads back " ^ s) true (Obs.Span.of_string s = Some c))
+        [ 1; 17; (trace_id * 7919) land 0xffffff + 1 ])
+    ids;
+  Alcotest.(check string) "null" "t0.s0" (Obs.Span.to_string Obs.Span.null);
+  Alcotest.(check string) "negative ids as printf" "t-3.s-4"
+    (Obs.Span.to_string { Obs.Span.trace_id = -3; span_id = -4 });
+  Alcotest.(check bool) "leading zeros" true
+    (Obs.Span.of_string "t007.s08" = Some { Obs.Span.trace_id = 7; span_id = 8 });
+  List.iter
+    (fun s -> Alcotest.(check bool) ("rejects " ^ s) true (Obs.Span.of_string s = None))
+    [
+      ""; "t"; "t1"; "t.s1"; "t1.s"; "t1.s0"; "t0.s1"; "x1.s2"; "t1.x2"; "t1.s2.3"; "t-1.s2";
+      "t1.s-2"; "t+1.s2"; "t0x1.s2"; "t1_0.s2"; "t1.s2 "; "t99999999999999999999.s1";
+      "t1.s9223372036854775808";
+    ]
 
 (* ---- histogram ------------------------------------------------------------ *)
 
@@ -493,6 +669,7 @@ let () =
           Alcotest.test_case "partial fill" `Quick test_ring_partial_fill;
           Alcotest.test_case "allocated on first event" `Quick
             test_ring_allocated_on_first_event;
+          Alcotest.test_case "matches a list model" `Quick test_recorder_model;
         ] );
       ( "hist",
         [
@@ -513,6 +690,7 @@ let () =
         ] );
       ( "spans",
         [
+          Alcotest.test_case "wire form" `Quick test_span_wire_form;
           Alcotest.test_case "multi-hop propagation" `Quick test_span_propagation_multihop;
           Alcotest.test_case "guard relaunch propagation" `Quick
             test_span_propagation_guard_relaunch;

@@ -163,6 +163,9 @@ let rec iexpr env n =
           let* f = G.oneofl [ "min"; "max" ] and* a = sub and* b = sub in
           G.pure (Printf.sprintf "%s(%s, %s)" f a b) );
         (1, G.map (Printf.sprintf "abs(%s)") sub);
+        (1, G.map (Printf.sprintf "~%s") sub);
+        (* int() truncates a float toward zero *)
+        (1, G.map (Printf.sprintf "int(%s / 2.0)") sub);
         ( 1,
           let* c = cond env (n - 1) and* a = sub and* b = sub in
           G.pure (Printf.sprintf "(%s ? %s : %s)" c a b) );
@@ -382,10 +385,26 @@ let rec statement env =
     else []
   in
   let all_vars = int_vars env @ env.elems @ if env.grow then env.strs @ env.lists else [] in
+  (* a float operand of [%] or [~] is an error in Tcl; only the status is
+     printed, since TScript prefixes every [expr] error with "expr: " *)
+  let float_operand =
+    let* a = e
+    and* f =
+      G.oneof [ G.oneofl [ "1.5"; "2.0"; "-0.5"; "1e3"; "0.0" ]; G.map (sprintf "(%s / 2.0)") e ]
+    and* form = G.int_range 0 2 in
+    let ex =
+      match form with
+      | 0 -> sprintf "(%s) %% %s" a f
+      | 1 -> sprintf "%s %% (%s)" f a
+      | _ -> sprintf "~%s" f
+    in
+    G.pure (sprintf "puts [catch {expr {%s}}]" ex)
+  in
   let puts =
     [
       (1, G.map (sprintf "puts %s") (var all_vars));
       (1, G.map (sprintf "puts [expr {%s}]") e);
+      (1, float_operand);
     ]
     @ (match env.lists with
       | [] -> []

@@ -306,6 +306,12 @@ let test_unboxed_cases () =
       ("$x % $z", Error "expr: modulo by zero");
       ("$z ** $y", Error "expr: exponentiation of zero by negative power");
       ("$w + 1", Error "expr: expected number, got \"abc\"");
+      ("$f % 2", Error "expr: can't use floating-point value as operand of \"%\"");
+      ("$x % $f", Error "expr: can't use floating-point value as operand of \"%\"");
+      ("$f % $z", Error "expr: can't use floating-point value as operand of \"%\"");
+      ("~$f", Error "expr: can't use floating-point value as operand of \"~\"");
+      ("int($f) % 2", Ok "1");
+      ("~$y", Ok "1");
       ("$nope + 1", Error "can't read \"nope\": no such variable");
     ]
 
