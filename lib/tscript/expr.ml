@@ -643,11 +643,7 @@ let apply_fn name args =
     | Int i -> Int (abs i)
     | Float f -> Float (Float.abs f)
     | Str _ -> assert false)
-  | "int", [ v ] -> (
-    match as_num v with
-    | Int i -> Int i
-    | Float f -> Int (int_of_float f)
-    | Str _ -> assert false)
+  | "int", [ v ] -> ( match as_num v with Float f -> Int (int_of_float f) | n -> n)
   | "round", [ v ] -> Int (int_of_float (Float.round (as_float v)))
   | "floor", [ v ] -> Float (Float.floor (as_float v))
   | "ceil", [ v ] -> Float (Float.ceil (as_float v))
