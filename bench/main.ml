@@ -224,13 +224,7 @@ let bench_interp_activation =
          ignore (Tscript.Interp.eval it Tacoma_core.Prelude.standard);
          ignore (Tscript.Interp.eval it code)))
 
-(* language substrates added beyond the minimum: regex and arrays *)
-let bench_regex_search =
-  let re = Tscript.Regex.compile_exn "(\\w+)@(\\w+)" in
-  let subject = "lorem ipsum dolor contact dag@cornell sit amet" in
-  Test.make ~name:"tscript regexp search with captures"
-    (Staged.stage (fun () -> ignore (Tscript.Regex.search re subject)))
-
+(* a language substrate beyond the minimum: arrays *)
 let bench_interp_array =
   let code = "for {set i 0} {$i < 20} {incr i} {set a($i) $i}; array size a" in
   Test.make ~name:"tscript array fill (20 elements)"
@@ -427,7 +421,6 @@ let all_benches =
       bench_guard_snapshot;
       bench_journey;
       bench_stormcast_predict;
-      bench_regex_search;
       bench_interp_array;
       bench_itinerary_plan;
       bench_fuel_admission;

@@ -9,7 +9,6 @@ type body =
   | Heartbeat of { from : int }
   | ViewMsg of { view : View.t }
   | JoinReq of { site : int }
-  | StateMsg of { view : View.t }
 
 type Netsim.Message.payload += Hmsg of { group : string; body : body }
 
@@ -50,10 +49,11 @@ let adopt_view t m view =
     List.iter (fun s -> Hashtbl.replace m.last_heard s (Net.now t.net)) view.View.members
   end
 
+let send_view t m view dst =
+  send_body t ~src:m.site ~dst ~extra:(8 * View.size view) (ViewMsg { view })
+
 let broadcast_view t m view =
-  List.iter
-    (fun dst -> if dst <> m.site then send_body t ~src:m.site ~dst ~extra:(8 * View.size view) (ViewMsg { view }))
-    view.View.members
+  List.iter (fun dst -> if dst <> m.site then send_view t m view dst) view.View.members
 
 (* --- heartbeating and failure detection ---------------------------------- *)
 
@@ -110,14 +110,16 @@ let handle t m (msg : Netsim.Message.t) =
     match body with
     | Heartbeat { from = _ } -> ()
     | ViewMsg { view } -> adopt_view t m view
-    | JoinReq { site } ->
-      if View.coordinator m.view = Some m.site && not (View.mem m.view site) then begin
+    | JoinReq { site } when View.coordinator m.view = Some m.site ->
+      (* a joiner already in the view lost the view that admitted it and
+         retried: send it the current view again *)
+      if View.mem m.view site then send_view t m m.view site
+      else begin
         let view = View.with_member m.view site in
         adopt_view t m view;
-        broadcast_view t m view;
-        send_body t ~src:m.site ~dst:site ~extra:0 (StateMsg { view })
+        broadcast_view t m view
       end
-    | StateMsg { view } -> adopt_view t m view)
+    | JoinReq _ -> ())
   | Hmsg _ | _ -> ()
 
 let arm_endpoint t m =
@@ -160,7 +162,7 @@ let rejoin t site =
       | Some m -> m
       | None -> make_member t site (View.make ~id:0 ~members:[ site ])
     in
-    (* stale identity: the coordinator's StateMsg brings the current view *)
+    (* stale identity: the coordinator's ViewMsg brings the current view *)
     m.view <- View.make ~id:0 ~members:[ site ];
     arm_endpoint t m;
     (* a single JoinReq can be lost, or the believed coordinator can itself

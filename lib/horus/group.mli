@@ -11,7 +11,8 @@
       member of the new view (so the coordinator's successor acts when the
       coordinator itself is suspected);
     - a crashed member that restarts can [rejoin]: the coordinator admits
-      it and sends it the new view. *)
+      it and sends it the new view, and sends it the view again whenever it
+      retries after losing it. *)
 
 type t
 
@@ -24,4 +25,6 @@ val view_at : t -> Netsim.Site.id -> View.t option
     an active member, e.g. crashed or removed). *)
 
 val rejoin : t -> Netsim.Site.id -> unit
-(** Ask the current coordinator to re-admit this (restarted) site. *)
+(** Ask the current coordinator to re-admit this (restarted) site, retrying
+    every second until a view that holds it arrives; after ten unanswered
+    attempts the site installs a singleton view of its own. *)

@@ -931,7 +931,7 @@ let install_core () =
       let saved = t.frames in
       t.frames <- drop t.frames up;
       let restore () = t.frames <- saved in
-      (match eval_string t (String.concat " " script_parts) with
+      (match eval_string t (concat script_parts) with
       | v ->
         restore ();
         v
@@ -979,8 +979,10 @@ let install_core () =
           Value.int 2)
       | _ -> err "wrong # args: should be \"catch script ?resultVarName?\"");
 
+  (* eval and uplevel join their words as [concat] does *)
   reg "eval" (fun t _ args ->
-      eval_string t (String.concat " " (List.map Value.to_string args)));
+      if args = [] then err "wrong # args: should be \"eval arg ?arg ...?\"";
+      eval_string t (concat (List.map Value.to_string args)));
 
   (* Each expression evaluated costs one step, charged before it is
      compiled.  [expr] takes its single argument's slot; several arguments
@@ -1086,56 +1088,6 @@ let install_core () =
         ""
       | _ -> err "unsupported array subcommand or wrong # args");
 
-  reg_string "switch" (fun t args ->
-      (* switch ?-exact|-glob? string {pattern body ...} or inline pairs;
-         a body of "-" falls through to the next body *)
-      let glob, rest =
-        match args with
-        | "-glob" :: rest -> (true, rest)
-        | "-exact" :: rest -> (false, rest)
-        | "--" :: rest -> (false, rest)
-        | rest -> (false, rest)
-      in
-      let subject, pairs =
-        match rest with
-        | [ subject; block ] -> (subject, string_list block)
-        | subject :: (_ :: _ as inline) -> (subject, inline)
-        | _ -> err "wrong # args: should be \"switch ?options? string pattern body ...\""
-      in
-      let rec to_pairs = function
-        | [] -> []
-        | [ _ ] -> err "switch: extra pattern with no body"
-        | p :: b :: rest -> (p, b) :: to_pairs rest
-      in
-      let pairs = to_pairs pairs in
-      let matches p =
-        p = "default" || if glob then Strutil.glob_match ~pattern:p subject else p = subject
-      in
-      let rec fire = function
-        | [] -> ""
-        | (p, body) :: rest ->
-          if matches p then
-            (* fall through "-" bodies to the next real body *)
-            let rec body_of b rest =
-              if b = "-" then
-                match rest with
-                | (_, b') :: rest' -> body_of b' rest'
-                | [] -> err "switch: no body to fall through to"
-              else b
-            in
-            Value.to_string (eval_string t (body_of body rest))
-          else fire rest
-      in
-      fire pairs);
-
-  reg_string "subst" (fun t args ->
-      match args with
-      | [ s ] -> (
-        match Parse.fragments s with
-        | frags -> concat_fragments t frags
-        | exception Parse.Syntax_error msg -> err "subst: %s" msg)
-      | _ -> err "wrong # args: should be \"subst string\"");
-
   reg_string "puts" (fun t args ->
       match args with
       | [ s ] ->
@@ -1166,90 +1118,7 @@ let install_strings () =
   reg_string "string" (fun _ args ->
       match args with
       | "length" :: [ s ] -> Value.of_int (String.length s)
-      | "index" :: [ s; i ] ->
-        let len = String.length s in
-        let i = index_arg ~len i in
-        if i < 0 || i >= len then "" else String.make 1 s.[i]
-      | "range" :: [ s; first; last ] ->
-        let len = String.length s in
-        let first = max 0 (index_arg ~len first) in
-        let last = min (len - 1) (index_arg ~len last) in
-        if first > last then "" else String.sub s first (last - first + 1)
-      | "tolower" :: [ s ] -> String.lowercase_ascii s
-      | "toupper" :: [ s ] -> String.uppercase_ascii s
-      | "trim" :: [ s ] -> String.trim s
-      | "trimleft" :: [ s ] ->
-        let n = String.length s in
-        let rec skip i = if i < n && (s.[i] = ' ' || s.[i] = '\t' || s.[i] = '\n' || s.[i] = '\r') then skip (i + 1) else i in
-        let i = skip 0 in
-        String.sub s i (n - i)
-      | "trimright" :: [ s ] ->
-        let rec skip i = if i > 0 && (s.[i - 1] = ' ' || s.[i - 1] = '\t' || s.[i - 1] = '\n' || s.[i - 1] = '\r') then skip (i - 1) else i in
-        String.sub s 0 (skip (String.length s))
-      | "last" :: [ needle; hay ] -> (
-        if needle = "" then "-1"
-        else
-          let nl = String.length needle and hl = String.length hay in
-          let rec go i =
-            if i < 0 then -1 else if String.sub hay i nl = needle then i else go (i - 1)
-          in
-          Value.of_int (go (hl - nl)))
-      | "equal" :: [ a; b ] -> Value.of_bool (String.equal a b)
-      | "compare" :: [ a; b ] -> Value.of_int (compare a b)
-      | "first" :: [ needle; hay ] -> (
-        if needle = "" then "-1"
-        else
-          let nl = String.length needle and hl = String.length hay in
-          let rec go i =
-            if i + nl > hl then -1
-            else if String.sub hay i nl = needle then i
-            else go (i + 1)
-          in
-          Value.of_int (go 0))
       | "match" :: [ pattern; s ] -> Value.of_bool (Strutil.glob_match ~pattern s)
-      | "repeat" :: [ s; n ] ->
-        let n = int_arg "count" n in
-        if n <= 0 then ""
-        else begin
-          let b = Buffer.create (String.length s * n) in
-          for _ = 1 to n do
-            Buffer.add_string b s
-          done;
-          Buffer.contents b
-        end
-      | "reverse" :: [ s ] ->
-        String.init (String.length s) (fun i -> s.[String.length s - 1 - i])
-      | "map" :: [ mapping; s ] ->
-        (* longest-first, left-to-right, single pass (Tcl semantics) *)
-        let rec to_pairs = function
-          | [] -> []
-          | [ _ ] -> err "string map: unbalanced mapping list"
-          | k :: v :: rest -> (k, v) :: to_pairs rest
-        in
-        let pairs = to_pairs (string_list mapping) in
-        let buf = Buffer.create (String.length s) in
-        let n = String.length s in
-        let rec go i =
-          if i < n then begin
-            let matched =
-              List.find_opt
-                (fun (k, _) ->
-                  k <> ""
-                  && String.length k <= n - i
-                  && String.sub s i (String.length k) = k)
-                pairs
-            in
-            match matched with
-            | Some (k, v) ->
-              Buffer.add_string buf v;
-              go (i + String.length k)
-            | None ->
-              Buffer.add_char buf s.[i];
-              go (i + 1)
-          end
-        in
-        go 0;
-        Buffer.contents buf
       | sub :: _ -> err "unsupported string subcommand %S or wrong # args" sub
       | [] -> err "wrong # args: should be \"string subcommand ...\"");
 
@@ -1258,12 +1127,6 @@ let install_strings () =
       | name :: parts ->
         update t node name append parts
       | [] -> err "wrong # args: should be \"append varName ?value ...?\"");
-
-  reg_string "format" (fun _ args ->
-      match args with
-      | fmt :: rest -> (
-        match Strutil.format fmt rest with Ok s -> s | Error e -> err "format: %s" e)
-      | [] -> err "wrong # args: should be \"format formatString ?arg ...?\"");
 
   let split s ~on = Value.of_elements (Strutil.split s ~on Value.of_string) in
   reg "split" (fun _ _ args ->
@@ -1276,64 +1139,7 @@ let install_strings () =
       match args with
       | [ l ] -> String.concat " " (string_list l)
       | [ l; sep ] -> String.concat sep (string_list l)
-      | _ -> err "wrong # args: should be \"join list ?joinString?\"");
-
-  reg_string "regexp" (fun t args ->
-      let nocase, args =
-        match args with
-        | "-nocase" :: rest -> (true, rest)
-        | "--" :: rest -> (false, rest)
-        | rest -> (false, rest)
-      in
-      match args with
-      | pattern :: subject :: vars -> (
-        let re =
-          match Regex.compile ~nocase pattern with
-          | Ok re -> re
-          | Error msg -> err "regexp: %s" msg
-        in
-        match Regex.search re subject with
-        | None -> "0"
-        | Some r ->
-          let whole, _, _ = r.Regex.whole in
-          List.iteri
-            (fun i var ->
-              let text =
-                if i = 0 then whole
-                else if i - 1 < Array.length r.Regex.groups then
-                  match r.Regex.groups.(i - 1) with
-                  | Some (g, _, _) -> g
-                  | None -> ""
-                else ""
-              in
-              set_ref t var (Value.of_string text))
-            vars;
-          "1")
-      | _ -> err "wrong # args: should be \"regexp ?-nocase? exp string ?matchVar ...?\"");
-
-  reg_string "regsub" (fun t args ->
-      let rec opts all nocase = function
-        | "-all" :: rest -> opts true nocase rest
-        | "-nocase" :: rest -> opts all true rest
-        | "--" :: rest -> (all, nocase, rest)
-        | rest -> (all, nocase, rest)
-      in
-      let all, nocase, args = opts false false args in
-      match args with
-      | [ pattern; subject; template ] | [ pattern; subject; template; _ ] -> (
-        let re =
-          match Regex.compile ~nocase pattern with
-          | Ok re -> re
-          | Error msg -> err "regsub: %s" msg
-        in
-        let result, count = Regex.replace re ~all ~template subject in
-        match args with
-        | [ _; _; _; var ] ->
-          set_ref t var (Value.of_string result);
-          Value.of_int count
-        | _ -> result)
-      | _ ->
-        err "wrong # args: should be \"regsub ?-all? ?-nocase? exp string subSpec ?varName?\"")
+      | _ -> err "wrong # args: should be \"join list ?joinString?\"")
 
 let install_lists () =
   reg "list" (fun _ _ args -> Value.of_elements (Array.of_list args));
@@ -1370,72 +1176,61 @@ let install_lists () =
         else Value.of_list (List.filteri (fun i _ -> i >= first && i <= last) items)
       | _ -> err "wrong # args: should be \"lrange list first last\"");
 
+  (* lsort ?option ...? list, with the options TScript implements spelled
+     out in full; any other option is an error, not a silent ascii sort.
+     Every element's key is read before sorting, as Tcl does, so a bad
+     element is reported even in a one-element list; -unique keeps the
+     last of each run of equal keys. *)
   reg_string "lsort" (fun _ args ->
-      let rec split_opts opts args =
-        match args with
-        | [ l ] -> (List.rev opts, l)
-        | opt :: rest when String.length opt > 0 && opt.[0] = '-' -> split_opts (opt :: opts) rest
-        | _ -> err "wrong # args: should be \"lsort ?options? list\""
+      let rec opts key order unique = function
+        | [ l ] -> (key, order, unique, l)
+        | "-ascii" :: rest -> opts `Ascii order unique rest
+        | "-integer" :: rest -> opts `Integer order unique rest
+        | "-real" :: rest -> opts `Real order unique rest
+        | "-increasing" :: rest -> opts key 1 unique rest
+        | "-decreasing" :: rest -> opts key (-1) unique rest
+        | "-unique" :: rest -> opts key order true rest
+        | opt :: _ :: _ ->
+          err "bad option \"%s\": must be -ascii, -decreasing, -increasing, -integer, -real, or -unique" opt
+        | [] -> err "wrong # args: should be \"lsort ?-option value ...? list\""
       in
-      let opts, l = split_opts [] args in
-      let items = string_list l in
-      let numeric = List.mem "-integer" opts || List.mem "-real" opts in
-      let cmp a b =
-        if numeric then
-          let fa =
-            match Value.float_of a with Some f -> f | None -> err "expected number, got %S" a
-          in
-          let fb =
-            match Value.float_of b with Some f -> f | None -> err "expected number, got %S" b
-          in
-          compare fa fb
-        else compare a b
+      let key, order, unique, l = opts `Ascii 1 false args in
+      let sort key_of compare =
+        let cmp (a, _) (b, _) = order * compare a b in
+        let sorted = List.stable_sort cmp (List.map (fun s -> (key_of s, s)) (string_list l)) in
+        let sorted =
+          if unique then
+            List.fold_left
+              (fun acc x -> match acc with y :: _ when cmp x y = 0 -> acc | _ -> x :: acc)
+              [] (List.rev sorted)
+          else sorted
+        in
+        Value.of_list (List.map snd sorted)
       in
-      let cmp = if List.mem "-decreasing" opts then fun a b -> cmp b a else cmp in
-      let sorted = List.stable_sort cmp items in
-      let sorted =
-        if List.mem "-unique" opts then
-          List.rev
-            (List.fold_left (fun acc x -> match acc with y :: _ when cmp x y = 0 -> acc | _ -> x :: acc) [] sorted)
-        else sorted
-      in
-      Value.of_list sorted);
+      match key with
+      | `Ascii -> sort Fun.id String.compare
+      | `Integer ->
+        sort
+          (fun s ->
+            match Value.int_of s with Some i -> i | None -> err "expected integer but got \"%s\"" s)
+          Int.compare
+      | `Real ->
+        sort
+          (fun s ->
+            match Value.float_of s with
+            | Some f -> f
+            | None -> err "expected floating-point number but got \"%s\"" s)
+          Float.compare);
 
-  reg_string "lsearch" (fun _ args ->
-      let glob, l, pat =
-        match args with
-        | [ "-exact"; l; p ] -> (false, l, p)
-        | [ "-glob"; l; p ] -> (true, l, p)
-        | [ l; p ] -> (true, l, p) (* Tcl defaults to glob matching *)
-        | _ -> err "wrong # args: should be \"lsearch ?mode? list pattern\""
-      in
-      let items = string_list l in
-      let matches x = if glob then Strutil.glob_match ~pattern:pat x else String.equal pat x in
-      let rec go i = function
-        | [] -> -1
-        | x :: rest -> if matches x then i else go (i + 1) rest
-      in
-      Value.of_int (go 0 items));
-
-  reg_string "linsert" (fun _ args ->
-      match args with
-      | l :: i :: (_ :: _ as items) ->
-        let cur = string_list l in
-        let len = List.length cur in
-        let i = max 0 (min len (index_arg ~len:(len + 1) i)) in
-        let before = List.filteri (fun j _ -> j < i) cur in
-        let after = List.filteri (fun j _ -> j >= i) cur in
-        Value.of_list (before @ items @ after)
-      | _ -> err "wrong # args: should be \"linsert list index element ?element ...?\"");
-
+  (* an empty list comes back as it was written, as in Tcl *)
   reg_string "lreverse" (fun _ args ->
       match args with
-      | [ l ] -> Value.of_list (List.rev (string_list l))
+      | [ l ] -> ( match string_list l with [] -> l | items -> Value.of_list (List.rev items))
       | _ -> err "wrong # args: should be \"lreverse list\"");
 
   reg_string "lassign" (fun t args ->
       match args with
-      | l :: (_ :: _ as names) ->
+      | l :: names ->
         let items = string_list l in
         let rec go names items =
           match names with
@@ -1450,17 +1245,9 @@ let install_lists () =
               go nrest irest)
         in
         go names items
-      | _ -> err "wrong # args: should be \"lassign list varName ?varName ...?\"");
+      | [] -> err "wrong # args: should be \"lassign list ?varName ...?\"");
 
   reg_string "concat" (fun _ args -> concat args);
-
-  reg_string "lrepeat" (fun _ args ->
-      match args with
-      | count :: (_ :: _ as items) ->
-        let n = int_arg "count" count in
-        if n < 0 then err "lrepeat: negative count";
-        Value.of_list (List.concat (List.init n (fun _ -> items)))
-      | _ -> err "wrong # args: should be \"lrepeat count ?value ...?\"");
 
   reg "lmap" (fun t node args ->
       let out = ref [] in

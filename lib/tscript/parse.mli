@@ -22,5 +22,6 @@ val script_result : string -> ('fn Ast.script, string) result
 
 val fragments : string -> 'fn Ast.fragment list
 (** Parse a whole string as substitution fragments (no word splitting, no
-    command terminators) — the engine of the [subst] command.
+    command terminators), as the index of an array reference in [expr]
+    is substituted.
     @raise Syntax_error on unbalanced constructs. *)

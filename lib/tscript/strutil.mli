@@ -1,12 +1,9 @@
 (** String helpers for the TScript builtin commands. *)
 
 val glob_match : pattern:string -> string -> bool
-(** Tcl [string match]: [*] any run, [?] any one char, [\[a-z\]] classes,
+(** Tcl [string match], byte for byte: [*] any run, [?] any one char,
+    [\[abc\]] and [\[a-z\]] classes (no negation, no escapes inside),
     backslash escapes the next character. *)
-
-val format : string -> string list -> (string, string) result
-(** A subset of Tcl [format]: [%s %d %i %f %e %g %x %X %o %c %%] with
-    optional [-] flag, [0] flag, width and precision. *)
 
 val split : string -> on:string -> (string -> 'a) -> 'a array
 (** [split s ~on f] splits [s] at any character present in [on] and gives

@@ -103,9 +103,9 @@ let test_rejoin_state_transfer () =
   (* the joiner installed the coordinator's view, not one of its own *)
   check_same_view g ~like:0 [ 1; 2; 3; 4 ]
 
-(* each member installs each view once: the joiner gets the admitting view
-   both as a ViewMsg and with the coordinator's StateMsg, and must not take
-   it twice; nor may any later, staler copy replace it *)
+(* each member installs each view once: the joiner takes the admitting
+   view from the coordinator's ViewMsg, and no later, staler copy may
+   replace it *)
 let test_view_installed_once () =
   let net, g, _ = mk () in
   ignore (Net.schedule net ~after:1.0 (fun () -> Net.crash net 3));
@@ -118,6 +118,39 @@ let test_view_installed_once () =
   (* four survivors install the view without 3, all five the one with it *)
   check Alcotest.int "one install per member per view" (4 + 5)
     (Obs.Metrics.counter (Net.metrics net) ~labels:[ ("group", "g") ] "horus.view_changes")
+
+(* Site 3 crashes at 1 s and rejoins at 9 s; [fault] disturbs the links to
+   it from 9.0001 s, just after its JoinReq has left, for 50 ms.
+   Whatever happens to the admitting view on the way, both sites must end
+   in the one view that holds all five, each member installing each view
+   once. *)
+let check_admission_survives fault =
+  let net, g, _ = mk () in
+  ignore (Net.schedule net ~after:1.0 (fun () -> Net.crash net 3));
+  ignore
+    (Net.schedule net ~after:9.0 (fun () ->
+         Net.restart net 3;
+         Group.rejoin g 3));
+  ignore (Net.schedule net ~after:9.0001 (fun () -> fault net true));
+  ignore (Net.schedule net ~after:9.0501 (fun () -> fault net false));
+  Net.run ~until:20.0 net;
+  check_same_view g ~like:0 [ 1; 2; 3; 4 ];
+  check Alcotest.(list int) "all five members" [ 0; 1; 2; 3; 4 ] (view_exn g 3).View.members;
+  check Alcotest.int "one install per member per view" (4 + 5)
+    (Obs.Metrics.counter (Net.metrics net) ~labels:[ ("group", "g") ] "horus.view_changes")
+
+(* A 50 ms loss burst drops the admitting view, so the coordinator already
+   counts 3 as a member when the retried JoinReq arrives, and must answer
+   it with its view.  Slowing every link of site 3 400-fold (5 ms to 2 s)
+   for as long instead delivers the admitting view after that answer: a
+   copy the joiner must not install again. *)
+let test_lossy_admission () =
+  check_admission_survives (fun net on ->
+      Net.set_link_loss net 0 3 (if on then Some 0.999999 else None));
+  check_admission_survives (fun net on ->
+      List.iter
+        (fun s -> Net.set_link_degraded net s 3 (if on then Some (400.0, 1.0) else None))
+        [ 0; 1; 2; 4 ])
 
 let test_rejoined_member_receives () =
   let net, g, _ = mk () in
@@ -211,6 +244,7 @@ let () =
           Alcotest.test_case "rejoin + state transfer" `Quick test_rejoin_state_transfer;
           Alcotest.test_case "rejoined member receives" `Quick test_rejoined_member_receives;
           Alcotest.test_case "view installed once" `Quick test_view_installed_once;
+          Alcotest.test_case "lossy admission" `Quick test_lossy_admission;
           Alcotest.test_case "sole survivor" `Quick test_sole_survivor;
           Alcotest.test_case "crash storm convergence" `Quick test_crash_storm_convergence;
           Alcotest.test_case "heartbeat bytes" `Quick test_heartbeat_traffic_accounted;

@@ -29,11 +29,19 @@ let test_ring_partial_fill () =
   Alcotest.(check (list string)) "insertion order" [ "1"; "2"; "3" ] (event_names tr);
   Alcotest.(check int) "nothing evicted" 0 (Obs.Tracer.evicted tr)
 
-(* Words allocated by [f ()], minor and major heap alike. *)
+(* Words allocated by [f ()], minor and major heap alike.  The major count
+   includes every word a minor collection promotes, which the minor count
+   already holds, so the promoted words are taken off once.
+   [Gc.minor_words] is exact where [Gc.counters]' minor count only moves
+   at a collection. *)
 let words_allocated f =
-  let before = Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words in
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = allocated () in
   let x = f () in
-  (x, Gc.minor_words () +. (Gc.quick_stat ()).Gc.major_words -. before)
+  (x, allocated () -. before)
 
 (* The recorder's storage is made by its first event: a simulation with
    tracing off never pays for it, and a traced one pays for one chunk of

@@ -2,7 +2,9 @@
 
    A QCheck generator writes programs over the commands agents use most
    (set, expr, incr, if, while, for, foreach, proc, list, split, lindex,
-   llength, lappend, append, string length, puts) and over variable scope
+   llength, lappend, append, string length, puts), over the other list
+   commands TScript keeps (lrange, lsort and each of its options, lreverse,
+   join, concat, lassign, lmap) and over variable scope
    and lifetime (global, upvar, unset, info exists, array elements, a
    recursive proc), and over command resolution (procs redefined mid-program,
    inside loops too, with bodies and defaults that change per pass, and
@@ -110,8 +112,45 @@ let index env =
     ([ G.map string_of_int (G.int_range (-1) 4); G.pure "end"; G.pure "end-1" ]
     @ if env.ints = [] then [] else [ var env.ints ])
 
+(* lsort's string options, alone and combined; the last of a conflicting
+   pair wins *)
+let sort_opts =
+  G.oneofl
+    [
+      ""; " -ascii"; " -increasing"; " -decreasing"; " -unique"; " -decreasing -unique";
+      " -unique -ascii -increasing"; " -decreasing -increasing"; " -integer -ascii";
+    ]
+
+let join_sep = G.oneofl [ ""; " ,"; " { }"; " {}"; " ::"; " \\{" ]
+
+(* [lmap le LIST BODY]'s bodies: the element, a pair, a skip, an early end *)
+let lmap_body =
+  G.oneofl
+    [
+      "set le"; "list $le [string length $le]"; "if {[string length $le] > 1} continue; set le";
+      "if {[string length $le] == 0} break; set le"; "string length $le";
+    ]
+
 let int_vars env = env.ints @ env.counters
 let str_vars env = env.strs @ env.elems
+
+(* options and a literal list for a numeric [lsort]: decimal integers
+   (no leading zeros, which Tcl 8.6 reads as octal) and the program's
+   integer variables for -integer, floats in several spellings for -real *)
+let numeric_sort env =
+  let ints =
+    G.frequency ([ (3, int_lit) ] @ match int_vars env with [] -> [] | vs -> [ (1, var vs) ])
+  in
+  let reals =
+    G.frequency
+      [ (2, int_lit); (2, G.oneofl [ "1.5"; "-0.25"; "2e1"; "0.5"; "1e-3"; "3.0"; ".5" ]) ]
+  in
+  let* mode, elem = G.oneofl [ ("-integer", ints); ("-real", reals) ]
+  and* extra =
+    G.oneofl [ ""; " -decreasing"; " -unique"; " -increasing -unique"; " -decreasing -unique" ]
+  in
+  let* xs = G.list_size (G.int_range 0 5) elem in
+  G.pure (Printf.sprintf "%s%s [list %s]" mode extra (String.concat " " xs))
 
 (* an integer expression; [*] takes a small literal so values stay far
    from overflow (Tcl integers are unbounded, TScript's are 63-bit) *)
@@ -290,6 +329,9 @@ let rec statement env =
             ( 2,
               let* s = s and* l = G.oneofl ls and* k = index env in
               G.pure (sprintf "set %s [lindex $%s %s]" s l k) );
+            ( 1,
+              let* s = s and* l = G.oneofl ls and* sep = join_sep in
+              G.pure (sprintf "set %s [join $%s%s]" s l sep) );
           ])
   in
   let lists =
@@ -308,11 +350,34 @@ let rec statement env =
         (1, G.map2 (sprintf "lappend %s %s") l (var (int_vars env @ env.elems)));
         (1, G.map2 (sprintf "append %s { } %s") l atom);
         (1, G.map2 (sprintf "set %s $%s") l (G.oneofl ls));
+        ( 1,
+          let* l = l and* m = G.oneofl ls and* a = index env and* b = index env in
+          G.pure (sprintf "set %s [lrange $%s %s %s]" l m a b) );
+        (1, G.map2 (sprintf "set %s [lreverse $%s]") l (G.oneofl ls));
+        ( 2,
+          let* l = l and* m = G.oneofl ls and* o = sort_opts in
+          G.pure (sprintf "set %s [lsort%s $%s]" l o m) );
+        ( 1,
+          let* l = l and* o = numeric_sort env in
+          G.pure (sprintf "set %s [lsort %s]" l o) );
+        ( 1,
+          let* l = l and* a = G.oneofl ls and* x = atom and* b = G.oneofl ls in
+          G.pure (sprintf "set %s [concat $%s %s $%s]" l a x b) );
+        ( 1,
+          let* l = l and* m = G.oneofl ls and* body = lmap_body in
+          G.pure (sprintf "set %s [lmap le $%s {%s}]" l m body) );
+        ( 1,
+          let* l = l and* m = G.oneofl ls and* k = G.int_range 0 3 in
+          G.pure (sprintf "set %s [lmap {la lb} $%s {list $lb %d $la}]" l m k) );
       ]
       @ (match env.strs with
         | [] -> []
         | ss ->
           [
+            ( 1,
+              let* l = l and* m = G.oneofl ls and* n = G.int_range 1 2 in
+              let names = String.concat " " (List.filteri (fun i _ -> i < n) ss) in
+              G.pure (sprintf "set %s [lassign $%s %s]" l m names) );
             ( 2,
               let* l = l
               and* s = G.oneofl ss
@@ -414,6 +479,18 @@ let rec statement env =
           ( 1,
             let* l = G.oneofl ls and* k = index env in
             G.pure (sprintf "puts [lindex $%s %s]" l k) );
+          ( 1,
+            let* l = G.oneofl ls and* a = index env and* b = index env in
+            G.pure (sprintf "puts [lrange $%s %s %s]" l a b) );
+          ( 1,
+            let* l = G.oneofl ls and* o = sort_opts in
+            G.pure (sprintf "puts [lsort%s $%s]" o l) );
+          (1, G.map (sprintf "puts [lsort %s]") (numeric_sort env));
+          ( 1,
+            let* l = G.oneofl ls and* sep = join_sep in
+            G.pure (sprintf "puts [join $%s%s]" l sep) );
+          (1, G.map2 (sprintf "puts [concat $%s $%s]") (G.oneofl ls) (G.oneofl ls));
+          (1, G.map (sprintf "puts [lreverse $%s]") (G.oneofl ls));
         ])
   in
   let jumps =
