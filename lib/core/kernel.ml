@@ -140,7 +140,6 @@ and profile = {
   runs : Obs.Metrics.counter_handle;
   steps : Obs.Metrics.histogram_handle;
   sim_s : Obs.Metrics.histogram_handle;
-  wall_s : Obs.Metrics.histogram_handle;
   proc_calls : Obs.Metrics.histogram_handle;
   proc_depth : Obs.Metrics.histogram_handle;
   parse_hits : Obs.Metrics.counter_handle;
@@ -243,7 +242,6 @@ let profile_of t name a =
         runs = counter "interp.runs";
         steps = hist "interp.steps";
         sim_s = hist "interp.sim_s";
-        wall_s = hist "interp.wall_s";
         proc_calls = hist "interp.proc_calls";
         proc_depth = hist "interp.proc_depth";
         parse_hits = shared "tscript.parse_cache.hit";
@@ -405,14 +403,12 @@ and run_script ctx a ~code bc =
   | Error msg -> raise (Agent_error (Printf.sprintf "prelude: %s" msg)));
   let prof = profile_of t ctx.self a in
   let sim0 = now t in
-  let wall0 = Sys.time () in
   (* the interpreter's shape counters feed per-agent histograms; recorded on
      every exit path (including Resource_exhausted and effect aborts) *)
   let observe_profile () =
     Obs.Metrics.bump prof.runs 1;
     Obs.Metrics.record prof.steps (float_of_int (Tscript.Interp.steps_used it));
     Obs.Metrics.record prof.sim_s (now t -. sim0);
-    Obs.Metrics.record prof.wall_s (Sys.time () -. wall0);
     let p = Tscript.Interp.profile it in
     Obs.Metrics.record prof.proc_calls (float_of_int p.Tscript.Interp.proc_calls);
     Obs.Metrics.record prof.proc_depth (float_of_int p.Tscript.Interp.max_depth);

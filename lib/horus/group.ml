@@ -8,7 +8,7 @@ let payload_overhead = 48 (* header bytes charged per protocol message *)
 type body =
   | Heartbeat of { from : int }
   | ViewMsg of { view : View.t }
-  | JoinReq of { site : int }
+  | JoinReq of { site : int; view_id : int }  (** the joiner's view id *)
 
 type Netsim.Message.payload += Hmsg of { group : string; body : body }
 
@@ -110,12 +110,15 @@ let handle t m (msg : Netsim.Message.t) =
     match body with
     | Heartbeat { from = _ } -> ()
     | ViewMsg { view } -> adopt_view t m view
-    | JoinReq { site } when View.coordinator m.view = Some m.site ->
+    | JoinReq { site; view_id } when View.coordinator m.view = Some m.site ->
       (* a joiner already in the view lost the view that admitted it and
-         retried: send it the current view again *)
-      if View.mem m.view site then send_view t m m.view site
+         retried: send it the current view again, unless it has since
+         installed a view of its own that this one would not replace *)
+      if View.mem m.view site && view_id <= m.view.View.id then send_view t m m.view site
       else begin
-        let view = View.with_member m.view site in
+        (* the admitting view outranks the joiner's own *)
+        let base = View.make ~id:(max m.view.View.id view_id) ~members:m.view.View.members in
+        let view = View.with_member base site in
         adopt_view t m view;
         broadcast_view t m view
       end
@@ -165,25 +168,37 @@ let rejoin t site =
     (* stale identity: the coordinator's ViewMsg brings the current view *)
     m.view <- View.make ~id:0 ~members:[ site ];
     arm_endpoint t m;
-    (* a single JoinReq can be lost, or the believed coordinator can itself
-       be down: retry until admitted, falling back to a singleton view if
-       nobody answers *)
+    (* A single JoinReq can be lost, or the believed coordinator can itself
+       be down: retry until admitted.  If nobody answers, the site installs
+       a singleton view ([alone]) but keeps asking the coordinator it asked
+       last, so it merges back once its links heal. *)
     let admitted () = m.view.View.id > 0 && View.mem m.view site in
     let singleton () =
-      adopt_view t m (View.make ~id:(t.latest_view.View.id + 1) ~members:[ site ])
+      let view = View.make ~id:(t.latest_view.View.id + 1) ~members:[ site ] in
+      adopt_view t m view;
+      view
+    in
+    let alone = ref None and asked = ref None in
+    let waiting () =
+      (not (admitted ())) || match !alone with Some v -> m.view == v | None -> false
     in
     let max_join_attempts = 10 in
     let rec try_join attempts =
-      if m.alive && Net.site_up t.net site && not (admitted ()) then begin
-        if attempts >= max_join_attempts then singleton ()
-        else begin
-          (match View.coordinator t.latest_view with
-          | Some c when c <> site -> send_body t ~src:site ~dst:c ~extra:0 (JoinReq { site })
-          | Some _ | None -> singleton ());
+      if m.alive && Net.site_up t.net site && waiting () then begin
+        if attempts >= max_join_attempts && not (admitted ()) then alone := Some (singleton ());
+        let coordinator =
+          match View.coordinator t.latest_view with
+          | Some c when c <> site ->
+            asked := Some c;
+            Some c
+          | Some _ | None -> if attempts >= max_join_attempts then !asked else None
+        in
+        match coordinator with
+        | Some c ->
+          send_body t ~src:site ~dst:c ~extra:0 (JoinReq { site; view_id = m.view.View.id });
           ignore
-            (Net.schedule t.net ~after:(2.0 *. hb_interval) (fun () ->
-                 try_join (attempts + 1)))
-        end
+            (Net.schedule t.net ~after:(2.0 *. hb_interval) (fun () -> try_join (attempts + 1)))
+        | None -> if not (admitted ()) then ignore (singleton ())
       end
     in
     try_join 0

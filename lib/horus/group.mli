@@ -26,5 +26,8 @@ val view_at : t -> Netsim.Site.id -> View.t option
 
 val rejoin : t -> Netsim.Site.id -> unit
 (** Ask the current coordinator to re-admit this (restarted) site, retrying
-    every second until a view that holds it arrives; after ten unanswered
-    attempts the site installs a singleton view of its own. *)
+    every second until a view that holds it arrives.  After ten unanswered
+    attempts the site installs a singleton view of its own but keeps
+    asking, and the coordinator that finally hears it admits it in a view
+    that outranks the singleton, so the site merges back once its links
+    heal. *)

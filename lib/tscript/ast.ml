@@ -1,7 +1,7 @@
-(* The AST is parametric over the interpreter's command-function type so
-   each command node can carry a monomorphic inline cache (the interpreter
-   instantiates ['fn] with its own function type; the parser never touches
-   the slot).  See {!command} for the cache discipline. *)
+(* The AST is parametric over the interpreter's compiled-command type so
+   each command node can carry its compiled form (the interpreter
+   instantiates ['fn] with its own closure type; the parser never touches
+   the slot).  See {!command}. *)
 
 type 'fn fragment =
   | Lit of string
@@ -16,7 +16,7 @@ and 'fn word = Braced of 'fn braced | Literal of Value.t | Frags of 'fn fragment
    it and can live on the node (the expression's own command substitutions
    carry slots of the same kind; a [Literal] word's value caches the same
    way).  Cached ASTs are shared between interpreters; that is safe because
-   the nested script's own inline caches validate per interpreter. *)
+   the nested script's compiled commands validate per interpreter. *)
 and 'fn braced = {
   value : Value.t;
   mutable script : 'fn script option;
@@ -25,23 +25,13 @@ and 'fn braced = {
 
 and 'fn command = {
   words : 'fn word list;
-  (* Inline command cache: the resolved command function, valid only for
-     the interpreter [c_id] while its command table is at [c_epoch].
-     Cached ASTs are shared between interpreters, so both stamps are
-     checked before the slot is trusted; a builtin ([c_id = 0]) is the
-     same function in every interpreter that still has all of them. *)
-  mutable c_id : int;
-  mutable c_epoch : int;
-  mutable c_fn : 'fn option;
-  (* definition slot: the command a [proc] node made, compiled once *)
-  mutable c_def : 'fn option;
-  (* the variable references of the literal names a command takes as
-     arguments ([set x], [foreach {k v}]), filled by the command *)
-  mutable c_vars : Value.var_ref array;
+  (* the compiled form, made on the node's first execution and shared by
+     every interpreter that runs the node; it validates itself against the
+     evaluating interpreter *)
+  mutable code : 'fn option;
 }
 
 and 'fn script = 'fn command list
 
 let braced value = Braced { value; script = None; expr = None }
-let command words =
-  { words; c_id = -1; c_epoch = -1; c_fn = None; c_def = None; c_vars = [||] }
+let command words = { words; code = None }

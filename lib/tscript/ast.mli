@@ -6,11 +6,11 @@
     sequence of fragments that are substituted and concatenated at
     evaluation time.
 
-    The types are parametric over ['fn], the interpreter's command-function
-    type: each command node carries an inline cache of its resolved command
-    function (see {!command}), and parametrising keeps this module free of
-    a dependency on the interpreter.  The parser always leaves every cache
-    and slot empty, so parsed scripts are polymorphic in ['fn]. *)
+    The types are parametric over ['fn], the interpreter's compiled-command
+    type: each command node carries its compiled form (see {!command}), and
+    parametrising keeps this module free of a dependency on the
+    interpreter.  The parser always leaves every slot empty, so parsed
+    scripts are polymorphic in ['fn]. *)
 
 type 'fn fragment =
   | Lit of string        (** literal text *)
@@ -44,21 +44,11 @@ and 'fn braced = {
 
 and 'fn command = {
   words : 'fn word list;
-  mutable c_id : int;
-      (** interpreter uid the cached function belongs to; [0] = a builtin,
-          valid in any interpreter; [-1] = empty *)
-  mutable c_epoch : int;
-      (** that interpreter's command-table epoch at fill time *)
-  mutable c_fn : 'fn option;
-      (** the resolved command function, trusted only when both stamps
-          match the evaluating interpreter, or when it is a builtin and
-          that interpreter has not redefined or removed a builtin name *)
-  mutable c_def : 'fn option;
-      (** the command a [proc] node defined last, reused while the node
-          defines the same name with the same parameter and body values *)
-  mutable c_vars : Value.var_ref array;
-      (** the references of the variables a command names by literal
-          arguments ([set x], [foreach {k v}]), filled by the command *)
+  mutable code : 'fn option;
+      (** the command compiled, on its first execution, by the interpreter
+          that ran it.  The interpreters sharing the AST share it, so it
+          captures no interpreter and checks, each time it runs, that what
+          it was specialised for still holds in the one running it. *)
 }
 
 and 'fn script = 'fn command list
@@ -67,4 +57,4 @@ val braced : Value.t -> 'fn word
 (** A braced word with empty compile slots. *)
 
 val command : 'fn word list -> 'fn command
-(** Build a command node with an empty cache slot. *)
+(** Build a command node, not compiled yet. *)

@@ -563,8 +563,8 @@ let list_membership opname want a b =
   let elem = num_to_string a in
   let list = match b with Str v -> v | Int _ | Float _ -> Value.of_string (num_to_string b) in
   match Value.elements list with
-  | Error msg -> fail (Printf.sprintf "%s: %s" opname msg)
-  | Ok l ->
+  | exception Value.Bad_list msg -> fail (Printf.sprintf "%s: %s" opname msg)
+  | l ->
     let mem = Array.exists (fun e -> String.equal (Value.to_string e) elem) l in
     Int (if mem = want then 1 else 0)
 

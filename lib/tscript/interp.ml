@@ -6,26 +6,41 @@ exception Resource_exhausted
 
 module Lru = Tacoma_util.Lru
 
+type param = Required of string | Optional of string * Value.t | Rest
+
 (* A command takes and returns interpreter values, and receives the node it
    was invoked from, so builtins that take a script or expression argument
    can use the compile slots of its literal braced words.  Host commands
    ({!register}) see strings and ignore the node.  A proc's entry carries
-   its definition: its parameter list as written ([spec]), its body, its
-   parameter names (shared by its frames) and whether [name] is a
-   builtin's, so the command table is all [info] reads. *)
+   its definition: its parameter list as written ([spec]) and as read, its
+   body and the body's word with those after it (for its slot), its
+   parameter names (shared by its frames), its [arity] when every
+   parameter is required (-1 otherwise) and whether [name] is a builtin's,
+   so the command table is all [info] reads. *)
 type command_fn = { run : t -> node -> Value.t list -> Value.t; kind : kind }
 and kind = Builtin | Host | Proc of proc_def
-and proc_def =
-  { name : string; spec : Value.t; body : Value.t; names : string array; shadows : bool }
 
-(* AST nodes instantiated with this interpreter's command type, so inline
-   command caches hold the resolved functions directly *)
-and node = command_fn Ast.command
-and script = command_fn Ast.script
+and proc_def = {
+  name : string;
+  spec : Value.t;
+  formals : param list;
+  body : Value.t;
+  body_words : code Ast.word list;
+  names : string array;
+  arity : int;
+  shadows : bool;
+}
+
+(* A command node's compiled form: what running the node does, built on
+   its first execution (see "compilation" below) *)
+and code = t -> Value.t
+
+and node = code Ast.command
+and script = code Ast.script
 
 (* The parse cache: parsed scripts keyed by source string, LRU-bounded.
-   Parsed ASTs carry per-node inline caches and compile slots, but the
-   inline caches validate against the evaluating interpreter, so a cache
+   Parsed ASTs carry compiled commands and compile slots, but compiled
+   commands validate against the evaluating interpreter, so a cache
    may be private to one interpreter (the default) or shared by every
    interpreter a site creates — the kernel shares one per simulation,
    which is what lets the second activation of an agent skip the parser
@@ -42,7 +57,7 @@ and t = {
   uid : int; (* distinguishes interpreters sharing cached ASTs *)
   commands : (string, command_fn) Hashtbl.t;
   mutable cmd_epoch : int;
-      (* bumped by register/unregister so stale inline caches are refused *)
+      (* bumped by register/unregister so stale resolutions are refused *)
   mutable builtin_stamp : int; (* [builtin_uid] until a builtin name is redefined *)
   global : frame; (* its stamp is [uid] *)
   mutable frames : frame list; (* innermost first; [] means global scope *)
@@ -83,17 +98,23 @@ and frame = {
 let err fmt = Printf.ksprintf (fun msg -> raise (Error_exc msg)) fmt
 
 (* a malformed list reaching a list command is a script error, as in Tcl *)
-let list_of v = match Value.elements v with Ok l -> l | Error msg -> raise (Error_exc msg)
+let list_of v = try Value.elements v with Value.Bad_list msg -> raise (Error_exc msg)
 let string_list s = match Value.to_list s with Ok l -> l | Error msg -> raise (Error_exc msg)
 
 (* The builtin command table, filled once below; every interpreter starts
    from a copy, so creating one hashes no names and builds no adapters.
-   Nothing writes it afterwards, so concurrent simulations may copy it. *)
+   Nothing writes it afterwards, so concurrent simulations may copy it.
+   [compilers] holds, for some builtins, what compiles a node naming the
+   builtin literally (see "compilation"), filled and read the same way. *)
 let builtins : (string, command_fn) Hashtbl.t = Hashtbl.create 64
 let is_builtin name = Hashtbl.mem builtins name
 
-(* the [c_id] of a node caching a builtin; the [builtin_stamp] of an
-   interpreter that has redefined or removed one, which no node holds *)
+let compilers : (string, node -> string -> code Ast.word list -> code option) Hashtbl.t =
+  Hashtbl.create 16
+
+(* the [id] of a resolution cache holding a builtin, and the
+   [builtin_stamp] of an interpreter that has every builtin; the stamp of
+   one that has redefined or removed one, which no cache holds *)
 let builtin_uid = 0 and shadowed = -2
 
 let cache_entries = 512
@@ -249,40 +270,21 @@ let unset_ref t ~complain name =
   | Some (a, i) -> unset_elem t ~complain a i
   | None -> unset_var t ~complain name
 
-(* The reference for a command's literal first argument ([set x ...]),
-   kept on the command node; [no_ref] when that word is not literal or
-   names an array element, which take the lookup by name. *)
-let no_ref = Value.var_ref ""
-
-let arg_ref (node : node) name =
-  let s = Value.to_string name in
-  match node.c_vars with
-  | [| r |] when r.name == s -> r
-  | _ -> (
-    match node.words with
-    | _ :: (Ast.Literal w | Ast.Braced { value = w; _ }) :: _
-      when w == name && split_array_ref s = None ->
-      let r = Value.var_ref s in
-      node.c_vars <- [| r |];
-      r
-    | _ -> no_ref)
-
 (* [incr], [append] and [lappend]: [f x] maps the variable's scalar
    ([Value.absent] when it has none, or is an array) to the value stored
-   and returned *)
-let update t node name f x =
-  let r = arg_ref node name in
-  if r != no_ref then begin
-    let c = ref_cell t r in
-    let v = f x c.v in
-    write r.name c v;
-    v
-  end
-  else
-    let name = Value.to_string name in
-    let v = f x (scalar_of t name) in
-    set_ref t name v;
-    v
+   and returned.  A literal name updates through its reference ... *)
+let update_ref t (r : Value.var_ref) f x =
+  let c = ref_cell t r in
+  let v = f x c.v in
+  write r.name c v;
+  v
+
+(* ... and a name given at run time through the lookup by name *)
+let update t name f x =
+  let name = Value.to_string name in
+  let v = f x (scalar_of t name) in
+  set_ref t name v;
+  v
 
 (* ---- metering ---------------------------------------------------------- *)
 
@@ -359,16 +361,73 @@ let next_words = function [] -> [] | _ :: ws -> ws
 
 (* ---- evaluation -------------------------------------------------------- *)
 
-(* a word of one fragment is that fragment's value itself, so [$x] passes
-   on the variable's value with whatever forms it has cached *)
-let rec eval_word t word =
-  match word with
-  | Ast.Braced b -> b.value
-  | Ast.Literal v -> v
-  | Ast.Frags [ frag ] -> eval_fragment t frag
-  | Ast.Frags frags -> Value.of_string (concat_fragments t frags)
+(* every command run costs one step, charged before its words are
+   evaluated *)
+let step t =
+  charge t 1;
+  t.prof_commands <- t.prof_commands + 1
 
-and concat_fragments t frags = Bytes.unsafe_to_string (concat_from t frags 0)
+(* code specialised for the builtins runs only in an interpreter that
+   still has every one of them *)
+let intact t = t.builtin_stamp = builtin_uid
+
+(* What a literal command name resolved to: valid for the interpreter [id]
+   while its command table is at [epoch], or in every interpreter that has
+   all the builtins when [id] is [builtin_uid]. *)
+type cache = { mutable id : int; mutable epoch : int; mutable fn : command_fn }
+
+let unresolved = { run = (fun _ _ _ -> Value.empty); kind = Host }
+let cache () = { id = -1; epoch = -1; fn = unresolved }
+
+let find_command t name =
+  match Hashtbl.find t.commands name with
+  | fn -> fn
+  | exception Not_found -> err "invalid command name %S" name
+
+let resolve t c name =
+  if c.id = t.builtin_stamp || (c.id = t.uid && c.epoch = t.cmd_epoch) then c.fn
+  else begin
+    let fn = find_command t name in
+    c.fn <- fn;
+    c.id <- (if fn.kind == Builtin && intact t then builtin_uid else t.uid);
+    c.epoch <- t.cmd_epoch;
+    fn
+  end
+
+(* left-to-right argument evaluation, arity-specialised so the common 1-3
+   argument commands build their list without a loop *)
+let rec eval_list t evs =
+  match evs with
+  | [] -> []
+  | ev :: rest ->
+    let v = ev t in
+    v :: eval_list t rest
+
+let args_ev (evs : code list) =
+  match evs with
+  | [] -> fun _ -> []
+  | [ a ] -> fun t -> [ a t ]
+  | [ a; b ] ->
+    fun t ->
+      let va = a t in
+      let vb = b t in
+      [ va; vb ]
+  | [ a; b; c ] ->
+    fun t ->
+      let va = a t in
+      let vb = b t in
+      let vc = c t in
+      [ va; vb; vc ]
+  | evs -> fun t -> eval_list t evs
+
+let check_depth t =
+  if t.depth >= t.max_depth then err "too many nested proc calls (max %d)" t.max_depth
+
+let pop_frame t =
+  t.frames <- List.tl t.frames;
+  t.depth <- t.depth - 1
+
+let rec concat_fragments t frags = Bytes.unsafe_to_string (concat_from t frags 0)
 
 (* the fragments' strings joined: each is evaluated, left to right, on the
    way down, and copied into the one buffer on the way back up *)
@@ -392,70 +451,133 @@ and eval_fragment t frag =
   | Ast.VarElem (name, index_frags) -> get_elem t name (concat_fragments t index_frags)
   | Ast.Cmd script -> eval_ast t script
 
-and eval_command t cmd =
-  match cmd.Ast.words with
-  | [] -> Value.empty
-  | name_word :: arg_words -> (
-    charge t 1;
-    t.prof_commands <- t.prof_commands + 1;
-    (* inline command cache: a builtin while this interpreter has them all,
-       or what this interpreter resolved this node to before when no
-       command has been (un)registered since; either skips the name
-       substitution and the table lookup *)
-    match cmd.Ast.c_fn with
-    | Some fn
-      when cmd.Ast.c_id = t.builtin_stamp
-           || (cmd.Ast.c_id = t.uid && cmd.Ast.c_epoch = t.cmd_epoch) ->
-      fn.run t cmd (eval_args t arg_words)
-    | _ -> (
-      let name = Value.to_string (eval_word t name_word) in
-      let args = eval_args t arg_words in
-      match Hashtbl.find_opt t.commands name with
-      | Some fn ->
-        (* only a literal name resolves to the same command every time *)
-        (match name_word with
-        | Ast.Braced _ | Ast.Literal _ ->
-          cmd.Ast.c_fn <- Some fn;
-          cmd.Ast.c_id <-
-            (if fn.kind == Builtin && t.builtin_stamp = builtin_uid then builtin_uid else t.uid);
-          cmd.Ast.c_epoch <- t.cmd_epoch
-        | _ -> ());
-        fn.run t cmd args
-      | None -> err "invalid command name %S" name))
-
-(* left-to-right argument evaluation, arity-specialised so the common 1-3
-   argument commands build their list without a [List.map] closure *)
-and eval_args t arg_words =
-  match arg_words with
-  | [] -> []
-  | [ a ] -> [ eval_word t a ]
-  | [ a; b ] ->
-    let va = eval_word t a in
-    let vb = eval_word t b in
-    [ va; vb ]
-  | [ a; b; c ] ->
-    let va = eval_word t a in
-    let vb = eval_word t b in
-    let vc = eval_word t c in
-    [ va; vb; vc ]
-  | a :: rest ->
-    let va = eval_word t a in
-    va :: eval_args t rest
-
 and eval_ast t script =
   match script with
   | [] -> Value.empty
-  | [ cmd ] -> eval_command t cmd
+  | [ cmd ] -> run t cmd
   | cmd :: rest ->
-    ignore (eval_command t cmd);
+    ignore (run t cmd);
     eval_ast t rest
 
-and eval_string t src = eval_ast t (parse t src)
+and run t (cmd : node) =
+  match cmd.code with
+  | Some code -> code t
+  | None ->
+    let code = compile cmd in
+    cmd.code <- Some code;
+    code t
+
+(* a proc's body, run in its call's [frame] *)
+and enter t (d : proc_def) frame =
+  t.frames <- frame :: t.frames;
+  t.depth <- t.depth + 1;
+  t.prof_proc_calls <- t.prof_proc_calls + 1;
+  if t.depth > t.prof_max_depth then t.prof_max_depth <- t.depth;
+  match eval_ast t (script_of t d.body_words d.body) with
+  | v ->
+    pop_frame t;
+    v
+  | exception Return_exc v ->
+    pop_frame t;
+    v
+  | exception e ->
+    pop_frame t;
+    raise e
+
+(* ---- compilation -------------------------------------------------------
+
+   A command node is compiled on its first execution, into a closure kept
+   on the node and shared by every interpreter that runs it, so it
+   captures none.  A builtin named literally, with arguments of a shape its
+   entry in [compilers] knows, runs as that entry's closure: it takes its
+   words' values as OCaml arguments and falls back to the builtin's [run]
+   on a list when the interpreter lacks a builtin.  A literal name that no
+   builtin has runs as [call].  Anything else runs as [generic], the
+   invoke every command took before there were compiled forms.  All three
+   charge the command's step first and evaluate the words left to right
+   before they resolve the name. *)
+
+(* a word's evaluator, chosen once: a literal's value; a word of one
+   fragment is that fragment's value itself, so [$x] passes on the
+   variable's value, read through its reference, with whatever forms it
+   has cached; several fragments are joined *)
+and word_ev (w : code Ast.word) : code =
+  match w with
+  | Ast.Braced { value; _ } | Ast.Literal value -> fun _ -> value
+  | Ast.Frags [ Ast.Var r ] -> fun t -> read r.name (ref_cell t r)
+  | Ast.Frags [ Ast.Cmd script ] -> fun t -> eval_ast t script
+  | Ast.Frags [ frag ] -> fun t -> eval_fragment t frag
+  | Ast.Frags frags -> fun t -> Value.of_string (concat_fragments t frags)
+
+and compile (node : node) : code =
+  match node.words with
+  | (Ast.Braced { value; _ } | Ast.Literal value) :: ws -> (
+    let name = Value.to_string value in
+    match Hashtbl.find_opt compilers name with
+    | Some compiler -> (
+      match compiler node name ws with Some code -> code | None -> generic node)
+    | None -> if is_builtin name then generic node else call node name ws)
+  | _ -> generic node
+
+(* the words evaluated into a list, the name resolved (a literal one
+   through its cache), and the command run on the list *)
+and generic (node : node) : code =
+  match node.words with
+  | [] -> fun _ -> Value.empty
+  | (Ast.Braced { value; _ } | Ast.Literal value) :: ws ->
+    let name = Value.to_string value and c = cache () in
+    let args = args_ev (List.map word_ev ws) in
+    fun t ->
+      step t;
+      let args = args t in
+      (resolve t c name).run t node args
+  | name_word :: ws ->
+    let name = word_ev name_word and args = args_ev (List.map word_ev ws) in
+    fun t ->
+      step t;
+      let name = Value.to_string (name t) in
+      let args = args t in
+      (find_command t name).run t node args
+
+(* A call by a literal name that no builtin has: a proc or a host command.
+   While the name last resolved to a proc whose parameters are all
+   required and as many as the call's words, the words are evaluated
+   straight into the cells of a new frame, which the proc runs in if the
+   name still resolves to such a proc.  Otherwise they make a list, as in
+   [generic]. *)
+and call (node : node) name ws : code =
+  let evl = List.map word_ev ws in
+  let evs = Array.of_list evl and args = args_ev evl and c = cache () in
+  let n = Array.length evs in
+  fun t ->
+    step t;
+    match c.fn.kind with
+    | Proc d when d.arity = n && intact t -> (
+      let id = fresh_uid t.caches in
+      let cells = Array.make n Value.nowhere in
+      for i = 0 to n - 1 do
+        Array.unsafe_set cells i (Value.cell id ((Array.unsafe_get evs i) t))
+      done;
+      let fn = resolve t c name in
+      match fn.kind with
+      | Proc d when d.arity = n ->
+        check_depth t;
+        enter t d (frame d.names cells None id)
+      | _ -> fn.run t node (Array.to_list (Array.map (fun (c : Value.cell) -> c.v) cells)))
+    | _ ->
+      let args = args t in
+      (resolve t c name).run t node args
+
+(* a compiled builtin's way out when the interpreter lacks a builtin:
+   whatever [name] is there now, run on the values already evaluated *)
+let fallback t node name args = (find_command t name).run t node args
+
+let eval_string t src = eval_ast t (parse t src)
 
 (* a command substitution inside an expression: its slot, like a braced
    word's, is filled from the LRU on first evaluation (so a syntax error
    still surfaces then) and counts as a parse hit afterwards *)
-and expr_cmd t (c : script Expr.cmd) =
+let expr_cmd t (c : script Expr.cmd) =
   match c.script with
   | Some ast ->
     t.prof_parse_hits <- t.prof_parse_hits + 1;
@@ -469,23 +591,23 @@ and expr_cmd t (c : script Expr.cmd) =
    Expressions are charged one step each: loop conditions must consume
    budget even when the loop body is empty, or a run-away agent could spin
    for free. *)
-and subst_string t s =
+let subst_string t s =
   match Parse.fragments s with
   | frags -> concat_fragments t frags
   | exception Parse.Syntax_error msg -> err "substitution: %s" msg
 
 (* expr hands an array reference over as "name(raw index)", whose index
    still needs a round of substitution ($a($i)); only a scalar is cached *)
-and expr_var t (r : Value.var_ref) =
+let expr_var t (r : Value.var_ref) =
   match split_array_ref r.name with
   | Some (name, raw_index) -> get_elem t name (subst_string t raw_index)
   | None -> read r.name (ref_cell t r)
 
 (* the callers charge the expression's step *)
-and expr_value t ast =
+let expr_value t ast =
   try Expr.eval_ast t.expr_env ast with Expr.Error msg -> err "expr: %s" msg
 
-and expr_bool t ast =
+let expr_bool t ast =
   try Expr.eval_ast_bool t.expr_env ast with Expr.Error msg -> err "expr: %s" msg
 
 let eval t src =
@@ -565,8 +687,6 @@ let take_output t =
 
 (* ---- procs -------------------------------------------------------------- *)
 
-type param = Required of string | Optional of string * Value.t | Rest
-
 (* a literal parameter list keeps its list form on the shared AST, so a
    proc definition re-run on every activation does not re-read it *)
 let parse_params spec =
@@ -612,54 +732,40 @@ let rec bind_args cells home i params args =
     bind_args cells home (i + 1) ps rest
 
 (* a call's frame: one cell per parameter, no table *)
-let bind_params t name names params args =
+let bind_params t (d : proc_def) args =
   let id = fresh_uid t.caches in
-  let cells = Array.make (Array.length names) Value.nowhere in
-  if not (bind_args cells id 0 params args) then
-    err "wrong # args: should be %S" (usage_of_params name params);
-  frame names cells None id
-
-let pop_frame t =
-  t.frames <- List.tl t.frames;
-  t.depth <- t.depth - 1
+  let cells = Array.make (Array.length d.names) Value.nowhere in
+  if not (bind_args cells id 0 d.formals args) then
+    err "wrong # args: should be %S" (usage_of_params d.name d.formals);
+  frame d.names cells None id
 
 (* [body_words] starts at the body's word: a literal body keeps its slot in
    the closure, so each call reuses the parse instead of looking it up.
    The command depends on no interpreter. *)
 let compile_proc name spec body body_words =
   let params = parse_params spec in
+  let required = List.for_all (function Required _ -> true | _ -> false) params in
+  let arity = if required then List.length params else -1 in
   let names = Array.of_list (List.map param_name params) in
+  let shadows = is_builtin name in
+  let d = { name; spec; formals = params; body; body_words; names; arity; shadows } in
   let run t _ args =
-    if t.depth >= t.max_depth then err "too many nested proc calls (max %d)" t.max_depth;
-    let frame = bind_params t name names params args in
-    t.frames <- frame :: t.frames;
-    t.depth <- t.depth + 1;
-    t.prof_proc_calls <- t.prof_proc_calls + 1;
-    if t.depth > t.prof_max_depth then t.prof_max_depth <- t.depth;
-    match eval_ast t (script_of t body_words body) with
-    | v ->
-      pop_frame t;
-      v
-    | exception Return_exc v ->
-      pop_frame t;
-      v
-    | exception e ->
-      pop_frame t;
-      raise e
+    check_depth t;
+    enter t d (bind_params t d args)
   in
-  { run; kind = Proc { name; spec; body; names; shadows = is_builtin name } }
+  { run; kind = Proc d }
 
-(* A [proc] node keeps the command it defined last: run again with the same
-   name, parameter and body values, as an agent's CODE is at every
+(* [slot] keeps the command a [proc] node defined last: run again with the
+   same name, parameter and body values, as an agent's CODE is at every
    activation, a definition is one table insert *)
-let define_proc t (node : node) name spec body body_words =
-  match node.c_def with
+let define_proc t slot name spec body body_words =
+  match !slot with
   | Some ({ kind = Proc d; _ } as fn)
     when d.spec == spec && d.body == body && String.equal d.name name ->
     insert t name fn ~shadows:d.shadows
   | _ ->
     let fn = compile_proc name spec body body_words in
-    node.c_def <- Some fn;
+    slot := Some fn;
     add_command t name fn
 
 let proc_def t name =
@@ -709,11 +815,47 @@ let rec drop frames n = if n = 0 then frames else drop (List.tl frames) (n - 1)
 
 (* [foreach]/[lmap]: varList list ?varList list ...? body.  Each pass gives
    every variable list its next items ("" once its list runs out) and runs
-   [each] on the body; the loop ends when every list is used up.  The body
-   is looked up once per pass.  The loop variables' references live on the
-   command node, in order, so a pass assigns them without a lookup, and
-   reads each item straight from its list's element array. *)
-let iterate t ~cmd node args each =
+   [each] on the body; the loop ends when every list is used up.  [refs]
+   holds the loop variables' references, in order, so a pass assigns them
+   without a lookup; [groups] holds each variable list's length and the
+   element array of its list, which a pass reads the items from.  The
+   body ([body], its word first in [body_ws]) is looked up once per pass. *)
+let iterate t refs (groups : (int * Value.t array) array) body_ws body each =
+  let passes =
+    Array.fold_left (fun m (n, items) -> max m ((Array.length items + n - 1) / n)) 0 groups
+  in
+  try
+    for pass = 0 to passes - 1 do
+      (* pass [pass] gives a group of [n] variables items [pass*n] to
+         [pass*n + n - 1] *)
+      let k = ref 0 in
+      for g = 0 to Array.length groups - 1 do
+        let n, items = groups.(g) in
+        for j = 0 to n - 1 do
+          let (r : Value.var_ref) = refs.(!k) in
+          let i = (pass * n) + j in
+          let v = if i < Array.length items then items.(i) else Value.empty in
+          if split_array_ref r.name = None then write r.name (ref_cell t r) v
+          else set_ref t r.name v;
+          incr k
+        done
+      done;
+      try each t (script_of t body_ws body) with Continue_exc -> ()
+    done
+  with Break_exc -> ()
+
+let foreach t refs groups body_ws body =
+  iterate t refs groups body_ws body (fun t body -> ignore (eval_ast t body));
+  Value.empty
+
+let lmap t refs groups body_ws body =
+  let out = ref [] in
+  iterate t refs groups body_ws body (fun t body -> out := eval_ast t body :: !out);
+  Value.of_elements (Array.of_list (List.rev !out))
+
+(* [loop] ([foreach] or [lmap]) on a list of arguments: each variable list
+   is read here, and each variable gets a new reference *)
+let iterate_args t ~cmd node args loop =
   let usage () =
     err "wrong # args: should be \"%s varList list ?varList list ...? command\"" cmd
   in
@@ -731,49 +873,18 @@ let iterate t ~cmd node args each =
     | [] -> usage ()
   in
   let groups, body_ws, body = groups (arg_words node) args in
-  let names = match groups with [ (vars, _) ] -> vars | _ -> Array.concat (List.map fst groups) in
-  let refs = node.Ast.c_vars in
-  if
-    not
-      (Array.length refs = Array.length names
-      && Array.for_all2 (fun r n -> r.Value.name == n) refs names)
-  then node.Ast.c_vars <- Array.map Value.var_ref names;
-  let refs = node.Ast.c_vars and groups = Array.of_list groups in
-  let passes =
-    Array.fold_left
-      (fun m (vars, items) ->
-        let n = Array.length vars in
-        max m ((Array.length items + n - 1) / n))
-      0 groups
-  in
-  try
-    for pass = 0 to passes - 1 do
-      (* pass [pass] gives a group of [n] variables items [pass*n] to
-         [pass*n + n - 1] *)
-      let k = ref 0 in
-      for g = 0 to Array.length groups - 1 do
-        let vars, items = groups.(g) in
-        let n = Array.length vars in
-        for j = 0 to n - 1 do
-          let (r : Value.var_ref) = refs.(!k) in
-          let i = (pass * n) + j in
-          let v = if i < Array.length items then items.(i) else Value.empty in
-          if split_array_ref r.name = None then write r.name (ref_cell t r) v
-          else set_ref t r.name v;
-          incr k
-        done
-      done;
-      try each (script_of t body_ws body) with Continue_exc -> ()
-    done
-  with Break_exc -> ()
+  let refs = Array.map Value.var_ref (Array.concat (List.map fst groups)) in
+  let groups = List.map (fun (vars, items) -> (Array.length vars, items)) groups in
+  let groups = Array.of_list groups in
+  loop t refs groups body_ws body
 
 let int_arg what s =
   match Value.int_of s with Some i -> i | None -> err "expected integer for %s, got %S" what s
 
 let int_value what v =
-  match Value.to_int v with
-  | Some i -> i
-  | None -> err "expected integer for %s, got %S" what (Value.to_string v)
+  match Value.to_int_exn v with
+  | i -> i
+  | exception Value.Not_int -> err "expected integer for %s, got %S" what (Value.to_string v)
 
 (* Tcl index syntax: N, end, end-N *)
 let index_arg ~len s =
@@ -821,6 +932,11 @@ let lappend items cur =
 
 let is_word word v = String.equal (Value.to_string v) word
 
+(* one condition of [if], [while] or [for]: a step, then the test *)
+let test t cond =
+  charge t 1;
+  expr_bool t cond
+
 (* [if cond ?then? body ?elseif cond ?then? body ...? ?else? ?body?];
    [ws] walks the argument words alongside [args] *)
 let rec if_clauses t ws args =
@@ -834,8 +950,7 @@ let rec if_clauses t ws args =
     in
     match rest with
     | body :: rest ->
-      charge t 1;
-      if expr_bool t (expr_of t ws cond) then eval_ast t (script_of t body_ws body)
+      if test t (expr_of t ws cond) then eval_ast t (script_of t body_ws body)
       else else_clauses t (next_words body_ws) rest
     | [] -> err "wrong # args: no script following condition")
   | [] -> err "wrong # args: should be \"if cond ?then? body ...\""
@@ -848,20 +963,165 @@ and else_clauses t ws rest =
   | w :: rest when is_word "elseif" w -> if_clauses t (next_words ws) rest
   | _ -> err "expected \"elseif\" or \"else\" clause"
 
-(* the builtin table's entries, installed once at start-up *)
-let reg name run = Hashtbl.replace builtins name { run; kind = Builtin }
+(* ---- compiled builtins ----------------------------------------------------
+
+   What [compilers] holds: for a node that names a builtin literally, a
+   closure that takes the words' values as OCaml arguments, when the
+   arguments have a shape that the closure handles as the builtin's [run]
+   would; [None] otherwise.  The closure charges the command's step,
+   evaluates the words in order and, in an interpreter that lacks a
+   builtin, hands their values to whatever has the name there. *)
+
+let literal_value (w : code Ast.word) =
+  match w with Ast.Braced { value; _ } | Ast.Literal value -> Some value | Ast.Frags _ -> None
+
+(* [k] of the reference of [w], when [w] is a literal variable name and
+   not an array element's *)
+let on_var w (k : Value.var_ref -> code) =
+  match literal_value w with
+  | Some v when split_array_ref (Value.to_string v) = None ->
+    Some (k (Value.var_ref (Value.to_string v)))
+  | Some _ | None -> None
+
+(* [values]: the words', all literal *)
+let compile0 f node name values : code =
+ fun t ->
+  step t;
+  if intact t then f t else fallback t node name values
+
+let compile1 f node name w : code =
+  let a = word_ev w in
+  fun t ->
+    step t;
+    let va = a t in
+    if intact t then f t va else fallback t node name [ va ]
+
+let compile2 f node name w1 w2 : code =
+  let a = word_ev w1 and b = word_ev w2 in
+  fun t ->
+    step t;
+    let va = a t in
+    let vb = b t in
+    if intact t then f t va vb else fallback t node name [ va; vb ]
+
+let compile3 f node name w1 w2 w3 : code =
+  let a = word_ev w1 and b = word_ev w2 and c = word_ev w3 in
+  fun t ->
+    step t;
+    let va = a t in
+    let vb = b t in
+    let vc = c t in
+    if intact t then f t va vb vc else fallback t node name [ va; vb; vc ]
+
+let compile_list f node name ws : code =
+  let args = args_ev (List.map word_ev ws) in
+  fun t ->
+    step t;
+    let vs = args t in
+    if intact t then f t vs else fallback t node name vs
+
+(* [if] with every word literal, its clauses read once: each condition
+   and body is a word list for [expr_of] or [script_of] and its value *)
+let rec run_if t clauses els =
+  match clauses with
+  | ((cw, cv), (bw, bv)) :: rest ->
+    if test t (expr_of t cw cv) then eval_ast t (script_of t bw bv) else run_if t rest els
+  | [] -> (
+    match els with Some (bw, bv) -> eval_ast t (script_of t bw bv) | None -> Value.empty)
+
+let compile_if node name ws =
+  let lits = List.filter_map (fun w -> Option.map (fun v -> ([ w ], v)) (literal_value w)) ws in
+  let rec clauses = function
+    | cond :: rest -> (
+      let rest = match rest with (_, v) :: r when is_word "then" v -> r | r -> r in
+      match rest with
+      | body :: rest -> (
+        let more (cs, els) = Some ((cond, body) :: cs, els) in
+        match rest with
+        | [] -> more ([], None)
+        | [ (_, w); b ] when is_word "else" w -> more ([], Some b)
+        | [ b ] -> more ([], Some b)
+        | (_, w) :: rest when is_word "elseif" w -> Option.bind (clauses rest) more
+        | _ -> None)
+      | [] -> None)
+    | [] -> None
+  in
+  if List.compare_lengths lits ws <> 0 then None
+  else
+    Option.map
+      (fun (cs, els) -> compile0 (fun t -> run_if t cs els) node name (List.map snd lits))
+      (clauses lits)
+
+(* [append] or [lappend] with a literal variable name, which [f] updates
+   through its reference *)
+let compile_update f node name ws =
+  match ws with
+  | x :: _ ->
+    on_var x (fun r -> compile_list (fun t vs -> update_ref t r f (List.tl vs)) node name ws)
+  | [] -> None
+
+(* [foreach] or [lmap] ([loop]) with literal, well-formed variable lists,
+   read once into the loop variables' references *)
+let compile_iterate loop node name ws =
+  (* each variable list's value and names, with its list's evaluator *)
+  let rec groups = function
+    | [ body ] -> Some ([], body)
+    | vars :: items :: rest -> (
+      match literal_value vars with
+      | None -> None
+      | Some v -> (
+        match Value.elements v with
+        | [||] | (exception Value.Bad_list _) -> None
+        | names ->
+          Option.map (fun (gs, body) -> ((v, names, word_ev items) :: gs, body)) (groups rest)))
+    | [] -> None
+  in
+  match groups ws with
+  | None | Some ([], _) -> None
+  | Some (gs, body_word) ->
+    let ref_of n = Value.var_ref (Value.to_string n) in
+    let refs = Array.concat (List.map (fun (_, names, _) -> Array.map ref_of names) gs) in
+    let sizes = List.map (fun (_, names, _) -> Array.length names) gs in
+    let lists = List.map (fun (_, _, ev) -> ev) gs and body = word_ev body_word in
+    let body_ws = [ body_word ] in
+    Some
+      (fun t ->
+        step t;
+        let ls = eval_list t lists in
+        let bv = body t in
+        if intact t then
+          loop t refs (Array.of_list (List.map2 (fun n l -> (n, list_of l)) sizes ls)) body_ws bv
+        else
+          fallback t node name
+            (List.concat (List.map2 (fun (v, _, _) l -> [ v; l ]) gs ls) @ [ bv ]))
+
+(* the builtin table's entries, installed once at start-up, and the
+   compilers of the builtins that have one *)
+let reg ?compile name run =
+  Hashtbl.replace builtins name { run; kind = Builtin };
+  Option.iter (Hashtbl.replace compilers name) compile
+
 let reg_string name fn = Hashtbl.replace builtins name (string_command Builtin Value.of_string fn)
 
 let install_core () =
-  reg "set" (fun t node args ->
+  reg "set"
+    ~compile:(fun node name ws ->
+      match ws with
+      | [ x ] ->
+        on_var x (fun r -> compile1 (fun t _ -> read r.name (ref_cell t r)) node name x)
+      | [ x; w ] ->
+        on_var x (fun r ->
+            compile2
+              (fun t _ v ->
+                write r.name (ref_cell t r) v;
+                v)
+              node name x w)
+      | _ -> None)
+    (fun t _ args ->
       match args with
-      | [ name ] ->
-        let r = arg_ref node name in
-        if r != no_ref then read r.name (ref_cell t r) else get_ref t (Value.to_string name)
+      | [ name ] -> get_ref t (Value.to_string name)
       | [ name; v ] ->
-        let r = arg_ref node name in
-        if r != no_ref then write r.name (ref_cell t r) v
-        else set_ref t (Value.to_string name) v;
+        set_ref t (Value.to_string name) v;
         v
       | _ -> err "wrong # args: should be \"set varName ?newValue?\"");
 
@@ -874,7 +1134,17 @@ let install_core () =
       List.iter (unset_ref t ~complain) names;
       "");
 
-  reg "incr" (fun t node args ->
+  reg "incr"
+    ~compile:(fun node name ws ->
+      match ws with
+      | [ x ] -> on_var x (fun r -> compile1 (fun t _ -> update_ref t r incr_by 1) node name x)
+      | [ x; w ] ->
+        on_var x (fun r ->
+            compile2
+              (fun t _ d -> update_ref t r incr_by (int_value "increment" d))
+              node name x w)
+      | _ -> None)
+    (fun t _ args ->
       match args with
       | [ name ] | [ name; _ ] ->
         (* an element of a scalar is a read error, as in Tcl *)
@@ -882,7 +1152,7 @@ let install_core () =
         | Some (a, i) when (lookup (scope t) a).v != Value.absent -> ignore (get_elem t a i)
         | _ -> ());
         let delta = match args with [ _; d ] -> int_value "increment" d | _ -> 1 in
-        update t node name incr_by delta
+        update t name incr_by delta
       | _ -> err "wrong # args: should be \"incr varName ?increment?\"");
 
   (* outside a proc, [global] does nothing *)
@@ -939,15 +1209,32 @@ let install_core () =
         restore ();
         raise e));
 
-  reg "proc" (fun t node args ->
+  (* a compiled [proc] keeps the command it defined last; on a list, each
+     definition is compiled anew *)
+  let define t slot name params body body_words =
+    define_proc t slot (Value.to_string name) params body body_words;
+    Value.empty
+  in
+  reg "proc"
+    ~compile:(fun node name ws ->
+      match ws with
+      | [ n; p; b ] ->
+        let slot = ref None and body_words = [ b ] in
+        Some (compile3 (fun t nv pv bv -> define t slot nv pv bv body_words) node name n p b)
+      | _ -> None)
+    (fun t node args ->
       match args with
       | [ name; params; body ] ->
-        define_proc t node (Value.to_string name) params body
-          (next_words (next_words (arg_words node)));
-        Value.empty
+        define t (ref None) name params body (next_words (next_words (arg_words node)))
       | _ -> err "wrong # args: should be \"proc name args body\"");
 
-  reg "return" (fun _ _ args ->
+  reg "return"
+    ~compile:(fun node name ws ->
+      match ws with
+      | [] -> Some (compile0 (fun _ -> raise (Return_exc Value.empty)) node name [])
+      | [ w ] -> Some (compile1 (fun _ v -> raise (Return_exc v)) node name w)
+      | _ -> None)
+    (fun _ _ args ->
       match args with
       | [] -> raise (Return_exc Value.empty)
       | [ v ] -> raise (Return_exc v)
@@ -987,7 +1274,18 @@ let install_core () =
   (* Each expression evaluated costs one step, charged before it is
      compiled.  [expr] takes its single argument's slot; several arguments
      are joined into run-time text. *)
-  reg "expr" (fun t node args ->
+  reg "expr"
+    ~compile:(fun node name ws ->
+      match ws with
+      | [ (Ast.Braced _ as w) ] ->
+        Some
+          (compile1
+             (fun t src ->
+               charge t 1;
+               expr_value t (expr_of t ws src))
+             node name w)
+      | _ -> None)
+    (fun t node args ->
       charge t 1;
       match args with
       | [ src ] -> expr_value t (expr_of t (arg_words node) src)
@@ -995,7 +1293,7 @@ let install_core () =
         let src = String.concat " " (List.map Value.to_string args) in
         expr_value t (compile_expr t src));
 
-  reg "if" (fun t node args -> if_clauses t (arg_words node) args);
+  reg "if" ~compile:compile_if (fun t node args -> if_clauses t (arg_words node) args);
 
   (* The loops look their condition and body up once per command, not per
      pass; each pass still charges one step for the test. *)
@@ -1006,8 +1304,7 @@ let install_core () =
         let cond = expr_of t ws cond in
         let body = script_of t (next_words ws) body in
         let rec loop () =
-          charge t 1;
-          if expr_bool t cond then begin
+          if test t cond then begin
             (try ignore (eval_ast t body) with Continue_exc -> ());
             loop ()
           end
@@ -1027,8 +1324,7 @@ let install_core () =
         let body = script_of t (next_words next_ws) body in
         let next = script_of t next_ws next in
         let rec loop () =
-          charge t 1;
-          if expr_bool t cond then begin
+          if test t cond then begin
             (try ignore (eval_ast t body) with Continue_exc -> ());
             ignore (eval_ast t next);
             loop ()
@@ -1038,9 +1334,8 @@ let install_core () =
         Value.empty
       | _ -> err "wrong # args: should be \"for start test next command\"");
 
-  reg "foreach" (fun t node args ->
-      iterate t ~cmd:"foreach" node args (fun body -> ignore (eval_ast t body));
-      Value.empty);
+  reg "foreach" ~compile:(compile_iterate foreach) (fun t node args ->
+      iterate_args t ~cmd:"foreach" node args foreach);
 
   reg_string "array" (fun t args ->
       let find_array name = (lookup (scope t) name).elems in
@@ -1122,17 +1417,23 @@ let install_strings () =
       | sub :: _ -> err "unsupported string subcommand %S or wrong # args" sub
       | [] -> err "wrong # args: should be \"string subcommand ...\"");
 
-  reg "append" (fun t node args ->
+  reg "append" ~compile:(compile_update append) (fun t _ args ->
       match args with
-      | name :: parts ->
-        update t node name append parts
+      | name :: parts -> update t name append parts
       | [] -> err "wrong # args: should be \"append varName ?value ...?\"");
 
-  let split s ~on = Value.of_elements (Strutil.split s ~on Value.of_string) in
-  reg "split" (fun _ _ args ->
+  let split s on = Value.of_elements (Strutil.split (Value.to_string s) ~on Value.of_string) in
+  let white = " \t\n\r" in
+  reg "split"
+    ~compile:(fun node name ws ->
+      match ws with
+      | [ s ] -> Some (compile1 (fun _ s -> split s white) node name s)
+      | [ s; on ] -> Some (compile2 (fun _ s on -> split s (Value.to_string on)) node name s on)
+      | _ -> None)
+    (fun _ _ args ->
       match args with
-      | [ s ] -> split (Value.to_string s) ~on:" \t\n\r"
-      | [ s; on ] -> split (Value.to_string s) ~on:(Value.to_string on)
+      | [ s ] -> split s white
+      | [ s; on ] -> split s (Value.to_string on)
       | _ -> err "wrong # args: should be \"split string ?splitChars?\"");
 
   reg_string "join" (fun _ args ->
@@ -1144,25 +1445,36 @@ let install_strings () =
 let install_lists () =
   reg "list" (fun _ _ args -> Value.of_elements (Array.of_list args));
 
-  reg "llength" (fun _ _ args ->
+  let llength l = Value.int (Array.length (list_of l)) in
+  reg "llength"
+    ~compile:(fun node name ws ->
+      match ws with [ l ] -> Some (compile1 (fun _ l -> llength l) node name l) | _ -> None)
+    (fun _ _ args ->
       match args with
-      | [ l ] -> Value.int (Array.length (list_of l))
+      | [ l ] -> llength l
       | _ -> err "wrong # args: should be \"llength list\"");
 
-  reg "lindex" (fun _ _ args ->
+  let lindex l i =
+    let items = list_of l in
+    let len = Array.length items in
+    let i = index_value ~len i in
+    if i < 0 || i >= len then Value.empty else items.(i)
+  in
+  reg "lindex"
+    ~compile:(fun node name ws ->
+      match ws with
+      | [ l ] -> Some (compile1 (fun _ l -> l) node name l)
+      | [ l; i ] -> Some (compile2 (fun _ l i -> lindex l i) node name l i)
+      | _ -> None)
+    (fun _ _ args ->
       match args with
       | [ l ] -> l
-      | [ l; i ] ->
-        let items = list_of l in
-        let len = Array.length items in
-        let i = index_value ~len i in
-        if i < 0 || i >= len then Value.empty else items.(i)
+      | [ l; i ] -> lindex l i
       | _ -> err "wrong # args: should be \"lindex list ?index?\"");
 
-  reg "lappend" (fun t node args ->
+  reg "lappend" ~compile:(compile_update lappend) (fun t _ args ->
       match args with
-      | name :: items ->
-        update t node name lappend items
+      | name :: items -> update t name lappend items
       | [] -> err "wrong # args: should be \"lappend varName ?value ...?\"");
 
   reg_string "lrange" (fun _ args ->
@@ -1249,10 +1561,8 @@ let install_lists () =
 
   reg_string "concat" (fun _ args -> concat args);
 
-  reg "lmap" (fun t node args ->
-      let out = ref [] in
-      iterate t ~cmd:"lmap" node args (fun body -> out := eval_ast t body :: !out);
-      Value.of_elements (Array.of_list (List.rev !out)))
+  reg "lmap" ~compile:(compile_iterate lmap) (fun t node args ->
+      iterate_args t ~cmd:"lmap" node args lmap)
 
 let () =
   install_core ();

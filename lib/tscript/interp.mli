@@ -28,33 +28,55 @@ exception Resource_exhausted
 
 (** {1 Compile caches}
 
-    Each literal braced word of a parsed script keeps its own parse and
-    compiled expression ({!Ast.braced}), and each [\[...\]] inside a
-    compiled expression keeps its parsed script ({!Expr.cmd}).  The
-    builtins that take a script or expression argument — [if]/[elseif]/
-    [else], [while], [for], [foreach], [lmap], [catch], single-argument
-    [expr] and the body of a [proc] — use that slot when the argument is
-    such a word.  Behind the slots is one bounded LRU of parsed scripts
-    keyed by source text.  It serves the top-level script (an agent's
-    CODE, the prelude), script text built at run time ([if $c $b],
-    [eval], [uplevel]) and each slot's first fill.  Expression text built
-    at run time ([if $c ...], multi-argument [expr]) is compiled anew.
+    Each command of a parsed script is compiled on its first execution
+    into a closure kept on its node ({!Ast.command}), which later runs
+    reuse.  The words of a command are compiled to evaluators: a literal
+    is its value, [$x] a read through the variable's cached cell, [\[...\]]
+    a run of the nested script.  [set] and [incr] with a literal variable
+    name, single-argument [expr {...}], [if]/[elseif]/[else] whose words
+    are all literal, [foreach] and [lmap] with literal variable lists,
+    [append], [lappend], [lindex], [llength], [split], [return] and [proc]
+    run as closures that take their words' values directly, without an
+    argument list.  A call by a literal name that no builtin has binds its
+    words straight into the called proc's frame.  These specialised
+    closures run only in an interpreter that has every builtin; in one
+    that has redefined or removed a builtin name, they hand the values
+    they evaluated to whatever command has the name there.  Any other
+    command (a name built at run time, another builtin, or a shape the
+    closures do not handle, malformed ones included) evaluates its words
+    into a list, resolves its name and runs the command's one
+    implementation.  Every form charges the command's step before its
+    words are evaluated, evaluates them left to right, and resolves the
+    name after them.
+
+    Each literal braced word keeps its own parse and compiled expression
+    ({!Ast.braced}), and each [\[...\]] inside a compiled expression
+    keeps its parsed script ({!Expr.cmd}).  The builtins that take a
+    script or expression argument — [if]/[elseif]/[else], [while], [for],
+    [foreach], [lmap], [catch], single-argument [expr] and the body of a
+    [proc] — use that slot when the argument is such a word.  Behind the
+    slots is one bounded LRU of parsed scripts keyed by source text.  It
+    serves the top-level script (an agent's CODE, the prelude), script
+    text built at run time ([if $c $b], [eval], [uplevel]) and each
+    slot's first fill.  Expression text built at run time ([if $c ...],
+    multi-argument [expr]) is compiled anew.
 
     A [caches] value can be shared between interpreter instances: the
     kernel creates one per simulation and threads it through every
-    per-activation interpreter, so an agent's code is parsed once per
-    simulation, not once per activation.
+    per-activation interpreter, so an agent's code is parsed and compiled
+    once per simulation, not once per activation.
 
     A cache {e hit} in {!profile} means a compile avoided, whichever layer
     served it: a slot reuse counts as a hit exactly where an LRU lookup
-    would have been made, so the parse counters do not depend on the slots.
+    would have been made, so the parse counters do not depend on the slots
+    or on the compiled forms.
 
     Sharing is only safe {e within} one simulation.  A [caches] value and
-    the ASTs it holds are mutable (LRU state, inline command caches,
-    proc definition slots, compile slots, the cached int and list forms of literal words, the
-    interpreter-uid fountain), so they must never be
-    shared across simulations running concurrently on a
-    {!Tacoma_util.Pool} — each pool task creates its own kernel and
+    the ASTs it holds are mutable (LRU state, compiled commands with their
+    name resolutions and proc definitions, compile slots, the cached int
+    and list forms of literal words, the interpreter-uid fountain), so
+    they must never be shared across simulations running concurrently on
+    a {!Tacoma_util.Pool} — each pool task creates its own kernel and
     therefore its own caches. *)
 
 type caches

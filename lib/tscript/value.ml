@@ -97,7 +97,7 @@ let of_list = function
     let rest = List.map (quote_element ~first:false) rest in
     String.concat " " (quote_element ~first:true first :: rest)
 
-exception Bad of string
+exception Bad_list of string
 
 (* Tcl's list white space: a vertical tab or form feed separates elements
    too *)
@@ -172,7 +172,7 @@ let junk_after what s i =
     incr j
   done;
   raise
-    (Bad
+    (Bad_list
        (Printf.sprintf "list element in %s followed by \"%s\" instead of space" what
           (String.sub s i (!j - i))))
 
@@ -211,7 +211,7 @@ let next_element s c =
         | _ -> ());
         incr i
       done;
-      if !depth > 0 then raise (Bad "unmatched open brace in list");
+      if !depth > 0 then raise (Bad_list "unmatched open brace in list");
       if !i < n && not (is_space s.[!i]) then junk_after "braces" s !i;
       c.start <- start + 1;
       c.stop <- !i - 1
@@ -224,7 +224,7 @@ let next_element s c =
         end
         else incr i
       done;
-      if !i >= n then raise (Bad "unmatched open quote in list");
+      if !i >= n then raise (Bad_list "unmatched open quote in list");
       c.start <- start + 1;
       c.stop <- !i;
       incr i;
@@ -274,7 +274,7 @@ let read_elements s f =
     a
   end
 
-let to_list s = try Ok (to_list_aux s) with Bad msg -> Error msg
+let to_list s = try Ok (to_list_aux s) with Bad_list msg -> Error msg
 
 let to_list_exn s =
   match to_list s with Ok l -> l | Error msg -> invalid_arg ("Value.to_list_exn: " ^ msg)
@@ -351,16 +351,14 @@ let to_int v = match to_int_exn v with i -> Some i | exception Not_int -> None
 
 let elements v =
   match v with
-  | Lst r -> Ok r.elems
-  | Str { rep = List_rep elems; _ } -> Ok elems
-  | Str r -> (
-    match read_elements r.s of_string with
-    | elems ->
-      r.rep <- List_rep elems;
-      Ok elems
-    | exception Bad msg -> Error msg)
+  | Lst r -> r.elems
+  | Str { rep = List_rep elems; _ } -> elems
+  | Str r ->
+    let elems = read_elements r.s of_string in
+    r.rep <- List_rep elems;
+    elems
   (* an integer's string is one bare word *)
-  | Int _ -> Ok [| v |]
+  | Int _ -> [| v |]
 
 (* ---- variables ---------------------------------------------------------- *)
 

@@ -82,10 +82,14 @@ val to_int_exn : t -> int
     allocation at all.
     @raise Not_int (without a backtrace) when the value is no integer. *)
 
-val elements : t -> (t array, string) result
+exception Bad_list of string
+(** A malformed list, with Tcl's message: what {!elements} raises. *)
+
+val elements : t -> t array
 (** [to_list] of the string, cached.  The array is shared with the value
     and must not be modified.  The reader counts the elements first and
-    then fills an array of that size, so it builds no list. *)
+    then fills an array of that size, so it builds no list.
+    @raise Bad_list on a malformed list, where {!to_list} gives [Error]. *)
 
 (** {1 Variables}
 

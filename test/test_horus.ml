@@ -152,6 +152,29 @@ let test_lossy_admission () =
         (fun s -> Net.set_link_degraded net s 3 (if on then Some (400.0, 1.0) else None))
         [ 0; 1; 2; 4 ])
 
+(* Every link to site 3 is lost from just after its first JoinReq until
+   25 s, so all ten of its tries go unanswered and it installs a view of
+   its own at about 19 s.  It must keep asking, and be merged back into
+   the group once its links heal. *)
+let test_singleton_merges_back () =
+  let net, g, _ = mk () in
+  let loss on =
+    List.iter (fun s -> Net.set_link_loss net s 3 (if on then Some 0.999999 else None)) [ 0; 1; 2; 4 ]
+  in
+  ignore (Net.schedule net ~after:1.0 (fun () -> Net.crash net 3));
+  ignore
+    (Net.schedule net ~after:9.0 (fun () ->
+         Net.restart net 3;
+         Group.rejoin g 3));
+  ignore (Net.schedule net ~after:9.0001 (fun () -> loss true));
+  ignore
+    (Net.schedule net ~after:20.0 (fun () ->
+         check Alcotest.(list int) "alone at 20 s" [ 3 ] (view_exn g 3).View.members));
+  ignore (Net.schedule net ~after:25.0 (fun () -> loss false));
+  Net.run ~until:60.0 net;
+  check_same_view g ~like:0 [ 1; 2; 3; 4 ];
+  check Alcotest.(list int) "all five members" [ 0; 1; 2; 3; 4 ] (view_exn g 3).View.members
+
 let test_rejoined_member_receives () =
   let net, g, _ = mk () in
   ignore (Net.schedule net ~after:1.0 (fun () -> Net.crash net 3));
@@ -245,6 +268,7 @@ let () =
           Alcotest.test_case "rejoined member receives" `Quick test_rejoined_member_receives;
           Alcotest.test_case "view installed once" `Quick test_view_installed_once;
           Alcotest.test_case "lossy admission" `Quick test_lossy_admission;
+          Alcotest.test_case "singleton merges back" `Quick test_singleton_merges_back;
           Alcotest.test_case "sole survivor" `Quick test_sole_survivor;
           Alcotest.test_case "crash storm convergence" `Quick test_crash_storm_convergence;
           Alcotest.test_case "heartbeat bytes" `Quick test_heartbeat_traffic_accounted;

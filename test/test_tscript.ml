@@ -1152,6 +1152,67 @@ let cmdcache_tests =
     Alcotest.test_case "register over a proc" `Quick test_register_over_proc;
   ]
 
+(* --- compiled commands against the generic invoke --- *)
+
+(* builtins a program may not call, one of which the generic run takes
+   away *)
+let spare_builtins =
+  [ "lreverse"; "lassign"; "concat"; "uplevel"; "lrange"; "lsort"; "array"; "join"; "error" ]
+
+let mentions src name =
+  let n = String.length name in
+  let rec at i = i + n <= String.length src && (String.sub src i n = name || at (i + 1)) in
+  at 0
+
+(* [src] in a plain interpreter, and in one where a builtin that [src]
+   never names is re-registered as a host command, so no compiled command
+   is valid there and every node takes the generic invoke.  The two runs
+   must print, return and charge the same, and count the same cache hits. *)
+let same_compiled_and_generic src =
+  let run shadow =
+    let it = Interp.create ~step_limit:1_000_000 () in
+    Option.iter
+      (fun name -> Interp.register it name (fun _ _ -> Alcotest.failf "%s was called" name))
+      shadow;
+    let r =
+      match Interp.eval it src with r -> Some r | exception Interp.Resource_exhausted -> None
+    in
+    (r, Interp.take_output it, Interp.steps_used it, Interp.profile it)
+  in
+  match List.find_opt (fun name -> not (mentions src name)) spare_builtins with
+  | None -> Alcotest.failf "every spare builtin is named in %S" src
+  | Some name ->
+    let plain = run None and generic = run (Some name) in
+    let show (r, out, steps, (p : Interp.profile)) =
+      Printf.sprintf "%s, output %S, %d steps, %d commands, parse %d/%d, expr %d/%d"
+        (match r with
+        | Some (Ok v) -> "ok " ^ v
+        | Some (Error e) -> "error " ^ e
+        | None -> "exhausted")
+        out steps p.commands p.parse_hits p.parse_misses p.expr_hits p.expr_misses
+    in
+    if plain <> generic then
+      Alcotest.failf "compiled: %s\ngeneric:  %s" (show plain) (show generic)
+
+let test_compiled_oracle_programs () =
+  let dir = "tcl" in
+  let cases =
+    List.filter (fun f -> Filename.check_suffix f ".tcl") (Array.to_list (Sys.readdir dir))
+  in
+  check Alcotest.bool "found the oracle programs" true (List.length cases >= 10);
+  List.iter
+    (fun f ->
+      let src = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+      same_compiled_and_generic src)
+    cases
+
+let test_compiled_generated =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"generated programs" ~print:Fun.id Tclgen.program
+       (fun src ->
+         same_compiled_and_generic src;
+         true))
+
 (* --- list scanner: the rewritten readers against the old ones --- *)
 
 (* [Value.to_list] before it sliced spans: one Buffer copy per character,
@@ -1276,7 +1337,11 @@ let test_elements_model =
   qtest ~count:2000 "elements agree with to_list"
     QCheck2.Gen.(string_size ~gen:list_alphabet (0 -- 24))
     (fun s ->
-      let elements = Result.map (Array.map Value.to_string) (Value.elements (Value.of_string s)) in
+      let elements =
+        match Value.elements (Value.of_string s) with
+        | a -> Ok (Array.map Value.to_string a)
+        | exception Value.Bad_list msg -> Error msg
+      in
       elements = Result.map Array.of_list (Value.to_list s))
 
 let test_split_model =
@@ -1382,6 +1447,11 @@ let () =
         ] );
       ("lists", [ test_to_list_model; test_split_model; test_elements_model ]);
       ("cmdcache", expect_cases "cmdcache" cmdcache_cases @ cmdcache_tests);
+      ( "compiled",
+        [
+          Alcotest.test_case "oracle programs" `Quick test_compiled_oracle_programs;
+          test_compiled_generated;
+        ] );
       ( "strutil",
         [
           Alcotest.test_case "glob match" `Quick test_glob;
