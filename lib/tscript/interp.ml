@@ -740,7 +740,7 @@ let bind_params t (d : proc_def) args =
   frame d.names cells None id
 
 (* [body_words] starts at the body's word: a literal body keeps its slot in
-   the closure, so each call reuses the parse instead of looking it up.
+   the definition, so each call reuses the parse instead of looking it up.
    The command depends on no interpreter. *)
 let compile_proc name spec body body_words =
   let params = parse_params spec in
