@@ -224,6 +224,85 @@ let bench_interp_activation =
          ignore (Tscript.Interp.eval it Tacoma_core.Prelude.standard);
          ignore (Tscript.Interp.eval it code)))
 
+(* Cold code: what a kernel pays the first time it meets a CODE variant.
+   The variant is shaped like the agent-tour benchmark's: 48 small procs of
+   four shapes, then a loop that scores each cabinet record with one of
+   them and files a tally. *)
+let agent_code =
+  let rng = Tacoma_util.Rng.create 1L in
+  let b = Buffer.create 3072 in
+  for i = 0 to 47 do
+    let a = 3 + Tacoma_util.Rng.int rng 97
+    and c = Tacoma_util.Rng.int rng 1000
+    and m = 101 + Tacoma_util.Rng.int rng 900 in
+    match i mod 4 with
+    | 0 -> Printf.bprintf b "proc f%d {x} { expr {($x * %d + %d) %% %d} }\n" i a c m
+    | 1 -> Printf.bprintf b "proc f%d {x} { expr {($x / %d) %% %d + %d} }\n" i a m c
+    | 2 ->
+      Printf.bprintf b "proc f%d {x} { if {$x > %d} { expr {$x - %d} } else { expr {$x + %d} } }\n"
+        i (c * 100) a m
+    | _ -> Printf.bprintf b "proc f%d {x} { expr {[f%d $x] * %d %% %d} }\n" i (i - 1) a m
+  done;
+  Buffer.add_string b
+    {|set n 0
+set hits 0
+set sum 0
+foreach rec [cabinet list DATA] {
+  set kv [split $rec =]
+  set v [lindex $kv 1]
+  set fn f[expr {$v % 48}]
+  set p [$fn $v]
+  if {$p > 250} {
+    incr hits
+    incr sum $p
+  }
+  incr n
+}
+folder put TALLY "[host]:$n:$hits:$sum"
+|};
+  Buffer.contents b
+
+let bench_parse_agent_code =
+  Test.make ~name:"tscript parse: 48-proc agent CODE (2.8 KB)"
+    (Staged.stage (fun () -> ignore (Tscript.Parse.script agent_code)))
+
+(* the kernel's activation of [agent_code] on a site whose cabinet holds 60
+   records, on caches no activation has filled: the prelude, the CODE and
+   every body and expression it runs are parsed and compiled *)
+let bench_cold_activation =
+  let cabinet = Cabinet.create () in
+  for r = 0 to 59 do
+    Cabinet.put cabinet "DATA" (Printf.sprintf "r%d=%d" r (r * 7919 mod 100_000))
+  done;
+  let host =
+    {
+      Tacoma_core.Bindings.site_name = (fun () -> "site-1");
+      self = (fun () -> "tour-hop");
+      now = (fun () -> 0.0);
+      neighbors = (fun () -> []);
+      meet = ignore;
+      sleep = ignore;
+      log = ignore;
+      random_int = (fun _ -> 0);
+      cabinet;
+      code = (fun () -> agent_code);
+      dispatch = (fun ~host:_ ~contact:_ -> ());
+    }
+  in
+  let activate () =
+    let it = Tscript.Interp.create ~caches:(Tscript.Interp.create_caches ()) () in
+    Tacoma_core.Bindings.install host (Briefcase.create ()) it;
+    List.iter
+      (fun src ->
+        match Tscript.Interp.eval it src with
+        | Ok _ -> ()
+        | Error msg -> failwith ("cold activation: " ^ msg))
+      [ Tacoma_core.Prelude.standard; agent_code ]
+  in
+  activate ();
+  Test.make ~name:"tscript cold activation: fresh caches, 48 procs, 60 records"
+    (Staged.stage activate)
+
 (* a language substrate beyond the minimum: arrays *)
 let bench_interp_array =
   let code = "for {set i 0} {$i < 20} {incr i} {set a($i) $i}; array size a" in
@@ -414,6 +493,8 @@ let all_benches =
       bench_interp_globals;
       bench_interp_proc_global;
       bench_interp_activation;
+      bench_parse_agent_code;
+      bench_cold_activation;
       bench_folder_contains;
       bench_cabinet_contains;
       bench_mint_validate;

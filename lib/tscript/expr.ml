@@ -6,180 +6,177 @@ let fail msg = raise (Error msg)
 
 (* --- lexer ------------------------------------------------------------ *)
 
+(* The lexer scans [src] by index.  A token's text is one [String.sub] of
+   the source, made only when the AST keeps it, and an operator is a
+   constant string; a token with a payload leaves it in [num] or [text]. *)
 type token =
-  | Tnum of num
-  | Tstr of string
-  | Tvar of string
-  | Tcmd of string
-  | Tident of string (* function name *)
+  | Tnum (* [num] *)
+  | Tstr (* [text] *)
+  | Tvar (* [text] *)
+  | Tcmd (* [text] *)
+  | Tident (* [text]: a function name *)
   | Top of string
   | Tlparen
   | Trparen
   | Tcomma
   | Teof
 
-type lexer = { src : string; mutable pos : int; mutable tok : token }
+type lexer = {
+  src : string;
+  mutable pos : int;
+  mutable tok : token;
+  mutable num : num;
+  mutable text : string;
+  mutable pure : bool; (* of the node the parser built last; see [wrap] *)
+}
 
 let is_digit c = c >= '0' && c <= '9'
 let is_ident_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || is_digit c || c = '_'
 
-let rec next_token lx =
-  let n = String.length lx.src in
-  while lx.pos < n && (lx.src.[lx.pos] = ' ' || lx.src.[lx.pos] = '\t' || lx.src.[lx.pos] = '\n') do
-    lx.pos <- lx.pos + 1
+(* the index of the first character from [i] that is not [ok], or [n] *)
+let rec skip ok src i n = if i < n && ok src.[i] then skip ok src (i + 1) n else i
+
+(* [src.[i..j)], all digits, as an int: [None]'s place is [-1], for a
+   number past [max_int] *)
+let rec digits src i j acc =
+  if i = j then acc
+  else
+    let d = Char.code src.[i] - 48 in
+    if acc > (max_int - d) / 10 then -1 else digits src (i + 1) j ((acc * 10) + d)
+
+(* the index of the [closing] character that balances the [opening] one at
+   [i], or -1 when none does; [depth] counts from 0 *)
+let rec close_of src opening closing i n depth =
+  if i >= n then -1
+  else
+    let c = src.[i] in
+    let depth = if c = opening then depth + 1 else if c = closing then depth - 1 else depth in
+    if depth = 0 then i else close_of src opening closing (i + 1) n depth
+
+let float_of src i j = Float (float_of_string (String.sub src i (j - i)))
+
+let take lx tok stop =
+  lx.pos <- stop;
+  tok
+
+let number lx start =
+  let src = lx.src and n = String.length lx.src in
+  let seen_dot = ref false and seen_exp = ref false in
+  let continue = ref true in
+  while !continue && lx.pos < n do
+    let d = src.[lx.pos] in
+    if is_digit d then lx.pos <- lx.pos + 1
+    else if d = '.' && (not !seen_dot) && not !seen_exp then begin
+      seen_dot := true;
+      lx.pos <- lx.pos + 1
+    end
+    else if (d = 'e' || d = 'E') && (not !seen_exp) && lx.pos + 1 < n
+            && (is_digit src.[lx.pos + 1]
+               || ((src.[lx.pos + 1] = '+' || src.[lx.pos + 1] = '-')
+                  && lx.pos + 2 < n && is_digit src.[lx.pos + 2])) then begin
+      seen_exp := true;
+      lx.pos <- lx.pos + if is_digit src.[lx.pos + 1] then 1 else 2
+    end
+    else continue := false
   done;
+  lx.num <-
+    (if !seen_dot || !seen_exp then float_of src start lx.pos
+     else match digits src start lx.pos 0 with -1 -> float_of src start lx.pos | i -> Int i);
+  Tnum
+
+let next_token lx =
+  let src = lx.src in
+  let n = String.length src in
+  lx.pos <- skip (fun c -> c = ' ' || c = '\t' || c = '\n') src lx.pos n;
   if lx.pos >= n then Teof
   else
-    let c = lx.src.[lx.pos] in
-    if is_digit c || (c = '.' && lx.pos + 1 < n && is_digit lx.src.[lx.pos + 1]) then begin
-      let start = lx.pos in
-      let seen_dot = ref false and seen_exp = ref false in
-      let continue = ref true in
-      while !continue && lx.pos < n do
-        let d = lx.src.[lx.pos] in
-        if is_digit d then lx.pos <- lx.pos + 1
-        else if d = '.' && not !seen_dot && not !seen_exp then begin
-          seen_dot := true;
-          lx.pos <- lx.pos + 1
-        end
-        else if (d = 'e' || d = 'E') && not !seen_exp && lx.pos + 1 < n
-                && (is_digit lx.src.[lx.pos + 1]
-                   || ((lx.src.[lx.pos + 1] = '+' || lx.src.[lx.pos + 1] = '-')
-                      && lx.pos + 2 < n && is_digit lx.src.[lx.pos + 2])) then begin
-          seen_exp := true;
-          lx.pos <- lx.pos + (if is_digit lx.src.[lx.pos + 1] then 1 else 2)
-        end
-        else continue := false
-      done;
-      let text = String.sub lx.src start (lx.pos - start) in
-      if !seen_dot || !seen_exp then Tnum (Float (float_of_string text))
-      else
-        match int_of_string_opt text with
-        | Some i -> Tnum (Int i)
-        | None -> Tnum (Float (float_of_string text))
-    end
-    else if c = '$' then begin
-      lx.pos <- lx.pos + 1;
-      if lx.pos < n && lx.src.[lx.pos] = '{' then begin
-        let start = lx.pos + 1 in
-        let close = String.index_from_opt lx.src start '}' in
-        match close with
-        | None -> fail "unterminated ${ in expression"
-        | Some e ->
-          lx.pos <- e + 1;
-          Tvar (String.sub lx.src start (e - start))
+    let c = src.[lx.pos] in
+    let start = lx.pos in
+    if is_digit c || (c = '.' && start + 1 < n && is_digit src.[start + 1]) then number lx start
+    else if c = '$' then
+      if start + 1 < n && src.[start + 1] = '{' then begin
+        let close = skip (fun c -> c <> '}') src (start + 2) n in
+        if close = n then fail "unterminated ${ in expression";
+        lx.text <- String.sub src (start + 2) (close - start - 2);
+        take lx Tvar (close + 1)
       end
       else begin
-        let start = lx.pos in
-        while lx.pos < n && is_ident_char lx.src.[lx.pos] do
-          lx.pos <- lx.pos + 1
-        done;
-        if lx.pos = start then fail "bare $ in expression";
-        let name = String.sub lx.src start (lx.pos - start) in
+        let stop = skip is_ident_char src (start + 1) n in
+        if stop = start + 1 then fail "bare $ in expression";
         (* array element: pass "name(raw index)" through to the lookup,
            which substitutes the index in the caller's scope *)
-        if lx.pos < n && lx.src.[lx.pos] = '(' then begin
-          let istart = lx.pos in
-          let depth = ref 0 in
-          let continue = ref true in
-          while !continue && lx.pos < n do
-            (match lx.src.[lx.pos] with
-            | '(' -> incr depth
-            | ')' -> decr depth
-            | _ -> ());
-            lx.pos <- lx.pos + 1;
-            if !depth = 0 then continue := false
-          done;
-          if !depth > 0 then fail "unterminated array index in expression";
-          Tvar (name ^ String.sub lx.src istart (lx.pos - istart))
-        end
-        else Tvar name
+        let stop =
+          if stop < n && src.[stop] = '(' then begin
+            let close = close_of src '(' ')' stop n 0 in
+            if close < 0 then fail "unterminated array index in expression";
+            close + 1
+          end
+          else stop
+        in
+        lx.text <- String.sub src (start + 1) (stop - start - 1);
+        take lx Tvar stop
       end
-    end
     else if c = '[' then begin
       (* balanced bracket scan; the interpreter evaluates the inside *)
-      let start = lx.pos + 1 in
-      let depth = ref 1 in
-      lx.pos <- lx.pos + 1;
-      while lx.pos < n && !depth > 0 do
-        (match lx.src.[lx.pos] with
-        | '[' -> incr depth
-        | ']' -> decr depth
-        | _ -> ());
-        lx.pos <- lx.pos + 1
-      done;
-      if !depth > 0 then fail "unterminated [ in expression";
-      Tcmd (String.sub lx.src start (lx.pos - 1 - start))
+      let close = close_of src '[' ']' start n 0 in
+      if close < 0 then fail "unterminated [ in expression";
+      lx.text <- String.sub src (start + 1) (close - start - 1);
+      take lx Tcmd (close + 1)
     end
     else if c = '"' || c = '{' then begin
-      let close_char = if c = '"' then '"' else '}' in
-      let buf = Buffer.create 16 in
-      lx.pos <- lx.pos + 1;
-      let depth = ref 1 in
-      let finished = ref false in
-      while lx.pos < n && not !finished do
-        let d = lx.src.[lx.pos] in
-        if c = '{' && d = '{' then begin
-          incr depth;
-          Buffer.add_char buf d;
-          lx.pos <- lx.pos + 1
-        end
-        else if d = close_char then begin
-          decr depth;
-          if !depth = 0 then begin
-            finished := true;
-            lx.pos <- lx.pos + 1
-          end
-          else begin
-            Buffer.add_char buf d;
-            lx.pos <- lx.pos + 1
-          end
-        end
-        else begin
-          Buffer.add_char buf d;
-          lx.pos <- lx.pos + 1
-        end
-      done;
-      if not !finished then fail "unterminated string in expression";
-      Tstr (Buffer.contents buf)
+      let close =
+        if c = '{' then close_of src '{' '}' start n 0
+        else match skip (fun c -> c <> '"') src (start + 1) n with i when i = n -> -1 | i -> i
+      in
+      if close < 0 then fail "unterminated string in expression";
+      lx.text <- String.sub src (start + 1) (close - start - 1);
+      take lx Tstr (close + 1)
     end
     else if is_ident_char c then begin
-      let start = lx.pos in
-      while lx.pos < n && is_ident_char lx.src.[lx.pos] do
-        lx.pos <- lx.pos + 1
-      done;
-      let name = String.sub lx.src start (lx.pos - start) in
-      match name with
-      | "eq" | "ne" | "in" | "ni" -> Top name
-      | _ -> Tident name
+      let stop = skip is_ident_char src start n in
+      lx.pos <- stop;
+      if stop - start = 2 then
+        match (c, src.[start + 1]) with
+        | 'e', 'q' -> Top "eq"
+        | 'n', 'e' -> Top "ne"
+        | 'i', 'n' -> Top "in"
+        | 'n', 'i' -> Top "ni"
+        | _ ->
+          lx.text <- String.sub src start 2;
+          Tident
+      else begin
+        lx.text <- String.sub src start (stop - start);
+        Tident
+      end
     end
-    else begin
-      let two =
-        if lx.pos + 1 < n then Some (String.sub lx.src lx.pos 2) else None
-      in
-      match two with
-      | Some (("==" | "!=" | "<=" | ">=" | "&&" | "||" | "**") as op) ->
-        lx.pos <- lx.pos + 2;
-        Top op
-      | Some _ | None -> (
-        match c with
-        | '+' | '-' | '*' | '/' | '%' | '<' | '>' | '!' | '~' | '?' | ':' ->
-          lx.pos <- lx.pos + 1;
-          Top (String.make 1 c)
-        | '(' ->
-          lx.pos <- lx.pos + 1;
-          Tlparen
-        | ')' ->
-          lx.pos <- lx.pos + 1;
-          Trparen
-        | ',' ->
-          lx.pos <- lx.pos + 1;
-          Tcomma
-        | _ -> fail (Printf.sprintf "unexpected character %C in expression" c))
-    end
+    else
+      let d = if start + 1 < n then src.[start + 1] else ' ' in
+      match (c, d) with
+      | '=', '=' -> take lx (Top "==") (start + 2)
+      | '!', '=' -> take lx (Top "!=") (start + 2)
+      | '<', '=' -> take lx (Top "<=") (start + 2)
+      | '>', '=' -> take lx (Top ">=") (start + 2)
+      | '&', '&' -> take lx (Top "&&") (start + 2)
+      | '|', '|' -> take lx (Top "||") (start + 2)
+      | '*', '*' -> take lx (Top "**") (start + 2)
+      | '+', _ -> take lx (Top "+") (start + 1)
+      | '-', _ -> take lx (Top "-") (start + 1)
+      | '*', _ -> take lx (Top "*") (start + 1)
+      | '/', _ -> take lx (Top "/") (start + 1)
+      | '%', _ -> take lx (Top "%") (start + 1)
+      | '<', _ -> take lx (Top "<") (start + 1)
+      | '>', _ -> take lx (Top ">") (start + 1)
+      | '!', _ -> take lx (Top "!") (start + 1)
+      | '~', _ -> take lx (Top "~") (start + 1)
+      | '?', _ -> take lx (Top "?") (start + 1)
+      | ':', _ -> take lx (Top ":") (start + 1)
+      | '(', _ -> take lx Tlparen (start + 1)
+      | ')', _ -> take lx Trparen (start + 1)
+      | ',', _ -> take lx Tcomma (start + 1)
+      | _ -> fail (Printf.sprintf "unexpected character %C in expression" c)
 
-and advance lx = lx.tok <- next_token lx
+let advance lx = lx.tok <- next_token lx
 
 (* --- numeric coercions ------------------------------------------------- *)
 
@@ -289,25 +286,6 @@ type binop =
   | InList
   | NiList
 
-let binop_of_string = function
-  | "+" -> Add
-  | "-" -> Sub
-  | "*" -> Mul
-  | "/" -> Div
-  | "%" -> Mod
-  | "**" -> Pow
-  | "<" -> Lt
-  | "<=" -> Le
-  | ">" -> Gt
-  | ">=" -> Ge
-  | "==" -> EqNum
-  | "!=" -> NeNum
-  | "eq" -> StrEq
-  | "ne" -> StrNe
-  | "in" -> InList
-  | "ni" -> NiList
-  | op -> fail (Printf.sprintf "unknown operator %s" op)
-
 type 'script ast =
   | Const of num
   | Var of Value.var_ref (* "$name" or "name(raw index)"; resolved via env.var *)
@@ -328,104 +306,141 @@ and 'script cmd = { text : string; mutable script : 'script option }
 
 (* --- parser (source -> ast) -------------------------------------------- *)
 
-type pctx = { lx : lexer }
+(* A subtree is pure when it holds only integer constants, scalar [$var]
+   reads and the integer operators below: it calls no command and reads
+   nothing twice differently, so evaluating it again is safe.  An array
+   reference is not pure, since its index may hold a command.  The parser
+   wraps each maximal pure subtree that has an operator in [Pure]: each
+   parse function leaves in [lx.pure] whether the node it built is pure
+   (then still unwrapped, for its parent to decide), and a parent that is
+   not pure wraps its children with [wrap]. *)
+let int_op = function
+  | Add | Sub | Mul | Div | Mod | Pow | Lt | Le | Gt | Ge | EqNum | NeNum -> true
+  | StrEq | StrNe | InList | NiList -> false
 
-let rec parse_primary ctx =
-  match ctx.lx.tok with
-  | Tnum v ->
-    advance ctx.lx;
+let wrap node pure = match node with Bin _ when pure -> Pure node | _ -> node
+
+(* [node], built by a parse function that is not pure *)
+let impure lx node =
+  lx.pure <- false;
+  node
+
+let bin lx op a pa b pb =
+  if int_op op && pa && pb then begin
+    lx.pure <- true;
+    Bin (op, a, b)
+  end
+  else impure lx (Bin (op, wrap a pa, wrap b pb))
+
+let rec parse_primary lx =
+  match lx.tok with
+  | Tnum ->
+    let v = lx.num in
+    advance lx;
+    lx.pure <- (match v with Int _ -> true | Float _ | Str _ -> false);
     Const v
-  | Tstr s ->
-    advance ctx.lx;
-    Const (Str (Value.of_string s))
-  | Tvar name ->
-    advance ctx.lx;
+  | Tstr ->
+    let s = lx.text in
+    advance lx;
+    impure lx (Const (Str (Value.of_string s)))
+  | Tvar ->
+    let name = lx.text in
+    advance lx;
+    lx.pure <- not (String.contains name '(');
     Var (Value.var_ref name)
-  | Tcmd text ->
-    advance ctx.lx;
-    Cmd { text; script = None }
+  | Tcmd ->
+    let text = lx.text in
+    advance lx;
+    impure lx (Cmd { text; script = None })
   | Tlparen ->
-    advance ctx.lx;
-    let v = parse_ternary ctx in
-    (match ctx.lx.tok with
-    | Trparen -> advance ctx.lx
+    advance lx;
+    let v = parse_ternary lx in
+    (match lx.tok with
+    | Trparen -> advance lx
     | _ -> fail "expected )");
     v
   | Top "-" ->
-    advance ctx.lx;
-    Neg (parse_unary ctx)
+    advance lx;
+    let a = parse_unary lx in
+    impure lx (Neg (wrap a lx.pure))
   | Top "+" ->
-    advance ctx.lx;
-    Pos (parse_unary ctx)
+    advance lx;
+    let a = parse_unary lx in
+    impure lx (Pos (wrap a lx.pure))
   | Top "!" ->
-    advance ctx.lx;
-    Not (parse_unary ctx)
+    advance lx;
+    let a = parse_unary lx in
+    impure lx (Not (wrap a lx.pure))
   | Top "~" ->
-    advance ctx.lx;
-    BitNot (parse_unary ctx)
-  | Tident name ->
-    advance ctx.lx;
-    parse_call ctx name
+    advance lx;
+    let a = parse_unary lx in
+    impure lx (BitNot (wrap a lx.pure))
+  | Tident ->
+    let name = lx.text in
+    advance lx;
+    parse_call lx name
   | Top op -> fail (Printf.sprintf "unexpected operator %s" op)
   | Trparen -> fail "unexpected )"
   | Tcomma -> fail "unexpected ,"
   | Teof -> fail "unexpected end of expression"
 
-and parse_unary ctx = parse_primary ctx
+and parse_unary lx = parse_primary lx
 
-and parse_call ctx name =
+and parse_call lx name =
   match name with
   (* bare boolean words, with or without call syntax *)
   | "true" | "yes" | "on" ->
-    skip_bool_args ctx;
+    skip_bool_args lx;
+    lx.pure <- true;
     Const (Int 1)
   | "false" | "no" | "off" ->
-    skip_bool_args ctx;
+    skip_bool_args lx;
+    lx.pure <- true;
     Const (Int 0)
   | _ ->
     let args =
-      match ctx.lx.tok with
-      | Tlparen ->
-        advance ctx.lx;
-        if ctx.lx.tok = Trparen then begin
-          advance ctx.lx;
+      match lx.tok with
+      | Tlparen -> (
+        advance lx;
+        match lx.tok with
+        | Trparen ->
+          advance lx;
           []
-        end
-        else begin
-          let rec go acc =
-            let v = parse_ternary ctx in
-            match ctx.lx.tok with
-            | Tcomma ->
-              advance ctx.lx;
-              go (v :: acc)
-            | Trparen ->
-              advance ctx.lx;
-              List.rev (v :: acc)
-            | _ -> fail "expected , or ) in function call"
-          in
-          go []
-        end
+        | _ -> call_args lx)
       | _ -> []
     in
     (* arity is known at compile time; reject unknown functions here so the
        error surfaces on first evaluation, cached or not *)
     check_known name (List.length args);
-    Call (name, args)
+    impure lx (Call (name, args))
 
-and skip_bool_args ctx =
-  match ctx.lx.tok with
-  | Tlparen ->
-    advance ctx.lx;
+(* a call's arguments after its [(], through its [)] *)
+and call_args lx =
+  let v = parse_ternary lx in
+  let v = wrap v lx.pure in
+  match lx.tok with
+  | Tcomma ->
+    advance lx;
+    v :: call_args lx
+  | Trparen ->
+    advance lx;
+    [ v ]
+  | _ -> fail "expected , or ) in function call"
+
+and skip_bool_args lx =
+  match lx.tok with
+  | Tlparen -> (
+    advance lx;
     let rec go () =
-      let _ = parse_ternary ctx in
-      match ctx.lx.tok with
+      ignore (parse_ternary lx);
+      match lx.tok with
       | Tcomma ->
-        advance ctx.lx;
+        advance lx;
         go ()
-      | Trparen -> advance ctx.lx
+      | Trparen -> advance lx
       | _ -> fail "expected , or ) in function call"
     in
-    if ctx.lx.tok = Trparen then advance ctx.lx else go ()
+    match lx.tok with Trparen -> advance lx | _ -> go ())
   | _ -> ()
 
 and check_known name arity =
@@ -439,123 +454,98 @@ and check_known name arity =
   in
   if not ok then fail (Printf.sprintf "unknown function %s/%d" name arity)
 
-and parse_pow ctx =
-  let base = parse_unary ctx in
-  match ctx.lx.tok with
+and parse_pow lx =
+  let base = parse_unary lx in
+  match lx.tok with
   | Top "**" ->
-    advance ctx.lx;
+    let pb = lx.pure in
+    advance lx;
     (* right-associative *)
-    Bin (Pow, base, parse_pow ctx)
+    let e = parse_pow lx in
+    bin lx Pow base pb e lx.pure
   | _ -> base
 
-and parse_mul ctx =
-  let rec go acc =
-    match ctx.lx.tok with
-    | Top (("*" | "/" | "%") as op) ->
-      advance ctx.lx;
-      go (Bin (binop_of_string op, acc, parse_pow ctx))
-    | _ -> acc
-  in
-  go (parse_pow ctx)
+(* a left-associative level: [next] parses its operands, [op] maps an
+   operator of the level to its opcode and anything else to [None] *)
+and left lx next op acc =
+  match lx.tok with
+  | Top s -> (
+    match op s with
+    | Some o ->
+      let pa = lx.pure in
+      advance lx;
+      let b = next lx in
+      left lx next op (bin lx o acc pa b lx.pure)
+    | None -> acc)
+  | _ -> acc
 
-and parse_add ctx =
-  let rec go acc =
-    match ctx.lx.tok with
-    | Top (("+" | "-") as op) ->
-      advance ctx.lx;
-      go (Bin (binop_of_string op, acc, parse_mul ctx))
-    | _ -> acc
-  in
-  go (parse_mul ctx)
+and parse_mul lx =
+  left lx parse_pow (function "*" -> Some Mul | "/" -> Some Div | "%" -> Some Mod | _ -> None)
+    (parse_pow lx)
 
-and parse_cmp ctx =
-  let rec go acc =
-    match ctx.lx.tok with
-    | Top (("<" | "<=" | ">" | ">=") as op) ->
-      advance ctx.lx;
-      go (Bin (binop_of_string op, acc, parse_add ctx))
-    | _ -> acc
-  in
-  go (parse_add ctx)
+and parse_add lx = left lx parse_mul (function "+" -> Some Add | "-" -> Some Sub | _ -> None) (parse_mul lx)
 
-and parse_eq ctx =
-  let rec go acc =
-    match ctx.lx.tok with
-    | Top (("==" | "!=" | "eq" | "ne" | "in" | "ni") as op) ->
-      advance ctx.lx;
-      go (Bin (binop_of_string op, acc, parse_cmp ctx))
-    | _ -> acc
-  in
-  go (parse_cmp ctx)
+and parse_cmp lx =
+  left lx parse_add
+    (function "<" -> Some Lt | "<=" -> Some Le | ">" -> Some Gt | ">=" -> Some Ge | _ -> None)
+    (parse_add lx)
 
-and parse_and ctx =
-  let acc = parse_eq ctx in
-  match ctx.lx.tok with
+and parse_eq lx =
+  left lx parse_cmp
+    (function
+      | "==" -> Some EqNum
+      | "!=" -> Some NeNum
+      | "eq" -> Some StrEq
+      | "ne" -> Some StrNe
+      | "in" -> Some InList
+      | "ni" -> Some NiList
+      | _ -> None)
+    (parse_cmp lx)
+
+and parse_and lx =
+  let a = parse_eq lx in
+  match lx.tok with
   | Top "&&" ->
-    advance ctx.lx;
-    And (acc, parse_and ctx)
-  | _ -> acc
+    let pa = lx.pure in
+    advance lx;
+    let b = parse_and lx in
+    impure lx (And (wrap a pa, wrap b lx.pure))
+  | _ -> a
 
-and parse_or ctx =
-  let acc = parse_and ctx in
-  match ctx.lx.tok with
+and parse_or lx =
+  let a = parse_and lx in
+  match lx.tok with
   | Top "||" ->
-    advance ctx.lx;
-    Or (acc, parse_or ctx)
-  | _ -> acc
+    let pa = lx.pure in
+    advance lx;
+    let b = parse_or lx in
+    impure lx (Or (wrap a pa, wrap b lx.pure))
+  | _ -> a
 
-and parse_ternary ctx =
-  let cond = parse_or ctx in
-  match ctx.lx.tok with
+and parse_ternary lx =
+  let cond = parse_or lx in
+  match lx.tok with
   | Top "?" ->
-    advance ctx.lx;
-    let then_ = parse_ternary ctx in
-    (match ctx.lx.tok with
-    | Top ":" -> advance ctx.lx
+    let pc = lx.pure in
+    advance lx;
+    let then_ = parse_ternary lx in
+    let pt = lx.pure in
+    (match lx.tok with
+    | Top ":" -> advance lx
     | _ -> fail "expected : in ?: expression");
     (* right-associative: the else arm may itself be a ternary *)
-    Ternary (cond, then_, parse_ternary ctx)
+    let else_ = parse_ternary lx in
+    impure lx (Ternary (wrap cond pc, wrap then_ pt, wrap else_ lx.pure))
   | _ -> cond
 
-(* A subtree is pure when it holds only integer constants, scalar [$var]
-   reads and the integer operators below: it calls no command and reads
-   nothing twice differently, so evaluating it again is safe.  An array
-   reference is not pure, since its index may hold a command.  [mark]
-   gives the node with each maximal pure subtree that has an operator
-   wrapped in [Pure], and whether the node itself is pure (then still
-   unwrapped, for its parent to decide). *)
-let int_op = function
-  | Add | Sub | Mul | Div | Mod | Pow | Lt | Le | Gt | Ge | EqNum | NeNum -> true
-  | StrEq | StrNe | InList | NiList -> false
-
-let wrap (node, pure) = match node with Bin _ when pure -> Pure node | _ -> node
-
-let rec mark node =
-  match node with
-  | Const (Int _) -> (node, true)
-  | Var r -> (node, not (String.contains r.Value.name '('))
-  | Bin (op, a, b) ->
-    let (a', pa) as ma = mark a and ((b', pb) as mb) = mark b in
-    if int_op op && pa && pb then (Bin (op, a', b'), true) else (Bin (op, wrap ma, wrap mb), false)
-  | Not a -> (Not (wrap (mark a)), false)
-  | Neg a -> (Neg (wrap (mark a)), false)
-  | Pos a -> (Pos (wrap (mark a)), false)
-  | BitNot a -> (BitNot (wrap (mark a)), false)
-  | And (a, b) -> (And (wrap (mark a), wrap (mark b)), false)
-  | Or (a, b) -> (Or (wrap (mark a), wrap (mark b)), false)
-  | Ternary (c, a, b) -> (Ternary (wrap (mark c), wrap (mark a), wrap (mark b)), false)
-  | Call (name, args) -> (Call (name, List.map (fun a -> wrap (mark a)) args), false)
-  | Const _ | Cmd _ | Pure _ -> (node, false)
-
 let compile src =
-  let lx = { src; pos = 0; tok = Teof } in
+  let lx = { src; pos = 0; tok = Teof; num = Int 0; text = ""; pure = false } in
   advance lx;
-  let ctx = { lx } in
-  let ast = parse_ternary ctx in
-  (match ctx.lx.tok with
+  let ast = parse_ternary lx in
+  (match lx.tok with
   | Teof -> ()
   | _ -> fail "trailing characters in expression");
-  wrap (mark ast)
+  wrap ast lx.pure
 
 (* --- evaluator (ast -> num) --------------------------------------------- *)
 

@@ -420,6 +420,19 @@ let args_ev (evs : code list) =
       [ va; vb; vc ]
   | evs -> fun t -> eval_list t evs
 
+(* the words evaluated, left to right, into the cells of a new frame [id] *)
+let eval_cells t id (evs : code array) =
+  let n = Array.length evs in
+  let cells = Array.make n Value.nowhere in
+  for i = 0 to n - 1 do
+    Array.unsafe_set cells i (Value.cell id ((Array.unsafe_get evs i) t))
+  done;
+  cells
+
+(* the values of [cells.(0..i)], for a command that takes a list *)
+let rec values (cells : Value.cell array) i acc =
+  if i < 0 then acc else values cells (i - 1) (cells.(i).v :: acc)
+
 let check_depth t =
   if t.depth >= t.max_depth then err "too many nested proc calls (max %d)" t.max_depth
 
@@ -519,8 +532,11 @@ and compile (node : node) : code =
     | None -> if is_builtin name then generic node else call node name ws)
   | _ -> generic node
 
-(* the words evaluated into a list, the name resolved (a literal one
-   through its cache), and the command run on the list *)
+(* The words evaluated, the name resolved (a literal one through its
+   cache), and the command run on the list of the words' values.  A name
+   built at run time is resolved on every call, so its words are evaluated
+   straight into the cells of a new frame, which a proc whose parameters
+   are all required and as many as the words runs in, as in [call]. *)
 and generic (node : node) : code =
   match node.words with
   | [] -> fun _ -> Value.empty
@@ -532,12 +548,16 @@ and generic (node : node) : code =
       let args = args t in
       (resolve t c name).run t node args
   | name_word :: ws ->
-    let name = word_ev name_word and args = args_ev (List.map word_ev ws) in
+    let name = word_ev name_word and evs = Array.of_list (List.map word_ev ws) in
     fun t ->
       step t;
       let name = Value.to_string (name t) in
-      let args = args t in
-      (find_command t name).run t node args
+      let id = fresh_uid t.caches in
+      let cells = eval_cells t id evs in
+      let fn = find_command t name in
+      match fn.kind with
+      | Proc d when d.arity = Array.length cells -> run_proc t d cells id
+      | _ -> fn.run t node (values cells (Array.length cells - 1) [])
 
 (* A call by a literal name that no builtin has: a proc or a host command.
    While the name last resolved to a proc whose parameters are all
@@ -554,19 +574,19 @@ and call (node : node) name ws : code =
     match c.fn.kind with
     | Proc d when d.arity = n && intact t -> (
       let id = fresh_uid t.caches in
-      let cells = Array.make n Value.nowhere in
-      for i = 0 to n - 1 do
-        Array.unsafe_set cells i (Value.cell id ((Array.unsafe_get evs i) t))
-      done;
+      let cells = eval_cells t id evs in
       let fn = resolve t c name in
       match fn.kind with
-      | Proc d when d.arity = n ->
-        check_depth t;
-        enter t d (frame d.names cells None id)
-      | _ -> fn.run t node (Array.to_list (Array.map (fun (c : Value.cell) -> c.v) cells)))
+      | Proc d when d.arity = n -> run_proc t d cells id
+      | _ -> fn.run t node (values cells (Array.length cells - 1) []))
     | _ ->
       let args = args t in
       (resolve t c name).run t node args
+
+(* a proc whose parameters are all required, in a frame of its arguments *)
+and run_proc t d cells id =
+  check_depth t;
+  enter t d (frame d.names cells None id)
 
 (* a compiled builtin's way out when the interpreter lacks a builtin:
    whatever [name] is there now, run on the values already evaluated *)

@@ -36,16 +36,17 @@ let glob_match ~pattern s =
   in
   go 0 0
 
-(* [String.contains] sets up an exception handler per call; this is the
-   per-character test of [split] *)
-let rec mem_char on c i =
-  i < String.length on && (String.unsafe_get on i = c || mem_char on c (i + 1))
-
-(* the end of the field that starts at [i]: its separator's index, or the
-   length of [s] *)
-let rec field_end s on i =
-  if i = String.length s || mem_char on (String.unsafe_get s i) 0 then i
-  else field_end s on (i + 1)
+(* A set of characters as five 63-bit masks, held in [split]'s own
+   variables so that building and testing it allocates nothing: code [c] is
+   bit [c - 63k] of mask [k], for the [k] with [63k <= c < 63(k + 1)]. *)
+let[@inline] mem m0 m1 m2 m3 m4 c =
+  let c = Char.code c in
+  (if c < 126 then if c < 63 then m0 lsr c else m1 lsr (c - 63)
+   else if c < 189 then m2 lsr (c - 126)
+   else if c < 252 then m3 lsr (c - 189)
+   else m4 lsr (c - 252))
+  land 1
+  = 1
 
 (* [f] of each field, straight into an array: a first pass counts the
    separators, then each field is one [String.sub] of the text between two
@@ -55,17 +56,34 @@ let split s ~on f =
   if on = "" then Array.init n (fun i -> f (String.make 1 s.[i]))
   else if n = 0 then [||]
   else begin
+    let m0 = ref 0 and m1 = ref 0 and m2 = ref 0 and m3 = ref 0 and m4 = ref 0 in
+    for i = 0 to String.length on - 1 do
+      let c = Char.code on.[i] in
+      if c < 63 then m0 := !m0 lor (1 lsl c)
+      else if c < 126 then m1 := !m1 lor (1 lsl (c - 63))
+      else if c < 189 then m2 := !m2 lor (1 lsl (c - 126))
+      else if c < 252 then m3 := !m3 lor (1 lsl (c - 189))
+      else m4 := !m4 lor (1 lsl (c - 252))
+    done;
+    let m0 = !m0 and m1 = !m1 and m2 = !m2 and m3 = !m3 and m4 = !m4 in
+    (* the loops below keep [i] within [0, n) *)
     let fields = ref 1 in
     for i = 0 to n - 1 do
-      if mem_char on (String.unsafe_get s i) 0 then incr fields
+      if mem m0 m1 m2 m3 m4 (String.unsafe_get s i) then incr fields
     done;
-    let stop = field_end s on 0 in
-    let a = Array.make !fields (f (String.sub s 0 stop)) in
-    let start = ref (stop + 1) in
-    for k = 1 to !fields - 1 do
-      let stop = field_end s on !start in
-      Array.unsafe_set a k (f (String.sub s !start (stop - !start)));
-      start := stop + 1
+    let stop = ref 0 in
+    while !stop < n && not (mem m0 m1 m2 m3 m4 (String.unsafe_get s !stop)) do
+      incr stop
     done;
+    let a = Array.make !fields (f (String.sub s 0 !stop)) in
+    let start = ref (!stop + 1) and k = ref 1 in
+    for i = !start to n - 1 do
+      if mem m0 m1 m2 m3 m4 (String.unsafe_get s i) then begin
+        a.(!k) <- f (String.sub s !start (i - !start));
+        incr k;
+        start := i + 1
+      end
+    done;
+    if !fields > 1 then a.(!k) <- f (String.sub s !start (n - !start));
     a
   end

@@ -166,6 +166,106 @@ let expr_seeds =
     "int(round(1.5)) / ${z} <= fmod(7, 2.0)";
   ]
 
+(* Every prefix of a real program: the scanners index by hand, so an
+   off-by-one at a cut shows up here as an exception other than the
+   decoders' own.  The programs are the Tcl oracle cases and a CODE
+   variant shaped like the agent-tour benchmark's: 48 procs of four shapes
+   and a record loop. *)
+let agent_code =
+  let b = Buffer.create 3072 in
+  for i = 0 to 47 do
+    let a = 3 + (i * 37 mod 97) and c = i * 211 mod 1000 and m = 101 + (i * 53 mod 900) in
+    Buffer.add_string b
+      (match i mod 4 with
+      | 0 -> Printf.sprintf "proc f%d {x} { expr {($x * %d + %d) %% %d} }\n" i a c m
+      | 1 -> Printf.sprintf "proc f%d {x} { expr {($x / %d) %% %d + %d} }\n" i a m c
+      | 2 ->
+        Printf.sprintf "proc f%d {x} { if {$x > %d} { expr {$x - %d} } else { expr {$x + %d} } }\n"
+          i (c * 100) a m
+      | _ -> Printf.sprintf "proc f%d {x} { expr {[f%d $x] * %d %% %d} }\n" i (i - 1) a m)
+  done;
+  Buffer.add_string b
+    "set n 0\nforeach rec [cabinet list DATA] {\n  set kv [split $rec =]\n  set v [lindex $kv 1]\n\
+    \  set fn f[expr {$v % 48}]\n  set p [$fn $v]\n  if {$p > 200} { incr hits; incr sum $p }\n\
+    \  incr n\n}\nfolder put TALLY \"[host]:$n:$hits:$sum\"\n";
+  Buffer.contents b
+
+let programs () =
+  agent_code
+  :: (Sys.readdir "tcl" |> Array.to_list |> List.sort compare
+     |> List.filter (fun f -> Filename.check_suffix f ".tcl")
+     |> List.map (fun f -> In_channel.with_open_bin (Filename.concat "tcl" f) In_channel.input_all))
+
+(* the expressions of a program: the braced arguments of [expr], the
+   conditions of [if], [elseif], [while] and [for], in every body *)
+let rec expressions (script : unit Tscript.Ast.script) =
+  let text = function
+    | Tscript.Ast.Braced { value; _ } | Tscript.Ast.Literal value -> Some (Tscript.Value.to_string value)
+    | Tscript.Ast.Frags _ -> None
+  in
+  let rec in_fragment = function
+    | Tscript.Ast.Cmd sub -> expressions sub
+    | Tscript.Ast.VarElem (_, index) -> List.concat_map in_fragment index
+    | Tscript.Ast.Lit _ | Tscript.Ast.Var _ -> []
+  in
+  let nested = function
+    | Tscript.Ast.Braced { value; _ } -> (
+      match Parse.script_result (Tscript.Value.to_string value) with
+      | Ok sub -> expressions sub
+      | Error _ -> [])
+    | Tscript.Ast.Frags frags -> List.concat_map in_fragment frags
+    | Tscript.Ast.Literal _ -> []
+  in
+  List.concat_map
+    (fun (cmd : unit Tscript.Ast.command) ->
+      let conds =
+        match List.map text cmd.words with
+        | Some "expr" :: args -> args
+        | Some ("if" | "while") :: cond :: _ -> [ cond ]
+        | Some "for" :: _ :: cond :: _ -> [ cond ]
+        | _ -> []
+      in
+      let conds =
+        conds
+        @ List.concat
+            (List.mapi
+               (fun i w -> if i > 0 && text w = Some "elseif" then [ text (List.nth cmd.words (i + 1)) ] else [])
+               cmd.words)
+      in
+      List.filter_map Fun.id conds @ List.concat_map nested cmd.words)
+    script
+
+let prefixes s = List.init (String.length s + 1) (fun k -> String.sub s 0 k)
+
+let test_script_prefixes () =
+  List.iter
+    (fun src ->
+      List.iter
+        (fun p ->
+          match Parse.script_result p with
+          | Ok _ | Error _ -> ()
+          | exception e -> Alcotest.failf "%S raised %s" p (Printexc.to_string e))
+        (prefixes src))
+    (programs ())
+
+let test_expr_prefixes () =
+  let exprs =
+    List.concat_map
+      (fun src -> match Parse.script_result src with Ok s -> expressions s | Error _ -> [])
+      (programs ())
+  in
+  Alcotest.(check bool) "found expressions" true (List.length exprs > 100);
+  List.iter
+    (fun e ->
+      List.iter
+        (fun p ->
+          match Expr.compile p with
+          | _ -> ()
+          | exception Expr.Error _ -> ()
+          | exception e -> Alcotest.failf "%S raised %s" p (Printexc.to_string e))
+        (prefixes e))
+    exprs
+
 (* Nesting past the stack, in the script parser, the expression compiler
    or the evaluator, is a script error: [Interp.eval] returns [Error] and
    the interpreter stays usable.  A small stack limit makes 200 000 levels
@@ -224,6 +324,8 @@ let () =
           total "Expr.compile" expr_seeds
             ~documented:(function Expr.Error _ -> true | _ -> false)
             (fun s -> ignore (Expr.compile s));
+          Alcotest.test_case "Parse.script_result, every prefix" `Quick test_script_prefixes;
+          Alcotest.test_case "Expr.compile, every prefix" `Quick test_expr_prefixes;
           Alcotest.test_case "Interp.eval nesting" `Quick test_deep_nesting;
         ] );
     ]

@@ -617,6 +617,38 @@ let test_wrong_arity_message () =
     (String.length e > 0
     && Option.is_some (String.index_opt e '#'))
 
+(* A call through a name built at run time evaluates its words into a new
+   frame's cells when the name is a proc of that arity, and hands any other
+   command the argument list: either way the result, the error text and
+   the steps are those of the same call by literal name. *)
+let test_runtime_name_calls () =
+  let procs =
+    "proc p0 {} {return zero}; proc p2 {a b} {list $a $b}; \
+     proc popt {a {b B}} {list $a $b}; proc pargs {a args} {list $a $args}; \
+     proc pdup {a a} {set a}; "
+  in
+  let run src =
+    let it = Interp.create ~step_limit:100_000 () in
+    let r = Interp.eval it (procs ^ src) in
+    (r, Interp.steps_used it)
+  in
+  let show (r, steps) =
+    (match r with Ok v -> "ok " ^ v | Error e -> "error " ^ e) ^ Printf.sprintf " (%d steps)" steps
+  in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun args ->
+          let literal = run (String.concat " " (name :: args)) in
+          let by_var = run (Printf.sprintf "set n %s; $n %s" name (String.concat " " args)) in
+          let built = run (Printf.sprintf "set n %s; [set n] %s" name (String.concat " " args)) in
+          check Alcotest.string (name ^ " by variable") (show literal)
+            (show (fst by_var, snd by_var - 1));
+          check Alcotest.string (name ^ " by built name") (show literal)
+            (show (fst built, snd built - 2)))
+        [ []; [ "x" ]; [ "x"; "y" ]; [ "x"; "y"; "z" ]; [ "[incr i]"; "$i" ] ])
+    [ "p0"; "p2"; "popt"; "pargs"; "pdup"; "list"; "llength"; "nosuch" ]
+
 let test_recursion_depth_limited () =
   let e = error "proc loop {} {loop}; loop" in
   Alcotest.(check bool) "depth error" true (String.length e > 0)
@@ -1344,10 +1376,20 @@ let test_elements_model =
       in
       elements = Result.map Array.of_list (Value.to_list s))
 
+(* any byte, with the list characters and those at the ends of [split]'s
+   63-code mask spans drawn often *)
+let split_byte =
+  QCheck2.Gen.(
+    oneof
+      [
+        list_alphabet;
+        char;
+        oneofl [ '\x00'; '>'; '?'; '@'; '}'; '~'; '\x7f'; '\xbc'; '\xbd'; '\xbe'; '\xfb'; '\xfc'; '\xff' ];
+      ])
+
 let test_split_model =
-  qtest ~count:2000 "split agrees with the copying splitter"
-    QCheck2.Gen.(
-      pair (string_size ~gen:list_alphabet (0 -- 24)) (string_size ~gen:list_alphabet (0 -- 3)))
+  qtest ~count:3000 "split agrees with the copying splitter"
+    QCheck2.Gen.(pair (string_size ~gen:split_byte (0 -- 24)) (string_size ~gen:split_byte (0 -- 4)))
     (fun (s, on) -> Array.to_list (Strutil.split s ~on Fun.id) = old_split s ~on)
 
 (* --- strutil --- *)
@@ -1398,6 +1440,7 @@ let () =
         @ [
             Alcotest.test_case "unknown command" `Quick test_unknown_command;
             Alcotest.test_case "arity message" `Quick test_wrong_arity_message;
+            Alcotest.test_case "calls by run-time name" `Quick test_runtime_name_calls;
             Alcotest.test_case "recursion depth" `Quick test_recursion_depth_limited;
             Alcotest.test_case "break outside loop" `Quick test_break_outside_loop;
             Alcotest.test_case "continue outside loop" `Quick test_continue_outside_loop;
