@@ -7,8 +7,8 @@ let fail msg = raise (Error msg)
 (* --- lexer ------------------------------------------------------------ *)
 
 (* The lexer scans [src] by index.  A token's text is one [String.sub] of
-   the source, made only when the AST keeps it, and an operator is a
-   constant string; a token with a payload leaves it in [num] or [text]. *)
+   the source and an operator is a constant string; a token with a payload
+   leaves it in [num] or [text], where the parser takes it. *)
 type token =
   | Tnum (* [num] *)
   | Tstr (* [text] *)
@@ -37,8 +37,7 @@ let is_ident_char c =
 (* the index of the first character from [i] that is not [ok], or [n] *)
 let rec skip ok src i n = if i < n && ok src.[i] then skip ok src (i + 1) n else i
 
-(* [src.[i..j)], all digits, as an int: [None]'s place is [-1], for a
-   number past [max_int] *)
+(* [src.[i..j)], all digits, as an int, or -1 when it is past [max_int] *)
 let rec digits src i j acc =
   if i = j then acc
   else
