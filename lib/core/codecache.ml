@@ -74,10 +74,6 @@ let find_opt t ~digest =
 
 let mem t ~digest = Lru.mem t.store digest
 
-let clear t =
-  t.last <- None;
-  Lru.clear t.store
-
 let bytes_used t = Lru.used t.store
 let entry_count t = Lru.length t.store
 let digests t = Lru.keys t.store

@@ -18,10 +18,10 @@
     check compares content, so an agent that rewrites its CODE gets a fresh
     digest.
 
-    Caches are {e volatile}: a site crash clears the cache (the kernel does
-    this from its crash hook), so agents arriving after a restart — guard
-    relaunches included — re-fetch correctly rather than resolving against
-    state the crash destroyed.
+    Caches are {e volatile}: a site crash drops the cache with the rest of
+    the kernel's place, and the restarted site starts from an empty one, so
+    agents arriving after a restart — guard relaunches included — re-fetch
+    correctly rather than resolving against state the crash destroyed.
 
     Entries are evicted least-recently-used to keep each site under a byte
     budget.  An entry larger than the whole budget is uncacheable: the
@@ -75,10 +75,6 @@ val find_opt : t -> digest:string -> string list option
 
 val mem : t -> digest:string -> bool
 (** Membership without refreshing recency. *)
-
-val clear : t -> unit
-(** Drop every entry and the remembered digest (site crash: the cache is
-    volatile). *)
 
 val bytes_used : t -> int
 val entry_count : t -> int

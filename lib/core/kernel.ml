@@ -2,6 +2,7 @@ module Net = Netsim.Net
 module Engine = Netsim.Engine
 module Rng = Tacoma_util.Rng
 module Stbl = Hashtbl.Make (String)
+module Imap = Map.Make (Int)
 
 type transport = Rsh | Tcp | Horus
 
@@ -68,8 +69,6 @@ let default_config =
 exception Agent_error of string
 exception Aborted of string
 
-type place = { mutable epoch : int; mutable cab : Cabinet.t }
-
 type ack_state = {
   mutable attempts : int;
   ack_src : int;
@@ -81,7 +80,6 @@ type ack_state = {
 
 type pending_fetch = {
   pf_site : int;
-  pf_epoch : int;
   pf_contact : string;
   pf_bc : Briefcase.t;
   pf_digest : string;
@@ -90,16 +88,26 @@ type pending_fetch = {
   mutable pf_attempts : int;
 }
 
+(* A site's volatile kernel state.  The crash hook swaps in an empty place,
+   so all of it dies with the site; a timer armed under a place acts only
+   while [t.places.(site) == place]. *)
+type place = {
+  cache : Codecache.t option; (* [Some _] iff cfg.cache = Some _ *)
+  mutable peers : place Imap.t; (* TCP: dst -> dst's place when the connection opened *)
+  mutable acks : ack_state Imap.t; (* Horus migrations awaiting an ack, by mid *)
+  mutable fetches : pending_fetch Imap.t; (* code fetches holding an activation, by fid *)
+  seen : (int, unit) Hashtbl.t; (* mids of the Horus migrations delivered here *)
+}
+
 type t = {
   net : Net.t;
   cfg : config;
   places : place array;
-  caches : Codecache.t array; (* empty unless cfg.cache = Some _ *)
+  cabs : Cabinet.t array; (* stable storage: recovered, not replaced, at restart *)
   interp_caches : Tscript.Interp.caches;
       (* compile caches shared by every per-activation interpreter: an
          agent's script and loop expressions are compiled once per
          simulation, not once per activation *)
-  pending_fetches : (int, pending_fetch) Hashtbl.t;
   mutable fetch_counter : int;
   cache_saved : Obs.Metrics.counter_handle;
       (* net wire bytes the code cache has avoided: bytes stripped from
@@ -107,8 +115,6 @@ type t = {
   agents : agent Stbl.t;
   meets : Obs.Metrics.counter_handle;
   name_to_site : (string, int) Hashtbl.t;
-  connections : (int * int, unit) Hashtbl.t;
-  pending_acks : (int, ack_state) Hashtbl.t;
   mutable mid_counter : int;
   mutable id_counter : int;
   rng : Rng.t;
@@ -169,7 +175,7 @@ let now t = Net.now t.net
 let rng t = t.rng
 let site_named t name = Hashtbl.find_opt t.name_to_site name
 let site_name t site = Netsim.Topology.site_name (Net.topology t.net) site
-let cabinet t site = t.places.(site).cab
+let cabinet t site = t.cabs.(site)
 
 let neighbor_names t site = List.map (site_name t) (Net.neighbors t.net site)
 
@@ -489,11 +495,10 @@ let run_activation ?daemon t ~site ~contact bc =
           | Sleep_eff dur ->
             Some
               (fun (k : (b, unit) continuation) ->
-                let epoch = t.places.(site).epoch in
+                let place = t.places.(site) in
                 ignore
                   (Net.schedule t.net ?daemon ~after:dur (fun () ->
-                       if Net.site_up t.net site && t.places.(site).epoch = epoch then
-                         continue k ()
+                       if t.places.(site) == place then continue k ()
                        else discontinue k (Aborted "site crashed"))))
           | _ -> None);
     }
@@ -503,43 +508,9 @@ let launch ?daemon t ~site ~contact bc =
     (Net.schedule t.net ?daemon ~after:0.0 (fun () ->
          if Net.site_up t.net site then run_activation ?daemon t ~site ~contact bc))
 
-(* ---- migration -------------------------------------------------------------- *)
-
-
-let rec horus_retry t st mid =
-  (* abort early when the kernel group's view already excludes the target *)
-  let believed_dead =
-    match t.group with
-    | None -> false
-    | Some g -> (
-      match Horus.Group.view_at g st.ack_src with
-      | Some v -> not (Horus.View.mem v st.ack_dst)
-      | None -> false)
-  in
-  if st.attempts >= t.cfg.horus.max_attempts || believed_dead then begin
-    Hashtbl.remove t.pending_acks mid;
-    Obs.Metrics.incr (metrics t) "horus.giveups";
-    let tr = recorder t in
-    if Obs.Tracer.enabled tr then
-      Obs.Tracer.instant tr ~time:(now t) ~cat:"kernel" ~site:st.ack_src
-        ~attrs:[ ("dst", Obs.Event.I st.ack_dst); ("attempts", Obs.Event.I st.attempts) ]
-        "horus.giveup"
-  end
-  else begin
-    st.attempts <- st.attempts + 1;
-    if st.attempts > 1 then Obs.Metrics.incr (metrics t) "horus.retransmits";
-    if Net.site_up t.net st.ack_src then
-      transmit t ~src:st.ack_src ~dst:st.ack_dst ~size:st.ack_size st.ack_payload;
-    st.ack_timer <-
-      Some
-        (Net.schedule t.net ~after:(t.cfg.horus.rto *. float_of_int st.attempts) (fun () ->
-             if Hashtbl.mem t.pending_acks mid then horus_retry t st mid))
-  end
-
 (* ---- content-addressed code cache (see Codecache) --------------------------- *)
 
-let cache_enabled t = Array.length t.caches > 0
-let code_cache t site = if cache_enabled t then Some t.caches.(site) else None
+let code_cache t site = t.places.(site).cache
 
 (* Wire contribution of one briefcase folder: encoded name + element list. *)
 let folder_wire_bytes name elems = Codec.encoded_size name + Codecache.wire_bytes elems
@@ -550,21 +521,23 @@ let folder_wire_bytes name elems = Codec.encoded_size name + Codecache.wire_byte
    this site just resolved instead of hashing.  CODE ships in full when the
    cache is off, CODE is empty, or the entry alone exceeds the budget (then
    nobody could ever resolve it). *)
-let wire_snapshot t ~src bc =
+let wire_snapshot t place bc =
   let snap = Briefcase.copy bc in
-  (if cache_enabled t then
+  (match place.cache with
+   | None -> ()
+   | Some cache -> (
      match Briefcase.folder_opt snap Briefcase.code_folder with
      | Some f when not (Folder.is_empty f) ->
        let elems = Folder.to_list f in
-       let dg = Codecache.digest_at t.caches.(src) elems in
-       if Codecache.insert t.caches.(src) ~digest:dg elems then begin
+       let dg = Codecache.digest_at cache elems in
+       if Codecache.insert cache ~digest:dg elems then begin
          Briefcase.remove snap Briefcase.code_folder;
          Briefcase.set snap Briefcase.code_ref_folder dg;
          Obs.Metrics.bump t.cache_saved
            (folder_wire_bytes Briefcase.code_folder elems
            - folder_wire_bytes Briefcase.code_ref_folder [ dg ])
        end
-     | Some _ | None -> ());
+     | Some _ | None -> ()));
   snap
 
 let end_fetch_span t pf ?error () =
@@ -579,7 +552,7 @@ let end_fetch_span t pf ?error () =
    give up after the configured timeout — the loss then shows up as a
    death of class ["code-fetch"], which rear guards recover like any other
    lost hop. *)
-let begin_fetch t ~site ~src ~contact ~digest ~ccfg bc =
+let begin_fetch t place ~site ~src ~contact ~digest ~ccfg bc =
   let fid = t.fetch_counter in
   t.fetch_counter <- fid + 1;
   let tr = recorder t in
@@ -593,7 +566,6 @@ let begin_fetch t ~site ~src ~contact ~digest ~ccfg bc =
   let pf =
     {
       pf_site = site;
-      pf_epoch = t.places.(site).epoch;
       pf_contact = contact;
       pf_bc = bc;
       pf_digest = digest;
@@ -602,7 +574,7 @@ let begin_fetch t ~site ~src ~contact ~digest ~ccfg bc =
       pf_attempts = 1;
     }
   in
-  Hashtbl.replace t.pending_fetches fid pf;
+  place.fetches <- Imap.add fid pf place.fetches;
   Obs.Metrics.incr (metrics t) "codecache.fetches";
   let send_request () =
     Obs.Metrics.bump t.cache_saved (-ccfg.request_bytes);
@@ -613,9 +585,8 @@ let begin_fetch t ~site ~src ~contact ~digest ~ccfg bc =
     pf.pf_timer <-
       Some
         (Net.schedule t.net ~after:ccfg.fetch_timeout (fun () ->
-             if Hashtbl.mem t.pending_fetches fid then begin
-               let alive = Net.site_up t.net site && t.places.(site).epoch = pf.pf_epoch in
-               if alive && pf.pf_attempts < ccfg.fetch_attempts then begin
+             if t.places.(site) == place then begin
+               if pf.pf_attempts < ccfg.fetch_attempts then begin
                  (* bounded retry: the request or reply may have been lost to
                     a partition or loss burst rather than a dead source *)
                  pf.pf_attempts <- pf.pf_attempts + 1;
@@ -624,14 +595,13 @@ let begin_fetch t ~site ~src ~contact ~digest ~ccfg bc =
                  arm ()
                end
                else begin
-                 Hashtbl.remove t.pending_fetches fid;
+                 place.fetches <- Imap.remove fid place.fetches;
                  Obs.Metrics.incr (metrics t) "codecache.fetch_failures";
                  end_fetch_span t pf ~error:"timeout" ();
-                 if alive then
-                   run_hooks_death t ~cls:"code-fetch" ~site ~agent:contact
-                     ~reason:
-                       (Printf.sprintf "code fetch timed out (digest %s)"
-                          (String.sub digest 0 (min 12 (String.length digest))))
+                 run_hooks_death t ~cls:"code-fetch" ~site ~agent:contact
+                   ~reason:
+                     (Printf.sprintf "code fetch timed out (digest %s)"
+                        (String.sub digest 0 (min 12 (String.length digest))))
                end
              end))
   in
@@ -644,29 +614,63 @@ let accept_briefcase t ~site ~src ~contact bc =
   | None -> run_activation t ~site ~contact bc
   | Some dg -> (
     Briefcase.remove bc Briefcase.code_ref_folder;
-    match t.cfg.cache with
-    | None ->
-      (* a reference arrived at a kernel without a cache: nothing can
-         resolve it, which is a configuration error, not data *)
-      run_hooks_death t ~cls:"code-fetch" ~site ~agent:contact
-        ~reason:"briefcase carries a code reference but no cache is configured"
-    | Some ccfg -> (
-      match Codecache.find_opt t.caches.(site) ~digest:dg with
+    let place = t.places.(site) in
+    match (place.cache, t.cfg.cache) with
+    | Some cache, Some ccfg -> (
+      match Codecache.find_opt cache ~digest:dg with
       | Some elems ->
         Obs.Metrics.incr (metrics t) "codecache.hits";
         Folder.replace (Briefcase.folder bc Briefcase.code_folder) elems;
         run_activation t ~site ~contact bc
       | None ->
         Obs.Metrics.incr (metrics t) "codecache.misses";
-        begin_fetch t ~site ~src ~contact ~digest:dg ~ccfg bc))
+        begin_fetch t place ~site ~src ~contact ~digest:dg ~ccfg bc)
+    | _ ->
+      (* a reference arrived at a kernel without a cache: nothing can
+         resolve it, which is a configuration error, not data *)
+      run_hooks_death t ~cls:"code-fetch" ~site ~agent:contact
+        ~reason:"briefcase carries a code reference but no cache is configured")
 
 (* ---- migration -------------------------------------------------------------- *)
+
+(* [place] is the sender's place the migration left under: once the sender
+   crashes, nothing of the migration is sent again *)
+let rec horus_retry t place st mid =
+  (* abort early when the kernel group's view already excludes the target *)
+  let believed_dead =
+    match t.group with
+    | None -> false
+    | Some g -> (
+      match Horus.Group.view_at g st.ack_src with
+      | Some v -> not (Horus.View.mem v st.ack_dst)
+      | None -> false)
+  in
+  if st.attempts >= t.cfg.horus.max_attempts || believed_dead then begin
+    place.acks <- Imap.remove mid place.acks;
+    Obs.Metrics.incr (metrics t) "horus.giveups";
+    let tr = recorder t in
+    if Obs.Tracer.enabled tr then
+      Obs.Tracer.instant tr ~time:(now t) ~cat:"kernel" ~site:st.ack_src
+        ~attrs:[ ("dst", Obs.Event.I st.ack_dst); ("attempts", Obs.Event.I st.attempts) ]
+        "horus.giveup"
+  end
+  else begin
+    st.attempts <- st.attempts + 1;
+    if st.attempts > 1 then Obs.Metrics.incr (metrics t) "horus.retransmits";
+    transmit t ~src:st.ack_src ~dst:st.ack_dst ~size:st.ack_size st.ack_payload;
+    st.ack_timer <-
+      Some
+        (Net.schedule t.net ~after:(t.cfg.horus.rto *. float_of_int st.attempts) (fun () ->
+             if t.places.(st.ack_src) == place && Imap.mem mid place.acks then
+               horus_retry t place st mid))
+  end
 
 let migrate t ~src ~dst ~contact ~transport bc =
   Obs.Metrics.incr (metrics t)
     ~labels:[ ("transport", transport_name transport) ]
     "kernel.migrations";
-  let snap = wire_snapshot t ~src bc in
+  let place = t.places.(src) in
+  let snap = wire_snapshot t place bc in
   let base = Briefcase.byte_size snap + t.cfg.migration_overhead in
   (let tr = recorder t in
    if Obs.Tracer.enabled tr then
@@ -687,13 +691,15 @@ let migrate t ~src ~dst ~contact ~transport bc =
     (* a fresh interpreter is spawned remotely before the agent can move *)
     ignore
       (Net.schedule t.net ~after:t.cfg.rsh.spawn_delay (fun () ->
-           if Net.site_up t.net src then
+           if t.places.(src) == place then
              transmit t ~src ~dst
                ~size:(base + t.cfg.rsh.extra_bytes)
                (Migration { mid = 0; contact; bc = snap; needs_ack = false })))
   | Tcp ->
-    let fresh = not (Hashtbl.mem t.connections (src, dst)) in
-    if fresh then Hashtbl.replace t.connections (src, dst) ();
+    (* a connection closes when either end crashes *)
+    let peer = t.places.(dst) in
+    let fresh = not (Imap.mem dst place.peers && Imap.find dst place.peers == peer) in
+    if fresh then place.peers <- Imap.add dst peer place.peers;
     let size = base + t.cfg.tcp.extra_bytes + (if fresh then t.cfg.tcp.handshake_bytes else 0) in
     transmit t ~src ~dst ~size (Migration { mid = 0; contact; bc = snap; needs_ack = false })
   | Horus ->
@@ -710,23 +716,23 @@ let migrate t ~src ~dst ~contact ~transport bc =
         ack_timer = None;
       }
     in
-    Hashtbl.replace t.pending_acks mid st;
-    horus_retry t st mid
-
+    place.acks <- Imap.add mid st place.acks;
+    horus_retry t place st mid
 
 (* ---- incoming messages ------------------------------------------------------- *)
 
 let seen_mid_window = 4096
 
-let handle_message t site seen (msg : Netsim.Message.t) =
+let handle_message t site (msg : Netsim.Message.t) =
+  let place = t.places.(site) in
   match msg.payload with
   | Migration { mid; contact; bc; needs_ack } ->
-    let duplicate = needs_ack && Hashtbl.mem seen mid in
+    let duplicate = needs_ack && Hashtbl.mem place.seen mid in
     if needs_ack then begin
       (* ack even duplicates: the first ack may have been lost *)
       transmit t ~src:site ~dst:msg.src ~size:t.cfg.horus.ack_bytes (Migration_ack { mid });
-      if Hashtbl.length seen > seen_mid_window then Hashtbl.reset seen;
-      Hashtbl.replace seen mid ()
+      if Hashtbl.length place.seen > seen_mid_window then Hashtbl.reset place.seen;
+      Hashtbl.replace place.seen mid ()
     end;
     (* the sender took the snapshot, and a message delivered once hands it
        to the activation; only a retransmittable payload can be delivered
@@ -734,18 +740,16 @@ let handle_message t site seen (msg : Netsim.Message.t) =
     if not duplicate then
       accept_briefcase t ~site ~src:msg.src ~contact (if needs_ack then Briefcase.copy bc else bc)
   | Migration_ack { mid } -> (
-    match Hashtbl.find_opt t.pending_acks mid with
+    match Imap.find_opt mid place.acks with
     | Some st ->
       (match st.ack_timer with Some timer -> Engine.cancel timer | None -> ());
-      Hashtbl.remove t.pending_acks mid
+      place.acks <- Imap.remove mid place.acks
     | None -> ())
   | Code_fetch { fid; digest } ->
     (* serve from this site's cache; a negative reply still costs framing *)
-    let ccfg =
-      match t.cfg.cache with Some c -> c | None -> default_cache_config
-    in
+    let ccfg = Option.value t.cfg.cache ~default:default_cache_config in
     let code =
-      if cache_enabled t then Codecache.find_opt t.caches.(site) ~digest else None
+      match place.cache with Some cache -> Codecache.find_opt cache ~digest | None -> None
     in
     let size =
       ccfg.reply_overhead_bytes
@@ -757,25 +761,23 @@ let handle_message t site seen (msg : Netsim.Message.t) =
     Obs.Metrics.bump t.cache_saved (-size);
     transmit t ~src:site ~dst:msg.src ~size (Code_fetch_reply { fid; code })
   | Code_fetch_reply { fid; code } -> (
-    match Hashtbl.find_opt t.pending_fetches fid with
+    match Imap.find_opt fid place.fetches with
     | None -> () (* already timed out, or the site crashed meanwhile *)
-    | Some pf ->
-      Hashtbl.remove t.pending_fetches fid;
+    | Some pf -> (
+      place.fetches <- Imap.remove fid place.fetches;
       (match pf.pf_timer with Some timer -> Engine.cancel timer | None -> ());
-      if t.places.(pf.pf_site).epoch = pf.pf_epoch && Net.site_up t.net pf.pf_site then begin
-        match code with
-        | Some elems ->
-          if cache_enabled t then
-            ignore (Codecache.insert t.caches.(pf.pf_site) ~digest:pf.pf_digest elems);
-          Folder.replace (Briefcase.folder pf.pf_bc Briefcase.code_folder) elems;
-          end_fetch_span t pf ();
-          run_activation t ~site:pf.pf_site ~contact:pf.pf_contact pf.pf_bc
-        | None ->
-          Obs.Metrics.incr (metrics t) "codecache.fetch_failures";
-          end_fetch_span t pf ~error:"not-found" ();
-          run_hooks_death t ~cls:"code-fetch" ~site:pf.pf_site ~agent:pf.pf_contact
-            ~reason:"code fetch failed: source no longer holds the entry"
-      end)
+      match code with
+      | Some elems ->
+        let install cache = ignore (Codecache.insert cache ~digest:pf.pf_digest elems) in
+        Option.iter install place.cache;
+        Folder.replace (Briefcase.folder pf.pf_bc Briefcase.code_folder) elems;
+        end_fetch_span t pf ();
+        run_activation t ~site ~contact:pf.pf_contact pf.pf_bc
+      | None ->
+        Obs.Metrics.incr (metrics t) "codecache.fetch_failures";
+        end_fetch_span t pf ~error:"not-found" ();
+        run_hooks_death t ~cls:"code-fetch" ~site ~agent:pf.pf_contact
+          ~reason:"code fetch failed: source no longer holds the entry"))
   | _ -> ()
 
 (* ---- system agents (paper §2 and §6) ------------------------------------------ *)
@@ -898,37 +900,33 @@ let install_system_agents t =
 let seed_sites_folder t site =
   Cabinet.replace (cabinet t site) Briefcase.sites_folder (neighbor_names t site)
 
-let arm_site t site =
-  let seen = Hashtbl.create 32 in
-  Net.set_handler t.net site ~key:"tacoma" (handle_message t site seen)
+let arm_site t site = Net.set_handler t.net site ~key:"tacoma" (handle_message t site)
+
+let empty_place (cfg : config) metrics =
+  let on_evict ~digest:_ ~bytes:_ = Obs.Metrics.incr metrics "codecache.evictions" in
+  {
+    cache = Option.map (Codecache.create ~on_evict) cfg.cache;
+    peers = Imap.empty;
+    acks = Imap.empty;
+    fetches = Imap.empty;
+    seen = Hashtbl.create 32;
+  }
 
 let create ?(config = default_config) net =
   let topo = Net.topology net in
   let n = Netsim.Topology.site_count topo in
-  let caches =
-    match config.cache with
-    | None -> [||]
-    | Some c ->
-      let on_evict ~digest:_ ~bytes:_ =
-        Obs.Metrics.incr (Net.metrics net) "codecache.evictions"
-      in
-      Array.init n (fun _ -> Codecache.create ~on_evict c)
-  in
   let t =
     {
       net;
       cfg = config;
-      places = Array.init n (fun _ -> { epoch = 0; cab = Cabinet.create () });
-      caches;
+      places = Array.init n (fun _ -> empty_place config (Net.metrics net));
+      cabs = Array.init n (fun _ -> Cabinet.create ());
       interp_caches = Tscript.Interp.create_caches ();
-      pending_fetches = Hashtbl.create 32;
       fetch_counter = 1;
       cache_saved = Obs.Metrics.counter_handle (Net.metrics net) "codecache.bytes_saved";
       agents = Stbl.create 64;
       meets = Obs.Metrics.counter_handle (Net.metrics net) "kernel.meets";
       name_to_site = Hashtbl.create n;
-      connections = Hashtbl.create 32;
-      pending_acks = Hashtbl.create 32;
       mid_counter = 1;
       id_counter = 0;
       rng = Rng.split (Net.rng net);
@@ -947,23 +945,15 @@ let create ?(config = default_config) net =
       arm_site t site;
       seed_sites_folder t site;
       Net.on_crash net site (fun () ->
-          (* volatile kernel state tied to this site dies with it *)
-          Hashtbl.iter
-            (fun (a, b) () -> if a = site || b = site then Hashtbl.remove t.connections (a, b))
-            (Hashtbl.copy t.connections);
-          if cache_enabled t then Codecache.clear t.caches.(site);
-          Hashtbl.iter
-            (fun fid pf ->
-              if pf.pf_site = site then begin
-                Hashtbl.remove t.pending_fetches fid;
-                (match pf.pf_timer with Some timer -> Engine.cancel timer | None -> ());
-                end_fetch_span t pf ~error:"site-crash" ()
-              end)
-            (Hashtbl.copy t.pending_fetches));
+          (* The site's volatile state dies with it.  The place is swapped
+             now, not at the restart, so a TCP connection opened to the site
+             while it is down stays open after the restart.  Pending fetches
+             end in fid order. *)
+          let dead = t.places.(site) in
+          t.places.(site) <- empty_place t.cfg (metrics t);
+          Imap.iter (fun _ pf -> end_fetch_span t pf ~error:"site-crash" ()) dead.fetches);
       Net.on_restart net site (fun () ->
-          let place = t.places.(site) in
-          place.epoch <- place.epoch + 1;
-          place.cab <- Cabinet.recover place.cab;
+          t.cabs.(site) <- Cabinet.recover t.cabs.(site);
           seed_sites_folder t site;
           arm_site t site;
           match t.group with Some g -> Horus.Group.rejoin g site | None -> ()))

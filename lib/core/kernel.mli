@@ -102,8 +102,11 @@ type native = ctx -> Briefcase.t -> unit
 
 val create : ?config:config -> Netsim.Net.t -> t
 (** Builds a place on every site, installs the {!Sysagents} system agents,
-    and arms crash/restart hooks (a restarted place recovers only the
-    flushed part of its cabinet). *)
+    and arms crash/restart hooks.  A crash loses the site's volatile state:
+    its code cache, TCP connections, pending Horus acks and code fetches,
+    duplicate window and suspended activations; nothing a timer armed
+    before the crash would do happens after it.  A restarted place recovers
+    only the flushed part of its cabinet. *)
 
 val net : t -> Netsim.Net.t
 val config : t -> config
@@ -212,8 +215,9 @@ val send_briefcase :
 (** {1 Code cache} *)
 
 val code_cache : t -> Netsim.Site.id -> Codecache.t option
-(** The site's cache when [config.cache] is set.  Volatile: cleared by the
-    kernel's crash hook, so a restarted place re-fetches. *)
+(** The site's cache when [config.cache] is set.  Volatile: a crash drops
+    it with the rest of the site's place, so a restarted place starts from
+    an empty cache and re-fetches. *)
 
 val cache_saved_bytes : t -> int
 (** Net wire bytes avoided by digest substitution so far: bytes stripped

@@ -15,17 +15,16 @@ type Netsim.Message.payload += Hmsg of { group : string; body : body }
 type member = {
   site : int;
   mutable view : View.t;
+  mutable known : View.t;
+      (* the last view it installed with other members in it: whom it asks
+         to readmit it, even after a crash while it was still asking *)
   mutable alive : bool;
   last_heard : (int, float) Hashtbl.t;
   mutable tick_timer : Engine.timer option;
+  mutable join_timer : Engine.timer option; (* the next try of a rejoin *)
 }
 
-type t = {
-  net : Net.t;
-  gname : string;
-  endpoints : (int, member) Hashtbl.t;
-  mutable latest_view : View.t;
-}
+type t = { net : Net.t; gname : string; endpoints : (int, member) Hashtbl.t }
 
 let handler_key t = "horus:" ^ t.gname
 
@@ -43,7 +42,7 @@ let adopt_view t m view =
   if view.View.id > m.view.View.id then begin
     Obs.Metrics.incr (Net.metrics t.net) ~labels:[ ("group", t.gname) ] "horus.view_changes";
     m.view <- view;
-    if view.View.id > t.latest_view.View.id then t.latest_view <- view;
+    if View.size view > 1 then m.known <- view;
     (* forget suspicion state for departed members *)
     Hashtbl.reset m.last_heard;
     List.iter (fun s -> Hashtbl.replace m.last_heard s (Net.now t.net)) view.View.members
@@ -122,7 +121,12 @@ let handle t m (msg : Netsim.Message.t) =
         adopt_view t m view;
         broadcast_view t m view
       end
-    | JoinReq _ -> ())
+    | JoinReq { site; view_id } -> (
+      (* not the coordinator: pass the request on to ours *)
+      match View.coordinator m.view with
+      | Some c when c <> site && c <> msg.src ->
+        send_body t ~src:m.site ~dst:c ~extra:0 (JoinReq { site; view_id })
+      | Some _ | None -> ()))
   | Hmsg _ | _ -> ()
 
 let arm_endpoint t m =
@@ -132,15 +136,22 @@ let arm_endpoint t m =
   m.tick_timer <- Some (Net.schedule t.net ~after:hb_interval (fun () -> tick t m))
 
 let make_member t site view =
-  let m = { site; view; alive = false; last_heard = Hashtbl.create 8; tick_timer = None } in
+  let m =
+    {
+      site;
+      view;
+      known = view;
+      alive = false;
+      last_heard = Hashtbl.create 8;
+      tick_timer = None;
+      join_timer = None;
+    }
+  in
   Hashtbl.replace t.endpoints site m;
   Net.on_crash t.net site (fun () ->
       m.alive <- false;
-      match m.tick_timer with
-      | Some timer ->
-        Engine.cancel timer;
-        m.tick_timer <- None
-      | None -> ());
+      Option.iter Engine.cancel m.tick_timer;
+      Option.iter Engine.cancel m.join_timer);
   m
 
 let create net ~name ~members =
@@ -149,7 +160,7 @@ let create net ~name ~members =
     (fun s -> if not (Net.site_up net s) then invalid_arg "Group.create: member is down")
     members;
   let view = View.make ~id:1 ~members in
-  let t = { net; gname = name; endpoints = Hashtbl.create 8; latest_view = view } in
+  let t = { net; gname = name; endpoints = Hashtbl.create 8 } in
   List.iter
     (fun site ->
       let m = make_member t site view in
@@ -165,40 +176,40 @@ let rejoin t site =
       | Some m -> m
       | None -> make_member t site (View.make ~id:0 ~members:[ site ])
     in
-    (* stale identity: the coordinator's ViewMsg brings the current view *)
+    (* all the site knows of the group is the last view it held with others;
+       its identity is stale, so the ViewMsg that admits it brings the
+       current view *)
+    let last = m.known in
+    let others = Array.of_list (List.filter (fun s -> s <> site) last.View.members) in
     m.view <- View.make ~id:0 ~members:[ site ];
     arm_endpoint t m;
-    (* A single JoinReq can be lost, or the believed coordinator can itself
-       be down: retry until admitted.  If nobody answers, the site installs
-       a singleton view ([alone]) but keeps asking the coordinator it asked
-       last, so it merges back once its links heal. *)
+    (* A single JoinReq can be lost, or its target can be down: ask the
+       other members of [last] in rank order, one per try, until admitted
+       (a member that is not the coordinator forwards the request to its
+       own).  If nobody answers, the site installs a singleton view
+       ([alone]) but keeps asking, so it merges back once its links heal. *)
     let admitted () = m.view.View.id > 0 && View.mem m.view site in
     let singleton () =
-      let view = View.make ~id:(t.latest_view.View.id + 1) ~members:[ site ] in
+      let view = View.make ~id:(last.View.id + 1) ~members:[ site ] in
       adopt_view t m view;
       view
     in
-    let alone = ref None and asked = ref None in
+    let alone = ref None in
     let waiting () =
       (not (admitted ())) || match !alone with Some v -> m.view == v | None -> false
     in
     let max_join_attempts = 10 in
     let rec try_join attempts =
-      if m.alive && Net.site_up t.net site && waiting () then begin
+      (* a crash cancels [m.join_timer], so only a live incarnation tries *)
+      if waiting () then begin
         if attempts >= max_join_attempts && not (admitted ()) then alone := Some (singleton ());
-        let coordinator =
-          match View.coordinator t.latest_view with
-          | Some c when c <> site ->
-            asked := Some c;
-            Some c
-          | Some _ | None -> if attempts >= max_join_attempts then !asked else None
-        in
-        match coordinator with
-        | Some c ->
-          send_body t ~src:site ~dst:c ~extra:0 (JoinReq { site; view_id = m.view.View.id });
-          ignore
-            (Net.schedule t.net ~after:(2.0 *. hb_interval) (fun () -> try_join (attempts + 1)))
-        | None -> if not (admitted ()) then ignore (singleton ())
+        if others = [||] then ignore (singleton ())
+        else begin
+          let dst = others.(attempts mod Array.length others) in
+          send_body t ~src:site ~dst ~extra:0 (JoinReq { site; view_id = m.view.View.id });
+          let retry () = try_join (attempts + 1) in
+          m.join_timer <- Some (Net.schedule t.net ~after:(2.0 *. hb_interval) retry)
+        end
       end
     in
     try_join 0

@@ -108,12 +108,6 @@ let remove t k =
     Hashtbl.remove t.tbl k;
     t.used <- t.used - n.w
 
-let clear t =
-  Hashtbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None;
-  t.used <- 0
-
 let length t = Hashtbl.length t.tbl
 let used t = t.used
 let budget t = t.budget

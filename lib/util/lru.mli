@@ -16,7 +16,7 @@ val create :
   unit ->
   ('k, 'v) t
 (** [on_evict] fires for each entry pushed out by an insert (not for
-    {!clear} or {!remove}).  [weight] is sampled when a value is added.
+    {!remove}).  [weight] is sampled when a value is added.
     @raise Invalid_argument if [budget <= 0]. *)
 
 val find_opt : ('k, 'v) t -> 'k -> 'v option
@@ -31,7 +31,6 @@ val add : ('k, 'v) t -> 'k -> 'v -> bool
     value alone outweighs the whole budget. *)
 
 val remove : ('k, 'v) t -> 'k -> unit
-val clear : ('k, 'v) t -> unit
 
 val length : ('k, 'v) t -> int
 val used : ('k, 'v) t -> int
@@ -40,7 +39,7 @@ val used : ('k, 'v) t -> int
 val budget : ('k, 'v) t -> int
 
 val evictions : ('k, 'v) t -> int
-(** Cumulative evictions since creation (survives {!clear}). *)
+(** Cumulative evictions since creation. *)
 
 val keys : ('k, 'v) t -> 'k list
 (** Keys in recency order, most recently used first. *)

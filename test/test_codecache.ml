@@ -58,14 +58,13 @@ let test_uncacheable_entry () =
 
 (* digest reuse is a model property: whatever the cache last resolved or
    installed, digest_at must agree with hashing from scratch *)
-type op = Insert of string list | Find of string list | Clear | Digest_at of string list
+type op = Insert of string list | Find of string list | Digest_at of string list
 
 let show_op =
   let l xs = "[" ^ String.concat "; " (List.map (Printf.sprintf "%S") xs) ^ "]" in
   function
   | Insert xs -> "insert " ^ l xs
   | Find xs -> "find " ^ l xs
-  | Clear -> "clear"
   | Digest_at xs -> "digest_at " ^ l xs
 
 let gen_ops =
@@ -83,7 +82,6 @@ let gen_ops =
       [
         (3, map (fun l -> Insert l) elems);
         (3, map (fun l -> Find l) elems);
-        (1, pure Clear);
         (4, map (fun l -> Digest_at l) elems);
       ]
   in
@@ -104,9 +102,6 @@ let test_digest_at_model =
                true
              | Find l ->
                ignore (Codecache.find_opt c ~digest:(Codecache.digest l));
-               true
-             | Clear ->
-               Codecache.clear c;
                true
              | Digest_at l -> Codecache.digest_at c l = Codecache.digest l)
            ops))

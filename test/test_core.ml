@@ -576,14 +576,15 @@ let test_rexec_snapshot () =
     [ Kernel.Rsh; Kernel.Tcp; Kernel.Horus ]
 
 let test_horus_redelivery_gets_own_copy () =
-  (* the migration lands at ~5 ms; its ack would land at ~11 ms, but site 0
-     is down then, so the ack is lost.  Site 1 restarts with an empty
-     duplicate table, and the retransmission at 1 s activates the agent a
-     second time, from the same payload *)
+  (* the migration leaves at 0 s and lands at ~5 ms; the link loses every
+     message sent from 2 ms to 0.1 s, so the ack is lost.  Site 1 restarts
+     with an empty duplicate table, and the retransmission at 1 s activates
+     the agent a second time, from the same payload *)
   let config = { Kernel.default_config with default_transport = Kernel.Horus } in
   let net, k = mk_kernel ~config ~topo:(Topology.line 2) () in
   let got = recording_probe k in
-  Netsim.Chaos.crash_for net ~site:0 ~at:0.008 ~downtime:0.1;
+  Netsim.Chaos.apply net
+    [ Loss_burst { link = Some (0, 1); at = 0.002; duration = 0.098; rate = 0.999999 } ];
   Netsim.Chaos.crash_for net ~site:1 ~at:0.2 ~downtime:0.1;
   let bc = Briefcase.create () in
   Briefcase.set bc "F" "a";
@@ -758,6 +759,113 @@ let test_cabinet_persistence_across_crash () =
   (* SITES reseeded for diffusion *)
   Alcotest.(check bool) "SITES reseeded" true
     (Cabinet.size cab' Briefcase.sites_folder > 0)
+
+(* A migration whose sender crashes before the copy that would arrive has
+   left must never arrive, even when the sender restarts in time to send it:
+   nothing of a crashed place survives.  The migration leaves at [from];
+   the copy that arrives in a fault-free run leaves at [until].  For every
+   time [at] in [from, until) at which the fault-free run fires an event,
+   the sender crashes just after [at] for half the remaining wait. *)
+let check_sender_crash_loses_migration ~transport ?dst_down ~from ~until () =
+  let setup crash_at =
+    let net, k = mk_kernel ~topo:(Topology.line 2) () in
+    let arrived = ref 0 in
+    Kernel.register_native k ~site:1 "probe" (fun _ _ -> incr arrived);
+    Option.iter (fun downtime -> Netsim.Chaos.crash_for net ~site:1 ~at:0.0 ~downtime) dst_down;
+    ignore
+      (Net.schedule net ~after:from (fun () ->
+           Kernel.migrate k ~src:0 ~dst:1 ~contact:"probe" ~transport (Briefcase.create ())));
+    Option.iter
+      (fun at -> Netsim.Chaos.crash_for net ~site:0 ~at ~downtime:((until -. at) /. 2.0))
+      crash_at;
+    (net, arrived)
+  in
+  let net, arrived = setup None in
+  let engine = Net.engine net in
+  let times = ref [] in
+  while Netsim.Engine.step engine do
+    let now = Netsim.Engine.now engine in
+    if now >= from && now < until then times := now :: !times
+  done;
+  check Alcotest.int "the fault-free run delivers" 1 !arrived;
+  List.iter
+    (fun at ->
+      let net, arrived = setup (Some (at +. 1e-6)) in
+      Net.run net;
+      check Alcotest.int (Printf.sprintf "sender crashed at %g: nothing arrives" at) 0 !arrived)
+    (List.sort_uniq Float.compare !times)
+
+let test_rsh_sender_crash_loses_spawn () =
+  let from = 0.001 in
+  check_sender_crash_loses_migration ~transport:Kernel.Rsh ~from
+    ~until:(from +. Kernel.default_config.rsh.spawn_delay) ()
+
+(* the destination is down until 2.5 s, so the copies sent at [from] and
+   after one rto are lost, and the one sent after two more arrives *)
+let test_horus_sender_crash_loses_retransmission () =
+  let from = 0.001 and rto = Kernel.default_config.horus.rto in
+  check_sender_crash_loses_migration ~transport:Kernel.Horus ~dst_down:2.5 ~from
+    ~until:(from +. rto +. (2.0 *. rto)) ()
+
+let test_crash_ends_pending_fetch () =
+  let config = { Kernel.default_config with cache = Some Kernel.default_cache_config } in
+  let run crash =
+    let net = Net.create ~trace:true (Topology.line 2) in
+    let k = Kernel.create ~config net in
+    let arrived = ref 0 in
+    Kernel.register_native k ~site:1 "probe" (fun _ _ -> incr arrived);
+    let bc = Briefcase.create () in
+    Briefcase.set bc Briefcase.code_folder "# any code";
+    Kernel.migrate k ~src:0 ~dst:1 ~contact:"probe" ~transport:Kernel.Tcp bc;
+    Option.iter (fun (at, downtime) -> Netsim.Chaos.crash_for net ~site:1 ~at ~downtime) crash;
+    Net.run net;
+    let fetch kind =
+      List.find
+        (fun (e : Obs.Event.t) -> e.kind = kind && e.name = "codecache.fetch")
+        (Obs.Tracer.events (Net.recorder net))
+    in
+    (!arrived, fetch Obs.Event.Begin, fetch Obs.Event.End)
+  in
+  let arrived, b, e = run None in
+  check Alcotest.int "the fault-free run activates the agent" 1 arrived;
+  (* crash while the fetch waits, and restart before its reply would land *)
+  let at = (b.time +. e.time) /. 2.0 in
+  let arrived, _, e = run (Some (at, (e.time -. at) /. 2.0)) in
+  check Alcotest.int "the fetch never activates its agent" 0 arrived;
+  check Alcotest.(option string) "its span ends with the crash" (Some "site-crash")
+    (match List.assoc_opt "error" e.attrs with Some (Obs.Event.S s) -> Some s | _ -> None)
+
+(* Bytes charged to each migration from site 0 to site 1, sent at [times],
+   while site 1 is down from 1 s to 2 s. *)
+let tcp_migration_bytes times =
+  let net, k = mk_kernel ~topo:(Topology.line 2) () in
+  Netsim.Chaos.crash_for net ~site:1 ~at:1.0 ~downtime:1.0;
+  let sizes = ref [] in
+  List.iter
+    (fun at ->
+      ignore
+        (Net.schedule net ~after:at (fun () ->
+             let before = Netstats.bytes_sent (Net.stats net) in
+             Kernel.migrate k ~src:0 ~dst:1 ~contact:"noop" ~transport:Kernel.Tcp
+               (Briefcase.create ());
+             sizes := (Netstats.bytes_sent (Net.stats net) - before) :: !sizes)))
+    times;
+  Net.run net;
+  List.rev !sizes
+
+let test_tcp_connection_dies_with_destination () =
+  let handshake = Kernel.default_config.tcp.handshake_bytes in
+  (match tcp_migration_bytes [ 0.5; 3.0; 3.5 ] with
+  | [ first; after_restart; reused ] ->
+    check Alcotest.int "the first migration after the restart pays the handshake" first
+      after_restart;
+    check Alcotest.int "the next one does not" (first - handshake) reused
+  | _ -> Alcotest.fail "three migrations");
+  match tcp_migration_bytes [ 0.5; 1.5; 3.0 ] with
+  | [ first; _; after_restart ] ->
+    check Alcotest.int "a connection opened while the site was down is not paid again"
+      (first - handshake) after_restart
+  | _ -> Alcotest.fail "three migrations"
 
 let test_step_limit_kills_runaway () =
   let config = { Kernel.default_config with step_limit = Some 1000 } in
@@ -1174,6 +1282,13 @@ let () =
           Alcotest.test_case "sleep resumes normally" `Quick test_sleep_survives_when_no_crash;
           Alcotest.test_case "cabinet persistence" `Quick test_cabinet_persistence_across_crash;
           Alcotest.test_case "step limit kills runaway" `Quick test_step_limit_kills_runaway;
+          Alcotest.test_case "rsh sender crash loses spawn" `Quick
+            test_rsh_sender_crash_loses_spawn;
+          Alcotest.test_case "horus sender crash loses retransmission" `Quick
+            test_horus_sender_crash_loses_retransmission;
+          Alcotest.test_case "crash ends pending fetch" `Quick test_crash_ends_pending_fetch;
+          Alcotest.test_case "tcp connection dies with destination" `Quick
+            test_tcp_connection_dies_with_destination;
         ] );
       ( "determinism",
         [ Alcotest.test_case "whole-system replay" `Quick test_whole_system_determinism ] );

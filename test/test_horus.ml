@@ -175,6 +175,41 @@ let test_singleton_merges_back () =
   check_same_view g ~like:0 [ 1; 2; 3; 4 ];
   check Alcotest.(list int) "all five members" [ 0; 1; 2; 3; 4 ] (view_exn g 3).View.members
 
+(* Site 3 crashes again while it is still asking to be readmitted (every
+   link to it is lost until 13 s).  It never held the group's view after
+   its first restart, so the second rejoin must still know whom to ask:
+   the members of the last view it held with others in it.  The first
+   rejoin's tries die with the crash: from 12 s site 3 sends one request a
+   try, not two. *)
+let test_crash_while_rejoining () =
+  let net = Net.create ~trace:true (Topology.full_mesh 5) in
+  let g = Group.create net ~name:"g" ~members:[ 0; 1; 2; 3; 4 ] in
+  let loss on =
+    List.iter
+      (fun s -> Net.set_link_loss net s 3 (if on then Some 0.999999 else None))
+      [ 0; 1; 2; 4 ]
+  in
+  ignore (Net.schedule net ~after:1.0 (fun () -> Net.crash net 3));
+  ignore
+    (Net.schedule net ~after:9.0 (fun () ->
+         Net.restart net 3;
+         Group.rejoin g 3));
+  ignore (Net.schedule net ~after:9.0001 (fun () -> loss true));
+  ignore (Net.schedule net ~after:11.5 (fun () -> Net.crash net 3));
+  ignore
+    (Net.schedule net ~after:12.0 (fun () ->
+         Net.restart net 3;
+         Group.rejoin g 3));
+  ignore (Net.schedule net ~after:13.0 (fun () -> loss false));
+  Net.run ~until:40.0 net;
+  check_same_view g ~like:0 [ 1; 2; 3; 4 ];
+  check Alcotest.(list int) "all five members" [ 0; 1; 2; 3; 4 ] (view_exn g 3).View.members;
+  let sent_by_3 (e : Obs.Event.t) =
+    e.name = "net.send" && e.site = 3 && e.time >= 12.0 && e.time < 13.0
+  in
+  check Alcotest.int "one join request in the second rejoin's first second" 1
+    (List.length (List.filter sent_by_3 (Obs.Tracer.events (Net.recorder net))))
+
 let test_rejoined_member_receives () =
   let net, g, _ = mk () in
   ignore (Net.schedule net ~after:1.0 (fun () -> Net.crash net 3));
@@ -269,6 +304,7 @@ let () =
           Alcotest.test_case "view installed once" `Quick test_view_installed_once;
           Alcotest.test_case "lossy admission" `Quick test_lossy_admission;
           Alcotest.test_case "singleton merges back" `Quick test_singleton_merges_back;
+          Alcotest.test_case "crash while rejoining" `Quick test_crash_while_rejoining;
           Alcotest.test_case "sole survivor" `Quick test_sole_survivor;
           Alcotest.test_case "crash storm convergence" `Quick test_crash_storm_convergence;
           Alcotest.test_case "heartbeat bytes" `Quick test_heartbeat_traffic_accounted;

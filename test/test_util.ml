@@ -284,18 +284,6 @@ let test_lru_weighted () =
   Alcotest.(check bool) "cache intact" true (Lru.mem c 3);
   Alcotest.(check int) "budget" 10 (Lru.budget c)
 
-let test_lru_clear_keeps_eviction_count () =
-  let c = Lru.create ~budget:1 () in
-  ignore (Lru.add c "a" 0);
-  ignore (Lru.add c "b" 0);
-  Alcotest.(check int) "one eviction" 1 (Lru.evictions c);
-  Lru.clear c;
-  Alcotest.(check int) "empty" 0 (Lru.length c);
-  Alcotest.(check int) "used resets" 0 (Lru.used c);
-  Alcotest.(check int) "counter survives clear" 1 (Lru.evictions c);
-  ignore (Lru.add c "c" 7);
-  Alcotest.(check (option int)) "usable after clear" (Some 7) (Lru.find_opt c "c")
-
 let test_lru_fold_order () =
   let c = Lru.create ~budget:4 () in
   List.iter (fun k -> ignore (Lru.add c k (Char.code k.[0]))) [ "a"; "b"; "c" ];
@@ -467,7 +455,6 @@ let () =
           Alcotest.test_case "evicts least recent" `Quick test_lru_evicts_least_recent;
           Alcotest.test_case "replace refreshes" `Quick test_lru_replace_refreshes;
           Alcotest.test_case "weighted budget" `Quick test_lru_weighted;
-          Alcotest.test_case "clear keeps counter" `Quick test_lru_clear_keeps_eviction_count;
           Alcotest.test_case "fold order" `Quick test_lru_fold_order;
           test_lru_model;
         ] );
