@@ -25,16 +25,17 @@ type t = {
 let site t = t.bsite
 let agent_name t = t.bname
 
-(* A known provider's report refreshes only its load: [fixed] yields the
-   service, host and capacity, and is called only for a new entry. *)
-let upsert t ~provider ~load fixed =
+(* A known provider's report refreshes only its load: [fixed arg] yields
+   the service, host and capacity, and is called only for a new entry.
+   Taking [fixed] and [arg] apart spares a report a closure. *)
+let upsert t ~provider ~load fixed arg =
   let now = Kernel.now t.kernel in
-  match Hashtbl.find_opt t.entries provider with
-  | Some e ->
+  match Hashtbl.find t.entries provider with
+  | e ->
     e.load <- load;
     e.reported_at <- now
-  | None ->
-    let service, host, capacity = fixed () in
+  | exception Not_found ->
+    let service, host, capacity = fixed arg in
     Hashtbl.replace t.entries provider
       { provider; service; host; capacity; load; reported_at = now }
 
@@ -85,26 +86,29 @@ let lookup t ~service ?(exclude = []) ?policy () =
   | None -> Obs.Metrics.incr m "broker.no_provider");
   choice
 
+let malformed_report () = raise (Kernel.Agent_error "broker: report needs PROVIDER/SERVICE/HOST")
+
+(* the fixed fields of a new provider's first report *)
+let report_fixed bc =
+  match (Briefcase.find_opt bc "SERVICE", Briefcase.find_opt bc "HOST") with
+  | Some service, Some host ->
+    let capacity =
+      Option.value ~default:1.0 (Option.bind (Briefcase.find_opt bc "CAPACITY") float_of_string_opt)
+    in
+    (service, host, capacity)
+  | _ -> malformed_report ()
+
 let handle t bc =
   match Option.value ~default:"lookup" (Briefcase.find_opt bc "OP") with
   | "register" | "report" -> (
     Obs.Metrics.bump t.reports_metric 1;
-    let malformed () = raise (Kernel.Agent_error "broker: report needs PROVIDER/SERVICE/HOST") in
     match Briefcase.find_opt bc "PROVIDER" with
-    | None -> malformed ()
+    | None -> malformed_report ()
     | Some provider ->
       let load =
         Option.value ~default:0.0 (Option.bind (Briefcase.find_opt bc "LOAD") float_of_string_opt)
       in
-      upsert t ~provider ~load (fun () ->
-          match (Briefcase.find_opt bc "SERVICE", Briefcase.find_opt bc "HOST") with
-          | Some service, Some host ->
-            let capacity =
-              Option.value ~default:1.0
-                (Option.bind (Briefcase.find_opt bc "CAPACITY") float_of_string_opt)
-            in
-            (service, host, capacity)
-          | _ -> malformed ()))
+      upsert t ~provider ~load report_fixed bc)
   | "lookup" -> (
     match Briefcase.find_opt bc "SERVICE" with
     | None -> raise (Kernel.Agent_error "broker: lookup needs SERVICE")
@@ -152,5 +156,5 @@ let install kernel ~site ~name ?(policy = Policy.Least_loaded) ?max_report_age (
 let register_provider t p =
   upsert t ~provider:(Provider.name p)
     ~load:(float_of_int (Provider.queue_length p))
-    (fun () ->
-      (Provider.service p, Kernel.site_name t.kernel (Provider.site p), Provider.capacity p))
+    (fun p -> (Provider.service p, Kernel.site_name t.kernel (Provider.site p), Provider.capacity p))
+    p

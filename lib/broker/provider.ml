@@ -114,6 +114,13 @@ let install kernel ~site ~name ~service ~capacity ?ticket_key () =
   publish_load kernel t;
   t
 
+(* a top-level recursion, not a [List.iter] closure on every tick *)
+let rec send_report kernel t report = function
+  | [] -> ()
+  | (broker_site, broker_agent) :: rest ->
+    Kernel.send_briefcase kernel ~src:t.psite ~dst:broker_site ~contact:broker_agent report;
+    send_report kernel t report rest
+
 let start_load_monitor kernel t ~brokers ~period =
   let loop_agent = "loadmon:" ^ t.pname in
   Kernel.register_native kernel loop_agent (fun ctx _ ->
@@ -128,11 +135,7 @@ let start_load_monitor kernel t ~brokers ~period =
       let rec loop () =
         if Netsim.Net.site_up (Kernel.net kernel) t.psite then begin
           Briefcase.set report "LOAD" (string_of_int (queue_length t));
-          List.iter
-            (fun (broker_site, broker_agent) ->
-              Kernel.send_briefcase kernel ~src:t.psite ~dst:broker_site
-                ~contact:broker_agent report)
-            brokers;
+          send_report kernel t report brokers;
           Kernel.sleep ctx period;
           loop ()
         end

@@ -1,7 +1,9 @@
 (* The folders in strictly increasing name order: the wire order, so
    [serialize] walks the list once and [deserialize] appends as it reads.
-   Briefcases hold a handful of folders, so a sorted list beats hashing. *)
-type t = { mutable folders : (string * Folder.t) list }
+   Briefcases hold a handful of folders, so a sorted list beats hashing.
+   Each cell holds its name and folder itself, with no pair between. *)
+type folders = Nil | Cons of string * Folder.t * folders
+type t = { mutable folders : folders }
 
 let host_folder = "HOST"
 let contact_folder = "CONTACT"
@@ -10,62 +12,75 @@ let code_ref_folder = "CODE-REF"
 let sites_folder = "SITES"
 let trace_folder = "TRACE"
 
-let create () = { folders = [] }
+let create () = { folders = Nil }
 
+(* the named folder, or [Not_found]: no option to unwrap on a hit *)
 let rec lookup name = function
-  | [] -> None
-  | (n, f) :: rest ->
+  | Nil -> raise_notrace Not_found
+  | Cons (n, f, rest) ->
     let c = String.compare n name in
-    if c = 0 then Some f else if c > 0 then None else lookup name rest
+    if c = 0 then f else if c > 0 then raise_notrace Not_found else lookup name rest
 
 let rec insert name f = function
-  | ((n, _) as e) :: rest when String.compare n name < 0 -> e :: insert name f rest
-  | l -> (name, f) :: l
+  | Cons (n, g, rest) when String.compare n name < 0 -> Cons (n, g, insert name f rest)
+  | l -> Cons (name, f, l)
 
 let rec delete name = function
-  | [] -> []
-  | ((n, _) as e) :: rest as l ->
+  | Nil -> Nil
+  | Cons (n, f, rest) as l ->
     let c = String.compare n name in
-    if c = 0 then rest else if c > 0 then l else e :: delete name rest
+    if c = 0 then rest else if c > 0 then l else Cons (n, f, delete name rest)
 
-let folder_opt t name = lookup name t.folders
+let folder_opt t name = match lookup name t.folders with f -> Some f | exception Not_found -> None
 
 let folder t name =
   match lookup name t.folders with
-  | Some f -> f
-  | None ->
+  | f -> f
+  | exception Not_found ->
     let f = Folder.create () in
     t.folders <- insert name f t.folders;
     f
 
-let mem t name = Option.is_some (lookup name t.folders)
+let mem t name = match lookup name t.folders with _ -> true | exception Not_found -> false
 let remove t name = if mem t name then t.folders <- delete name t.folders
-let names t = List.map fst t.folders
-let copy t = { folders = List.map (fun (name, f) -> (name, Folder.copy f)) t.folders }
-let clear t = t.folders <- []
+
+let rec fold_folders fn acc = function
+  | Nil -> acc
+  | Cons (name, f, rest) -> fold_folders fn (fn acc name f) rest
+
+let names t = List.rev (fold_folders (fun acc name _ -> name :: acc) [] t.folders)
+
+let rec copy_folders = function
+  | Nil -> Nil
+  | Cons (name, f, rest) -> Cons (name, Folder.copy f, copy_folders rest)
+
+let copy t = { folders = copy_folders t.folders }
+let clear t = t.folders <- Nil
 
 let set t name v = Folder.replace (folder t name) [ v ]
-let find_opt t name = Option.bind (folder_opt t name) Folder.peek
+
+let find_opt t name =
+  match lookup name t.folders with f -> Folder.peek f | exception Not_found -> None
 
 let get t name =
   match find_opt t name with Some v -> v | None -> raise Not_found
 
 (* Wire format: 4-byte folder count, then per folder (in name order) the
    encoded name, a 4-byte element count and the encoded elements. *)
-let folder_size acc (name, f) =
+let folder_size acc name f =
   acc + Codec.encoded_size name + 4 + (4 * Folder.length f) + Folder.byte_size f
 
-let byte_size t = List.fold_left folder_size 4 t.folders
+let byte_size t = fold_folders folder_size 4 t.folders
 
 let rec put_folders buf pos = function
-  | [] -> pos
-  | (name, f) :: rest ->
+  | Nil -> pos
+  | Cons (name, f, rest) ->
     let pos = Codec.put_string buf pos name in
     put_folders buf (Codec.put_strings buf pos (Folder.to_list f)) rest
 
 let serialize t =
   let buf = Bytes.create (byte_size t) in
-  let pos = Codec.put_u32 buf 0 (List.length t.folders) in
+  let pos = Codec.put_u32 buf 0 (fold_folders (fun n _ _ -> n + 1) 0 t.folders) in
   ignore (put_folders buf pos t.folders);
   Bytes.unsafe_to_string buf
 
@@ -74,7 +89,7 @@ let serialize t =
    [serialize] makes of the result.  Not tail-recursive: every folder
    consumes at least 8 input bytes, so the depth is bounded by the input. *)
 let rec read_folders r ~prev k =
-  if k = 0 then []
+  if k = 0 then Nil
   else begin
     let name = Codec.read_string r in
     (match prev with
@@ -82,7 +97,7 @@ let rec read_folders r ~prev k =
       raise (Codec.Malformed "folder names out of order")
     | Some _ | None -> ());
     let f = Folder.of_list (Codec.read_strings r) in
-    (name, f) :: read_folders r ~prev:(Some name) (k - 1)
+    Cons (name, f, read_folders r ~prev:(Some name) (k - 1))
   end
 
 let deserialize s =
@@ -93,9 +108,9 @@ let deserialize s =
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun (name, f) ->
+  fold_folders
+    (fun () name f ->
       Format.fprintf fmt "%s: [%s]@," name
         (String.concat "; " (List.map (Printf.sprintf "%S") (Folder.to_list f))))
-    t.folders;
+    () t.folders;
   Format.fprintf fmt "@]"

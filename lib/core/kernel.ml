@@ -167,7 +167,8 @@ type Netsim.Message.payload +=
   | Code_fetch of { fid : int; digest : string }
   | Code_fetch_reply of { fid : int; code : string list option }
 
-type _ Effect.t += Sleep_eff : float -> unit Effect.t
+(* carries the sleeper's [ctx], so one handler serves every kernel *)
+type _ Effect.t += Sleep_eff : ctx * float -> unit Effect.t
 
 let net t = t.net
 let config t = t.cfg
@@ -214,9 +215,9 @@ let reason_class_of_exn = function
 (* ---- agent registry ------------------------------------------------------ *)
 
 let agent_entry t name =
-  match Stbl.find_opt t.agents name with
-  | Some a -> a
-  | None ->
+  match Stbl.find t.agents name with
+  | a -> a
+  | exception Not_found ->
     let labels = [ ("agent", name) ] in
     let a =
       {
@@ -300,7 +301,7 @@ let agent_exists t site name =
 
 (* ---- script execution ----------------------------------------------------- *)
 
-let sleep (_ : ctx) dur = Effect.perform (Sleep_eff dur)
+let sleep ctx dur = Effect.perform (Sleep_eff (ctx, dur))
 
 let transmit t ~src ~dst ~size payload = Net.send t.net ~src ~dst ~size payload
 
@@ -326,9 +327,9 @@ let rec run_agent ctx name a bc =
     | Rscript code -> run_script ctx a ~code bc)
 
 and meet_inner ctx name bc =
-  match Stbl.find_opt ctx.kernel.agents name with
-  | Some a -> run_agent ctx name a bc
-  | None -> raise (no_agent ctx name)
+  match Stbl.find ctx.kernel.agents name with
+  | a -> run_agent ctx name a bc
+  | exception Not_found -> raise (no_agent ctx name)
 
 and meet ctx name bc =
   let t = ctx.kernel in
@@ -449,7 +450,71 @@ let run_hooks_death t ~cls ~site ~agent ~reason =
        "kernel.death");
   List.iter (fun h -> h ~site ~agent ~reason) t.death_hooks
 
-let run_activation ?daemon t ~site ~contact bc =
+let rec run_complete_hooks ~site ~agent = function
+  | [] -> ()
+  | h :: rest ->
+    h ~site ~agent;
+    run_complete_hooks ~site ~agent rest
+
+(* One activation: what its body needs and nothing more.  The body does its
+   own completion and death accounting, so the effect handlers around it
+   hold no per-activation state and are built once, for every kernel. *)
+type activation = {
+  act_ctx : ctx;
+  act_agent : agent;
+  act_bc : Briefcase.t;
+  act_span : Obs.Span.ctx;
+}
+
+(* A hook that raises does so inside the activation's fiber; the handlers'
+   [exnc] re-raises it, so it escapes the activation's event. *)
+let activation_body act =
+  let ctx = act.act_ctx in
+  let t = ctx.kernel and site = ctx.site and contact = ctx.self in
+  let tr = recorder t in
+  match run_agent ctx contact act.act_agent act.act_bc with
+  | () ->
+    if Obs.Tracer.enabled tr then
+      Obs.Tracer.end_span tr ~time:(now t) ~site ~agent:contact act.act_span
+        act.act_agent.activate_span;
+    Obs.Metrics.bump act.act_agent.completions 1;
+    run_complete_hooks ~site ~agent:contact t.complete_hooks
+  | exception e ->
+    if Obs.Tracer.enabled tr then
+      Obs.Tracer.end_span tr ~time:(now t) ~site ~agent:contact
+        ~attrs:[ ("error", Obs.Event.S (reason_of_exn e)) ]
+        act.act_span act.act_agent.activate_span;
+    run_hooks_death t ~cls:(reason_class_of_exn e) ~site ~agent:contact
+      ~reason:(reason_of_exn e)
+
+(* The timer that ends a sleep acts only under the place the activation
+   slept in: once the site has crashed, the activation dies instead. *)
+let wake t site place k () =
+  if t.places.(site) == place then Effect.Deep.continue k ()
+  else Effect.Deep.discontinue k (Aborted "site crashed")
+
+(* The two handlers an activation runs under: a work activation's sleeps
+   keep [Net.run] alive, a daemon's do not.  [daemon] is the option
+   [Net.schedule] takes, made once here rather than on every sleep. *)
+let activation_handler daemon : (unit, unit) Effect.Deep.handler =
+  {
+    retc = Fun.id;
+    exnc = raise;
+    effc =
+      (fun (type b) (eff : b Effect.t) ->
+        match eff with
+        | Sleep_eff (ctx, dur) ->
+          Some
+            (fun (k : (b, unit) Effect.Deep.continuation) ->
+              let t = ctx.kernel and site = ctx.site in
+              ignore (Net.schedule t.net ?daemon ~after:dur (wake t site t.places.(site) k)))
+        | _ -> None);
+  }
+
+let work_handler = activation_handler None
+let daemon_handler = activation_handler (Some true)
+
+let run_activation ?(daemon = false) t ~site ~contact bc =
   let agent = agent_entry t contact in
   Obs.Metrics.bump agent.activations 1;
   let ctx = { kernel = t; site; self = contact } in
@@ -469,39 +534,9 @@ let run_activation ?daemon t ~site ~contact bc =
       span
     end
   in
-  let open Effect.Deep in
-  match_with
-    (fun () -> run_agent ctx ctx.self agent bc)
-    ()
-    {
-      retc =
-        (fun () ->
-          if Obs.Tracer.enabled tr then
-            Obs.Tracer.end_span tr ~time:(now t) ~site ~agent:contact span
-              agent.activate_span;
-          Obs.Metrics.bump agent.completions 1;
-          List.iter (fun h -> h ~site ~agent:contact) t.complete_hooks);
-      exnc =
-        (fun e ->
-          if Obs.Tracer.enabled tr then
-            Obs.Tracer.end_span tr ~time:(now t) ~site ~agent:contact
-              ~attrs:[ ("error", Obs.Event.S (reason_of_exn e)) ]
-              span agent.activate_span;
-          run_hooks_death t ~cls:(reason_class_of_exn e) ~site ~agent:contact
-            ~reason:(reason_of_exn e));
-      effc =
-        (fun (type b) (eff : b Effect.t) ->
-          match eff with
-          | Sleep_eff dur ->
-            Some
-              (fun (k : (b, unit) continuation) ->
-                let place = t.places.(site) in
-                ignore
-                  (Net.schedule t.net ?daemon ~after:dur (fun () ->
-                       if t.places.(site) == place then continue k ()
-                       else discontinue k (Aborted "site crashed"))))
-          | _ -> None);
-    }
+  Effect.Deep.match_with activation_body
+    { act_ctx = ctx; act_agent = agent; act_bc = bc; act_span = span }
+    (if daemon then daemon_handler else work_handler)
 
 let launch ?daemon t ~site ~contact bc =
   ignore

@@ -14,7 +14,11 @@
       briefcase;
     - long-running behaviour (simulated compute, rear-guard timers) uses
       {!sleep}, implemented with OCaml effects so that a whole meet stack
-      suspends and a site crash kills suspended activations. *)
+      suspends and a site crash kills suspended activations.  Every
+      activation runs under one of two effect handlers built once, one for
+      work and one for daemons; the sleep effect carries its [ctx], which
+      names the kernel and site to arm the wake-up under, so starting an
+      activation builds no handler. *)
 
 type t
 
@@ -177,8 +181,9 @@ val launch :
 
 val sleep : ctx -> float -> unit
 (** Suspend the current activation for simulated seconds.  Only callable
-    from inside an activation.  @raise Aborted when the site crashes while
-    suspended. *)
+    from inside an activation.  The wake-up is a daemon event when the
+    activation is a daemon's, even from inside a nested {!meet}.
+    @raise Aborted when the site crashes while suspended. *)
 
 val run_code : ctx -> code:string -> Briefcase.t -> unit
 (** Execute TScript source as the current agent (used by [ag_script] and

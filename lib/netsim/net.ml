@@ -117,12 +117,12 @@ let route_cache_size t =
 (* Chaos degradation windows scale a link's parameters without touching the
    topology itself: latency is multiplied, bandwidth is multiplied (a factor
    below 1.0 slows the link down). *)
-let effective_latency t lid =
+let[@inline] effective_latency t lid =
   let l = t.ix.params.(lid) in
   if t.n_degraded = 0 then l.latency
   else match t.link_degrade.(lid) with None -> l.latency | Some (lm, _) -> l.latency *. lm
 
-let effective_bandwidth t lid =
+let[@inline] effective_bandwidth t lid =
   let l = t.ix.params.(lid) in
   if t.n_degraded = 0 then l.bandwidth
   else match t.link_degrade.(lid) with None -> l.bandwidth | Some (_, bm) -> l.bandwidth *. bm
@@ -221,18 +221,29 @@ let link_state t lid =
    first waits until the link has drained earlier traffic, occupies it for
    the serialisation time, then propagates for the latency.  Charges the
    message's bytes to every link, returns the absolute arrival time and
-   updates the links' busy horizons. *)
-let rec reserve_path t ~size arrival = function
-  | [] -> arrival
-  | lid :: rest ->
-    let ls = link_state t lid in
-    Obs.Metrics.bump ls.link_bytes size;
-    let start_tx = Float.max arrival ls.busy_until in
-    (* queue depth at this link, in seconds of backlog ahead of us *)
-    Obs.Metrics.record ls.link_wait (start_tx -. arrival);
-    let tx_done = start_tx +. (float_of_int size /. effective_bandwidth t lid) in
-    ls.busy_until <- tx_done;
-    reserve_path t ~size (tx_done +. effective_latency t lid) rest
+   updates the links' busy horizons.  A loop over local refs, not a
+   recursion or a closure, so the running time stays unboxed. *)
+let reserve_path t ~size depart lids =
+  let arrival = ref depart and rest = ref lids in
+  while
+    match !rest with
+    | [] -> false
+    | lid :: tl ->
+      rest := tl;
+      let ls = link_state t lid in
+      Obs.Metrics.bump ls.link_bytes size;
+      (* [Float.max] for times, which are never NaN, without its boxing call *)
+      let start_tx = if !arrival >= ls.busy_until then !arrival else ls.busy_until in
+      (* queue depth at this link, in seconds of backlog ahead of us *)
+      Obs.Metrics.record ls.link_wait (start_tx -. !arrival);
+      let tx_done = start_tx +. (float_of_int size /. effective_bandwidth t lid) in
+      ls.busy_until <- tx_done;
+      arrival := tx_done +. effective_latency t lid;
+      true
+  do
+    ()
+  done;
+  !arrival
 
 (* The probability that a message crossing the links [lids] is lost.  With
    no chaos overrides this is exactly [loss_rate]; a global override window
@@ -280,6 +291,13 @@ let delivery_delay t src dst ~size =
     | None -> None
     | Some lids -> Some (path_delay t ~size lids)
 
+(* a top-level recursion, not [List.iter] over a closure holding [msg] *)
+let rec run_handlers msg = function
+  | [] -> ()
+  | (_, h) :: rest ->
+    h msg;
+    run_handlers msg rest
+
 let deliver t (msg : Message.t) =
   let st = state t msg.dst in
   let tr = recorder t in
@@ -295,7 +313,7 @@ let deliver t (msg : Message.t) =
             ("latency", Obs.Event.F (now t -. msg.sent_at));
           ]
         "net.deliver";
-    List.iter (fun (_, h) -> h msg) st.handlers
+    run_handlers msg st.handlers
   end
   else begin
     Obs.Metrics.incr t.metrics ~labels:[ ("reason", "site-down") ] "net.drops";

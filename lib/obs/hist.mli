@@ -1,6 +1,10 @@
 (** Fixed-bucket histogram with exact count/sum/min/max and interpolated
     percentiles — the measurement primitive behind hop latencies, queue
-    waits and interpreter step distributions. *)
+    waits and interpreter step distributions.
+
+    Sum, min and max are held unboxed, so {!observe} allocates nothing;
+    it is inlined where the build inlines across modules, so a caller's
+    float is not boxed to pass it. *)
 
 type t
 
@@ -12,6 +16,10 @@ val create : ?bounds:float array -> unit -> t
     bounds are not strictly increasing. *)
 
 val observe : t -> float -> unit
+(** Counts [x] in the first bucket whose upper bound admits it
+    ([x <= bound]); NaN and values past the last bound go to the overflow
+    bucket.  NaN makes the sum NaN and leaves min and max as they were. *)
+
 val count : t -> int
 val sum : t -> float
 val mean : t -> float

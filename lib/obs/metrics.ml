@@ -68,15 +68,19 @@ let bump h n =
       r := !r + n
     | IHist _ -> kind_error h.c_name "counter")
 
-let record h v =
+let record_slow h v =
+  match find_or_add h.h_reg h.h_name h.h_labels (fun () -> IHist (Hist.create ())) with
+  | IHist hist ->
+    h.hist <- Some hist;
+    Hist.observe hist v
+  | ICounter _ -> kind_error h.h_name "histogram"
+
+(* Inlined with [Hist.observe] into the caller, so a resolved handle
+   records its float without boxing it. *)
+let[@inline] record h v =
   match h.hist with
   | Some hist -> Hist.observe hist v
-  | None -> (
-    match find_or_add h.h_reg h.h_name h.h_labels (fun () -> IHist (Hist.create ())) with
-    | IHist hist ->
-      h.hist <- Some hist;
-      Hist.observe hist v
-    | ICounter _ -> kind_error h.h_name "histogram")
+  | None -> record_slow h v
 
 let find t name labels = Hashtbl.find_opt t.series (name, canon labels)
 

@@ -37,7 +37,8 @@ val bump : counter_handle -> int -> unit
 (** [bump h n] is [incr ~by:n] on the handle's series. *)
 
 val record : histogram_handle -> float -> unit
-(** [observe] on the handle's series. *)
+(** [observe] on the handle's series.  Once the handle has resolved its
+    series this is {!Hist.observe} inlined, with no allocation. *)
 
 (** {1 Reading} *)
 

@@ -9,16 +9,60 @@ exception Syntax_error of string
    [literals]: the equal literal words of one script share one value, so
    their cached int or list form is filled once and the AST holds one copy
    of each text.  Safe because a cached form is a pure function of the
-   string. *)
-type state = { src : string; mutable pos : int; literals : (string, Value.t) Hashtbl.t }
+   string.  Most scripts parsed are one-command proc bodies with a handful
+   of literals, so the first [few_literals] live in a list ([few]); only a
+   script with more makes a table, which costs some 22 words before its
+   first entry. *)
+type lits = No_lit | Lit of string * Value.t * lits
+
+type state = {
+  src : string;
+  mutable pos : int;
+  mutable few : lits;
+  mutable n_few : int;
+  mutable table : (string, Value.t) Hashtbl.t option;
+}
+
+let few_literals = 8
+
+let rec find_lit text = function
+  | No_lit -> raise_notrace Not_found
+  | Lit (t, v, rest) -> if String.equal t text then v else find_lit text rest
+
+let rec add_lits tbl = function
+  | No_lit -> ()
+  | Lit (t, v, rest) ->
+    Hashtbl.add tbl t v;
+    add_lits tbl rest
 
 let literal st text =
-  match Hashtbl.find st.literals text with
-  | v -> v
-  | exception Not_found ->
-    let v = Value.of_string text in
-    Hashtbl.add st.literals text v;
-    v
+  match st.table with
+  | Some tbl -> (
+    match Hashtbl.find tbl text with
+    | v -> v
+    | exception Not_found ->
+      let v = Value.of_string text in
+      Hashtbl.add tbl text v;
+      v)
+  | None -> (
+    match find_lit text st.few with
+    | v -> v
+    | exception Not_found ->
+      let v = Value.of_string text in
+      if st.n_few < few_literals then begin
+        st.few <- Lit (text, v, st.few);
+        st.n_few <- st.n_few + 1
+      end
+      else begin
+        let tbl = Hashtbl.create 32 in
+        add_lits tbl st.few;
+        Hashtbl.add tbl text v;
+        st.few <- No_lit;
+        st.table <- Some tbl
+      end;
+      v)
+
+let state src = { src; pos = 0; few = No_lit; n_few = 0; table = None }
 
 let fail msg = raise (Syntax_error msg)
 
@@ -292,11 +336,11 @@ and commands st ~in_bracket acc =
       | words -> commands st ~in_bracket (Ast.command words :: acc))
 
 let script src =
-  let st = { src; pos = 0; literals = Hashtbl.create 8 } in
+  let st = state src in
   parse_script st ~in_bracket:false
 
 let fragments src =
-  let st = { src; pos = 0; literals = Hashtbl.create 8 } in
+  let st = state src in
   parse_fragments st Never
 
 let script_result src =

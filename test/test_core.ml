@@ -556,6 +556,32 @@ let test_send_briefcase_snapshot () =
   check Alcotest.(list string) "receiver does not touch the sender's copy" [ "a"; "late" ]
     (Folder.to_list (Briefcase.folder bc "F"))
 
+(* One E5 load report, start to end: the monitor sets LOAD on its six-folder
+   report, [send_briefcase] snapshots it to the broker, the broker's
+   activation refreshes the provider's entry, and the monitor sleeps.  In
+   the test profile under OCaml 5.1 a tick measures 157 words (a release
+   build, which inlines across modules, 151); the bound is a quarter more.
+   The path before its allocation was cut measured 259. *)
+let report_tick_words = 157
+let test_report_tick_allocation () =
+  let net, k = mk_kernel ~topo:(Topology.star 1) () in
+  let broker = Broker.Matchmaker.install k ~site:0 ~name:"broker" () in
+  let p = Broker.Provider.install k ~site:1 ~name:"prov-3" ~service:"compute" ~capacity:2.0 () in
+  Broker.Matchmaker.register_provider broker p;
+  Broker.Provider.start_load_monitor k p ~brokers:[ (0, "broker") ] ~period:1.0;
+  let reports () = Obs.Metrics.counter (Net.metrics net) "broker.reports" in
+  Net.run ~until:10.5 net;
+  let r0 = reports () in
+  let w0 = Gc.minor_words () in
+  Net.run ~until:1010.5 net;
+  let words = Gc.minor_words () -. w0 in
+  let ticks = reports () - r0 in
+  check Alcotest.int "one report a second" 1000 ticks;
+  let per_tick = words /. float_of_int ticks in
+  let bound = 1.25 *. float_of_int report_tick_words in
+  if per_tick > bound then
+    Alcotest.failf "a report tick allocates %.1f words, over the bound of %.0f" per_tick bound
+
 let test_rexec_snapshot () =
   List.iter
     (fun transport ->
@@ -708,6 +734,79 @@ let test_kernel_group_aborts_retries_to_dead_site () =
       (Obs.Tracer.events (Net.recorder net))
   in
   Alcotest.(check bool) "abandoned quickly (not 50 retries)" true gave_up
+
+(* --- kernel: activations and their effect handlers --- *)
+
+(* A load monitor meets a helper that sleeps: the sleep is the daemon
+   activation's, so its timers keep nothing alive and an unbounded run
+   stops when the one work activation is done. *)
+let test_daemon_sleep_in_nested_meet () =
+  let net, k = mk_kernel () in
+  let ticks = ref 0 in
+  Kernel.register_native k "tick" (fun ctx _ ->
+      Kernel.sleep ctx 1.0;
+      incr ticks);
+  Kernel.register_native k "monitor" (fun ctx bc ->
+      (* bounded, so a daemon that keeps the run alive fails, not hangs *)
+      for _ = 1 to 100 do
+        Kernel.meet ctx "tick" bc
+      done);
+  Kernel.register_native k "work" (fun ctx _ -> Kernel.sleep ctx 4.5);
+  Kernel.launch ~daemon:true k ~site:1 ~contact:"monitor" (Briefcase.create ());
+  Kernel.launch k ~site:2 ~contact:"work" (Briefcase.create ());
+  Net.run net;
+  check (Alcotest.float 0.0) "run ends with the work" 4.5 (Net.now net);
+  check Alcotest.int "daemon ticks so far" 4 !ticks;
+  check Alcotest.int "the work completed" 1 (Kernel.completions k)
+
+let test_crash_during_sleep_one_death () =
+  let net, k = mk_kernel () in
+  let reasons = ref [] in
+  Kernel.on_death k (fun ~site:_ ~agent ~reason -> reasons := (agent, reason) :: !reasons);
+  Kernel.register_native k "sleeper" (fun ctx _ -> Kernel.sleep ctx 5.0);
+  Kernel.launch k ~site:1 ~contact:"sleeper" (Briefcase.create ());
+  Netsim.Chaos.crash_for net ~site:1 ~at:1.0 ~downtime:1.0;
+  Net.run ~until:20.0 net;
+  check Alcotest.int "aborted deaths" 1
+    (Obs.Metrics.counter (Net.metrics net)
+       ~labels:[ ("agent", "sleeper"); ("class", "aborted") ]
+       "kernel.deaths");
+  check Alcotest.int "no other death" 1 (Kernel.deaths k);
+  check Alcotest.(list (pair string string)) "reason"
+    [ ("sleeper", "aborted: site crashed") ]
+    !reasons
+
+let test_hooks_once_in_order () =
+  let net, k = mk_kernel () in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  Kernel.on_complete k (fun ~site:_ ~agent -> note ("complete-1 " ^ agent));
+  Kernel.on_death k (fun ~site:_ ~agent ~reason:_ -> note ("death-1 " ^ agent));
+  Kernel.on_complete k (fun ~site:_ ~agent -> note ("complete-2 " ^ agent));
+  Kernel.on_death k (fun ~site:_ ~agent ~reason:_ -> note ("death-2 " ^ agent));
+  Kernel.register_native k "ok" (fun ctx _ -> Kernel.sleep ctx 1.0);
+  Kernel.register_native k "bad" (fun ctx _ ->
+      Kernel.sleep ctx 2.0;
+      raise (Kernel.Agent_error "bad"));
+  Kernel.launch k ~site:1 ~contact:"ok" (Briefcase.create ());
+  Kernel.launch k ~site:1 ~contact:"bad" (Briefcase.create ());
+  Net.run net;
+  check Alcotest.(list string) "each hook once, in registration order"
+    [ "complete-1 ok"; "complete-2 ok"; "death-1 bad"; "death-2 bad" ]
+    (List.rev !log)
+
+exception Hook_failed
+
+let test_completion_hook_exception_escapes () =
+  let net, k = mk_kernel () in
+  Kernel.on_complete k (fun ~site:_ ~agent:_ -> raise Hook_failed);
+  Kernel.register_native k "ok" (fun ctx _ -> Kernel.sleep ctx 1.0);
+  Kernel.launch k ~site:1 ~contact:"ok" (Briefcase.create ());
+  let escaped = match Net.run net with () -> false | exception Hook_failed -> true in
+  Alcotest.(check bool) "the hook's exception leaves Net.run" true escaped;
+  check (Alcotest.float 0.0) "raised by the event that resumed the agent" 1.0 (Net.now net);
+  check Alcotest.int "counted as a completion" 1 (Kernel.completions k);
+  check Alcotest.int "not as a death" 0 (Kernel.deaths k)
 
 (* --- kernel: crash semantics --- *)
 
@@ -1267,6 +1366,17 @@ let () =
           Alcotest.test_case "horus redelivery gets its own copy" `Quick
             test_horus_redelivery_gets_own_copy;
           test_migration_carries_wire_image;
+          Alcotest.test_case "report tick allocation bound" `Quick test_report_tick_allocation;
+        ] );
+      ( "activation",
+        [
+          Alcotest.test_case "daemon sleep in a nested meet" `Quick
+            test_daemon_sleep_in_nested_meet;
+          Alcotest.test_case "crash during sleep: one aborted death" `Quick
+            test_crash_during_sleep_one_death;
+          Alcotest.test_case "hooks once, in registration order" `Quick test_hooks_once_in_order;
+          Alcotest.test_case "completion hook exception escapes" `Quick
+            test_completion_hook_exception_escapes;
         ] );
       ( "horus-group-mode",
         [

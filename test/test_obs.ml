@@ -276,6 +276,106 @@ let test_hist_overflow_bucket () =
   Alcotest.check feq "overflow p99 clamps to max" 200.0 (Obs.Hist.percentile h 99.0);
   Alcotest.(check int) "two buckets listed" 1 (List.length (Obs.Hist.buckets h))
 
+(* ---- histogram against a list model ---------------------------------------- *)
+
+(* The bucket rule: the first bound that admits [x] ([x <= bound]); NaN and
+   values past the last bound go to the overflow bucket, index [n]. *)
+let model_bucket bounds x =
+  let n = Array.length bounds in
+  match List.find_opt (fun i -> x <= bounds.(i)) (List.init n Fun.id) with
+  | Some i -> i
+  | None -> n
+
+(* min and max ignore NaN; with no other value they stay at their start *)
+let model_min xs = List.fold_left Float.min infinity (List.filter (fun x -> not (Float.is_nan x)) xs)
+let model_max xs = List.fold_left Float.max neg_infinity (List.filter (fun x -> not (Float.is_nan x)) xs)
+
+let model_buckets bounds xs =
+  let n = Array.length bounds in
+  List.filter_map
+    (fun i ->
+      match List.length (List.filter (fun x -> model_bucket bounds x = i) xs) with
+      | 0 -> None
+      | c -> Some ((if i = n then infinity else bounds.(i)), c))
+    (List.init (n + 1) Fun.id)
+
+(* nearest rank; the value interpolated by rank inside the rank's bucket,
+   whose edges are clamped to the observed min and max *)
+let model_percentile bounds xs p =
+  let count = List.length xs in
+  if count = 0 then 0.0
+  else begin
+    let n = Array.length bounds in
+    let min_v = model_min xs and max_v = model_max xs in
+    let p = Float.max 0.0 (Float.min 100.0 p) in
+    let rank = max 1 (min count (int_of_float (ceil (p /. 100.0 *. float_of_int count)))) in
+    let idx = List.sort compare (List.map (model_bucket bounds) xs) in
+    let i = List.nth idx (rank - 1) in
+    let below = List.length (List.filter (fun j -> j < i) idx) in
+    let inside = List.length (List.filter (fun j -> j = i) idx) in
+    let lo = Float.max (if i = 0 then min_v else bounds.(i - 1)) min_v in
+    let hi = Float.min (if i = n then max_v else bounds.(i)) max_v in
+    if hi <= lo then hi
+    else lo +. (float_of_int (rank - below) /. float_of_int inside *. (hi -. lo))
+  end
+
+let hist_case_gen =
+  let open QCheck2.Gen in
+  let* bounds =
+    oneof
+      [
+        (* the documented default: 1e-6 up by factors of 4, 23 bounds *)
+        return (Array.init 23 (fun i -> 1e-6 *. (4.0 ** float_of_int i)));
+        map
+          (fun l -> Array.of_list (List.sort_uniq Float.compare l))
+          (list_size (1 -- 6) (float_range (-100.0) 100.0));
+      ]
+  in
+  let n = Array.length bounds in
+  let value =
+    frequency
+      [
+        (3, map (fun i -> bounds.(i)) (0 -- (n - 1)));
+        (1, map (fun d -> bounds.(0) -. d) (float_range 0.001 10.0));
+        (1, map (fun d -> bounds.(n - 1) +. d) (float_range 0.001 10.0));
+        (1, oneofl [ infinity; neg_infinity; Float.nan ]);
+        (3, float_range (bounds.(0) -. 1.0) (bounds.(n - 1) +. 1.0));
+      ]
+  in
+  let* xs = list_size (0 -- 40) value in
+  let* ps = list_size (1 -- 4) (float_range 0.0 100.0) in
+  return (bounds, xs, [ 0.0; 1.0; 50.0; 90.0; 99.0; 100.0 ] @ ps)
+
+let print_hist_case (bounds, xs, ps) =
+  let fl l = String.concat "; " (List.map (Printf.sprintf "%.17g") l) in
+  Printf.sprintf "bounds [%s]\nvalues [%s]\npercentiles [%s]" (fl (Array.to_list bounds)) (fl xs)
+    (fl ps)
+
+let test_hist_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"matches a list model" ~print:print_hist_case
+       hist_case_gen (fun (bounds, xs, ps) ->
+         let h = Obs.Hist.create ~bounds () in
+         List.iter (Obs.Hist.observe h) xs;
+         let count = List.length xs in
+         let sum = List.fold_left ( +. ) 0.0 xs in
+         let nonempty v = if count = 0 then 0.0 else v in
+         let same what a b =
+           Float.equal a b || QCheck2.Test.fail_reportf "%s: hist %h, model %h" what a b
+         in
+         Obs.Hist.count h = count
+         && same "sum" (Obs.Hist.sum h) sum
+         && same "mean" (Obs.Hist.mean h) (nonempty (sum /. float_of_int count))
+         && same "min" (Obs.Hist.min_value h) (nonempty (model_min xs))
+         && same "max" (Obs.Hist.max_value h) (nonempty (model_max xs))
+         && (Obs.Hist.buckets h = model_buckets bounds xs
+            || QCheck2.Test.fail_report "buckets differ")
+         && List.for_all
+              (fun p ->
+                same (Printf.sprintf "p%g" p) (Obs.Hist.percentile h p)
+                  (model_percentile bounds xs p))
+              ps))
+
 (* ---- metrics registry ----------------------------------------------------- *)
 
 let test_metrics_counters () =
@@ -684,6 +784,7 @@ let () =
           Alcotest.test_case "percentiles" `Quick test_hist_percentiles;
           Alcotest.test_case "single value" `Quick test_hist_single_value;
           Alcotest.test_case "overflow bucket" `Quick test_hist_overflow_bucket;
+          test_hist_model;
         ] );
       ( "metrics",
         [
