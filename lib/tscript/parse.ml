@@ -6,12 +6,12 @@ exception Syntax_error of string
    string of the length the scan counted.  So parsing allocates what the
    AST keeps, and little else.
 
-   [literals]: the equal literal words of one script share one value, so
+   [literal]: the equal literal words of one script share one value, so
    their cached int or list form is filled once and the AST holds one copy
    of each text.  Safe because a cached form is a pure function of the
    string.  Most scripts parsed are one-command proc bodies with a handful
    of literals, so the first [few_literals] live in a list ([few]); only a
-   script with more makes a table, which costs some 22 words before its
+   script with more makes a [table], which costs some 22 words before its
    first entry. *)
 type lits = No_lit | Lit of string * Value.t * lits
 
