@@ -404,6 +404,33 @@ let bench_report_tick =
   Test.make ~name:"core E5 report tick (monitor -> send -> broker upsert)"
     (Staged.stage (fun () -> Net.run ~until:(Net.now net +. 1.0) net))
 
+(* A route lookup after every reachability change: a chaos run empties the
+   route cache at each crash, restart, cut and degradation, and the next
+   send from a source searches again.  The toggle leaves the topology as
+   it was, so every run searches the same graph. *)
+let bench_route_after_invalidation =
+  let net = Net.create (Topology.random ~rng:(Tacoma_util.Rng.create 10L) ~n:10 ~p:0.3 ()) in
+  Test.make ~name:"netsim route lookup after invalidation (10-site random)"
+    (Staged.stage (fun () ->
+         Net.set_link_enabled net 0 1 false;
+         Net.set_link_enabled net 0 1 true;
+         ignore (Net.delivery_delay net 0 5 ~size:100)))
+
+(* The flight recorder's share of one traced message: its send and its
+   delivery events, into a recorder that has wrapped, so no run makes a
+   chunk. *)
+let bench_trace_send_deliver =
+  let tr = Obs.Tracer.create ~capacity:4096 ~enabled:true () in
+  let record time =
+    Obs.Tracer.instant_ints tr Obs.Desc.net_send ~time ~site:0 5 512 3;
+    Obs.Tracer.instant_nums tr Obs.Desc.net_deliver ~time ~site:5 0 512 0.0125 0.0
+  in
+  for i = 1 to 4096 do
+    record (float_of_int i)
+  done;
+  Test.make ~name:"obs trace net.send + net.deliver records"
+    (Staged.stage (fun () -> record 1.0))
+
 let bench_metrics_incr =
   let m = Obs.Metrics.create () in
   Test.make ~name:"obs metrics incr by name (labelled)"
@@ -511,6 +538,8 @@ let all_benches =
       bench_report_deserialize;
       bench_report_delivery;
       bench_report_tick;
+      bench_route_after_invalidation;
+      bench_trace_send_deliver;
       bench_metrics_incr;
       bench_metrics_bump;
       bench_schedule_fire;
@@ -544,22 +573,43 @@ let write_json path rows =
   output_string oc "}\n";
   close_out oc
 
-(* run one group of tests to completion and return (name, ns/run) rows *)
+(* Words allocated on the minor heap, read with [Gc.minor_words], which is
+   exact: the toolkit's [minor_allocated] reads [Gc.quick_stat], whose
+   minor count OCaml 5 only moves at a collection. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "words"
+end
+
+let minor_words =
+  Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
+(* run one group of tests to completion and return (name, ns/run,
+   minor words/run) rows *)
 let measure cfg tests =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in
-  let instances = Instance.[ monotonic_clock ] in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ est ] -> rows := (name, est) :: !rows
-      | Some _ | None -> ())
-    results;
-  !rows
+  let raw = Benchmark.all cfg [ Instance.monotonic_clock; minor_words ] tests in
+  let estimates instance =
+    Hashtbl.fold
+      (fun name ols_result acc ->
+        match Analyze.OLS.estimates ols_result with
+        | Some [ est ] -> (name, est) :: acc
+        | Some _ | None -> acc)
+      (Analyze.all ols instance raw)
+      []
+  in
+  let words = estimates minor_words in
+  List.map
+    (fun (name, ns) -> (name, ns, Option.value ~default:nan (List.assoc_opt name words)))
+    (estimates Instance.monotonic_clock)
 
 (* --jobs N: one pool task per benchmark.  Each staged closure only touches
    state built for that benchmark, so samples can run concurrently; the
@@ -579,10 +629,12 @@ let run quick json_out jobs =
       |> List.concat
   in
   let rows = List.sort compare rows in
-  Printf.printf "%-50s | %15s\n" "benchmark" "ns/run";
-  Printf.printf "%s\n" (String.make 70 '-');
-  List.iter (fun (name, est) -> Printf.printf "%-50s | %15.1f\n" name est) rows;
-  Option.iter (fun path -> write_json path rows) json_out
+  Printf.printf "%-50s | %15s | %12s\n" "benchmark" "ns/run" "words/run";
+  Printf.printf "%s\n" (String.make 85 '-');
+  List.iter
+    (fun (name, ns, words) -> Printf.printf "%-50s | %15.1f | %12.1f\n" name ns words)
+    rows;
+  Option.iter (fun path -> write_json path (List.map (fun (name, ns, _) -> (name, ns)) rows)) json_out
 
 let () =
   let open Cmdliner in
@@ -600,5 +652,6 @@ let () =
   exit
     (Cmd.eval
        (Cmd.v
-          (Cmd.info "bench" ~doc:"Micro-benchmarks of the TACOMA layers, in ns/run.")
+          (Cmd.info "bench"
+             ~doc:"Micro-benchmarks of the TACOMA layers, in ns and minor-heap words per run.")
           Term.(const run $ quick $ json_out $ Tacoma_cli.jobs_term)))

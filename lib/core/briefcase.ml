@@ -62,8 +62,7 @@ let set t name v = Folder.replace (folder t name) [ v ]
 let find_opt t name =
   match lookup name t.folders with f -> Folder.peek f | exception Not_found -> None
 
-let get t name =
-  match find_opt t name with Some v -> v | None -> raise Not_found
+let get t name = Folder.first (lookup name t.folders)
 
 (* Wire format: 4-byte folder count, then per folder (in name order) the
    encoded name, a 4-byte element count and the encoded elements. *)

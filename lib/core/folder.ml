@@ -44,6 +44,10 @@ let peek t =
   normalize t;
   match t.front with [] -> None | x :: _ -> Some x
 
+let first t =
+  normalize t;
+  match t.front with [] -> raise Not_found | x :: _ -> x
+
 let enqueue t x =
   t.back <- x :: t.back;
   t.len <- t.len + 1;

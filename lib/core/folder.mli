@@ -27,6 +27,9 @@ val pop : t -> string option
 
 val peek : t -> string option
 
+val first : t -> string
+(** [peek] without the option.  @raise Not_found when empty. *)
+
 (** {1 Queue discipline} *)
 
 val enqueue : t -> string -> unit

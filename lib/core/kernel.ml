@@ -15,6 +15,11 @@ let transport_of_string s =
 
 let transport_name = function Rsh -> "rsh" | Tcp -> "tcp" | Horus -> "horus"
 
+let migrate_event = function
+  | Rsh -> Obs.Desc.migrate_rsh
+  | Tcp -> Obs.Desc.migrate_tcp
+  | Horus -> Obs.Desc.migrate_horus
+
 type rsh_config = { spawn_delay : float; extra_bytes : int }
 type tcp_config = { handshake_bytes : int; extra_bytes : int }
 
@@ -127,8 +132,7 @@ type t = {
 (* Everything installed under one agent name, looked up once per delivery
    by that name: the site-scoped and global implementations, handles on
    the name's activation and completion counters (which register on first
-   use), once it has run a script, its interpreter profile, and once it has
-   been activated with the recorder on, its activation span's name. *)
+   use) and, once it has run a script, its interpreter profile. *)
 and agent = {
   mutable site_natives : (Netsim.Site.id * native) list;
   mutable global_native : native option;
@@ -137,7 +141,6 @@ and agent = {
   activations : Obs.Metrics.counter_handle;
   completions : Obs.Metrics.counter_handle;
   mutable profile : profile option;
-  mutable activate_span : string; (* ["activate:" ^ name], or [""] before *)
 }
 
 (* the series [run_code] records after every script run: per agent, and
@@ -194,7 +197,9 @@ let fresh_id t =
    It is only ever written while tracing is on: with the recorder off the
    briefcase (and hence every wire size) is byte-identical. *)
 let briefcase_span bc =
-  Option.bind (Briefcase.find_opt bc Briefcase.trace_folder) Obs.Span.of_string
+  match Briefcase.get bc Briefcase.trace_folder with
+  | s -> Obs.Span.parse s
+  | exception Not_found -> Obs.Span.null
 
 let set_briefcase_span bc ctx =
   Briefcase.set bc Briefcase.trace_folder (Obs.Span.to_string ctx)
@@ -228,7 +233,6 @@ let agent_entry t name =
         activations = Obs.Metrics.counter_handle (metrics t) ~labels "kernel.activations";
         completions = Obs.Metrics.counter_handle (metrics t) ~labels "kernel.completions";
         profile = None;
-        activate_span = "";
       }
     in
     Stbl.add t.agents name a;
@@ -337,10 +341,9 @@ and meet ctx name bc =
   let tr = recorder t in
   if not (Obs.Tracer.enabled tr) then meet_inner ctx name bc
   else begin
-    let span_name = "meet:" ^ name in
     let span =
-      Obs.Tracer.start_span tr ~time:(now t) ?parent:(briefcase_span bc) ~site:ctx.site
-        ~agent:name span_name
+      Obs.Tracer.open_span tr Obs.Desc.meet ~time:(now t) ~parent:(briefcase_span bc)
+        ~site:ctx.site ~agent:name "" 0
     in
     (* the callee sees itself as the live span; restore the caller's context
        afterwards so sibling meets parent correctly *)
@@ -354,12 +357,11 @@ and meet ctx name bc =
     match meet_inner ctx name bc with
     | () ->
       restore ();
-      Obs.Tracer.end_span tr ~time:(now t) ~site:ctx.site ~agent:name span span_name
+      Obs.Tracer.close_span tr Obs.Desc.meet ~time:(now t) ~site:ctx.site ~agent:name span ""
     | exception e ->
       restore ();
-      Obs.Tracer.end_span tr ~time:(now t) ~site:ctx.site ~agent:name
-        ~attrs:[ ("error", Obs.Event.S (reason_of_exn e)) ]
-        span span_name;
+      Obs.Tracer.close_span tr Obs.Desc.meet_failed ~time:(now t) ~site:ctx.site ~agent:name
+        span (reason_of_exn e);
       raise e
   end
 
@@ -390,8 +392,8 @@ and run_script ctx a ~code bc =
         (fun msg ->
           let tr = recorder t in
           if Obs.Tracer.enabled tr then
-            Obs.Tracer.instant tr ~time:(now t) ~cat:"kernel" ~site:ctx.site ~agent:ctx.self
-              ~msg "agent.log");
+            Obs.Tracer.instant_strs tr Obs.Desc.agent_log ~time:(now t) ~span:Obs.Span.null
+              ~site:ctx.site ~agent:ctx.self msg "" 0 0);
       random_int = (fun n -> Rng.int t.rng n);
       cabinet = cabinet t ctx.site;
       code = (fun () -> code);
@@ -445,9 +447,8 @@ let run_hooks_death t ~cls ~site ~agent ~reason =
   Obs.Metrics.incr (metrics t) ~labels:[ ("agent", agent); ("class", cls) ] "kernel.deaths";
   (let tr = recorder t in
    if Obs.Tracer.enabled tr then
-     Obs.Tracer.instant tr ~time:(now t) ~cat:"kernel" ~site ~agent ~msg:reason
-       ~attrs:[ ("class", Obs.Event.S cls) ]
-       "kernel.death");
+     Obs.Tracer.instant_strs tr Obs.Desc.kernel_death ~time:(now t) ~span:Obs.Span.null ~site
+       ~agent reason cls 0 0);
   List.iter (fun h -> h ~site ~agent ~reason) t.death_hooks
 
 let rec run_complete_hooks ~site ~agent = function
@@ -475,15 +476,14 @@ let activation_body act =
   match run_agent ctx contact act.act_agent act.act_bc with
   | () ->
     if Obs.Tracer.enabled tr then
-      Obs.Tracer.end_span tr ~time:(now t) ~site ~agent:contact act.act_span
-        act.act_agent.activate_span;
+      Obs.Tracer.close_span tr Obs.Desc.activate ~time:(now t) ~site ~agent:contact act.act_span
+        "";
     Obs.Metrics.bump act.act_agent.completions 1;
     run_complete_hooks ~site ~agent:contact t.complete_hooks
   | exception e ->
     if Obs.Tracer.enabled tr then
-      Obs.Tracer.end_span tr ~time:(now t) ~site ~agent:contact
-        ~attrs:[ ("error", Obs.Event.S (reason_of_exn e)) ]
-        act.act_span act.act_agent.activate_span;
+      Obs.Tracer.close_span tr Obs.Desc.activate_failed ~time:(now t) ~site ~agent:contact
+        act.act_span (reason_of_exn e);
     run_hooks_death t ~cls:(reason_class_of_exn e) ~site ~agent:contact
       ~reason:(reason_of_exn e)
 
@@ -525,10 +525,9 @@ let run_activation ?(daemon = false) t ~site ~contact bc =
   let span =
     if not (Obs.Tracer.enabled tr) then Obs.Span.null
     else begin
-      if agent.activate_span = "" then agent.activate_span <- "activate:" ^ contact;
       let span =
-        Obs.Tracer.start_span tr ~time:(now t) ?parent:(briefcase_span bc) ~site ~agent:contact
-          agent.activate_span
+        Obs.Tracer.open_span tr Obs.Desc.activate ~time:(now t) ~parent:(briefcase_span bc) ~site
+          ~agent:contact "" 0
       in
       set_briefcase_span bc span;
       span
@@ -578,9 +577,13 @@ let wire_snapshot t place bc =
 let end_fetch_span t pf ?error () =
   let tr = recorder t in
   if Obs.Tracer.enabled tr then
-    Obs.Tracer.end_span tr ~time:(now t) ~site:pf.pf_site ~agent:pf.pf_contact
-      ?attrs:(Option.map (fun e -> [ ("error", Obs.Event.S e) ]) error)
-      pf.pf_span "codecache.fetch"
+    match error with
+    | None ->
+      Obs.Tracer.close_span tr Obs.Desc.fetch_done ~time:(now t) ~site:pf.pf_site
+        ~agent:pf.pf_contact pf.pf_span ""
+    | Some e ->
+      Obs.Tracer.close_span tr Obs.Desc.fetch_failed ~time:(now t) ~site:pf.pf_site
+        ~agent:pf.pf_contact pf.pf_span e
 
 (* Receiver side, miss path: hold the activation, ask the sending site for
    the code (one extra round trip, byte-accounted like any message), and
@@ -594,9 +597,8 @@ let begin_fetch t place ~site ~src ~contact ~digest ~ccfg bc =
   let span =
     if not (Obs.Tracer.enabled tr) then Obs.Span.null
     else
-      Obs.Tracer.start_span tr ~time:(now t) ?parent:(briefcase_span bc) ~site ~agent:contact
-        ~attrs:[ ("digest", Obs.Event.S digest); ("src", Obs.Event.I src) ]
-        "codecache.fetch"
+      Obs.Tracer.open_span tr Obs.Desc.fetch ~time:(now t) ~parent:(briefcase_span bc) ~site
+        ~agent:contact digest src
   in
   let pf =
     {
@@ -685,9 +687,8 @@ let rec horus_retry t place st mid =
     Obs.Metrics.incr (metrics t) "horus.giveups";
     let tr = recorder t in
     if Obs.Tracer.enabled tr then
-      Obs.Tracer.instant tr ~time:(now t) ~cat:"kernel" ~site:st.ack_src
-        ~attrs:[ ("dst", Obs.Event.I st.ack_dst); ("attempts", Obs.Event.I st.attempts) ]
-        "horus.giveup"
+      Obs.Tracer.instant_ints tr Obs.Desc.horus_giveup ~time:(now t) ~site:st.ack_src st.ack_dst
+        st.attempts 0
   end
   else begin
     st.attempts <- st.attempts + 1;
@@ -709,18 +710,9 @@ let migrate t ~src ~dst ~contact ~transport bc =
   let base = Briefcase.byte_size snap + t.cfg.migration_overhead in
   (let tr = recorder t in
    if Obs.Tracer.enabled tr then
-     Obs.Tracer.instant tr ~time:(now t) ?span:(briefcase_span bc) ~cat:"kernel" ~site:src
-       ~agent:contact
-       ~msg:
-         (Printf.sprintf "rexec %s: %s -> %s contact=%s (%d bytes)" (transport_name transport)
-            (site_name t src) (site_name t dst) contact base)
-       ~attrs:
-         [
-           ("dst", Obs.Event.I dst);
-           ("transport", Obs.Event.S (transport_name transport));
-           ("bytes", Obs.Event.I base);
-         ]
-       "kernel.migrate");
+     Obs.Tracer.instant_strs tr (migrate_event transport) ~time:(now t)
+       ~span:(briefcase_span bc) ~site:src ~agent:contact (site_name t src) (site_name t dst) dst
+       base);
   match transport with
   | Rsh ->
     (* a fresh interpreter is spawned remotely before the agent can move *)

@@ -143,8 +143,9 @@ val fresh_id : t -> int
 val recorder : t -> Obs.Tracer.t
 val metrics : t -> Obs.Metrics.t
 
-val briefcase_span : Briefcase.t -> Obs.Span.ctx option
-(** The span context the briefcase currently carries, if any. *)
+val briefcase_span : Briefcase.t -> Obs.Span.ctx
+(** The span context the briefcase currently carries, [Obs.Span.null] when
+    it carries none. *)
 
 (** {1 Sites} *)
 

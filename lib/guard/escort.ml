@@ -108,15 +108,9 @@ let run_guard j ctx ~hop snapshot =
         Obs.Metrics.incr m "guard.relaunches";
         (let tr = Kernel.recorder j.kernel in
          if Obs.Tracer.enabled tr then
-           Obs.Tracer.instant tr ~time:(Kernel.now j.kernel)
-             ?span:(Kernel.briefcase_span snapshot) ~cat:"guard" ~site:ctx.Kernel.site
-             ~attrs:
-               [
-                 ("journey", Obs.Event.S j.id);
-                 ("hop", Obs.Event.I hop);
-                 ("attempt", Obs.Event.I st.attempts);
-               ]
-             "guard.relaunch");
+           Obs.Tracer.instant_strs tr Obs.Desc.guard_relaunch ~time:(Kernel.now j.kernel)
+             ~span:(Kernel.briefcase_span snapshot) ~site:ctx.Kernel.site ~agent:"" j.id "" hop
+             st.attempts);
         migrate_hop j ~src:ctx.Kernel.site ~hop snapshot;
         Kernel.sleep ctx (j.cfg.retry_period *. float_of_int st.attempts);
         watch ()

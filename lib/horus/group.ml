@@ -85,14 +85,8 @@ let rec tick t m =
         (let tr = Net.recorder t.net in
          if Obs.Tracer.enabled tr then
            let suspects = String.concat "," (List.map string_of_int suspected) in
-           Obs.Tracer.instant tr ~time:now ~cat:"horus" ~site:m.site
-             ~attrs:
-               [
-                 ("group", Obs.Event.S t.gname);
-                 ("suspects", Obs.Event.S suspects);
-                 ("view", Obs.Event.I view.View.id);
-               ]
-             "horus.view");
+           Obs.Tracer.instant_strs tr Obs.Desc.horus_view ~time:now ~span:Obs.Span.null
+             ~site:m.site ~agent:"" t.gname suspects view.View.id 0);
         adopt_view t m view;
         broadcast_view t m view
       end

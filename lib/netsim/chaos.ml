@@ -274,18 +274,19 @@ type applier = {
 
 let norm (a, b) = if a < b then (a, b) else (b, a)
 
-let emit ap kind ~attrs =
-  let m = Net.metrics ap.net in
-  Obs.Metrics.incr m ~labels:[ ("kind", kind) ] "chaos.injected";
-  let tr = Net.recorder ap.net in
-  if Obs.Tracer.enabled tr then
-    Obs.Tracer.instant tr ~time:(Net.now ap.net) ~cat:"chaos" ~attrs ("chaos." ^ kind)
+(* Counts an injection of [kind]; returns the recorder to trace it on. *)
+let inject ap kind =
+  Obs.Metrics.incr (Net.metrics ap.net) ~labels:[ ("kind", kind) ] "chaos.injected";
+  Net.recorder ap.net
 
-let emit_heal ap kind =
-  Obs.Metrics.incr (Net.metrics ap.net) ~labels:[ ("kind", kind) ] "chaos.healed";
-  let tr = Net.recorder ap.net in
+let emit ap kind d i0 i1 f0 f1 =
+  let tr = inject ap kind in
   if Obs.Tracer.enabled tr then
-    Obs.Tracer.instant tr ~time:(Net.now ap.net) ~cat:"chaos" ("chaos.heal." ^ kind)
+    Obs.Tracer.instant_nums tr d ~time:(Net.now ap.net) ~site:(-1) i0 i1 f0 f1
+
+let emit_heal ap kind d =
+  Obs.Metrics.incr (Net.metrics ap.net) ~labels:[ ("kind", kind) ] "chaos.healed";
+  Obs.Tracer.instant (Net.recorder ap.net) d ~time:(Net.now ap.net) ~site:(-1)
 
 let cut_link ap l =
   let k = norm l in
@@ -335,68 +336,61 @@ let apply_degrade ap l =
     in
     Net.set_link_degraded ap.net (fst k) (snd k) (Some worst)
 
-let link_attr (a, b) = Obs.Event.S (Printf.sprintf "%d-%d" a b)
-
 let fire ap = function
   | Crash { site; downtime; _ } ->
     if Net.site_up ap.net site then begin
-      emit ap "crash"
-        ~attrs:[ ("site", Obs.Event.I site); ("downtime", Obs.Event.F downtime) ];
+      emit ap "crash" Obs.Desc.chaos_crash site 0 downtime 0.0;
       Net.crash ap.net site;
       if Float.is_finite downtime then
         ignore
           (Net.schedule ap.net ~after:downtime (fun () ->
-               emit_heal ap "crash";
+               emit_heal ap "crash" Obs.Desc.chaos_heal_crash;
                Net.restart ap.net site))
     end
     else
       Obs.Metrics.incr (Net.metrics ap.net) ~labels:[ ("kind", "crash") ] "chaos.skipped"
   | Cut { links; duration; label; _ } ->
-    emit ap "cut"
-      ~attrs:[ ("label", Obs.Event.S label); ("links", Obs.Event.I (List.length links)) ];
+    (let tr = inject ap "cut" in
+     if Obs.Tracer.enabled tr then
+       Obs.Tracer.instant_strs tr Obs.Desc.chaos_cut ~time:(Net.now ap.net) ~span:Obs.Span.null
+         ~site:(-1) ~agent:"" label "" (List.length links) 0);
     List.iter (cut_link ap) links;
     ignore
       (Net.schedule ap.net ~after:duration (fun () ->
-           emit_heal ap "cut";
+           emit_heal ap "cut" Obs.Desc.chaos_heal_cut;
            List.iter (heal_link ap) links))
   | Loss_burst { link; duration; rate; _ } -> (
     match link with
     | None ->
-      emit ap "loss" ~attrs:[ ("rate", Obs.Event.F rate) ];
+      emit ap "loss" Obs.Desc.chaos_loss 0 0 rate 0.0;
       ap.global_losses <- rate :: ap.global_losses;
       apply_global_loss ap;
       ignore
         (Net.schedule ap.net ~after:duration (fun () ->
-             emit_heal ap "loss";
+             emit_heal ap "loss" Obs.Desc.chaos_heal_loss;
              ap.global_losses <- remove_once rate ap.global_losses;
              apply_global_loss ap))
     | Some l ->
       let k = norm l in
-      emit ap "loss" ~attrs:[ ("rate", Obs.Event.F rate); ("link", link_attr k) ];
+      emit ap "loss" Obs.Desc.chaos_link_loss (fst k) (snd k) rate 0.0;
       Hashtbl.replace ap.link_losses k
         (rate :: Option.value ~default:[] (Hashtbl.find_opt ap.link_losses k));
       apply_link_loss ap k;
       ignore
         (Net.schedule ap.net ~after:duration (fun () ->
-             emit_heal ap "loss";
+             emit_heal ap "loss" Obs.Desc.chaos_heal_loss;
              Hashtbl.replace ap.link_losses k
                (remove_once rate (Option.value ~default:[] (Hashtbl.find_opt ap.link_losses k)));
              apply_link_loss ap k)))
   | Degrade { link; duration; latency; bandwidth; _ } ->
     let k = norm link in
-    emit ap "degrade"
-      ~attrs:
-        [
-          ("link", link_attr k);
-          ("latency", Obs.Event.F latency);
-          ("bandwidth", Obs.Event.F bandwidth);
-        ];
+    emit ap "degrade" Obs.Desc.chaos_degrade (fst k) (snd k) latency bandwidth;
     Hashtbl.replace ap.degrades k
       ((latency, bandwidth) :: Option.value ~default:[] (Hashtbl.find_opt ap.degrades k));
     apply_degrade ap k;
     ignore
       (Net.schedule ap.net ~after:duration (fun () ->
-           emit_heal ap "degrade";
+           emit_heal ap "degrade" Obs.Desc.chaos_heal_degrade;
            Hashtbl.replace ap.degrades k
              (remove_once (latency, bandwidth)
                 (Option.value ~default:[] (Hashtbl.find_opt ap.degrades k)));

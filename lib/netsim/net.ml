@@ -18,6 +18,13 @@ type link_state = {
   mutable busy_until : float;
 }
 
+(* One source's shortest-path tree: per destination, the link that reaches
+   it ([-1] for the source and for unreachable sites), and the route's link
+   ids in order, built the first time the destination is asked for. *)
+type route_row = { pred : int array; paths : int list option array }
+
+let no_row = { pred = [||]; paths = [||] }
+
 type t = {
   engine : Engine.t;
   topo : Topology.t;
@@ -44,9 +51,12 @@ type t = {
   mutable n_lossy : int;
   mutable n_degraded : int;
   mutable loss_override : float option; (* chaos: window replacing loss_rate *)
-  route_cache : int list option array option array;
-      (* per source, per destination: the route's link ids, in order;
-         emptied on any reachability change *)
+  route_cache : route_row array; (* per source; emptied on any reachability change *)
+  (* the route search's scratch, one per net: [Pool] runs nets on several
+     domains at once *)
+  dist : Float.Array.t;
+  settled : Bytes.t;
+  frontier : Tacoma_util.Heap.t;
 }
 
 let create ?(seed = 42L) ?(trace = false) ?(loss_rate = 0.0) topo =
@@ -81,7 +91,11 @@ let create ?(seed = 42L) ?(trace = false) ?(loss_rate = 0.0) topo =
     n_lossy = 0;
     n_degraded = 0;
     loss_override = None;
-    route_cache = Array.make n None;
+    route_cache = Array.make n no_row;
+    dist = Float.Array.make n infinity;
+    settled = Bytes.make n '\000';
+    (* every directed link is relaxed at most once, plus the source *)
+    frontier = Tacoma_util.Heap.create ((2 * nlinks) + 1);
   }
 
 let engine t = t.engine
@@ -109,10 +123,10 @@ let site_up t s = (state t s).up
 
 (* Any reachability change invalidates every cached route at once, eagerly:
    a long chaos run that churns links must not keep stale rows. *)
-let invalidate_routes t = Array.fill t.route_cache 0 (Array.length t.route_cache) None
+let invalidate_routes t = Array.fill t.route_cache 0 (Array.length t.route_cache) no_row
 
 let route_cache_size t =
-  Array.fold_left (fun n row -> if Option.is_some row then n + 1 else n) 0 t.route_cache
+  Array.fold_left (fun n row -> if row == no_row then n else n + 1) 0 t.route_cache
 
 (* Chaos degradation windows scale a link's parameters without touching the
    topology itself: latency is multiplied, bandwidth is multiplied (a factor
@@ -131,58 +145,68 @@ let[@inline] effective_bandwidth t lid =
    reached (it can be a message destination — liveness is re-checked at
    delivery time so in-flight messages race with crashes as on a real
    network) but must not forward traffic: we never relax the edges of a
-   down vertex other than the source. *)
+   down vertex other than the source.  Sites of equal distance are settled
+   in the order the frontier's sifts give them, which decides between
+   routes of equal latency.  Allocates only the row it returns. *)
 let dijkstra t src =
   let n = Array.length t.site_states in
-  let dist = Array.make n infinity in
-  let prev = Array.make n (-1) in
-  let prev_link = Array.make n (-1) in
-  let visited = Array.make n false in
-  dist.(src) <- 0.0;
-  let heap = Tacoma_util.Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b) ~dummy:(0.0, 0) in
-  Tacoma_util.Heap.push heap (0.0, src);
-  let rec loop () =
-    match Tacoma_util.Heap.pop heap with
-    | None -> ()
-    | Some (d, u) ->
-      if not visited.(u) then begin
-        visited.(u) <- true;
-        if t.site_states.(u).up || u = src then begin
-          let vs = t.ix.nbr.(u) and lids = t.ix.nbr_link.(u) in
-          for i = 0 to Array.length vs - 1 do
-            let lid = lids.(i) in
-            if not t.disabled.(lid) then begin
-              let v = vs.(i) in
-              let nd = d +. effective_latency t lid in
-              if nd < dist.(v) then begin
-                dist.(v) <- nd;
-                prev.(v) <- u;
-                prev_link.(v) <- lid;
-                Tacoma_util.Heap.push heap (nd, v)
-              end
+  let dist = t.dist and settled = t.settled and frontier = t.frontier in
+  Float.Array.fill dist 0 n infinity;
+  Bytes.fill settled 0 n '\000';
+  let pred = Array.make n (-1) in
+  Float.Array.set dist src 0.0;
+  Tacoma_util.Heap.clear frontier;
+  Tacoma_util.Heap.push frontier 0.0 src;
+  while not (Tacoma_util.Heap.is_empty frontier) do
+    let u = Tacoma_util.Heap.pop frontier in
+    if Bytes.get settled u = '\000' then begin
+      (* the first pop of [u] carries its last and smallest push: [dist] *)
+      let d = Float.Array.get dist u in
+      Bytes.set settled u '\001';
+      if t.site_states.(u).up || u = src then begin
+        let vs = t.ix.nbr.(u) and lids = t.ix.nbr_link.(u) in
+        for i = 0 to Array.length vs - 1 do
+          let lid = lids.(i) in
+          if not t.disabled.(lid) then begin
+            let v = vs.(i) in
+            let nd = d +. effective_latency t lid in
+            if nd < Float.Array.get dist v then begin
+              Float.Array.set dist v nd;
+              pred.(v) <- lid;
+              Tacoma_util.Heap.push frontier nd v
             end
-          done
-        end
-      end;
-      loop ()
-  in
-  loop ();
-  let route_to dst =
-    if dist.(dst) = infinity then None
-    else begin
-      let rec build lids v = if v = src then Some lids else build (prev_link.(v) :: lids) prev.(v) in
-      build [] dst
+          end
+        done
+      end
     end
-  in
-  Array.init n route_to
+  done;
+  { pred; paths = Array.make n None }
 
-let routes_from t src =
-  match t.route_cache.(src) with
-  | Some row -> row
-  | None ->
-    let row = dijkstra t src in
-    t.route_cache.(src) <- Some row;
-    row
+(* the link ids from [src] to [v], walking [pred] back from [v] *)
+let rec path_to t src pred v acc =
+  if v = src then acc
+  else
+    let lid = pred.(v) in
+    path_to t src pred (if t.ix.lo.(lid) = v then t.ix.hi.(lid) else t.ix.lo.(lid)) (lid :: acc)
+
+(* The route's link ids from [src] to [dst <> src], [None] when unreachable. *)
+let route_links t src dst =
+  let row =
+    match t.route_cache.(src) with
+    | row when row != no_row -> row
+    | _ ->
+      let row = dijkstra t src in
+      t.route_cache.(src) <- row;
+      row
+  in
+  if row.pred.(dst) < 0 then None
+  else
+    match row.paths.(dst) with
+    | Some _ as lids -> lids
+    | None ->
+      let lids = Some (path_to t src row.pred dst []) in
+      row.paths.(dst) <- lids;
+      lids
 
 let route t src dst =
   let rec sites_after cur = function
@@ -191,16 +215,25 @@ let route t src dst =
       let next = if t.ix.lo.(lid) = cur then t.ix.hi.(lid) else t.ix.lo.(lid) in
       next :: sites_after next rest
   in
-  if src = dst then Some [] else Option.map (sites_after src) (routes_from t src).(dst)
+  if src = dst then Some [] else Option.map (sites_after src) (route_links t src dst)
 
 let local_delivery_delay = 0.0001
 
+(* idle-network bound: per link, latency + serialisation; a loop over local
+   refs, like [reserve_path], so the sum stays unboxed *)
 let path_delay t ~size lids =
-  (* idle-network bound: per link, latency + serialisation *)
-  List.fold_left
-    (fun acc lid ->
-      acc +. effective_latency t lid +. (float_of_int size /. effective_bandwidth t lid))
-    0.0 lids
+  let delay = ref 0.0 and rest = ref lids in
+  while
+    match !rest with
+    | [] -> false
+    | lid :: tl ->
+      rest := tl;
+      delay := !delay +. effective_latency t lid +. (float_of_int size /. effective_bandwidth t lid);
+      true
+  do
+    ()
+  done;
+  !delay
 
 let link_state t lid =
   match t.links.(lid) with
@@ -287,7 +320,7 @@ let reachable_ignoring_partition t src dst =
 let delivery_delay t src dst ~size =
   if src = dst then Some local_delivery_delay
   else
-    match (routes_from t src).(dst) with
+    match route_links t src dst with
     | None -> None
     | Some lids -> Some (path_delay t ~size lids)
 
@@ -305,23 +338,15 @@ let deliver t (msg : Message.t) =
     Obs.Metrics.bump t.delivered 1;
     Obs.Metrics.record t.delivery_latency (now t -. msg.sent_at);
     if Obs.Tracer.enabled tr then
-      Obs.Tracer.instant tr ~time:(now t) ~cat:"net" ~site:msg.dst
-        ~attrs:
-          [
-            ("src", Obs.Event.I msg.src);
-            ("bytes", Obs.Event.I msg.size);
-            ("latency", Obs.Event.F (now t -. msg.sent_at));
-          ]
-        "net.deliver";
+      Obs.Tracer.instant_nums tr Obs.Desc.net_deliver ~time:(now t) ~site:msg.dst msg.src
+        msg.size (now t -. msg.sent_at) 0.0;
     run_handlers msg st.handlers
   end
   else begin
     Obs.Metrics.incr t.metrics ~labels:[ ("reason", "site-down") ] "net.drops";
     if Obs.Tracer.enabled tr then
-      Obs.Tracer.instant tr ~time:(now t) ~cat:"net" ~site:msg.dst
-        ~msg:(Printf.sprintf "site-%d down, dropped %d bytes from site-%d" msg.dst msg.size msg.src)
-        ~attrs:[ ("reason", Obs.Event.S "site-down") ]
-        "net.drop"
+      Obs.Tracer.instant_ints tr Obs.Desc.net_drop_site_down ~time:(now t) ~site:msg.dst msg.size
+        msg.src 0
   end
 
 let send t ~src ~dst ~size payload =
@@ -337,33 +362,23 @@ let send t ~src ~dst ~size payload =
       ignore (Engine.schedule t.engine ~after:local_delivery_delay (fun () -> deliver t msg))
     end
     else
-      match (routes_from t src).(dst) with
+      match route_links t src dst with
       | None ->
-        let reason =
-          if t.n_disabled > 0 && reachable_ignoring_partition t src dst then
-            "partition"
-          else "no-route"
-        in
-        Obs.Metrics.incr t.metrics ~labels:[ ("reason", reason) ] "net.drops";
+        let partitioned = t.n_disabled > 0 && reachable_ignoring_partition t src dst in
+        Obs.Metrics.incr t.metrics
+          ~labels:[ ("reason", if partitioned then "partition" else "no-route") ]
+          "net.drops";
         if Obs.Tracer.enabled tr then
-          Obs.Tracer.instant tr ~time:(now t) ~cat:"net" ~site:src
-            ~msg:(Printf.sprintf "%s site-%d -> site-%d (%d bytes)" reason src dst size)
-            ~attrs:[ ("reason", Obs.Event.S reason); ("dst", Obs.Event.I dst) ]
-            "net.drop"
+          Obs.Tracer.instant_ints tr
+            (if partitioned then Obs.Desc.net_drop_partition else Obs.Desc.net_drop_no_route)
+            ~time:(now t) ~site:src dst size 0
       | Some lids ->
         let hops = List.length lids in
         Obs.Metrics.bump t.sent 1;
         Obs.Metrics.bump t.bytes_sent size;
         Obs.Metrics.record t.msg_hops (float_of_int hops);
         if Obs.Tracer.enabled tr then
-          Obs.Tracer.instant tr ~time:(now t) ~cat:"net" ~site:src
-            ~attrs:
-              [
-                ("dst", Obs.Event.I dst);
-                ("bytes", Obs.Event.I size);
-                ("hops", Obs.Event.I hops);
-              ]
-            "net.send";
+          Obs.Tracer.instant_ints tr Obs.Desc.net_send ~time:(now t) ~site:src dst size hops;
         let arrival = reserve_path t ~size (now t) lids in
         let loss_prob = path_loss_prob t lids in
         if loss_prob > 0.0 && Rng.float t.loss_rng < loss_prob then begin
@@ -372,12 +387,8 @@ let send t ~src ~dst ~size payload =
             (Engine.schedule_at t.engine ~at:arrival (fun () ->
                  Obs.Metrics.incr t.metrics ~labels:[ ("reason", "loss") ] "net.drops";
                  if Obs.Tracer.enabled tr then
-                   Obs.Tracer.instant tr ~time:(now t) ~cat:"net" ~site:src
-                     ~msg:
-                       (Printf.sprintf "lost in transit site-%d -> site-%d (%d bytes)" src
-                          dst size)
-                     ~attrs:[ ("reason", Obs.Event.S "loss"); ("dst", Obs.Event.I dst) ]
-                     "net.drop"))
+                   Obs.Tracer.instant_ints tr Obs.Desc.net_drop_loss ~time:(now t) ~site:src dst
+                     size 0))
         end
         else begin
           let msg = { Message.src; dst; size; payload; sent_at = now t; hops } in
@@ -393,7 +404,7 @@ let crash t s =
     invalidate_routes t;
     Obs.Metrics.incr t.metrics "net.crashes";
     if Obs.Tracer.enabled t.recorder then
-      Obs.Tracer.instant t.recorder ~time:(now t) ~cat:"net" ~site:s "net.crash";
+      Obs.Tracer.instant t.recorder Obs.Desc.net_crash ~time:(now t) ~site:s;
     List.iter (fun hook -> hook ()) (List.rev st.crash_hooks)
   end
 
@@ -404,7 +415,7 @@ let restart t s =
     invalidate_routes t;
     Obs.Metrics.incr t.metrics "net.restarts";
     if Obs.Tracer.enabled t.recorder then
-      Obs.Tracer.instant t.recorder ~time:(now t) ~cat:"net" ~site:s "net.restart";
+      Obs.Tracer.instant t.recorder Obs.Desc.net_restart ~time:(now t) ~site:s;
     List.iter (fun hook -> hook ()) (List.rev st.restart_hooks)
   end
 

@@ -63,10 +63,18 @@ val delivery_delay : t -> Site.id -> Site.id -> size:int -> float option
     in-flight messages adds to this). *)
 
 val route_cache_size : t -> int
-(** Number of per-source rows currently in the route cache.  Bounded by the
-    site count: every reachability change (crash, restart, partition,
-    degradation) clears the cache eagerly rather than leaving stale rows to
-    be overwritten on re-lookup. *)
+(** Number of per-source rows currently in the route cache.  A row is what
+    one search from its source leaves: each site's predecessor link on the
+    source's lowest-latency tree, and the link lists of the destinations
+    asked for so far, each built on its first lookup.  The search itself
+    runs over scratch arrays that each net keeps, so a row costs two
+    arrays of the site count and nothing else.  Bounded by the site count:
+    every reachability change (crash, restart, partition, degradation)
+    clears the cache eagerly rather than leaving stale rows to be
+    overwritten on re-lookup.  Of two routes of equal latency, the one
+    whose last hop comes from the site the search settles first wins, and
+    sites at equal distance settle in the order the search's heap gives
+    them, not by site id. *)
 
 (** {1 Failures} *)
 

@@ -1,4 +1,4 @@
-type attr = S of string | I of int | F of float | B of bool
+type attr = S of string | I of int | F of float
 type attrs = (string * attr) list
 
 type kind = Begin | End | Instant
@@ -21,7 +21,6 @@ let attr_to_string = function
   | S s -> s
   | I i -> string_of_int i
   | F f -> Printf.sprintf "%g" f
-  | B b -> string_of_bool b
 
 let kind_mark = function Begin -> "B" | End -> "E" | Instant -> "."
 

@@ -1,9 +1,11 @@
-(** One structured flight-recorder event.  Replaces the old flat-string
-    trace entry: every event carries site, agent, span identity and typed
+(** One structured flight-recorder event, as {!Tracer.events} reads it
+    back: every event carries site, agent, span identity and typed
     attributes, so a dumped trace can be reloaded and the causal tree of a
-    run reconstructed. *)
+    run reconstructed.  The recorder does not store these records: it
+    renders [name], [msg] and [attrs] from the event's {!Desc.t} and
+    arguments when the trace is read. *)
 
-type attr = S of string | I of int | F of float | B of bool
+type attr = S of string | I of int | F of float
 type attrs = (string * attr) list
 
 type kind =
@@ -24,5 +26,8 @@ type t = {
   msg : string;  (** human-readable detail, [""] when attrs suffice *)
   attrs : attrs;
 }
+
+val attr_to_string : attr -> string
+(** As [pp] and a rendered message write it: floats as [%g]. *)
 
 val pp : Format.formatter -> t -> unit

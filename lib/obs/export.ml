@@ -27,7 +27,6 @@ let add_attr buf (v : Event.attr) =
   | Event.S s -> add_json_string buf s
   | Event.I i -> Buffer.add_string buf (string_of_int i)
   | Event.F f -> add_json_float buf f
-  | Event.B b -> Buffer.add_string buf (if b then "true" else "false")
 
 let kind_name = function
   | Event.Begin -> "begin"

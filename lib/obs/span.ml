@@ -39,12 +39,18 @@ let positive s i stop =
   in
   if i >= stop then -1 else go i 0
 
-let of_string s =
-  let n = String.length s in
-  match String.index_opt s '.' with
-  | Some dot when n > dot + 2 && s.[0] = 't' && s.[dot + 1] = 's' ->
+(* the index of the first '.' in [s], or [-1] *)
+let rec dot_index s i = if i = String.length s then -1 else if s.[i] = '.' then i else dot_index s (i + 1)
+
+let parse s =
+  let n = String.length s and dot = dot_index s 0 in
+  if dot >= 0 && n > dot + 2 && s.[0] = 't' && s.[dot + 1] = 's' then
     let trace_id = positive s 1 dot and span_id = positive s (dot + 2) n in
-    if trace_id > 0 && span_id > 0 then Some { trace_id; span_id } else None
-  | _ -> None
+    if trace_id > 0 && span_id > 0 then { trace_id; span_id } else null
+  else null
+
+let of_string s =
+  let c = parse s in
+  if is_null c then None else Some c
 
 let pp fmt c = Format.pp_print_string fmt (to_string c)

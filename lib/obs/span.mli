@@ -17,4 +17,7 @@ val to_string : ctx -> string
 val of_string : string -> ctx option
 (** Inverse of [to_string]; [None] on malformed input. *)
 
+val parse : string -> ctx
+(** [of_string] without the option: {!null} on malformed input. *)
+
 val pp : Format.formatter -> ctx -> unit

@@ -10,19 +10,25 @@ let chunk_bits = 6
 let chunk_size = 1 lsl chunk_bits
 let mask = chunk_size - 1
 
-(* 64 slots keep every column at 65 words, far below the largest block the
-   minor heap takes (256 words), and a whole chunk below 700 words. *)
+(* Arguments per event, by type: the most any {!Desc.t} reads. *)
+let n_ints = 3
+let n_floats = 2
+let n_strs = 2
+
+(* 64 slots keep every column within 192 words, below the largest block the
+   minor heap takes (256 words).  Event [i]'s int arguments sit at
+   [ints.(n_ints * i ..)], and likewise for floats and strings. *)
 type chunk = {
   time : Float.Array.t;
   meta : int array; (* [site lsl 2 lor kind] *)
   trace : int array;
   span : int array;
   parent : int array;
-  name : string array;
-  cat : string array;
+  desc : Desc.t array;
   agent : string array;
-  msg : string array;
-  attrs : Event.attrs array;
+  ints : int array;
+  floats : Float.Array.t;
+  strs : string array;
 }
 
 type t = {
@@ -44,11 +50,11 @@ let make_chunk n =
     trace = Array.make n 0;
     span = Array.make n 0;
     parent = Array.make n 0;
-    name = Array.make n "";
-    cat = Array.make n "";
+    desc = Array.make n Desc.named_span;
     agent = Array.make n "";
-    msg = Array.make n "";
-    attrs = Array.make n [];
+    ints = Array.make (n_ints * n) 0;
+    floats = Float.Array.create (n_floats * n);
+    strs = Array.make (n_strs * n) "";
   }
 
 let no_chunk = make_chunk 0
@@ -83,7 +89,8 @@ let add_chunk t c =
 let kind_code = function Event.Begin -> 0 | Event.End -> 1 | Event.Instant -> 2
 let kind_of_code = function 0 -> Event.Begin | 1 -> Event.End | _ -> Event.Instant
 
-let record t ~time ~kind ~name ~cat ~site ~agent ~(span : Span.ctx) ~parent_id ~msg ~attrs =
+(* The slot the next event goes to, evicting the oldest one when full. *)
+let claim t =
   let slot =
     if t.len < t.cap then begin
       let slot = t.len in
@@ -100,63 +107,122 @@ let record t ~time ~kind ~name ~cat ~site ~agent ~(span : Span.ctx) ~parent_id ~
     end
   in
   t.seq <- t.seq + 1;
+  slot
+
+(* Every column of the slot is written, so a reused slot keeps nothing of
+   its evicted event alive.  Not [@inline]: inlined into the kernel's and
+   the network's hot functions, even behind the [enabled] test, the
+   recording code slowed untraced runs by 3–5%; a call costs a traced
+   event only its boxed floats. *)
+let record t d ~time ~kind ~(span : Span.ctx) ~parent_id ~site ~agent i0 i1 i2 f0 f1
+    s0 s1 =
+  let slot = claim t in
   let c = t.chunks.(slot lsr chunk_bits) and i = slot land mask in
   Float.Array.set c.time i time;
-  c.meta.(i) <- (site lsl 2) lor kind_code kind;
+  c.meta.(i) <- (site lsl 2) lor kind;
   c.trace.(i) <- span.trace_id;
   c.span.(i) <- span.span_id;
   c.parent.(i) <- parent_id;
-  c.name.(i) <- name;
-  c.cat.(i) <- cat;
+  c.desc.(i) <- d;
   c.agent.(i) <- agent;
-  c.msg.(i) <- msg;
-  c.attrs.(i) <- attrs
+  let k = n_ints * i in
+  c.ints.(k) <- i0;
+  c.ints.(k + 1) <- i1;
+  c.ints.(k + 2) <- i2;
+  let k = n_floats * i in
+  Float.Array.set c.floats k f0;
+  Float.Array.set c.floats (k + 1) f1;
+  let k = n_strs * i in
+  c.strs.(k) <- s0;
+  c.strs.(k + 1) <- s1
 
-let start_span t ~time ?parent ?(site = -1) ?(agent = "") ?(msg = "") ?(attrs = []) name =
+let begin_code = kind_code Event.Begin
+let end_code = kind_code Event.End
+let instant_code = kind_code Event.Instant
+
+let instant t d ~time ~site =
+  if t.enabled then
+    record t d ~time ~kind:instant_code ~span:Span.null ~parent_id:0 ~site ~agent:"" 0 0 0 0.0
+      0.0 "" ""
+
+let instant_ints t d ~time ~site i0 i1 i2 =
+  if t.enabled then
+    record t d ~time ~kind:instant_code ~span:Span.null ~parent_id:0 ~site ~agent:"" i0 i1 i2
+      0.0 0.0 "" ""
+
+let instant_nums t d ~time ~site i0 i1 f0 f1 =
+  if t.enabled then
+    record t d ~time ~kind:instant_code ~span:Span.null ~parent_id:0 ~site ~agent:"" i0 i1 0 f0
+      f1 "" ""
+
+let instant_strs t d ~time ~span ~site ~agent s0 s1 i0 i1 =
+  if t.enabled then
+    record t d ~time ~kind:instant_code ~span ~parent_id:0 ~site ~agent i0 i1 0 0.0 0.0 s0 s1
+
+(* A fresh span id, in [parent]'s trace or, under [Span.null], a new one. *)
+let new_span t (parent : Span.ctx) =
+  let span_id = t.next_span in
+  t.next_span <- span_id + 1;
+  if Span.is_null parent then begin
+    let trace_id = t.next_trace in
+    t.next_trace <- trace_id + 1;
+    { Span.trace_id; span_id }
+  end
+  else { Span.trace_id = parent.trace_id; span_id }
+
+let open_span t d ~time ~parent ~site ~agent s0 i0 =
   if not t.enabled then Span.null
   else begin
-    let span_id = t.next_span in
-    t.next_span <- span_id + 1;
-    let trace_id, parent_id =
-      match parent with
-      | Some p when not (Span.is_null p) -> (p.Span.trace_id, p.Span.span_id)
-      | Some _ | None ->
-        let tid = t.next_trace in
-        t.next_trace <- tid + 1;
-        (tid, 0)
-    in
-    let span = { Span.trace_id; span_id } in
-    record t ~time ~kind:Event.Begin ~name ~cat:"agent" ~site ~agent ~span ~parent_id
-      ~msg ~attrs;
+    let span = new_span t parent in
+    record t d ~time ~kind:begin_code ~span ~parent_id:parent.Span.span_id ~site ~agent i0 0 0 0.0 0.0
+      s0 "";
     span
   end
 
-let end_span t ~time ?(site = -1) ?(agent = "") ?(attrs = []) span name =
+let close_span t d ~time ~site ~agent span s0 =
   if t.enabled && not (Span.is_null span) then
-    record t ~time ~kind:Event.End ~name ~cat:"agent" ~site ~agent ~span ~parent_id:0
-      ~msg:"" ~attrs
+    record t d ~time ~kind:end_code ~span ~parent_id:0 ~site ~agent 0 0 0 0.0 0.0 s0 ""
 
-let instant t ~time ?(span = Span.null) ?(cat = "") ?(site = -1) ?(agent = "")
-    ?(msg = "") ?(attrs = []) name =
-  if t.enabled then
-    record t ~time ~kind:Event.Instant ~name ~cat ~site ~agent ~span ~parent_id:0 ~msg
-      ~attrs
+let start_span t ~time ?(parent = Span.null) ?(site = -1) ?(agent = "") name =
+  open_span t Desc.named_span ~time ~parent ~site ~agent name 0
+
+let end_span t ~time ?(site = -1) ?(agent = "") span name =
+  close_span t Desc.named_span ~time ~site ~agent span name
+
+(* ---- reading -------------------------------------------------------------- *)
+
+let value c i ~site (a : Desc.arg) : Event.attr =
+  match a with
+  | Site -> I site
+  | Agent -> S c.agent.(i)
+  | Int k -> I c.ints.((n_ints * i) + k)
+  | Float k -> F (Float.Array.get c.floats ((n_floats * i) + k))
+  | Str k -> S c.strs.((n_strs * i) + k)
+  | Text s -> S s
+  | Pair (j, k) ->
+    S (string_of_int c.ints.((n_ints * i) + j) ^ "-" ^ string_of_int c.ints.((n_ints * i) + k))
+
+let text c i ~site = function
+  | [] -> ""
+  | [ Desc.Text s ] -> s
+  | args -> String.concat "" (List.map (fun a -> Event.attr_to_string (value c i ~site a)) args)
 
 let event_at t ~seq slot =
   let c = t.chunks.(slot lsr chunk_bits) and i = slot land mask in
   let meta = c.meta.(i) and trace_id = c.trace.(i) and span_id = c.span.(i) in
+  let site = meta asr 2 and d = c.desc.(i) in
   {
     Event.seq;
     time = Float.Array.get c.time i;
     kind = kind_of_code (meta land 3);
-    name = c.name.(i);
-    cat = c.cat.(i);
-    site = meta asr 2;
+    name = text c i ~site d.name;
+    cat = d.cat;
+    site;
     agent = c.agent.(i);
     span = (if trace_id = 0 && span_id = 0 then Span.null else { Span.trace_id; span_id });
     parent_id = c.parent.(i);
-    msg = c.msg.(i);
-    attrs = c.attrs.(i);
+    msg = text c i ~site d.msg;
+    attrs = List.map (fun (k, a) -> (k, value c i ~site a)) d.attrs;
   }
 
 let events t =

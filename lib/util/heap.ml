@@ -1,32 +1,38 @@
-(* Slots at index [size] and above hold [dummy], never a popped element, so
-   the heap keeps nothing reachable that it no longer contains. *)
-type 'a t = {
-  cmp : 'a -> 'a -> int;
-  dummy : 'a;
-  mutable data : 'a array;
-  mutable size : int;
-}
+(* Two parallel arrays: the keys unboxed in a [Float.Array], the elements in
+   an [int array].  Nothing is boxed, so a push or a pop allocates nothing
+   until the arrays have to grow. *)
+type t = { mutable keys : Float.Array.t; mutable elts : int array; mutable size : int }
 
-let create ~cmp ~dummy = { cmp; dummy; data = [||]; size = 0 }
+let create n =
+  let n = max n 1 in
+  { keys = Float.Array.make n 0.0; elts = Array.make n 0; size = 0 }
+
 let length t = t.size
 let is_empty t = t.size = 0
+let clear t = t.size <- 0
 
 let grow t =
-  let cap = Array.length t.data in
-  if t.size = cap then begin
-    let ncap = if cap = 0 then 16 else cap * 2 in
-    let ndata = Array.make ncap t.dummy in
-    Array.blit t.data 0 ndata 0 t.size;
-    t.data <- ndata
-  end
+  let cap = Array.length t.elts in
+  let keys = Float.Array.make (2 * cap) 0.0 and elts = Array.make (2 * cap) 0 in
+  Float.Array.blit t.keys 0 keys 0 cap;
+  Array.blit t.elts 0 elts 0 cap;
+  t.keys <- keys;
+  t.elts <- elts
 
+let swap t i j =
+  let k = Float.Array.get t.keys i and e = t.elts.(i) in
+  Float.Array.set t.keys i (Float.Array.get t.keys j);
+  t.elts.(i) <- t.elts.(j);
+  Float.Array.set t.keys j k;
+  t.elts.(j) <- e
+
+(* Strict comparisons only: an entry never passes one with an equal key, so
+   equal keys leave in the order the sifts give them, not by element. *)
 let rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if t.cmp t.data.(i) t.data.(parent) < 0 then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(parent);
-      t.data.(parent) <- tmp;
+    if Float.Array.get t.keys i < Float.Array.get t.keys parent then begin
+      swap t i parent;
       sift_up t parent
     end
   end
@@ -34,37 +40,25 @@ let rec sift_up t i =
 let rec sift_down t i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let smallest = ref i in
-  if l < t.size && t.cmp t.data.(l) t.data.(!smallest) < 0 then smallest := l;
-  if r < t.size && t.cmp t.data.(r) t.data.(!smallest) < 0 then smallest := r;
+  if l < t.size && Float.Array.get t.keys l < Float.Array.get t.keys !smallest then smallest := l;
+  if r < t.size && Float.Array.get t.keys r < Float.Array.get t.keys !smallest then smallest := r;
   if !smallest <> i then begin
-    let tmp = t.data.(i) in
-    t.data.(i) <- t.data.(!smallest);
-    t.data.(!smallest) <- tmp;
+    swap t i !smallest;
     sift_down t !smallest
   end
 
-let push t x =
-  grow t;
-  t.data.(t.size) <- x;
+let push t key elt =
+  if t.size = Array.length t.elts then grow t;
+  Float.Array.set t.keys t.size key;
+  t.elts.(t.size) <- elt;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
 let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    t.data.(0) <- t.data.(t.size);
-    t.data.(t.size) <- t.dummy;
-    if t.size > 0 then sift_down t 0;
-    Some top
-  end
-
-let peek t = if t.size = 0 then None else Some t.data.(0)
-let clear t =
-  Array.fill t.data 0 t.size t.dummy;
-  t.size <- 0
-
-let to_list t =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (t.data.(i) :: acc) in
-  go (t.size - 1) []
+  if t.size = 0 then invalid_arg "Heap.pop: empty heap";
+  let top = t.elts.(0) in
+  t.size <- t.size - 1;
+  Float.Array.set t.keys 0 (Float.Array.get t.keys t.size);
+  t.elts.(0) <- t.elts.(t.size);
+  if t.size > 0 then sift_down t 0;
+  top

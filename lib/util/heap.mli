@@ -1,23 +1,23 @@
-(** Array-backed binary min-heap, the spine of the simulator's event queue. *)
+(** Array-backed binary min-heap of [int] elements keyed by unboxed
+    floats: the frontier of {!Netsim.Net}'s route search.
 
-type 'a t
+    Ties are broken by the heap's own sifts, never by the element: two
+    entries with equal keys leave in the order the pushes and pops so far
+    have placed them.  Keys must not be NaN. *)
 
-val create : cmp:('a -> 'a -> int) -> dummy:'a -> 'a t
-(** [create ~cmp ~dummy] is an empty heap ordered by [cmp] (smallest
-    first).  [dummy] fills the unused slots of the backing array, so a
-    popped or cleared element is not kept alive by the heap. *)
+type t
 
-val length : 'a t -> int
-val is_empty : 'a t -> bool
+val create : int -> t
+(** An empty heap with room for [n] entries before it grows. *)
 
-val push : 'a t -> 'a -> unit
+val length : t -> int
+val is_empty : t -> bool
 
-val pop : 'a t -> 'a option
-(** Remove and return the smallest element. *)
+val push : t -> float -> int -> unit
+(** [push t key elt] *)
 
-val peek : 'a t -> 'a option
+val pop : t -> int
+(** Removes the entry with the smallest key and returns its element.
+    @raise Invalid_argument on an empty heap. *)
 
-val clear : 'a t -> unit
-
-val to_list : 'a t -> 'a list
-(** Snapshot of the contents in no particular order. *)
+val clear : t -> unit

@@ -461,8 +461,17 @@ let monitored_world () =
     [ 1; 2 ];
   (net, k, broker)
 
+(* A daemon that fails the test if the run is still going at 1000 s: far
+   past the end these runs expect, and reached in milliseconds when a bug
+   lets a load monitor keep the run alive.  Cancel it once the run is
+   over. *)
+let watchdog net =
+  Net.schedule net ~daemon:true ~after:1000.0 (fun () ->
+      Alcotest.fail "Net.run still going at 1000 s: a daemon keeps it alive")
+
 let test_booking_run_ends_at_its_last_event () =
   let net, k, broker = monitored_world () in
+  let dog = watchdog net in
   let booked_at = ref None in
   let b =
     Broker.Booking.book k ~client:3 ~broker:(0, "broker") ~service:"compute" ~timeout:10.0
@@ -470,6 +479,7 @@ let test_booking_run_ends_at_its_last_event () =
       ~id:"one" ()
   in
   Net.run net;
+  Netsim.Engine.cancel dog;
   (match Broker.Booking.result b with
   | Some (Broker.Booking.Booked _) -> ()
   | Some (Broker.Booking.Failed _) | None -> Alcotest.fail "booking did not complete");
@@ -485,12 +495,14 @@ let test_booking_run_ends_at_its_last_event () =
 
 let test_sleeping_agent_keeps_run_alive () =
   let net, k, _ = monitored_world () in
+  let dog = watchdog net in
   let woke_at = ref None in
   Kernel.register_native k ~site:3 "napper" (fun ctx _ ->
       Kernel.sleep ctx 20.1;
       woke_at := Some (Kernel.now ctx.Kernel.kernel));
   Kernel.launch k ~site:3 ~contact:"napper" (Briefcase.create ());
   Net.run net;
+  Netsim.Engine.cancel dog;
   check Alcotest.(option (float 1e-9)) "the sleeper woke" (Some 20.1) !woke_at;
   check (Alcotest.float 1e-9) "and the run ended there" 20.1 (Net.now net)
 

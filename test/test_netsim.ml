@@ -831,6 +831,272 @@ let test_route_is_shortest =
           | None -> dist.(dst) < 0)
         (Topology.sites topo))
 
+(* --- property: routes equal a reference Dijkstra --- *)
+
+(* The route search as it was written over a polymorphic binary heap of
+   (distance, site) pairs ordered by distance alone: pushes sift up and
+   pops sift down by strict comparisons, so sites of equal distance leave
+   in the heap's own order, and every route list is built eagerly. *)
+module Ref_heap = struct
+  type t = { mutable data : (float * int) array; mutable size : int }
+
+  let create () = { data = [||]; size = 0 }
+  let less t i j = compare (fst t.data.(i)) (fst t.data.(j)) < 0
+
+  let swap t i j =
+    let x = t.data.(i) in
+    t.data.(i) <- t.data.(j);
+    t.data.(j) <- x
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if less t i parent then begin
+        swap t i parent;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < t.size && less t l !smallest then smallest := l;
+    if r < t.size && less t r !smallest then smallest := r;
+    if !smallest <> i then begin
+      swap t i !smallest;
+      sift_down t !smallest
+    end
+
+  let push t x =
+    if t.size = Array.length t.data then
+      t.data <- Array.append t.data (Array.make (max 16 t.size) (0.0, 0));
+    t.data.(t.size) <- x;
+    t.size <- t.size + 1;
+    sift_up t (t.size - 1)
+
+  let pop t =
+    if t.size = 0 then None
+    else begin
+      let top = t.data.(0) in
+      t.size <- t.size - 1;
+      t.data.(0) <- t.data.(t.size);
+      if t.size > 0 then sift_down t 0;
+      Some top
+    end
+end
+
+(* Per destination, the reference route's link ids from [src]; [up],
+   [disabled] and [latency] describe the network's state. *)
+let ref_routes (ix : Topology.index) ~up ~disabled ~latency src =
+  let n = Array.length ix.nbr in
+  let dist = Array.make n infinity and prev = Array.make n (-1) in
+  let prev_link = Array.make n (-1) and visited = Array.make n false in
+  dist.(src) <- 0.0;
+  let heap = Ref_heap.create () in
+  Ref_heap.push heap (0.0, src);
+  let rec loop () =
+    match Ref_heap.pop heap with
+    | None -> ()
+    | Some (d, u) ->
+      if not visited.(u) then begin
+        visited.(u) <- true;
+        if up.(u) || u = src then
+          Array.iteri
+            (fun i v ->
+              let lid = ix.nbr_link.(u).(i) in
+              if not disabled.(lid) then begin
+                let nd = d +. latency lid in
+                if nd < dist.(v) then begin
+                  dist.(v) <- nd;
+                  prev.(v) <- u;
+                  prev_link.(v) <- lid;
+                  Ref_heap.push heap (nd, v)
+                end
+              end)
+            ix.nbr.(u)
+      end;
+      loop ()
+  in
+  loop ();
+  Array.init n (fun dst ->
+      if dist.(dst) = infinity then None
+      else
+        let rec build lids v = if v = src then lids else build (prev_link.(v) :: lids) prev.(v) in
+        Some (build [] dst))
+
+(* Random graphs whose latencies come from three values, so equal-latency
+   routes are common, with random cut links, down sites and degraded
+   links: every route and idle delivery delay [Net] reports, looked up in
+   a random order after the state changes, equals the reference's. *)
+let test_route_matches_reference =
+  qtest ~count:300 "routes and delays equal a reference Dijkstra"
+    QCheck2.Gen.(pair (int_range 2 11) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let pick a = a.(Random.State.int rng (Array.length a)) in
+      let topo = Topology.create () in
+      for i = 0 to n - 1 do
+        ignore (Topology.add_site topo ~name:(string_of_int i))
+      done;
+      let add a b =
+        Topology.add_link topo a b ~latency:(pick [| 0.001; 0.002; 0.003 |])
+          ~bandwidth:(pick [| 1e5; 1e6 |])
+      in
+      for i = 1 to n - 1 do
+        add (Random.State.int rng i) i
+      done;
+      for _ = 1 to Random.State.int rng (2 * n) do
+        let a = Random.State.int rng n and b = Random.State.int rng n in
+        if a <> b then add a b
+      done;
+      let net = Net.create topo in
+      let ix = Topology.freeze topo in
+      let nlinks = Array.length ix.params in
+      (* warm the cache, so the state changes below must invalidate it *)
+      ignore (Net.route net 0 (n - 1));
+      let disabled = Array.make nlinks false and factors = Array.make nlinks (1.0, 1.0) in
+      for lid = 0 to nlinks - 1 do
+        let a = ix.lo.(lid) and b = ix.hi.(lid) in
+        match Random.State.int rng 8 with
+        | 0 ->
+          Net.set_link_enabled net a b false;
+          disabled.(lid) <- true
+        | 1 ->
+          let f = (pick [| 0.5; 2.0; 3.0 |], pick [| 0.5; 0.25 |]) in
+          Net.set_link_degraded net a b (Some f);
+          factors.(lid) <- f
+        | _ -> ()
+      done;
+      let up = Array.init n (fun _ -> Random.State.int rng 5 > 0) in
+      Array.iteri (fun s u -> if not u then Net.crash net s) up;
+      let latency lid = ix.params.(lid).latency *. fst factors.(lid) in
+      let bandwidth lid = ix.params.(lid).bandwidth *. snd factors.(lid) in
+      let size = 1 + Random.State.int rng 5000 in
+      let pairs = List.concat_map (fun a -> List.init n (fun b -> (a, b))) (List.init n Fun.id) in
+      let pairs =
+        List.map snd (List.sort compare (List.map (fun p -> (Random.State.bits rng, p)) pairs))
+      in
+      List.for_all
+        (fun (src, dst) ->
+          let lids = if src = dst then Some [] else (ref_routes ix ~up ~disabled ~latency src).(dst) in
+          let sites =
+            Option.map
+              (fun lids ->
+                List.rev
+                  (snd
+                     (List.fold_left
+                        (fun (cur, acc) lid ->
+                          let next = if ix.lo.(lid) = cur then ix.hi.(lid) else ix.lo.(lid) in
+                          (next, next :: acc))
+                        (src, []) lids)))
+              lids
+          in
+          let delay =
+            if src = dst then Some 0.0001
+            else
+              Option.map
+                (List.fold_left
+                   (fun acc lid -> acc +. latency lid +. (float_of_int size /. bandwidth lid))
+                   0.0)
+                lids
+          in
+          let got_route = Net.route net src dst
+          and got_delay = Net.delivery_delay net src dst ~size in
+          (got_route = sites && got_delay = delay)
+          || QCheck2.Test.fail_reportf "%d -> %d: route %s, reference %s" src dst
+               (match got_route with
+               | None -> "none"
+               | Some l -> String.concat "," (List.map string_of_int l))
+               (match sites with
+               | None -> "none"
+               | Some l -> String.concat "," (List.map string_of_int l)))
+        pairs)
+
+(* Two routes of equal latency from 0 to 3, through 2 and through 1: the
+   search settles 2 first, because it reached the frontier first and the
+   frontier does not break ties by site, so the route through 2 wins. *)
+let test_equal_latency_tie () =
+  let t = Topology.create () in
+  let s = Array.init 4 (fun i -> Topology.add_site t ~name:(string_of_int i)) in
+  Topology.add_link t s.(0) s.(1) ~latency:0.001 ~bandwidth:1e6;
+  Topology.add_link t s.(0) s.(2) ~latency:0.001 ~bandwidth:1e6;
+  Topology.add_link t s.(1) s.(3) ~latency:0.001 ~bandwidth:1e6;
+  Topology.add_link t s.(2) s.(3) ~latency:0.001 ~bandwidth:1e6;
+  let net = mk_net t in
+  check Alcotest.(option (list int)) "the first-reached of two equal routes" (Some [ 2; 3 ])
+    (Net.route net 0 3);
+  check Alcotest.(option (list int)) "and back" (Some [ 2; 0 ]) (Net.route net 3 0)
+
+(* Words allocated by [f ()] on the minor heap (nothing here is large). *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  let x = f () in
+  (x, Gc.minor_words () -. before)
+
+(* After an invalidation, the first lookup from a source searches again:
+   it allocates that source's row and the one route asked for, not a route
+   to every site. *)
+let test_route_lookup_words () =
+  let topo = Topology.random ~rng:(Rng.create 10L) ~n:10 ~p:0.3 () in
+  let net = mk_net topo in
+  ignore (Net.delivery_delay net 0 5 ~size:100);
+  Net.crash net 9;
+  Net.restart net 9;
+  let delay, words = minor_words (fun () -> Net.delivery_delay net 0 5 ~size:100) in
+  Alcotest.(check bool) "a route" true (Option.is_some delay);
+  Alcotest.(check bool)
+    (Printf.sprintf "lookup after invalidation: %.0f words, at most 64" words)
+    true (words <= 64.0);
+  let _, warm = minor_words (fun () -> Net.delivery_delay net 0 5 ~size:100) in
+  Alcotest.(check bool) (Printf.sprintf "cached lookup: %.0f words, at most 4" warm) true (warm <= 4.0)
+
+(* What the recorder adds to a message's send and delivery: two events,
+   written into columns the first message already made, so a traced
+   message costs the same words as an untraced one, bar a boxed float
+   where the build does not inline across modules (4 words at most). *)
+let test_traced_message_words () =
+  let message_words ~trace =
+    let net = Net.create ~trace (Topology.line 3) in
+    let got = ref 0 in
+    Net.set_handler net 2 ~key:"t" (fun _ -> incr got);
+    let once () =
+      Net.send net ~src:0 ~dst:2 ~size:100 (Message.Ping "x");
+      Net.run net
+    in
+    once ();
+    let (), words = minor_words once in
+    check Alcotest.int "delivered" 2 !got;
+    (net, words)
+  in
+  let _, plain = message_words ~trace:false in
+  let net, traced = message_words ~trace:true in
+  Alcotest.(check bool)
+    (Printf.sprintf "traced %.0f words, untraced %.0f: at most 4 more" traced plain)
+    true
+    (traced -. plain <= 4.0);
+  match
+    List.filter_map
+      (fun (e : Obs.Event.t) ->
+        if e.name = "net.send" || e.name = "net.deliver" then Some (e.name, e.site, e.attrs)
+        else None)
+      (Obs.Tracer.events (Net.recorder net))
+  with
+  | _ :: _ :: [ send; deliver ] ->
+    check
+      Alcotest.(triple string int (list (pair string string)))
+      "send"
+      ("net.send", 0, [ ("dst", "2"); ("bytes", "100"); ("hops", "2") ])
+      (let n, s, a = send in
+       (n, s, List.map (fun (k, v) -> (k, Obs.Event.attr_to_string v)) a));
+    let n, s, a = deliver in
+    check Alcotest.(pair string int) "deliver" ("net.deliver", 2) (n, s);
+    check
+      Alcotest.(list string)
+      "deliver attribute keys" [ "src"; "bytes"; "latency" ] (List.map fst a);
+    check Alcotest.(list string) "deliver src and bytes" [ "0"; "100" ]
+      (List.filteri (fun i _ -> i < 2) (List.map (fun (_, v) -> Obs.Event.attr_to_string v) a))
+  | l -> Alcotest.failf "%d send and deliver events, expected 4" (List.length l)
+
 (* --- accounting invariant: Netstats equals a model of the sends --- *)
 
 (* Random topologies, sends (some from a site to itself) and chaos plans
@@ -947,6 +1213,9 @@ let () =
           Alcotest.test_case "link contention" `Quick test_link_contention_serializes;
           Alcotest.test_case "no false contention" `Quick test_contention_only_on_shared_links;
           test_route_is_shortest;
+          test_route_matches_reference;
+          Alcotest.test_case "equal-latency tie" `Quick test_equal_latency_tie;
+          Alcotest.test_case "route lookup words" `Quick test_route_lookup_words;
         ] );
       ( "failures",
         [
@@ -985,5 +1254,6 @@ let () =
         [
           Alcotest.test_case "records when enabled" `Quick test_trace_records;
           Alcotest.test_case "off by default" `Quick test_trace_disabled_by_default;
+          Alcotest.test_case "traced message words" `Quick test_traced_message_words;
         ] );
     ]

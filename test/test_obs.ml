@@ -6,7 +6,13 @@ module Briefcase = Tacoma_core.Briefcase
 
 (* ---- recorder storage ----------------------------------------------------- *)
 
-let instant_names tr names = List.iter (fun name -> Obs.Tracer.instant tr ~time:0.0 name) names
+(* instants named by their first string argument *)
+let named : Obs.Desc.t = { name = [ Str 0 ]; cat = ""; msg = []; attrs = [] }
+
+let instant_named tr name =
+  Obs.Tracer.instant_strs tr named ~time:0.0 ~span:Obs.Span.null ~site:(-1) ~agent:"" name "" 0 0
+
+let instant_names tr names = List.iter (instant_named tr) names
 let event_names tr = List.map (fun (e : Obs.Event.t) -> e.name) (Obs.Tracer.events tr)
 
 let test_ring_eviction_order () =
@@ -60,21 +66,22 @@ let test_ring_allocated_on_first_event () =
   Alcotest.(check bool) "traced Net.create defers its ring too" true
     (traced < ring_words /. 4.0);
   let tr = Netsim.Net.recorder net in
-  let (), first = words_allocated (fun () -> Obs.Tracer.instant tr ~time:0.0 "first") in
+  let (), first = words_allocated (fun () -> instant_named tr "first") in
   Alcotest.(check bool) "the first event allocates fewer than 1 024 words" true (first < 1024.0);
   Alcotest.(check int) "first event kept" 1 (Obs.Tracer.length tr);
   let small = Obs.Tracer.create ~capacity:3 ~enabled:true () in
-  List.iter (fun name -> Obs.Tracer.instant small ~time:0.0 name) [ "a"; "b"; "c"; "d"; "e" ];
+  instant_names small [ "a"; "b"; "c"; "d"; "e" ];
   Alcotest.(check (list string)) "capacity bounds the ring" [ "c"; "d"; "e" ]
     (List.map (fun (e : Obs.Event.t) -> e.name) (Obs.Tracer.events small));
   Alcotest.(check int) "evictions counted" 2 (Obs.Tracer.evicted small)
 
 (* A list-based model of the recorder: the same span-id allocation, and a
-   queue that drops its oldest event beyond [cap].  Random programs of
-   spans, instants and one clear must leave the recorder and the model with
-   the same events, length, eviction count and sequence numbers, at every
-   capacity from 1 to 300, so each run crosses the storage's chunk
-   boundaries and wraps around it. *)
+   queue of fully built events that drops its oldest beyond [cap].  Random
+   programs of spans, instants and one clear must leave the recorder and
+   the model with the same events, length, eviction count and sequence
+   numbers, at every capacity from 1 to 300, so each run crosses the
+   storage's chunk boundaries and wraps around it.  The model renders its
+   events with [Printf] from the arguments, not from the descriptor. *)
 type model = {
   cap : int;
   q : Obs.Event.t Queue.t;
@@ -114,16 +121,44 @@ let blank : Obs.Event.t =
     attrs = [];
   }
 
-let random_attrs rng =
+(* One descriptor that reads every argument, in every kind of place. *)
+let every_arg : Obs.Desc.t =
+  {
+    name = [ Text "ev"; Int 2 ];
+    cat = "net";
+    msg =
+      [ Text "m "; Site; Text " "; Agent; Text " "; Float 1; Text " "; Str 1; Text " "; Pair (0, 1) ];
+    attrs =
+      [
+        ("i", Int 0); ("f", Float 0); ("s", Str 0); ("site", Site); ("a", Agent); ("k", Text "c");
+        ("p", Pair (0, 1));
+      ];
+  }
+
+type args = { i0 : int; i1 : int; i2 : int; f0 : float; f1 : float; s0 : string; s1 : string }
+
+let no_args = { i0 = 0; i1 = 0; i2 = 0; f0 = 0.0; f1 = 0.0; s0 = ""; s1 = "" }
+
+(* [every_arg]'s event, written out by hand *)
+let model_every_arg (e : Obs.Event.t) a =
+  {
+    e with
+    name = "ev" ^ string_of_int a.i2;
+    cat = "net";
+    msg = Printf.sprintf "m %d %s %g %s %d-%d" e.site e.agent a.f1 a.s1 a.i0 a.i1;
+    attrs =
+      [
+        ("i", Obs.Event.I a.i0); ("f", F a.f0); ("s", S a.s0); ("site", I e.site);
+        ("a", S e.agent); ("k", S "c"); ("p", S (Printf.sprintf "%d-%d" a.i0 a.i1));
+      ];
+  }
+
+let random_args rng =
   let pick a = a.(Random.State.int rng (Array.length a)) in
-  List.init (Random.State.int rng 4) (fun i ->
-      let key = pick [| "bytes"; "reason"; "rate"; "ok" |] ^ string_of_int i in
-      ( key,
-        match Random.State.int rng 4 with
-        | 0 -> Obs.Event.S (pick [| "loss"; "site-down"; "" |])
-        | 1 -> Obs.Event.I (Random.State.int rng 2000 - 1000)
-        | 2 -> Obs.Event.F (Random.State.float rng 10.0)
-        | _ -> Obs.Event.B (Random.State.bool rng) ))
+  let int () = Random.State.int rng 2000 - 1000 in
+  let float () = pick [| 0.0; 0.25; -1.5; 1e-7; Random.State.float rng 10.0 |] in
+  let str () = pick [| "loss"; "site-down"; ""; "a \"quoted\"\nline" |] in
+  { i0 = int (); i1 = int (); i2 = int (); f0 = float (); f1 = float (); s0 = str (); s1 = str () }
 
 let check_model ~cap tr m =
   let ctx = Printf.sprintf "capacity %d, after %d events: " cap m.m_seq in
@@ -153,15 +188,12 @@ let run_model_program rng ~cap =
     let time = float_of_int step +. Random.State.float rng 1.0 in
     let site = Random.State.int rng 6 - 1 in
     let agent = if Random.State.bool rng then "" else "ag" ^ string_of_int (Random.State.int rng 3) in
-    let msg = if Random.State.int rng 4 = 0 then "detail" else "" in
-    let attrs = random_attrs rng in
-    let name = "ev" ^ string_of_int (Random.State.int rng 50) in
+    let a = random_args rng in
+    let base = { blank with time; site } in
     (match if step = clear_at then 100 else Random.State.int rng 100 with
-    | r when r < 35 ->
+    | r when r < 30 ->
       let parent = pick_span () in
-      let span =
-        Obs.Tracer.start_span tr ~time ~parent ~site ~agent ~msg ~attrs name
-      in
+      let span = Obs.Tracer.open_span tr every_arg ~time ~parent ~site ~agent a.s0 a.i0 in
       let span_id = m.m_span in
       m.m_span <- span_id + 1;
       let trace_id, parent_id =
@@ -175,18 +207,32 @@ let run_model_program rng ~cap =
       Alcotest.(check (pair int int)) "span ids as the model allocates them"
         (trace_id, span_id) (span.trace_id, span.span_id);
       model_record m
-        { blank with time; kind = Begin; name; cat = "agent"; site; agent; span; parent_id; msg; attrs };
+        (model_every_arg
+           { base with kind = Begin; agent; span; parent_id }
+           { no_args with s0 = a.s0; i0 = a.i0 });
       live := span :: !live
-    | r when r < 60 ->
+    | r when r < 50 ->
       let span = pick_span () in
-      Obs.Tracer.end_span tr ~time ~site ~agent ~attrs span name;
+      Obs.Tracer.close_span tr every_arg ~time ~site ~agent span a.s0;
       if not (Obs.Span.is_null span) then
-        model_record m { blank with time; kind = End; name; cat = "agent"; site; agent; span; attrs }
-    | r when r < 100 ->
+        model_record m
+          (model_every_arg { base with kind = End; agent; span } { no_args with s0 = a.s0 })
+    | r when r < 65 ->
       let span = if Random.State.bool rng then pick_span () else Obs.Span.null in
-      let cat = if Random.State.bool rng then "net" else "" in
-      Obs.Tracer.instant tr ~time ~span ~cat ~site ~agent ~msg ~attrs name;
-      model_record m { blank with time; name; cat; site; agent; span; msg; attrs }
+      Obs.Tracer.instant_strs tr every_arg ~time ~span ~site ~agent a.s0 a.s1 a.i0 a.i1;
+      model_record m
+        (model_every_arg { base with agent; span }
+           { no_args with s0 = a.s0; s1 = a.s1; i0 = a.i0; i1 = a.i1 })
+    | r when r < 80 ->
+      Obs.Tracer.instant_ints tr every_arg ~time ~site a.i0 a.i1 a.i2;
+      model_record m (model_every_arg base { no_args with i0 = a.i0; i1 = a.i1; i2 = a.i2 })
+    | r when r < 95 ->
+      Obs.Tracer.instant_nums tr every_arg ~time ~site a.i0 a.i1 a.f0 a.f1;
+      model_record m
+        (model_every_arg base { no_args with i0 = a.i0; i1 = a.i1; f0 = a.f0; f1 = a.f1 })
+    | r when r < 100 ->
+      Obs.Tracer.instant tr every_arg ~time ~site;
+      model_record m (model_every_arg base no_args)
     | _ ->
       check_model ~cap tr m;
       Obs.Tracer.clear tr;
@@ -205,7 +251,7 @@ let test_recorder_model () =
   (* a disabled recorder records nothing and hands out no ids *)
   let off = Obs.Tracer.create ~capacity:4 () in
   let span = Obs.Tracer.start_span off ~time:0.0 "x" in
-  Obs.Tracer.instant off ~time:0.0 "y";
+  instant_named off "y";
   Alcotest.(check bool) "disabled: null span" true (Obs.Span.is_null span);
   Alcotest.(check int) "disabled: nothing kept" 0 (Obs.Tracer.length off)
 
@@ -553,13 +599,15 @@ let parse_json s =
 
 (* ---- exporters ------------------------------------------------------------ *)
 
+(* a send with a free-text message *)
+let noted_send : Obs.Desc.t =
+  { name = [ Text "net.send" ]; cat = "net"; msg = [ Str 0 ]; attrs = [ ("dst", Int 0) ] }
+
 let fixed_events () =
   let tr = Obs.Tracer.create ~enabled:true () in
   let root = Obs.Tracer.start_span tr ~time:0.0 ~site:0 ~agent:"courier" "activate:courier" in
-  Obs.Tracer.instant tr ~time:0.5 ~span:root ~cat:"net" ~site:0
-    ~msg:"escaping: \"quotes\" \\ and\nnewline"
-    ~attrs:[ ("dst", Obs.Event.I 1); ("ok", Obs.Event.B true); ("w", Obs.Event.F 0.25) ]
-    "net.send";
+  Obs.Tracer.instant_strs tr noted_send ~time:0.5 ~span:root ~site:0 ~agent:""
+    "escaping: \"quotes\" \\ and\nnewline" "" 1 0;
   let child =
     Obs.Tracer.start_span tr ~time:1.0 ~parent:root ~site:1 ~agent:"filer" "meet:filer"
   in
@@ -570,7 +618,7 @@ let fixed_events () =
 let chrome_golden =
   "{\"traceEvents\":[\n\
    {\"name\":\"activate:courier\",\"cat\":\"agent\",\"ph\":\"B\",\"ts\":0,\"pid\":0,\"tid\":1,\"args\":{\"agent\":\"courier\",\"site\":0,\"trace\":1,\"span\":1}},\n\
-   {\"name\":\"net.send\",\"cat\":\"net\",\"ph\":\"i\",\"s\":\"t\",\"ts\":500000,\"pid\":0,\"tid\":0,\"args\":{\"site\":0,\"trace\":1,\"span\":1,\"msg\":\"escaping: \\\"quotes\\\" \\\\ and\\nnewline\",\"dst\":1,\"ok\":true,\"w\":0.250000}},\n\
+   {\"name\":\"net.send\",\"cat\":\"net\",\"ph\":\"i\",\"s\":\"t\",\"ts\":500000,\"pid\":0,\"tid\":0,\"args\":{\"site\":0,\"trace\":1,\"span\":1,\"msg\":\"escaping: \\\"quotes\\\" \\\\ and\\nnewline\",\"dst\":1}},\n\
    {\"name\":\"meet:filer\",\"cat\":\"agent\",\"ph\":\"B\",\"ts\":1000000,\"pid\":1,\"tid\":2,\"args\":{\"agent\":\"filer\",\"site\":1,\"trace\":1,\"span\":2,\"parent\":1}},\n\
    {\"name\":\"meet:filer\",\"cat\":\"agent\",\"ph\":\"E\",\"ts\":1500000,\"pid\":1,\"tid\":2,\"args\":{\"agent\":\"filer\",\"site\":1,\"trace\":1,\"span\":2}},\n\
    {\"name\":\"activate:courier\",\"cat\":\"agent\",\"ph\":\"E\",\"ts\":2000000,\"pid\":0,\"tid\":1,\"args\":{\"agent\":\"courier\",\"site\":0,\"trace\":1,\"span\":1}}\n\
@@ -595,6 +643,176 @@ let test_jsonl_export_valid () =
       | () -> ()
       | exception Bad_json msg -> Alcotest.fail ("invalid JSONL line: " ^ msg))
     lines
+
+(* Every descriptor, recorded the way its call site records it and read
+   back through [Tracer.events] and [Export.chrome], must give the event
+   the recorder kept before descriptors, when each call site passed its
+   own message string and attribute list.  The expected events are
+   written as those call sites wrote them. *)
+let test_descriptors_match_list_model () =
+  let module D = Obs.Desc in
+  let module E = Obs.Event in
+  let module T = Obs.Tracer in
+  let time = 1.5 and parent = { Obs.Span.trace_id = 4; span_id = 9 } in
+  (* the first span a fresh recorder opens under [parent] *)
+  let child = { Obs.Span.trace_id = 4; span_id = 1 } in
+  let ev ?(kind = E.Instant) ?(site = -1) ?(agent = "") ?(span = Obs.Span.null) ?(parent_id = 0)
+      ?(msg = "") ~cat name attrs =
+    { blank with time; kind; name; cat; site; agent; span; parent_id; msg; attrs }
+  in
+  let span_case d_begin d_end ~agent ~name ~s0 ~i0 ~begin_attrs ~end_s0 ~end_attrs =
+    ( [ d_begin; d_end ],
+      (fun tr ->
+        let sp = T.open_span tr d_begin ~time ~parent ~site:2 ~agent s0 i0 in
+        T.close_span tr d_end ~time ~site:2 ~agent sp end_s0),
+      [
+        ev ~kind:Begin ~site:2 ~agent ~span:child ~parent_id:9 ~cat:"agent" name begin_attrs;
+        ev ~kind:End ~site:2 ~agent ~span:child ~cat:"agent" name end_attrs;
+      ] )
+  in
+  let drop d reason msg =
+    ( [ d ],
+      (fun tr -> T.instant_ints tr d ~time ~site:0 3 512 0),
+      [ ev ~site:0 ~cat:"net" ~msg "net.drop" [ ("reason", E.S reason); ("dst", E.I 3) ] ] )
+  in
+  let migrate d transport =
+    ( [ d ],
+      (fun tr ->
+        T.instant_strs tr d ~time ~span:parent ~site:0 ~agent:"hopper" "site-0" "site-3" 3 812),
+      [
+        ev ~site:0 ~agent:"hopper" ~span:parent ~cat:"kernel"
+          ~msg:
+            (Printf.sprintf "rexec %s: %s -> %s contact=%s (%d bytes)" transport "site-0" "site-3"
+               "hopper" 812)
+          "kernel.migrate"
+          [ ("dst", E.I 3); ("transport", E.S transport); ("bytes", E.I 812) ];
+      ] )
+  in
+  let bare d ~site ~cat name =
+    ([ d ], (fun tr -> T.instant tr d ~time ~site), [ ev ~site ~cat name [] ])
+  in
+  let cases =
+    [
+      ( [ D.net_send ],
+        (fun tr -> T.instant_ints tr D.net_send ~time ~site:0 3 512 2),
+        [ ev ~site:0 ~cat:"net" "net.send" [ ("dst", E.I 3); ("bytes", E.I 512); ("hops", E.I 2) ] ]
+      );
+      ( [ D.net_deliver ],
+        (fun tr -> T.instant_nums tr D.net_deliver ~time ~site:3 0 512 0.0125 0.0),
+        [
+          ev ~site:3 ~cat:"net" "net.deliver"
+            [ ("src", E.I 0); ("bytes", E.I 512); ("latency", E.F 0.0125) ];
+        ] );
+      ( [ D.net_drop_site_down ],
+        (fun tr -> T.instant_ints tr D.net_drop_site_down ~time ~site:3 512 0 0),
+        [
+          ev ~site:3 ~cat:"net"
+            ~msg:(Printf.sprintf "site-%d down, dropped %d bytes from site-%d" 3 512 0)
+            "net.drop"
+            [ ("reason", E.S "site-down") ];
+        ] );
+      drop D.net_drop_partition "partition"
+        (Printf.sprintf "%s site-%d -> site-%d (%d bytes)" "partition" 0 3 512);
+      drop D.net_drop_no_route "no-route"
+        (Printf.sprintf "%s site-%d -> site-%d (%d bytes)" "no-route" 0 3 512);
+      drop D.net_drop_loss "loss"
+        (Printf.sprintf "lost in transit site-%d -> site-%d (%d bytes)" 0 3 512);
+      bare D.net_crash ~site:4 ~cat:"net" "net.crash";
+      bare D.net_restart ~site:4 ~cat:"net" "net.restart";
+      span_case D.activate D.activate ~agent:"courier" ~name:"activate:courier" ~s0:"" ~i0:0
+        ~begin_attrs:[] ~end_s0:"" ~end_attrs:[];
+      span_case D.activate D.activate_failed ~agent:"courier" ~name:"activate:courier" ~s0:""
+        ~i0:0 ~begin_attrs:[] ~end_s0:"aborted: site crashed"
+        ~end_attrs:[ ("error", E.S "aborted: site crashed") ];
+      span_case D.meet D.meet ~agent:"filer" ~name:"meet:filer" ~s0:"" ~i0:0 ~begin_attrs:[]
+        ~end_s0:"" ~end_attrs:[];
+      span_case D.meet D.meet_failed ~agent:"filer" ~name:"meet:filer" ~s0:"" ~i0:0
+        ~begin_attrs:[] ~end_s0:"agent error: no" ~end_attrs:[ ("error", E.S "agent error: no") ];
+      span_case D.fetch D.fetch_done ~agent:"hopper" ~name:"codecache.fetch" ~s0:"ab12" ~i0:5
+        ~begin_attrs:[ ("digest", E.S "ab12"); ("src", E.I 5) ] ~end_s0:"" ~end_attrs:[];
+      span_case D.fetch D.fetch_failed ~agent:"hopper" ~name:"codecache.fetch" ~s0:"ab12" ~i0:5
+        ~begin_attrs:[ ("digest", E.S "ab12"); ("src", E.I 5) ] ~end_s0:"timeout"
+        ~end_attrs:[ ("error", E.S "timeout") ];
+      span_case D.named_span D.named_span ~agent:"probe" ~name:"activate:probe"
+        ~s0:"activate:probe" ~i0:0 ~begin_attrs:[] ~end_s0:"activate:probe" ~end_attrs:[];
+      ( [ D.agent_log ],
+        (fun tr ->
+          T.instant_strs tr D.agent_log ~time ~span:Obs.Span.null ~site:1 ~agent:"ag" "hello" "" 0 0),
+        [ ev ~site:1 ~agent:"ag" ~cat:"kernel" ~msg:"hello" "agent.log" [] ] );
+      ( [ D.kernel_death ],
+        (fun tr ->
+          T.instant_strs tr D.kernel_death ~time ~span:Obs.Span.null ~site:1 ~agent:"ag"
+            "aborted: x" "aborted" 0 0),
+        [
+          ev ~site:1 ~agent:"ag" ~cat:"kernel" ~msg:"aborted: x" "kernel.death"
+            [ ("class", E.S "aborted") ];
+        ] );
+      ( [ D.horus_giveup ],
+        (fun tr -> T.instant_ints tr D.horus_giveup ~time ~site:1 2 5 0),
+        [ ev ~site:1 ~cat:"kernel" "horus.giveup" [ ("dst", E.I 2); ("attempts", E.I 5) ] ] );
+      migrate D.migrate_rsh "rsh";
+      migrate D.migrate_tcp "tcp";
+      migrate D.migrate_horus "horus";
+      ( [ D.guard_relaunch ],
+        (fun tr -> T.instant_strs tr D.guard_relaunch ~time ~span:parent ~site:1 ~agent:"" "j7" "" 2 1),
+        [
+          ev ~site:1 ~span:parent ~cat:"guard" "guard.relaunch"
+            [ ("journey", E.S "j7"); ("hop", E.I 2); ("attempt", E.I 1) ];
+        ] );
+      ( [ D.horus_view ],
+        (fun tr ->
+          T.instant_strs tr D.horus_view ~time ~span:Obs.Span.null ~site:0 ~agent:"" "kernel" "2,3" 6
+            0),
+        [
+          ev ~site:0 ~cat:"horus" "horus.view"
+            [ ("group", E.S "kernel"); ("suspects", E.S "2,3"); ("view", E.I 6) ];
+        ] );
+      ( [ D.chaos_crash ],
+        (fun tr -> T.instant_nums tr D.chaos_crash ~time ~site:(-1) 2 0 7.5 0.0),
+        [ ev ~cat:"chaos" "chaos.crash" [ ("site", E.I 2); ("downtime", E.F 7.5) ] ] );
+      ( [ D.chaos_cut ],
+        (fun tr ->
+          T.instant_strs tr D.chaos_cut ~time ~span:Obs.Span.null ~site:(-1) ~agent:"" "bisect" "" 3 0),
+        [ ev ~cat:"chaos" "chaos.cut" [ ("label", E.S "bisect"); ("links", E.I 3) ] ] );
+      ( [ D.chaos_loss ],
+        (fun tr -> T.instant_nums tr D.chaos_loss ~time ~site:(-1) 0 0 0.3 0.0),
+        [ ev ~cat:"chaos" "chaos.loss" [ ("rate", E.F 0.3) ] ] );
+      ( [ D.chaos_link_loss ],
+        (fun tr -> T.instant_nums tr D.chaos_link_loss ~time ~site:(-1) 1 4 0.3 0.0),
+        [
+          ev ~cat:"chaos" "chaos.loss" [ ("rate", E.F 0.3); ("link", E.S (Printf.sprintf "%d-%d" 1 4)) ];
+        ] );
+      ( [ D.chaos_degrade ],
+        (fun tr -> T.instant_nums tr D.chaos_degrade ~time ~site:(-1) 1 4 10.0 0.1),
+        [
+          ev ~cat:"chaos" "chaos.degrade"
+            [
+              ("link", E.S (Printf.sprintf "%d-%d" 1 4)); ("latency", E.F 10.0); ("bandwidth", E.F 0.1);
+            ];
+        ] );
+      bare D.chaos_heal_crash ~site:(-1) ~cat:"chaos" ("chaos.heal." ^ "crash");
+      bare D.chaos_heal_cut ~site:(-1) ~cat:"chaos" ("chaos.heal." ^ "cut");
+      bare D.chaos_heal_loss ~site:(-1) ~cat:"chaos" ("chaos.heal." ^ "loss");
+      bare D.chaos_heal_degrade ~site:(-1) ~cat:"chaos" ("chaos.heal." ^ "degrade");
+    ]
+  in
+  List.iter
+    (fun (_, record, expected) ->
+      let tr = T.create ~enabled:true () in
+      record tr;
+      let expected = List.mapi (fun seq (e : E.t) -> { e with seq }) expected in
+      let got = T.events tr in
+      let what = (List.hd expected).name in
+      Alcotest.(check string) (what ^ ": chrome") (Obs.Export.chrome expected) (Obs.Export.chrome got);
+      Alcotest.(check bool) (what ^ ": events") true (got = expected))
+    cases;
+  List.iteri
+    (fun i d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "descriptor %d of Desc.all has a case" i)
+        true
+        (List.exists (fun (ds, _, _) -> List.memq d ds) cases))
+    D.all
 
 (* ---- causal propagation through the kernel -------------------------------- *)
 
@@ -795,6 +1013,8 @@ let () =
       ( "export",
         [
           Alcotest.test_case "chrome golden + valid JSON" `Quick test_chrome_export_golden;
+          Alcotest.test_case "descriptors match a list model" `Quick
+            test_descriptors_match_list_model;
           Alcotest.test_case "jsonl valid" `Quick test_jsonl_export_valid;
         ] );
       ( "spans",

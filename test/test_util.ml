@@ -89,68 +89,59 @@ let test_rng_bytes_len () =
 
 (* --- heap --- *)
 
+(* pops every element, smallest key first *)
+let drain h =
+  let rec go acc = if Heap.is_empty h then List.rev acc else go (Heap.pop h :: acc) in
+  go []
+
 let test_heap_sorts =
   qtest "heap pops in sorted order"
-    QCheck2.Gen.(list int)
-    (fun l ->
-      let h = Heap.create ~cmp:compare ~dummy:0 in
-      List.iter (Heap.push h) l;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare l)
+    QCheck2.Gen.(list (float_bound_inclusive 10.0))
+    (fun keys ->
+      (* element [i] is pushed under the [i]th key *)
+      let h = Heap.create 2 in
+      List.iteri (fun i k -> Heap.push h k i) keys;
+      let keys = Array.of_list keys in
+      List.map (fun i -> keys.(i)) (drain h) = List.sort compare (Array.to_list keys))
 
 let test_heap_peek () =
-  let h = Heap.create ~cmp:compare ~dummy:0 in
-  Alcotest.(check (option int)) "empty peek" None (Heap.peek h);
-  Heap.push h 5;
-  Heap.push h 2;
-  Heap.push h 9;
-  Alcotest.(check (option int)) "peek min" (Some 2) (Heap.peek h);
-  Alcotest.(check int) "length unchanged by peek" 3 (Heap.length h)
+  let h = Heap.create 4 in
+  Heap.push h 5.0 50;
+  Heap.push h 2.0 20;
+  Heap.push h 9.0 90;
+  Alcotest.(check int) "length" 3 (Heap.length h);
+  Alcotest.(check int) "pop min" 20 (Heap.pop h);
+  Alcotest.(check int) "length after pop" 2 (Heap.length h);
+  Alcotest.check_raises "empty pop" (Invalid_argument "Heap.pop: empty heap") (fun () ->
+      ignore (Heap.pop (Heap.create 1)))
 
 let test_heap_interleaved () =
-  let h = Heap.create ~cmp:compare ~dummy:0 in
-  Heap.push h 3;
-  Heap.push h 1;
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Heap.pop h);
-  Heap.push h 0;
-  Heap.push h 2;
-  Alcotest.(check (option int)) "pop 0" (Some 0) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Heap.pop h);
-  Alcotest.(check (option int)) "empty" None (Heap.pop h)
+  let h = Heap.create 1 in
+  Heap.push h 3.0 3;
+  Heap.push h 1.0 1;
+  Alcotest.(check int) "pop 1" 1 (Heap.pop h);
+  Heap.push h 0.0 0;
+  Heap.push h 2.0 2;
+  Alcotest.(check int) "pop 0" 0 (Heap.pop h);
+  Alcotest.(check int) "pop 2" 2 (Heap.pop h);
+  Alcotest.(check int) "pop 3" 3 (Heap.pop h);
+  Alcotest.(check bool) "empty" true (Heap.is_empty h)
 
 let test_heap_clear () =
-  let h = Heap.create ~cmp:compare ~dummy:0 in
-  List.iter (Heap.push h) [ 4; 2; 7 ];
+  let h = Heap.create 4 in
+  List.iter (fun k -> Heap.push h k 0) [ 4.0; 2.0; 7.0 ];
   Heap.clear h;
-  Alcotest.(check bool) "empty after clear" true (Heap.is_empty h)
+  Alcotest.(check bool) "empty after clear" true (Heap.is_empty h);
+  Heap.push h 1.0 1;
+  Alcotest.(check (list int)) "usable after clear" [ 1 ] (drain h)
 
-let test_heap_releases_elements () =
-  (* popped and cleared elements (in the engine: events and their closures)
-     must not stay reachable through the heap's backing array *)
-  let h = Heap.create ~cmp:(fun a b -> compare !a !b) ~dummy:(ref 0) in
-  let push_tracked w i v =
-    let x = ref v in
-    Weak.set w i (Some x);
-    Heap.push h x
-  in
-  let popped = Weak.create 1 and cleared = Weak.create 2 in
-  push_tracked popped 0 1;
-  Heap.push h (ref 5);
-  Heap.push h (ref 7);
-  ignore (Sys.opaque_identity (Heap.pop h));
-  Gc.full_major ();
-  Alcotest.(check bool) "popped element collected" false (Weak.check popped 0);
-  push_tracked cleared 0 2;
-  push_tracked cleared 1 3;
-  Heap.clear h;
-  Gc.full_major ();
-  Alcotest.(check bool) "cleared elements collected" false
-    (Weak.check cleared 0 || Weak.check cleared 1);
-  Heap.push h (ref 4);
-  Alcotest.(check (option int)) "usable after clear" (Some 4) (Option.map ( ! ) (Heap.pop h))
+(* Equal keys leave in the order the sifts give them, not by element or by
+   push order: element 0, pushed last, leaves before element 3, because the
+   first pop moves it to the root and no strict comparison moves it down. *)
+let test_heap_equal_keys () =
+  let h = Heap.create 4 in
+  List.iter (fun (k, e) -> Heap.push h k e) [ (1.0, 7); (1.0, 3); (2.0, 9); (1.0, 0) ];
+  Alcotest.(check (list int)) "tie order" [ 7; 0; 3; 9 ] (drain h)
 
 (* --- sha256 (FIPS 180-4 / RFC 4231 vectors) --- *)
 
@@ -434,7 +425,7 @@ let () =
           Alcotest.test_case "peek" `Quick test_heap_peek;
           Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
           Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "releases popped and cleared" `Quick test_heap_releases_elements;
+          Alcotest.test_case "equal keys" `Quick test_heap_equal_keys;
         ] );
       ( "sha256",
         [
