@@ -611,24 +611,10 @@ let measure cfg tests =
     (fun (name, ns) -> (name, ns, Option.value ~default:nan (List.assoc_opt name words)))
     (estimates Instance.monotonic_clock)
 
-(* --jobs N: one pool task per benchmark.  Each staged closure only touches
-   state built for that benchmark, so samples can run concurrently; the
-   result *structure* (names, row order after the sort) is identical to
-   serial — only the timings themselves feel the sharing of cores, which is
-   why CI measures with --jobs 1 and uses --jobs for smoke runs. *)
-let run quick json_out jobs =
+let run quick json_out =
   let quota = if quick then Time.millisecond 50. else Time.second 0.5 in
   let cfg = Benchmark.cfg ~limit:2000 ~quota ~kde:(Some 1000) () in
-  let rows =
-    if jobs = 1 then measure cfg (Test.make_grouped ~name:"tacoma" all_benches)
-    else
-      Tacoma_util.Pool.with_pool ~jobs (fun pool ->
-          Tacoma_util.Pool.map pool
-            (fun bench -> measure cfg (Test.make_grouped ~name:"tacoma" [ bench ]))
-            all_benches)
-      |> List.concat
-  in
-  let rows = List.sort compare rows in
+  let rows = List.sort compare (measure cfg (Test.make_grouped ~name:"tacoma" all_benches)) in
   Printf.printf "%-50s | %15s | %12s\n" "benchmark" "ns/run" "words/run";
   Printf.printf "%s\n" (String.make 85 '-');
   List.iter
@@ -654,4 +640,4 @@ let () =
        (Cmd.v
           (Cmd.info "bench"
              ~doc:"Micro-benchmarks of the TACOMA layers, in ns and minor-heap words per run.")
-          Term.(const run $ quick $ json_out $ Tacoma_cli.jobs_term)))
+          Term.(const run $ quick $ json_out)))

@@ -33,7 +33,7 @@ let launch_script k code =
 (* --- exp: regenerate experiment tables ------------------------------------ *)
 
 let exp_cmd =
-  let run jobs ids =
+  let run ids =
     match ids with
     | [] ->
       Format.fprintf fmt "Available experiments:@.";
@@ -44,7 +44,7 @@ let exp_cmd =
         Experiments.Registry.all;
       `Ok ()
     | [ "all" ] ->
-      Experiments.Registry.run_all ~jobs fmt;
+      Experiments.Registry.run_all fmt;
       `Ok ()
     | ids -> (
       match
@@ -53,14 +53,14 @@ let exp_cmd =
       | Some bad -> `Error (false, Printf.sprintf "unknown experiment %S (try `tacoma exp')" bad)
       | None ->
         let entries = List.filter_map Experiments.Registry.find ids in
-        Experiments.Registry.run ~jobs entries fmt;
+        Experiments.Registry.run entries fmt;
         `Ok ())
   in
   let open Cmdliner in
   let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (e1..e10, abl) or 'all'.") in
   Cmd.v
     (Cmd.info "exp" ~doc:"Regenerate experiment tables (no arguments lists them).")
-    Term.(ret (const run $ Tacoma_cli.jobs_term $ ids))
+    Term.(ret (const run $ ids))
 
 (* --- run: execute a TScript agent on a simulated network ------------------- *)
 
@@ -262,6 +262,20 @@ let chaos_cmd =
          & info [ "partition-rate" ] ~docv:"RATE"
              ~doc:"Override the profile's bisection (clean partition) rate per second.")
   in
+  let jobs =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 0 -> Ok n
+      | Some _ -> Error (`Msg "job count must be >= 0 (0 = one worker per core)")
+      | None -> Error (`Msg (Printf.sprintf "invalid job count %S" s))
+    in
+    Arg.(value
+         & opt (conv ~docv:"N" (parse, Format.pp_print_int)) 1
+         & info [ "j"; "jobs" ] ~docv:"N"
+             ~doc:
+               "Worker domains for the seed sweep.  1 (the default) is the serial path; \
+                0 means one per core.  Verdicts are byte-identical for every value.")
+  in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Print one JSON verdict per line.") in
   let json_out =
     Arg.(value & opt (some string) None
@@ -285,7 +299,7 @@ let chaos_cmd =
           Exits non-zero if any invariant is violated.")
     Term.(ret
             (const run $ seeds $ seed $ sites $ horizon $ unguarded $ partition_rate
-            $ Tacoma_cli.jobs_term $ json $ json_out $ dump $ plan))
+            $ jobs $ json $ json_out $ dump $ plan))
 
 (* --- demo: a traced journey ------------------------------------------------ *)
 

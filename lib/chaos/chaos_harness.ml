@@ -406,15 +406,14 @@ let run_seed ?(config = default_config) ?plan ~seed () =
     v_violations = List.rev !violations;
   }
 
-(* One pool task per seed.  Safe because [run_seed] is self-contained: the
+(* One task per seed.  Safe because [run_seed] is self-contained: the
    topology, net (with engine, metrics registry and tracer), kernel (with
    its interpreter cache pair), mint and every workload object are built
    inside the call from seed-derived streams — nothing mutable crosses
    seeds, so any interleaving of tasks produces the same verdicts as the
    serial loop, byte for byte. *)
 let run_sweep ?config ?plan ?(jobs = 1) ~seeds () =
-  Tacoma_util.Pool.with_pool ~jobs (fun pool ->
-      Tacoma_util.Pool.map pool (fun seed -> run_seed ?config ?plan ~seed ()) seeds)
+  Tacoma_util.Pool.map ~jobs (fun seed -> run_seed ?config ?plan ~seed ()) seeds
 
 let all_passed vs = List.for_all passed vs
 

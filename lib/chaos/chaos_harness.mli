@@ -81,7 +81,7 @@ val run_sweep :
   ?config:config -> ?plan:Netsim.Chaos.plan -> ?jobs:int -> seeds:int list -> unit -> verdict list
 (** Run every seed and return verdicts in seed-list order.  [jobs]
     (default [1] = the plain serial loop; [0] = all cores) fans seeds out
-    over a {!Tacoma_util.Pool}, one task per seed.  Each task builds its
+    with {!Tacoma_util.Pool.map}, one task per seed.  Each task builds its
     own kernel, net, metrics registry, tracer and interpreter caches, so
     the verdict list is byte-identical for every [jobs] value.  [plan]
     replays one stored schedule for {e every} seed, as in {!run_seed}. *)

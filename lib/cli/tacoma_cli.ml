@@ -70,25 +70,6 @@ let chaos_plan_conv =
   in
   Cmdliner.Arg.conv ~docv:"PLAN" (parse, print)
 
-let jobs_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | Some _ -> Error (`Msg "job count must be >= 0 (0 = one worker per core)")
-    | None -> Error (`Msg (Printf.sprintf "invalid job count %S" s))
-  in
-  Cmdliner.Arg.conv ~docv:"N" (parse, Format.pp_print_int)
-
-let jobs_term =
-  let open Cmdliner in
-  Arg.(value
-       & opt jobs_conv 1
-       & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:
-             "Worker domains for independent-simulation sweeps.  1 (the default) is the \
-              serial path; 0 means one per core.  Results are byte-identical for every \
-              value.")
-
 let apply_config ?transport ?cache (base : Kernel.config) =
   let base =
     match transport with None -> base | Some t -> { base with default_transport = t }

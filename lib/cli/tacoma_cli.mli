@@ -17,11 +17,6 @@ val cache_term : Tacoma_core.Kernel.cache_config option Cmdliner.Term.t
     {!Tacoma_core.Kernel.default_cache_config}; [--code-cache-budget BYTES]
     overrides the per-site LRU budget (and implies [--code-cache]). *)
 
-val jobs_term : int Cmdliner.Term.t
-(** [--jobs N] (also [-j]): worker-domain count for sweep fan-out, handed
-    to {!Tacoma_util.Pool}.  Default [1] (serial); [0] means
-    [Domain.recommended_domain_count ()]. *)
-
 val chaos_plan_conv : Netsim.Chaos.plan Cmdliner.Arg.conv
 (** A chaos-plan file (the {!Netsim.Chaos.to_string} line format): the
     argument is a path, parsed with {!Netsim.Chaos.of_string} so replay

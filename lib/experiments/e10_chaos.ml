@@ -16,12 +16,7 @@ type params = { seeds : int; rates : float list }
 
 let default_params = { seeds = 6; rates = [ 0.0; 0.005; 0.01; 0.025; 0.05 ] }
 
-(* The whole rate × {guards on, off} × seed grid is one flat task list on
-   one pool: a 5-rate, 6-seed sweep is 60 independent simulations, and
-   flattening keeps all workers busy across rate boundaries.  Cells are
-   regrouped in grid order afterwards, so the rows (and the printed table)
-   are byte-identical to the serial nested loops. *)
-let run ?(params = default_params) ?(jobs = 1) () =
+let run ?(params = default_params) () =
   let seeds = List.init params.seeds (fun i -> 1000 + i) in
   let config ~rate ~guarded =
     let profile =
@@ -29,25 +24,8 @@ let run ?(params = default_params) ?(jobs = 1) () =
     in
     { H.default_config with profile; guarded }
   in
-  let cells =
-    List.concat_map
-      (fun rate ->
-        List.concat_map
-          (fun guarded -> List.map (fun seed -> (rate, guarded, seed)) seeds)
-          [ true; false ])
-      params.rates
-  in
-  let verdicts =
-    Tacoma_util.Pool.with_pool ~jobs (fun pool ->
-        Tacoma_util.Pool.map pool
-          (fun (rate, guarded, seed) -> H.run_seed ~config:(config ~rate ~guarded) ~seed ())
-          cells)
-  in
-  let by_cell = List.combine cells verdicts in
   let sweep ~rate ~guarded =
-    List.filter_map
-      (fun ((r, g, _), v) -> if r = rate && g = guarded then Some v else None)
-      by_cell
+    List.map (fun seed -> H.run_seed ~config:(config ~rate ~guarded) ~seed ()) seeds
   in
   List.map
     (fun rate ->
@@ -72,8 +50,8 @@ let run ?(params = default_params) ?(jobs = 1) () =
       })
     params.rates
 
-let print_table ?jobs fmt =
-  let rows = run ?jobs () in
+let print_table fmt =
+  let rows = run () in
   Table.render fmt
     ~title:
       (Printf.sprintf

@@ -29,10 +29,6 @@ type row = {
 type params = { seeds : int; rates : float list }
 
 val default_params : params
-val run : ?params:params -> ?jobs:int -> unit -> row list
-(** [jobs] (default 1, [0] = all cores) fans the whole
-    rate × guards-on/off × seed grid out over one {!Tacoma_util.Pool} —
-    every cell is an independent simulation — and regroups the verdicts in
-    grid order, so the rows are identical for every [jobs] value. *)
+val run : ?params:params -> unit -> row list
 
-val print_table : ?jobs:int -> Format.formatter -> unit
+val print_table : Format.formatter -> unit

@@ -67,7 +67,7 @@ let all =
       title = "availability under chaos: partitions, loss and degradation";
       paper_claim =
         "S5/S7: rear guards keep computations available across the full failure surface, not just crashes";
-      print = (fun fmt -> E10_chaos.print_table fmt);
+      print = E10_chaos.print_table;
     };
     {
       id = "abl";
@@ -79,26 +79,6 @@ let all =
 
 let find id = List.find_opt (fun e -> e.id = String.lowercase_ascii id) all
 
-(* One pool task per experiment.  Every experiment builds its own nets and
-   kernels, so tables can regenerate concurrently; each task prints into a
-   private [Buffer] and the buffers are emitted in registry order, so
-   worker interleaving can never corrupt or reorder the tables.  [jobs = 1]
-   prints straight into [fmt] — exactly the old serial path. *)
-let run ?(jobs = 1) entries fmt =
-  if jobs = 1 then List.iter (fun e -> e.print fmt) entries
-  else begin
-    let outputs =
-      Tacoma_util.Pool.with_pool ~jobs (fun pool ->
-          Tacoma_util.Pool.map pool
-            (fun e ->
-              let buf = Buffer.create 4096 in
-              let bfmt = Format.formatter_of_buffer buf in
-              e.print bfmt;
-              Format.pp_print_flush bfmt ();
-              Buffer.contents buf)
-            entries)
-    in
-    List.iter (Format.pp_print_string fmt) outputs
-  end
+let run entries fmt = List.iter (fun e -> e.print fmt) entries
 
-let run_all ?jobs fmt = run ?jobs all fmt
+let run_all fmt = run all fmt

@@ -11,10 +11,7 @@ type entry = {
 val all : entry list
 val find : string -> entry option
 
-val run : ?jobs:int -> entry list -> Format.formatter -> unit
-(** Regenerate the given tables in order.  [jobs] (default 1; [0] = all
-    cores) runs one {!Tacoma_util.Pool} task per experiment, each printing
-    into a private buffer; buffers are flushed to the formatter in entry
-    order, so the output is byte-identical to the serial run. *)
+val run : entry list -> Format.formatter -> unit
+(** Regenerate the given tables in order. *)
 
-val run_all : ?jobs:int -> Format.formatter -> unit
+val run_all : Format.formatter -> unit

@@ -1365,25 +1365,22 @@ let install_core () =
         match find_array name with
         | Some arr -> Value.of_int (Hashtbl.length arr)
         | None -> "0")
-      | [ "names"; name ] | [ "names"; name; _ ] -> (
-        let pattern = match args with [ _; _; p ] -> Some p | _ -> None in
+      | [ ("names" | "get") as sub; name ] | [ ("names" | "get") as sub; name; _ ] -> (
+        let keep k =
+          match args with [ _; _; p ] -> Strutil.glob_match ~pattern:p k | _ -> true
+        in
         match find_array name with
         | None -> ""
         | Some arr ->
-          Hashtbl.fold (fun k _ acc -> k :: acc) arr []
-          |> List.filter (fun k ->
-                 match pattern with
-                 | None -> true
-                 | Some p -> Strutil.glob_match ~pattern:p k)
-          |> List.sort compare |> Value.of_list)
-      | [ "get"; name ] -> (
-        match find_array name with
-        | None -> ""
-        | Some arr ->
-          Hashtbl.fold (fun k v acc -> (k, Value.to_string v) :: acc) arr []
-          |> List.sort compare
-          |> List.concat_map (fun (k, v) -> [ k; v ])
-          |> Value.of_list)
+          let pairs =
+            Hashtbl.fold
+              (fun k v acc -> if keep k then (k, v) :: acc else acc)
+              arr []
+            |> List.sort (fun (a, _) (b, _) -> compare a b)
+          in
+          Value.of_list
+            (if sub = "names" then List.map fst pairs
+             else List.concat_map (fun (k, v) -> [ k; Value.to_string v ]) pairs))
       | [ "set"; name; kvlist ] ->
         let rec go = function
           | [] -> ()

@@ -1,135 +1,36 @@
-(* Fixed-size domain pool with a FIFO task queue.
+(* The calling domain works alongside [jobs - 1] spawned ones.  Each domain
+   claims the next index from one atomic counter and writes its outcome into
+   that index's slot; the slots are read only after every helper is joined,
+   so the join orders every write before the read. *)
 
-   The queue is a plain [Queue.t] under one mutex/condvar pair; workers
-   block on [work_available] and drain remaining tasks before exiting on
-   shutdown.  Results travel through per-future cells with their own
-   mutex/condvar, so completion order never reorders results: [map] awaits
-   futures in submission order.
-
-   [jobs <= 1] spawns no domains at all — [submit] runs the thunk inline,
-   so the serial path is exactly a [List.map] over the tasks, with no
-   scheduling, locking or allocation differences for callers to reason
-   about. *)
-
-type task = unit -> unit
-
-type t = {
-  jobs : int;
-  lock : Mutex.t;
-  work_available : Condition.t;
-  tasks : task Queue.t;
-  mutable stopping : bool;
-  mutable workers : unit Domain.t list;
-}
-
-type 'a cell = Pending | Done of 'a | Failed of exn * Printexc.raw_backtrace
-
-type 'a future = {
-  flock : Mutex.t;
-  fdone : Condition.t;
-  mutable cell : 'a cell;
-}
-
-let resolve_jobs jobs =
-  if jobs < 0 then invalid_arg "Pool.create: jobs must be >= 0"
-  else if jobs = 0 then Domain.recommended_domain_count ()
-  else jobs
-
-let rec worker_loop t =
-  Mutex.lock t.lock;
-  let rec next () =
-    match Queue.take_opt t.tasks with
-    | Some task -> Some task
-    | None ->
-      if t.stopping then None
-      else begin
-        Condition.wait t.work_available t.lock;
-        next ()
-      end
-  in
-  let task = next () in
-  Mutex.unlock t.lock;
-  match task with
-  | None -> ()
-  | Some task ->
-    task ();
-    worker_loop t
-
-let create ?(jobs = 1) () =
-  let jobs = resolve_jobs jobs in
-  let t =
-    {
-      jobs;
-      lock = Mutex.create ();
-      work_available = Condition.create ();
-      tasks = Queue.create ();
-      stopping = false;
-      workers = [];
-    }
-  in
-  if jobs > 1 then
-    t.workers <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t
-
-let jobs t = t.jobs
-
-let submit t f =
-  let fut = { flock = Mutex.create (); fdone = Condition.create (); cell = Pending } in
-  let run () =
-    let outcome =
-      match f () with
-      | v -> Done v
-      | exception e -> Failed (e, Printexc.get_raw_backtrace ())
-    in
-    Mutex.lock fut.flock;
-    fut.cell <- outcome;
-    Condition.broadcast fut.fdone;
-    Mutex.unlock fut.flock
-  in
-  if t.jobs <= 1 then begin
-    if t.stopping then invalid_arg "Pool.submit: pool is shut down";
-    run ()
-  end
+let map ~jobs f xs =
+  if jobs < 0 then invalid_arg "Pool.map: jobs must be >= 0";
+  let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
+  let tasks = Array.of_list xs in
+  let n = Array.length tasks in
+  if min jobs n <= 1 then List.map f xs
   else begin
-    Mutex.lock t.lock;
-    let stopped = t.stopping in
-    if not stopped then begin
-      Queue.add run t.tasks;
-      Condition.signal t.work_available
-    end;
-    Mutex.unlock t.lock;
-    if stopped then invalid_arg "Pool.submit: pool is shut down"
-  end;
-  fut
-
-let await fut =
-  Mutex.lock fut.flock;
-  let rec wait () =
-    match fut.cell with
-    | Pending ->
-      Condition.wait fut.fdone fut.flock;
-      wait ()
-    | Done v ->
-      Mutex.unlock fut.flock;
-      v
-    | Failed (e, bt) ->
-      Mutex.unlock fut.flock;
-      Printexc.raise_with_backtrace e bt
-  in
-  wait ()
-
-let map t f xs =
-  let futures = List.map (fun x -> submit t (fun () -> f x)) xs in
-  List.map await futures
-
-let shutdown t =
-  Mutex.lock t.lock;
-  t.stopping <- true;
-  Condition.broadcast t.work_available;
-  Mutex.unlock t.lock;
-  List.iter Domain.join t.workers;
-  t.workers <- []
-
-let with_pool ?jobs f =
-  let t = create ?jobs () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+    let results = Array.make n None in
+    let next = Atomic.make 0 in
+    let rec work () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <-
+          Some
+            (match f tasks.(i) with
+            | v -> Ok v
+            | exception e -> Error (e, Printexc.get_raw_backtrace ()));
+        work ()
+      end
+    in
+    let helpers = List.init (min jobs n - 1) (fun _ -> Domain.spawn work) in
+    work ();
+    List.iter Domain.join helpers;
+    (* List.map reads the slots in index order, so the lowest failing index
+       is the one raised *)
+    Array.to_list results
+    |> List.map (function
+         | Some (Ok v) -> v
+         | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+         | None -> assert false)
+  end

@@ -1,53 +1,21 @@
-(** Work-queue domain pool for embarrassingly-parallel simulation sweeps.
-
-    A pool owns a fixed set of worker domains pulling thunks from a FIFO
-    queue (one mutex/condvar pair).  Results come back through futures, so
-    {!map} always returns results in {e submission} order regardless of
-    completion order — the property the byte-identical sweep contract rests
-    on.  A task that raises has its exception (and backtrace) captured and
-    re-raised at {!await} in the submitting domain.
+(** A parallel [List.map] over OCaml 5 domains, for sweeps of independent
+    simulations.
 
     {b The determinism contract.}  Tasks must not share mutable simulation
     state: each task builds its own kernel, net, metrics registry, tracer
     and interpreter cache pair.  Every per-simulation value in this
     codebase already satisfies that (seeded split RNG streams, per-net
     registries, per-kernel id fountains, per-caches interpreter uids); a
-    sweep task is safe exactly when it only touches values it created.
-    Under that discipline [jobs = 4] produces byte-identical output to
-    [jobs = 1].
+    task is safe exactly when it only touches values it created.  Under
+    that discipline the result is the same for every [jobs] value. *)
 
-    With [jobs <= 1] (the default) no domains are spawned and {!submit}
-    runs the thunk inline — the serial path is literally today's
-    [List.map]. *)
+val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [map ~jobs f xs] is [List.map f xs], computed by the calling domain and
+    [min jobs (List.length xs) - 1] spawned ones, each taking the next
+    unclaimed element.  Results line up with [xs] whatever order tasks
+    finish in.  If tasks raise, every task still runs, and the exception of
+    the lowest-indexed failure is re-raised with its backtrace.
 
-type t
-
-type 'a future
-
-val create : ?jobs:int -> unit -> t
-(** [jobs] defaults to [1] (serial, no domains).  [0] means
+    [jobs <= 1] is [List.map f xs] on the calling domain; [0] means
     [Domain.recommended_domain_count ()].
     @raise Invalid_argument on negative [jobs]. *)
-
-val jobs : t -> int
-(** The resolved worker count ([>= 1]). *)
-
-val submit : t -> (unit -> 'a) -> 'a future
-(** Enqueue a task (or run it inline when [jobs <= 1]).  Tasks started
-    after {!shutdown} raise [Invalid_argument]. *)
-
-val await : 'a future -> 'a
-(** Block until the task finishes; re-raises the task's exception with its
-    original backtrace if it failed.  Awaiting twice is fine. *)
-
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map t f xs] submits [f x] for every element, then awaits in
-    submission order: the result list lines up with [xs] exactly as
-    [List.map f xs] would, whatever order workers finish in. *)
-
-val shutdown : t -> unit
-(** Stop accepting tasks, drain the queue, join the workers.  Idempotent. *)
-
-val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] runs [f] over a fresh pool and always shuts it
-    down, even when [f] raises. *)

@@ -5,9 +5,12 @@
 # For each patch, copy the tracked tree (git ls-files, as it stands in the
 # working copy) to a temporary directory, apply the patch, check that the
 # mutant still compiles (`dune build @check`), and require `dune build
-# @runtest` to fail.  A mutant of the interpreter can make an agent loop
-# forever, so the tests run under a 120 s timeout, and a mutant that runs
-# them past it counts as caught.  Exits non-zero if a patch no longer
+# @runtest` to fail.  The tests stop at their first failure: a mutant
+# survives only if every test passes, so the verdict is the same, and a
+# mutant that makes one test loop is not kept waiting on it once another
+# has failed.  A mutant of the interpreter can make an agent loop forever,
+# so the tests run under a 120 s timeout, and a mutant that runs them past
+# it counts as caught.  Exits non-zero if a patch no longer
 # applies, a mutant does not compile, or a mutant survives the tests.
 #
 # Usage: test/mutants/run.sh [PATCH...]    (default: every patch here)
@@ -36,7 +39,7 @@ for patch in "$@"; do
     echo "FAIL $name: mutant does not build"
     tail -n 20 "$work/$name.build.log"
     failed=1
-  elif (cd "$dir" && timeout -k 10 120 dune build @runtest >"$work/$name.test.log" 2>&1); then
+  elif (cd "$dir" && timeout -k 10 120 dune build --stop-on-first-error @runtest >"$work/$name.test.log" 2>&1); then
     echo "FAIL $name: mutant survived dune build @runtest"
     failed=1
   else

@@ -80,6 +80,11 @@ unset arr(k)
 puts "empty array: [array exists arr] [array size arr] [info exists arr(k)]"
 unset arr
 puts "arr gone: [info exists arr]"
+# array get and array names keep only the keys matching a glob pattern
+array set pat {x1 1 x2 2 y1 3}
+puts "get x*: [lsort [array get pat x*]]"
+puts "names x*: [lsort [array names pat x*]]"
+puts "get y?: [array get pat y?] names z*: \"[array names pat z*]\""
 unset -nocomplain nothing_here arr
 unset -nocomplain
 unset

@@ -292,34 +292,6 @@ let test_ablation_a5_shape () =
   in
   Alcotest.(check bool) "latency grows with distance" true (increasing lats)
 
-let test_e10_rows_identical_across_jobs () =
-  (* the rate x guards x seed grid is flattened into one pool; regrouping
-     must reproduce the serial rows exactly, floats and all *)
-  let params = { E10.seeds = 2; rates = [ 0.0; 0.05 ] } in
-  let serial = E10.run ~params ~jobs:1 () in
-  let parallel = E10.run ~params ~jobs:4 () in
-  Alcotest.(check bool) "grid fan-out reproduces serial rows" true (serial = parallel)
-
-let test_registry_run_byte_identical_across_jobs () =
-  (* parallel table regeneration must reproduce the serial byte stream:
-     each task prints into a private buffer and buffers are emitted in
-     entry order.  E3 is deliberately outside this check: its table reports
-     host wall-clock times (Sys.time), which differ between any two runs,
-     serial or parallel — the byte-identity contract covers
-     simulation-derived output only. *)
-  let entries = List.filter_map Experiments.Registry.find [ "e2"; "e4" ] in
-  check Alcotest.int "both entries found" 2 (List.length entries);
-  let render jobs =
-    let buf = Buffer.create 4096 in
-    let fmt = Format.formatter_of_buffer buf in
-    Experiments.Registry.run ~jobs entries fmt;
-    Format.pp_print_flush fmt ();
-    Buffer.contents buf
-  in
-  let serial = render 1 in
-  Alcotest.(check bool) "tables nonempty" true (String.length serial > 0);
-  check Alcotest.string "jobs=4 matches jobs=1" serial (render 4)
-
 let () =
   Alcotest.run "experiments"
     [
@@ -348,11 +320,4 @@ let () =
           Alcotest.test_case "a5 routed lookup" `Quick test_ablation_a5_shape;
         ] );
       ("registry", [ Alcotest.test_case "complete" `Quick test_registry_complete ]);
-      ( "determinism",
-        [
-          Alcotest.test_case "e10 rows across jobs" `Slow
-            test_e10_rows_identical_across_jobs;
-          Alcotest.test_case "registry tables across jobs" `Slow
-            test_registry_run_byte_identical_across_jobs;
-        ] );
     ]

@@ -324,85 +324,96 @@ let test_stats_basic () =
 module Pool = Tacoma_util.Pool
 
 let test_pool_serial_inline () =
-  (* jobs = 1 is the serial path: submit runs the thunk immediately, in
-     submission order, on the calling domain. *)
-  let order = ref [] in
-  Pool.with_pool ~jobs:1 (fun p ->
-      let fa = Pool.submit p (fun () -> order := "a" :: !order; 1) in
-      let fb = Pool.submit p (fun () -> order := "b" :: !order; 2) in
-      check Alcotest.(list string) "ran inline at submit" [ "a"; "b" ]
-        (List.rev !order);
-      check Alcotest.int "first result" 1 (Pool.await fa);
-      check Alcotest.int "second result" 2 (Pool.await fb))
+  (* jobs = 1, and any list of at most one element, is List.map on the
+     calling domain, in list order *)
+  let me = Domain.self () in
+  let trace jobs xs =
+    let order = ref [] in
+    let got =
+      Pool.map ~jobs
+        (fun x ->
+          order := x :: !order;
+          Domain.self () = me)
+        xs
+    in
+    check Alcotest.(list string) "list order" xs (List.rev !order);
+    check Alcotest.(list bool) "calling domain" (List.map (fun _ -> true) xs) got
+  in
+  trace 1 [ "a"; "b"; "c" ];
+  trace 4 [ "only" ]
 
 let test_pool_map_matches_list_map () =
   let xs = List.init 40 Fun.id in
   let f x = (x * x) + 3 in
   List.iter
     (fun jobs ->
-      let got = Pool.with_pool ~jobs (fun p -> Pool.map p f xs) in
       check Alcotest.(list int)
         (Printf.sprintf "jobs=%d matches List.map" jobs)
-        (List.map f xs) got)
-    [ 1; 2; 4; 0 ]
+        (List.map f xs) (Pool.map ~jobs f xs))
+    [ 1; 2; 4 ]
 
 let test_pool_order_beats_completion_order () =
-  (* Force the first-submitted task to finish last: it spins until the
-     second task (on the other worker) has run.  map must still return
-     results in submission order. *)
+  (* Force the first task to finish last: it spins until the second task
+     (on the other domain) has run.  map must still return results in list
+     order. *)
   let second_done = Atomic.make false in
   let results =
-    Pool.with_pool ~jobs:2 (fun p ->
-        Pool.map p
-          (fun i ->
-            if i = 0 then (
-              while not (Atomic.get second_done) do
-                Domain.cpu_relax ()
-              done;
-              "slow")
-            else (
-              Atomic.set second_done true;
-              "fast"))
-          [ 0; 1 ])
+    Pool.map ~jobs:2
+      (fun i ->
+        if i = 0 then (
+          while not (Atomic.get second_done) do
+            Domain.cpu_relax ()
+          done;
+          "slow")
+        else (
+          Atomic.set second_done true;
+          "fast"))
+      [ 0; 1 ]
   in
-  check Alcotest.(list string) "submission order, not completion order"
+  check Alcotest.(list string) "list order, not completion order"
     [ "slow"; "fast" ] results
 
 exception Boom of int
 
 let test_pool_exception_propagates () =
-  Pool.with_pool ~jobs:2 (fun p ->
-      let ok = Pool.submit p (fun () -> 41) in
-      let bad = Pool.submit p (fun () -> raise (Boom 7)) in
-      check Alcotest.int "healthy task unaffected" 41 (Pool.await ok);
-      (match Pool.await bad with
+  (* tasks 3 and 7 fail: every task still runs, and the lowest failing
+     index is the one re-raised.  With helpers, task 3 waits until task 7
+     has failed, so 7 is the first failure in time. *)
+  List.iter
+    (fun jobs ->
+      let ran = Atomic.make 0 and seven_failed = Atomic.make false in
+      match
+        Pool.map ~jobs
+          (fun i ->
+            Atomic.incr ran;
+            if i = 3 && jobs > 1 then
+              while not (Atomic.get seven_failed) do
+                Domain.cpu_relax ()
+              done;
+            if i = 7 then Atomic.set seven_failed true;
+            if i = 3 || i = 7 then raise (Boom i) else i)
+          (List.init 10 Fun.id)
+      with
       | _ -> Alcotest.fail "expected Boom"
-      | exception Boom 7 -> ());
-      (* a failed await leaves the pool usable, and re-awaiting re-raises *)
-      (match Pool.await bad with
-      | _ -> Alcotest.fail "expected Boom again"
-      | exception Boom 7 -> ());
-      check Alcotest.int "pool still serves tasks" 9
-        (Pool.await (Pool.submit p (fun () -> 9))))
+      | exception Boom i ->
+        check Alcotest.int (Printf.sprintf "jobs=%d raises index 3" jobs) 3 i;
+        if jobs > 1 then
+          check Alcotest.int (Printf.sprintf "jobs=%d ran every task" jobs) 10
+            (Atomic.get ran))
+    [ 1; 2; 4 ]
 
-let test_pool_reuse_across_submissions () =
-  Pool.with_pool ~jobs:3 (fun p ->
-      let a = Pool.map p (fun x -> x + 1) [ 1; 2; 3 ] in
-      let b = Pool.map p string_of_int a in
-      check Alcotest.(list string) "second batch on same pool"
-        [ "2"; "3"; "4" ] b)
+let test_pool_jobs_beyond_length () =
+  check Alcotest.(list int) "jobs > length" [ 2; 4; 6 ]
+    (Pool.map ~jobs:8 (fun x -> 2 * x) [ 1; 2; 3 ]);
+  check Alcotest.(list int) "empty list" [] (Pool.map ~jobs:4 (fun x -> x) [])
 
-let test_pool_create_validation () =
-  (match Pool.create ~jobs:(-1) () with
+let test_pool_jobs_validation () =
+  (match Pool.map ~jobs:(-1) Fun.id [ 1 ] with
   | _ -> Alcotest.fail "negative jobs should be rejected"
   | exception Invalid_argument _ -> ());
-  let p = Pool.create ~jobs:0 () in
-  Alcotest.(check bool) "jobs=0 resolves to >= 1" true (Pool.jobs p >= 1);
-  Pool.shutdown p;
-  Pool.shutdown p;
-  match Pool.submit p (fun () -> ()) with
-  | _ -> Alcotest.fail "submit after shutdown should be rejected"
-  | exception Invalid_argument _ -> ()
+  let xs = List.init 20 Fun.id in
+  check Alcotest.(list int) "jobs=0 matches List.map" (List.map succ xs)
+    (Pool.map ~jobs:0 succ xs)
 
 let () =
   Alcotest.run "util"
@@ -457,7 +468,7 @@ let () =
           Alcotest.test_case "submission order wins" `Quick
             test_pool_order_beats_completion_order;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception_propagates;
-          Alcotest.test_case "pool reuse" `Quick test_pool_reuse_across_submissions;
-          Alcotest.test_case "create validation" `Quick test_pool_create_validation;
+          Alcotest.test_case "jobs beyond length" `Quick test_pool_jobs_beyond_length;
+          Alcotest.test_case "jobs validation" `Quick test_pool_jobs_validation;
         ] );
     ]
