@@ -263,8 +263,12 @@ let chaos_cmd =
              ~doc:"Override the profile's bisection (clean partition) rate per second.")
   in
   let jobs =
+    (* well under the runtime's domain limit, so a spawn never fails midway *)
+    let max_jobs = 64 in
     let parse s =
       match int_of_string_opt s with
+      | Some n when n > max_jobs ->
+        Error (`Msg (Printf.sprintf "job count must be at most %d" max_jobs))
       | Some n when n >= 0 -> Ok n
       | Some _ -> Error (`Msg "job count must be >= 0 (0 = one worker per core)")
       | None -> Error (`Msg (Printf.sprintf "invalid job count %S" s))
@@ -274,7 +278,7 @@ let chaos_cmd =
          & info [ "j"; "jobs" ] ~docv:"N"
              ~doc:
                "Worker domains for the seed sweep.  1 (the default) is the serial path; \
-                0 means one per core.  Verdicts are byte-identical for every value.")
+                0 means one per core; at most 64.  Verdicts are byte-identical for every value.")
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Print one JSON verdict per line.") in
   let json_out =

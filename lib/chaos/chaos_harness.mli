@@ -80,7 +80,7 @@ val run_seed : ?config:config -> ?plan:Netsim.Chaos.plan -> seed:int -> unit -> 
 val run_sweep :
   ?config:config -> ?plan:Netsim.Chaos.plan -> ?jobs:int -> seeds:int list -> unit -> verdict list
 (** Run every seed and return verdicts in seed-list order.  [jobs]
-    (default [1] = the plain serial loop; [0] = all cores) fans seeds out
+    (default [1] = every seed on the calling domain, in order; [0] = all cores) fans seeds out
     with {!Tacoma_util.Pool.map}, one task per seed.  Each task builds its
     own kernel, net, metrics registry, tracer and interpreter caches, so
     the verdict list is byte-identical for every [jobs] value.  [plan]

@@ -16,6 +16,6 @@ val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     finish in.  If tasks raise, every task still runs, and the exception of
     the lowest-indexed failure is re-raised with its backtrace.
 
-    [jobs <= 1] is [List.map f xs] on the calling domain; [0] means
-    [Domain.recommended_domain_count ()].
+    At [jobs <= 1] the calling domain runs every task itself, in list
+    order; [0] means [Domain.recommended_domain_count ()].
     @raise Invalid_argument on negative [jobs]. *)

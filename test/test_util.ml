@@ -324,7 +324,7 @@ let test_stats_basic () =
 module Pool = Tacoma_util.Pool
 
 let test_pool_serial_inline () =
-  (* jobs = 1, and any list of at most one element, is List.map on the
+  (* jobs = 1, and any list of at most one element, runs every task on the
      calling domain, in list order *)
   let me = Domain.self () in
   let trace jobs xs =
@@ -397,9 +397,8 @@ let test_pool_exception_propagates () =
       | _ -> Alcotest.fail "expected Boom"
       | exception Boom i ->
         check Alcotest.int (Printf.sprintf "jobs=%d raises index 3" jobs) 3 i;
-        if jobs > 1 then
-          check Alcotest.int (Printf.sprintf "jobs=%d ran every task" jobs) 10
-            (Atomic.get ran))
+        check Alcotest.int (Printf.sprintf "jobs=%d ran every task" jobs) 10
+          (Atomic.get ran))
     [ 1; 2; 4 ]
 
 let test_pool_jobs_beyond_length () =
