@@ -64,7 +64,7 @@ let set_vacation kernel ~user ~note =
 let dispatch kernel ~src msg ~hops =
   let bc = Briefcase.create () in
   Briefcase.set bc "MSG" (wire msg);
-  Briefcase.set bc "HOPS" (string_of_int hops);
+  Briefcase.set bc "HOPS" (Tacoma_util.Decimal.of_int hops);
   (* the message agent starts its journey locally *)
   Kernel.launch kernel ~site:src ~contact:"mail" bc
 
@@ -109,7 +109,7 @@ let setup kernel =
             let home = Option.get (Kernel.site_named k home_name) in
             if home <> site then begin
               (* travel to the recipient's home *)
-              Briefcase.set bc "HOPS" (string_of_int hops);
+              Briefcase.set bc "HOPS" (Tacoma_util.Decimal.of_int hops);
               Briefcase.set bc Briefcase.host_folder home_name;
               Briefcase.set bc Briefcase.contact_folder "mail";
               Kernel.meet ctx "rexec" bc

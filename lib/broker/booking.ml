@@ -1,3 +1,4 @@
+module Decimal = Tacoma_util.Decimal
 module Kernel = Tacoma_core.Kernel
 module Briefcase = Tacoma_core.Briefcase
 module Net = Netsim.Net
@@ -87,7 +88,7 @@ let handle_reply t bc =
       | Some "ok", Some provider, Some psite ->
         t.current_provider <- Some provider;
         let job = Briefcase.create () in
-        Briefcase.set job "JOB" (Printf.sprintf "%s#%d" t.id t.attempt);
+        Briefcase.set job "JOB" (t.id ^ "#" ^ Decimal.of_int t.attempt);
         Briefcase.set job "WORK" (string_of_float t.work);
         Briefcase.set job "REPLY-HOST" (Kernel.site_name t.kernel t.client);
         Briefcase.set job "REPLY-AGENT" (reply_agent t);

@@ -1,3 +1,4 @@
+module Decimal = Tacoma_util.Decimal
 module Kernel = Tacoma_core.Kernel
 module Briefcase = Tacoma_core.Briefcase
 module Cabinet = Tacoma_core.Cabinet
@@ -27,7 +28,7 @@ let busy_time t = t.busy
 
 let publish_load kernel t =
   Cabinet.set_kv (Kernel.cabinet kernel t.psite) "LOAD" ~key:("queue:" ^ t.pname)
-    (string_of_int (queue_length t))
+    (Decimal.of_int (queue_length t))
 
 let notify kernel t job status =
   match job.reply with
@@ -134,7 +135,7 @@ let start_load_monitor kernel t ~brokers ~period =
       Briefcase.set report "CAPACITY" (string_of_float t.pcapacity);
       let rec loop () =
         if Netsim.Net.site_up (Kernel.net kernel) t.psite then begin
-          Briefcase.set report "LOAD" (string_of_int (queue_length t));
+          Briefcase.set report "LOAD" (Decimal.of_int (queue_length t));
           send_report kernel t report brokers;
           Kernel.sleep ctx period;
           loop ()

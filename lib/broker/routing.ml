@@ -1,3 +1,4 @@
+module Decimal = Tacoma_util.Decimal
 module Kernel = Tacoma_core.Kernel
 module Briefcase = Tacoma_core.Briefcase
 module Folder = Tacoma_core.Folder
@@ -66,7 +67,7 @@ let send_to_broker t ~src dst_broker ~contact bc =
 
 let advertise t node =
   let entries = reachable t node in
-  let wire = List.map (fun (s, c) -> Printf.sprintf "%s:%d" s c) entries in
+  let wire = List.map (fun (s, c) -> s ^ ":" ^ Decimal.of_int c) entries in
   let bc = Briefcase.create () in
   Briefcase.set bc "OP" "advert";
   Briefcase.set bc "FROM" (Matchmaker.agent_name node.broker);
@@ -138,7 +139,7 @@ let handle_query t node bc =
           Briefcase.set out "PROVIDER-HOST" c.Policy.host;
           Briefcase.set out "CAPACITY" (string_of_float c.Policy.capacity);
           Briefcase.set out "LOAD" (string_of_float c.Policy.load);
-          Briefcase.set out "HOPS" (string_of_int hops);
+          Briefcase.set out "HOPS" (Decimal.of_int hops);
           Kernel.send_briefcase t.kernel ~src ~dst ~contact:agent out
         | None -> ())
       | _ -> ())
@@ -151,7 +152,7 @@ let handle_query t node bc =
         | Some e when now -. e.refreshed <= t.expiry -> (
           match Hashtbl.find_opt t.nodes e.via with
           | Some via_node ->
-            Briefcase.set bc "HOPS" (string_of_int (hops + 1));
+            Briefcase.set bc "HOPS" (Decimal.of_int (hops + 1));
             send_to_broker t ~src via_node.broker
               ~contact:(route_agent_name via_node.broker) bc
           | None -> reply_error t ~src bc "no-provider")
@@ -189,7 +190,7 @@ let connect t a b =
 
 let routed_lookup t ~from ~service ~on_reply =
   t.query_counter <- t.query_counter + 1;
-  let qid = Printf.sprintf "rq-%d" t.query_counter in
+  let qid = "rq-" ^ Decimal.of_int t.query_counter in
   let src = Matchmaker.site from in
   let reply_agent = "route-reply:" ^ qid in
   let fired = ref false in

@@ -1,6 +1,6 @@
 type t = { amount : int; serial : string; signature : string }
 
-let wire e = Printf.sprintf "%d:%s:%s" e.amount e.serial e.signature
+let wire e = String.concat ":" [ Tacoma_util.Decimal.of_int e.amount; e.serial; e.signature ]
 
 let of_wire s =
   match String.split_on_char ':' s with

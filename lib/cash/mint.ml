@@ -1,6 +1,7 @@
 module Sha256 = Tacoma_util.Sha256
 module Hexutil = Tacoma_util.Hexutil
 module Rng = Tacoma_util.Rng
+module Decimal = Tacoma_util.Decimal
 
 type failure = Forged | Double_spent
 
@@ -16,7 +17,7 @@ let create ?(seed = 7321L) ~secret () =
   { secret; rng = Rng.create seed; live = Hashtbl.create 64 }
 
 let sign t ~amount ~serial =
-  Sha256.hmac_hex ~key:t.secret (Printf.sprintf "ecu|%d|%s" amount serial)
+  Sha256.hmac_hex ~key:t.secret (String.concat "|" [ "ecu"; Decimal.of_int amount; serial ])
 
 let issue t ~amount =
   if amount <= 0 then invalid_arg "Mint.issue: non-positive amount";

@@ -1,3 +1,4 @@
+module Decimal = Tacoma_util.Decimal
 module Kernel = Tacoma_core.Kernel
 module Briefcase = Tacoma_core.Briefcase
 module Folder = Tacoma_core.Folder
@@ -92,7 +93,7 @@ let remote_validate kernel ~src ~bank ecus ~on_reply =
   (* per-kernel ids: a process-wide counter would make the reply-agent name
      (serialised into the briefcase, so part of the byte accounting) depend
      on whatever other simulations ran first in this process *)
-  let reply_agent = Printf.sprintf "cash-reply-%d" (Kernel.fresh_id kernel) in
+  let reply_agent = "cash-reply-" ^ Decimal.of_int (Kernel.fresh_id kernel) in
   let fired = ref false in
   Kernel.register_native kernel ~site:src reply_agent (fun _ bc ->
       if not !fired then begin

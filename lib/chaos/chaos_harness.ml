@@ -1,4 +1,5 @@
 module Rng = Tacoma_util.Rng
+module Decimal = Tacoma_util.Decimal
 module Topology = Netsim.Topology
 module Net = Netsim.Net
 module Site = Netsim.Site
@@ -199,7 +200,7 @@ let run_seed ?(config = default_config) ?plan ~seed () =
         let start =
           cfg.horizon *. 0.5 *. float_of_int i /. float_of_int (max 1 cfg.journeys)
         in
-        { jid = Printf.sprintf "j%d" i; itinerary; start; completions = 0; journey = None })
+        { jid = "j" ^ Decimal.of_int i; itinerary; start; completions = 0; journey = None })
   in
   List.iter
     (fun p ->
@@ -235,7 +236,7 @@ let run_seed ?(config = default_config) ?plan ~seed () =
     let site = pick_site () in
     let p =
       Provider.install k ~site
-        ~name:(Printf.sprintf "prov%d" i)
+        ~name:("prov" ^ Decimal.of_int i)
         ~service:"compute"
         ~capacity:(1.0 +. (float_of_int i *. 0.5))
         ()
@@ -260,7 +261,7 @@ let run_seed ?(config = default_config) ?plan ~seed () =
                       ~service:"compute" ~work:cfg.booking_work
                       ~timeout:cfg.booking_timeout
                       ~max_attempts:cfg.booking_attempts
-                      ~id:(Printf.sprintf "bk%d" i) ())));
+                      ~id:("bk" ^ Decimal.of_int i) ())));
         cell)
   in
   (* --- electronic cash -------------------------------------------- *)
@@ -283,7 +284,7 @@ let run_seed ?(config = default_config) ?plan ~seed () =
         let cell = ref None in
         ignore
           (Net.schedule net ~after:start (fun () ->
-               let tx = Printf.sprintf "tx%d" i in
+               let tx = "tx" ^ Decimal.of_int i in
                cell :=
                  Some
                    (Audit.purchase k ~tx ~amount:cfg.purchase_amount ~bills

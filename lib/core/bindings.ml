@@ -1,5 +1,6 @@
 module Interp = Tscript.Interp
 module Value = Tscript.Value
+module Decimal = Tacoma_util.Decimal
 
 type host = {
   site_name : unit -> string;
@@ -56,7 +57,7 @@ let install_folder_cmd bc it =
         | Ok elems -> Folder.replace (Briefcase.folder bc name) elems
         | Error msg -> err "%s" msg);
         none
-      | [ "size"; name ] -> Text (Value.of_int (Folder.length (Briefcase.folder bc name)))
+      | [ "size"; name ] -> Text (Decimal.of_int (Folder.length (Briefcase.folder bc name)))
       | [ "exists"; name ] -> Text (Value.of_bool (Briefcase.mem bc name))
       | [ "clear"; name ] ->
         Folder.clear (Briefcase.folder bc name);
@@ -89,7 +90,7 @@ let install_cabinet_cmd host it =
       | "set" :: name :: elems ->
         Cabinet.replace cab name elems;
         none
-      | [ "size"; name ] -> Text (Value.of_int (Cabinet.size cab name))
+      | [ "size"; name ] -> Text (Decimal.of_int (Cabinet.size cab name))
       | [ "exists"; name ] -> Text (Value.of_bool (Cabinet.folder_exists cab name))
       | [ "clear"; name ] ->
         Cabinet.replace cab name [];
@@ -163,5 +164,5 @@ let install host bc it =
       | [ n ] ->
         let n = int_arg "bound" n in
         if n <= 0 then err "random: bound must be positive";
-        Text (Value.of_int (host.random_int n))
+        Text (Decimal.of_int (host.random_int n))
       | _ -> err "wrong # args: should be \"random bound\"")

@@ -1,3 +1,4 @@
+module Decimal = Tacoma_util.Decimal
 module Kernel = Tacoma_core.Kernel
 module Briefcase = Tacoma_core.Briefcase
 module Cabinet = Tacoma_core.Cabinet
@@ -64,7 +65,7 @@ let guard_agent j = "escort-guard:" ^ j.id
 let seen_folder = "ESCORT-SEEN"
 let done_folder = "ESCORT-DONE"
 let ckpt_folder = "ESCORT-CKPT"
-let ckpt_key j hop = Printf.sprintf "%s:%d" j.id hop
+let ckpt_key j hop = j.id ^ ":" ^ Decimal.of_int hop
 
 let hop_of bc =
   match Option.bind (Briefcase.find_opt bc "ESCORT-HOP") int_of_string_opt with
@@ -76,13 +77,13 @@ let send_release j ~src ~hop =
   if hop > 0 then begin
     let guard_site = j.itinerary.(hop - 1) in
     let bc = Briefcase.create () in
-    Briefcase.set bc "ESCORT-HOP" (string_of_int hop);
+    Briefcase.set bc "ESCORT-HOP" (Decimal.of_int hop);
     Kernel.send_briefcase j.kernel ~src ~dst:guard_site ~contact:(release_agent j) bc
   end
 
 let migrate_hop j ~src ~hop bc =
   let bc' = Briefcase.copy bc in
-  Briefcase.set bc' "ESCORT-HOP" (string_of_int hop);
+  Briefcase.set bc' "ESCORT-HOP" (Decimal.of_int hop);
   Kernel.migrate j.kernel ~src ~dst:j.itinerary.(hop) ~contact:(arrive_agent j)
     ~transport:j.cfg.transport bc'
 
@@ -139,7 +140,7 @@ let arrive j ctx bc =
   let hop = hop_of bc in
   let site = ctx.Kernel.site in
   let cab = Kernel.cabinet j.kernel site in
-  let seen_key = Printf.sprintf "%s:%d" j.id hop in
+  let seen_key = j.id ^ ":" ^ Decimal.of_int hop in
   let m = Kernel.metrics j.kernel in
   if Cabinet.contains cab done_folder seen_key then begin
     Obs.Metrics.incr m "guard.releases_resent";
@@ -172,7 +173,7 @@ let arrive j ctx bc =
       (* post-work snapshot guards the next hop *)
       let snapshot = Briefcase.copy bc in
       let gbc = Briefcase.create () in
-      Briefcase.set gbc "ESCORT-HOP" (string_of_int (hop + 1));
+      Briefcase.set gbc "ESCORT-HOP" (Decimal.of_int (hop + 1));
       (* present only while tracing: the guard activation then joins the
          journey's trace instead of starting an unrelated root *)
       (match Briefcase.find_opt bc Briefcase.trace_folder with
@@ -323,7 +324,7 @@ let fanout kernel ?(config = default_config) ~id ~branches ~work ?on_all_complet
   List.mapi
     (fun i branch ->
       guarded_journey kernel ~config
-        ~id:(Printf.sprintf "%s.%d" id i)
+        ~id:(id ^ "." ^ Decimal.of_int i)
         ~itinerary:branch ~work
         ~on_complete:(fun _ ->
           incr done_count;

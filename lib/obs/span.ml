@@ -3,27 +3,17 @@ type ctx = { trace_id : int; span_id : int }
 let null = { trace_id = 0; span_id = 0 }
 let is_null c = c.span_id = 0
 
-(* decimal digits of [n >= 0] *)
-let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
-
-(* writes [n >= 0] so that its last digit lands at [b.[last]] *)
-let rec put_digits b last n =
-  Bytes.unsafe_set b last (Char.unsafe_chr (48 + (n mod 10)));
-  if n >= 10 then put_digits b (last - 1) (n / 10)
+module Decimal = Tacoma_util.Decimal
 
 let to_string c =
-  if c.trace_id < 0 || c.span_id < 0 then
-    "t" ^ string_of_int c.trace_id ^ ".s" ^ string_of_int c.span_id
-  else begin
-    let nt = digits c.trace_id in
-    let b = Bytes.create (nt + digits c.span_id + 3) in
-    Bytes.unsafe_set b 0 't';
-    put_digits b nt c.trace_id;
-    Bytes.unsafe_set b (nt + 1) '.';
-    Bytes.unsafe_set b (nt + 2) 's';
-    put_digits b (Bytes.length b - 1) c.span_id;
-    Bytes.unsafe_to_string b
-  end
+  let nt = Decimal.length c.trace_id in
+  let b = Bytes.create (nt + Decimal.length c.span_id + 3) in
+  Bytes.unsafe_set b 0 't';
+  Decimal.write b nt c.trace_id;
+  Bytes.unsafe_set b (nt + 1) '.';
+  Bytes.unsafe_set b (nt + 2) 's';
+  Decimal.write b (Bytes.length b - 1) c.span_id;
+  Bytes.unsafe_to_string b
 
 (* The positive decimal number in [s.[i], s.[stop]), or [-1] when that
    range is empty, holds a non-digit or overflows. *)

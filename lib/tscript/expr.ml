@@ -209,7 +209,7 @@ let truthy_num v =
   | Str v -> Value.truthy (Value.to_string v)
 
 let num_to_string = function
-  | Int i -> Value.of_int i
+  | Int i -> Tacoma_util.Decimal.of_int i
   | Float f -> Value.of_float f
   | Str v -> Value.to_string v
 

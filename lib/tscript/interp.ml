@@ -5,6 +5,7 @@ exception Continue_exc
 exception Resource_exhausted
 
 module Lru = Tacoma_util.Lru
+module Decimal = Tacoma_util.Decimal
 
 type param = Required of string | Optional of string * Value.t | Rest
 
@@ -1363,7 +1364,7 @@ let install_core () =
       | [ "exists"; name ] -> Value.of_bool (Option.is_some (find_array name))
       | [ "size"; name ] -> (
         match find_array name with
-        | Some arr -> Value.of_int (Hashtbl.length arr)
+        | Some arr -> Decimal.of_int (Hashtbl.length arr)
         | None -> "0")
       | [ ("names" | "get") as sub; name ] | [ ("names" | "get") as sub; name; _ ] -> (
         let keep k =
@@ -1423,13 +1424,13 @@ let install_core () =
       | [ "body"; name ] -> Value.to_string (proc_def t name).body
       (* the parameter names, without defaults, as Tcl prints them *)
       | [ "args"; name ] -> Value.of_list (Array.to_list (proc_def t name).names)
-      | [ "level" ] -> Value.of_int (List.length t.frames)
+      | [ "level" ] -> Decimal.of_int (List.length t.frames)
       | _ -> err "unsupported info subcommand")
 
 let install_strings () =
   reg_string "string" (fun _ args ->
       match args with
-      | "length" :: [ s ] -> Value.of_int (String.length s)
+      | "length" :: [ s ] -> Decimal.of_int (String.length s)
       | "match" :: [ pattern; s ] -> Value.of_bool (Strutil.glob_match ~pattern s)
       | sub :: _ -> err "unsupported string subcommand %S or wrong # args" sub
       | [] -> err "wrong # args: should be \"string subcommand ...\"");

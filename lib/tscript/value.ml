@@ -1,3 +1,5 @@
+module Decimal = Tacoma_util.Decimal
+
 let int_of s = int_of_string_opt (String.trim s)
 
 let float_of s =
@@ -13,11 +15,6 @@ let truthy s =
     match float_of_string_opt other with Some f -> f <> 0.0 | None -> true)
 
 let of_bool b = if b then "1" else "0"
-
-(* loop counters and list indices render the same small integers over and
-   over; share one immutable string per value instead of re-allocating *)
-let small_ints = Array.init 1024 string_of_int
-let of_int i = if i >= 0 && i < 1024 then Array.unsafe_get small_ints i else string_of_int i
 
 let of_float f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
@@ -284,7 +281,7 @@ let to_list_exn s =
 (* Tcl 8's dual-ported object, without in-place update.  A value is created
    from one form, which is what it means; the other forms are caches filled
    on first use.  [Str]'s [rep] is a pure function of [s], and the string of
-   [Int] or [Lst] is rendered on first use by [of_int] or [of_list]'s rule,
+   [Int] or [Lst] is rendered on first use by [Decimal.of_int] or [of_list]'s rule,
    so every form agrees with the string whichever is asked for first.  The
    mutable fields are only ever filled, never changed in meaning. *)
 type t =
@@ -301,14 +298,12 @@ let of_string s = Str { s; rep = No_rep }
 
 (* the shared values below are fully rendered, so nothing ever writes to
    them: they are safe to share between concurrent simulations.  Loop
-   counters and list indices share the first 256 integers; up to 1023 an
-   integer's string is still shared *)
+   counters and list indices share the first 256 integers *)
 let empty = Lst { elems = [||]; ls = "" }
-let small = Array.init 256 (fun i -> Int { i; is = small_ints.(i) })
+let small = Array.init 256 (fun i -> Int { i; is = Decimal.of_int i })
 
 let int i =
   if i >= 0 && i < Array.length small then Array.unsafe_get small i
-  else if i >= 0 && i < Array.length small_ints then Int { i; is = small_ints.(i) }
   else Int { i; is = unrendered }
 
 let of_elements elems = if Array.length elems = 0 then empty else Lst { elems; ls = unrendered }
@@ -317,7 +312,7 @@ let rec to_string v =
   match v with
   | Str r -> r.s
   | Int r ->
-    if r.is == unrendered then r.is <- string_of_int r.i;
+    if r.is == unrendered then r.is <- Decimal.of_int r.i;
     r.is
   | Lst r ->
     if r.ls == unrendered then r.ls <- render r.elems;

@@ -10,8 +10,8 @@
     cached int or list form of it, as in Tcl 8's dual-ported objects.  The
     string is the value: the int and list forms are caches of it, filled on
     first use, and a value built from an int or a list renders its string
-    on first use, byte for byte what {!of_int} or {!of_list} would write.
-    Everything outside the interpreter sees only strings. *)
+    on first use, byte for byte what [Tacoma_util.Decimal.of_int] or
+    {!of_list} would write.  Everything outside the interpreter sees only strings. *)
 
 val int_of : string -> int option
 val float_of : string -> float option
@@ -21,7 +21,6 @@ val truthy : string -> bool
     everything else is true. *)
 
 val of_bool : bool -> string
-val of_int : int -> string
 val of_float : float -> string
 (** Renders integral floats without a trailing ["."]; uses shortest
     round-trip formatting otherwise. *)
@@ -62,7 +61,7 @@ val of_string : string -> t
 val to_string : t -> string
 
 val int : int -> t
-(** A value made from an int; its string is [of_int i]. *)
+(** A value made from an int; its string is [Tacoma_util.Decimal.of_int i]. *)
 
 val empty : t
 

@@ -286,6 +286,16 @@ let test_span_wire_form () =
       "t1.s9223372036854775808";
     ]
 
+let test_span_wire_decimal =
+  let id = QCheck2.Gen.(oneof [ int_range 1 2_000; int_range 1 10_000_000; int_range 1 max_int ]) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"matches string_of_int"
+       ~print:(fun (t, s) -> Printf.sprintf "trace %d, span %d" t s)
+       (QCheck2.Gen.pair id id)
+       (fun (trace_id, span_id) ->
+         Obs.Span.to_string { Obs.Span.trace_id; span_id }
+         = "t" ^ string_of_int trace_id ^ ".s" ^ string_of_int span_id))
+
 (* ---- histogram ------------------------------------------------------------ *)
 
 let feq = Alcotest.float 1e-9
@@ -1026,5 +1036,6 @@ let () =
           Alcotest.test_case "disabled tracing silent" `Quick test_disabled_tracing_is_silent;
           Alcotest.test_case "kernel counters" `Quick test_kernel_metrics;
           Alcotest.test_case "interp cache counters" `Quick test_interp_cache_metrics;
+          test_span_wire_decimal;
         ] );
     ]

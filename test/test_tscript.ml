@@ -664,7 +664,7 @@ let test_host_command () =
       match args with
       | [ v ] -> (
         match Value.int_of v with
-        | Some i -> Interp.Text (Value.of_int (2 * i))
+        | Some i -> Interp.Text (Tacoma_util.Decimal.of_int (2 * i))
         | None -> raise (Interp.Error_exc "not a number"))
       | _ -> raise (Interp.Error_exc "wrong # args"));
   (match Interp.eval it "double 21" with

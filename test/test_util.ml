@@ -1,9 +1,11 @@
-(* Tests for the shared substrate: PRNG, heap, SHA-256/HMAC, hex, stats, LRU. *)
+(* Tests for the shared substrate: PRNG, heap, SHA-256/HMAC, hex, decimal,
+   stats, LRU. *)
 
 module Rng = Tacoma_util.Rng
 module Heap = Tacoma_util.Heap
 module Sha256 = Tacoma_util.Sha256
 module Hexutil = Tacoma_util.Hexutil
+module Decimal = Tacoma_util.Decimal
 module Stats = Tacoma_util.Stats
 module Lru = Tacoma_util.Lru
 
@@ -221,6 +223,43 @@ let test_hex_invalid () =
       ignore (Hexutil.decode "abc"));
   Alcotest.(check bool) "is_hex rejects" false (Hexutil.is_hex "zz");
   Alcotest.(check bool) "is_hex accepts" true (Hexutil.is_hex "00ffAB")
+
+(* --- decimal --- *)
+
+let check_decimal n = check Alcotest.string (string_of_int n) (string_of_int n) (Decimal.of_int n)
+
+(* every int the table serves, the edge past it, and every length up to 5
+   digits through the writer *)
+let test_decimal_dense () =
+  for n = 0 to 70_000 do
+    check_decimal n
+  done
+
+let test_decimal_edges () =
+  let rec powers p acc = if p > max_int / 10 then p :: acc else powers (p * 10) (p :: acc) in
+  List.iter
+    (fun p -> List.iter check_decimal [ p - 1; p; p + 1; -(p - 1); -p; -(p + 1) ])
+    (powers 1 []);
+  List.iter check_decimal [ 1023; 1024; -1; -1024; max_int; min_int; min_int + 1 ]
+
+let test_decimal_random () =
+  let r = Rng.create 0xdec1L in
+  for _ = 1 to 10_000 do
+    check_decimal (Int64.to_int (Rng.int64 r) asr Rng.int r 63)
+  done
+
+(* [length] and [write] are what [of_int] uses for one number; writing two
+   into one buffer must not touch the bytes around either *)
+let test_decimal_write_in_place () =
+  List.iter
+    (fun n ->
+      let s = string_of_int n in
+      let len = Decimal.length n in
+      check Alcotest.int ("length " ^ s) (String.length s) len;
+      let b = Bytes.make (len + 2) '#' in
+      Decimal.write b len n;
+      check Alcotest.string ("write " ^ s) ("#" ^ s ^ "#") (Bytes.to_string b))
+    [ 0; 7; 10; 1024; -5; -1000; max_int; min_int ]
 
 (* --- lru --- *)
 
@@ -449,6 +488,13 @@ let () =
           test_hex_roundtrip;
           Alcotest.test_case "known values" `Quick test_hex_known;
           Alcotest.test_case "invalid input" `Quick test_hex_invalid;
+        ] );
+      ( "decimal",
+        [
+          Alcotest.test_case "0 to 70 000" `Quick test_decimal_dense;
+          Alcotest.test_case "powers of ten, table edge, extremes" `Quick test_decimal_edges;
+          Alcotest.test_case "random ints" `Quick test_decimal_random;
+          Alcotest.test_case "write in place" `Quick test_decimal_write_in_place;
         ] );
       ( "lru",
         [
