@@ -98,17 +98,6 @@ type probe = {
 
 let overlap (a, b) (c, d) = a <= d && c <= b
 
-(* Windows of every non-crash chaos event: anything that can delay or drop
-   a message (cut, loss burst, degradation). *)
-let disturbance_windows plan =
-  List.filter_map
-    (function
-      | Chaos.Crash _ -> None
-      | Chaos.Cut { at; duration; _ } -> Some (at, at +. duration)
-      | Chaos.Loss_burst { at; duration; _ } -> Some (at, at +. duration)
-      | Chaos.Degrade { at; duration; _ } -> Some (at, at +. duration))
-    plan
-
 (* Is the loss of a guarded journey attributable to the chaos plan?  The
    rear-guard protocol only loses a computation when a guard dies while the
    hop it covers cannot make progress.  We over-approximate from the plan:
@@ -116,10 +105,7 @@ let disturbance_windows plan =
    - a guard gave up (relaunch budget exhausted — recorded, not silent);
    - the paper's double-failure window: adjacent itinerary sites down at
      once;
-   - the first site crashed around launch time (hop 0 has no guard yet);
-   - a crash of an itinerary site (killing its guard) overlapped either a
-     crash of another itinerary site or any cut/loss/degrade window (the
-     covered hop's traffic may have been lost exactly while unguarded).
+   - the first site crashed around launch time (hop 0 has no guard yet).
 
    Anything else must be recoverable, and an incomplete journey is a
    violation. *)
@@ -127,26 +113,12 @@ let loss_attributable plan p ~work ~giveups =
   giveups > 0
   || Chaos.double_failure_window plan p.itinerary
   ||
-  let cw = Chaos.crash_windows plan in
-  let cw_of s = List.filter_map (fun (s', w) -> if s' = s then Some w else None) cw in
-  let disturbed = disturbance_windows plan in
-  let launch_hit =
-    match p.itinerary with
-    | s0 :: _ ->
-      List.exists (fun w -> overlap w (p.start, p.start +. work +. 5.0)) (cw_of s0)
-    | [] -> false
-  in
-  launch_hit
-  || List.exists
-       (fun s ->
-         List.exists
-           (fun w ->
-             List.exists (overlap w) disturbed
-             || List.exists
-                  (fun s' -> s' <> s && List.exists (overlap w) (cw_of s'))
-                  p.itinerary)
-           (cw_of s))
-       p.itinerary
+  match p.itinerary with
+  | s0 :: _ ->
+    List.exists
+      (fun (s, w) -> s = s0 && overlap w (p.start, p.start +. work +. 5.0))
+      (Chaos.crash_windows plan)
+  | [] -> false
 
 (* ------------------------------------------------------------------ *)
 (* One seeded run                                                      *)
