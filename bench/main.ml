@@ -460,6 +460,24 @@ let bench_sha256 =
   Test.make ~name:"util sha256 (1 KiB)"
     (Staged.stage (fun () -> ignore (Tacoma_util.Sha256.digest payload)))
 
+(* A protocol integer to folder text: the shared-table, writer and longest
+   cases, against the printf-backed conversion it replaced.  A run converts
+   all five ints. *)
+let decimal_ints = Sys.opaque_identity [| 7; 1023; 1024; 65_536; max_int |]
+
+let bench_int_to_text name f =
+  Test.make ~name
+    (Staged.stage (fun () ->
+         for i = 0 to Array.length decimal_ints - 1 do
+           ignore (Sys.opaque_identity (f (Array.unsafe_get decimal_ints i)))
+         done))
+
+let bench_decimal_of_int =
+  bench_int_to_text "util decimal of_int (7, 1023, 1024, 65 536, max_int)"
+    Tacoma_util.Decimal.of_int
+
+let bench_string_of_int = bench_int_to_text "util string_of_int (same ints)" string_of_int
+
 (* E9: the cache's per-hop work — digest the CODE folder, publish, resolve *)
 let bench_codecache_roundtrip =
   let module Codecache = Tacoma_core.Codecache in
@@ -545,6 +563,8 @@ let all_benches =
       bench_schedule_fire;
       bench_schedule_cancel;
       bench_sha256;
+      bench_decimal_of_int;
+      bench_string_of_int;
       bench_codecache_roundtrip;
       bench_codecache_warm;
       bench_cached_journey;
