@@ -14,7 +14,6 @@ type t = {
   broker_name : string;
   work : float;
   timeout : float;
-  max_attempts : int;
   policy : Policy.t option;
   on_done : (outcome -> unit) option;
   mutable attempt : int;
@@ -23,6 +22,8 @@ type t = {
   mutable result : outcome option;
 }
 
+(* attempts per booking: the first and two failovers *)
+let max_attempts = 3
 let reply_agent t = "booking-reply:" ^ t.id
 let result t = t.result
 let attempts t = t.attempt
@@ -43,7 +44,7 @@ let send_to_broker t bc =
 let rec start_attempt t =
   if t.result = None then begin
     t.attempt <- t.attempt + 1;
-    if t.attempt > t.max_attempts then finish t (Failed { attempts = t.max_attempts })
+    if t.attempt > max_attempts then finish t (Failed { attempts = max_attempts })
     else begin
       let this_attempt = t.attempt in
       t.current_provider <- None;
@@ -54,8 +55,7 @@ let rec start_attempt t =
       | Some p -> Briefcase.set bc "POLICY" (Policy.name p)
       | None -> ());
       if t.excluded <> [] then Briefcase.set bc "EXCLUDE" (String.concat "," t.excluded);
-      Briefcase.set bc "REPLY-HOST" (Kernel.site_name t.kernel t.client);
-      Briefcase.set bc "REPLY-AGENT" (reply_agent t);
+      Kernel.set_reply_to t.kernel bc ~site:t.client ~agent:(reply_agent t);
       send_to_broker t bc;
       (* the end-to-end timer: whether the lookup, the job submission or the
          provider's completion notice is lost or stranded behind a
@@ -90,8 +90,7 @@ let handle_reply t bc =
         let job = Briefcase.create () in
         Briefcase.set job "JOB" (t.id ^ "#" ^ Decimal.of_int t.attempt);
         Briefcase.set job "WORK" (string_of_float t.work);
-        Briefcase.set job "REPLY-HOST" (Kernel.site_name t.kernel t.client);
-        Briefcase.set job "REPLY-AGENT" (reply_agent t);
+        Kernel.set_reply_to t.kernel job ~site:t.client ~agent:(reply_agent t);
         Kernel.send_briefcase t.kernel ~src:t.client ~dst:psite ~contact:provider job
       | _ ->
         (* no provider right now: leave the attempt timer running; load
@@ -115,7 +114,7 @@ let handle_reply t bc =
     Obs.Metrics.incr (Kernel.metrics t.kernel) "broker.duplicate_fulfillments"
 
 let book kernel ~client ~broker:(broker_site, broker_name) ~service ?(work = 1.0)
-    ?policy ?(timeout = 10.0) ?(max_attempts = 3) ?on_done ~id () =
+    ?policy ?(timeout = 10.0) ?on_done ~id () =
   let t =
     {
       kernel;
@@ -126,7 +125,6 @@ let book kernel ~client ~broker:(broker_site, broker_name) ~service ?(work = 1.0
       broker_name;
       work;
       timeout;
-      max_attempts;
       policy;
       on_done;
       attempt = 0;

@@ -9,7 +9,7 @@
     the path — lookup, submission, execution, completion notice — fails to
     come back within [timeout], the attempt is abandoned, the chosen
     provider is added to the exclusion list, and the lookup is retried
-    against an alternate provider, up to [max_attempts].
+    against an alternate provider, up to three attempts in all.
 
     Counted in the metrics registry: [broker.bookings],
     [broker.bookings_ok], [broker.booking_failures], [broker.failovers] and
@@ -30,7 +30,6 @@ val book :
   ?work:float ->
   ?policy:Policy.t ->
   ?timeout:float ->
-  ?max_attempts:int ->
   ?on_done:(outcome -> unit) ->
   id:string ->
   unit ->

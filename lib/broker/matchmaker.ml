@@ -127,13 +127,9 @@ let handle t bc =
       | None -> Briefcase.set bc "STATUS" "no-provider");
       (* remote clients cannot see the in-place mutation a meet relies on:
          when the lookup names a reply agent, ship the answer back *)
-      (match (Briefcase.find_opt bc "REPLY-HOST", Briefcase.find_opt bc "REPLY-AGENT") with
-      | Some host, Some agent -> (
-        match Kernel.site_named t.kernel host with
-        | None -> ()
-        | Some dst ->
-          Kernel.send_briefcase t.kernel ~src:t.bsite ~dst ~contact:agent bc)
-      | _ -> ()))
+      match Kernel.reply_to bc with
+      | Some r -> ignore (Kernel.send_back t.kernel ~src:t.bsite r bc)
+      | None -> ())
   | op -> raise (Kernel.Agent_error (Printf.sprintf "broker: unknown op %S" op))
 
 let install kernel ~site ~name ?(policy = Policy.Least_loaded) ?max_report_age () =

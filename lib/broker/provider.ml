@@ -3,7 +3,7 @@ module Kernel = Tacoma_core.Kernel
 module Briefcase = Tacoma_core.Briefcase
 module Cabinet = Tacoma_core.Cabinet
 
-type job = { work : float; reply : (string * string) option; job_id : string }
+type job = { work : float; reply : Kernel.reply_to option; job_id : string }
 
 type t = {
   pname : string;
@@ -33,15 +33,12 @@ let publish_load kernel t =
 let notify kernel t job status =
   match job.reply with
   | None -> ()
-  | Some (host, agent) -> (
-    match Kernel.site_named kernel host with
-    | None -> ()
-    | Some dst ->
-      let out = Briefcase.create () in
-      Briefcase.set out "JOB" job.job_id;
-      Briefcase.set out "STATUS" status;
-      Briefcase.set out "PROVIDER" t.pname;
-      Kernel.send_briefcase kernel ~src:t.psite ~dst ~contact:agent out)
+  | Some r ->
+    let out = Briefcase.create () in
+    Briefcase.set out "JOB" job.job_id;
+    Briefcase.set out "STATUS" status;
+    Briefcase.set out "PROVIDER" t.pname;
+    ignore (Kernel.send_back kernel ~src:t.psite r out)
 
 (* Serve jobs one at a time inside a dedicated activation; new arrivals while
    busy just extend the queue that the running activation drains. *)
@@ -94,11 +91,7 @@ let install kernel ~site ~name ~service ~capacity ?ticket_key () =
           | Some w when w > 0.0 -> w
           | Some _ | None -> 1.0
         in
-        let reply =
-          match (Briefcase.find_opt bc "REPLY-HOST", Briefcase.find_opt bc "REPLY-AGENT") with
-          | Some h, Some a -> Some (h, a)
-          | _ -> None
-        in
+        let reply = Kernel.reply_to bc in
         let job_id = Option.value ~default:"job" (Briefcase.find_opt bc "JOB") in
         Queue.add { work; reply; job_id } t.queue;
         Briefcase.set bc "STATUS" "queued";

@@ -17,18 +17,20 @@ type node = {
 type t = {
   kernel : Kernel.t;
   advert_period : float;
-  max_cost : int;
-  expiry : float;
+  expiry : float; (* seconds an entry stays fresh without a refresh *)
   nodes : (string, node) Hashtbl.t; (* broker agent name -> node *)
   mutable query_counter : int;
 }
 
-let create kernel ?(advert_period = 1.0) ?(max_cost = 16) ?(expiry = 3.0) () =
+(* the hop horizon, and an entry's lifetime in advertisement periods *)
+let max_cost = 16
+let expiry_periods = 3.0
+
+let create kernel ?(advert_period = 1.0) () =
   {
     kernel;
     advert_period;
-    max_cost;
-    expiry = expiry *. advert_period;
+    expiry = expiry_periods *. advert_period;
     nodes = Hashtbl.create 8;
     query_counter = 0;
   }
@@ -55,7 +57,7 @@ let reachable t node =
     (Matchmaker.services node.broker);
   Hashtbl.iter
     (fun service e ->
-      if now -. e.refreshed <= t.expiry && e.cost < t.max_cost then
+      if now -. e.refreshed <= t.expiry && e.cost < max_cost then
         match Hashtbl.find_opt acc service with
         | Some c when c <= e.cost -> ()
         | Some _ | None -> Hashtbl.replace acc service e.cost)
@@ -91,7 +93,7 @@ let handle_advert t node bc =
         | None -> ()
         | Some cost ->
           let cost = cost + 1 in
-          if cost <= t.max_cost then begin
+          if cost <= max_cost then begin
             match Hashtbl.find_opt node.table service with
             | Some e ->
               (* adopt cheaper routes, refresh the current one, and accept
@@ -105,17 +107,18 @@ let handle_advert t node bc =
           end))
     (Briefcase.folder bc "SERVICES")
 
-let reply_error t ~src bc msg =
-  match (Briefcase.find_opt bc "REPLY-HOST", Briefcase.find_opt bc "REPLY-AGENT") with
-  | Some host, Some agent -> (
-    match Kernel.site_named t.kernel host with
-    | Some dst ->
-      let out = Briefcase.create () in
-      Briefcase.set out "QUERY" (Option.value ~default:"" (Briefcase.find_opt bc "QUERY"));
-      Briefcase.set out "STATUS" msg;
-      Kernel.send_briefcase t.kernel ~src ~dst ~contact:agent out
-    | None -> ())
-  | _ -> ()
+(* answer the requester named by the query's reply address, if any; [fill]
+   adds the folders after QUERY *)
+let reply t ~src bc fill =
+  match Kernel.reply_to bc with
+  | Some r ->
+    let out = Briefcase.create () in
+    Briefcase.set out "QUERY" (Option.value ~default:"" (Briefcase.find_opt bc "QUERY"));
+    fill out;
+    ignore (Kernel.send_back t.kernel ~src r out)
+  | None -> ()
+
+let reply_error t ~src bc msg = reply t ~src bc (fun out -> Briefcase.set out "STATUS" msg)
 
 let handle_query t node bc =
   let src = Matchmaker.site node.broker in
@@ -126,26 +129,18 @@ let handle_query t node bc =
       Option.value ~default:0 (Option.bind (Briefcase.find_opt bc "HOPS") int_of_string_opt)
     in
     match Matchmaker.lookup node.broker ~service () with
-    | Some c -> (
+    | Some c ->
       (* resolved here: answer the requester directly *)
-      match (Briefcase.find_opt bc "REPLY-HOST", Briefcase.find_opt bc "REPLY-AGENT") with
-      | Some host, Some agent -> (
-        match Kernel.site_named t.kernel host with
-        | Some dst ->
-          let out = Briefcase.create () in
-          Briefcase.set out "QUERY" (Option.value ~default:"" (Briefcase.find_opt bc "QUERY"));
+      reply t ~src bc (fun out ->
           Briefcase.set out "STATUS" "ok";
           Briefcase.set out "PROVIDER" c.Policy.provider;
           Briefcase.set out "PROVIDER-HOST" c.Policy.host;
           Briefcase.set out "CAPACITY" (string_of_float c.Policy.capacity);
           Briefcase.set out "LOAD" (string_of_float c.Policy.load);
-          Briefcase.set out "HOPS" (Decimal.of_int hops);
-          Kernel.send_briefcase t.kernel ~src ~dst ~contact:agent out
-        | None -> ())
-      | _ -> ())
+          Briefcase.set out "HOPS" (Decimal.of_int hops))
     | None -> (
       (* forward along the gradient *)
-      if hops >= t.max_cost then reply_error t ~src bc "ttl-exhausted"
+      if hops >= max_cost then reply_error t ~src bc "ttl-exhausted"
       else
         let now = Kernel.now t.kernel in
         match Hashtbl.find_opt node.table service with
@@ -224,6 +219,5 @@ let routed_lookup t ~from ~service ~on_reply =
   Briefcase.set bc "QUERY" qid;
   Briefcase.set bc "SERVICE" service;
   Briefcase.set bc "HOPS" "0";
-  Briefcase.set bc "REPLY-HOST" (Kernel.site_name t.kernel src);
-  Briefcase.set bc "REPLY-AGENT" reply_agent;
+  Kernel.set_reply_to t.kernel bc ~site:src ~agent:reply_agent;
   Kernel.send_briefcase t.kernel ~src ~dst:src ~contact:(route_agent_name from) bc

@@ -14,15 +14,10 @@ type t
 
 type route = { service : string; cost : int; via : string (** peer broker name *) }
 
-val create :
-  Tacoma_core.Kernel.t ->
-  ?advert_period:float ->
-  ?max_cost:int ->
-  ?expiry:float ->
-  unit ->
-  t
-(** Defaults: advertise every 1 s, horizon 16 hops, entries expire after 3
-    advertisement periods without refresh. *)
+val create : Tacoma_core.Kernel.t -> ?advert_period:float -> unit -> t
+(** Advertise every [advert_period] (default 1 s).  The hop horizon is 16
+    hops, and an entry expires after 3 advertisement periods without
+    refresh. *)
 
 val add_broker : t -> Matchmaker.t -> unit
 (** Registers the routing agent ["route:<broker-name>"] at the broker's

@@ -80,14 +80,11 @@ let install kernel ~site mint =
      reply agent at the requesting site *)
   Kernel.register_native kernel ~site "validator_rpc" (fun ctx bc ->
       perform metrics mint bc;
-      match (Briefcase.find_opt bc "REPLY-HOST", Briefcase.find_opt bc "REPLY-AGENT") with
-      | Some host, Some reply_agent -> (
-        match Kernel.site_named ctx.Kernel.kernel host with
-        | Some dst ->
-          Kernel.send_briefcase ctx.Kernel.kernel ~src:ctx.Kernel.site ~dst
-            ~contact:reply_agent bc
-        | None -> raise (Kernel.Agent_error "validator_rpc: unknown REPLY-HOST"))
-      | _ -> raise (Kernel.Agent_error "validator_rpc: missing reply address"))
+      match Kernel.reply_to bc with
+      | Some r ->
+        if not (Kernel.send_back ctx.Kernel.kernel ~src:ctx.Kernel.site r bc) then
+          raise (Kernel.Agent_error "validator_rpc: unknown REPLY-HOST")
+      | None -> raise (Kernel.Agent_error "validator_rpc: missing reply address"))
 
 let remote_validate kernel ~src ~bank ecus ~on_reply =
   (* per-kernel ids: a process-wide counter would make the reply-agent name
@@ -106,6 +103,5 @@ let remote_validate kernel ~src ~bank ecus ~on_reply =
   let bc = Briefcase.create () in
   Briefcase.set bc "OP" "validate";
   Folder.replace (Briefcase.folder bc "ECUS") (Ecu.wire_list ecus);
-  Briefcase.set bc "REPLY-HOST" (Kernel.site_name kernel src);
-  Briefcase.set bc "REPLY-AGENT" reply_agent;
+  Kernel.set_reply_to kernel bc ~site:src ~agent:reply_agent;
   Kernel.send_briefcase kernel ~src ~dst:bank ~contact:"validator_rpc" bc

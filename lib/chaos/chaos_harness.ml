@@ -19,17 +19,9 @@ module Ecu = Cash.Ecu
 type config = {
   sites : int;
   link_prob : float;
-  journeys : int;
-  hops : int;
-  work_per_hop : float;
-  bookings : int;
-  booking_work : float;
   booking_timeout : float;
-  booking_attempts : int;
-  purchases : int;
   purchase_amount : int;
   horizon : float;
-  drain : float;
   guarded : bool;
   guard : Escort.config;
   profile : Chaos.profile;
@@ -39,17 +31,9 @@ let default_config =
   {
     sites = 10;
     link_prob = 0.35;
-    journeys = 6;
-    hops = 5;
-    work_per_hop = 0.8;
-    bookings = 4;
-    booking_work = 1.5;
     booking_timeout = 8.0;
-    booking_attempts = 3;
-    purchases = 3;
     purchase_amount = 500;
     horizon = 300.0;
-    drain = 600.0;
     guarded = true;
     guard =
       {
@@ -61,6 +45,18 @@ let default_config =
       };
     profile = Chaos.default_profile;
   }
+
+(* The workload every seed runs: guarded journeys of [hops] hops (clamped
+   to the site count) with [work_per_hop] seconds of work at each, broker
+   bookings of [booking_work], and cash purchases; the run drains for
+   [drain] seconds past the horizon. *)
+let journeys = 6
+let hops = 5
+let work_per_hop = 0.8
+let bookings = 4
+let booking_work = 1.5
+let purchases = 3
+let drain = 600.0
 
 type verdict = {
   v_seed : int;
@@ -139,7 +135,7 @@ let plan_of_seed ?(config = default_config) ~seed () =
 
 let run_seed ?(config = default_config) ?plan ~seed () =
   let cfg = config in
-  let hops = max 2 (min cfg.hops cfg.sites) in
+  let hops = max 2 (min hops cfg.sites) in
   let topo_rng, plan_rng, wl_rng = streams seed in
   let topo = Topology.random ~rng:topo_rng ~n:cfg.sites ~p:cfg.link_prob () in
   let net = Net.create ~seed:(Int64.of_int (0xca05 + seed)) ~trace:true topo in
@@ -165,13 +161,11 @@ let run_seed ?(config = default_config) ?plan ~seed () =
      killed agent never leaves a stale entry. *)
   let active : (string, Site.id) Hashtbl.t = Hashtbl.create 16 in
   let probes =
-    List.init cfg.journeys (fun i ->
+    List.init journeys (fun i ->
         let arr = Array.copy sites_arr in
         Rng.shuffle wl_rng arr;
         let itinerary = Array.to_list (Array.sub arr 0 hops) in
-        let start =
-          cfg.horizon *. 0.5 *. float_of_int i /. float_of_int (max 1 cfg.journeys)
-        in
+        let start = cfg.horizon *. 0.5 *. float_of_int i /. float_of_int journeys in
         { jid = "j" ^ Decimal.of_int i; itinerary; start; completions = 0; journey = None })
   in
   List.iter
@@ -185,7 +179,7 @@ let run_seed ?(config = default_config) ?plan ~seed () =
         Hashtbl.replace active p.jid ctx.Kernel.site;
         Fun.protect
           ~finally:(fun () -> Hashtbl.remove active p.jid)
-          (fun () -> Kernel.sleep ctx cfg.work_per_hop)
+          (fun () -> Kernel.sleep ctx work_per_hop)
       in
       let on_complete _bc = p.completions <- p.completions + 1 in
       ignore
@@ -217,11 +211,11 @@ let run_seed ?(config = default_config) ?plan ~seed () =
     Provider.start_load_monitor k p ~brokers:[ (broker_site, "broker") ] ~period:7.0
   done;
   let bookings =
-    List.init cfg.bookings (fun i ->
+    List.init bookings (fun i ->
         let client = pick_site () in
         let start =
           cfg.horizon *. 0.5
-          *. (0.1 +. (float_of_int i /. float_of_int (max 1 cfg.bookings)))
+          *. (0.1 +. (float_of_int i /. float_of_int bookings))
         in
         let cell = ref None in
         ignore
@@ -230,9 +224,8 @@ let run_seed ?(config = default_config) ?plan ~seed () =
                  Some
                    (Booking.book k ~client
                       ~broker:(broker_site, "broker")
-                      ~service:"compute" ~work:cfg.booking_work
+                      ~service:"compute" ~work:booking_work
                       ~timeout:cfg.booking_timeout
-                      ~max_attempts:cfg.booking_attempts
                       ~id:("bk" ^ Decimal.of_int i) ())));
         cell)
   in
@@ -244,14 +237,14 @@ let run_seed ?(config = default_config) ?plan ~seed () =
   Audit.install_witness k ~site:witness_site;
   let minted = ref 0 in
   let purchases =
-    List.init cfg.purchases (fun i ->
+    List.init purchases (fun i ->
         let customer_site = pick_site () in
         let merchant_site = pick_site () in
         let bills = [ Mint.issue mint ~amount:cfg.purchase_amount ] in
         minted := !minted + cfg.purchase_amount;
         let start =
           cfg.horizon *. 0.5
-          *. (0.2 +. (float_of_int i /. float_of_int (max 1 cfg.purchases)))
+          *. (0.2 +. (float_of_int i /. float_of_int purchases))
         in
         let cell = ref None in
         ignore
@@ -266,7 +259,7 @@ let run_seed ?(config = default_config) ?plan ~seed () =
         cell)
   in
   (* --- drive ------------------------------------------------------- *)
-  Net.run ~until:(cfg.horizon +. cfg.drain) net;
+  Net.run ~until:(cfg.horizon +. drain) net;
   (* --- invariants -------------------------------------------------- *)
   let crash_count =
     List.length (List.filter (function Chaos.Crash _ -> true | _ -> false) plan)
@@ -301,7 +294,7 @@ let run_seed ?(config = default_config) ?plan ~seed () =
         giveups := !giveups + st.Escort.giveups;
         if p.completions = 1 then incr completed
         else if cfg.guarded then
-          if loss_attributable plan p ~work:cfg.work_per_hop ~giveups:st.Escort.giveups
+          if loss_attributable plan p ~work:work_per_hop ~giveups:st.Escort.giveups
           then incr lost_attributed
           else violate "journey %s lost without attributable chaos cause" p.jid)
     probes;
@@ -362,7 +355,7 @@ let run_seed ?(config = default_config) ?plan ~seed () =
     v_seed = seed;
     v_guarded = cfg.guarded;
     v_events = Chaos.counts plan;
-    v_journeys = cfg.journeys;
+    v_journeys = journeys;
     v_completed = !completed;
     v_lost_attributed = !lost_attributed;
     v_relaunches = !relaunches;

@@ -25,23 +25,24 @@
 type config = {
   sites : int;
   link_prob : float;       (** {!Netsim.Topology.random} edge probability *)
-  journeys : int;
-  hops : int;              (** itinerary length (clamped to [sites]) *)
-  work_per_hop : float;
-  bookings : int;
-  booking_work : float;
   booking_timeout : float;
-  booking_attempts : int;
-  purchases : int;
   purchase_amount : int;
   horizon : float;         (** chaos plan covers [0, horizon) *)
-  drain : float;           (** quiet time after the horizon so guards and
-                               timers resolve before invariants are read *)
   guarded : bool;          (** rear guards on (the protocol under test) or
                                off (the lossy baseline) *)
   guard : Guard.Escort.config;
   profile : Netsim.Chaos.profile;
 }
+(** [sites], [horizon], [guarded] and [profile] vary between the CLI, E10
+    and the tests.  [link_prob], [booking_timeout], [purchase_amount] and
+    [guard] take one value in the tree, but the benchmark's probes read
+    them from [default_config], so they stay fields.
+
+    The workload itself is fixed: 6 guarded journeys of 5 hops (clamped to
+    [sites]) with 0.8 s of work per hop, 4 broker bookings of 1.5 units of
+    work with up to 3 attempts each, and 3 purchases.  The run drains for
+    600 s past the horizon so guards and timers resolve before the
+    invariants are read. *)
 
 val default_config : config
 

@@ -1,19 +1,9 @@
-type config = {
-  budget_bytes : int;
-  request_bytes : int;
-  reply_overhead_bytes : int;
-  fetch_timeout : float;
-  fetch_attempts : int;
-}
+type config = { budget_bytes : int; fetch_timeout : float }
 
-let default_config =
-  {
-    budget_bytes = 256 * 1024;
-    request_bytes = 96;
-    reply_overhead_bytes = 32;
-    fetch_timeout = 10.0;
-    fetch_attempts = 2;
-  }
+let default_config = { budget_bytes = 256 * 1024; fetch_timeout = 10.0 }
+let request_bytes = 96
+let reply_overhead_bytes = 32
+let fetch_attempts = 2
 
 module Lru = Tacoma_util.Lru
 

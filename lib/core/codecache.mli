@@ -29,23 +29,30 @@
 
 type config = {
   budget_bytes : int;  (** per-site LRU byte budget over cached code bytes *)
-  request_bytes : int; (** simulated wire size of a fetch request *)
-  reply_overhead_bytes : int;
-      (** framing added to the code bytes on a fetch reply *)
   fetch_timeout : float;
       (** seconds before a pending fetch attempt expires *)
-  fetch_attempts : int;
-      (** bounded retry: total request transmissions (each re-paying
-          [request_bytes] and waiting [fetch_timeout]) before the fetch is
-          abandoned and the delayed activation dies (class ["code-fetch"]).
-          1 means no retry.  Retries are counted under
-          [codecache.fetch_retries]; only the final failure counts under
-          [codecache.fetch_failures]. *)
 }
 
 val default_config : config
-(** 256 KiB budget, 96 B requests, 32 B reply framing, 10 s timeout,
-    2 attempts. *)
+(** 256 KiB budget, 10 s timeout. *)
+
+(** {2 Fetch protocol constants}
+
+    The wire costs and retry bound of a miss are fixed terms of the
+    model, the same for every cache. *)
+
+val request_bytes : int
+(** 96: simulated wire size of a fetch request. *)
+
+val reply_overhead_bytes : int
+(** 32: framing added to the code bytes on a fetch reply. *)
+
+val fetch_attempts : int
+(** 2: bounded retry.  Total request transmissions (each re-paying
+    [request_bytes] and waiting [fetch_timeout]) before the fetch is
+    abandoned and the delayed activation dies (class ["code-fetch"]).
+    Retries are counted under [codecache.fetch_retries]; only the final
+    failure counts under [codecache.fetch_failures]. *)
 
 type t
 (** One cache per place.  Purely local bookkeeping: no RNG draws, no

@@ -20,31 +20,12 @@ let migrate_event = function
   | Tcp -> Obs.Desc.migrate_tcp
   | Horus -> Obs.Desc.migrate_horus
 
-type rsh_config = { spawn_delay : float; extra_bytes : int }
-type tcp_config = { handshake_bytes : int; extra_bytes : int }
-
-type horus_config = {
-  extra_bytes : int;
-  ack_bytes : int;
-  rto : float;
-  max_attempts : int;
-  group : bool;
-}
-
-type cache_config = Codecache.config = {
-  budget_bytes : int;
-  request_bytes : int;
-  reply_overhead_bytes : int;
-  fetch_timeout : float;
-  fetch_attempts : int;
-}
+type horus_config = { rto : float; max_attempts : int; group : bool }
+type cache_config = Codecache.config = { budget_bytes : int; fetch_timeout : float }
 
 type config = {
   default_transport : transport;
   step_limit : int option;
-  migration_overhead : int;
-  rsh : rsh_config;
-  tcp : tcp_config;
   horus : horus_config;
   cache : cache_config option;
 }
@@ -52,22 +33,20 @@ type config = {
 (* The rsh numbers model spawning a fresh interpreter per hop (fork/exec +
    login) as the first TACOMA prototype did; tcp models a cached connection
    with a 3-way handshake on first use; horus adds acks and retransmission. *)
-let default_rsh_config = { spawn_delay = 0.25; extra_bytes = 1024 }
-let default_tcp_config = { handshake_bytes = 192; extra_bytes = 64 }
-
-let default_horus_config =
-  { extra_bytes = 256; ack_bytes = 64; rto = 1.0; max_attempts = 5; group = false }
-
+let migration_overhead = 128
+let rsh_spawn_delay = 0.25
+let rsh_extra_bytes = 1024
+let tcp_handshake_bytes = 192
+let tcp_extra_bytes = 64
+let horus_extra_bytes = 256
+let horus_ack_bytes = 64
 let default_cache_config = Codecache.default_config
 
 let default_config =
   {
     default_transport = Tcp;
     step_limit = Some 2_000_000;
-    migration_overhead = 128;
-    rsh = default_rsh_config;
-    tcp = default_tcp_config;
-    horus = default_horus_config;
+    horus = { rto = 1.0; max_attempts = 5; group = false };
     cache = None;
   }
 
@@ -311,8 +290,26 @@ let transmit t ~src ~dst ~size payload = Net.send t.net ~src ~dst ~size payload
 
 let send_briefcase t ~src ~dst ~contact bc =
   transmit t ~src ~dst
-    ~size:(Briefcase.byte_size bc + t.cfg.migration_overhead)
+    ~size:(Briefcase.byte_size bc + migration_overhead)
     (Migration { mid = 0; contact; bc = Briefcase.copy bc; needs_ack = false })
+
+type reply_to = { reply_host : string; reply_agent : string }
+
+let set_reply_to t bc ~site ~agent =
+  Briefcase.set bc "REPLY-HOST" (site_name t site);
+  Briefcase.set bc "REPLY-AGENT" agent
+
+let reply_to bc =
+  match (Briefcase.find_opt bc "REPLY-HOST", Briefcase.find_opt bc "REPLY-AGENT") with
+  | Some reply_host, Some reply_agent -> Some { reply_host; reply_agent }
+  | _ -> None
+
+let send_back t ~src r bc =
+  match site_named t r.reply_host with
+  | Some dst ->
+    send_briefcase t ~src ~dst ~contact:r.reply_agent bc;
+    true
+  | None -> false
 
 let no_agent ctx name =
   Agent_error (Printf.sprintf "meet: no agent %S at %s" name (site_name ctx.kernel ctx.site))
@@ -614,8 +611,8 @@ let begin_fetch t place ~site ~src ~contact ~digest ~ccfg bc =
   place.fetches <- Imap.add fid pf place.fetches;
   Obs.Metrics.incr (metrics t) "codecache.fetches";
   let send_request () =
-    Obs.Metrics.bump t.cache_saved (-ccfg.request_bytes);
-    transmit t ~src:site ~dst:src ~size:ccfg.request_bytes (Code_fetch { fid; digest })
+    Obs.Metrics.bump t.cache_saved (-Codecache.request_bytes);
+    transmit t ~src:site ~dst:src ~size:Codecache.request_bytes (Code_fetch { fid; digest })
   in
   send_request ();
   let rec arm () =
@@ -623,7 +620,7 @@ let begin_fetch t place ~site ~src ~contact ~digest ~ccfg bc =
       Some
         (Net.schedule t.net ~after:ccfg.fetch_timeout (fun () ->
              if t.places.(site) == place then begin
-               if pf.pf_attempts < ccfg.fetch_attempts then begin
+               if pf.pf_attempts < Codecache.fetch_attempts then begin
                  (* bounded retry: the request or reply may have been lost to
                     a partition or loss burst rather than a dead source *)
                  pf.pf_attempts <- pf.pf_attempts + 1;
@@ -707,7 +704,7 @@ let migrate t ~src ~dst ~contact ~transport bc =
     "kernel.migrations";
   let place = t.places.(src) in
   let snap = wire_snapshot t place bc in
-  let base = Briefcase.byte_size snap + t.cfg.migration_overhead in
+  let base = Briefcase.byte_size snap + migration_overhead in
   (let tr = recorder t in
    if Obs.Tracer.enabled tr then
      Obs.Tracer.instant_strs tr (migrate_event transport) ~time:(now t)
@@ -717,17 +714,17 @@ let migrate t ~src ~dst ~contact ~transport bc =
   | Rsh ->
     (* a fresh interpreter is spawned remotely before the agent can move *)
     ignore
-      (Net.schedule t.net ~after:t.cfg.rsh.spawn_delay (fun () ->
+      (Net.schedule t.net ~after:rsh_spawn_delay (fun () ->
            if t.places.(src) == place then
              transmit t ~src ~dst
-               ~size:(base + t.cfg.rsh.extra_bytes)
+               ~size:(base + rsh_extra_bytes)
                (Migration { mid = 0; contact; bc = snap; needs_ack = false })))
   | Tcp ->
     (* a connection closes when either end crashes *)
     let peer = t.places.(dst) in
     let fresh = not (Imap.mem dst place.peers && Imap.find dst place.peers == peer) in
     if fresh then place.peers <- Imap.add dst peer place.peers;
-    let size = base + t.cfg.tcp.extra_bytes + (if fresh then t.cfg.tcp.handshake_bytes else 0) in
+    let size = base + tcp_extra_bytes + (if fresh then tcp_handshake_bytes else 0) in
     transmit t ~src ~dst ~size (Migration { mid = 0; contact; bc = snap; needs_ack = false })
   | Horus ->
     let mid = t.mid_counter in
@@ -738,7 +735,7 @@ let migrate t ~src ~dst ~contact ~transport bc =
         attempts = 0;
         ack_src = src;
         ack_dst = dst;
-        ack_size = base + t.cfg.horus.extra_bytes;
+        ack_size = base + horus_extra_bytes;
         ack_payload = payload;
         ack_timer = None;
       }
@@ -757,7 +754,7 @@ let handle_message t site (msg : Netsim.Message.t) =
     let duplicate = needs_ack && Hashtbl.mem place.seen mid in
     if needs_ack then begin
       (* ack even duplicates: the first ack may have been lost *)
-      transmit t ~src:site ~dst:msg.src ~size:t.cfg.horus.ack_bytes (Migration_ack { mid });
+      transmit t ~src:site ~dst:msg.src ~size:horus_ack_bytes (Migration_ack { mid });
       if Hashtbl.length place.seen > seen_mid_window then Hashtbl.reset place.seen;
       Hashtbl.replace place.seen mid ()
     end;
@@ -774,12 +771,11 @@ let handle_message t site (msg : Netsim.Message.t) =
     | None -> ())
   | Code_fetch { fid; digest } ->
     (* serve from this site's cache; a negative reply still costs framing *)
-    let ccfg = Option.value t.cfg.cache ~default:default_cache_config in
     let code =
       match place.cache with Some cache -> Codecache.find_opt cache ~digest | None -> None
     in
     let size =
-      ccfg.reply_overhead_bytes
+      Codecache.reply_overhead_bytes
       + (match code with Some elems -> Codecache.wire_bytes elems | None -> 0)
     in
     (match code with

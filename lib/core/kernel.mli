@@ -32,48 +32,31 @@ val transport_name : transport -> string
 
 (** {1 Configuration}
 
-    Per-transport knobs live in their own sub-records, so a caller tweaks
-    one transport with a nested functional update and [default_config]
-    supplies everything else:
+    A kernel is configured by its default transport, its interpreter step
+    budget, Horus's retransmission and group settings and the optional code
+    cache; [default_config] supplies all of them, and a caller overrides
+    what it needs with a functional update:
     {[
       { Kernel.default_config with
+        default_transport = Kernel.Horus;
         horus = { Kernel.default_config.horus with max_attempts = 8 } }
-    ]} *)
-
-type rsh_config = {
-  spawn_delay : float; (** remote interpreter spawn cost, seconds *)
-  extra_bytes : int;   (** per-hop overhead beyond the briefcase *)
-}
-
-type tcp_config = {
-  handshake_bytes : int; (** first use of a (src,dst) connection *)
-  extra_bytes : int;
-}
+    ]}
+    Each transport's wire and delay costs are not settings but fixed terms
+    of the cost model; see {!section-costs}. *)
 
 type horus_config = {
-  extra_bytes : int;
-  ack_bytes : int;
   rto : float;        (** retransmission timeout, seconds *)
   max_attempts : int;
   group : bool;       (** maintain the kernel-wide Horus group *)
 }
 
-type cache_config = Codecache.config = {
-  budget_bytes : int;
-  request_bytes : int;
-  reply_overhead_bytes : int;
-  fetch_timeout : float;
-  fetch_attempts : int;
-}
+type cache_config = Codecache.config = { budget_bytes : int; fetch_timeout : float }
 (** Re-exported so callers configure the cache without importing
     {!Codecache}. *)
 
 type config = {
   default_transport : transport;
   step_limit : int option;     (** per-activation interpreter budget *)
-  migration_overhead : int;    (** framing bytes added to every migration *)
-  rsh : rsh_config;
-  tcp : tcp_config;
   horus : horus_config;
   cache : cache_config option;
       (** [Some _] enables the per-site content-addressed code cache: the
@@ -88,6 +71,36 @@ val default_cache_config : cache_config
     opting in is explicit. *)
 
 val default_config : config
+(** Tcp, a 2 000 000-step budget, Horus with a 1 s rto, 5 attempts and no
+    group, and no code cache. *)
+
+(** {1:costs Transport costs}
+
+    Every migration pays [migration_overhead] framing bytes on top of its
+    briefcase; each transport then adds its own fixed cost. *)
+
+val migration_overhead : int
+(** 128 bytes, on every migration and {!send_briefcase}. *)
+
+val rsh_spawn_delay : float
+(** 0.25 s: rsh spawns a fresh remote interpreter (fork/exec and login,
+    as the first TACOMA prototype did) before the agent moves. *)
+
+val rsh_extra_bytes : int
+(** 1024 bytes per rsh hop. *)
+
+val tcp_handshake_bytes : int
+(** 192 bytes, paid once by the first migration over a (src, dst)
+    connection. *)
+
+val tcp_extra_bytes : int
+(** 64 bytes per tcp hop. *)
+
+val horus_extra_bytes : int
+(** 256 bytes per Horus transmission, retransmissions included. *)
+
+val horus_ack_bytes : int
+(** 64 bytes per Horus ack. *)
 
 exception Agent_error of string
 (** Protocol-level failure of an agent (missing folder, unknown agent,
@@ -217,6 +230,23 @@ val send_briefcase :
   t -> src:Netsim.Site.id -> dst:Netsim.Site.id -> contact:string -> Briefcase.t -> unit
 (** One-way: deliver the briefcase to [contact] at [dst] over the plain
     network (no spawn cost, no handshake, no ack). *)
+
+(** {1 Reply addresses}
+
+    A request that wants an answer names where to send it in two folders:
+    REPLY-HOST (a site name) and REPLY-AGENT (the contact there). *)
+
+type reply_to = { reply_host : string; reply_agent : string }
+
+val set_reply_to : t -> Briefcase.t -> site:Netsim.Site.id -> agent:string -> unit
+(** Writes REPLY-HOST (the name of [site]) and then REPLY-AGENT. *)
+
+val reply_to : Briefcase.t -> reply_to option
+(** Both reply folders, or [None] when either is missing. *)
+
+val send_back : t -> src:Netsim.Site.id -> reply_to -> Briefcase.t -> bool
+(** {!send_briefcase} to the reply agent at the reply host.  [false], and
+    nothing sent, when no site has that name. *)
 
 (** {1 Code cache} *)
 

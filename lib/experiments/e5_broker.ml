@@ -86,8 +86,7 @@ let run_policy p policy =
                let bc = Briefcase.create () in
                Briefcase.set bc "JOB" job;
                Briefcase.set bc "WORK" (string_of_float p.work_per_job);
-               Briefcase.set bc "REPLY-HOST" (Kernel.site_name k hub);
-               Briefcase.set bc "REPLY-AGENT" "job-back";
+               Kernel.set_reply_to k bc ~site:hub ~agent:"job-back";
                Kernel.send_briefcase k ~src:hub ~dst ~contact:c.Policy.provider bc)))
   done;
   Net.run net;

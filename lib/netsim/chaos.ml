@@ -169,36 +169,33 @@ let degradations ~rng ~topo ~rate ~mean_duration ~latency_factor ~bandwidth_fact
 
 type profile = {
   crash_rate : float;
-  mean_downtime : float;
   bisection_rate : float;
   mean_partition : float;
   flap_rate : float;
-  mean_flap : float;
   loss_burst_rate : float;
-  mean_loss_burst : float;
-  burst_loss : float;
   degrade_rate : float;
-  mean_degrade : float;
-  latency_factor : float;
-  bandwidth_factor : float;
 }
 
 let default_profile =
   {
     crash_rate = 1.0 /. 300.0;
-    mean_downtime = 10.0;
     bisection_rate = 1.0 /. 200.0;
     mean_partition = 8.0;
     flap_rate = 1.0 /. 120.0;
-    mean_flap = 4.0;
     loss_burst_rate = 1.0 /. 150.0;
-    mean_loss_burst = 6.0;
-    burst_loss = 0.4;
     degrade_rate = 1.0 /. 150.0;
-    mean_degrade = 8.0;
-    latency_factor = 8.0;
-    bandwidth_factor = 0.2;
   }
+
+(* the fixed shape of each fault class in a mixed plan: mean durations in
+   seconds, a burst's loss rate, a degradation's latency and bandwidth
+   factors *)
+let mean_downtime = 10.0
+let mean_flap = 4.0
+let mean_loss_burst = 6.0
+let burst_loss = 0.4
+let mean_degrade = 8.0
+let latency_factor = 8.0
+let bandwidth_factor = 0.2
 
 let mixed ~rng ~topo ?(profile = default_profile) ~until () =
   (* one split per fault class, in a fixed order, so tuning one rate never
@@ -210,16 +207,15 @@ let mixed ~rng ~topo ?(profile = default_profile) ~until () =
   let degrade_rng = Rng.split rng in
   let p = profile in
   sort
-    (crashes ~rng:crash_rng ~sites:(Topology.sites topo) ~rate:p.crash_rate
-       ~mean_downtime:p.mean_downtime ~until
+    (crashes ~rng:crash_rng ~sites:(Topology.sites topo) ~rate:p.crash_rate ~mean_downtime
+       ~until
     @ bisections ~rng:bisect_rng ~topo ~rate:p.bisection_rate
         ~mean_downtime:p.mean_partition ~until
-    @ flapping ~rng:flap_rng ~topo ~rate:p.flap_rate ~mean_downtime:p.mean_flap ~until
-    @ loss_bursts ~rng:loss_rng ~topo ~rate:p.loss_burst_rate
-        ~mean_duration:p.mean_loss_burst ~loss:p.burst_loss ~until
-    @ degradations ~rng:degrade_rng ~topo ~rate:p.degrade_rate
-        ~mean_duration:p.mean_degrade ~latency_factor:p.latency_factor
-        ~bandwidth_factor:p.bandwidth_factor ~until)
+    @ flapping ~rng:flap_rng ~topo ~rate:p.flap_rate ~mean_downtime:mean_flap ~until
+    @ loss_bursts ~rng:loss_rng ~topo ~rate:p.loss_burst_rate ~mean_duration:mean_loss_burst
+        ~loss:burst_loss ~until
+    @ degradations ~rng:degrade_rng ~topo ~rate:p.degrade_rate ~mean_duration:mean_degrade
+        ~latency_factor ~bandwidth_factor ~until)
 
 (* ---- validation ------------------------------------------------------------ *)
 

@@ -81,21 +81,17 @@ val degradations :
   plan
 
 (** Rates for {!mixed}: crashes are per site per second, everything else is
-    net-wide. *)
+    net-wide.  Only the partition length is settable; the other fault
+    classes have a fixed shape: 10 s mean downtime, 4 s mean flaps, 6 s
+    mean loss bursts at 40% loss, and 8 s mean degradations to 8× latency
+    and 0.2× bandwidth. *)
 type profile = {
   crash_rate : float;
-  mean_downtime : float;
   bisection_rate : float;
-  mean_partition : float;
+  mean_partition : float;  (** mean bisection length, seconds *)
   flap_rate : float;
-  mean_flap : float;
   loss_burst_rate : float;
-  mean_loss_burst : float;
-  burst_loss : float;
   degrade_rate : float;
-  mean_degrade : float;
-  latency_factor : float;
-  bandwidth_factor : float;
 }
 
 val default_profile : profile

@@ -127,19 +127,20 @@ let link_id ix a b =
     find 0
   end
 
-let default_latency = 0.005
-let default_bandwidth = 1_000_000.0
+(* every link a generator makes: 5 ms, 1 MB/s *)
+let latency = 0.005
+let bandwidth = 1_000_000.0
 
-let mk ?(latency = default_latency) ?(bandwidth = default_bandwidth) n name_of =
+let mk n name_of =
   let t = create () in
   for i = 0 to n - 1 do
     ignore (add_site t ~name:(name_of i))
   done;
   (t, fun a b -> add_link t a b ~latency ~bandwidth)
 
-let ring ?latency ?bandwidth n =
+let ring n =
   if n < 1 then invalid_arg "Topology.ring";
-  let t, connect = mk ?latency ?bandwidth n (Printf.sprintf "ring-%d") in
+  let t, connect = mk n (Printf.sprintf "ring-%d") in
   if n > 1 then
     for i = 0 to n - 1 do
       let j = (i + 1) mod n in
@@ -147,19 +148,17 @@ let ring ?latency ?bandwidth n =
     done;
   t
 
-let star ?latency ?bandwidth n =
+let star n =
   if n < 0 then invalid_arg "Topology.star";
-  let t, connect =
-    mk ?latency ?bandwidth (n + 1) (fun i -> if i = 0 then "hub" else Printf.sprintf "spoke-%d" i)
-  in
+  let t, connect = mk (n + 1) (fun i -> if i = 0 then "hub" else Printf.sprintf "spoke-%d" i) in
   for i = 1 to n do
     connect 0 i
   done;
   t
 
-let full_mesh ?latency ?bandwidth n =
+let full_mesh n =
   if n < 1 then invalid_arg "Topology.full_mesh";
-  let t, connect = mk ?latency ?bandwidth n (Printf.sprintf "mesh-%d") in
+  let t, connect = mk n (Printf.sprintf "mesh-%d") in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       connect i j
@@ -167,11 +166,10 @@ let full_mesh ?latency ?bandwidth n =
   done;
   t
 
-let grid ?latency ?bandwidth rows cols =
+let grid rows cols =
   if rows < 1 || cols < 1 then invalid_arg "Topology.grid";
   let t, connect =
-    mk ?latency ?bandwidth (rows * cols) (fun i ->
-        Printf.sprintf "grid-%d-%d" (i / cols) (i mod cols))
+    mk (rows * cols) (fun i -> Printf.sprintf "grid-%d-%d" (i / cols) (i mod cols))
   in
   for r = 0 to rows - 1 do
     for c = 0 to cols - 1 do
@@ -182,16 +180,21 @@ let grid ?latency ?bandwidth rows cols =
   done;
   t
 
-let line ?latency ?bandwidth n =
+let line n =
   if n < 1 then invalid_arg "Topology.line";
-  let t, connect = mk ?latency ?bandwidth n (Printf.sprintf "line-%d") in
+  let t, connect = mk n (Printf.sprintf "line-%d") in
   for i = 0 to n - 2 do
     connect i (i + 1)
   done;
   t
 
-let wan_pair ?(lan_latency = 0.001) ?(lan_bandwidth = 10_000_000.0) ?(wan_latency = 0.1)
-    ?(wan_bandwidth = 64_000.0) ~cluster () =
+(* 1995's links between and within Tromsø and Cornell *)
+let lan_latency = 0.001
+let lan_bandwidth = 10_000_000.0
+let wan_latency = 0.1
+let wan_bandwidth = 64_000.0
+
+let wan_pair ~cluster () =
   if cluster < 1 then invalid_arg "Topology.wan_pair";
   let t = create () in
   for i = 0 to (2 * cluster) - 1 do
@@ -211,9 +214,9 @@ let wan_pair ?(lan_latency = 0.001) ?(lan_bandwidth = 10_000_000.0) ?(wan_latenc
     add_link t 0 cluster ~latency:wan_latency ~bandwidth:wan_bandwidth;
   t
 
-let random ?latency ?bandwidth ~rng ~n ~p () =
+let random ~rng ~n ~p () =
   if n < 1 then invalid_arg "Topology.random";
-  let t, connect = mk ?latency ?bandwidth n (Printf.sprintf "rand-%d") in
+  let t, connect = mk n (Printf.sprintf "rand-%d") in
   (* spanning ring first, so the graph is connected regardless of p *)
   if n > 1 then
     for i = 0 to n - 1 do

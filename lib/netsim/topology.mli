@@ -49,34 +49,27 @@ val link_id : index -> Site.id -> Site.id -> int
 
 (** {1 Generators}
 
-    All generators use [latency] (default 5 ms) and [bandwidth] (default
-    1 MB/s) for every link — a mid-1990s LAN/WAN mix matching the paper's
-    Tromsø–Cornell setting. *)
+    Every link a generator makes has 5 ms latency and 1 MB/s bandwidth, a
+    mid-1990s LAN/WAN mix matching the paper's Tromsø–Cornell setting
+    ({!wan_pair} has its own two link kinds).  A net with other link
+    parameters is built with {!create}, {!add_site} and {!add_link}. *)
 
-val ring : ?latency:float -> ?bandwidth:float -> int -> t
-val star : ?latency:float -> ?bandwidth:float -> int -> t
+val ring : int -> t
+val star : int -> t
 (** [star n] has a hub (site 0) and [n] spokes. *)
 
-val full_mesh : ?latency:float -> ?bandwidth:float -> int -> t
-val grid : ?latency:float -> ?bandwidth:float -> int -> int -> t
+val full_mesh : int -> t
+val grid : int -> int -> t
 (** [grid rows cols]. *)
 
-val line : ?latency:float -> ?bandwidth:float -> int -> t
+val line : int -> t
 
-val random : ?latency:float -> ?bandwidth:float -> rng:Tacoma_util.Rng.t ->
-  n:int -> p:float -> unit -> t
+val random : rng:Tacoma_util.Rng.t -> n:int -> p:float -> unit -> t
 (** Erdős–Rényi with edge probability [p]; a spanning ring is always added
     so the graph is connected. *)
 
-val wan_pair :
-  ?lan_latency:float ->
-  ?lan_bandwidth:float ->
-  ?wan_latency:float ->
-  ?wan_bandwidth:float ->
-  cluster:int ->
-  unit ->
-  t
+val wan_pair : cluster:int -> unit -> t
 (** The paper's own deployment shape (Tromsø and Cornell): two full-mesh
     LAN clusters of [cluster] sites each, joined by a single slow WAN link
     between site 0 (first cluster) and site [cluster] (second cluster).
-    Defaults model 1995: 1 ms / 10 MB/s LANs, a 100 ms / 64 KB/s WAN. *)
+    Its links model 1995: 1 ms / 10 MB/s LANs, a 100 ms / 64 KB/s WAN. *)

@@ -65,7 +65,6 @@ and t = {
   mutable steps : int;
   limit : int option;
   mutable depth : int;
-  max_depth : int;
   mutable prof_commands : int;
   mutable prof_proc_calls : int;
   mutable prof_max_depth : int;
@@ -434,8 +433,11 @@ let eval_cells t id (evs : code array) =
 let rec values (cells : Value.cell array) i acc =
   if i < 0 then acc else values cells (i - 1) (cells.(i).v :: acc)
 
+(* proc-call nesting bound *)
+let max_depth = 256
+
 let check_depth t =
-  if t.depth >= t.max_depth then err "too many nested proc calls (max %d)" t.max_depth
+  if t.depth >= max_depth then err "too many nested proc calls (max %d)" max_depth
 
 let pop_frame t =
   t.frames <- List.tl t.frames;
@@ -1587,7 +1589,7 @@ let () =
   install_strings ();
   install_lists ()
 
-let create ?step_limit ?(max_depth = 256) ?caches () =
+let create ?step_limit ?caches () =
   let caches = match caches with Some c -> c | None -> create_caches () in
   let uid = fresh_uid caches in
   let t =
@@ -1601,7 +1603,6 @@ let create ?step_limit ?(max_depth = 256) ?caches () =
       steps = 0;
       limit = step_limit;
       depth = 0;
-      max_depth;
       prof_commands = 0;
       prof_proc_calls = 0;
       prof_max_depth = 0;
@@ -1636,8 +1637,8 @@ let unset_var t name = unset_var t ~complain:false name
 
 (* ---- profiling ---------------------------------------------------------- *)
 
-(* Defined last: the [commands]/[max_depth] field names would otherwise
-   shadow the interpreter record's own fields for the code above. *)
+(* Defined last: the [commands] field name would otherwise shadow the
+   interpreter record's own field for the code above. *)
 type profile = {
   commands : int;
   proc_calls : int;

@@ -85,9 +85,9 @@ val create_caches : unit -> caches
 (** A parse cache of 512 entries; least-recently-used entries are evicted
     one at a time when the bound is exceeded. *)
 
-val create : ?step_limit:int -> ?max_depth:int -> ?caches:caches -> unit -> t
-(** [step_limit] defaults to unlimited; [max_depth] (proc-call nesting)
-    defaults to 256.  [caches] defaults to a fresh private pair — pass a
+val create : ?step_limit:int -> ?caches:caches -> unit -> t
+(** [step_limit] defaults to unlimited; proc calls nest at most 256 deep.
+    [caches] defaults to a fresh private pair — pass a
     shared value to reuse compiled code across interpreters.  The standard
     command set is pre-installed. *)
 

@@ -263,7 +263,11 @@ let test_crashed_provider_ages_out () =
    that shared the monitor's briefcase, or kept a LOAD set earlier, would
    show a queue length other than the one at its own tick. *)
 let test_report_load_is_its_ticks () =
-  let net = Net.create (Topology.full_mesh ~latency:0.7 2) in
+  let topo = Topology.create () in
+  let s0 = Topology.add_site topo ~name:"mesh-0" in
+  let s1 = Topology.add_site topo ~name:"mesh-1" in
+  Topology.add_link topo s0 s1 ~latency:0.7 ~bandwidth:1_000_000.0;
+  let net = Net.create topo in
   let k = Kernel.create net in
   let loads = ref [] in
   Kernel.register_native k ~site:0 "broker" (fun _ bc ->

@@ -639,8 +639,10 @@ let test_migration_carries_wire_image =
           spec
       in
       let bc = bc_of_spec ((Briefcase.code_folder, code) :: spec) in
-      let cfg = Kernel.default_config in
-      let config = { cfg with cache = (if cached then Some Kernel.default_cache_config else None) } in
+      let config =
+        { Kernel.default_config with
+          cache = (if cached then Some Kernel.default_cache_config else None) }
+      in
       let net, k = mk_kernel ~config ~topo:(Topology.line 2) () in
       let got = ref None in
       Kernel.register_native k ~site:1 "probe" (fun _ b -> got := Some (Briefcase.copy b));
@@ -651,19 +653,19 @@ let test_migration_carries_wire_image =
       let wire = Briefcase.copy bc in
       let fetch =
         if cached && code <> [] then begin
-          let cc = Kernel.default_cache_config in
+          let module Cc = Tacoma_core.Codecache in
           Briefcase.remove wire Briefcase.code_folder;
-          Briefcase.set wire Briefcase.code_ref_folder (Tacoma_core.Codecache.digest code);
-          cc.request_bytes + cc.reply_overhead_bytes + Tacoma_core.Codecache.wire_bytes code
+          Briefcase.set wire Briefcase.code_ref_folder (Cc.digest code);
+          Cc.request_bytes + Cc.reply_overhead_bytes + Cc.wire_bytes code
         end
         else 0
       in
-      let base = String.length (Briefcase.serialize wire) + cfg.migration_overhead in
+      let base = String.length (Briefcase.serialize wire) + Kernel.migration_overhead in
       let transport_bytes =
         match transport with
-        | Kernel.Rsh -> cfg.rsh.extra_bytes
-        | Kernel.Tcp -> cfg.tcp.extra_bytes + cfg.tcp.handshake_bytes
-        | Kernel.Horus -> cfg.horus.extra_bytes + cfg.horus.ack_bytes
+        | Kernel.Rsh -> Kernel.rsh_extra_bytes
+        | Kernel.Tcp -> Kernel.tcp_extra_bytes + Kernel.tcp_handshake_bytes
+        | Kernel.Horus -> Kernel.horus_extra_bytes + Kernel.horus_ack_bytes
       in
       (match !got with Some b -> bc_equal b expected | None -> false)
       && Netstats.bytes_sent (Net.stats net) = base + transport_bytes + fetch)
@@ -713,9 +715,7 @@ let test_kernel_horus_group_mode () =
 
 let test_kernel_group_aborts_retries_to_dead_site () =
   let config =
-    { Kernel.default_config with
-      horus =
-        { Kernel.default_config.horus with group = true; max_attempts = 50; rto = 1.0 } }
+    { Kernel.default_config with horus = { Kernel.group = true; max_attempts = 50; rto = 1.0 } }
   in
   let net = Net.create ~trace:true (Topology.full_mesh 4) in
   let k = Kernel.create ~config net in
@@ -897,7 +897,7 @@ let check_sender_crash_loses_migration ~transport ?dst_down ~from ~until () =
 let test_rsh_sender_crash_loses_spawn () =
   let from = 0.001 in
   check_sender_crash_loses_migration ~transport:Kernel.Rsh ~from
-    ~until:(from +. Kernel.default_config.rsh.spawn_delay) ()
+    ~until:(from +. Kernel.rsh_spawn_delay) ()
 
 (* the destination is down until 2.5 s, so the copies sent at [from] and
    after one rto are lost, and the one sent after two more arrives *)
@@ -953,7 +953,7 @@ let tcp_migration_bytes times =
   List.rev !sizes
 
 let test_tcp_connection_dies_with_destination () =
-  let handshake = Kernel.default_config.tcp.handshake_bytes in
+  let handshake = Kernel.tcp_handshake_bytes in
   (match tcp_migration_bytes [ 0.5; 3.0; 3.5 ] with
   | [ first; after_restart; reused ] ->
     check Alcotest.int "the first migration after the restart pays the handshake" first

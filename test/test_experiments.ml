@@ -15,6 +15,40 @@ module E10 = Experiments.E10_chaos
 
 let check = Alcotest.check
 
+(* A watchdog for a case that runs a simulation to quiescence: once a
+   daemon stops being one (a load monitor's or a routing advert's sleep),
+   [Net.run] never returns, and the case must fail rather than hang.  The
+   experiment builds its net inside, where the test cannot schedule a
+   daemon on it as test_broker's quiescence cases do, so the bound is host
+   time.  The alarm's handler raises out of the run; one that lands inside
+   an activation is caught there as the agent's death, so after the first
+   alarm it repeats every 10 ms until one escapes.  Each guarded case ends
+   within 1 s. *)
+exception Watchdog
+
+let watchdog ~seconds case () =
+  let armed = ref true in
+  let previous =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> if !armed then raise Watchdog))
+  in
+  let set value interval =
+    ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_value = value; it_interval = interval })
+  in
+  let stop () =
+    armed := false;
+    set 0.0 0.0;
+    Sys.set_signal Sys.sigalrm previous
+  in
+  set (float_of_int seconds) 0.01;
+  match case () with
+  | () -> stop ()
+  | exception Watchdog ->
+    stop ();
+    Alcotest.failf "still running after %d s: a daemon keeps the run alive" seconds
+  | exception e ->
+    stop ();
+    raise e
+
 let test_e1_shape () =
   let rows =
     E1.run
@@ -304,7 +338,7 @@ let () =
           Alcotest.test_case "e4a validation" `Quick test_e4a_shape;
           Alcotest.test_case "e4b court" `Slow test_e4b_shape;
           Alcotest.test_case "e4c fuel" `Quick test_e4c_shape;
-          Alcotest.test_case "e5 broker" `Slow test_e5_shape;
+          Alcotest.test_case "e5 broker" `Slow (watchdog ~seconds:10 test_e5_shape);
           Alcotest.test_case "e6 guards" `Slow test_e6_shape;
           Alcotest.test_case "e7 transports" `Slow test_e7_shape;
           Alcotest.test_case "e7c lossy links" `Slow test_e7c_shape;
@@ -317,7 +351,8 @@ let () =
         [
           Alcotest.test_case "a3 horus group" `Slow test_ablation_a3_shape;
           Alcotest.test_case "a4 code size" `Slow test_ablation_a4_shape;
-          Alcotest.test_case "a5 routed lookup" `Quick test_ablation_a5_shape;
+          Alcotest.test_case "a5 routed lookup" `Quick
+            (watchdog ~seconds:10 test_ablation_a5_shape);
         ] );
       ("registry", [ Alcotest.test_case "complete" `Quick test_registry_complete ]);
     ]
